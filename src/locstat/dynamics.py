@@ -10,6 +10,12 @@ by a state recursion on a fine grid in rescaled time s. The recursion uses
 a midpoint one-step propagator (exact integral of the coefficient to second
 order) and left-point noise weighting; its O(h) bias is checked by the
 refinement tests rather than hidden behind richer schemes.
+
+For the scalar model the recursion between two recorded nodes is linear in
+the noise, so its increment has an exact law (:class:`SegmentLaw`). Callers
+that need the states at the nodes only draw one aggregated value per record
+segment; :func:`simulate_yn` and :func:`refine_path` keep per-step
+increments, because coupled paths are built on them.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +25,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from . import _core
-from .noise import LevyTriplet
+from .noise import JumpSpec, LevyTriplet
 
 __all__ = [
     "Lipschitz",
@@ -36,6 +42,10 @@ __all__ = [
     "build_scalar_plan",
     "build_scalar_plan_rescaled",
     "run_scalar_plan",
+    "SegmentLaw",
+    "build_segment_law",
+    "draw_segment_noise",
+    "run_segment_law",
     "PeanoBakerNonConvergence",
 ]
 
@@ -397,18 +407,19 @@ def build_scalar_plan(
     return build_scalar_plan_rescaled(spec, N, N * eval_times, h, burn_in)
 
 
-def build_scalar_plan_rescaled(
-    spec: Car1Spec, N: int, rescaled: np.ndarray, h: float, burn_in: float
-) -> ScalarPlan:
-    """Plan builder taking evaluation nodes directly in rescaled time s = N t,
-    avoiding a lossy round trip through original time."""
-    rescaled = np.asarray(rescaled, dtype=float)
+def _record_grid(rescaled: np.ndarray, h: float, burn_in: float, margin: float):
+    """Fine-grid layout of a run: ``(n_burn, record_steps, start)``.
+
+    Checks that the step is positive and divides every evaluation gap and that
+    the burn-in is at least 8 / stability margin. ``record_steps`` counts the
+    steps after which the state is recorded; ``start`` is the rescaled time of
+    the first fine node.
+    """
     if h <= 0:
         raise ValueError("fine_step must be positive")
-    min_burn = 8.0 / spec.stability_margin
+    min_burn = 8.0 / margin
     if burn_in < min_burn - 1e-9:
         raise ValueError(f"burn_in {burn_in} below required {min_burn} (8 / stability margin)")
-
     gaps = np.diff(rescaled)
     if gaps.size and h > gaps.min() + 1e-12:
         raise ValueError("fine_step exceeds the smallest rescaled evaluation gap")
@@ -419,8 +430,17 @@ def build_scalar_plan_rescaled(
                 f"fine_step {h} does not divide evaluation gap {gap} at index {i}"
             )
     n_burn = int(np.ceil(burn_in / h - 1e-12))
-    start = rescaled[0] - n_burn * h
     record_steps = n_burn + np.concatenate([[0], np.cumsum(steps_per_gap)])
+    return n_burn, record_steps, rescaled[0] - n_burn * h
+
+
+def build_scalar_plan_rescaled(
+    spec: Car1Spec, N: int, rescaled: np.ndarray, h: float, burn_in: float
+) -> ScalarPlan:
+    """Plan builder taking evaluation nodes directly in rescaled time s = N t,
+    avoiding a lossy round trip through original time."""
+    rescaled = np.asarray(rescaled, dtype=float)
+    _, record_steps, start = _record_grid(rescaled, h, burn_in, spec.stability_margin)
     n_steps = int(record_steps[-1])
 
     mids = start + (np.arange(n_steps) + 0.5) * h
@@ -473,6 +493,99 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.nd
                 row = row + np.bincount(cells, weights=sizes, minlength=n)
         out[r] = row
     return out
+
+
+@dataclass
+class SegmentLaw:
+    """Exact law of the noise a scalar plan adds between two records.
+
+    Record segment k is the run of fine steps ``[bounds[k], bounds[k+1])``
+    that ends at record k; the first one is the burn-in. With suffix weights
+    s_j = prod(phi[j+1:hi]) c_j, the recursion moves the state over the
+    segment by
+
+        x <- decay_k x + sum_j s_j dL_j,    decay_k = prod(phi[lo:hi]),
+
+    and the sum has the law of ``mean_k + std_k Z`` plus, for each of
+    Poisson(rate h m_k) jumps, ``s_cell * size`` with the cell uniform among
+    the segment's m_k cells. Recorded states drawn this way have the same
+    joint law as the fine-grid recursion, from one draw per segment instead of
+    one per step. A decay or weight that underflows to 0 is the right value.
+    """
+
+    bounds: np.ndarray  # (n_records + 1,) fine-step bounds of the record segments
+    decay: np.ndarray  # (n_records,) prod(phi) over each segment
+    mean: np.ndarray  # (n_records,) path_drift * h * sum(s)
+    std: np.ndarray | None  # (n_records,) sqrt(sigma2 * h * sum(s^2)); None without sigma2
+    jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
+    cell_weights: np.ndarray | None  # (n_steps,) s_j of every cell; None without jumps
+    jumps: JumpSpec | None
+
+
+def build_segment_law(plan: ScalarPlan, triplet: LevyTriplet) -> SegmentLaw:
+    """Segment law of ``plan`` under ``triplet``; per-cell weights are kept
+    only when the driver has jumps."""
+    bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
+    n = bounds.size - 1
+    has_jumps = triplet.jumps is not None and triplet.jump_rate > 0
+    decay, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
+    weights = np.empty(plan.n_steps) if has_jumps else None
+    for k in range(n):
+        lo, hi = bounds[k], bounds[k + 1]
+        phi = plan.phi[lo:hi]
+        s = np.ones(hi - lo)
+        s[:-1] = np.cumprod(phi[:0:-1])[::-1]  # s[j] = prod(phi[j+1:])
+        s *= plan.c_weights[lo:hi]
+        decay[k] = np.prod(phi)
+        s1[k] = s.sum()
+        s2[k] = s @ s
+        if has_jumps:
+            weights[lo:hi] = s
+    h = plan.h
+    return SegmentLaw(
+        bounds=bounds,
+        decay=decay,
+        mean=triplet.path_drift * h * s1,
+        std=np.sqrt(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
+        jump_mean=triplet.jump_rate * h * np.diff(bounds) if has_jumps else None,
+        cell_weights=weights,
+        jumps=triplet.jumps if has_jumps else None,
+    )
+
+
+def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
+    """Noise of every record segment, shape (R, n_records).
+
+    One generator per replication, each called once per kind of draw, in
+    this order: a standard normal per segment (when sigma2 > 0), a Poisson
+    jump count per segment, a uniform per jump that picks its cell, then the
+    jump sizes.
+    """
+    n = law.decay.size
+    cells = np.diff(law.bounds)
+    out = np.empty((len(gens), n))
+    for r, gen in enumerate(gens):
+        row = law.mean if law.std is None else law.mean + law.std * gen.standard_normal(n)
+        if law.jump_mean is not None:
+            counts = gen.poisson(law.jump_mean)
+            total = int(counts.sum())
+            if total:
+                seg = np.repeat(np.arange(n), counts)
+                pick = np.minimum((gen.random(total) * cells[seg]).astype(np.int64), cells[seg] - 1)
+                sizes = law.jumps.sample(total, gen)
+                weights = law.cell_weights[law.bounds[seg] + pick]
+                row = row + np.bincount(seg, weights=weights * sizes, minlength=n)
+        out[r] = row
+    return out
+
+
+def run_segment_law(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
+    """Recorded states (R, n_records) from a zero start, given the segment
+    noise ``eta`` of :func:`draw_segment_noise`."""
+    Y = np.array(eta, dtype=float)
+    for k in range(1, law.decay.size):
+        Y[:, k] += law.decay[k] * Y[:, k - 1]
+    return Y
 
 
 def simulate_yn(
@@ -534,21 +647,9 @@ def _simulate_yn_statespace(
     meta,
 ):
     h = fine_step
-    min_burn = 8.0 / spec.stability_margin
-    if burn_in < min_burn - 1e-9:
-        raise ValueError(f"burn_in {burn_in} below required {min_burn} (8 / stability margin)")
     rescaled = N * np.asarray(eval_times, dtype=float)
-    gaps = np.diff(rescaled)
-    if gaps.size and h > gaps.min() + 1e-12:
-        raise ValueError("fine_step exceeds the smallest rescaled evaluation gap")
-    steps_per_gap = np.rint(gaps / h).astype(int)
-    for i, (m, gap) in enumerate(zip(steps_per_gap, gaps)):
-        if m < 1 or abs(m * h - gap) > 1e-12 * max(1.0, abs(gap)):
-            raise ValueError(f"fine_step {h} does not divide evaluation gap {gap} at index {i}")
-    n_burn = int(np.ceil(burn_in / h - 1e-12))
-    record_steps = n_burn + np.concatenate([[0], np.cumsum(steps_per_gap)])
+    _, record_steps, start = _record_grid(rescaled, h, burn_in, spec.stability_margin)
     n_steps = int(record_steps[-1])
-    start = rescaled[0] - n_burn * h
 
     if increments is None:
         inc = _draw_increments_rows(triplet, h, n_steps, [rng])[0]

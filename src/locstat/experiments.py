@@ -13,6 +13,12 @@ Four experiment families:
   lipschitz_u   smoothness of the frozen family in the localization point,
                 fitted on coupled simulations over a |u - v| ladder
 
+The lln and clt campaigns need Y_N only at the observation nodes. Their
+chunks draw the noise of each record segment in one exact draw (see
+``dynamics.SegmentLaw``) from a plan and segment law built once per N, and
+run the recursion over records only. The coupling campaign keeps per-step
+increments, because it couples two processes on them.
+
 Replications are deterministic: each replication draws from its own
 counter-based stream keyed by (seed, purpose, replication index), work is cut
 into fixed-size chunks, and reduction is in chunk order, so reports are
@@ -32,7 +38,10 @@ from .dynamics import (
     ModelSpec,
     _draw_increments_rows,
     build_scalar_plan_rescaled,
-    run_scalar_plan,
+    build_segment_law,
+    draw_segment_noise,
+    run_scalar_plan,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
+    run_segment_law,
     validate_car1,
     validate_model,
 )
@@ -291,35 +300,45 @@ def _union_offsets(scheme, lag: int):
     return offsets, nearest(base), nearest(shifted)
 
 
-def _localized_chunk(payload, lo, hi):
-    cfg: ExperimentConfig = payload["config"]
-    N = payload["N"]
-    purpose = payload["purpose"]
-    scheme = make_scheme(cfg.u, N, cfg.bandwidth, cfg.step_rule)
-    lag = payload["lag"]
+def _localized_payload(
+    config: ExperimentConfig, N: int, lag: int, statistic: str, purpose: str,
+    center: float = 0.0, clt: bool = False,
+) -> dict:
+    """Chunk payload of a localized statistic at one N: the segment law of the
+    union of the observation grid and its lagged shift, the node indices, the
+    kernel weights and the scale, delta_N / b_N (lln) or its square root
+    (clt). Built once per N and shared by every chunk."""
+    scheme = make_scheme(config.u, N, config.bandwidth, config.step_rule)
     offsets, base_idx, shift_idx = _union_offsets(scheme, lag)
-    rescaled = N * cfg.u + offsets
-    model = _as_car1(cfg.model)
-    plan = build_scalar_plan_rescaled(model, N, rescaled, cfg.fine_step, cfg.burn_in)
-    gens = [stream(cfg.seed, purpose, i) for i in range(lo, hi)]
-
-    def eta_block(a, b):
-        rows = _draw_increments_rows(cfg.triplet, cfg.fine_step, b - a, gens)
-        return rows  # car1 noise coefficient is 1
-
-    Y = run_scalar_plan(plan, eta_block, hi - lo)
-    w = cfg.kernel((scheme.grid - scheme.u) / scheme.b_N)
+    plan = build_scalar_plan_rescaled(
+        _as_car1(config.model), N, N * config.u + offsets, config.fine_step, config.burn_in
+    )
     factor = scheme.delta_N / scheme.b_N
-    if payload["mode"] == "clt":
-        summands = (
-            Y[:, base_idx]
-            if lag <= 0 and payload["statistic"] == "mean"
-            else Y[:, base_idx] * Y[:, shift_idx] - payload["center"]
-        )
-        return np.sqrt(factor) * (summands @ w)
-    if payload["statistic"] == "mean":
-        return factor * (Y[:, base_idx] @ w)
-    return factor * ((Y[:, base_idx] * Y[:, shift_idx]) @ w)
+    return {
+        "config": config,
+        "law": build_segment_law(plan, config.triplet),
+        "base_idx": base_idx,
+        "shift_idx": shift_idx,
+        "weights": config.kernel((scheme.grid - scheme.u) / scheme.b_N),
+        "scale": np.sqrt(factor) if clt else factor,
+        "statistic": statistic,
+        "center": center,
+        "purpose": purpose,
+    }
+
+
+def _localized_chunk(payload, lo, hi):
+    """Scaled localized statistic of replications [lo, hi): the kernel-weighted
+    sum of the states (statistic "mean") or of the lagged products minus
+    ``center``."""
+    cfg: ExperimentConfig = payload["config"]
+    law = payload["law"]
+    gens = [stream(cfg.seed, payload["purpose"], i) for i in range(lo, hi)]
+    Y = run_segment_law(law, draw_segment_noise(law, gens))
+    summands = Y[:, payload["base_idx"]]
+    if payload["statistic"] != "mean":
+        summands = summands * Y[:, payload["shift_idx"]] - payload["center"]
+    return payload["scale"] * (summands @ payload["weights"])
 
 
 def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport:
@@ -348,14 +367,10 @@ def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport
 
     rows, rmses = [], []
     for N in config.N_list:
-        payload = {
-            "config": config,
-            "N": N,
-            "lag": lag,
-            "statistic": config.statistic,
-            "mode": "lln",
-            "purpose": f"lln:{config.statistic}:{config.step_rule.kind}:{N}",
-        }
+        payload = _localized_payload(
+            config, N, lag, config.statistic,
+            purpose=f"lln:{config.statistic}:{config.step_rule.kind}:{N}",
+        )
         vals = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
         err_sq = (vals - target) ** 2
         rmse = float(np.sqrt(np.mean(err_sq)))
@@ -396,18 +411,11 @@ def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport
 def _global_average_chunk(payload, lo, hi):
     cfg: ExperimentConfig = payload["config"]
     N = payload["N"]
-    model = _as_car1(cfg.model)
-    gap = payload["gap"]
-    rescaled = gap * np.arange(cfg.n_quad + 1)
-    plan = build_scalar_plan_rescaled(model, N, rescaled, payload["h_eff"], cfg.burn_in)
+    law = payload["law"]
     gens = [stream(cfg.seed, f"lln_cont:{N}", i) for i in range(lo, hi)]
-
-    def eta_block(a, b):
-        return _draw_increments_rows(cfg.triplet, payload["h_eff"], b - a, gens)
-
-    Y = run_scalar_plan(plan, eta_block, hi - lo)
+    Y = run_segment_law(law, draw_segment_noise(law, gens))
     # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
-    integral = np.trapezoid(Y, dx=gap, axis=1)
+    integral = np.trapezoid(Y, dx=payload["gap"], axis=1)
     return integral / (N * cfg.t_end)
 
 
@@ -424,7 +432,11 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
     for N in config.N_list:
         gap = N * config.t_end / config.n_quad
         h_eff = gap / max(1, int(round(gap / config.fine_step)))
-        payload = {"config": config, "N": N, "gap": gap, "h_eff": h_eff}
+        plan = build_scalar_plan_rescaled(
+            _as_car1(model), N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in
+        )
+        law = build_segment_law(plan, config.triplet)
+        payload = {"config": config, "N": N, "gap": gap, "law": law}
         vals = _map_chunks(_global_average_chunk, payload, config.replications, config.workers)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
@@ -492,15 +504,10 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
         var_tol = 0.10
         statistic = "mean"
 
-    payload = {
-        "config": config,
-        "N": N,
-        "lag": int(lag),
-        "statistic": statistic,
-        "mode": "clt",
-        "center": center,
-        "purpose": f"clt:{statistic}:{scheme.kind}:{N}",
-    }
+    payload = _localized_payload(
+        config, N, int(lag), statistic,
+        purpose=f"clt:{statistic}:{scheme.kind}:{N}", center=center, clt=True,
+    )
     T = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
     R = len(T)
     mean_tol = 3.13 / np.sqrt(R)

@@ -98,20 +98,23 @@ def _eig_cache(fr: FrozenSystem):
     return w, V, np.linalg.solve(V, np.eye(fr.p))
 
 
-def _exp_pair_eval(fr: FrozenSystem, s: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """left' e^{A s} right, vectorized over the lag array s."""
+def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
+    """The map s -> left' e^{A s} right, vectorized over lag arrays.
+
+    A is factorized once, here, so callers that evaluate at many lags (the
+    quadratures of :func:`kernel_power_integrals`) pay for it once.
+    """
     eig = _eig_cache(fr)
     if eig is not None:
         w, V, Vinv = eig
         coeff = (left @ V) * (Vinv @ right)
-        return np.real(np.exp(np.multiply.outer(s, w)) @ coeff)
-    out = np.array([float(left @ linalg.expm(fr.A * si) @ right) for si in np.atleast_1d(s)])
-    return out[0] if np.ndim(s) == 0 else out
+        return lambda s: np.real(np.exp(np.multiply.outer(s, w)) @ coeff)
 
+    def via_expm(s):
+        out = np.array([float(left @ linalg.expm(fr.A * si) @ right) for si in np.atleast_1d(s)])
+        return out[0] if np.ndim(s) == 0 else out
 
-def _f_eval(fr: FrozenSystem, s):
-    """Kernel f(s) = B' e^{A s} C, vectorized over s >= 0."""
-    return _exp_pair_eval(fr, np.asarray(s, dtype=float), fr.B, fr.C)
+    return via_expm
 
 
 def lyapunov_gram(fr: FrozenSystem) -> np.ndarray:
@@ -133,7 +136,7 @@ def stationary_autocov(spec, u: float, triplet: LevyTriplet, h) -> float | np.nd
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValueError("lag must be nonnegative")
-    vals = mom.Sigma_L * _exp_pair_eval(fr, h_arr, fr.B, gam_b)
+    vals = mom.Sigma_L * _exp_pair(fr, fr.B, gam_b)(h_arr)
     return float(vals) if np.isscalar(h) or h_arr.ndim == 0 else vals
 
 
@@ -146,10 +149,12 @@ def kernel_power_integrals(fr: FrozenSystem, horizon: float | None = None):
     """Quadrature values of int f^k, k = 1..4, over [0, 60/margin]."""
     if horizon is None:
         horizon = 60.0 / fr.margin
+    f = _exp_pair(fr, fr.B, fr.C)  # f(s) = B' e^{A s} C
     out = []
     for k in (1, 2, 3, 4):
         val, _ = integrate.quad(
-            lambda s, k=k: float(_f_eval(fr, s)) ** k, 0.0, horizon, limit=400, epsabs=1e-13
+            lambda s, k=k: float(f(np.asarray(s, dtype=float))) ** k,
+            0.0, horizon, limit=400, epsabs=1e-13,
         )
         out.append(val)
     return tuple(out)

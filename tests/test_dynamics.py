@@ -7,8 +7,12 @@ from locstat.dynamics import (
     PathSample,
     PeanoBakerNonConvergence,
     build_scalar_plan,
+    build_scalar_plan_rescaled,
+    build_segment_law,
+    draw_segment_noise,
     refine_path,
     run_scalar_plan,
+    run_segment_law,
     simulate_yn,
     transition_matrix,
     transition_seminorm_check,
@@ -16,7 +20,7 @@ from locstat.dynamics import (
     validate_model,
     _draw_increments_rows,
 )
-from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
+from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet, triplet_moments
 from locstat.rng import stream
 
 
@@ -233,3 +237,95 @@ def test_path_sample_invariants():
         PathSample(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 1.0]), values=np.array([1.0, np.inf]))
+
+
+# --- aggregated per-segment noise --------------------------------------------
+
+
+# a(t) = 2 + sin t at N = 64: 41 nodes one rescaled unit apart around N u = 64
+LAW_H = 1.0 / 32.0
+DRIFT_GAUSS = LevyTriplet(1.0, 1.0)
+GAUSS_JUMPS = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+
+
+def _law_plan():
+    return build_scalar_plan_rescaled(models.tvcar_sin(), 64, 64.0 + np.arange(-20, 21), LAW_H, 8.0)
+
+
+def _segment_paths(plan, tri, purpose, n_reps):
+    law = build_segment_law(plan, tri)
+    gens = [stream(11, purpose, r) for r in range(n_reps)]
+    return run_segment_law(law, draw_segment_noise(law, gens))
+
+
+def _fine_paths(plan, tri, purpose, n_reps):
+    gens = [stream(11, purpose, r) for r in range(n_reps)]
+    return run_scalar_plan(plan, lambda lo, hi: _draw_increments_rows(tri, LAW_H, hi - lo, gens), n_reps)
+
+
+def test_segment_law_structure():
+    plan = _law_plan()
+    for tri in (DRIFT_GAUSS, GAUSS_JUMPS):
+        law = build_segment_law(plan, tri)
+        assert law.decay.size == len(plan.record_steps) == 41
+        assert np.array_equal(law.bounds[1:], plan.record_steps) and law.bounds[0] == 0
+        expected = [np.prod(plan.phi[lo:hi]) for lo, hi in zip(law.bounds[:-1], law.bounds[1:])]
+        assert np.array_equal(law.decay, expected)
+    assert build_segment_law(plan, DRIFT_GAUSS).cell_weights is None
+    assert build_segment_law(plan, GAUSS_JUMPS).cell_weights.shape == (plan.n_steps,)
+    # noise on the last cell of each segment has weight 1, so the fine-grid
+    # scan and the recursion over records must agree on it
+    eta = np.random.default_rng(0).standard_normal((3, 41))
+    fine = np.zeros((3, plan.n_steps))
+    fine[:, law.bounds[1:] - 1] = eta
+    expected = run_scalar_plan(plan, lambda lo, hi: np.ascontiguousarray(fine[:, lo:hi]), 3)
+    assert np.allclose(run_segment_law(law, eta), expected, rtol=1e-12, atol=1e-14)
+    assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
+
+
+@pytest.mark.parametrize("tri", [DRIFT_GAUSS, GAUSS_JUMPS], ids=["drift-gauss", "gauss-jumps"])
+def test_segment_law_matches_exact_moment_recursion(tri):
+    plan = _law_plan()
+    mom = triplet_moments(tri)
+    # exact moments of the fine-grid recursion, one record segment at a time:
+    # m <- P m + mu_L h sum(s), v <- P^2 v + Sigma_L h sum(s^2)
+    means, variances = [], []
+    m = v = 0.0
+    bounds = np.concatenate([[0], plan.record_steps])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s1 = s2 = 0.0
+        for phi in plan.phi[lo:hi]:
+            s1, s2 = phi * s1 + 1.0, phi * phi * s2 + 1.0
+        P = np.prod(plan.phi[lo:hi])
+        m = P * m + mom.mu_L * LAW_H * s1
+        v = P * P * v + mom.Sigma_L * LAW_H * s2
+        means.append(m)
+        variances.append(v)
+    n_reps = 4000
+    Y = _segment_paths(plan, tri, "law-moments", n_reps)
+    centered = Y - Y.mean(axis=0)
+    z_mean = (Y.mean(axis=0) - means) / np.sqrt(np.asarray(variances) / n_reps)
+    var_hat = centered.var(axis=0)
+    se_var = np.sqrt((np.mean(centered**4, axis=0) - var_hat**2) / n_reps)
+    z_var = (var_hat - variances) / se_var
+    assert np.abs(z_mean).max() < 4.5
+    assert np.abs(z_var).max() < 4.5
+
+
+def test_segment_law_agrees_with_fine_grid_on_jump_driver():
+    plan = _law_plan()
+    n_reps = 3000
+    stats = []
+    for Y in (_segment_paths(plan, GAUSS_JUMPS, "law-two-sample:segment", n_reps),
+              _fine_paths(plan, GAUSS_JUMPS, "law-two-sample:fine", n_reps)):
+        lag1 = np.mean(Y[:, :-1] * Y[:, 1:], axis=1)  # one value per replication
+        q, p = np.mean(Y**4, axis=1), np.mean(Y**2, axis=1)
+        Q, P = q.mean(), p.mean()
+        kurt = Q / P**2
+        grad = np.array([1.0 / P**2, -2.0 * Q / P**3])  # delta method
+        kurt_var = grad @ np.cov(q, p) @ grad / n_reps
+        stats.append((lag1.mean(), lag1.var(ddof=1) / n_reps, kurt, kurt_var))
+    (l_a, vl_a, k_a, vk_a), (l_b, vl_b, k_b, vk_b) = stats
+    assert abs(l_a - l_b) < 4.0 * np.sqrt(vl_a + vl_b)
+    assert abs(k_a - k_b) < 4.0 * np.sqrt(vk_a + vk_b)
+    assert k_a > 3.2  # the jumps are there: a Gaussian path has kurtosis 3

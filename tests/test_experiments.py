@@ -16,7 +16,7 @@ from locstat.experiments import (
     run_lln,
 )
 from locstat.kernels import biweight
-from locstat.noise import LevyTriplet
+from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
 
 BROWNIAN = LevyTriplet(0.0, 1.0)
@@ -164,3 +164,22 @@ def test_determinism_across_runs_and_workers():
     b = json.dumps(run_coupling(cfg).to_dict(), sort_keys=True)
     c = json.dumps(run_coupling(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
     assert a == b == c
+
+
+def test_segment_sampler_determinism_across_workers():
+    # jump branch of the per-segment sampler and the continuous average
+    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    clt = ExperimentConfig(
+        "clt_mean", models.ou(1.0), jumps, 1.0, (2**10,), 1000, 10, 1.0 / 64.0, 8.0,
+        bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0),
+    )
+    cont = ExperimentConfig(
+        "lln_continuous", models.tvcar_sin(), LevyTriplet(1.0, 1.0), 1.0, (2**6,), 150, 11,
+        1e-2, 8.0, n_quad=256,
+    )
+    for cfg, run in ((clt, run_clt), (cont, lambda c: run_lln(c, discrete=False))):
+        a = json.dumps(run(cfg).to_dict(), sort_keys=True)
+        b = json.dumps(run(cfg).to_dict(), sort_keys=True)
+        c = json.dumps(run(dataclasses.replace(cfg, workers=2)).to_dict(), sort_keys=True)
+        d = json.dumps(run(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
+        assert a == b == c == d
