@@ -16,6 +16,13 @@ the noise, so its increment has an exact law (:class:`SegmentLaw`). Callers
 that need the states at the nodes only draw one aggregated value per record
 segment; :func:`simulate_yn` and :func:`refine_path` keep per-step
 increments, because coupled paths are built on them.
+
+The state-space recursion x <- P_k x + C(s_k/N) dL_k walks the fine grid in
+blocks of at most ``_BLOCK_STEPS`` steps. Each block evaluates the
+coefficients at all of its times in one call, builds its propagators in one
+batch (:func:`step_propagators`) and runs the recursion as a prefix scan of
+affine maps (:func:`affine_states`), starting from the state the previous
+block left.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +32,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from . import _core
-from .noise import JumpSpec, LevyTriplet
+from .noise import JumpSpec, LevyTriplet, sample_increments
 
 __all__ = [
     "Lipschitz",
@@ -41,6 +48,9 @@ __all__ = [
     "validate_car1",
     "build_scalar_plan",
     "build_scalar_plan_rescaled",
+    "coefficient_values",
+    "step_propagators",
+    "affine_states",
     "run_scalar_plan",
     "SegmentLaw",
     "build_segment_law",
@@ -65,6 +75,12 @@ class Lipschitz:
 class ModelSpec:
     """General state space coefficients A(t) (p,p), B(t) (p,), C(t) (p,).
 
+    Coefficients take an array of times: for ``t`` of shape ``S``, ``A(t)``
+    returns shape ``S + (p, p)`` and ``B(t)`` and ``C(t)`` return
+    ``S + (p,)``; a scalar ``t`` gives a single value. A coefficient that
+    does not depend on t may return the single value for any ``t``; it is
+    broadcast. The simulator checks the shapes (:func:`coefficient_values`).
+
     ``commuting`` declares [A(t), A(s)] = 0 for all s, t; ``stability_margin``
     declares a uniform bound -max_j Re lambda_j(A(t)) >= margin > 0. Both are
     declarations checked by sampling in :func:`validate_model`, not recomputed
@@ -72,9 +88,9 @@ class ModelSpec:
     """
 
     p: int
-    A: Callable[[float], np.ndarray]
-    B: Callable[[float], np.ndarray]
-    C: Callable[[float], np.ndarray]
+    A: Callable[[np.ndarray], np.ndarray]
+    B: Callable[[np.ndarray], np.ndarray]
+    C: Callable[[np.ndarray], np.ndarray]
     lipschitz: Lipschitz
     commuting: bool
     stability_margin: float
@@ -110,11 +126,15 @@ class Car1Spec:
 
     def to_state_space(self) -> ModelSpec:
         a = self.a
+
+        def unit(t):
+            return np.ones(np.shape(t) + (1,))
+
         return ModelSpec(
             p=1,
-            A=lambda t: np.atleast_2d(-np.asarray(a(t), dtype=float)),
-            B=lambda t: np.ones(1),
-            C=lambda t: np.ones(1),
+            A=lambda t: -np.asarray(a(t), dtype=float)[..., None, None],
+            B=unit,
+            C=unit,
             lipschitz=Lipschitz(L_A=self.lipschitz_a),
             commuting=True,
             stability_margin=self.infimum_a,
@@ -474,24 +494,11 @@ def run_scalar_plan(plan: ScalarPlan, eta_block, R: int, x0=None) -> np.ndarray:
 
 
 def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
-    """Increment rows, one generator per replication, fixed draw order."""
-    R = len(gens)
-    out = np.empty((R, n))
-    sig = np.sqrt(triplet.sigma2 * h)
-    drift = triplet.path_drift
-    jumps = triplet.jumps
+    """Increment rows (R, n), one generator per replication, each row drawn
+    by :func:`noise.sample_increments`."""
+    out = np.empty((len(gens), n))
     for r, gen in enumerate(gens):
-        row = drift * h + (sig * gen.standard_normal(n) if sig > 0 else 0.0)
-        if not np.ndim(row):
-            row = np.full(n, row)
-        if jumps is not None and jumps.rate > 0:
-            counts = gen.poisson(jumps.rate * h, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = jumps.sample(total, gen)
-                cells = np.repeat(np.arange(n), counts)
-                row = row + np.bincount(cells, weights=sizes, minlength=n)
-        out[r] = row
+        out[r] = sample_increments(triplet, h, n, gen)
     return out
 
 
@@ -634,6 +641,99 @@ def simulate_yn(
     )
 
 
+# The state-space path runs in blocks of at most _BLOCK_STEPS steps, fewer
+# when p is large, so that a block's arrays hold at most _BLOCK_ENTRIES
+# matrix entries (0.5 MB each) however long the grid is.
+_BLOCK_STEPS = 2048
+_BLOCK_ENTRIES = 65536
+# eigenbasis condition number above which a step's propagator is computed by
+# expm instead, as in stationary._eig_cache
+_COND_MAX = 1e8
+
+
+def coefficient_values(spec: ModelSpec, name: str, t) -> np.ndarray:
+    """Coefficient ``name`` ("A", "B" or "C") of ``spec`` at the times ``t``.
+
+    Returns shape ``t.shape + (p, p)`` for A and ``t.shape + (p,)`` for B and
+    C. A value of the single-time shape is broadcast to every time. Any other
+    shape, a call that fails on an array of times, or a value that is not
+    finite raises ValueError.
+    """
+    t = np.asarray(t, dtype=float)
+    tail = (spec.p, spec.p) if name == "A" else (spec.p,)
+    contract = f"{name}(t) must return shape t.shape + {tail} for an array of times t"
+    try:
+        vals = np.asarray(getattr(spec, name)(t), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"coefficient {name} failed on times of shape {t.shape} ({exc}); {contract}"
+        ) from exc
+    if vals.shape == tail:
+        vals = np.broadcast_to(vals, t.shape + tail)
+    elif vals.shape != t.shape + tail:
+        raise ValueError(
+            f"coefficient {name} returned shape {vals.shape} for times of shape {t.shape}; "
+            f"{contract}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"coefficient {name} is not finite on [{t.min()}, {t.max()}]")
+    return vals
+
+
+def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
+    """Propagators (n, p, p) of dX/ds = A(s/N) X over the steps [s, s + h]
+    with left points ``s = lefts`` in rescaled time.
+
+    Commuting models take expm(A((s + h/2)/N) h), computed for all steps at
+    once as V diag(e^{lambda h}) V^-1 from a batched eigendecomposition; the
+    steps whose eigenbasis has cond(V) > 1e8 (near-defective A) go through
+    ``linalg.expm``. Other models take one RK4 step of length h, with A at
+    s/N, (s + h/2)/N and (s + h)/N.
+    """
+    lefts = np.asarray(lefts, dtype=float)
+    if not spec.commuting:
+        A0 = coefficient_values(spec, "A", lefts / N)
+        A1 = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
+        A2 = coefficient_values(spec, "A", (lefts + h) / N)
+        eye = np.eye(spec.p)
+        k1 = A0
+        k2 = A1 @ (eye + (h / 2) * k1)
+        k3 = A1 @ (eye + (h / 2) * k2)
+        k4 = A2 @ (eye + h * k3)
+        return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    Ah = coefficient_values(spec, "A", (lefts + 0.5 * h) / N) * h
+    w, V = np.linalg.eig(Ah)
+    good = np.linalg.cond(V) <= _COND_MAX
+    props = np.empty(Ah.shape)
+    w, V = w[good], V[good]
+    props[good] = ((V * np.exp(w)[:, None, :]) @ np.linalg.inv(V)).real
+    if not good.all():
+        props[~good] = linalg.expm(Ah[~good])
+    return props
+
+
+def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """States x_1 .. x_n (n, p) of x_{k+1} = P[k] x_k + c[k] from x_0.
+
+    A doubling prefix scan over the affine maps (Blelloch 1990, "Prefix sums
+    and their applications"): after the round with stride d, entry k holds
+    the composition of steps k - 2d + 1 .. k, so log2(n) batched rounds
+    replace n sequential steps.
+    """
+    n = len(P)
+    M = P.copy()
+    v = c.copy()
+    if n:
+        v[0] += P[0] @ x0
+    d = 1
+    while d < n:
+        v[d:] += (M[d:] @ v[:-d, :, None])[..., 0]
+        if 2 * d < n:
+            M[d:] = M[d:] @ M[:-d]
+        d *= 2
+    return v
+
+
 def _simulate_yn_statespace(
     spec: ModelSpec,
     triplet,
@@ -647,8 +747,8 @@ def _simulate_yn_statespace(
     meta,
 ):
     h = fine_step
-    rescaled = N * np.asarray(eval_times, dtype=float)
-    _, record_steps, start = _record_grid(rescaled, h, burn_in, spec.stability_margin)
+    eval_times = np.asarray(eval_times, dtype=float)
+    _, record_steps, start = _record_grid(N * eval_times, h, burn_in, spec.stability_margin)
     n_steps = int(record_steps[-1])
 
     if increments is None:
@@ -658,26 +758,21 @@ def _simulate_yn_statespace(
         if inc.shape != (n_steps,):
             raise ValueError(f"increments must have shape ({n_steps},)")
 
-    record_set = set(int(k) for k in record_steps)
-    x = np.zeros(spec.p)
-    values = np.empty(len(record_steps))
-    rec = 0
-    if 0 in record_set:
-        values[rec] = float(spec.B(start / N) @ x)
-        rec += 1
-    eye = np.eye(spec.p)
-    for j in range(n_steps):
-        s_left = start + j * h
-        mid = (s_left + 0.5 * h) / N
-        if spec.commuting:
-            prop = linalg.expm(np.asarray(spec.A(mid), dtype=float) * h)
-        else:
-            prop = _rk4(spec, s_left / N, (s_left + h) / N, h, eye)
-        x = prop @ x + np.asarray(spec.C(s_left / N), dtype=float) * inc[j]
-        if (j + 1) in record_set:
-            t_eval = (start + (j + 1) * h) / N
-            values[rec] = float(np.asarray(spec.B(t_eval), dtype=float) @ x)
-            rec += 1
+    p = spec.p
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (p * p)))
+    states = np.zeros((record_steps.size, p))  # a record at step 0 keeps the zero start
+    x = np.zeros(p)
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
+        lefts = start + np.arange(lo, hi) * h
+        props = step_propagators(spec, lefts, N, h)
+        noise = coefficient_values(spec, "C", lefts / N) * inc[lo:hi, None]
+        xs = affine_states(props, noise, x)
+        first, last = np.searchsorted(record_steps, [lo, hi], side="right")
+        states[first:last] = xs[record_steps[first:last] - lo - 1]
+        x = xs[-1]
+    B = coefficient_values(spec, "B", (start + record_steps * h) / N)
+    values = np.einsum("kp,kp->k", B, states)
     grid = FineGrid(
         step=h,
         start=start,
@@ -687,7 +782,7 @@ def _simulate_yn_statespace(
     info = {"N": N, "model_id": spec.model_id}
     if meta:
         info.update(meta)
-    return PathSample(np.asarray(eval_times, dtype=float), values, grid, info)
+    return PathSample(eval_times, values, grid, info)
 
 
 def refine_path(

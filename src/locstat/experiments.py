@@ -37,11 +37,14 @@ from .dynamics import (
     Car1Spec,
     ModelSpec,
     _draw_increments_rows,
+    affine_states,
     build_scalar_plan_rescaled,
     build_segment_law,
+    coefficient_values,
     draw_segment_noise,
     run_scalar_plan,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     run_segment_law,
+    step_propagators,
     validate_car1,
     validate_model,
 )
@@ -179,34 +182,27 @@ def _coupling_weights(model, triplet, u, N, h, n_cells):
     t_eval = float(u)
     s_end = N * t_eval
     lefts = s_end - (n_cells - np.arange(n_cells)) * h
-    mids = lefts + 0.5 * h
+    depth = (n_cells - 1 - np.arange(n_cells)) * h
     if isinstance(model, Car1Spec):
         a_u = float(np.asarray(model.a(t_eval)))
+        mids = lefts + 0.5 * h
         phi = np.exp(-np.asarray(model.a(mids / N), dtype=float) * h)
         rev = np.cumprod(phi[::-1])
         w_n = np.empty(n_cells)
         w_n[-1] = 1.0
         w_n[:-1] = rev[n_cells - 2 :: -1]
-        depth = (n_cells - 1 - np.arange(n_cells)) * h
         w_frozen = np.exp(-a_u * depth)
         return w_n, w_frozen
-    # general state space: backward accumulation of B' (Phi_{n-1} ... Phi_{j+1})
+    # general state space: w_n[j] = v_j C(s_j / N) with v_j = B' P_{n-1} ... P_{j+1};
+    # the v_j' run backward from v_{n-1}' = B as the recursion v_{j-1}' = P_j' v_j'
     spec: ModelSpec = model
-    B_t = np.asarray(spec.B(t_eval), dtype=float)
-    A_u = np.asarray(spec.A(t_eval), dtype=float)
-    w_n = np.empty(n_cells)
-    w_frozen = np.empty(n_cells)
-    v = B_t.copy()
-    frozen_step = linalg.expm(A_u * h)
-    v_frozen = B_t.copy()
-    C_u = np.asarray(spec.C(t_eval), dtype=float)
-    for j in range(n_cells - 1, -1, -1):
-        w_n[j] = v @ np.asarray(spec.C(lefts[j] / N), dtype=float)
-        w_frozen[j] = v_frozen @ C_u
-        if j > 0:
-            prop = linalg.expm(np.asarray(spec.A(mids[j] / N), dtype=float) * h)
-            v = v @ prop
-            v_frozen = v_frozen @ frozen_step
+    B_u = coefficient_values(spec, "B", t_eval)
+    props = step_propagators(spec, lefts[1:], N, h)
+    back = affine_states(np.swapaxes(props[::-1], 1, 2), np.zeros((n_cells - 1, spec.p)), B_u)
+    v = np.vstack([back[::-1], B_u])
+    w_n = np.einsum("jp,jp->j", v, coefficient_values(spec, "C", lefts / N))
+    fr = stat.freeze(spec, t_eval)
+    w_frozen = stat._exp_pair(fr, fr.B, fr.C)(depth)
     return w_n, w_frozen
 
 

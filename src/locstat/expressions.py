@@ -104,20 +104,28 @@ def parse_expression(source: str) -> ast.Expression:
 
 
 class ExprVector:
-    """Vector-valued coefficient function from a list of expression strings."""
+    """Vector-valued coefficient function from a list of expression strings.
+
+    Called with times ``t`` of shape ``S`` it returns shape ``S + (p,)``, one
+    entry per expression along the last axis; a scalar ``t`` gives ``(p,)``.
+    """
 
     def __init__(self, sources):
         self.funcs = [ExprFunc(s) for s in sources]
 
     def __call__(self, t):
-        return np.array([float(f(t)) for f in self.funcs])
+        return np.stack([f(t) for f in self.funcs], axis=-1)
 
     def __repr__(self):
         return f"ExprVector({[f.source for f in self.funcs]!r})"
 
 
 class ExprMatrix:
-    """Matrix-valued coefficient function from nested expression strings."""
+    """Matrix-valued coefficient function from nested expression strings.
+
+    Called with times ``t`` of shape ``S`` it returns shape ``S + (p, q)``
+    for ``p`` rows of ``q`` expressions; a scalar ``t`` gives ``(p, q)``.
+    """
 
     def __init__(self, sources):
         self.rows = [[ExprFunc(s) for s in row] for row in sources]
@@ -126,7 +134,7 @@ class ExprMatrix:
             raise ValueError("matrix rows must have equal length")
 
     def __call__(self, t):
-        return np.array([[float(f(t)) for f in row] for row in self.rows])
+        return np.stack([np.stack([f(t) for f in row], axis=-1) for row in self.rows], axis=-2)
 
     def __repr__(self):
         return f"ExprMatrix({[[f.source for f in row] for row in self.rows]!r})"

@@ -41,11 +41,15 @@ def tvcar_step() -> Car1Spec:
 
 
 def _diag2_A(t):
-    return np.array([[-1.0 - 0.5 * np.sin(t), 0.0], [0.0, -2.0]])
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (2, 2))
+    out[..., 0, 0] = -1.0 - 0.5 * np.sin(t)
+    out[..., 1, 1] = -2.0
+    return out
 
 
 def _ones2(t):
-    return np.ones(2)
+    return np.ones(np.shape(t) + (2,))
 
 
 def diag2() -> ModelSpec:
@@ -62,16 +66,21 @@ def diag2() -> ModelSpec:
     )
 
 
+def _constant(value, t):
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, np.shape(t) + value.shape).copy()
+
+
 def _companion_A(t):
-    return np.array([[0.0, 1.0], [-2.0, -3.0]])
+    return _constant([[0.0, 1.0], [-2.0, -3.0]], t)
 
 
 def _companion_B(t):
-    return np.array([1.0, 0.5])
+    return _constant([1.0, 0.5], t)
 
 
 def _companion_C(t):
-    return np.array([0.0, 1.0])
+    return _constant([0.0, 1.0], t)
 
 
 def companion2() -> ModelSpec:

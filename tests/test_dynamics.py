@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,6 +11,7 @@ from locstat.dynamics import (
     build_scalar_plan,
     build_scalar_plan_rescaled,
     build_segment_law,
+    coefficient_values,
     draw_segment_noise,
     refine_path,
     run_scalar_plan,
@@ -230,6 +233,51 @@ def test_statespace_path_matches_scalar_path():
     a = simulate_yn(car, tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     b = simulate_yn(car.to_state_space(), tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
+
+
+def test_noncommuting_step_matches_commuting_path():
+    # companion2 has constant A, so one RK4 step of length h and expm(A h)
+    # agree to O(h^5); an RK4 step over the wrong time span does not
+    spec = models.companion2()
+    noncommuting = dataclasses.replace(spec, commuting=False)
+    times = np.linspace(0.5, 1.5, 21)
+    for N in (4, 16):
+        a = simulate_yn(spec, BROWNIAN, N, times, 0.005, 8.0, stream(3, "nc", N))
+        b = simulate_yn(noncommuting, BROWNIAN, N, times, 0.005, 8.0, stream(3, "nc", N))
+        assert np.abs(b.values - a.values).max() <= 1e-6 * np.abs(a.values).max()
+
+
+def test_shipped_coefficients_take_arrays_of_times():
+    t = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
+    for spec in (models.diag2(), models.companion2(), models.tvcar_sin().to_state_space()):
+        p = spec.p
+        for name, tail in (("A", (p, p)), ("B", (p,)), ("C", (p,))):
+            fn = getattr(spec, name)
+            vals = coefficient_values(spec, name, t)
+            assert vals.shape == t.shape + tail
+            for idx in np.ndindex(t.shape):
+                assert np.array_equal(vals[idx], fn(t[idx])), (spec.model_id, name)
+
+
+def test_coefficient_contract_errors():
+    spec = models.diag2()
+
+    def scalar_only(t):  # builds a ragged array from an array of times
+        return np.array([[-1.0 - 0.5 * np.sin(t), 0.0], [0.0, -2.0]])
+
+    def wrong_shape(t):
+        return np.zeros(np.shape(t) + (3, 3))
+
+    times = np.array([0.5, 1.0])
+    for A in (scalar_only, wrong_shape):
+        bad = dataclasses.replace(spec, A=A)
+        with pytest.raises(ValueError, match=r"A\(t\) must return shape t.shape \+ \(2, 2\)"):
+            simulate_yn(bad, BROWNIAN, 4, times, 0.01, 16.0, stream(0, "c", 0))
+    # a coefficient constant in t may return its single value
+    constant = dataclasses.replace(spec, B=lambda t: np.ones(2))
+    a = simulate_yn(spec, BROWNIAN, 4, times, 0.01, 16.0, stream(0, "c", 0))
+    b = simulate_yn(constant, BROWNIAN, 4, times, 0.01, 16.0, stream(0, "c", 0))
+    assert np.array_equal(a.values, b.values)
 
 
 def test_path_sample_invariants():

@@ -9,6 +9,7 @@ from locstat.experiments import (
     CHUNK,
     ExperimentConfig,
     InadmissibleSchemeError,
+    _coupling_weights,
     _union_offsets,
     run_clt,
     run_coupling,
@@ -61,6 +62,16 @@ def test_coupling_rate_and_negative_control():
     nrep = run_coupling(neg)
     assert not nrep.passed
     assert nrep.summary["slope"] > -0.7
+
+
+def test_coupling_weights_statespace_matches_scalar():
+    car = models.tvcar_sin()
+    spec = car.to_state_space()
+    for N in (16, 64):
+        w_n, w_f = _coupling_weights(car, BROWNIAN, 1.0, N, 0.01, 800)
+        s_n, s_f = _coupling_weights(spec, BROWNIAN, 1.0, N, 0.01, 800)
+        np.testing.assert_allclose(s_n, w_n, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(s_f, w_f, rtol=1e-10, atol=0.0)
 
 
 def test_coupling_refuses_invalid_model():

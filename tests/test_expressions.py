@@ -59,5 +59,11 @@ def test_vector_and_matrix():
     out = m(0.0)
     assert out.shape == (2, 2)
     assert out[0, 0] == -1.0 and out[1, 1] == -2.0
+    # an array of times of shape S gives S + (p,) and S + (p, q)
+    t = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert v(t).shape == (2, 3, 2) and m(t).shape == (2, 3, 2, 2)
+    for idx in np.ndindex(t.shape):
+        assert np.array_equal(v(t)[idx], v(t[idx]))
+        assert np.array_equal(m(t)[idx], m(t[idx]))
     with pytest.raises(ValueError):
         ExprMatrix([["1", "2"], ["3"]])
