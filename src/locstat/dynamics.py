@@ -49,6 +49,7 @@ __all__ = [
     "build_scalar_plan",
     "build_scalar_plan_rescaled",
     "coefficient_values",
+    "eigenbasis",
     "step_propagators",
     "affine_states",
     "run_scalar_plan",
@@ -386,39 +387,24 @@ class ScalarPlan:
     n_steps: int
     record_steps: np.ndarray  # step counts after which state is recorded
     phi: np.ndarray  # (n_steps,) one-step decay factors
-    c_weights: np.ndarray  # (n_steps,) left-point noise coefficients
-    segment_bounds: list
 
     @property
     def eval_rescaled(self) -> np.ndarray:
         return self.start + self.record_steps * self.h
 
-
-_SEG_LOG_CAP = 400.0
-
-
-def _split_segments(record_steps: np.ndarray, phi: np.ndarray, h: float) -> list:
-    """Segment the grid at record points, capping lengths so suffix products
-    of phi stay representable in the fallback scan."""
-    logs = -np.log(np.maximum(phi, 1e-300))
-    max_rate = float(logs.max()) / h if len(logs) else 0.0
-    cap = max(1, int(np.floor(_SEG_LOG_CAP / max(max_rate * h, 1e-12))))
-    bounds = []
-    prev = 0
-    for stop in record_steps:
-        lo = prev
-        while stop - lo > cap:
-            bounds.append((lo, lo + cap, False))
-            lo += cap
-        bounds.append((lo, int(stop), True))
-        prev = int(stop)
-    return bounds
+    @property
+    def segment_bounds(self) -> list:
+        """Fine-step bounds ``(lo, hi)`` of each record segment; the first is
+        the burn-in."""
+        # perfbench/spans.py reads len() of this name as its segment count
+        bounds = np.concatenate([[0], self.record_steps]).tolist()
+        return list(zip(bounds[:-1], bounds[1:]))
 
 
 def build_scalar_plan(
     spec: Car1Spec, N: int, eval_times: np.ndarray, h: float, burn_in: float
 ) -> ScalarPlan:
-    """Grid layout, per-step decay factors and noise weights for one run."""
+    """Grid layout and per-step decay factors for one run."""
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.size == 0:
         raise ValueError("need at least one evaluation time")
@@ -466,9 +452,7 @@ def build_scalar_plan_rescaled(
     mids = start + (np.arange(n_steps) + 0.5) * h
     a_mid = np.asarray(spec.a(mids / N), dtype=float)
     phi = np.exp(-a_mid * h)
-    c_weights = np.ones(n_steps)
-    bounds = _split_segments(record_steps, phi, h)
-    return ScalarPlan(N, h, start, n_steps, record_steps, phi, c_weights, bounds)
+    return ScalarPlan(N, h, start, n_steps, record_steps, phi)
 
 
 def run_scalar_plan(plan: ScalarPlan, eta_block, R: int, x0=None) -> np.ndarray:
@@ -479,17 +463,10 @@ def run_scalar_plan(plan: ScalarPlan, eta_block, R: int, x0=None) -> np.ndarray:
     """
     x = np.zeros(R) if x0 is None else np.array(x0, dtype=float)
     out = np.empty((R, len(plan.record_steps)))
-    rec = 0
-    if plan.record_steps[0] == 0:
-        out[:, 0] = x
-        rec = 1
-    for lo, hi, is_record in plan.segment_bounds:
-        if hi > lo:
-            eta_t = np.ascontiguousarray(eta_block(lo, hi).T)  # step-major for the core
-            _core.scan_segment(np.ascontiguousarray(plan.phi[lo:hi]), eta_t, x)
-        if is_record:
-            out[:, rec] = x
-            rec += 1
+    for k, (lo, hi) in enumerate(plan.segment_bounds):
+        eta_t = np.ascontiguousarray(eta_block(lo, hi).T)  # step-major for the core
+        _core.scan_segment(plan.phi[lo:hi], eta_t, x)
+        out[:, k] = x
     return out
 
 
@@ -508,8 +485,8 @@ class SegmentLaw:
 
     Record segment k is the run of fine steps ``[bounds[k], bounds[k+1])``
     that ends at record k; the first one is the burn-in. With suffix weights
-    s_j = prod(phi[j+1:hi]) c_j, the recursion moves the state over the
-    segment by
+    s_j = prod(phi[j+1:hi]), the recursion moves the state over the segment
+    by
 
         x <- decay_k x + sum_j s_j dL_j,    decay_k = prod(phi[lo:hi]),
 
@@ -537,12 +514,9 @@ def build_segment_law(plan: ScalarPlan, triplet: LevyTriplet) -> SegmentLaw:
     has_jumps = triplet.jumps is not None and triplet.jump_rate > 0
     decay, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
     weights = np.empty(plan.n_steps) if has_jumps else None
-    for k in range(n):
-        lo, hi = bounds[k], bounds[k + 1]
+    for k, (lo, hi) in enumerate(plan.segment_bounds):
         phi = plan.phi[lo:hi]
-        s = np.ones(hi - lo)
-        s[:-1] = np.cumprod(phi[:0:-1])[::-1]  # s[j] = prod(phi[j+1:])
-        s *= plan.c_weights[lo:hi]
+        s = _core.suffix_products(phi)
         decay[k] = np.prod(phi)
         s1[k] = s.sum()
         s2[k] = s @ s
@@ -623,8 +597,7 @@ def simulate_yn(
             inc = np.asarray(increments, dtype=float)
             if inc.shape != (plan.n_steps,):
                 raise ValueError(f"increments must have shape ({plan.n_steps},)")
-        eta_row = (plan.c_weights * inc)[None, :]
-        states = run_scalar_plan(plan, lambda lo, hi: np.ascontiguousarray(eta_row[:, lo:hi]), 1)
+        states = run_scalar_plan(plan, lambda lo, hi: inc[None, lo:hi], 1)
         values = states[0]
         grid = FineGrid(
             step=fine_step,
@@ -646,9 +619,26 @@ def simulate_yn(
 # matrix entries (0.5 MB each) however long the grid is.
 _BLOCK_STEPS = 2048
 _BLOCK_ENTRIES = 65536
-# eigenbasis condition number above which a step's propagator is computed by
-# expm instead, as in stationary._eig_cache
+# eigenbasis condition number above which a matrix exponential is computed by
+# expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
+
+
+def eigenbasis(M: np.ndarray):
+    """Eigendecomposition ``(w, V, V^-1, trusted)`` of M, shape (..., p, p).
+
+    ``trusted`` is True where ||V||_F ||V^-1||_F <= ``_COND_MAX``. That
+    estimate lies between cond_2(V) and p cond_2(V), and needs no SVD. A NaN
+    or infinite estimate is untrusted, and so is every matrix of a batch in
+    which some V is exactly singular (``inv`` raises); callers take expm there.
+    """
+    w, V = np.linalg.eig(M)
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return w, V, np.full_like(V, np.nan), np.zeros(M.shape[:-2], dtype=bool)
+    est = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
+    return w, V, Vinv, est <= _COND_MAX
 
 
 def coefficient_values(spec: ModelSpec, name: str, t) -> np.ndarray:
@@ -686,9 +676,9 @@ def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
 
     Commuting models take expm(A((s + h/2)/N) h), computed for all steps at
     once as V diag(e^{lambda h}) V^-1 from a batched eigendecomposition; the
-    steps whose eigenbasis has cond(V) > 1e8 (near-defective A) go through
-    ``linalg.expm``. Other models take one RK4 step of length h, with A at
-    s/N, (s + h/2)/N and (s + h)/N.
+    steps whose eigenbasis :func:`eigenbasis` does not trust (near-defective
+    A) go through ``linalg.expm``. Other models take one RK4 step of length
+    h, with A at s/N, (s + h/2)/N and (s + h)/N.
     """
     lefts = np.asarray(lefts, dtype=float)
     if not spec.commuting:
@@ -702,11 +692,9 @@ def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
         k4 = A2 @ (eye + h * k3)
         return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     Ah = coefficient_values(spec, "A", (lefts + 0.5 * h) / N) * h
-    w, V = np.linalg.eig(Ah)
-    good = np.linalg.cond(V) <= _COND_MAX
+    w, V, Vinv, good = eigenbasis(Ah)
     props = np.empty(Ah.shape)
-    w, V = w[good], V[good]
-    props[good] = ((V * np.exp(w)[:, None, :]) @ np.linalg.inv(V)).real
+    props[good] = ((V[good] * np.exp(w[good])[:, None, :]) @ Vinv[good]).real
     if not good.all():
         props[~good] = linalg.expm(Ah[~good])
     return props

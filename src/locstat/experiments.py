@@ -33,6 +33,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from . import stationary as stat
+from ._core import suffix_products
 from .dynamics import (
     Car1Spec,
     ModelSpec,
@@ -187,10 +188,7 @@ def _coupling_weights(model, triplet, u, N, h, n_cells):
         a_u = float(np.asarray(model.a(t_eval)))
         mids = lefts + 0.5 * h
         phi = np.exp(-np.asarray(model.a(mids / N), dtype=float) * h)
-        rev = np.cumprod(phi[::-1])
-        w_n = np.empty(n_cells)
-        w_n[-1] = 1.0
-        w_n[:-1] = rev[n_cells - 2 :: -1]
+        w_n = suffix_products(phi)
         w_frozen = np.exp(-a_u * depth)
         return w_n, w_frozen
     # general state space: w_n[j] = v_j C(s_j / N) with v_j = B' P_{n-1} ... P_{j+1};

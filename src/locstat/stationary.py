@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, linalg
 
-from .dynamics import Car1Spec, PathSample
+from .dynamics import Car1Spec, PathSample, eigenbasis
 from .noise import LevyTriplet, triplet_moments
 
 __all__ = [
@@ -92,10 +92,8 @@ def _eig_cache(fr: FrozenSystem):
     Near-defective matrices (repeated roots of companion forms) make the
     eigenvector basis ill-conditioned; callers then fall back to expm.
     """
-    w, V = np.linalg.eig(fr.A)
-    if np.linalg.cond(V) > 1e8:
-        return None
-    return w, V, np.linalg.solve(V, np.eye(fr.p))
+    w, V, Vinv, trusted = eigenbasis(fr.A)
+    return (w, V, Vinv) if trusted else None
 
 
 def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
@@ -365,18 +363,44 @@ class DecayReport:
         return self.converged
 
 
+# most lags covariance_decay_check sums; a margin that needs more reports
+# converged=False
+_DECAY_LAGS_MAX = 250_000
+# the summed lags reach past the point where the weighted terms have fallen
+# by e^-_DECAY_LOG_DROP, far below both the 1e-10 convergence test and the
+# rounding of the sum
+_DECAY_LOG_DROP = 50.0
+
+
+def _decay_lag_count(margin: float, eps: float, p: int) -> int:
+    """Lags that hold |autocov(h)| h^{1/eps} until it has decayed.
+
+    The terms are at most K h^k e^{-a h} with a = margin and k = 1/eps + p - 1
+    (p - 1 for the polynomial factor of a defective A). Bounding k ln h by its
+    tangent at h = 2k/a gives a (h - 1) - k ln h >= a h / 2 - a - k (ln(2k/a) - 1),
+    which reaches D = _DECAY_LOG_DROP at h = 2 (D + a + k (ln(2k/a) - 1)) / a.
+    """
+    k = 1.0 / eps + p - 1
+    drop = _DECAY_LOG_DROP + margin + k * (np.log(2.0 * k / margin) - 1.0)
+    return int(np.ceil(2.0 * drop / margin))
+
+
 def covariance_decay_check(spec, u: float, triplet: LevyTriplet, eps: float) -> DecayReport:
     """Summability proxy for the dependence-decay condition: partial sums of
-    |autocov(h)| h^{1/eps} over integer lags, plus a fitted decay rate."""
+    |autocov(h)| h^{1/eps} over integer lags, plus a fitted decay rate.
+
+    The number of lags follows from the stability margin and eps
+    (:func:`_decay_lag_count`); beyond ``_DECAY_LAGS_MAX`` the sum stops there
+    and the report says it did not converge."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    h_max = 10_000
-    lags = np.arange(1, h_max + 1, dtype=float)
+    n_lags = _decay_lag_count(spec.stability_margin, eps, spec.p)
+    lags = np.arange(1, min(n_lags, _DECAY_LAGS_MAX) + 1, dtype=float)
     vals = np.abs(np.asarray(stationary_autocov(spec, u, triplet, lags)))
     weighted = vals * lags ** (1.0 / eps)
     csum = np.cumsum(weighted)
     total = csum[-1]
-    converged = bool(weighted[-1] < 1e-10 * max(total, 1e-300))
+    converged = n_lags <= _DECAY_LAGS_MAX and bool(weighted[-1] < 1e-10 * max(total, 1e-300))
     # fit the exponential rate where the covariance is numerically meaningful
     floor = max(vals[0], 1e-300) * 1e-12
     mask = vals > floor

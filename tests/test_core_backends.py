@@ -1,16 +1,11 @@
-"""Compiled core vs pure-numpy fallback."""
+"""The numpy scan kernel and the record segments it runs over."""
 
 import numpy as np
-import pytest
 
-from locstat._core import _fallback, backend_name
-
-try:
-    from locstat._core import _recursion
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover
-    HAVE_COMPILED = False
+from locstat import backend_name, models
+from locstat._core import scan_segment
+from locstat.dynamics import build_scalar_plan, build_segment_law, simulate_yn
+from locstat.noise import BROWNIAN
 
 
 def _reference_scan(phi, eta_t, x):
@@ -27,74 +22,53 @@ def test_fallback_matches_reference():
     x = rng.standard_normal(7)
     expect = _reference_scan(phi, eta_t, x)
     got = x.copy()
-    _fallback.scan_segment(phi, eta_t, got)
+    scan_segment(phi, eta_t, got)
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled core unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(1)
-    for m in (1, 2, 17, 501):
-        phi = np.exp(rng.uniform(-0.3, -0.001, m))
-        eta_t = np.ascontiguousarray(rng.standard_normal((m, 11)))
-        xa = rng.standard_normal(11)
-        xb = xa.copy()
-        _fallback.scan_segment(phi, eta_t, xa)
-        _recursion.scan_segment(phi, eta_t, xb)
-        assert np.allclose(xa, xb, rtol=1e-12, atol=1e-14)
-
-
 def test_strong_decay_stays_representable():
-    # a long segment with heavy damping: suffix products underflow territory
-    # is avoided by the segment caps upstream; the scan itself must still be
-    # finite for the capped length
-    m = 4000
-    phi = np.full(m, np.exp(-0.1))  # total decay exp(-400)
+    # total decay exp(-2000): the early suffix products underflow to 0, which
+    # is their value to double precision, and the rest of the scan stays exact
+    m = 20000
+    phi = np.full(m, np.exp(-0.1))
     eta_t = np.zeros((m, 2))
     eta_t[0, :] = 1.0
-    x = np.zeros(2)
-    _fallback.scan_segment(phi, eta_t, x)
+    eta_t[-2, :] = 0.5
+    eta_t[-1, :] = 2.0
+    x = np.ones(2)
+    expect = _reference_scan(phi, eta_t, x)
+    scan_segment(phi, eta_t, x)
     assert np.all(np.isfinite(x))
+    np.testing.assert_allclose(x, expect, rtol=1e-15)
+    np.testing.assert_allclose(x, 2.0 + 0.5 * np.exp(-0.1), rtol=1e-15)
 
 
-def test_plan_splits_long_segments():
-    from locstat.dynamics import build_scalar_plan
-    from locstat import models
+def test_long_burn_in_runs_as_one_segment():
+    # burn-in decay exp(-800): the first segment's early suffix weights underflow
+    spec, h, burn_in = models.ou(2.0), 0.05, 400.0
+    times = np.array([0.0, 0.5, 0.55, 1.25])
+    plan = build_scalar_plan(spec, 1, times, h, burn_in)
+    n_burn = 8000
+    record_steps = n_burn + np.rint(times / h).astype(int)
+    assert plan.segment_bounds == list(zip([0, *record_steps[:-1]], record_steps))
 
-    # burn-in long enough that one unsplit segment would underflow suffixes
-    plan = build_scalar_plan(models.ou(2.0), 1, np.array([0.0]), 0.05, 300.0)
-    lengths = [hi - lo for lo, hi, _ in plan.segment_bounds]
-    max_rate = 2.0 * 0.05
-    assert max(lengths) * max_rate <= 400.0 + 1e-9
-    assert sum(lengths) == plan.n_steps
+    inc = np.sqrt(h) * np.random.default_rng(3).standard_normal(plan.n_steps)
+    got = simulate_yn(spec, BROWNIAN, 1, times, h, burn_in, None, increments=inc).values
+    x, expect = 0.0, []
+    for j in range(plan.n_steps):
+        x = np.exp(-0.1) * x + inc[j]
+        if j + 1 in record_steps:
+            expect.append(x)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+    law = build_segment_law(plan, BROWNIAN)
+    for k, (lo, hi) in enumerate(plan.segment_bounds):
+        assert law.decay[k] == np.prod(plan.phi[lo:hi])
+    assert law.decay[0] < 1e-300
+    for arr in (law.decay, law.mean, law.std):
+        assert not np.any(np.isnan(arr))
 
 
 def test_selected_backend_reported():
-    assert backend_name() in ("compiled", "fallback")
-
-
-def test_force_fallback_env(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import locstat
-
-    # the child keeps the caller's environment (an uninstalled checkout is
-    # importable only through PYTHONPATH) and puts the source root of the
-    # locstat imported here first, so it imports the same package from any
-    # working directory
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(locstat.__file__)))
-    env = dict(os.environ, LOCSTAT_FORCE_FALLBACK="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_root, os.environ.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", "import locstat; print(locstat.backend_name())"],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "fallback"
+    assert backend_name() == "numpy"

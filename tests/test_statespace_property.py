@@ -1,8 +1,8 @@
 """The blocked state-space simulator against a per-step reference loop.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
-D(t) mixes real eigenvalues and complex-conjugate pairs, a near-defective
-family whose eigenbasis forces the expm fallback, and non-commuting A(t).
+D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
+families whose eigenbasis forces the expm fallback, and non-commuting A(t).
 The block size is drawn too, so block boundaries fall anywhere.
 """
 
@@ -49,10 +49,17 @@ class _Commuting:
 
 
 class _NearDefective:
-    """(1 + 0.5 sin t) J with J = [[-1, 1], [0, -1 - 1e-10]]: commuting in t,
-    with an eigenbasis of condition number about 1e10."""
+    """(1 + 0.5 sin t) J, commuting in t. J = [[-1, 1], [0, -1 - 1e-10]] has
+    an eigenbasis of condition number about 1e10; the lower Jordan block
+    [[-1, 0, 0], [1, -1, 0], [0, 1, -1]] has a singular one (cond inf)."""
 
-    J = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-10]])
+    JORDANS = (
+        np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-10]]),
+        np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]),
+    )
+
+    def __init__(self, J):
+        self.J = J
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -82,14 +89,15 @@ class _Vector:
 @st.composite
 def systems(draw):
     kind = draw(st.sampled_from(["commuting", "near_defective", "noncommuting"]))
-    p = 2 if kind == "near_defective" else draw(st.integers(1, 3))
+    J = draw(st.sampled_from(_NearDefective.JORDANS)) if kind == "near_defective" else None
+    p = len(J) if kind == "near_defective" else draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "commuting":
         V = np.eye(p) + 0.4 * rng.standard_normal((p, p))
         A = _Commuting(V, rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 0.5, p),
                        rng.uniform(0.5, 2.0, p), draw(st.integers(0, p // 2)))
     elif kind == "near_defective":
-        A = _NearDefective()
+        A = _NearDefective(J)
     else:
         G = rng.standard_normal((p, p))
         A0 = -2.0 * np.eye(p) - rng.uniform(0.0, 1.0) * G @ G.T + (G - G.T)
@@ -150,6 +158,11 @@ def test_blocked_path_matches_per_step_reference(spec, N, gaps, first, block, se
 
 
 def test_near_defective_family_takes_the_expm_fallback():
-    A = _NearDefective()(np.linspace(0.0, 3.0, 7))
-    _, V = np.linalg.eig(A)
-    assert np.all(np.linalg.cond(V) > dynamics._COND_MAX)
+    for J in _NearDefective.JORDANS:
+        A = _NearDefective(J)(np.linspace(0.0, 3.0, 7))
+        _, V = np.linalg.eig(A)
+        assert np.all(np.linalg.cond(V) > dynamics._COND_MAX)
+        assert not np.any(dynamics.eigenbasis(A)[3])
+    # a basis whose inverse comes out NaN must not pass as well conditioned
+    with mock.patch.object(np.linalg, "inv", lambda V: np.full_like(V, np.nan)):
+        assert not np.any(dynamics.eigenbasis(A)[3])

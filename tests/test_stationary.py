@@ -190,6 +190,12 @@ def test_covariance_decay_check():
     assert rep.fitted_rate == pytest.approx(1.0, abs=1e-3)
     rep2 = st.covariance_decay_check(models.tvcar_sin(), 1.0, BROWNIAN, eps=1.0)
     assert rep2.passed
+    # a small margin needs many more lags: sum_h h^2 e^{-a h} / (2a) in closed form
+    a = 0.002
+    rep3 = st.covariance_decay_check(models.ou(a), 1.0, BROWNIAN, eps=0.5)
+    q = np.exp(-a)
+    assert rep3.passed
+    assert rep3.weighted_sum == pytest.approx(q * (1 + q) / (2 * a * (1 - q) ** 3), rel=1e-8)
 
 
 # --- exact simulation ----------------------------------------------------------
