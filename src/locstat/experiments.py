@@ -484,10 +484,7 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
 
     if is_cov:
         center = float(stat.stationary_autocov(config.model, config.u, config.triplet, float(lag)))
-        res = stat.sigma2_tilde(
-            config.model, config.u, config.triplet, float(lag), scheme_kind,
-            rng=stream(config.seed, "clt:sigma_tilde_mc", 0),
-        )
+        res = stat.sigma2_tilde(config.model, config.u, config.triplet, float(lag), scheme_kind)
         candidates = dict(res.candidates)
         var_tol = 0.15
         statistic = "autocov"

@@ -12,9 +12,16 @@ Gramian solving A Gamma + Gamma A' = -C C'):
     autocov(h)      Sigma_L * B' e^{A h} Gamma B          (h >= 0)
     fourth moment   nu4 int f^4 + 3 Sigma_L^2 (int f^2)^2 + mu_L^4 (int f)^4
                     + 6 mu_L^2 Sigma_L (int f)^2 int f^2 + 4 mu_L nu3 int f^3 int f
+    lagged fourth   E[Y(0) Y(k) Y(h) Y(h+k)] = r(k)^2 + r(h)^2 + r(h+k) r(|h-k|)
+    (centered)          + nu4 int f(s) f(s+k) f(s+h) f(s+h+k) ds,  r = autocov
+
+Every integral of a product of f (the int f^k above and the cumulant
+integral of the lagged fourth moment) comes from one vector-valued adaptive
+quadrature (:func:`_product_integrals`). The lagged fourth moments make the
+limit variance of the second-order statistic exact for every centered driver.
 
 Simulation is exact in distribution: per step the Gaussian convolution
-increment is drawn with its true covariance (block-exponential identity),
+increment is drawn with its true covariance (Gamma - e^{Ah} Gamma e^{A'h}),
 jumps are placed at their Poisson arrival times with the exact decay factor,
 and the initial state comes from a long warm start.
 
@@ -97,10 +104,10 @@ def _eig_cache(fr: FrozenSystem):
 
 
 def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
-    """The map s -> left' e^{A s} right, vectorized over lag arrays.
+    """The map s -> left' e^{A s} right, vectorized over lag arrays of any shape.
 
     A is factorized once, here, so callers that evaluate at many lags (the
-    quadratures of :func:`kernel_power_integrals`) pay for it once.
+    quadrature of :func:`_product_integrals`) pay for it once.
     """
     eig = _eig_cache(fr)
     if eig is not None:
@@ -108,11 +115,8 @@ def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
         coeff = (left @ V) * (Vinv @ right)
         return lambda s: np.real(np.exp(np.multiply.outer(s, w)) @ coeff)
 
-    def via_expm(s):
-        out = np.array([float(left @ linalg.expm(fr.A * si) @ right) for si in np.atleast_1d(s)])
-        return out[0] if np.ndim(s) == 0 else out
-
-    return via_expm
+    # one batched expm over every lag, whatever the shape of the lag array
+    return lambda s: left @ linalg.expm(np.multiply.outer(np.asarray(s, dtype=float), fr.A)) @ right
 
 
 def lyapunov_gram(fr: FrozenSystem) -> np.ndarray:
@@ -143,19 +147,27 @@ def second_moment(spec, u: float, triplet: LevyTriplet) -> float:
     return float(stationary_autocov(spec, u, triplet, 0.0)) + m * m
 
 
-def kernel_power_integrals(fr: FrozenSystem, horizon: float | None = None):
-    """Quadrature values of int f^k, k = 1..4, over [0, 60/margin]."""
-    if horizon is None:
-        horizon = 60.0 / fr.margin
-    f = _exp_pair(fr, fr.B, fr.C)  # f(s) = B' e^{A s} C
-    out = []
-    for k in (1, 2, 3, 4):
-        val, _ = integrate.quad(
-            lambda s, k=k: float(f(np.asarray(s, dtype=float))) ** k,
-            0.0, horizon, limit=400, epsabs=1e-13,
-        )
-        out.append(val)
-    return tuple(out)
+def _product_integrals(fr: FrozenSystem, shifts, powers=1):
+    """int_0^{60/margin} (prod_i f(s + shifts[..., i])) ** powers ds, f(s) = B' e^{A s} C.
+
+    One quad_vec call covers every row of ``shifts`` (and every entry of
+    ``powers``, broadcast against the rows). The tolerance is relative: an
+    absolute one is as large as int f^4 for nearly equal joint systems. The
+    absolute floor is the smallest normal double, so that an identically
+    zero integrand (a joint system of two equal systems) stops at once.
+    """
+    f = _exp_pair(fr, fr.B, fr.C)
+    shifts = np.asarray(shifts, dtype=float)
+    val, _ = integrate.quad_vec(
+        lambda s: np.prod(f(s + shifts), axis=-1) ** powers,
+        0.0, 60.0 / fr.margin, epsabs=np.finfo(float).tiny, epsrel=1e-12,
+    )
+    return val
+
+
+def kernel_power_integrals(fr: FrozenSystem):
+    """int f^k, k = 1..4, over [0, 60/margin] in one quadrature."""
+    return tuple(float(v) for v in _product_integrals(fr, np.zeros((4, 1)), np.arange(1, 5)))
 
 
 def fourth_moment_integral(spec, u: float, triplet: LevyTriplet) -> float:
@@ -241,8 +253,6 @@ def sigma2(spec, u: float, triplet: LevyTriplet, scheme_kind) -> Sigma2Result:
 @dataclass(frozen=True)
 class SigmaTildeResult:
     value: float
-    closed_form: bool
-    std_error: float | None
     scheme_kind: str
     candidates: dict
 
@@ -253,102 +263,47 @@ def _isserlis_fourth(r: Callable[[np.ndarray], np.ndarray], k: float, h: np.ndar
     return r(np.full_like(h, k)) ** 2 + r(h) ** 2 + r(h + k) * r(np.abs(h - k))
 
 
-def sigma2_tilde(
-    spec,
-    u: float,
-    triplet: LevyTriplet,
-    k: float,
-    scheme_kind,
-    rng=None,
-    replications: int = 200,
-    window: int = 64,
-) -> SigmaTildeResult:
+def sigma2_tilde(spec, u: float, triplet: LevyTriplet, k: float, scheme_kind) -> SigmaTildeResult:
     """Limit variance of the centered lagged product statistic.
 
     The summand is V_i = Y(s_i) Y(s_i + k) - Cov(Y(0), Y(k)); the value is the
     variance of the centered summand plus (fixed spacing only) its lag series.
-    For Gaussian drivers fourth moments reduce to covariances and the value is
-    closed form; otherwise it is a Monte Carlo estimate with a standard error
-    and ``closed_form=False``.
+    For a centered driver the lagged fourth moments are exact:
+
+        E[Y(0) Y(k) Y(h) Y(h+k)] = r(k)^2 + r(h)^2 + r(h+k) r(|h-k|)
+                                   + nu4 int_0^inf f(s) f(s+k) f(s+h) f(s+h+k) ds,
+
+    the Isserlis pairings of the autocovariance r plus the joint fourth
+    cumulant of the stochastic integral (zero for a Gaussian driver).
     """
     _require_centered(triplet)
     if k < 0:
         raise ValueError("lag must be nonnegative")
     fr = freeze(spec, u)
+    nu4 = triplet_moments(triplet).nu4
     variance = float(stationary_autocov(spec, u, triplet, 0.0))
     r = lambda h: stationary_autocov(spec, u, triplet, h)
     rk = float(r(float(k)))
-    gaussian = triplet.jumps is None or triplet.jump_rate == 0.0
-
-    if gaussian:
-        # E[Y0^2 Yk^2] = r(0)^2 + 2 r(k)^2 for centered Gaussian
-        e_sq = variance**2 + 2.0 * rk**2
-        centered_var = e_sq - rk**2
-        if scheme_kind == "O2":
-            value = 0.5 * centered_var
-            return SigmaTildeResult(
-                value=value,
-                closed_form=True,
-                std_error=None,
-                scheme_kind="O2",
-                candidates={"centered_half": value, "uncentered_second_moment": e_sq},
-            )
+    # E[Y0^2 Yk^2] = r(0)^2 + 2 r(k)^2 for centered Gaussian
+    e_sq = variance**2 + 2.0 * rk**2
+    if scheme_kind == "O2":
+        lags = np.empty(0)
+    else:
         kind, delta = scheme_kind
         if kind != "O1":
             raise ValueError("scheme_kind must be 'O2' or ('O1', delta)")
-        n_terms = _geometric_tail_terms(max(centered_var, variance**2), fr.margin, delta)
+        n_terms = _geometric_tail_terms(max(e_sq - rk**2, variance**2), fr.margin, delta)
         lags = delta * np.arange(1, n_terms + 1)
-        cov_terms = _isserlis_fourth(r, float(k), lags) - rk**2
-        value = 0.5 * centered_var + float(np.sum(cov_terms))
-        return SigmaTildeResult(value, True, None, "O1", {"centered_series": value})
-
-    # Non-Gaussian driver: no closed form for the lagged fourth moments.
-    if rng is None:
-        raise ValueError("non-Gaussian driver needs a stream for the Monte Carlo estimate")
+    # the cumulant terms go in last, so a Gaussian driver (nu4 = 0) adds exact zeros
+    h = np.concatenate([[0.0], lags])
+    shifts = np.stack([np.zeros_like(h), np.full_like(h, k), h, h + k], axis=-1)
+    cumulant = nu4 * _product_integrals(fr, shifts)
+    e_sq += cumulant[0]
+    series = float(np.sum(_isserlis_fourth(r, float(k), lags) - rk**2 + cumulant[1:]))
+    value = 0.5 * (e_sq - rk**2) + series
     if scheme_kind == "O2":
-        spacing, n_lags = max(1.0, k), 0
-    else:
-        kind, spacing = scheme_kind
-        if kind != "O1":
-            raise ValueError("scheme_kind must be 'O2' or ('O1', delta)")
-        n_lags = _series_lag_count(fr.margin, spacing)
-    estimates = _sigma_tilde_mc(fr, triplet, float(k), spacing, n_lags, rk, replications, window, rng)
-    value = float(np.mean(estimates))
-    se = float(np.std(estimates, ddof=1) / np.sqrt(len(estimates)))
-    return SigmaTildeResult(value, False, se, scheme_kind if isinstance(scheme_kind, str) else "O1",
-                            {"monte_carlo": value})
-
-
-def _series_lag_count(margin: float, delta: float) -> int:
-    # summands decay like exp(-margin * h * delta); 40 decades of slack
-    return int(np.ceil(40.0 / (margin * delta)))
-
-
-def _sigma_tilde_mc(fr, triplet, k, spacing, n_lags, rk, replications, window, rng):
-    """Independent-replication estimates of the centered-summand variance
-    (plus the lag series under fixed spacing)."""
-    need_shift = k > 0 and abs(k - spacing * round(k / spacing)) > 1e-12
-    n_pts = window + n_lags + 1
-    base = spacing * np.arange(n_pts)
-    grid = np.union1d(base, base + k) if need_shift else spacing * np.arange(n_pts + max(1, int(round(k / spacing))))
-    gaps = np.diff(grid)
-    estimates = np.empty(replications)
-    for rep in range(replications):
-        # sequential draws from one stream keep replications independent
-        y = simulate_stationary_batch(fr, triplet, gaps, 1, [rng])[0]
-        if need_shift:
-            idx0 = np.searchsorted(grid, base)
-            idxk = np.searchsorted(grid, base + k)
-        else:
-            step_k = int(round(k / spacing)) if k > 0 else 0
-            idx0 = np.arange(n_pts)
-            idxk = idx0 + step_k
-        v = y[idx0] * y[idxk] - rk
-        est = 0.5 * np.mean(v[:window] ** 2)
-        for h in range(1, n_lags + 1):
-            est += np.mean(v[:window] * v[h : h + window])
-        estimates[rep] = est
-    return estimates
+        return SigmaTildeResult(value, "O2", {"centered_half": value, "uncentered_second_moment": e_sq})
+    return SigmaTildeResult(value, "O1", {"centered_series": value})
 
 
 @dataclass(frozen=True)
@@ -418,17 +373,6 @@ def covariance_decay_check(spec, u: float, triplet: LevyTriplet, eps: float) -> 
 # exact simulation
 
 
-def _gaussian_conv_cov(A: np.ndarray, CCt: np.ndarray, h: float) -> np.ndarray:
-    """int_0^h e^{As} CC' e^{A's} ds by the block-exponential identity."""
-    p = A.shape[0]
-    M = np.zeros((2 * p, 2 * p))
-    M[:p, :p] = -A
-    M[:p, p:] = CCt
-    M[p:, p:] = A.T
-    F = linalg.expm(M * h)
-    return F[p:, p:].T @ F[:p, p:]
-
-
 @dataclass
 class _StepLaw:
     gap: float
@@ -442,7 +386,11 @@ def _step_law(fr: FrozenSystem, triplet: LevyTriplet, h: float) -> _StepLaw:
     drift = triplet.path_drift * np.linalg.solve(fr.A, (prop - np.eye(fr.p)) @ fr.C)
     chol = None
     if triplet.sigma2 > 0:
-        Q = triplet.sigma2 * _gaussian_conv_cov(fr.A, np.outer(fr.C, fr.C), h)
+        # int_0^h e^{As} CC' e^{A's} ds = Gamma - e^{Ah} Gamma e^{A'h}. The block
+        # exponential of [[-A, CC'], [0, A']] loses this to cancellation on long
+        # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
+        gam = lyapunov_gram(fr)
+        Q = triplet.sigma2 * (gam - prop @ gam @ prop.T)
         # symmetrize and factor; clip tiny negative curvature from roundoff
         Q = 0.5 * (Q + Q.T)
         try:
@@ -561,9 +509,7 @@ def stationary_moments(spec, u: float, triplet: LevyTriplet) -> StationaryMoment
     if abs(mu) <= 1e-12:
         s2_o1 = lambda delta: sigma2(spec, u, triplet, ("O1", delta)).value
         s2_o2 = sigma2(spec, u, triplet, "O2").value
-        gaussian = triplet.jumps is None or triplet.jump_rate == 0.0
-        if gaussian:
-            s2t = lambda k: sigma2_tilde(spec, u, triplet, k, "O2").value
+        s2t = lambda k: sigma2_tilde(spec, u, triplet, k, "O2").value
     return StationaryMoments(
         mean=mean,
         variance=var,

@@ -115,6 +115,24 @@ def test_moments_emission(tmp_path):
     assert record["autocov_1"] == pytest.approx(np.exp(-a1) / (2 * a1), rel=1e-12)
 
 
+def test_moments_emission_jump_driver(tmp_path):
+    # centered +-1 jumps at rate 1 on ou(1): the lagged fourth moments carry
+    # the fourth cumulant, (1/2)(E[Y^4] - r0^2) = 0.375 at k = 0
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "car1", "a": "1", "lipschitz": 0.0, "infimum": 1.0},
+            "triplet": {"gamma": 0.0, "sigma2": 0.0,
+                        "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
+            "moments": {"u": 1.0},
+        },
+    )
+    assert main(["moments", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "moments-3.json").read_text())
+    assert record["sigma2_tilde_O2_k0"] == pytest.approx(0.375, abs=1e-10)
+    assert record["sigma2_tilde_O2_k1"] == pytest.approx(0.158834, abs=1e-6)
+
+
 def test_validate_kernel(tmp_path):
     cfg = write_config(tmp_path, {})
     assert main(["validate-kernel", "--config", cfg, "--out", str(tmp_path)]) == 0

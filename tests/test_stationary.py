@@ -90,6 +90,21 @@ def test_kernel_power_integrals_ou_closed_forms():
     assert i4 == pytest.approx(0.25, rel=1e-10)
 
 
+def test_kernel_power_integrals_near_equal_joint_system():
+    # smallest rung of the Lipschitz ladder: f(s) = e^{-a1 s} - e^{-a2 s} is
+    # tiny, and int f^4 = sum_j C(4,j) (-1)^j / ((4-j) a1 + j a2) exactly
+    from fractions import Fraction
+    from math import comb
+
+    from locstat.experiments import _joint_frozen
+
+    fr = _joint_frozen(models.tvcar_sin(), BROWNIAN, 0.995, 1.005)
+    a1, a2 = Fraction(-fr.A[0, 0]), Fraction(-fr.A[1, 1])
+    exact = float(sum(Fraction(comb(4, j) * (-1) ** j) / ((4 - j) * a1 + j * a2) for j in range(5)))
+    assert exact == pytest.approx(1.078310244740423e-13, rel=1e-15, abs=0.0)
+    assert st.kernel_power_integrals(fr)[3] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_fourth_moment_examples():
     ou = models.ou(1.0)
     assert st.fourth_moment_integral(ou, 1.0, BROWNIAN) == pytest.approx(0.75, rel=1e-9)
@@ -153,7 +168,6 @@ def test_sigma2_tilde_examples():
     ou = models.ou(1.0)
     # k = 0 under widening spacing: (1/2) Var(Y^2) = (1/2)(0.75 - 0.25)
     r0 = st.sigma2_tilde(ou, 1.0, BROWNIAN, 0.0, "O2")
-    assert r0.closed_form
     assert r0.value == pytest.approx(0.25, abs=1e-12)
     # distant lag: (1/2) r(0)^2
     rk = st.sigma2_tilde(ou, 1.0, BROWNIAN, 40.0, "O2")
@@ -170,18 +184,52 @@ def test_sigma2_tilde_o1_isserlis_series():
         r(h) ** 2 + r(h + 1) * r(h - 1) for h in range(1, 300)
     )
     res = st.sigma2_tilde(models.ou(1.0), 1.0, BROWNIAN, 1.0, ("O1", 1.0))
-    assert res.closed_form
     assert res.value == pytest.approx(oracle, abs=1e-11)
 
 
-def test_sigma2_tilde_monte_carlo_branch():
-    res = st.sigma2_tilde(
-        models.ou(1.0), 1.0, CPOIS, 0.0, "O2", rng=stream(3, "tilde-mc", 0), replications=120
+def test_sigma2_tilde_jump_driver_ou():
+    ou = models.ou(1.0)
+    # k = 0: (1/2)(E[Y^4] - r0^2) = (1/2)(1.0 - 0.25)
+    assert st.sigma2_tilde(ou, 1.0, CPOIS, 0.0, "O2").value == pytest.approx(0.375, abs=1e-10)
+    # sigma^2 = 0.5 plus +-1 jumps at rate 1: Sigma_L = 1.5, nu4 = 1;
+    # E[Y0^2 Y1^2] = 2 value + r(1)^2, 0.714752 from the Isserlis terms alone
+    tri = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    r1 = st.stationary_autocov(ou, 1.0, tri, 1.0)
+    for driver, e_sq in ((tri, 0.748586), (LevyTriplet(0.0, 1.5), 0.714752)):
+        res = st.sigma2_tilde(ou, 1.0, driver, 1.0, "O2")
+        assert 2.0 * res.value + r1**2 == pytest.approx(e_sq, abs=1e-6)
+        assert res.candidates["uncentered_second_moment"] == pytest.approx(e_sq, abs=1e-6)
+
+
+def test_sigma2_tilde_o1_cumulant_series():
+    # ou(a) with f(s) = e^{-a s}: r(h) = Sigma_L e^{-a h} / (2a) and the
+    # cumulant integral is e^{-2a(h+k)} / (4a); lags h = j delta cross k
+    a, k, delta = 0.7, 1.5, 0.5
+    tri = LevyTriplet(0.0, 0.3, JumpSpec(0.8, atoms=((1.2, 0.5), (-1.2, 0.5))))
+    sigma_l, nu4 = 0.3 + 0.8 * 1.2**2, 0.8 * 1.2**4
+    r = lambda h: sigma_l * np.exp(-a * abs(h)) / (2 * a)
+    cum = lambda h: nu4 * np.exp(-2 * a * (h + k)) / (4 * a)
+    oracle = 0.5 * (r(0) ** 2 + r(k) ** 2 + cum(0.0)) + sum(
+        r(h) ** 2 + r(h + k) * r(h - k) + cum(h) for h in delta * np.arange(1, 400)
     )
-    assert not res.closed_form
-    assert res.std_error is not None
-    # truth: (1/2)(E[Y^4] - r0^2) = (1/2)(1.0 - 0.25)
-    assert abs(res.value - 0.375) < 4 * res.std_error
+    res = st.sigma2_tilde(models.ou(a), 1.0, tri, k, ("O1", delta))
+    assert res.value == pytest.approx(oracle, rel=1e-10)
+
+
+def test_sigma2_tilde_vs_exact_simulation():
+    # blocks (Y0, Y0.5, Y1) twelve decay times apart: the centered product
+    # variance at each lag is 2 sigma2_tilde(O2)
+    spec = models.companion2()
+    fr = st.freeze(spec, 1.0)
+    tri = LevyTriplet(0.0, 0.25, JumpSpec(0.5, atoms=((1.5, 0.5), (-1.5, 0.5))))
+    n = 40_000
+    gaps = np.tile([0.5, 0.5, 12.0 / fr.margin], n)[:-1]
+    y = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(11, "tilde-exact", 0)])[0]
+    y = y.reshape(n, 3)
+    for col, k in enumerate((0.0, 0.5, 1.0)):
+        v = (y[:, 0] * y[:, col] - st.stationary_autocov(spec, 1.0, tri, k)) ** 2
+        target = 2.0 * st.sigma2_tilde(spec, 1.0, tri, k, "O2").value
+        assert abs(v.mean() - target) < 4 * np.std(v, ddof=1) / np.sqrt(n), k
 
 
 def test_covariance_decay_check():
@@ -272,24 +320,24 @@ def test_isserlis_cross_check_gaussian():
 
 
 def test_gaussian_step_covariance_matches_quadrature():
-    # block-exponential identity vs direct quadrature, nondiagonal system
+    # step law covariance vs direct quadrature, non-normal system, at a short
+    # step and at the warm start h = 12 / margin
     fr = st.freeze(models.companion2(), 0.0)
-    h = 0.7
-    from locstat.stationary import _gaussian_conv_cov
     from scipy.linalg import expm
 
-    got = _gaussian_conv_cov(fr.A, np.outer(fr.C, fr.C), h)
-    oracle = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            oracle[i, j], _ = integrate.quad(
-                lambda s, i=i, j=j: (expm(fr.A * s) @ fr.C)[i] * (expm(fr.A * s) @ fr.C)[j],
-                0.0,
-                h,
-                limit=200,
-                epsabs=1e-13,
-            )
-    assert np.abs(got - oracle).max() < 1e-10
+    for h in (0.7, 12.0):
+        chol = st._step_law(fr, BROWNIAN, h).chol
+        oracle = np.zeros((2, 2))
+        for i in range(2):
+            for j in range(2):
+                oracle[i, j], _ = integrate.quad(
+                    lambda s, i=i, j=j: (expm(fr.A * s) @ fr.C)[i] * (expm(fr.A * s) @ fr.C)[j],
+                    0.0,
+                    h,
+                    limit=200,
+                    epsabs=1e-13,
+                )
+        assert np.abs(chol @ chol.T - oracle).max() < 1e-10, h
 
 
 def test_defective_state_matrix_uses_expm_fallback():
@@ -318,6 +366,24 @@ def test_defective_state_matrix_uses_expm_fallback():
     target = float(st.stationary_autocov(spec, 0.0, tri, 0.0))
     se = np.std(vals**2) / np.sqrt(len(vals) / 2)
     assert abs(vals.var() - target) < 4 * se
+
+
+def test_autocov_lag_arrays_any_shape():
+    # a 2-D lag array gives the elementwise values on the eigenbasis path
+    # (companion2) and on the expm path (double root -1, f(s) = s e^{-s},
+    # r(h) = e^{-h} (1 + h) / 4)
+    h = np.array([[0.5, 1.0], [1.5, 2.0]])
+    jordan = st.FrozenSystem(
+        np.array([[0.0, 1.0], [-1.0, -2.0]]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), margin=1.0
+    )
+    assert st._eig_cache(jordan) is None
+    got = st.stationary_autocov(jordan, 0.0, BROWNIAN, h)
+    assert got.shape == (2, 2)
+    assert np.allclose(got, np.exp(-h) * (1.0 + h) / 4.0, rtol=1e-12, atol=0.0)
+    for spec in (models.companion2(), jordan):
+        got = st.stationary_autocov(spec, 1.0, BROWNIAN, h)
+        elementwise = [st.stationary_autocov(spec, 1.0, BROWNIAN, float(x)) for x in h.ravel()]
+        assert np.array_equal(got.ravel(), elementwise)
 
 
 def test_lipschitz_in_u_bounded_ratio():
