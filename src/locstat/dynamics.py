@@ -701,21 +701,24 @@ def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
 
 
 def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """States x_1 .. x_n (n, p) of x_{k+1} = P[k] x_k + c[k] from x_0.
+    """States x_1 .. x_n of x_{k+1} = P[k] x_k + c[k] from x_0.
 
-    A doubling prefix scan over the affine maps (Blelloch 1990, "Prefix sums
-    and their applications"): after the round with stride d, entry k holds
-    the composition of steps k - 2d + 1 .. k, so log2(n) batched rounds
-    replace n sequential steps.
+    ``c`` has shape (n, p) and ``x0`` shape (p,), or ``c`` (n, p, R) and
+    ``x0`` (p, R) for R paths that share the propagators; the states take
+    the shape of ``c``. A doubling prefix scan over the affine maps (Blelloch
+    1990, "Prefix sums and their applications"): after the round with stride
+    d, entry k holds the composition of steps k - 2d + 1 .. k, so log2(n)
+    batched rounds replace n sequential steps.
     """
     n = len(P)
     M = P.copy()
     v = c.copy()
     if n:
         v[0] += P[0] @ x0
+    cols = v if v.ndim == 3 else v[..., None]  # a view: updates land in v
     d = 1
     while d < n:
-        v[d:] += (M[d:] @ v[:-d, :, None])[..., 0]
+        cols[d:] += M[d:] @ cols[:-d]
         if 2 * d < n:
             M[d:] = M[d:] @ M[:-d]
         d *= 2

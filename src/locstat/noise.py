@@ -62,6 +62,10 @@ class JumpSpec:
                 raise ValueError(
                     f"atom probabilities sum to {float(probs.sum())!r}, expected 1 within {_PROB_TOL}"
                 )
+            # the arrays ``sample`` hands to rng.choice, built once; plain
+            # attributes, not fields, so equality and hash see only the atoms
+            object.__setattr__(self, "_values", np.array([v for v, _ in atoms]))
+            object.__setattr__(self, "_probs", probs / probs.sum())
         else:
             mean, std = self.normal
             if std < 0:
@@ -103,10 +107,7 @@ class JumpSpec:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.atoms is not None:
-            values = np.array([v for v, _ in self.atoms])
-            probs = np.array([p for _, p in self.atoms])
-            probs = probs / probs.sum()
-            return rng.choice(values, size=n, p=probs)
+            return rng.choice(self._values, size=n, p=self._probs)
         m, s = self.normal
         return rng.normal(m, s, size=n)
 

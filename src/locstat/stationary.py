@@ -23,7 +23,11 @@ limit variance of the second-order statistic exact for every centered driver.
 Simulation is exact in distribution: per step the Gaussian convolution
 increment is drawn with its true covariance (Gamma - e^{Ah} Gamma e^{A'h}),
 jumps are placed at their Poisson arrival times with the exact decay factor,
-and the initial state comes from a long warm start.
+and the initial state comes from a long warm start. Each replication draws
+from its own generator in a fixed order; the arithmetic is batched: the
+offsets of every step and replication are built at once and one affine
+prefix scan over time (``dynamics.affine_states``) carries the states of all
+replications, shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
 widely separated samples the half-second-moment normalization
@@ -38,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, linalg
 
-from .dynamics import Car1Spec, PathSample, eigenbasis
+from .dynamics import Car1Spec, PathSample, affine_states, eigenbasis
 from .noise import LevyTriplet, triplet_moments
 
 __all__ = [
@@ -411,61 +415,77 @@ def simulate_stationary_batch(
 ):
     """Exact-in-distribution stationary paths for R replications.
 
-    Returns Y values with shape (R, len(gaps) + 1). Draw order per
-    replication: warm-start block, then per-path Gaussian block, Poisson
-    counts, arrival offsets, jump sizes. One generator per replication.
+    Returns Y values with shape (R, len(gaps) + 1), and with ``return_state``
+    also the final states (R, p). Step 0 is a warm start of length
+    12 / margin from the zero state, so column 0 is the state at the first
+    grid point.
+
+    Replication r draws from ``gens[r]`` only, in this order: the Gaussian
+    block (n + 1, p) (when sigma2 > 0), the Poisson counts per step, the
+    arrival offsets, the jump sizes. The loop over replications does nothing
+    else. The offsets c_k = drift + chol z_k + (jumps of step k) of every step
+    and replication are then built at once, and one affine scan
+    x_k = e^{A h_k} x_{k-1} + c_k over time carries all R states together,
+    shape (n + 1, p, R).
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
-    eig = _eig_cache(fr)
-    if eig is not None:
-        w_eig, V, _ = eig
-        vinv_c = np.linalg.solve(V, fr.C.astype(complex))
-    laws = {}
-    warm = 12.0 / fr.margin
-    for h in np.concatenate([[warm], np.unique(gaps)]):
-        laws[h] = _step_law(fr, triplet, h)
-
     n = len(gaps)
     p = fr.p
     rate = triplet.jump_rate
-    all_gaps = np.concatenate([[warm], gaps])
-    out = np.empty((R, n + 1))
-    states = np.empty((R, p)) if return_state else None
+    all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
+    steps = np.arange(n + 1)
+    # one step law per distinct gap; law_of[k] names the law of step k
+    law_gaps, law_of = np.unique(all_gaps, return_inverse=True)
+    laws = [_step_law(fr, triplet, h) for h in law_gaps]
+
+    z = np.empty((R, n + 1, p)) if triplet.sigma2 > 0 else None
+    jump_steps, jump_reps, offs_unit, sizes = [], [], [], []
     for r in range(R):
         gen = gens[r]
-        z = gen.standard_normal((n + 1, p)) if triplet.sigma2 > 0 else None
-        jump_term = np.zeros((n + 1, p))
+        if z is not None:
+            z[r] = gen.standard_normal((n + 1, p))
         if rate > 0:
             counts = gen.poisson(rate * all_gaps)
             total = int(counts.sum())
             if total:
-                offs_unit = gen.uniform(0.0, 1.0, total)
-                sizes = triplet.jumps.sample(total, gen)
-                step_idx = np.repeat(np.arange(n + 1), counts)
-                remain = all_gaps[step_idx] * (1.0 - offs_unit)  # time left after arrival
-                if eig is not None:
-                    # e^{A v} C = V diag(e^{lambda v}) V^{-1} C, all jumps at once
-                    expf = np.exp(np.multiply.outer(remain, w_eig))
-                    contrib = np.real((expf * vinv_c) @ V.T) * sizes[:, None]
-                else:
-                    contrib = np.stack(
-                        [linalg.expm(fr.A * v) @ fr.C * sz for v, sz in zip(remain, sizes)]
-                    )
-                np.add.at(jump_term, step_idx, contrib)
-        x = np.zeros(p)
-        for i, h in enumerate(all_gaps):
-            law = laws[h]
-            x = law.prop @ x + law.drift + jump_term[i]
-            if law.chol is not None:
-                x = x + law.chol @ z[i]
-            out[r, i] = fr.B @ x  # i = 0 is the state at grid[0] after warm-up
-        if return_state:
-            states[r] = x
+                offs_unit.append(gen.uniform(0.0, 1.0, total))
+                sizes.append(triplet.jumps.sample(total, gen))
+                jump_steps.append(np.repeat(steps, counts))
+                jump_reps.append(np.full(total, r))
+
+    c = np.repeat(np.stack([law.drift for law in laws])[law_of][:, :, None], R, axis=2)
+    if z is not None:
+        chol = np.stack([law.chol for law in laws])[law_of]
+        c += chol @ z.transpose(1, 2, 0)
+    if jump_steps:
+        step = np.concatenate(jump_steps)
+        remain = all_gaps[step] * (1.0 - np.concatenate(offs_unit))  # time left after arrival
+        contrib = _decayed_inputs(fr, remain) * np.concatenate(sizes)[:, None]
+        # one bincount per state column; it sums each cell in draw order, as np.add.at does
+        cell = step * R + np.concatenate(jump_reps)
+        for j in range(p):
+            c[:, j, :] += np.bincount(cell, contrib[:, j], (n + 1) * R).reshape(n + 1, R)
+
+    props = np.stack([law.prop for law in laws])[law_of]
+    xs = affine_states(props, c, np.zeros((p, R)))
+    out = np.ascontiguousarray((fr.B @ xs).T)
     if return_state:
-        return out, states
+        return out, np.ascontiguousarray(xs[-1].T)
     return out
+
+
+def _decayed_inputs(fr: FrozenSystem, v: np.ndarray) -> np.ndarray:
+    """e^{A v_i} C for every entry of v, shape (len(v), p), in one batch:
+    V diag(e^{lambda v_i}) V^-1 C on a trusted eigenbasis, else one batched
+    expm."""
+    eig = _eig_cache(fr)
+    if eig is not None:
+        w, V, _ = eig
+        vinv_c = np.linalg.solve(V, fr.C.astype(complex))
+        return np.real((np.exp(np.multiply.outer(v, w)) * vinv_c) @ V.T)
+    return linalg.expm(np.multiply.outer(v, fr.A)) @ fr.C
 
 
 def simulate_stationary(spec, u: float, triplet: LevyTriplet, grid, rng) -> PathSample:

@@ -178,7 +178,8 @@ def test_determinism_across_runs_and_workers():
 
 
 def test_segment_sampler_determinism_across_workers():
-    # jump branch of the per-segment sampler and the continuous average
+    # jump branch of the per-segment sampler, the continuous average and the
+    # exact frozen simulation
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     clt = ExperimentConfig(
         "clt_mean", models.ou(1.0), jumps, 1.0, (2**10,), 1000, 10, 1.0 / 64.0, 8.0,
@@ -188,7 +189,13 @@ def test_segment_sampler_determinism_across_workers():
         "lln_continuous", models.tvcar_sin(), LevyTriplet(1.0, 1.0), 1.0, (2**6,), 150, 11,
         1e-2, 8.0, n_quad=256,
     )
-    for cfg, run in ((clt, run_clt), (cont, lambda c: run_lln(c, discrete=False))):
+    # the frozen paths of a chunk are simulated as one batch; the last chunk is short
+    lip = ExperimentConfig(
+        "lipschitz_u", models.tvcar_sin(), jumps, 1.0, (1,), 2 * CHUNK + 5, 12, 0.01, 8.0,
+        ladder=(0.05, 0.5), p_norm=4, time_points=16,
+    )
+    runs = ((clt, run_clt), (cont, lambda c: run_lln(c, discrete=False)), (lip, run_lipschitz_u))
+    for cfg, run in runs:
         a = json.dumps(run(cfg).to_dict(), sort_keys=True)
         b = json.dumps(run(cfg).to_dict(), sort_keys=True)
         c = json.dumps(run(dataclasses.replace(cfg, workers=2)).to_dict(), sort_keys=True)

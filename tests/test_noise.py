@@ -1,5 +1,8 @@
 """Driver moments and increment sampling."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -139,3 +142,24 @@ def test_determinism():
 def test_centered_driver():
     tri = LevyTriplet(0.5, 2.0, JumpSpec(2.0, atoms=((2.0, 1.0),)))
     assert triplet_moments(centered(tri)).mu_L == pytest.approx(0.0, abs=1e-15)
+
+
+def test_jump_sample_draws_as_rng_choice_on_fresh_arrays():
+    # the atom arrays are built once at construction; the draws are those of
+    # rng.choice (atoms) and rng.normal (normal law) on freshly built arguments
+    atoms = ((1.5, 0.2), (-0.5, 0.3), (2.0, 0.5))
+    spec = JumpSpec(1.0, atoms=atoms)
+    values = np.array([v for v, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    for _ in range(2):  # repeated calls reuse the prebuilt arrays unchanged
+        got = spec.sample(500, stream(8, "choice", 0))
+        assert np.array_equal(got, stream(8, "choice", 0).choice(values, 500, p=probs / probs.sum()))
+    normal = JumpSpec(1.0, normal=(0.5, 2.0))
+    assert np.array_equal(normal.sample(500, stream(8, "normal", 0)),
+                          stream(8, "normal", 0).normal(0.5, 2.0, 500))
+    # the arrays are not fields: equality, hash and a pickle round trip see only the atoms
+    assert [f.name for f in dataclasses.fields(JumpSpec)] == ["rate", "atoms", "normal"]
+    for s in (spec, normal):
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s)
+        assert np.array_equal(back.sample(50, stream(8, "pk", 0)), s.sample(50, stream(8, "pk", 0)))

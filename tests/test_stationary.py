@@ -413,3 +413,115 @@ def test_stationary_moments_bundle():
     # non-centered driver: limit variances undefined
     mom2 = st.stationary_moments(models.ou(1.0), 1.0, LevyTriplet(1.0, 1.0))
     assert mom2.sigma2_O2 is None and mom2.mean == pytest.approx(1.0)
+
+
+# --- batched exact simulation against the per-replication, per-step loop ------
+
+
+def reference_batch(fr, triplet, gaps, R, gens, return_state=False):
+    """One replication and one step at a time, with one expm per jump on the
+    expm path: the loop the batched simulator replaced, with its draw order."""
+    from scipy import linalg
+
+    gaps = np.asarray(gaps, dtype=float)
+    eig = st._eig_cache(fr)
+    if eig is not None:
+        w_eig, V, _ = eig
+        vinv_c = np.linalg.solve(V, fr.C.astype(complex))
+    warm = 12.0 / fr.margin
+    laws = {h: st._step_law(fr, triplet, h) for h in np.concatenate([[warm], np.unique(gaps)])}
+    n, p, rate = len(gaps), fr.p, triplet.jump_rate
+    all_gaps = np.concatenate([[warm], gaps])
+    out = np.empty((R, n + 1))
+    states = np.empty((R, p))
+    for r in range(R):
+        gen = gens[r]
+        z = gen.standard_normal((n + 1, p)) if triplet.sigma2 > 0 else None
+        jump_term = np.zeros((n + 1, p))
+        if rate > 0:
+            counts = gen.poisson(rate * all_gaps)
+            total = int(counts.sum())
+            if total:
+                offs_unit = gen.uniform(0.0, 1.0, total)
+                sizes = triplet.jumps.sample(total, gen)
+                step_idx = np.repeat(np.arange(n + 1), counts)
+                remain = all_gaps[step_idx] * (1.0 - offs_unit)
+                if eig is not None:
+                    expf = np.exp(np.multiply.outer(remain, w_eig))
+                    contrib = np.real((expf * vinv_c) @ V.T) * sizes[:, None]
+                else:
+                    contrib = np.stack(
+                        [linalg.expm(fr.A * v) @ fr.C * sz for v, sz in zip(remain, sizes)]
+                    )
+                np.add.at(jump_term, step_idx, contrib)
+        x = np.zeros(p)
+        for i, h in enumerate(all_gaps):
+            law = laws[h]
+            x = law.prop @ x + law.drift + jump_term[i]
+            if law.chol is not None:
+                x = x + law.chol @ z[i]
+            out[r, i] = fr.B @ x
+        states[r] = x
+    return (out, states) if return_state else out
+
+
+JORDAN = st.FrozenSystem(
+    np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([1.0, 0.5]), np.array([0.0, 1.0]), margin=1.0
+)
+EQUIV_SYSTEMS = {
+    "eigen": st.freeze(models.companion2(), 0.0),
+    "expm": JORDAN,
+}
+EQUIV_TRIPLETS = {
+    "atoms_no_gaussian": LevyTriplet(0.4, 0.0, JumpSpec(0.9, atoms=((1.0, 0.5), (-2.0, 0.5)))),
+    "normal_gaussian": LevyTriplet(-0.3, 0.7, JumpSpec(0.6, normal=(0.2, 1.5))),
+}
+EQUIV_GAPS = {
+    "none": np.empty(0),
+    "one": np.array([0.8]),
+    "equal": np.full(47, 0.5),
+    "mixed": np.tile([0.3, 0.9, 1.7], 11),  # three step laws besides the warm start
+}
+
+
+@pytest.mark.parametrize("system", EQUIV_SYSTEMS)
+@pytest.mark.parametrize("driver", EQUIV_TRIPLETS)
+def test_batched_simulation_matches_per_step_loop(system, driver):
+    fr, tri = EQUIV_SYSTEMS[system], EQUIV_TRIPLETS[driver]
+    assert (st._eig_cache(fr) is None) == (system == "expm")
+    for R in (1, 7, 64):
+        for name, gaps in EQUIV_GAPS.items():
+            purpose = f"equiv:{system}:{driver}:{name}"
+            ref, ref_state = reference_batch(
+                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)], return_state=True
+            )
+            out, state = st.simulate_stationary_batch(
+                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)], return_state=True
+            )
+            plain = st.simulate_stationary_batch(
+                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)]
+            )
+            assert out.shape == (R, len(gaps) + 1) and state.shape == (R, fr.p)
+            assert np.array_equal(plain, out)
+            tol = 1e-12 * np.abs(ref).max()
+            assert np.abs(out - ref).max() <= tol, (R, name)
+            assert np.abs(state - ref_state).max() <= 1e-12 * np.abs(ref_state).max(), (R, name)
+            # replication r of the batch is the same stream run alone
+            for r in {0, R // 2, R - 1}:
+                alone = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(5, purpose, r)])
+                assert np.abs(alone[0] - out[r]).max() <= tol, (R, name, r)
+
+
+def test_jump_inputs_match_per_jump_expm():
+    # e^{A v} C for a batch of decay times: the Jordan block (expm path, whose
+    # e^{A v} C = e^{-v} (v, 1)) and companion2 (eigenbasis path) against one
+    # expm per jump
+    from scipy.linalg import expm
+
+    v = np.linspace(0.0, 6.0, 25)
+    for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):
+        got = st._decayed_inputs(fr, v)
+        ref = np.stack([expm(fr.A * x) @ fr.C for x in v])
+        assert np.abs(got - ref).max() <= 1e-12
+    exact = np.exp(-v)[:, None] * np.stack([v, np.ones_like(v)], axis=1)
+    assert np.abs(st._decayed_inputs(JORDAN, v) - exact).max() <= 1e-12
