@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     except (SemanticError, InadmissibleSchemeError) as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except OSError as exc:

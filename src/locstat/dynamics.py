@@ -11,18 +11,20 @@ a midpoint one-step propagator (exact integral of the coefficient to second
 order) and left-point noise weighting; its O(h) bias is checked by the
 refinement tests rather than hidden behind richer schemes.
 
-For the scalar model the recursion between two recorded nodes is linear in
-the noise, so its increment has an exact law (:class:`SegmentLaw`). Callers
-that need the states at the nodes only draw one aggregated value per record
-segment; :func:`simulate_yn` and :func:`refine_path` keep per-step
-increments, because coupled paths are built on them.
+Every model runs as a state space model: a scalar :class:`Car1Spec` is the
+1x1 system of its ``to_state_space()`` view, so there is one simulator for
+every state dimension p >= 1. The recursion x <- P_k x + C(s_k/N) dL_k
+takes its propagators from :func:`step_propagators` and runs as a prefix
+scan of affine maps (:func:`affine_states`).
 
-The state-space recursion x <- P_k x + C(s_k/N) dL_k walks the fine grid in
-blocks of at most ``_BLOCK_STEPS`` steps. Each block evaluates the
-coefficients at all of its times in one call, builds its propagators in one
-batch (:func:`step_propagators`) and runs the recursion as a prefix scan of
-affine maps (:func:`affine_states`), starting from the state the previous
-block left.
+It is used in two forms. :func:`simulate_yn` and :func:`refine_path` keep
+per-step increments, because coupled paths are built on them; they walk the
+fine grid in blocks of at most ``_BLOCK_STEPS`` steps, each evaluating the
+coefficients at all of its times in one call and starting from the state the
+previous block left. Callers that need the states at the recorded nodes
+only use that the recursion between two nodes is linear in the noise: its
+increment has an exact law (:class:`SegmentLaw`), so they draw one value per
+record segment and scan over records.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +33,6 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, linalg
 
-from . import _core
 from .noise import JumpSpec, LevyTriplet, sample_increments
 
 __all__ = [
@@ -46,13 +47,13 @@ __all__ = [
     "refine_path",
     "validate_model",
     "validate_car1",
-    "build_scalar_plan",
-    "build_scalar_plan_rescaled",
+    "Plan",
+    "build_plan",
     "coefficient_values",
     "eigenbasis",
     "step_propagators",
     "affine_states",
-    "run_scalar_plan",
+    "covariance_factor",
     "SegmentLaw",
     "build_segment_law",
     "draw_segment_noise",
@@ -102,6 +103,9 @@ class ModelSpec:
             raise ValueError("state dimension must be positive")
         if self.stability_margin <= 0:
             raise ValueError("stability margin must be positive")
+
+    def to_state_space(self) -> "ModelSpec":
+        return self
 
 
 @dataclass(frozen=True)
@@ -378,15 +382,15 @@ def transition_seminorm_check(
 
 
 @dataclass
-class ScalarPlan:
-    """Precomputed fine-grid data for the scalar recursion at one N."""
+class Plan:
+    """Fine-grid layout of one run at one N, in rescaled time s = N t."""
 
+    spec: ModelSpec  # the state-space view of the model
     N: int
     h: float
-    start: float
+    start: float  # rescaled time of the first fine node
     n_steps: int
-    record_steps: np.ndarray  # step counts after which state is recorded
-    phi: np.ndarray  # (n_steps,) one-step decay factors
+    record_steps: np.ndarray  # step counts after which the state is recorded
 
     @property
     def eval_rescaled(self) -> np.ndarray:
@@ -401,32 +405,27 @@ class ScalarPlan:
         return list(zip(bounds[:-1], bounds[1:]))
 
 
-def build_scalar_plan(
-    spec: Car1Spec, N: int, eval_times: np.ndarray, h: float, burn_in: float
-) -> ScalarPlan:
-    """Grid layout and per-step decay factors for one run."""
-    eval_times = np.asarray(eval_times, dtype=float)
-    if eval_times.size == 0:
-        raise ValueError("need at least one evaluation time")
-    if eval_times.size > 1 and not np.all(np.diff(eval_times) > 0):
-        raise ValueError("eval_times must be strictly increasing")
-    return build_scalar_plan_rescaled(spec, N, N * eval_times, h, burn_in)
+def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
+    """Plan of a run recording at the nodes ``rescaled``, given directly in
+    rescaled time s = N t (no lossy round trip through original time).
 
-
-def _record_grid(rescaled: np.ndarray, h: float, burn_in: float, margin: float):
-    """Fine-grid layout of a run: ``(n_burn, record_steps, start)``.
-
-    Checks that the step is positive and divides every evaluation gap and that
-    the burn-in is at least 8 / stability margin. ``record_steps`` counts the
-    steps after which the state is recorded; ``start`` is the rescaled time of
-    the first fine node.
+    Checks that the nodes increase, that the step is positive and divides
+    every gap between them and that the burn-in is at least 8 / stability
+    margin. ``spec`` is a :class:`ModelSpec` or anything with a
+    ``to_state_space()`` view, such as :class:`Car1Spec`.
     """
+    spec = spec.to_state_space()
+    rescaled = np.asarray(rescaled, dtype=float)
+    if rescaled.size == 0:
+        raise ValueError("need at least one evaluation time")
     if h <= 0:
         raise ValueError("fine_step must be positive")
-    min_burn = 8.0 / margin
+    min_burn = 8.0 / spec.stability_margin
     if burn_in < min_burn - 1e-9:
         raise ValueError(f"burn_in {burn_in} below required {min_burn} (8 / stability margin)")
     gaps = np.diff(rescaled)
+    if gaps.size and not np.all(gaps > 0):
+        raise ValueError("evaluation times must be strictly increasing")
     if gaps.size and h > gaps.min() + 1e-12:
         raise ValueError("fine_step exceeds the smallest rescaled evaluation gap")
     steps_per_gap = np.rint(gaps / h).astype(int)
@@ -437,37 +436,7 @@ def _record_grid(rescaled: np.ndarray, h: float, burn_in: float, margin: float):
             )
     n_burn = int(np.ceil(burn_in / h - 1e-12))
     record_steps = n_burn + np.concatenate([[0], np.cumsum(steps_per_gap)])
-    return n_burn, record_steps, rescaled[0] - n_burn * h
-
-
-def build_scalar_plan_rescaled(
-    spec: Car1Spec, N: int, rescaled: np.ndarray, h: float, burn_in: float
-) -> ScalarPlan:
-    """Plan builder taking evaluation nodes directly in rescaled time s = N t,
-    avoiding a lossy round trip through original time."""
-    rescaled = np.asarray(rescaled, dtype=float)
-    _, record_steps, start = _record_grid(rescaled, h, burn_in, spec.stability_margin)
-    n_steps = int(record_steps[-1])
-
-    mids = start + (np.arange(n_steps) + 0.5) * h
-    a_mid = np.asarray(spec.a(mids / N), dtype=float)
-    phi = np.exp(-a_mid * h)
-    return ScalarPlan(N, h, start, n_steps, record_steps, phi)
-
-
-def run_scalar_plan(plan: ScalarPlan, eta_block, R: int, x0=None) -> np.ndarray:
-    """Run the recursion for R replications; returns states (R, n_records).
-
-    ``eta_block(lo, hi)`` must return the noise contributions for steps
-    [lo, hi) as an (R, hi - lo) array, in a caller-fixed draw order.
-    """
-    x = np.zeros(R) if x0 is None else np.array(x0, dtype=float)
-    out = np.empty((R, len(plan.record_steps)))
-    for k, (lo, hi) in enumerate(plan.segment_bounds):
-        eta_t = np.ascontiguousarray(eta_block(lo, hi).T)  # step-major for the core
-        _core.scan_segment(plan.phi[lo:hi], eta_t, x)
-        out[:, k] = x
-    return out
+    return Plan(spec, N, h, rescaled[0] - n_burn * h, int(record_steps[-1]), record_steps)
 
 
 def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
@@ -479,94 +448,166 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.nd
     return out
 
 
+def covariance_factor(Q: np.ndarray) -> np.ndarray:
+    """A factor L with L L' = Q for each covariance of the stack Q (..., p, p),
+    symmetrized first. Cholesky fails on a singular Q (the one-step segment of
+    a p >= 2 model has rank 1) and on tiny negative curvature from roundoff;
+    the stack then takes V diag(sqrt(max(w, 0))) from its eigendecomposition.
+    """
+    Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
+    try:
+        return np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(Q)
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+
+
 @dataclass
 class SegmentLaw:
-    """Exact law of the noise a scalar plan adds between two records.
+    """Exact law of the noise the fine-grid recursion adds between two records.
 
-    Record segment k is the run of fine steps ``[bounds[k], bounds[k+1])``
-    that ends at record k; the first one is the burn-in. With suffix weights
-    s_j = prod(phi[j+1:hi]), the recursion moves the state over the segment
-    by
+    Record segment k is the run of fine steps ``[lo, hi) = [bounds[k],
+    bounds[k+1])`` that ends at record k; the first one is the burn-in. With
+    the one-step propagators P_j of :func:`step_propagators` and the weights
+    v_j = P_{hi-1} ... P_{j+1} C(s_j / N), the recursion moves the state over
+    the segment by
 
-        x <- decay_k x + sum_j s_j dL_j,    decay_k = prod(phi[lo:hi]),
+        x <- D_k x + sum_j v_j dL_j,    D_k = P_{hi-1} ... P_lo,
 
-    and the sum has the law of ``mean_k + std_k Z`` plus, for each of
-    Poisson(rate h m_k) jumps, ``s_cell * size`` with the cell uniform among
-    the segment's m_k cells. Recorded states drawn this way have the same
-    joint law as the fine-grid recursion, from one draw per segment instead of
-    one per step. A decay or weight that underflows to 0 is the right value.
+    and the sum has the law of ``mean_k + chol_k Z`` (Z standard normal in
+    R^p) plus, for each of Poisson(rate h m_k) jumps, ``v_cell * size`` with
+    the cell uniform among the segment's m_k cells. Recorded states drawn
+    this way have the same joint law as the fine-grid recursion, from one
+    draw per segment instead of one per step. A product that underflows to
+    0 is the right value.
     """
 
     bounds: np.ndarray  # (n_records + 1,) fine-step bounds of the record segments
-    decay: np.ndarray  # (n_records,) prod(phi) over each segment
-    mean: np.ndarray  # (n_records,) path_drift * h * sum(s)
-    std: np.ndarray | None  # (n_records,) sqrt(sigma2 * h * sum(s^2)); None without sigma2
+    decay: np.ndarray  # (n_records, p, p) D_k
+    mean: np.ndarray  # (n_records, p) path_drift * h * sum(v)
+    chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 * h * sum(v v'); None without sigma2
     jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
-    cell_weights: np.ndarray | None  # (n_steps,) s_j of every cell; None without jumps
+    cell_weights: np.ndarray | None  # (n_steps, p) v_j of every cell; None without jumps
     jumps: JumpSpec | None
+    B: np.ndarray  # (n_records, p) output vector B(t_k) of each record
 
 
-def build_segment_law(plan: ScalarPlan, triplet: LevyTriplet) -> SegmentLaw:
+def _prefix_products(T: np.ndarray) -> np.ndarray:
+    """Products T[:, 0] @ T[:, 1] @ ... @ T[:, i] for every i, T of shape
+    (G, m, p, p).
+
+    A blocked scan: each run of b = ceil(sqrt(m)) factors is multiplied out
+    with b batched matmuls over all runs, then each run is moved on by the
+    product that ends the run before it. That is about 2 sqrt(m) batched
+    calls and 2 m small matmuls per row, where a doubling scan takes m
+    log2(m).
+    """
+    G, m, p, _ = T.shape
+    b = int(np.ceil(np.sqrt(m)))
+    n_runs = -(-m // b)
+    U = np.empty((G, n_runs * b, p, p))
+    U[:, :m] = T
+    U[:, m:] = np.eye(p)
+    U = U.reshape(G, n_runs, b, p, p)
+    for i in range(1, b):
+        U[:, :, i] = U[:, :, i - 1] @ U[:, :, i]
+    for k in range(1, n_runs):
+        U[:, k] = U[:, k - 1, -1, None] @ U[:, k]
+    return U.reshape(G, n_runs * b, p, p)[:, :m]
+
+
+def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``; per-cell weights are kept
-    only when the driver has jumps."""
+    only when the driver has jumps.
+
+    Segments of equal length are stacked, so that the products
+    P_{hi-1} ... P_j of all of them come from one :func:`_prefix_products`;
+    a stack holds at most about ``_BLOCK_ENTRIES`` matrix entries, so the
+    arrays stay small however long the grid is.
+    """
+    spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
-    n = bounds.size - 1
+    lengths = np.diff(bounds)
+    n, p = lengths.size, spec.p
     has_jumps = triplet.jumps is not None and triplet.jump_rate > 0
-    decay, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
-    weights = np.empty(plan.n_steps) if has_jumps else None
-    for k, (lo, hi) in enumerate(plan.segment_bounds):
-        phi = plan.phi[lo:hi]
-        s = _core.suffix_products(phi)
-        decay[k] = np.prod(phi)
-        s1[k] = s.sum()
-        s2[k] = s @ s
-        if has_jumps:
-            weights[lo:hi] = s
-    h = plan.h
+    decay, s1, s2 = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
+    weights = np.empty((plan.n_steps, p)) if has_jumps else None
+    for m in np.unique(lengths):
+        same = np.flatnonzero(lengths == m)
+        stack = max(1, _BLOCK_ENTRIES // (m * p * p))
+        for segs in np.split(same, np.arange(stack, same.size, stack)):
+            steps = bounds[segs, None] + np.arange(m)  # (segments, m)
+            lefts = plan.start + steps * h
+            # T[:, i] = P_{hi-1} ... P_{hi-1-i}
+            T = _prefix_products(step_propagators(spec, lefts[:, ::-1], N, h))
+            decay[segs] = T[:, -1]
+            # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
+            last = np.broadcast_to(np.eye(p), (segs.size, 1, p, p))
+            suffix = np.concatenate([T[:, -2::-1], last], axis=1)
+            v = (suffix @ coefficient_values(spec, "C", lefts / N)[..., None])[..., 0]  # (segments, m, p)
+            s1[segs] = v.sum(axis=1)
+            s2[segs] = np.einsum("gja,gjb->gab", v, v)
+            if has_jumps:
+                weights[steps] = v
     return SegmentLaw(
         bounds=bounds,
         decay=decay,
         mean=triplet.path_drift * h * s1,
-        std=np.sqrt(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
-        jump_mean=triplet.jump_rate * h * np.diff(bounds) if has_jumps else None,
+        chol=covariance_factor(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
+        jump_mean=triplet.jump_rate * h * lengths if has_jumps else None,
         cell_weights=weights,
         jumps=triplet.jumps if has_jumps else None,
+        B=coefficient_values(spec, "B", plan.eval_rescaled / N),
     )
 
 
 def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
-    """Noise of every record segment, shape (R, n_records).
+    """Noise of every record segment, shape (R, n_records, p).
 
     One generator per replication, each called once per kind of draw, in
-    this order: a standard normal per segment (when sigma2 > 0), a Poisson
+    this order: standard normals (n_records, p) (when sigma2 > 0), a Poisson
     jump count per segment, a uniform per jump that picks its cell, then the
     jump sizes.
     """
-    n = law.decay.size
+    n, p = law.mean.shape
+    R = len(gens)
     cells = np.diff(law.bounds)
-    out = np.empty((len(gens), n))
+    z = np.empty((R, n, p)) if law.chol is not None else None
+    jumps = np.zeros((R, n, p)) if law.jump_mean is not None else None
     for r, gen in enumerate(gens):
-        row = law.mean if law.std is None else law.mean + law.std * gen.standard_normal(n)
-        if law.jump_mean is not None:
+        if z is not None:
+            z[r] = gen.standard_normal((n, p))
+        if jumps is not None:
             counts = gen.poisson(law.jump_mean)
             total = int(counts.sum())
             if total:
                 seg = np.repeat(np.arange(n), counts)
                 pick = np.minimum((gen.random(total) * cells[seg]).astype(np.int64), cells[seg] - 1)
                 sizes = law.jumps.sample(total, gen)
-                weights = law.cell_weights[law.bounds[seg] + pick]
-                row = row + np.bincount(seg, weights=weights * sizes, minlength=n)
-        out[r] = row
-    return out
+                contrib = law.cell_weights[law.bounds[seg] + pick] * sizes[:, None]
+                for j in range(p):
+                    jumps[r, :, j] = np.bincount(seg, weights=contrib[:, j], minlength=n)
+    eta = np.repeat(law.mean[None], R, axis=0)
+    if z is not None:
+        eta += np.einsum("kij,rkj->rki", law.chol, z)
+    if jumps is not None:
+        eta += jumps
+    return eta
 
 
 def run_segment_law(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
-    """Recorded states (R, n_records) from a zero start, given the segment
-    noise ``eta`` of :func:`draw_segment_noise`."""
-    Y = np.array(eta, dtype=float)
-    for k in range(1, law.decay.size):
-        Y[:, k] += law.decay[k] * Y[:, k - 1]
-    return Y
+    """Recorded values B(t_k)' x_k, shape (R, n_records), from a zero start,
+    given the segment noise ``eta`` (R, n_records, p) of
+    :func:`draw_segment_noise`: one affine scan over records carries all R
+    states."""
+    R, _, p = eta.shape
+    xs = affine_states(law.decay, np.ascontiguousarray(eta.transpose(1, 2, 0)), np.zeros((p, R)))
+    return np.einsum("kp,kpr->rk", law.B, xs)
+
+
+# perfbench/spans.py traces the plan builder and the record recursion by these names
+build_scalar_plan_rescaled = build_plan
+run_scalar_plan = run_segment_law
 
 
 def simulate_yn(
@@ -588,27 +629,6 @@ def simulate_yn(
     Monte Carlo resolution. Passing ``increments`` re-runs the recursion on
     externally supplied noise (coupled experiments, refinement checks).
     """
-    eval_times = np.asarray(eval_times, dtype=float)
-    if isinstance(spec, Car1Spec):
-        plan = build_scalar_plan(spec, N, eval_times, fine_step, burn_in)
-        if increments is None:
-            inc = _draw_increments_rows(triplet, fine_step, plan.n_steps, [rng])[0]
-        else:
-            inc = np.asarray(increments, dtype=float)
-            if inc.shape != (plan.n_steps,):
-                raise ValueError(f"increments must have shape ({plan.n_steps},)")
-        states = run_scalar_plan(plan, lambda lo, hi: inc[None, lo:hi], 1)
-        values = states[0]
-        grid = FineGrid(
-            step=fine_step,
-            start=plan.start,
-            increments=inc if keep_increments else None,
-            gaussian_only=triplet.jumps is None or triplet.jump_rate == 0.0,
-        )
-        info = {"N": N, "model_id": spec.model_id}
-        if meta:
-            info.update(meta)
-        return PathSample(times=eval_times, values=values, fine_grid=grid, meta=info)
     return _simulate_yn_statespace(
         spec, triplet, N, eval_times, fine_step, burn_in, rng, keep_increments, increments, meta
     )
@@ -622,6 +642,7 @@ _BLOCK_ENTRIES = 65536
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
+_TINY = np.finfo(float).tiny
 
 
 def eigenbasis(M: np.ndarray):
@@ -677,8 +698,10 @@ def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
     Commuting models take expm(A((s + h/2)/N) h), computed for all steps at
     once as V diag(e^{lambda h}) V^-1 from a batched eigendecomposition; the
     steps whose eigenbasis :func:`eigenbasis` does not trust (near-defective
-    A) go through ``linalg.expm``. Other models take one RK4 step of length
-    h, with A at s/N, (s + h/2)/N and (s + h)/N.
+    A) go through ``linalg.expm``. A 1x1 A h is exponentiated entrywise; a
+    batched eigendecomposition of 1x1 matrices costs about 60 times as
+    much. Other models take one
+    RK4 step of length h, with A at s/N, (s + h/2)/N and (s + h)/N.
     """
     lefts = np.asarray(lefts, dtype=float)
     if not spec.commuting:
@@ -692,6 +715,8 @@ def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
         k4 = A2 @ (eye + h * k3)
         return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     Ah = coefficient_values(spec, "A", (lefts + 0.5 * h) / N) * h
+    if spec.p == 1:
+        return np.exp(Ah)
     w, V, Vinv, good = eigenbasis(Ah)
     props = np.empty(Ah.shape)
     props[good] = ((V[good] * np.exp(w[good])[:, None, :]) @ Vinv[good]).real
@@ -721,26 +746,20 @@ def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
         cols[d:] += M[d:] @ cols[:-d]
         if 2 * d < n:
             M[d:] = M[d:] @ M[:-d]
+            # a composed map below the smallest normal double adds nothing to
+            # a state of normal size, and subnormal operands slow every matmul
+            # that reads them (strong decay over many steps reaches them)
+            M[np.abs(M) < _TINY] = 0.0
         d *= 2
     return v
 
 
 def _simulate_yn_statespace(
-    spec: ModelSpec,
-    triplet,
-    N,
-    eval_times,
-    fine_step,
-    burn_in,
-    rng,
-    keep_increments,
-    increments,
-    meta,
+    spec, triplet, N, eval_times, fine_step, burn_in, rng, keep_increments, increments, meta
 ):
-    h = fine_step
     eval_times = np.asarray(eval_times, dtype=float)
-    _, record_steps, start = _record_grid(N * eval_times, h, burn_in, spec.stability_margin)
-    n_steps = int(record_steps[-1])
+    plan = build_plan(spec, N, N * eval_times, fine_step, burn_in)
+    spec, h, n_steps, record_steps = plan.spec, plan.h, plan.n_steps, plan.record_steps
 
     if increments is None:
         inc = _draw_increments_rows(triplet, h, n_steps, [rng])[0]
@@ -755,18 +774,18 @@ def _simulate_yn_statespace(
     x = np.zeros(p)
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
-        lefts = start + np.arange(lo, hi) * h
+        lefts = plan.start + np.arange(lo, hi) * h
         props = step_propagators(spec, lefts, N, h)
         noise = coefficient_values(spec, "C", lefts / N) * inc[lo:hi, None]
         xs = affine_states(props, noise, x)
         first, last = np.searchsorted(record_steps, [lo, hi], side="right")
         states[first:last] = xs[record_steps[first:last] - lo - 1]
         x = xs[-1]
-    B = coefficient_values(spec, "B", (start + record_steps * h) / N)
+    B = coefficient_values(spec, "B", plan.eval_rescaled / N)
     values = np.einsum("kp,kp->k", B, states)
     grid = FineGrid(
         step=h,
-        start=start,
+        start=plan.start,
         increments=inc if keep_increments else None,
         gaussian_only=triplet.jumps is None or triplet.jump_rate == 0.0,
     )

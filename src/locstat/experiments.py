@@ -13,8 +13,10 @@ Four experiment families:
   lipschitz_u   smoothness of the frozen family in the localization point,
                 fitted on coupled simulations over a |u - v| ladder
 
-The lln and clt campaigns need Y_N only at the observation nodes. Their
-chunks draw the noise of each record segment in one exact draw (see
+Every campaign takes scalar and state space models alike: the simulator
+runs the state space view of the model, whatever its dimension p. The lln
+and clt campaigns need Y_N only at the observation nodes. Their chunks draw
+the noise of each record segment in one exact draw (see
 ``dynamics.SegmentLaw``) from a plan and segment law built once per N, and
 run the recursion over records only. The coupling campaign keeps per-step
 increments, because it couples two processes on them.
@@ -33,13 +35,12 @@ import numpy as np
 from scipy import linalg, stats
 
 from . import stationary as stat
-from ._core import suffix_products
 from .dynamics import (
     Car1Spec,
-    ModelSpec,
     _draw_increments_rows,
     affine_states,
-    build_scalar_plan_rescaled,
+    build_plan,
+    build_scalar_plan_rescaled,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     build_segment_law,
     coefficient_values,
     draw_segment_noise,
@@ -164,12 +165,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"model fails its declared invariants: {report}")
 
 
-def _as_car1(model) -> Car1Spec:
-    if isinstance(model, Car1Spec):
-        return model
-    raise NotImplementedError("this experiment path is implemented for scalar models")
-
-
 # ---------------------------------------------------------------------------
 # coupling
 
@@ -178,22 +173,14 @@ def _coupling_weights(model, triplet, u, N, h, n_cells):
     """Forward-grid noise weights for Y_N(u) and the frozen process at u.
 
     Unrolling the one-step recursion writes each as a weighted sum of the
-    shared increments; differencing the weight vectors gives the coupled gap.
+    shared increments; differencing the weight vectors gives the coupled gap:
+    w_n[j] = v_j C(s_j / N) with v_j = B' P_{n-1} ... P_{j+1}, where the v_j'
+    run backward from v_{n-1}' = B as the recursion v_{j-1}' = P_j' v_j'.
     """
+    spec = model.to_state_space()
     t_eval = float(u)
-    s_end = N * t_eval
-    lefts = s_end - (n_cells - np.arange(n_cells)) * h
+    lefts = N * t_eval - (n_cells - np.arange(n_cells)) * h
     depth = (n_cells - 1 - np.arange(n_cells)) * h
-    if isinstance(model, Car1Spec):
-        a_u = float(np.asarray(model.a(t_eval)))
-        mids = lefts + 0.5 * h
-        phi = np.exp(-np.asarray(model.a(mids / N), dtype=float) * h)
-        w_n = suffix_products(phi)
-        w_frozen = np.exp(-a_u * depth)
-        return w_n, w_frozen
-    # general state space: w_n[j] = v_j C(s_j / N) with v_j = B' P_{n-1} ... P_{j+1};
-    # the v_j' run backward from v_{n-1}' = B as the recursion v_{j-1}' = P_j' v_j'
-    spec: ModelSpec = model
     B_u = coefficient_values(spec, "B", t_eval)
     props = step_propagators(spec, lefts[1:], N, h)
     back = affine_states(np.swapaxes(props[::-1], 1, 2), np.zeros((n_cells - 1, spec.p)), B_u)
@@ -304,9 +291,7 @@ def _localized_payload(
     (clt). Built once per N and shared by every chunk."""
     scheme = make_scheme(config.u, N, config.bandwidth, config.step_rule)
     offsets, base_idx, shift_idx = _union_offsets(scheme, lag)
-    plan = build_scalar_plan_rescaled(
-        _as_car1(config.model), N, N * config.u + offsets, config.fine_step, config.burn_in
-    )
+    plan = build_plan(config.model, N, N * config.u + offsets, config.fine_step, config.burn_in)
     factor = scheme.delta_N / scheme.b_N
     return {
         "config": config,
@@ -426,11 +411,8 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
     for N in config.N_list:
         gap = N * config.t_end / config.n_quad
         h_eff = gap / max(1, int(round(gap / config.fine_step)))
-        plan = build_scalar_plan_rescaled(
-            _as_car1(model), N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in
-        )
-        law = build_segment_law(plan, config.triplet)
-        payload = {"config": config, "N": N, "gap": gap, "law": law}
+        plan = build_plan(model, N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in)
+        payload = {"config": config, "N": N, "gap": gap, "law": build_segment_law(plan, config.triplet)}
         vals = _map_chunks(_global_average_chunk, payload, config.replications, config.workers)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))

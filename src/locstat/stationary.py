@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, linalg
 
-from .dynamics import Car1Spec, PathSample, affine_states, eigenbasis
+from .dynamics import PathSample, affine_states, covariance_factor, eigenbasis
 from .noise import LevyTriplet, triplet_moments
 
 __all__ = [
@@ -80,14 +80,11 @@ class FrozenSystem:
 
 
 def freeze(spec, u: float) -> FrozenSystem:
-    """Freeze coefficients at u; rejects an unstable A(u)."""
+    """Freeze the coefficients of the state space view of ``spec`` at u;
+    rejects an unstable A(u)."""
     if isinstance(spec, FrozenSystem):
         return spec
-    if isinstance(spec, Car1Spec):
-        a = float(np.asarray(spec.a(u)))
-        if a <= 0:
-            raise ValueError(f"a({u}) = {a} is not positive; frozen system unstable")
-        return FrozenSystem(np.array([[-a]]), np.ones(1), np.ones(1), margin=a)
+    spec = spec.to_state_space()
     A = np.asarray(spec.A(u), dtype=float)
     top = float(np.max(np.real(np.linalg.eigvals(A))))
     if top >= 0:
@@ -159,11 +156,19 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
     absolute one is as large as int f^4 for nearly equal joint systems. The
     absolute floor is the smallest normal double, so that an identically
     zero integrand (a joint system of two equal systems) stops at once.
+
+    Without a trusted eigenbasis, f(s + shift) = (B' e^{As}) (e^{A shift} C):
+    the shifted columns are computed once, so each node costs one expm.
     """
-    f = _exp_pair(fr, fr.B, fr.C)
     shifts = np.asarray(shifts, dtype=float)
+    if _eig_cache(fr) is not None:
+        f = _exp_pair(fr, fr.B, fr.C)
+        values = lambda s: f(s + shifts)
+    else:
+        cols = linalg.expm(np.multiply.outer(shifts, fr.A)) @ fr.C  # shifts.shape + (p,)
+        values = lambda s: cols @ (fr.B @ linalg.expm(s * fr.A))
     val, _ = integrate.quad_vec(
-        lambda s: np.prod(f(s + shifts), axis=-1) ** powers,
+        lambda s: np.prod(values(s), axis=-1) ** powers,
         0.0, 60.0 / fr.margin, epsabs=np.finfo(float).tiny, epsrel=1e-12,
     )
     return val
@@ -394,14 +399,7 @@ def _step_law(fr: FrozenSystem, triplet: LevyTriplet, h: float) -> _StepLaw:
         # exponential of [[-A, CC'], [0, A']] loses this to cancellation on long
         # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
         gam = lyapunov_gram(fr)
-        Q = triplet.sigma2 * (gam - prop @ gam @ prop.T)
-        # symmetrize and factor; clip tiny negative curvature from roundoff
-        Q = 0.5 * (Q + Q.T)
-        try:
-            chol = np.linalg.cholesky(Q)
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(Q)
-            chol = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+        chol = covariance_factor(triplet.sigma2 * (gam - prop @ gam @ prop.T))
     return _StepLaw(h, prop, chol, drift)
 
 

@@ -6,17 +6,18 @@ from scipy import integrate
 
 from locstat import models
 from locstat.dynamics import (
+    Lipschitz,
+    ModelSpec,
     PathSample,
     PeanoBakerNonConvergence,
-    build_scalar_plan,
-    build_scalar_plan_rescaled,
+    build_plan,
     build_segment_law,
     coefficient_values,
     draw_segment_noise,
     refine_path,
-    run_scalar_plan,
     run_segment_law,
     simulate_yn,
+    step_propagators,
     transition_matrix,
     transition_seminorm_check,
     validate_car1,
@@ -180,13 +181,9 @@ def test_variance_matches_frozen_closed_form():
     target = float(st.stationary_autocov(spec, 1.0, BROWNIAN, 0.0))
     assert target == pytest.approx(1.0 / (2.0 * (2.0 + np.sin(1.0))), abs=1e-12)
     n_reps, h = 3000, 0.0025
-    plan = build_scalar_plan(spec, 64, np.array([1.0]), h, 8.0)
+    plan = build_plan(spec, 64, 64 * np.array([1.0]), h, 8.0)
     gens = [stream(1, "variance-example", r) for r in range(n_reps)]
-
-    def eta(lo, hi):
-        return _draw_increments_rows(BROWNIAN, h, hi - lo, gens)
-
-    vals = run_scalar_plan(plan, eta, n_reps)[:, 0]
+    vals = _fine_grid_values(plan, _draw_increments_rows(BROWNIAN, h, plan.n_steps, gens))[:, 0]
     se = vals.var() * np.sqrt(2.0 / n_reps)
     assert abs(vals.var() - target) < 3 * se
 
@@ -226,13 +223,24 @@ def test_coupling_determinism():
 
 
 def test_statespace_path_matches_scalar_path():
-    # the p = 1 state space wrapper must reproduce the scalar fast path
+    # the 1x1 state space view runs the scalar recursion
+    # Y <- exp(-a(mid) h) Y + dL step by step
     car = models.tvcar_sin()
     tri = LevyTriplet(0.3, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     times = np.array([0.5, 1.0])
     a = simulate_yn(car, tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     b = simulate_yn(car.to_state_space(), tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
-    assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(a.values, b.values)
+    inc, start = a.fine_grid.increments, a.fine_grid.start
+    mids = start + (np.arange(inc.size) + 0.5) * 0.01
+    phi = np.exp(-car.a(mids / 16) * 0.01)
+    y, expect = 0.0, []
+    record_steps = np.rint((16 * times - start) / 0.01).astype(int)
+    for j in range(inc.size):
+        y = phi[j] * y + inc[j]
+        if j + 1 in record_steps:
+            expect.append(y)
+    assert np.allclose(a.values, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_noncommuting_step_matches_commuting_path():
@@ -290,14 +298,42 @@ def test_path_sample_invariants():
 # --- aggregated per-segment noise --------------------------------------------
 
 
-# a(t) = 2 + sin t at N = 64: 41 nodes one rescaled unit apart around N u = 64
 LAW_H = 1.0 / 32.0
 DRIFT_GAUSS = LevyTriplet(1.0, 1.0)
 GAUSS_JUMPS = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
 
 
-def _law_plan():
-    return build_scalar_plan_rescaled(models.tvcar_sin(), 64, 64.0 + np.arange(-20, 21), LAW_H, 8.0)
+def _noncommuting_A(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = -2.0, 1.0, -3.0
+    out[..., 1, 0] = 0.5 * np.sin(t)
+    return out
+
+
+def _noncommuting():
+    """A(t) = [[-2, 1], [0.5 sin t, -3]]: A(t) and A(s) do not commute, and the
+    eigenvalues stay below -1.5."""
+    return ModelSpec(
+        p=2,
+        A=_noncommuting_A,
+        B=lambda t: np.broadcast_to([1.0, 0.5], np.shape(t) + (2,)),
+        C=lambda t: np.broadcast_to([1.0, -0.5], np.shape(t) + (2,)),
+        lipschitz=Lipschitz(0.5),
+        commuting=False,
+        stability_margin=1.5,
+        model_id="noncommuting2",
+    )
+
+
+# p = 1 and three p = 2 models: commuting diagonal, constant companion form
+# and non-commuting
+LAW_MODELS = (models.tvcar_sin(), models.diag2(), models.companion2(), _noncommuting())
+
+
+def _law_plan(spec):
+    # 41 nodes one rescaled unit apart around N u = 64, at N = 64
+    return build_plan(spec, 64, 64.0 + np.arange(-20, 21), LAW_H, 8.0 / spec.stability_margin)
 
 
 def _segment_paths(plan, tri, purpose, n_reps):
@@ -306,74 +342,112 @@ def _segment_paths(plan, tri, purpose, n_reps):
     return run_segment_law(law, draw_segment_noise(law, gens))
 
 
+def _fine_grid_values(plan, inc):
+    """Reference recursion x <- P_j x + C(s_j / N) dL_j one fine step at a
+    time, for every row of increments ``inc`` (R, n_steps) at once; returns
+    B(t_k)' x at the plan's records, shape (R, n_records)."""
+    spec, N, h = plan.spec, plan.N, plan.h
+    lefts = plan.start + np.arange(plan.n_steps) * h
+    P = step_propagators(spec, lefts, N, h)
+    C = coefficient_values(spec, "C", lefts / N)
+    B = coefficient_values(spec, "B", plan.eval_rescaled / N)
+    record_of = {int(s): k for k, s in enumerate(plan.record_steps)}
+    x = np.zeros((spec.p, inc.shape[0]))
+    out = np.empty((inc.shape[0], plan.record_steps.size))
+    for j in range(plan.n_steps):
+        x = P[j] @ x + C[j][:, None] * inc[:, j]
+        if j + 1 in record_of:
+            out[:, record_of[j + 1]] = B[record_of[j + 1]] @ x
+    return out
+
+
 def _fine_paths(plan, tri, purpose, n_reps):
     gens = [stream(11, purpose, r) for r in range(n_reps)]
-    return run_scalar_plan(plan, lambda lo, hi: _draw_increments_rows(tri, LAW_H, hi - lo, gens), n_reps)
+    return _fine_grid_values(plan, _draw_increments_rows(tri, LAW_H, plan.n_steps, gens))
 
 
 def test_segment_law_structure():
-    plan = _law_plan()
+    plan = _law_plan(models.tvcar_sin())
+    mids = plan.start + (np.arange(plan.n_steps) + 0.5) * LAW_H
+    phi = np.exp(-models.tvcar_sin().a(mids / 64) * LAW_H)
     for tri in (DRIFT_GAUSS, GAUSS_JUMPS):
         law = build_segment_law(plan, tri)
-        assert law.decay.size == len(plan.record_steps) == 41
+        assert law.decay.shape == (41, 1, 1) and len(plan.record_steps) == 41
         assert np.array_equal(law.bounds[1:], plan.record_steps) and law.bounds[0] == 0
-        expected = [np.prod(plan.phi[lo:hi]) for lo, hi in zip(law.bounds[:-1], law.bounds[1:])]
-        assert np.array_equal(law.decay, expected)
+        expected = [np.prod(phi[lo:hi]) for lo, hi in zip(law.bounds[:-1], law.bounds[1:])]
+        # the blocked product associates the factors differently from np.prod
+        np.testing.assert_allclose(law.decay[:, 0, 0], expected, rtol=1e-14, atol=0.0)
     assert build_segment_law(plan, DRIFT_GAUSS).cell_weights is None
-    assert build_segment_law(plan, GAUSS_JUMPS).cell_weights.shape == (plan.n_steps,)
-    # noise on the last cell of each segment has weight 1, so the fine-grid
-    # scan and the recursion over records must agree on it
+    assert build_segment_law(plan, GAUSS_JUMPS).cell_weights.shape == (plan.n_steps, 1)
+    # noise on the last cell of each segment has weight C = 1, so the fine-grid
+    # recursion and the recursion over records must agree on it
     eta = np.random.default_rng(0).standard_normal((3, 41))
     fine = np.zeros((3, plan.n_steps))
     fine[:, law.bounds[1:] - 1] = eta
-    expected = run_scalar_plan(plan, lambda lo, hi: np.ascontiguousarray(fine[:, lo:hi]), 3)
-    assert np.allclose(run_segment_law(law, eta), expected, rtol=1e-12, atol=1e-14)
+    expected = _fine_grid_values(plan, fine)
+    assert np.allclose(run_segment_law(law, eta[..., None]), expected, rtol=1e-12, atol=1e-14)
     assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
+
+
+def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
+    # a segment of one fine step adds sigma2 h C C', a rank-1 covariance on
+    # which plain Cholesky fails
+    spec = models.diag2()
+    plan = build_plan(spec, 64, 64.0 + np.array([0.0, LAW_H, 2.0]), LAW_H, 16.0)
+    law = build_segment_law(plan, DRIFT_GAUSS)
+    C = coefficient_values(spec, "C", (plan.start + plan.record_steps[0] * LAW_H) / 64)
+    Q = DRIFT_GAUSS.sigma2 * LAW_H * np.outer(C, C)
+    L = law.chol[1]
+    assert np.all(np.isfinite(law.chol))
+    assert np.linalg.norm(L @ L.T - Q) <= 1e-14 * np.linalg.norm(Q)
 
 
 @pytest.mark.parametrize("tri", [DRIFT_GAUSS, GAUSS_JUMPS], ids=["drift-gauss", "gauss-jumps"])
 def test_segment_law_matches_exact_moment_recursion(tri):
-    plan = _law_plan()
     mom = triplet_moments(tri)
-    # exact moments of the fine-grid recursion, one record segment at a time:
-    # m <- P m + mu_L h sum(s), v <- P^2 v + Sigma_L h sum(s^2)
-    means, variances = [], []
-    m = v = 0.0
-    bounds = np.concatenate([[0], plan.record_steps])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        s1 = s2 = 0.0
-        for phi in plan.phi[lo:hi]:
-            s1, s2 = phi * s1 + 1.0, phi * phi * s2 + 1.0
-        P = np.prod(plan.phi[lo:hi])
-        m = P * m + mom.mu_L * LAW_H * s1
-        v = P * P * v + mom.Sigma_L * LAW_H * s2
-        means.append(m)
-        variances.append(v)
     n_reps = 4000
-    Y = _segment_paths(plan, tri, "law-moments", n_reps)
-    centered = Y - Y.mean(axis=0)
-    z_mean = (Y.mean(axis=0) - means) / np.sqrt(np.asarray(variances) / n_reps)
-    var_hat = centered.var(axis=0)
-    se_var = np.sqrt((np.mean(centered**4, axis=0) - var_hat**2) / n_reps)
-    z_var = (var_hat - variances) / se_var
-    assert np.abs(z_mean).max() < 4.5
-    assert np.abs(z_var).max() < 4.5
+    for spec in LAW_MODELS:
+        plan = _law_plan(spec)
+        # exact moments of the fine-grid recursion, one step at a time:
+        # m <- P m + mu_L h C, V <- P V P' + Sigma_L h C C'
+        lefts = plan.start + np.arange(plan.n_steps) * LAW_H
+        P = step_propagators(plan.spec, lefts, 64, LAW_H)
+        C = coefficient_values(plan.spec, "C", lefts / 64)
+        B = coefficient_values(plan.spec, "B", plan.eval_rescaled / 64)
+        means, variances = [], []
+        m, V = np.zeros(spec.p), np.zeros((spec.p, spec.p))
+        for j in range(plan.n_steps):
+            m = P[j] @ m + mom.mu_L * LAW_H * C[j]
+            V = P[j] @ V @ P[j].T + mom.Sigma_L * LAW_H * np.outer(C[j], C[j])
+            if j + 1 in plan.record_steps:
+                b = B[len(means)]
+                means.append(b @ m)
+                variances.append(b @ V @ b)
+        Y = _segment_paths(plan, tri, "law-moments", n_reps)
+        centered = Y - Y.mean(axis=0)
+        z_mean = (Y.mean(axis=0) - means) / np.sqrt(np.asarray(variances) / n_reps)
+        var_hat = centered.var(axis=0)
+        se_var = np.sqrt((np.mean(centered**4, axis=0) - var_hat**2) / n_reps)
+        z_var = (var_hat - variances) / se_var
+        assert np.abs(z_mean).max() < 4.5, spec.model_id
+        assert np.abs(z_var).max() < 4.5, spec.model_id
 
 
 def test_segment_law_agrees_with_fine_grid_on_jump_driver():
-    plan = _law_plan()
     n_reps = 3000
-    stats = []
-    for Y in (_segment_paths(plan, GAUSS_JUMPS, "law-two-sample:segment", n_reps),
-              _fine_paths(plan, GAUSS_JUMPS, "law-two-sample:fine", n_reps)):
-        lag1 = np.mean(Y[:, :-1] * Y[:, 1:], axis=1)  # one value per replication
-        q, p = np.mean(Y**4, axis=1), np.mean(Y**2, axis=1)
-        Q, P = q.mean(), p.mean()
-        kurt = Q / P**2
-        grad = np.array([1.0 / P**2, -2.0 * Q / P**3])  # delta method
-        kurt_var = grad @ np.cov(q, p) @ grad / n_reps
-        stats.append((lag1.mean(), lag1.var(ddof=1) / n_reps, kurt, kurt_var))
-    (l_a, vl_a, k_a, vk_a), (l_b, vl_b, k_b, vk_b) = stats
-    assert abs(l_a - l_b) < 4.0 * np.sqrt(vl_a + vl_b)
-    assert abs(k_a - k_b) < 4.0 * np.sqrt(vk_a + vk_b)
-    assert k_a > 3.2  # the jumps are there: a Gaussian path has kurtosis 3
+    for spec in LAW_MODELS:
+        plan = _law_plan(spec)
+        stats = []
+        for Y in (_segment_paths(plan, GAUSS_JUMPS, "law-two-sample:segment", n_reps),
+                  _fine_paths(plan, GAUSS_JUMPS, "law-two-sample:fine", n_reps)):
+            lag1 = np.mean(Y[:, :-1] * Y[:, 1:], axis=1)  # one value per replication
+            q, p = np.mean(Y**4, axis=1), np.mean(Y**2, axis=1)
+            Q, P = q.mean(), p.mean()
+            kurt = Q / P**2
+            grad = np.array([1.0 / P**2, -2.0 * Q / P**3])  # delta method
+            kurt_var = grad @ np.cov(q, p) @ grad / n_reps
+            stats.append((lag1.mean(), lag1.var(ddof=1) / n_reps, kurt, kurt_var))
+        (l_a, vl_a, k_a, vk_a), (l_b, vl_b, k_b, vk_b) = stats
+        assert abs(l_a - l_b) < 4.0 * np.sqrt(vl_a + vl_b), spec.model_id
+        assert abs(k_a - k_b) < 4.0 * np.sqrt(vk_a + vk_b), spec.model_id
+        assert k_a > 3.2, spec.model_id  # the jumps are there: a Gaussian path has kurtosis 3

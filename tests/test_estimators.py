@@ -197,7 +197,7 @@ def test_global_average_trivial():
 
 def test_localized_continuous_mean_consistency():
     # kernel-weighted fine-grid average of Y_N recovers the frozen mean
-    from locstat.dynamics import build_scalar_plan_rescaled, run_scalar_plan, _draw_increments_rows
+    from locstat.dynamics import _draw_increments_rows, build_plan, simulate_yn
 
     spec = models.tvcar_sin()
     tri = LevyTriplet(1.0, 1.0)
@@ -208,10 +208,12 @@ def test_localized_continuous_mean_consistency():
     rescaled = N * u + np.linspace(-N * b, N * b, n_nodes)
     gap = (rescaled[-1] - rescaled[0]) / (n_nodes - 1)
     h = gap / 4.0
-    plan = build_scalar_plan_rescaled(spec, N, rescaled, h, 8.0)
+    plan = build_plan(spec, N, rescaled, h, 8.0)
     reps = 200
     gens = [stream(4, "cont-mean", r) for r in range(reps)]
-    Y = run_scalar_plan(plan, lambda lo, hi: _draw_increments_rows(tri, h, hi - lo, gens), reps)
+    inc = _draw_increments_rows(tri, h, plan.n_steps, gens)
+    Y = [simulate_yn(spec, tri, N, plan.eval_rescaled / N, h, 8.0, None, increments=row).values
+         for row in inc]
     vals = np.array(
         [
             localized_continuous_mean(PathSample(times=times, values=row), u, b, biweight())

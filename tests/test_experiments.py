@@ -65,13 +65,20 @@ def test_coupling_rate_and_negative_control():
 
 
 def test_coupling_weights_statespace_matches_scalar():
+    # scalar weights: suffix products of the one-step decays exp(-a(mid) h)
+    # for Y_N, exp(-a(u) depth) for the frozen process
     car = models.tvcar_sin()
-    spec = car.to_state_space()
+    n_cells, h = 800, 0.01
     for N in (16, 64):
-        w_n, w_f = _coupling_weights(car, BROWNIAN, 1.0, N, 0.01, 800)
-        s_n, s_f = _coupling_weights(spec, BROWNIAN, 1.0, N, 0.01, 800)
-        np.testing.assert_allclose(s_n, w_n, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(s_f, w_f, rtol=1e-10, atol=0.0)
+        mids = N * 1.0 - (n_cells - np.arange(n_cells)) * h + 0.5 * h
+        phi = np.exp(-car.a(mids / N) * h)
+        w_n = np.ones(n_cells)
+        w_n[:-1] = np.cumprod(phi[:0:-1])[::-1]
+        w_f = np.exp(-car.a(1.0) * (n_cells - 1 - np.arange(n_cells)) * h)
+        for model in (car, car.to_state_space()):
+            s_n, s_f = _coupling_weights(model, BROWNIAN, 1.0, N, h, n_cells)
+            np.testing.assert_allclose(s_n, w_n, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(s_f, w_f, rtol=1e-10, atol=0.0)
 
 
 def test_coupling_refuses_invalid_model():
@@ -178,23 +185,30 @@ def test_determinism_across_runs_and_workers():
 
 
 def test_segment_sampler_determinism_across_workers():
-    # jump branch of the per-segment sampler, the continuous average and the
-    # exact frozen simulation
+    # jump branch of the per-segment sampler, the continuous average, a state
+    # space model in both, and the exact frozen simulation
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     clt = ExperimentConfig(
         "clt_mean", models.ou(1.0), jumps, 1.0, (2**10,), 1000, 10, 1.0 / 64.0, 8.0,
         bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0),
     )
+    clt_cov = ExperimentConfig(
+        "clt_cov", models.diag2(), jumps, 1.0, (2**10,), 1000, 13, 1.0 / 32.0, 16.0,
+        bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0), lag=1,
+    )
     cont = ExperimentConfig(
         "lln_continuous", models.tvcar_sin(), LevyTriplet(1.0, 1.0), 1.0, (2**6,), 150, 11,
         1e-2, 8.0, n_quad=256,
     )
+    cont_ss = dataclasses.replace(cont, model=models.diag2(), seed=14, burn_in=16.0)
     # the frozen paths of a chunk are simulated as one batch; the last chunk is short
     lip = ExperimentConfig(
         "lipschitz_u", models.tvcar_sin(), jumps, 1.0, (1,), 2 * CHUNK + 5, 12, 0.01, 8.0,
         ladder=(0.05, 0.5), p_norm=4, time_points=16,
     )
-    runs = ((clt, run_clt), (cont, lambda c: run_lln(c, discrete=False)), (lip, run_lipschitz_u))
+    lln_cont = lambda c: run_lln(c, discrete=False)  # noqa: E731
+    runs = ((clt, run_clt), (clt_cov, run_clt), (cont, lln_cont), (cont_ss, lln_cont),
+            (lip, run_lipschitz_u))
     for cfg, run in runs:
         a = json.dumps(run(cfg).to_dict(), sort_keys=True)
         b = json.dumps(run(cfg).to_dict(), sort_keys=True)

@@ -1,4 +1,4 @@
-"""Invariants of observation schemes and scalar plans over random inputs."""
+"""Invariants of observation schemes and simulation plans over random inputs."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locstat import models
-from locstat.dynamics import build_scalar_plan_rescaled
+from locstat.dynamics import build_plan
 from locstat.observation import BandwidthRule, StepRuleO1, StepRuleO2, make_scheme
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -51,7 +51,7 @@ def test_scheme_is_symmetric_or_rejected(u, N, bandwidth, step):
 )
 def test_plan_records_on_the_nodes_and_tiles_the_grid(a, N, first, h, gaps, extra_burn):
     rescaled = first + h * np.concatenate([[0], np.cumsum(gaps)])
-    plan = build_scalar_plan_rescaled(models.ou(a), N, rescaled, h, 8.0 / a + extra_burn)
+    plan = build_plan(models.ou(a), N, rescaled, h, 8.0 / a + extra_burn)
     scale = max(np.abs(rescaled).max(), abs(plan.start))
     np.testing.assert_allclose(plan.eval_rescaled, rescaled, rtol=0, atol=1e-12 * scale)
 

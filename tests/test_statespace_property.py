@@ -1,4 +1,5 @@
-"""The blocked state-space simulator against a per-step reference loop.
+"""The blocked state-space simulator against a per-step reference loop, and
+the per-segment law against the blocked simulator.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
@@ -14,8 +15,16 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from locstat import dynamics
-from locstat.dynamics import Lipschitz, ModelSpec, simulate_yn
-from locstat.noise import BROWNIAN
+from locstat.dynamics import (
+    Lipschitz,
+    ModelSpec,
+    _simulate_yn_statespace,
+    build_plan,
+    build_segment_law,
+    run_segment_law,
+    simulate_yn,
+)
+from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 
 H = 1.0 / 32.0  # binary fractions keep every grid time exact
 BURN_IN = 8.0  # 8 / declared margin 1
@@ -166,3 +175,36 @@ def test_near_defective_family_takes_the_expm_fallback():
     # a basis whose inverse comes out NaN must not pass as well conditioned
     with mock.patch.object(np.linalg, "inv", lambda V: np.full_like(V, np.nan)):
         assert not np.any(dynamics.eigenbasis(A)[3])
+
+
+# a jump driver, so that the law keeps the weight v_j of every cell
+JUMPS = LevyTriplet(0.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    spec=systems(),
+    N=st.sampled_from([1, 4, 32]),
+    gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
+    first=st.integers(0, 64),
+    n_noisy=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segment_law_matches_the_blocked_recursion(spec, N, gaps, first, n_noisy, seed):
+    # noise in a few chosen cells: the law moves it to its record as v_j dL_j
+    # and carries it over the later records by D_k; the blocked simulator runs
+    # the same increments one fine step at a time
+    rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
+    plan = build_plan(spec, N, rescaled, H, BURN_IN)
+    law = build_segment_law(plan, JUMPS)
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(plan.n_steps, size=min(n_noisy, plan.n_steps), replace=False)
+    inc = np.zeros(plan.n_steps)
+    inc[cells] = rng.standard_normal(cells.size)
+    seg = np.searchsorted(law.bounds, cells, side="right") - 1
+    eta = np.zeros((1, len(rescaled), spec.p))
+    np.add.at(eta[0], seg, law.cell_weights[cells] * inc[cells, None])
+    got = run_segment_law(law, eta)[0]
+    ref = _simulate_yn_statespace(spec, JUMPS, N, rescaled / N, H, BURN_IN, None, False, inc, None)
+    scale = max(np.abs(ref.values).max(), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, ref.values, rtol=0.0, atol=1e-12 * scale)

@@ -368,6 +368,24 @@ def test_defective_state_matrix_uses_expm_fallback():
     assert abs(vals.var() - target) < 4 * se
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_product_integrals_factor_the_shift_on_the_expm_path(delta):
+    # Jordan system [[0, 1], [-1, -2]] (double root -1): without a trusted
+    # eigenbasis each node takes one expm, with e^{A shift} C computed once
+    fr = st.FrozenSystem(np.array([[0.0, 1.0], [-1.0, -2.0]]), np.array([1.0, 0.5]),
+                         np.array([0.0, 1.0]), margin=1.0)
+    assert st._eig_cache(fr) is None
+    f = st._exp_pair(fr, fr.B, fr.C)
+    h = delta * np.arange(0, 11)
+    for k in (0.0, 1.0):
+        shifts = np.stack([np.zeros_like(h), np.full_like(h, k), h, h + k], axis=-1)
+        unfactored, _ = integrate.quad_vec(
+            lambda s: np.prod(f(s + shifts), axis=-1), 0.0, 60.0 / fr.margin,
+            epsabs=np.finfo(float).tiny, epsrel=1e-12,
+        )
+        np.testing.assert_allclose(st._product_integrals(fr, shifts), unfactored, rtol=1e-12)
+
+
 def test_autocov_lag_arrays_any_shape():
     # a 2-D lag array gives the elementwise values on the eigenbasis path
     # (companion2) and on the expm path (double root -1, f(s) = s e^{-s},
