@@ -409,28 +409,37 @@ def test_segment_law_matches_exact_moment_recursion(tri):
     for spec in LAW_MODELS:
         plan = _law_plan(spec)
         # exact moments of the fine-grid recursion, one step at a time:
-        # m <- P m + mu_L h C, V <- P V P' + Sigma_L h C C'
+        # m <- P m + mu_L h C, V <- P V P' + Sigma_L h C C', and W <- P W from
+        # W = V at a record, so that B' W B_prev is the covariance of
+        # consecutive nodes
         lefts = plan.start + np.arange(plan.n_steps) * LAW_H
         P = step_propagators(plan.spec, lefts, 64, LAW_H)
         C = coefficient_values(plan.spec, "C", lefts / 64)
         B = coefficient_values(plan.spec, "B", plan.eval_rescaled / 64)
-        means, variances = [], []
-        m, V = np.zeros(spec.p), np.zeros((spec.p, spec.p))
+        means, variances, lag_covs = [], [], []
+        m, V, W = np.zeros(spec.p), np.zeros((spec.p, spec.p)), None
         for j in range(plan.n_steps):
             m = P[j] @ m + mom.mu_L * LAW_H * C[j]
             V = P[j] @ V @ P[j].T + mom.Sigma_L * LAW_H * np.outer(C[j], C[j])
+            W = None if W is None else P[j] @ W
             if j + 1 in plan.record_steps:
                 b = B[len(means)]
                 means.append(b @ m)
                 variances.append(b @ V @ b)
+                if W is not None:
+                    lag_covs.append(b @ W @ b_prev)
+                W, b_prev = V, b
         Y = _segment_paths(plan, tri, "law-moments", n_reps)
         centered = Y - Y.mean(axis=0)
         z_mean = (Y.mean(axis=0) - means) / np.sqrt(np.asarray(variances) / n_reps)
         var_hat = centered.var(axis=0)
         se_var = np.sqrt((np.mean(centered**4, axis=0) - var_hat**2) / n_reps)
         z_var = (var_hat - variances) / se_var
+        products = centered[:, :-1] * centered[:, 1:]
+        z_cov = (products.mean(axis=0) - lag_covs) / np.sqrt(products.var(axis=0) / n_reps)
         assert np.abs(z_mean).max() < 4.5, spec.model_id
         assert np.abs(z_var).max() < 4.5, spec.model_id
+        assert np.abs(z_cov).max() < 4.5, spec.model_id
 
 
 def test_segment_law_agrees_with_fine_grid_on_jump_driver():
