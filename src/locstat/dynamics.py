@@ -493,15 +493,10 @@ class SegmentLaw:
 
 
 def _prefix_products(T: np.ndarray) -> np.ndarray:
-    """Products T[:, 0] @ T[:, 1] @ ... @ T[:, i] for every i, T of shape
-    (G, m, p, p).
-
-    A blocked scan: each run of b = ceil(sqrt(m)) factors is multiplied out
-    with b batched matmuls over all runs, then each run is moved on by the
-    product that ends the run before it. That is about 2 sqrt(m) batched
-    calls and 2 m small matmuls per row, where a doubling scan takes m
-    log2(m).
-    """
+    """Products T[:, 0] @ ... @ T[:, i] for every i, T of shape (G, m, p, p):
+    runs of b = ceil(sqrt(m)) factors are multiplied out, then each run is
+    moved on by the product ending the run before it. That is 2 sqrt(m)
+    batched calls and 2 m matmuls per row; a doubling scan takes m log2(m)."""
     G, m, p, _ = T.shape
     b = int(np.ceil(np.sqrt(m)))
     n_runs = -(-m // b)
@@ -518,12 +513,9 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
 
 def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``; per-cell weights are kept
-    only when the driver has jumps.
-
-    Segments of equal length are stacked, so that the products
-    P_{hi-1} ... P_j of all of them come from one :func:`_prefix_products`;
-    a stack holds at most about ``_BLOCK_ENTRIES`` matrix entries, so the
-    arrays stay small however long the grid is.
+    only when the driver has jumps. Segments of equal length are stacked, at
+    most about ``_BLOCK_ENTRIES`` matrix entries at a time, and one
+    :func:`_prefix_products` gives the products P_{hi-1} ... P_j of a stack.
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)

@@ -159,8 +159,15 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
 
     Without a trusted eigenbasis, f(s + shift) = (B' e^{As}) (e^{A shift} C):
     the shifted columns are computed once, so each node costs one expm.
+
+    f vanishes identically (two equal halves of a joint system) when each
+    B' A^k C, k < p, is below 1e-13 of |B|' |A^k| |C| (Cayley-Hamilton); its
+    integrals are then zeros, where a quadrature would chase rounding noise.
     """
     shifts = np.asarray(shifts, dtype=float)
+    if all(abs(fr.B @ Ak @ fr.C) <= 1e-13 * (np.abs(fr.B) @ np.abs(Ak) @ np.abs(fr.C))
+           for Ak in (np.linalg.matrix_power(fr.A, k) for k in range(fr.p))):
+        return np.zeros(np.broadcast_shapes(shifts.shape[:-1], np.shape(powers)))
     if _eig_cache(fr) is not None:
         f = _exp_pair(fr, fr.B, fr.C)
         values = lambda s: f(s + shifts)

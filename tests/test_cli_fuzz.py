@@ -122,7 +122,7 @@ def configs(draw):
     return subcommand, cfg
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=configs(), seed=st.integers(0, 1000))
 def test_schema_valid_configs_end_with_a_documented_exit_code(case, seed):
     subcommand, cfg = case

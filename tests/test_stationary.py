@@ -386,6 +386,24 @@ def test_product_integrals_factor_the_shift_on_the_expm_path(delta):
         np.testing.assert_allclose(st._product_integrals(fr, shifts), unfactored, rtol=1e-12)
 
 
+def test_joint_system_of_equal_systems_integrates_to_zero():
+    # f of the difference of two equal defective systems is rounding noise,
+    # which a relative tolerance cannot resolve; its integrals are exactly 0.
+    # Two near-equal systems still get a quadrature.
+    A = np.array([[-2.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]])
+    B, C = np.array([1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0])
+
+    def joint(A2):
+        return st.FrozenSystem(np.block([[A, np.zeros((3, 3))], [np.zeros((3, 3)), A2]]),
+                               np.concatenate([B, -B]), np.concatenate([C, C]), margin=2.0)
+
+    equal = joint(A)
+    assert st._eig_cache(equal) is None
+    assert st.kernel_power_integrals(equal) == (0.0, 0.0, 0.0, 0.0)
+    i1, i2, i3, i4 = st.kernel_power_integrals(joint(A - 1e-3 * np.eye(3)))
+    assert i2 > 0.0 and i4 > 0.0
+
+
 def test_autocov_lag_arrays_any_shape():
     # a 2-D lag array gives the elementwise values on the eigenbasis path
     # (companion2) and on the expm path (double root -1, f(s) = s e^{-s},
