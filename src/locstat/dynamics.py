@@ -597,7 +597,7 @@ def run_segment_law(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
     return np.einsum("kp,kpr->rk", law.B, xs)
 
 
-# perfbench/spans.py traces the plan builder and the record recursion by these names
+# perfbench/spans.py traces plan construction and the record recursion by these names
 build_scalar_plan_rescaled = build_plan
 run_scalar_plan = run_segment_law
 
