@@ -452,14 +452,18 @@ def covariance_factor(Q: np.ndarray) -> np.ndarray:
     """A factor L with L L' = Q for each covariance of the stack Q (..., p, p),
     symmetrized first. Cholesky fails on a singular Q (the one-step segment of
     a p >= 2 model has rank 1) and on tiny negative curvature from roundoff;
-    the stack then takes V diag(sqrt(max(w, 0))) from its eigendecomposition.
+    the stack then takes V diag(sqrt(w)) from its eigendecomposition, with
+    every eigenvalue below p eps max(w) of its stack item set to 0. Those are
+    rounding noise in a null direction, and their square roots would put noise
+    of order sqrt(eps) there.
     """
     Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
     try:
         return np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(Q)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+        floor = Q.shape[-1] * np.finfo(float).eps * vals.max(axis=-1, keepdims=True)
+        return vecs * np.sqrt(np.where(vals < floor, 0.0, vals))[..., None, :]
 
 
 @dataclass

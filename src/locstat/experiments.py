@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import multiprocessing
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from . import stationary as stat
 from .dynamics import (
@@ -165,6 +165,20 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"model fails its declared invariants: {report}")
 
 
+def _loglog_fit(x, dists, rows, slope_ok) -> tuple[float | None, float | None, bool]:
+    """Slope, intercept and verdict of the fit of log(dists) against log(x).
+
+    A distance of exactly 0 (a model whose coefficients do not move) has no
+    logarithm. The fit is then skipped, slope and intercept are None (JSON
+    null), and the run passes only when every distance is 0 and every row
+    passes; otherwise ``slope_ok(slope)`` is the verdict.
+    """
+    if min(dists) == 0.0:
+        return None, None, all(d == 0.0 for d in dists) and all(r["pass"] for r in rows)
+    slope, intercept = np.polyfit(np.log(x), np.log(dists), 1)
+    return float(slope), float(intercept), bool(slope_ok(slope))
+
+
 # ---------------------------------------------------------------------------
 # coupling
 
@@ -237,16 +251,17 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
             {"N": N, "estimate": dist, "std_error": se, "target": targets[j], "pass": bool(ok)}
         )
         dists.append(dist)
-    slope, intercept = np.polyfit(np.log(config.N_list), np.log(dists), 1)
-    passed = bool(-1.3 <= slope <= -0.7)
+    slope, intercept, passed = _loglog_fit(
+        config.N_list, dists, rows, lambda slope: -1.3 <= slope <= -0.7
+    )
     return ExperimentReport(
         kind="coupling",
         passed=passed,
         rows=rows,
         summary={
-            "slope": float(slope),
+            "slope": slope,
             "slope_window": [-1.3, -0.7],
-            "intercept": float(intercept),
+            "intercept": intercept,
             "replications": config.replications,
         },
     )
@@ -431,6 +446,35 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
 # central limit experiment
 
 
+def ks_distance_normal(z: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of the sample z to N(0, 1).
+
+    The same arithmetic as scipy's ``kstest(z, "norm").statistic``, so the
+    value agrees with it bit for bit.
+    """
+    n = len(z)
+    cdf = special.ndtr(np.sort(z))
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
+
+
+def skewness_kurtosis(z: np.ndarray) -> tuple[float, float]:
+    """Biased sample skewness and excess kurtosis of z.
+
+    The same arithmetic as scipy's ``skew`` and ``kurtosis`` with their
+    defaults, bit for bit, including NaN for a sample whose variance is at
+    rounding level of its mean.
+    """
+    mean = z.mean()
+    d = z - mean
+    d2 = d**2
+    m2 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return float("nan"), float("nan")
+    return float(np.mean(d2 * d) / m2**1.5), float(np.mean(d2**2) / m2**2.0 - 3)
+
+
 def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentReport:
     """Standardize the scaled localized statistic by every candidate limit
     variance and test normality at the largest N.
@@ -493,14 +537,15 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
             per_candidate[name] = {"sigma2": float(s2), "valid": False}
             continue
         z = T / np.sqrt(s2)
-        ks = stats.kstest(z, "norm").statistic
+        ks = ks_distance_normal(z)
+        skewness, excess_kurtosis = skewness_kurtosis(z)
         entry = {
             "sigma2": float(s2),
             "mean": float(np.mean(z)),
             "variance": float(np.var(z, ddof=1)),
-            "skewness": float(stats.skew(z)),
-            "excess_kurtosis": float(stats.kurtosis(z)),
-            "ks_distance": float(ks),
+            "skewness": skewness,
+            "excess_kurtosis": excess_kurtosis,
+            "ks_distance": ks,
         }
         entry["mean_ok"] = bool(abs(entry["mean"]) < mean_tol)
         entry["variance_ok"] = bool(abs(entry["variance"] - 1.0) <= var_tol)
@@ -556,6 +601,11 @@ def _joint_frozen(model, triplet, u1, u2):
     fr2 = stat.freeze(model, u2)
     A = linalg.block_diag(fr1.A, fr2.A)
     B = np.concatenate([fr1.B, -fr2.B])  # projects onto the difference
+    if all(np.array_equal(a, b) for a, b in ((fr1.A, fr2.A), (fr1.B, fr2.B), (fr1.C, fr2.C))):
+        # equal systems on one driver differ by exactly 0; the factor of
+        # their singular joint covariance would leave rounding noise of order
+        # eps in the projected difference
+        B = np.zeros_like(B)
     C = np.concatenate([fr1.C, fr2.C])  # one shared driver
     return stat.FrozenSystem(A, B, C, margin=min(fr1.margin, fr2.margin))
 
@@ -619,15 +669,14 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
             }
         )
         dists.append(dist)
-    slope, intercept = np.polyfit(np.log(config.ladder), np.log(dists), 1)
-    passed = bool(slope >= 0.9)
+    slope, intercept, passed = _loglog_fit(config.ladder, dists, rows, lambda slope: slope >= 0.9)
     return ExperimentReport(
         kind="lipschitz_u",
         passed=passed,
         rows=rows,
         summary={
-            "slope": float(slope),
-            "intercept": float(intercept),
+            "slope": slope,
+            "intercept": intercept,
             "p_norm": p,
             "min_slope": 0.9,
             "driver_mean": float(mom.mu_L),

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -221,3 +224,63 @@ def test_unknown_subcommand_kind_mismatch(tmp_path):
         tmp_path, {"experiment": {"kind": "coupling", "N_list": [16], "replications": 100}}
     )
     assert main(["lln", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "car1", "a": "1.5 + 0.0*sin(t)", "lipschitz": 1.0, "infimum": 1.0},
+    {"kind": "statespace", "p": 2, "A_entries": [["-1", "0.3"], ["0", "-2"]], "B": ["1", "1"],
+     "C": ["1", "0.5"], "commuting": False, "stability_margin": 0.5,
+     "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}},
+], ids=["car1", "statespace"])
+@pytest.mark.parametrize("p_norm", [2, 4])
+def test_lipschitz_of_a_constant_model_is_zero_and_passes(tmp_path, model, p_norm):
+    # the frozen family does not move with u: every distance is exactly 0,
+    # there is no log-log fit, and the summary stays valid JSON
+    cfg = write_config(tmp_path, {
+        "model": model,
+        "simulation": {"fine_step": 0.125},
+        "experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 64,
+                       "ladder": [0.05, 0.2], "time_points": 8, "p_norm": p_norm},
+    })
+    assert main(["lipschitz", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+    payload = _strict_json((tmp_path / "lipschitz-3.json").read_text())
+    assert payload["passed"] is True
+    assert payload["summary"]["slope"] is None and payload["summary"]["intercept"] is None
+    assert [row["estimate"] for row in payload["rows"]] == [0.0, 0.0]
+
+
+def test_cli_and_its_campaigns_never_import_scipy_stats(tmp_path):
+    # scipy.stats costs about half a second of start-up; neither the import of
+    # the CLI nor a clt or lln campaign may load it, lazily or otherwise
+    clt = write_config(tmp_path, {
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 0.6666666666666666, "scheme": "O1", "Delta": 1.0},
+        "experiment": {"kind": "clt_mean", "N_list": [256], "replications": 1000},
+    }, name="clt.json")
+    lln = write_config(tmp_path, {
+        "experiment": {"kind": "lln_discrete", "N_list": [64, 256], "replications": 100},
+    }, name="lln.json")
+    script = textwrap.dedent(f"""
+        import json, sys
+        import locstat.cli as cli
+        at_import = "scipy.stats" in sys.modules
+        codes = [cli.main([sub, "--config", cfg, "--out", {str(tmp_path)!r}])
+                 for sub, cfg in (("clt", {clt!r}), ("lln", {lln!r}))]
+        print(json.dumps([at_import, "scipy.stats" in sys.modules, codes]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    at_import, after_campaigns, codes = json.loads(out.splitlines()[-1])
+    assert not at_import
+    assert not after_campaigns
+    assert all(code in (0, 1) for code in codes)
+    assert (tmp_path / "clt-0.json").exists() and (tmp_path / "lln-0.json").exists()

@@ -13,6 +13,7 @@ from locstat.dynamics import (
     build_plan,
     build_segment_law,
     coefficient_values,
+    covariance_factor,
     draw_segment_noise,
     refine_path,
     run_segment_law,
@@ -400,6 +401,27 @@ def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
     L = law.chol[1]
     assert np.all(np.isfinite(law.chol))
     assert np.linalg.norm(L @ L.T - Q) <= 1e-14 * np.linalg.norm(Q)
+
+
+def test_covariance_factor_is_exactly_zero_in_a_rounding_null_direction():
+    # rank-1 covariances plus rounding noise in the null directions: one
+    # positive and one negative eigenvalue at eps level, so Cholesky fails and
+    # the eigendecomposition factors the stack. The last item is full rank at
+    # a scale far below the others; the floor is relative to each item.
+    rng = np.random.default_rng(5)
+    scales = [1.0, 1e6, 1e-4]
+    stack = []
+    for scale in scales:
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        stack.append(V @ np.diag([scale, 3e-17 * scale, -5e-17 * scale]) @ V.T)
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    full = V @ np.diag([1e-10, 1e-11, 1e-12]) @ V.T
+    Q = np.stack(stack + [full])
+    L = covariance_factor(Q)
+    nonzero_columns = np.any(L != 0.0, axis=-2).sum(axis=-1)
+    assert nonzero_columns.tolist() == [1, 1, 1, 3]
+    for q, l in zip(Q, L):
+        assert np.linalg.norm(l @ l.T - q) <= 1e-14 * np.linalg.norm(q)
 
 
 @pytest.mark.parametrize("tri", [DRIFT_GAUSS, GAUSS_JUMPS], ids=["drift-gauss", "gauss-jumps"])

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from locstat import models
 from locstat.experiments import (
@@ -10,11 +11,14 @@ from locstat.experiments import (
     ExperimentConfig,
     InadmissibleSchemeError,
     _coupling_weights,
+    _loglog_fit,
     _union_offsets,
+    ks_distance_normal,
     run_clt,
     run_coupling,
     run_lipschitz_u,
     run_lln,
+    skewness_kurtosis,
 )
 from locstat.kernels import biweight
 from locstat.noise import JumpSpec, LevyTriplet
@@ -215,3 +219,39 @@ def test_segment_sampler_determinism_across_workers():
         c = json.dumps(run(dataclasses.replace(cfg, workers=2)).to_dict(), sort_keys=True)
         d = json.dumps(run(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
         assert a == b == c == d
+
+
+def _clt_samples():
+    rng = np.random.default_rng(21)
+    for n in (5, 6, 17, 100, 999, 1000, 5000):
+        yield rng.standard_normal(n)
+        yield rng.standard_t(4, n)
+        yield rng.integers(-3, 4, n) / 2.0  # ties
+        yield 3.0 + 0.5 * rng.integers(0, 2, n)  # two values, nonzero mean
+
+
+def test_clt_statistics_match_scipy_stats_bit_for_bit():
+    for z in _clt_samples():
+        assert ks_distance_normal(z) == float(stats.kstest(z, "norm").statistic), len(z)
+        skew, kurt = skewness_kurtosis(z)
+        assert skew == float(stats.skew(z)), len(z)
+        assert kurt == float(stats.kurtosis(z)), len(z)
+
+
+def test_clt_statistics_of_a_constant_sample_are_nan():
+    # scipy warns of catastrophic cancellation here; its guard returns NaN
+    z = np.full(50, 0.3)
+    with pytest.warns(RuntimeWarning, match="Precision loss"):
+        expected = (float(stats.skew(z)), float(stats.kurtosis(z)))
+    assert np.all(np.isnan(expected))
+    assert np.all(np.isnan(skewness_kurtosis(z)))
+
+
+def test_loglog_fit_with_zero_distances():
+    rows = [{"pass": True}, {"pass": True}]
+    assert _loglog_fit([1.0, 2.0], [0.0, 0.0], rows, lambda s: False) == (None, None, True)
+    assert _loglog_fit([1.0, 2.0], [0.0, 1e-3], rows, lambda s: True) == (None, None, False)
+    failed_row = [{"pass": True}, {"pass": False}]
+    assert _loglog_fit([1.0, 2.0], [0.0, 0.0], failed_row, lambda s: True)[2] is False
+    slope, intercept, passed = _loglog_fit([1.0, 2.0], [1.0, 2.0], rows, lambda s: s >= 0.9)
+    assert passed and slope == pytest.approx(1.0) and intercept == pytest.approx(0.0, abs=1e-12)

@@ -63,6 +63,19 @@ def test_normal_jump_moments_closed_form():
     assert abs(spec.mean_outside_unit() - trunc_mc) < 4 * trunc_se
 
 
+def test_normal_truncated_mean_matches_scipy_norm_bit_for_bit():
+    # the closed form with scipy.stats.norm, as the package computed it before
+    # it stopped importing scipy.stats
+    rng = np.random.default_rng(11)
+    means = np.concatenate([rng.normal(0.0, 2.0, 300), [0.0, 1.0, -1.0, 7.5, -40.0]])
+    stds = np.concatenate([rng.uniform(0.01, 5.0, 300), [1.0, 0.5, 2.0, 0.1, 3.0]])
+    for m, s in zip(means.tolist(), stds.tolist()):
+        zu, zl = (1.0 - m) / s, (-1.0 - m) / s
+        upper = m * stats.norm.sf(zu) + s * stats.norm.pdf(zu)
+        lower = m * stats.norm.cdf(zl) - s * stats.norm.pdf(zl)
+        assert JumpSpec(1.0, normal=(m, s)).mean_outside_unit() == float(upper + lower), (m, s)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         LevyTriplet(0.0, -1.0)
