@@ -24,9 +24,11 @@ coefficients at all of its times in one call and starting from the state the
 previous block left. Callers that need the states at the recorded nodes
 only use that the recursion between two nodes is linear in the noise: its
 increment has an exact law (:class:`SegmentLaw`), so they draw one value per
-record segment and scan over records.
+record segment and scan over records. The exact frozen simulator of
+``stationary`` runs through the same sampler, one step per segment.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +59,7 @@ __all__ = [
     "SegmentLaw",
     "build_segment_law",
     "draw_segment_noise",
+    "segment_states",
     "run_segment_law",
     "PeanoBakerNonConvergence",
 ]
@@ -468,7 +471,7 @@ def covariance_factor(Q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SegmentLaw:
-    """Exact law of the noise the fine-grid recursion adds between two records.
+    """Exact law of the noise a linear recursion adds between two records.
 
     Record segment k is the run of fine steps ``[lo, hi) = [bounds[k],
     bounds[k+1])`` that ends at record k; the first one is the burn-in. With
@@ -479,11 +482,13 @@ class SegmentLaw:
         x <- D_k x + sum_j v_j dL_j,    D_k = P_{hi-1} ... P_lo,
 
     and the sum has the law of ``mean_k + chol_k Z`` (Z standard normal in
-    R^p) plus, for each of Poisson(rate h m_k) jumps, ``v_cell * size`` with
-    the cell uniform among the segment's m_k cells. Recorded states drawn
-    this way have the same joint law as the fine-grid recursion, from one
-    draw per segment instead of one per step. A product that underflows to
-    0 is the right value.
+    R^p) plus, for each of Poisson(rate h m_k) jumps, ``jump_weight(k, U) *
+    size``, U uniform on [0, 1) picking the cell among the segment's m_k.
+    Recorded states drawn this way have the same joint law as the fine-grid
+    recursion, from one draw per segment instead of one per step. A product
+    that underflows to 0 is the right value. A frozen step of length h is a
+    segment of one cell with decay e^{Ah} and jump weight e^{A(h-r)} C at
+    arrival offset r = U h (``stationary.simulate_stationary_batch``).
     """
 
     bounds: np.ndarray  # (n_records + 1,) fine-step bounds of the record segments
@@ -491,9 +496,17 @@ class SegmentLaw:
     mean: np.ndarray  # (n_records, p) path_drift * h * sum(v)
     chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 * h * sum(v v'); None without sigma2
     jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
-    cell_weights: np.ndarray | None  # (n_steps, p) v_j of every cell; None without jumps
+    # (seg, U) -> (total, p) jump weights; a functools.partial, so a law pickles
+    jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     jumps: JumpSpec | None
     B: np.ndarray  # (n_records, p) output vector B(t_k) of each record
+
+
+def _cell_weights(bounds: np.ndarray, weights: np.ndarray, seg: np.ndarray, unit: np.ndarray):
+    """v_j of the cell ``unit`` picks in segment ``seg``, from the (n_steps, p) ``weights``."""
+    lo = bounds[seg]
+    cells = bounds[seg + 1] - lo
+    return weights[lo + np.minimum((unit * cells).astype(np.int64), cells - 1)]
 
 
 def _prefix_products(T: np.ndarray) -> np.ndarray:
@@ -525,7 +538,7 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     lengths = np.diff(bounds)
     n, p = lengths.size, spec.p
-    has_jumps = triplet.jumps is not None and triplet.jump_rate > 0
+    has_jumps = triplet.jump_rate > 0
     decay, s1, s2 = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
     weights = np.empty((plan.n_steps, p)) if has_jumps else None
     for m in np.unique(lengths):
@@ -551,54 +564,58 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
         mean=triplet.path_drift * h * s1,
         chol=covariance_factor(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
         jump_mean=triplet.jump_rate * h * lengths if has_jumps else None,
-        cell_weights=weights,
+        jump_weight=functools.partial(_cell_weights, bounds, weights) if has_jumps else None,
         jumps=triplet.jumps if has_jumps else None,
         B=coefficient_values(spec, "B", plan.eval_rescaled / N),
     )
 
 
 def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
-    """Noise of every record segment, shape (R, n_records, p).
+    """Noise of every record segment, shape (n_records, p, R).
 
     One generator per replication, each called once per kind of draw, in
-    this order: standard normals (n_records, p) (when sigma2 > 0), a Poisson
-    jump count per segment, a uniform per jump that picks its cell, then the
-    jump sizes.
+    this order: standard normals (n_records, p) (when chol is set), a Poisson
+    jump count per segment, a uniform per jump that places it in its
+    segment, then the jump sizes. The loop only draws; the noise of every
+    segment and replication is then built at once.
     """
     n, p = law.mean.shape
     R = len(gens)
-    cells = np.diff(law.bounds)
     z = np.empty((R, n, p)) if law.chol is not None else None
-    jumps = np.zeros((R, n, p)) if law.jump_mean is not None else None
+    segs, reps, units, sizes = [], [], [], []
     for r, gen in enumerate(gens):
         if z is not None:
             z[r] = gen.standard_normal((n, p))
-        if jumps is not None:
+        if law.jump_mean is not None:
             counts = gen.poisson(law.jump_mean)
             total = int(counts.sum())
             if total:
-                seg = np.repeat(np.arange(n), counts)
-                pick = np.minimum((gen.random(total) * cells[seg]).astype(np.int64), cells[seg] - 1)
-                sizes = law.jumps.sample(total, gen)
-                contrib = law.cell_weights[law.bounds[seg] + pick] * sizes[:, None]
-                for j in range(p):
-                    jumps[r, :, j] = np.bincount(seg, weights=contrib[:, j], minlength=n)
-    eta = np.repeat(law.mean[None], R, axis=0)
+                units.append(gen.random(total))
+                sizes.append(law.jumps.sample(total, gen))
+                segs.append(np.repeat(np.arange(n), counts))
+                reps.append(np.full(total, r))
+    eta = np.repeat(law.mean[:, :, None], R, axis=2)
     if z is not None:
-        eta += np.einsum("kij,rkj->rki", law.chol, z)
-    if jumps is not None:
-        eta += jumps
+        eta += law.chol @ z.transpose(1, 2, 0)
+    if segs:
+        seg = np.concatenate(segs)
+        contrib = law.jump_weight(seg, np.concatenate(units)) * np.concatenate(sizes)[:, None]
+        # one bincount per state column; it sums each cell in draw order, as np.add.at does
+        cell = seg * R + np.concatenate(reps)
+        for j in range(p):
+            eta[:, j, :] += np.bincount(cell, contrib[:, j], n * R).reshape(n, R)
     return eta
 
 
+def segment_states(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
+    """States x_k (n_records, p, R) from a zero start under the noise ``eta``
+    of :func:`draw_segment_noise`, by one affine scan over records."""
+    return affine_states(law.decay, eta, np.zeros(eta.shape[1:]))
+
+
 def run_segment_law(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
-    """Recorded values B(t_k)' x_k, shape (R, n_records), from a zero start,
-    given the segment noise ``eta`` (R, n_records, p) of
-    :func:`draw_segment_noise`: one affine scan over records carries all R
-    states."""
-    R, _, p = eta.shape
-    xs = affine_states(law.decay, np.ascontiguousarray(eta.transpose(1, 2, 0)), np.zeros((p, R)))
-    return np.einsum("kp,kpr->rk", law.B, xs)
+    """Recorded values B(t_k)' x_k, shape (R, n_records), of :func:`segment_states`."""
+    return (law.B[:, None, :] @ segment_states(law, eta))[:, 0, :].T
 
 
 # perfbench/spans.py traces plan construction and the record recursion by these names

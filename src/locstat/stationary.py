@@ -23,10 +23,11 @@ limit variance of the second-order statistic exact for every centered driver.
 Simulation is exact in distribution: per step the Gaussian convolution
 increment is drawn with its true covariance (Gamma - e^{Ah} Gamma e^{A'h}),
 jumps are placed at their Poisson arrival times with the exact decay factor,
-and the initial state comes from a long warm start. Each replication draws
-from its own generator in a fixed order; the arithmetic is batched: the
-offsets of every step and replication are built at once and one affine
-prefix scan over time (``dynamics.affine_states``) carries the states of all
+and the initial state comes from a long warm start. Each step is one segment
+of a ``dynamics.SegmentLaw``, so the frozen process is drawn and scanned by
+the same sampler as ``Y_N``: each replication draws from its own generator in
+a fixed order (``dynamics.draw_segment_noise``), and one affine prefix scan
+over time (``dynamics.segment_states``) carries the states of all
 replications, shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
@@ -36,13 +37,16 @@ plain second moment also circulates. Both are exposed as candidates and the
 central limit experiment records which one standardizes to unit variance.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, linalg
 
-from .dynamics import PathSample, affine_states, covariance_factor, eigenbasis
+from .dynamics import (
+    PathSample, SegmentLaw, covariance_factor, draw_segment_noise, eigenbasis, segment_states,
+)
 from .noise import LevyTriplet, triplet_moments
 
 __all__ = [
@@ -391,7 +395,6 @@ def covariance_decay_check(spec, u: float, triplet: LevyTriplet, eps: float) -> 
 
 @dataclass
 class _StepLaw:
-    gap: float
     prop: np.ndarray  # e^{A h}
     chol: np.ndarray | None  # Cholesky factor of the Gaussian covariance
     drift: np.ndarray  # gamma * int_0^h e^{As} C ds
@@ -407,7 +410,7 @@ def _step_law(fr: FrozenSystem, triplet: LevyTriplet, h: float) -> _StepLaw:
         # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
         gam = lyapunov_gram(fr)
         chol = covariance_factor(triplet.sigma2 * (gam - prop @ gam @ prop.T))
-    return _StepLaw(h, prop, chol, drift)
+    return _StepLaw(prop, chol, drift)
 
 
 def simulate_stationary_batch(
@@ -425,60 +428,42 @@ def simulate_stationary_batch(
     12 / margin from the zero state, so column 0 is the state at the first
     grid point.
 
-    Replication r draws from ``gens[r]`` only, in this order: the Gaussian
-    block (n + 1, p) (when sigma2 > 0), the Poisson counts per step, the
-    arrival offsets, the jump sizes. The loop over replications does nothing
-    else. The offsets c_k = drift + chol z_k + (jumps of step k) of every step
-    and replication are then built at once, and one affine scan
-    x_k = e^{A h_k} x_{k-1} + c_k over time carries all R states together,
-    shape (n + 1, p, R).
+    Step k is segment k of a ``dynamics.SegmentLaw`` built from its
+    :func:`_step_law`. ``dynamics.draw_segment_noise`` draws it, replication
+    r from ``gens[r]`` only, and ``dynamics.segment_states`` carries all R
+    states in one affine scan over time.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
+    if len(gens) != R:
+        raise ValueError(f"{len(gens)} generators for R = {R} replications")
     n = len(gaps)
-    p = fr.p
-    rate = triplet.jump_rate
     all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
-    steps = np.arange(n + 1)
     # one step law per distinct gap; law_of[k] names the law of step k
     law_gaps, law_of = np.unique(all_gaps, return_inverse=True)
-    laws = [_step_law(fr, triplet, h) for h in law_gaps]
-
-    z = np.empty((R, n + 1, p)) if triplet.sigma2 > 0 else None
-    jump_steps, jump_reps, offs_unit, sizes = [], [], [], []
-    for r in range(R):
-        gen = gens[r]
-        if z is not None:
-            z[r] = gen.standard_normal((n + 1, p))
-        if rate > 0:
-            counts = gen.poisson(rate * all_gaps)
-            total = int(counts.sum())
-            if total:
-                offs_unit.append(gen.uniform(0.0, 1.0, total))
-                sizes.append(triplet.jumps.sample(total, gen))
-                jump_steps.append(np.repeat(steps, counts))
-                jump_reps.append(np.full(total, r))
-
-    c = np.repeat(np.stack([law.drift for law in laws])[law_of][:, :, None], R, axis=2)
-    if z is not None:
-        chol = np.stack([law.chol for law in laws])[law_of]
-        c += chol @ z.transpose(1, 2, 0)
-    if jump_steps:
-        step = np.concatenate(jump_steps)
-        remain = all_gaps[step] * (1.0 - np.concatenate(offs_unit))  # time left after arrival
-        contrib = _decayed_inputs(fr, remain) * np.concatenate(sizes)[:, None]
-        # one bincount per state column; it sums each cell in draw order, as np.add.at does
-        cell = step * R + np.concatenate(jump_reps)
-        for j in range(p):
-            c[:, j, :] += np.bincount(cell, contrib[:, j], (n + 1) * R).reshape(n + 1, R)
-
-    props = np.stack([law.prop for law in laws])[law_of]
-    xs = affine_states(props, c, np.zeros((p, R)))
-    out = np.ascontiguousarray((fr.B @ xs).T)
+    steps = [_step_law(fr, triplet, h) for h in law_gaps]
+    has_jumps = triplet.jump_rate > 0
+    law = SegmentLaw(
+        bounds=np.arange(n + 2),
+        decay=np.stack([step.prop for step in steps])[law_of],
+        mean=np.stack([step.drift for step in steps])[law_of],
+        chol=np.stack([step.chol for step in steps])[law_of] if triplet.sigma2 > 0 else None,
+        jump_mean=triplet.jump_rate * all_gaps if has_jumps else None,
+        jump_weight=functools.partial(_arrival_weights, fr, all_gaps) if has_jumps else None,
+        jumps=triplet.jumps if has_jumps else None,
+        B=np.broadcast_to(fr.B, (n + 1, fr.p)),
+    )
+    xs = segment_states(law, draw_segment_noise(law, gens))
+    out = np.ascontiguousarray((law.B[:, None, :] @ xs)[:, 0, :].T)  # as run_segment_law
     if return_state:
         return out, np.ascontiguousarray(xs[-1].T)
     return out
+
+
+def _arrival_weights(fr: FrozenSystem, gaps: np.ndarray, step: np.ndarray, unit: np.ndarray):
+    """e^{A r} C of jumps at offsets ``unit`` of their steps, r the time left after arrival."""
+    return _decayed_inputs(fr, gaps[step] * (1.0 - unit))
 
 
 def _decayed_inputs(fr: FrozenSystem, v: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from locstat import models
+from locstat import stationary as st
 from locstat.dynamics import (
     Lipschitz,
     ModelSpec,
@@ -176,8 +177,6 @@ def test_zero_noise_gives_zero_path():
 
 def test_variance_matches_frozen_closed_form():
     # Var(Y_N(1)) for a(t) = 2 + sin t approaches Sigma_L / (2 a(1))
-    from locstat import stationary as st
-
     spec = models.tvcar_sin()
     target = float(st.stationary_autocov(spec, 1.0, BROWNIAN, 0.0))
     assert target == pytest.approx(1.0 / (2.0 * (2.0 + np.sin(1.0))), abs=1e-12)
@@ -378,15 +377,19 @@ def test_segment_law_structure():
         expected = [np.prod(phi[lo:hi]) for lo, hi in zip(law.bounds[:-1], law.bounds[1:])]
         # the blocked product associates the factors differently from np.prod
         np.testing.assert_allclose(law.decay[:, 0, 0], expected, rtol=1e-14, atol=0.0)
-    assert build_segment_law(plan, DRIFT_GAUSS).cell_weights is None
-    assert build_segment_law(plan, GAUSS_JUMPS).cell_weights.shape == (plan.n_steps, 1)
+    assert build_segment_law(plan, DRIFT_GAUSS).jump_weight is None
+    # the weight of every cell, each picked by the uniform at its midpoint
+    cells = np.diff(law.bounds)
+    seg = np.repeat(np.arange(41), cells)
+    unit = (np.arange(plan.n_steps) - law.bounds[seg] + 0.5) / cells[seg]
+    assert law.jump_weight(seg, unit).shape == (plan.n_steps, 1)
     # noise on the last cell of each segment has weight C = 1, so the fine-grid
     # recursion and the recursion over records must agree on it
     eta = np.random.default_rng(0).standard_normal((3, 41))
     fine = np.zeros((3, plan.n_steps))
     fine[:, law.bounds[1:] - 1] = eta
     expected = _fine_grid_values(plan, fine)
-    assert np.allclose(run_segment_law(law, eta[..., None]), expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(run_segment_law(law, eta.T[:, None, :]), expected, rtol=1e-12, atol=1e-14)
     assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
 
 
@@ -482,3 +485,55 @@ def test_segment_law_agrees_with_fine_grid_on_jump_driver():
         assert abs(l_a - l_b) < 4.0 * np.sqrt(vl_a + vl_b), spec.model_id
         assert abs(k_a - k_b) < 4.0 * np.sqrt(vk_a + vk_b), spec.model_id
         assert k_a > 3.2, spec.model_id  # the jumps are there: a Gaussian path has kurtosis 3
+
+
+class _RecordingGenerator:
+    """A Generator whose draws are logged as (replication, method name) to a
+    log shared by every replication, so the log shows their order."""
+
+    def __init__(self, gen, rep, log):
+        self._gen, self._rep, self._log = gen, rep, log
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def draw(*args, **kwargs):
+            self._log.append((self._rep, name))
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def test_segment_sampler_draw_contract():
+    # a frozen and a time-varying law with p = 2, both with Gaussian noise and
+    # with jumps in every replication; each generator draws each kind once,
+    # in the documented order, inside the loop over replications
+    R, frequent = 4, LevyTriplet(0.0, 0.5, JumpSpec(3.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    plan = _law_plan(models.diag2())
+    law = build_segment_law(plan, frequent)
+    fr = st.freeze(models.companion2(), 0.0)
+    runs = {
+        "time-varying": lambda gens: draw_segment_noise(law, gens),
+        "frozen": lambda gens: st.simulate_stationary_batch(fr, frequent, np.full(20, 0.5), R, gens),
+    }
+    kinds = ("standard_normal", "poisson", "random", "choice")  # choice draws the atom sizes
+    for name, run in runs.items():
+        log = []
+        run([_RecordingGenerator(stream(3, f"contract:{name}", r), r, log) for r in range(R)])
+        assert log == [(r, kind) for r in range(R) for kind in kinds], name
+
+
+def test_segment_batch_replication_is_its_stream_alone():
+    # bit for bit at p = 1; at p >= 2 the batched matmuls of chol z and of the
+    # scan may round differently for another batch width
+    for spec in (models.tvcar_sin(), models.diag2(), models.companion2()):
+        plan = _law_plan(spec)
+        batch = _segment_paths(plan, GAUSS_JUMPS, "law-alone", 5)
+        law = build_segment_law(plan, GAUSS_JUMPS)
+        for r in range(5):
+            alone = run_segment_law(law, draw_segment_noise(law, [stream(11, "law-alone", r)]))[0]
+            if spec.p == 1:
+                assert np.array_equal(alone, batch[r]), r
+            else:
+                tol = 1e-12 * np.abs(batch).max()
+                assert np.abs(alone - batch[r]).max() <= tol, (spec.model_id, r)

@@ -202,8 +202,10 @@ def test_segment_law_matches_the_blocked_recursion(spec, N, gaps, first, n_noisy
     inc = np.zeros(plan.n_steps)
     inc[cells] = rng.standard_normal(cells.size)
     seg = np.searchsorted(law.bounds, cells, side="right") - 1
-    eta = np.zeros((1, len(rescaled), spec.p))
-    np.add.at(eta[0], seg, law.cell_weights[cells] * inc[cells, None])
+    # the uniform at the middle of a cell picks that cell
+    unit = (cells - law.bounds[seg] + 0.5) / (law.bounds[seg + 1] - law.bounds[seg])
+    eta = np.zeros((len(rescaled), spec.p, 1))
+    np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[cells, None])
     got = run_segment_law(law, eta)[0]
     ref = _simulate_yn_statespace(spec, JUMPS, N, rescaled / N, H, BURN_IN, None, False, inc, None)
     scale = max(np.abs(ref.values).max(), np.finfo(float).tiny)

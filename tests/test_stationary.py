@@ -548,6 +548,15 @@ def test_batched_simulation_matches_per_step_loop(system, driver):
                 assert np.abs(alone[0] - out[r]).max() <= tol, (R, name, r)
 
 
+def test_generator_count_must_match_replications():
+    fr = st.freeze(models.ou(1.0), 0.0)
+    gaps = np.full(5, 0.5)
+    for R, n_gens in ((1, 3), (5, 3)):
+        gens = [stream(1, "count", r) for r in range(n_gens)]
+        with pytest.raises(ValueError, match="generators"):
+            st.simulate_stationary_batch(fr, CPOIS, gaps, R, gens)
+
+
 def test_jump_inputs_match_per_jump_expm():
     # e^{A v} C for a batch of decay times: the Jordan block (expm path, whose
     # e^{A v} C = e^{-v} (v, 1)) and companion2 (eigenbasis path) against one
