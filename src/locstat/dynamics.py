@@ -473,9 +473,10 @@ def covariance_factor(Q: np.ndarray) -> np.ndarray:
 class SegmentLaw:
     """Exact law of the noise a linear recursion adds between two records.
 
-    Record segment k is the run of fine steps ``[lo, hi) = [bounds[k],
-    bounds[k+1])`` that ends at record k; the first one is the burn-in. With
-    the one-step propagators P_j of :func:`step_propagators` and the weights
+    Record segment k is the run of fine steps ``[lo, hi)`` that ends at
+    record k: ``hi = plan.record_steps[k]``, and ``lo`` is the record step
+    before it, or 0 for the first segment, the burn-in. With the one-step
+    propagators P_j of :func:`step_propagators` and the weights
     v_j = P_{hi-1} ... P_{j+1} C(s_j / N), the recursion moves the state over
     the segment by
 
@@ -491,7 +492,6 @@ class SegmentLaw:
     arrival offset r = U h (``stationary.simulate_stationary_batch``).
     """
 
-    bounds: np.ndarray  # (n_records + 1,) fine-step bounds of the record segments
     decay: np.ndarray  # (n_records, p, p) D_k
     mean: np.ndarray  # (n_records, p) path_drift * h * sum(v)
     chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 * h * sum(v v'); None without sigma2
@@ -559,7 +559,6 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
             if has_jumps:
                 weights[steps] = v
     return SegmentLaw(
-        bounds=bounds,
         decay=decay,
         mean=triplet.path_drift * h * s1,
         chol=covariance_factor(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
@@ -573,35 +572,43 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
 def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
     """Noise of every record segment, shape (n_records, p, R).
 
-    One generator per replication, each called once per kind of draw, in
-    this order: standard normals (n_records, p) (when chol is set), a Poisson
-    jump count per segment, a uniform per jump that places it in its
-    segment, then the jump sizes. The loop only draws; the noise of every
-    segment and replication is then built at once.
+    ``gens`` is a sized iterable of generators, one per replication, taken in
+    order; each replication draws all it needs before the next is taken, in
+    this order: standard normals (n_records, p) (when chol is set), the
+    Poisson jump counts of the segments, a uniform per jump that places it in
+    its segment, then the jump sizes. The counts are drawn one call per run
+    of segments with equal rates, which gives the draws of one call on the
+    whole rate array. The loop only draws; the noise of every segment and
+    replication is then built at once.
     """
     n, p = law.mean.shape
     R = len(gens)
     z = np.empty((R, n, p)) if law.chol is not None else None
-    segs, reps, units, sizes = [], [], [], []
+    counts = runs = None
+    if law.jump_mean is not None:
+        counts = np.empty((R, n), dtype=np.int64)
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(law.jump_mean) != 0) + 1, [n]])
+        runs = [(float(law.jump_mean[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
+    units, sizes = [], []
     for r, gen in enumerate(gens):
         if z is not None:
             z[r] = gen.standard_normal((n, p))
-        if law.jump_mean is not None:
-            counts = gen.poisson(law.jump_mean)
-            total = int(counts.sum())
+        if counts is not None:
+            for rate, a, b in runs:
+                counts[r, a:b] = gen.poisson(rate, b - a)
+            total = int(counts[r].sum())
             if total:
                 units.append(gen.random(total))
                 sizes.append(law.jumps.sample(total, gen))
-                segs.append(np.repeat(np.arange(n), counts))
-                reps.append(np.full(total, r))
     eta = np.repeat(law.mean[:, :, None], R, axis=2)
     if z is not None:
         eta += law.chol @ z.transpose(1, 2, 0)
-    if segs:
-        seg = np.concatenate(segs)
+    if units:
+        # replication-major cell of each jump, in draw order
+        rep, seg = np.divmod(np.repeat(np.arange(R * n), counts.ravel()), n)
         contrib = law.jump_weight(seg, np.concatenate(units)) * np.concatenate(sizes)[:, None]
         # one bincount per state column; it sums each cell in draw order, as np.add.at does
-        cell = seg * R + np.concatenate(reps)
+        cell = seg * R + rep
         for j in range(p):
             eta[:, j, :] += np.bincount(cell, contrib[:, j], n * R).reshape(n, R)
     return eta

@@ -53,7 +53,10 @@ from .dynamics import (
 from .kernels import LocalizingKernel, rectangular
 from .noise import LevyTriplet, triplet_moments
 from .observation import BandwidthRule, clt_admissible, make_scheme
-from .rng import stream
+from .rng import (
+    stream,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
+    streams,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -151,8 +154,13 @@ def _map_chunks(fn, payload, n_reps: int, workers: int) -> np.ndarray:
     else:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         ctx = multiprocessing.get_context(method)
+        # one batch of chunks per worker: pickle's memo then sends the shared
+        # payload once per batch instead of once per chunk
+        batch = -(-len(chunks) // workers)
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_call_chunk, [(fn, payload, lo, hi) for lo, hi in chunks]))
+            parts = list(
+                pool.map(_call_chunk, [(fn, payload, lo, hi) for lo, hi in chunks], chunksize=batch)
+            )
     return np.concatenate(parts, axis=0)
 
 
@@ -209,7 +217,7 @@ def _coupling_chunk(payload, lo, hi):
     cfg = payload["config"]
     diffs = payload["diff_weights"]  # list over N of (n_cells,) arrays
     n_cells = diffs[0].shape[0]
-    gens = [stream(cfg.seed, "coupling", i) for i in range(lo, hi)]
+    gens = streams(cfg.seed, "coupling", lo, hi)
     inc = _draw_increments_rows(cfg.triplet, cfg.fine_step, n_cells, gens)
     return np.stack([inc @ d for d in diffs], axis=1)  # (R, len(N_list))
 
@@ -327,7 +335,7 @@ def _localized_chunk(payload, lo, hi):
     ``center``."""
     cfg: ExperimentConfig = payload["config"]
     law = payload["law"]
-    gens = [stream(cfg.seed, payload["purpose"], i) for i in range(lo, hi)]
+    gens = streams(cfg.seed, payload["purpose"], lo, hi)
     Y = run_segment_law(law, draw_segment_noise(law, gens))
     summands = Y[:, payload["base_idx"]]
     if payload["statistic"] != "mean":
@@ -406,7 +414,7 @@ def _global_average_chunk(payload, lo, hi):
     cfg: ExperimentConfig = payload["config"]
     N = payload["N"]
     law = payload["law"]
-    gens = [stream(cfg.seed, f"lln_cont:{N}", i) for i in range(lo, hi)]
+    gens = streams(cfg.seed, f"lln_cont:{N}", lo, hi)
     Y = run_segment_law(law, draw_segment_noise(law, gens))
     # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
     integral = np.trapezoid(Y, dx=payload["gap"], axis=1)
@@ -614,7 +622,7 @@ def _lipschitz_chunk(payload, lo, hi):
     cfg: ExperimentConfig = payload["config"]
     fr = payload["frozen"]
     gaps = payload["gaps"]
-    gens = [stream(cfg.seed, payload["purpose"], i) for i in range(lo, hi)]
+    gens = streams(cfg.seed, payload["purpose"], lo, hi)
     D = stat.simulate_stationary_batch(fr, cfg.triplet, gaps, hi - lo, gens)
     return np.mean(np.abs(D) ** cfg.p_norm, axis=1)
 

@@ -62,10 +62,13 @@ class JumpSpec:
                 raise ValueError(
                     f"atom probabilities sum to {float(probs.sum())!r}, expected 1 within {_PROB_TOL}"
                 )
-            # the arrays ``sample`` hands to rng.choice, built once; plain
-            # attributes, not fields, so equality and hash see only the atoms
+            # the atom values and the cdf that ``sample`` searches, built once
+            # as Generator.choice builds it; plain attributes, not fields, so
+            # equality and hash see only the atoms
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
             object.__setattr__(self, "_values", np.array([v for v, _ in atoms]))
-            object.__setattr__(self, "_probs", probs / probs.sum())
+            object.__setattr__(self, "_cdf", cdf)
         else:
             mean, std = self.normal
             if std < 0:
@@ -108,8 +111,11 @@ class JumpSpec:
         return float(upper + lower)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n jump sizes from ``rng``. Atoms take one uniform each and give
+        the sizes ``Generator.choice`` gives with ``p=probs``, without its
+        per-call argument checks."""
         if self.atoms is not None:
-            return rng.choice(self._values, size=n, p=self._probs)
+            return self._values[self._cdf.searchsorted(rng.random(n), side="right")]
         m, s = self.normal
         return rng.normal(m, s, size=n)
 

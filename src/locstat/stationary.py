@@ -430,8 +430,9 @@ def simulate_stationary_batch(
 
     Step k is segment k of a ``dynamics.SegmentLaw`` built from its
     :func:`_step_law`. ``dynamics.draw_segment_noise`` draws it, replication
-    r from ``gens[r]`` only, and ``dynamics.segment_states`` carries all R
-    states in one affine scan over time.
+    r from the r-th generator that iterating ``gens`` yields, and
+    ``dynamics.segment_states`` carries all R states in one affine scan over
+    time. ``gens`` is a sized iterable such as ``rng.streams``.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
@@ -445,7 +446,6 @@ def simulate_stationary_batch(
     steps = [_step_law(fr, triplet, h) for h in law_gaps]
     has_jumps = triplet.jump_rate > 0
     law = SegmentLaw(
-        bounds=np.arange(n + 2),
         decay=np.stack([step.prop for step in steps])[law_of],
         mean=np.stack([step.drift for step in steps])[law_of],
         chol=np.stack([step.chol for step in steps])[law_of] if triplet.sigma2 > 0 else None,

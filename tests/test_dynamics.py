@@ -11,6 +11,7 @@ from locstat.dynamics import (
     ModelSpec,
     PathSample,
     PeanoBakerNonConvergence,
+    SegmentLaw,
     build_plan,
     build_segment_law,
     coefficient_values,
@@ -370,24 +371,26 @@ def test_segment_law_structure():
     plan = _law_plan(models.tvcar_sin())
     mids = plan.start + (np.arange(plan.n_steps) + 0.5) * LAW_H
     phi = np.exp(-models.tvcar_sin().a(mids / 64) * LAW_H)
+    # fine-step bounds of the record segments; the first segment is the burn-in
+    bounds = np.concatenate([[0], plan.record_steps])
+    assert bounds[-1] == plan.n_steps
     for tri in (DRIFT_GAUSS, GAUSS_JUMPS):
         law = build_segment_law(plan, tri)
         assert law.decay.shape == (41, 1, 1) and len(plan.record_steps) == 41
-        assert np.array_equal(law.bounds[1:], plan.record_steps) and law.bounds[0] == 0
-        expected = [np.prod(phi[lo:hi]) for lo, hi in zip(law.bounds[:-1], law.bounds[1:])]
+        expected = [np.prod(phi[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # the blocked product associates the factors differently from np.prod
         np.testing.assert_allclose(law.decay[:, 0, 0], expected, rtol=1e-14, atol=0.0)
     assert build_segment_law(plan, DRIFT_GAUSS).jump_weight is None
     # the weight of every cell, each picked by the uniform at its midpoint
-    cells = np.diff(law.bounds)
+    cells = np.diff(bounds)
     seg = np.repeat(np.arange(41), cells)
-    unit = (np.arange(plan.n_steps) - law.bounds[seg] + 0.5) / cells[seg]
+    unit = (np.arange(plan.n_steps) - bounds[seg] + 0.5) / cells[seg]
     assert law.jump_weight(seg, unit).shape == (plan.n_steps, 1)
     # noise on the last cell of each segment has weight C = 1, so the fine-grid
     # recursion and the recursion over records must agree on it
     eta = np.random.default_rng(0).standard_normal((3, 41))
     fine = np.zeros((3, plan.n_steps))
-    fine[:, law.bounds[1:] - 1] = eta
+    fine[:, plan.record_steps - 1] = eta
     expected = _fine_grid_values(plan, fine)
     assert np.allclose(run_segment_law(law, eta.T[:, None, :]), expected, rtol=1e-12, atol=1e-14)
     assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
@@ -506,21 +509,64 @@ class _RecordingGenerator:
 
 def test_segment_sampler_draw_contract():
     # a frozen and a time-varying law with p = 2, both with Gaussian noise and
-    # with jumps in every replication; each generator draws each kind once,
-    # in the documented order, inside the loop over replications
+    # with jumps in every replication. Each generator draws, in this order and
+    # inside the loop over replications: the normals, one Poisson call per run
+    # of equal rates, the uniform offsets and the uniforms of the atom sizes
     R, frequent = 4, LevyTriplet(0.0, 0.5, JumpSpec(3.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     plan = _law_plan(models.diag2())
     law = build_segment_law(plan, frequent)
     fr = st.freeze(models.companion2(), 0.0)
+    # the warm start, then three runs of equal gaps
+    gaps = np.concatenate([np.full(5, 0.5), np.full(5, 0.25), np.full(10, 0.5)])
     runs = {
-        "time-varying": lambda gens: draw_segment_noise(law, gens),
-        "frozen": lambda gens: st.simulate_stationary_batch(fr, frequent, np.full(20, 0.5), R, gens),
+        "time-varying": (lambda gens: draw_segment_noise(law, gens), 2),
+        "frozen": (lambda gens: st.simulate_stationary_batch(fr, frequent, gaps, R, gens), 4),
     }
-    kinds = ("standard_normal", "poisson", "random", "choice")  # choice draws the atom sizes
-    for name, run in runs.items():
+    assert 1 + np.count_nonzero(np.diff(law.jump_mean)) == runs["time-varying"][1]
+    for name, (run, n_runs) in runs.items():
+        kinds = ("standard_normal",) + ("poisson",) * n_runs + ("random", "random")
         log = []
         run([_RecordingGenerator(stream(3, f"contract:{name}", r), r, log) for r in range(R)])
         assert log == [(r, kind) for r in range(R) for kind in kinds], name
+
+
+def test_counts_by_runs_are_one_poisson_call_on_the_rates():
+    # the sampler draws the Poisson counts one call per run of equal rates;
+    # on random run layouts (zero rates, rates of 10 or more, which take
+    # another numpy algorithm, and runs of one segment) its counts and the
+    # generator state afterwards equal those of one call on the rate array
+    layouts = np.random.default_rng(31)
+    unit_jumps = JumpSpec(1.0, atoms=((1.0, 1.0),))
+    for case in range(120):
+        n_runs = int(layouts.integers(1, 7))
+        lengths = layouts.integers(1, 6, size=n_runs)
+        kinds = layouts.integers(0, 3, size=n_runs)
+        rates = np.where(kinds == 0, 0.0, np.where(kinds == 1, layouts.uniform(0, 10, n_runs),
+                                                   layouts.uniform(10, 40, n_runs)))
+        jump_mean = np.repeat(rates, lengths)
+        n = jump_mean.size
+        law = SegmentLaw(
+            decay=np.ones((n, 1, 1)), mean=np.zeros((n, 1)), chol=None, jump_mean=jump_mean,
+            jump_weight=lambda seg, unit: np.ones((seg.size, 1)), jumps=unit_jumps,
+            B=np.ones((n, 1)),
+        )
+        R = 3
+        gens = [stream(4, f"runs:{case}", r) for r in range(R)]
+        # every jump has size 1 and weight 1, so the noise is the counts
+        eta = draw_segment_noise(law, gens)
+        for r, gen in enumerate(gens):
+            ref = stream(4, f"runs:{case}", r)
+            counts = ref.poisson(jump_mean)
+            ref.random(int(counts.sum()))  # offsets
+            ref.random(int(counts.sum()))  # atom sizes
+            assert np.array_equal(eta[:, 0, r], counts), (case, r)
+            assert _philox_state(gen) == _philox_state(ref), (case, r)
+
+
+def _philox_state(gen) -> tuple:
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
 
 
 def test_segment_batch_replication_is_its_stream_alone():

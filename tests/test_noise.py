@@ -176,3 +176,31 @@ def test_jump_sample_draws_as_rng_choice_on_fresh_arrays():
         back = pickle.loads(pickle.dumps(s))
         assert back == s and hash(back) == hash(s)
         assert np.array_equal(back.sample(50, stream(8, "pk", 0)), s.sample(50, stream(8, "pk", 0)))
+
+
+def test_atom_sample_is_rng_choice_bit_for_bit():
+    # sample looks the uniforms up in a cdf built as Generator.choice builds
+    # it; on random atom laws (zero-probability atoms included, n from 0 to
+    # 500) the sizes and the generator state afterwards equal choice's
+    laws = np.random.default_rng(20)
+    for law in range(240):
+        k = int(laws.integers(1, 9))
+        w = laws.exponential(size=k) * (laws.random(k) < 0.8)
+        if not w.any():
+            w[laws.integers(k)] = 1.0
+        probs = w / w.sum()
+        values = np.round(laws.normal(scale=3.0, size=k), 3)
+        spec = JumpSpec(1.0, atoms=tuple(zip(values, probs)))
+        p = np.array([q for _, q in spec.atoms])
+        n = (0, 1, 500)[law] if law < 3 else int(laws.integers(0, 501))
+        got_gen, ref_gen = stream(9, "atoms", law), stream(9, "atoms", law)
+        got = spec.sample(n, got_gen)
+        want = ref_gen.choice(np.array(values), size=n, p=p / p.sum())
+        assert got.shape == want.shape == (n,) and np.array_equal(got, want), law
+        assert _philox_state(got_gen) == _philox_state(ref_gen), law
+
+
+def _philox_state(gen) -> tuple:
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])

@@ -201,9 +201,10 @@ def test_segment_law_matches_the_blocked_recursion(spec, N, gaps, first, n_noisy
     cells = rng.choice(plan.n_steps, size=min(n_noisy, plan.n_steps), replace=False)
     inc = np.zeros(plan.n_steps)
     inc[cells] = rng.standard_normal(cells.size)
-    seg = np.searchsorted(law.bounds, cells, side="right") - 1
+    bounds = np.concatenate([[0], plan.record_steps])
+    seg = np.searchsorted(bounds, cells, side="right") - 1
     # the uniform at the middle of a cell picks that cell
-    unit = (cells - law.bounds[seg] + 0.5) / (law.bounds[seg + 1] - law.bounds[seg])
+    unit = (cells - bounds[seg] + 0.5) / (bounds[seg + 1] - bounds[seg])
     eta = np.zeros((len(rescaled), spec.p, 1))
     np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[cells, None])
     got = run_segment_law(law, eta)[0]
