@@ -42,7 +42,7 @@ import numpy as np
 from .dynamics import Car1Spec, Lipschitz, ModelSpec, PathSample, simulate_yn
 from .estimators import clt_statistic, localized_autocov, localized_mean
 from .expressions import ExprFunc, ExprMatrix, ExprVector
-from .experiments import ExperimentConfig, InadmissibleSchemeError, run_experiment
+from .experiments import ExperimentConfig, InadmissibleSchemeError, _union_offsets, run_experiment
 from .kernels import from_name, kernel_validate
 from .noise import JumpSpec, LevyTriplet, triplet_moments
 from .observation import BandwidthRule, StepRuleO1, StepRuleO2, clt_admissible, make_scheme
@@ -298,11 +298,9 @@ def _eval_times_from_config(cfg: dict):
         if N is None:
             raise SemanticError("simulate.use_scheme_grid requires an experiment.N_list")
         scheme = make_scheme(cfg["u"], N, cfg["bandwidth"], cfg["step_rule"])
-        times = scheme.grid
-        lag = int(sec.get("lag", 0))
-        if lag > 0:
-            times = np.union1d(times, times + lag / N)
-        return N, times
+        # the union rule of the campaigns, so near-duplicate nodes collapse
+        offsets, _, _ = _union_offsets(scheme, int(sec.get("lag", 0)))
+        return N, (N * scheme.u + offsets) / N
     times = sec.get("times")
     if not times:
         raise SchemaError("simulate: provide 'times' or set 'use_scheme_grid'")

@@ -17,15 +17,14 @@ every state dimension p >= 1. The recursion x <- P_k x + C(s_k/N) dL_k
 takes its propagators from :func:`step_propagators` and runs as a prefix
 scan of affine maps (:func:`affine_states`).
 
-It is used in two forms. :func:`simulate_yn` and :func:`refine_path` keep
-per-step increments, because coupled paths are built on them; they walk the
-fine grid in blocks of at most ``_BLOCK_STEPS`` steps, each evaluating the
-coefficients at all of its times in one call and starting from the state the
-previous block left. Callers that need the states at the recorded nodes
-only use that the recursion between two nodes is linear in the noise: its
-increment has an exact law (:class:`SegmentLaw`), so they draw one value per
-record segment and scan over records. The exact frozen simulator of
-``stationary`` runs through the same sampler, one step per segment.
+Between two recorded nodes the recursion is linear in the noise, so every
+caller runs it over records: :func:`_segment_stacks` turns the propagators
+of each record segment into its product D_k and its noise weights v_j. The
+campaigns draw the noise of a segment from its exact law
+(:class:`SegmentLaw`); :func:`simulate_yn` and :func:`refine_path` keep
+per-step increments, because coupled paths are built on them, and sum
+v_j dL_j over each segment. The exact frozen simulator of ``stationary``
+runs through the same sampler, one step per segment.
 """
 
 import functools
@@ -528,41 +527,57 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
     return U.reshape(G, n_runs * b, p, p)[:, :m]
 
 
-def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
-    """Segment law of ``plan`` under ``triplet``; per-cell weights are kept
-    only when the driver has jumps. Segments of equal length are stacked, at
-    most about ``_BLOCK_ENTRIES`` matrix entries at a time, and one
-    :func:`_prefix_products` gives the products P_{hi-1} ... P_j of a stack.
+def _segment_stacks(plan: Plan):
+    """Yields ``(segs, steps, D, v)`` per stack of g equal-length record
+    segments of ``plan``: segment indices (g,), fine steps (g, m), products
+    D = P_{hi-1} ... P_lo (g, p, p) and weights v_j = P_{hi-1} ... P_{j+1}
+    C(s_j / N) (g, m, p). The only code that turns per-step propagators into
+    segment data. A stack holds about ``_BLOCK_ENTRIES`` matrix entries but at
+    least one segment, so a segment of m fine steps costs O(m p^2) memory.
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     lengths = np.diff(bounds)
-    n, p = lengths.size, spec.p
-    has_jumps = triplet.jump_rate > 0
-    decay, s1, s2 = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
-    weights = np.empty((plan.n_steps, p)) if has_jumps else None
+    p = spec.p
     for m in np.unique(lengths):
         same = np.flatnonzero(lengths == m)
+        if m == 0:  # a record at step 0 (burn-in below half a step) keeps the zero start
+            yield same, np.empty((same.size, 0), int), np.eye(p)[None], np.empty((same.size, 0, p))
+            continue
         stack = max(1, _BLOCK_ENTRIES // (m * p * p))
         for segs in np.split(same, np.arange(stack, same.size, stack)):
             steps = bounds[segs, None] + np.arange(m)  # (segments, m)
             lefts = plan.start + steps * h
             # T[:, i] = P_{hi-1} ... P_{hi-1-i}
             T = _prefix_products(step_propagators(spec, lefts[:, ::-1], N, h))
-            decay[segs] = T[:, -1]
             # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
             last = np.broadcast_to(np.eye(p), (segs.size, 1, p, p))
             suffix = np.concatenate([T[:, -2::-1], last], axis=1)
-            v = (suffix @ coefficient_values(spec, "C", lefts / N)[..., None])[..., 0]  # (segments, m, p)
-            s1[segs] = v.sum(axis=1)
-            s2[segs] = np.einsum("gja,gjb->gab", v, v)
-            if has_jumps:
-                weights[steps] = v
+            v = (suffix @ coefficient_values(spec, "C", lefts / N)[..., None])[..., 0]
+            yield segs, steps, T[:, -1], v
+
+
+def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
+    """Segment law of ``plan`` under ``triplet``, from the stacks of
+    :func:`_segment_stacks`; per-cell weights are kept only when the driver
+    has jumps."""
+    spec, h, N = plan.spec, plan.h, plan.N
+    bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
+    n, p = bounds.size - 1, spec.p
+    has_jumps = triplet.jump_rate > 0
+    decay, s1, s2 = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
+    weights = np.empty((plan.n_steps, p)) if has_jumps else None
+    for segs, steps, D, v in _segment_stacks(plan):
+        decay[segs] = D
+        s1[segs] = v.sum(axis=1)
+        s2[segs] = np.einsum("gja,gjb->gab", v, v)
+        if has_jumps:
+            weights[steps] = v
     return SegmentLaw(
         decay=decay,
         mean=triplet.path_drift * h * s1,
         chol=covariance_factor(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
-        jump_mean=triplet.jump_rate * h * lengths if has_jumps else None,
+        jump_mean=triplet.jump_rate * h * np.diff(bounds) if has_jumps else None,
         jump_weight=functools.partial(_cell_weights, bounds, weights) if has_jumps else None,
         jumps=triplet.jumps if has_jumps else None,
         B=coefficient_values(spec, "B", plan.eval_rescaled / N),
@@ -654,11 +669,11 @@ def simulate_yn(
     )
 
 
-# The state-space path runs in blocks of at most _BLOCK_STEPS steps, fewer
-# when p is large, so that a block's arrays hold at most _BLOCK_ENTRIES
-# matrix entries (0.5 MB each) however long the grid is.
-_BLOCK_STEPS = 2048
-_BLOCK_ENTRIES = 65536
+# Stack bound of _segment_stacks, measured on a 2-core VM: the statespace_simulate
+# benchmark peaks at 83.1 MB with 65536, 78.4 MB with 16384 and 77.6 MB with 8192
+# (lln_ladder: 66.2, 62.3 and 62.1 MB); with 8192 the lln_ladder campaign takes
+# about 2 ms longer than with 16384, as its ladder builds twice as many stacks.
+_BLOCK_ENTRIES = 16384
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
@@ -779,7 +794,7 @@ def _simulate_yn_statespace(
 ):
     eval_times = np.asarray(eval_times, dtype=float)
     plan = build_plan(spec, N, N * eval_times, fine_step, burn_in)
-    spec, h, n_steps, record_steps = plan.spec, plan.h, plan.n_steps, plan.record_steps
+    spec, h, n_steps = plan.spec, plan.h, plan.n_steps
 
     if increments is None:
         inc = _draw_increments_rows(triplet, h, n_steps, [rng])[0]
@@ -788,19 +803,13 @@ def _simulate_yn_statespace(
         if inc.shape != (n_steps,):
             raise ValueError(f"increments must have shape ({n_steps},)")
 
-    p = spec.p
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (p * p)))
-    states = np.zeros((record_steps.size, p))  # a record at step 0 keeps the zero start
-    x = np.zeros(p)
-    for lo in range(0, n_steps, block):
-        hi = min(lo + block, n_steps)
-        lefts = plan.start + np.arange(lo, hi) * h
-        props = step_propagators(spec, lefts, N, h)
-        noise = coefficient_values(spec, "C", lefts / N) * inc[lo:hi, None]
-        xs = affine_states(props, noise, x)
-        first, last = np.searchsorted(record_steps, [lo, hi], side="right")
-        states[first:last] = xs[record_steps[first:last] - lo - 1]
-        x = xs[-1]
+    # the noise each record segment adds is sum_j v_j dL_j; one scan over records
+    n, p = plan.record_steps.size, spec.p
+    decay, eta = np.empty((n, p, p)), np.empty((n, p))
+    for segs, steps, D, v in _segment_stacks(plan):
+        decay[segs] = D
+        eta[segs] = np.einsum("gjp,gj->gp", v, inc[steps])
+    states = affine_states(decay, eta, np.zeros(p))
     B = coefficient_values(spec, "B", plan.eval_rescaled / N)
     values = np.einsum("kp,kp->k", B, states)
     grid = FineGrid(

@@ -38,7 +38,7 @@ from . import stationary as stat
 from .dynamics import (
     Car1Spec,
     _draw_increments_rows,
-    affine_states,
+    _segment_stacks,
     build_plan,
     build_scalar_plan_rescaled,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     build_segment_law,
@@ -46,7 +46,6 @@ from .dynamics import (
     draw_segment_noise,
     run_scalar_plan,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     run_segment_law,
-    step_propagators,
     validate_car1,
     validate_model,
 )
@@ -191,24 +190,19 @@ def _loglog_fit(x, dists, rows, slope_ok) -> tuple[float | None, float | None, b
 # coupling
 
 
-def _coupling_weights(model, triplet, u, N, h, n_cells):
+def _coupling_weights(model, u, N, h, burn_in):
     """Forward-grid noise weights for Y_N(u) and the frozen process at u.
 
-    Unrolling the one-step recursion writes each as a weighted sum of the
-    shared increments; differencing the weight vectors gives the coupled gap:
-    w_n[j] = v_j C(s_j / N) with v_j = B' P_{n-1} ... P_{j+1}, where the v_j'
-    run backward from v_{n-1}' = B as the recursion v_{j-1}' = P_j' v_j'.
+    Unrolling the recursion over the burn-in writes each as a weighted sum of
+    the shared increments; differencing the weight vectors gives the coupled
+    gap. Y_N(u) is the one record of the plan that ends at N u, so its weights
+    are w_n[j] = B(u)' v_j with the segment weights v_j of that record.
     """
-    spec = model.to_state_space()
-    t_eval = float(u)
-    lefts = N * t_eval - (n_cells - np.arange(n_cells)) * h
-    depth = (n_cells - 1 - np.arange(n_cells)) * h
-    B_u = coefficient_values(spec, "B", t_eval)
-    props = step_propagators(spec, lefts[1:], N, h)
-    back = affine_states(np.swapaxes(props[::-1], 1, 2), np.zeros((n_cells - 1, spec.p)), B_u)
-    v = np.vstack([back[::-1], B_u])
-    w_n = np.einsum("jp,jp->j", v, coefficient_values(spec, "C", lefts / N))
-    fr = stat.freeze(spec, t_eval)
+    plan = build_plan(model, N, [N * u], h, burn_in)
+    _, _, _, v = next(_segment_stacks(plan))
+    w_n = v[0] @ coefficient_values(plan.spec, "B", float(u))
+    depth = (plan.n_steps - 1 - np.arange(plan.n_steps)) * h
+    fr = stat.freeze(plan.spec, float(u))
     w_frozen = stat._exp_pair(fr, fr.B, fr.C)(depth)
     return w_n, w_frozen
 
@@ -231,14 +225,10 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
     """
     _validate(config)
     h = config.fine_step
-    margin = config.model.stability_margin
-    if config.burn_in < 8.0 / margin - 1e-9:
-        raise ValueError(f"burn_in must be at least {8.0 / margin}")
-    n_cells = int(np.ceil(config.burn_in / h - 1e-12))
     mom = triplet_moments(config.triplet)
     diffs, targets = [], []
     for N in config.N_list:
-        w_n, w_f = _coupling_weights(config.model, config.triplet, config.u, N, h, n_cells)
+        w_n, w_f = _coupling_weights(config.model, config.u, N, h, config.burn_in)
         d = w_n - w_f
         diffs.append(d)
         exact_sq = mom.Sigma_L * h * float(d @ d) + mom.mu_L**2 * (h * float(d.sum())) ** 2

@@ -107,6 +107,25 @@ def test_simulate_estimate_round_trip_bit_identical(tmp_path):
     assert est[("autocov", "1")] == expect_cov
 
 
+def test_lagged_scheme_grid_simulates_at_n_1000(tmp_path):
+    # the grid and its lagged shift coincide up to rounding at this N; the
+    # union must collapse those near-duplicates, as the campaigns do
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": {"kind": "lln_discrete", "N_list": [1000], "replications": 100},
+            "simulate": {"use_scheme_grid": True, "lag": 1},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate-5.csv") as fh:
+        times = np.array([float(r[0]) for r in list(csv.reader(fh))[1:]])
+    scheme = make_scheme(1.0, 1000, BandwidthRule(0.5, 1.0 / 3.0), StepRuleO1(1.0))
+    # lag 1 is one grid spacing under O1, so the union adds one node
+    assert times.size == scheme.grid.size + 1
+    np.testing.assert_allclose(times[:-1], scheme.grid, rtol=1e-15, atol=0.0)
+
+
 def test_moments_emission(tmp_path):
     cfg = write_config(tmp_path, {"moments": {"u": 1.0, "delta": 1.0, "autocov_lags": [0.0, 1.0]}})
     out = str(tmp_path)

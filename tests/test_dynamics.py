@@ -1,10 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from locstat import models
+from locstat import dynamics, models
 from locstat import stationary as st
 from locstat.dynamics import (
     Lipschitz,
@@ -394,6 +395,36 @@ def test_segment_law_structure():
     expected = _fine_grid_values(plan, fine)
     assert np.allclose(run_segment_law(law, eta.T[:, None, :]), expected, rtol=1e-12, atol=1e-14)
     assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
+
+
+@pytest.mark.parametrize("spec", [models.companion2(), models.diag2()], ids=lambda s: s.model_id)
+def test_segment_law_bits_do_not_depend_on_the_stack_bound(spec):
+    # stacking only batches the work, so the law, and with it every output
+    # byte, must not move with the bound; a segment here holds 128 entries, so
+    # 16 give one segment a stack, 1024 eight, and the larger bounds all 40 gaps
+    plan = _law_plan(spec)
+    bounds = np.concatenate([[0], plan.record_steps])
+    seg = np.repeat(np.arange(41), np.diff(bounds))
+    unit = (np.arange(plan.n_steps) - bounds[seg] + 0.5) / np.diff(bounds)[seg]
+    laws = []
+    for entries in (16, 1024, dynamics._BLOCK_ENTRIES, 65536):
+        with mock.patch.object(dynamics, "_BLOCK_ENTRIES", entries):
+            law = build_segment_law(plan, GAUSS_JUMPS)
+        laws.append((law.decay, law.mean, law.chol, law.jump_weight(seg, unit)))
+    for law in laws[1:]:
+        for got, first in zip(law, laws[0]):
+            assert got.tobytes() == first.tobytes()
+
+
+def test_burn_in_below_half_a_step_records_the_zero_start():
+    # margin 1e15 admits a zero burn-in, so the first record is at step 0
+    spec = models.ou(1e15)
+    plan = build_plan(spec, 4, [4.0, 5.0], 0.25, 0.0)
+    assert plan.record_steps.tolist() == [0, 4]
+    law = build_segment_law(plan, GAUSS_JUMPS)
+    assert law.decay[0, 0, 0] == 1.0 and law.mean[0, 0] == 0.0 and law.jump_mean[0] == 0.0
+    path = simulate_yn(spec, BROWNIAN, 4, [1.0, 1.25], 0.25, 0.0, None, increments=np.ones(4))
+    assert path.values[0] == 0.0 and path.values[1] == 1.0
 
 
 def test_one_step_segment_of_a_vector_model_has_a_finite_factor():

@@ -81,7 +81,7 @@ def test_coupling_weights_statespace_matches_scalar():
         w_n[:-1] = np.cumprod(phi[:0:-1])[::-1]
         w_f = np.exp(-car.a(1.0) * (n_cells - 1 - np.arange(n_cells)) * h)
         for model in (car, car.to_state_space()):
-            s_n, s_f = _coupling_weights(model, BROWNIAN, 1.0, N, h, n_cells)
+            s_n, s_f = _coupling_weights(model, 1.0, N, h, n_cells * h)
             np.testing.assert_allclose(s_n, w_n, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(s_f, w_f, rtol=1e-10, atol=0.0)
 

@@ -1,10 +1,11 @@
-"""The blocked state-space simulator against a per-step reference loop, and
-the per-segment law against the blocked simulator.
+"""The state-space simulator, the per-segment law and the coupling weights
+against a per-step reference loop.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
 families whose eigenbasis forces the expm fallback, and non-commuting A(t).
-The block size is drawn too, so block boundaries fall anywhere.
+The stack bound is drawn too, so stacks hold one segment, split the segments
+of one length, or hold them all.
 """
 
 from unittest import mock
@@ -18,12 +19,12 @@ from locstat import dynamics
 from locstat.dynamics import (
     Lipschitz,
     ModelSpec,
-    _simulate_yn_statespace,
     build_plan,
     build_segment_law,
     run_segment_law,
     simulate_yn,
 )
+from locstat.experiments import _coupling_weights
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 
 H = 1.0 / 32.0  # binary fractions keep every grid time exact
@@ -151,16 +152,24 @@ def reference_path(spec, N, times, h, burn_in, inc):
     spec=systems(),
     N=st.sampled_from([1, 4, 32]),
     gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
+    repeat=st.integers(1, 3),
     first=st.integers(0, 64),
-    block=st.sampled_from([1, 5, 64, 2048]),
+    stacking=st.sampled_from(["one segment", "two of the longest gap", "all"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_path_matches_per_step_reference(spec, N, gaps, first, block, seed):
+def test_blocked_path_matches_per_step_reference(spec, N, gaps, repeat, first, stacking, seed):
+    # repeated gaps give runs of equal-length segments for the stacks to split
+    gaps = gaps * repeat
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     times = rescaled / N
     n_steps = int(round(BURN_IN / H)) + int(np.sum(gaps))
     inc = np.sqrt(H) * np.random.default_rng(seed).standard_normal(n_steps)
-    with mock.patch.object(dynamics, "_BLOCK_STEPS", block):
+    entries = {
+        "one segment": 1,
+        "two of the longest gap": 2 * spec.p**2 * max(gaps, default=1),
+        "all": 2**40,
+    }[stacking]
+    with mock.patch.object(dynamics, "_BLOCK_ENTRIES", entries):
         got = simulate_yn(spec, BROWNIAN, N, times, H, BURN_IN, None, increments=inc).values
     ref = reference_path(spec, N, times, H, BURN_IN, inc)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
@@ -190,10 +199,10 @@ JUMPS = LevyTriplet(0.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     n_noisy=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segment_law_matches_the_blocked_recursion(spec, N, gaps, first, n_noisy, seed):
+def test_segment_law_matches_the_per_step_reference(spec, N, gaps, first, n_noisy, seed):
     # noise in a few chosen cells: the law moves it to its record as v_j dL_j
-    # and carries it over the later records by D_k; the blocked simulator runs
-    # the same increments one fine step at a time
+    # and carries it over the later records by D_k; the reference runs the
+    # same increments one fine step at a time
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     law = build_segment_law(plan, JUMPS)
@@ -208,6 +217,23 @@ def test_segment_law_matches_the_blocked_recursion(spec, N, gaps, first, n_noisy
     eta = np.zeros((len(rescaled), spec.p, 1))
     np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[cells, None])
     got = run_segment_law(law, eta)[0]
-    ref = _simulate_yn_statespace(spec, JUMPS, N, rescaled / N, H, BURN_IN, None, False, inc, None)
-    scale = max(np.abs(ref.values).max(), np.finfo(float).tiny)
-    np.testing.assert_allclose(got, ref.values, rtol=0.0, atol=1e-12 * scale)
+    ref = reference_path(spec, N, rescaled / N, H, BURN_IN, inc)
+    scale = max(np.abs(ref).max(), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    spec=systems(),
+    N=st.sampled_from([1, 4, 32]),
+    first=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_weights_match_the_per_step_reference(spec, N, first, seed):
+    # Y_N(u) is linear in the burn-in increments, with weights w_n
+    u = first * H / N
+    w_n, _ = _coupling_weights(spec, u, N, H, BURN_IN)
+    inc = np.random.default_rng(seed).standard_normal(w_n.size)
+    ref = reference_path(spec, N, np.array([u]), H, BURN_IN, inc)[0]
+    scale = max(abs(ref), np.finfo(float).tiny)
+    assert abs(inc @ w_n - ref) <= 1e-12 * scale
