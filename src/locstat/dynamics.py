@@ -23,8 +23,11 @@ of each record segment into its product D_k and its noise weights v_j. The
 campaigns draw the noise of a segment from its exact law
 (:class:`SegmentLaw`); :func:`simulate_yn` and :func:`refine_path` keep
 per-step increments, because coupled paths are built on them, and sum
-v_j dL_j over each segment. The exact frozen simulator of ``stationary``
-runs through the same sampler, one step per segment.
+v_j dL_j over each segment. There is one sampler of the driver,
+:func:`draw_segment_noise`, and one map from a triplet to a law,
+:func:`_driver_law`: the per-step increments are draws of the law of one-cell
+segments of unit weight, and the exact frozen simulator of ``stationary``
+draws its steps as segments of the same kind.
 """
 
 import functools
@@ -34,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, linalg
 
-from .noise import JumpSpec, LevyTriplet, sample_increments
+from .noise import JumpSpec, LevyTriplet
 
 __all__ = [
     "Lipschitz",
@@ -441,15 +444,6 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     return Plan(spec, N, h, rescaled[0] - n_burn * h, int(record_steps[-1]), record_steps)
 
 
-def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
-    """Increment rows (R, n), one generator per replication, each row drawn
-    by :func:`noise.sample_increments`."""
-    out = np.empty((len(gens), n))
-    for r, gen in enumerate(gens):
-        out[r] = sample_increments(triplet, h, n, gen)
-    return out
-
-
 def covariance_factor(Q: np.ndarray) -> np.ndarray:
     """A factor L with L L' = Q for each covariance of the stack Q (..., p, p),
     symmetrized first. Cholesky fails on a singular Q (the one-step segment of
@@ -488,7 +482,9 @@ class SegmentLaw:
     recursion, from one draw per segment instead of one per step. A product
     that underflows to 0 is the right value. A frozen step of length h is a
     segment of one cell with decay e^{Ah} and jump weight e^{A(h-r)} C at
-    arrival offset r = U h (``stationary.simulate_stationary_batch``).
+    arrival offset r = U h (``stationary.simulate_stationary_batch``), and a
+    fine step of the driver itself is a one-cell segment of unit weight
+    (:func:`_draw_increments_rows`). :func:`_driver_law` builds all three.
     """
 
     decay: np.ndarray  # (n_records, p, p) D_k
@@ -557,6 +553,37 @@ def _segment_stacks(plan: Plan):
             yield segs, steps, T[:, -1], v
 
 
+def _driver_law(triplet: LevyTriplet, dt: float, drift, cov, cells, decay, B, jump_weight,
+                law_of=None) -> SegmentLaw:
+    """The :class:`SegmentLaw` of the driver ``triplet`` on segments whose
+    noise is sum_j v_j dL_j over ``cells`` cells of length ``dt``.
+
+    ``drift`` holds sum_j v_j and ``cov`` sum_j v_j v_j' of each segment, so
+    the law has mean path_drift dt drift, the factor of sigma2 dt cov and
+    Poisson(rate dt cells) jumps, each weighted by ``jump_weight``; the
+    Gaussian and jump fields are set only for a positive sigma2 and rate.
+    With ``law_of``, ``decay``, ``drift`` and ``cov`` hold distinct laws and
+    segment k takes law law_of[k]; each distinct covariance is factored on its
+    own, so a singular one does not move the others to eigh.
+    """
+    pick = slice(None) if law_of is None else law_of
+    chol = None
+    if triplet.sigma2 > 0:
+        Q = triplet.sigma2 * dt * cov
+        chol = covariance_factor(Q) if law_of is None else np.stack([covariance_factor(q) for q in Q])
+        chol = chol[pick]
+    has_jumps = triplet.jump_rate > 0
+    return SegmentLaw(
+        decay=decay[pick],
+        mean=(triplet.path_drift * dt * drift)[pick],
+        chol=chol,
+        jump_mean=triplet.jump_rate * dt * cells if has_jumps else None,
+        jump_weight=jump_weight if has_jumps else None,
+        jumps=triplet.jumps if has_jumps else None,
+        B=B,
+    )
+
+
 def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``, from the stacks of
     :func:`_segment_stacks`; per-cell weights are kept only when the driver
@@ -573,15 +600,25 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
         s2[segs] = np.einsum("gja,gjb->gab", v, v)
         if has_jumps:
             weights[steps] = v
-    return SegmentLaw(
-        decay=decay,
-        mean=triplet.path_drift * h * s1,
-        chol=covariance_factor(triplet.sigma2 * h * s2) if triplet.sigma2 > 0 else None,
-        jump_mean=triplet.jump_rate * h * np.diff(bounds) if has_jumps else None,
-        jump_weight=functools.partial(_cell_weights, bounds, weights) if has_jumps else None,
-        jumps=triplet.jumps if has_jumps else None,
-        B=coefficient_values(spec, "B", plan.eval_rescaled / N),
+    return _driver_law(
+        triplet, h, s1, s2, np.diff(bounds), decay,
+        coefficient_values(spec, "B", plan.eval_rescaled / N),
+        functools.partial(_cell_weights, bounds, weights) if has_jumps else None,
     )
+
+
+def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
+    """Increments of the driver over n fine steps of length h, shape (R, n),
+    replication r from the r-th generator of ``gens``: :func:`draw_segment_noise`
+    on n one-cell segments of unit weight, whose law is that of L(h)."""
+    one = np.ones((1, 1, 1))
+    law = _driver_law(
+        triplet, h, one[0], one, np.ones(n), one, np.ones((n, 1)),
+        functools.partial(_cell_weights, np.arange(n + 1), np.ones((n, 1))),
+        law_of=np.zeros(n, dtype=np.int64),
+    )
+    # C-contiguous rows: the coupling products inc @ d round by memory layout
+    return np.ascontiguousarray(draw_segment_noise(law, gens)[:, 0, :].T)
 
 
 def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
@@ -602,7 +639,9 @@ def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
     counts = runs = None
     if law.jump_mean is not None:
         counts = np.empty((R, n), dtype=np.int64)
-        edges = np.concatenate([[0], np.flatnonzero(np.diff(law.jump_mean) != 0) + 1, [n]])
+        # rates are nonnegative, so a rate of -1 on either side closes the
+        # first and the last run, and a law without segments has no run
+        edges = np.flatnonzero(np.diff(law.jump_mean, prepend=-1.0, append=-1.0))
         runs = [(float(law.jump_mean[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
     units, sizes = [], []
     for r, gen in enumerate(gens):

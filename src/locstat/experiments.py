@@ -19,7 +19,8 @@ and clt campaigns need Y_N only at the observation nodes. Their chunks draw
 the noise of each record segment in one exact draw (see
 ``dynamics.SegmentLaw``) from a plan and segment law built once per N, and
 run the recursion over records only. The coupling campaign keeps per-step
-increments, because it couples two processes on them.
+increments, because it couples two processes on them; the same sampler
+draws them, as the law of one-cell segments.
 
 Replications are deterministic: each replication draws from its own
 counter-based stream keyed by (seed, purpose, replication index), work is cut

@@ -1,9 +1,10 @@
-"""Two-sided Levy driver: characteristic triplet, exact moments, increments.
+"""Two-sided Levy driver: characteristic triplet, exact moments, jump sizes.
 
 The driver is described by a drift, a Gaussian variance and an optional
 finite-activity jump component (compound Poisson). Restricting the jump
 measure to finite activity keeps every moment the downstream formulas need
-in closed form and makes increment simulation exact in distribution.
+in closed form and makes increment simulation exact in distribution. The
+driver itself is drawn in one place, ``dynamics.draw_segment_noise``.
 
 Moment conventions, with ``J`` the jump size distribution and ``rate`` the
 jump intensity:
@@ -26,7 +27,6 @@ __all__ = [
     "LevyTriplet",
     "LevyMoments",
     "triplet_moments",
-    "sample_increments",
     "centered",
     "BROWNIAN",
 ]
@@ -180,29 +180,3 @@ def centered(triplet: LevyTriplet) -> LevyTriplet:
     """Shift the drift so the driver has mean zero."""
     mu = triplet_moments(triplet).mu_L
     return LevyTriplet(triplet.gamma - mu, triplet.sigma2, triplet.jumps)
-
-
-def sample_increments(
-    triplet: LevyTriplet, dt: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw n i.i.d. increments with the law of L(dt).
-
-    Draw order is fixed (Gaussian block, then jump counts, then jump sizes),
-    so a given stream always yields the same output.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = np.full(n, triplet.path_drift * dt)
-    if triplet.sigma2 > 0:
-        out += np.sqrt(triplet.sigma2 * dt) * rng.standard_normal(n)
-    jumps = triplet.jumps
-    if jumps is not None and jumps.rate > 0:
-        counts = rng.poisson(jumps.rate * dt, size=n)
-        total = int(counts.sum())
-        if total > 0:
-            sizes = jumps.sample(total, rng)
-            cells = np.repeat(np.arange(n), counts)
-            out += np.bincount(cells, weights=sizes, minlength=n)
-    return out

@@ -24,11 +24,12 @@ Simulation is exact in distribution: per step the Gaussian convolution
 increment is drawn with its true covariance (Gamma - e^{Ah} Gamma e^{A'h}),
 jumps are placed at their Poisson arrival times with the exact decay factor,
 and the initial state comes from a long warm start. Each step is one segment
-of a ``dynamics.SegmentLaw``, so the frozen process is drawn and scanned by
-the same sampler as ``Y_N``: each replication draws from its own generator in
-a fixed order (``dynamics.draw_segment_noise``), and one affine prefix scan
-over time (``dynamics.segment_states``) carries the states of all
-replications, shape (steps, p, R).
+of a ``dynamics.SegmentLaw``, built by the same map from the triplet as the
+laws of ``Y_N``, so the frozen process is drawn and scanned by the same
+sampler: each replication draws from its own generator in a fixed order
+(``dynamics.draw_segment_noise``), and one affine prefix scan over time
+(``dynamics.run_segment_law``) carries the states of all replications,
+shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
 widely separated samples the half-second-moment normalization
@@ -45,7 +46,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .dynamics import (
-    PathSample, SegmentLaw, covariance_factor, draw_segment_noise, eigenbasis, segment_states,
+    PathSample, SegmentLaw, _driver_law, draw_segment_noise, eigenbasis, run_segment_law,
 )
 from .noise import LevyTriplet, triplet_moments
 
@@ -393,72 +394,54 @@ def covariance_decay_check(spec, u: float, triplet: LevyTriplet, eps: float) -> 
 # exact simulation
 
 
-@dataclass
-class _StepLaw:
-    prop: np.ndarray  # e^{A h}
-    chol: np.ndarray | None  # Cholesky factor of the Gaussian covariance
-    drift: np.ndarray  # gamma * int_0^h e^{As} C ds
-
-
-def _step_law(fr: FrozenSystem, triplet: LevyTriplet, h: float) -> _StepLaw:
+def _step_law(fr: FrozenSystem, h: float, gam: np.ndarray):
+    """Propagator e^{Ah} of a frozen step of length h and its integrals
+    int_0^h e^{As} C ds and int_0^h e^{As} CC' e^{A's} ds, from the
+    controllability Gramian ``gam``."""
     prop = linalg.expm(fr.A * h)
-    drift = triplet.path_drift * np.linalg.solve(fr.A, (prop - np.eye(fr.p)) @ fr.C)
-    chol = None
-    if triplet.sigma2 > 0:
-        # int_0^h e^{As} CC' e^{A's} ds = Gamma - e^{Ah} Gamma e^{A'h}. The block
-        # exponential of [[-A, CC'], [0, A']] loses this to cancellation on long
-        # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
-        gam = lyapunov_gram(fr)
-        chol = covariance_factor(triplet.sigma2 * (gam - prop @ gam @ prop.T))
-    return _StepLaw(prop, chol, drift)
+    # int_0^h e^{As} CC' e^{A's} ds = Gamma - e^{Ah} Gamma e^{A'h}. The block
+    # exponential of [[-A, CC'], [0, A']] loses this to cancellation on long
+    # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
+    return prop, np.linalg.solve(fr.A, (prop - np.eye(fr.p)) @ fr.C), gam - prop @ gam @ prop.T
 
 
-def simulate_stationary_batch(
-    fr: FrozenSystem,
-    triplet: LevyTriplet,
-    gaps: np.ndarray,
-    R: int,
-    gens,
-    return_state: bool = False,
-):
-    """Exact-in-distribution stationary paths for R replications.
+def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
+    """Exact law of the frozen process on a grid with the given gaps, after a
+    warm start of length 12 / margin from the zero state.
 
-    Returns Y values with shape (R, len(gaps) + 1), and with ``return_state``
-    also the final states (R, p). Step 0 is a warm start of length
-    12 / margin from the zero state, so column 0 is the state at the first
-    grid point.
-
-    Step k is segment k of a ``dynamics.SegmentLaw`` built from its
-    :func:`_step_law`. ``dynamics.draw_segment_noise`` draws it, replication
-    r from the r-th generator that iterating ``gens`` yields, and
-    ``dynamics.segment_states`` carries all R states in one affine scan over
-    time. ``gens`` is a sized iterable such as ``rng.streams``.
+    Step k is segment k of a ``dynamics.SegmentLaw``: one cell of length
+    gaps[k] (dt = 1), with the integrals of :func:`_step_law` in place of
+    the sums of the noise weights, and jump weight e^{A(h-r)} C at arrival
+    offset r. Each distinct step length has one law.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
+    all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
+    law_gaps, law_of = np.unique(all_gaps, return_inverse=True)
+    gam = lyapunov_gram(fr)
+    props, drifts, covs = (np.stack(x) for x in zip(*(_step_law(fr, h, gam) for h in law_gaps)))
+    return _driver_law(
+        triplet, 1.0, drifts, covs, all_gaps, props, np.broadcast_to(fr.B, (all_gaps.size, fr.p)),
+        functools.partial(_arrival_weights, fr, all_gaps), law_of=law_of,
+    )
+
+
+def simulate_stationary_batch(fr: FrozenSystem, triplet: LevyTriplet, gaps, R: int, gens):
+    """Exact-in-distribution stationary paths for R replications, Y values of
+    shape (R, len(gaps) + 1), C-contiguous. Step 0 is a warm start of length
+    12 / margin from the zero state, so column 0 is the state at the first
+    grid point.
+
+    ``dynamics.draw_segment_noise`` draws the law of :func:`_frozen_law`,
+    replication r from the r-th generator that iterating ``gens`` yields, and
+    ``dynamics.run_segment_law`` carries all R states in one affine scan over
+    time. ``gens`` is a sized iterable such as ``rng.streams``.
+    """
+    law = _frozen_law(fr, triplet, gaps)
     if len(gens) != R:
         raise ValueError(f"{len(gens)} generators for R = {R} replications")
-    n = len(gaps)
-    all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
-    # one step law per distinct gap; law_of[k] names the law of step k
-    law_gaps, law_of = np.unique(all_gaps, return_inverse=True)
-    steps = [_step_law(fr, triplet, h) for h in law_gaps]
-    has_jumps = triplet.jump_rate > 0
-    law = SegmentLaw(
-        decay=np.stack([step.prop for step in steps])[law_of],
-        mean=np.stack([step.drift for step in steps])[law_of],
-        chol=np.stack([step.chol for step in steps])[law_of] if triplet.sigma2 > 0 else None,
-        jump_mean=triplet.jump_rate * all_gaps if has_jumps else None,
-        jump_weight=functools.partial(_arrival_weights, fr, all_gaps) if has_jumps else None,
-        jumps=triplet.jumps if has_jumps else None,
-        B=np.broadcast_to(fr.B, (n + 1, fr.p)),
-    )
-    xs = segment_states(law, draw_segment_noise(law, gens))
-    out = np.ascontiguousarray((law.B[:, None, :] @ xs)[:, 0, :].T)  # as run_segment_law
-    if return_state:
-        return out, np.ascontiguousarray(xs[-1].T)
-    return out
+    return np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gens)))
 
 
 def _arrival_weights(fr: FrozenSystem, gaps: np.ndarray, step: np.ndarray, unit: np.ndarray):

@@ -126,6 +126,43 @@ def test_lagged_scheme_grid_simulates_at_n_1000(tmp_path):
     np.testing.assert_allclose(times[:-1], scheme.grid, rtol=1e-15, atol=0.0)
 
 
+# margin 1e15 admits a zero burn-in, which records the first time at fine step 0
+ZERO_STEPS = {
+    "model": {"kind": "car1", "a": "1e15", "lipschitz": 0.0, "infimum": 1e15},
+    "simulation": {"fine_step": 0.01, "burn_in": 0.0},
+}
+ZERO_STEP_DRIVERS = {
+    "gaussian": {"gamma": 0.0, "sigma2": 1.0},
+    "jumps": {"gamma": 0.0, "sigma2": 1.0,
+              "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
+}
+
+
+@pytest.mark.parametrize("driver", ZERO_STEP_DRIVERS)
+def test_simulate_with_zero_fine_steps_writes_the_zero_start(tmp_path, driver):
+    cfg = write_config(tmp_path, {
+        **ZERO_STEPS, "triplet": ZERO_STEP_DRIVERS[driver],
+        "experiment": {"kind": "lln_discrete", "N_list": [8], "replications": 100},
+        "simulate": {"times": [1.0]},
+    })
+    assert main(["simulate", "--config", cfg, "--seed", "2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate-2.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(float(t), float(v)) for t, v in rows] == [(1.0, 0.0)]
+
+
+@pytest.mark.parametrize("driver", ZERO_STEP_DRIVERS)
+def test_coupling_with_zero_fine_steps_has_zero_distances_and_passes(tmp_path, driver):
+    cfg = write_config(tmp_path, {
+        **ZERO_STEPS, "triplet": ZERO_STEP_DRIVERS[driver],
+        "experiment": {"kind": "coupling", "N_list": [8, 16], "replications": 100},
+    })
+    assert main(["coupling", "--config", cfg, "--seed", "2", "--out", str(tmp_path)]) == 0
+    payload = _strict_json((tmp_path / "coupling-2.json").read_text())
+    assert payload["passed"] is True
+    assert [row["estimate"] for row in payload["rows"]] == [0.0, 0.0]
+
+
 def test_moments_emission(tmp_path):
     cfg = write_config(tmp_path, {"moments": {"u": 1.0, "delta": 1.0, "autocov_lags": [0.0, 1.0]}})
     out = str(tmp_path)

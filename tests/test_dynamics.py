@@ -198,6 +198,9 @@ def test_rejects_bad_step_and_burn_in():
         simulate_yn(spec, BROWNIAN, 2, np.array([0.0, 0.5]), 0.1, 1.0, stream(0, "b", 0))
     with pytest.raises(ValueError, match="exceeds"):
         simulate_yn(spec, BROWNIAN, 2, np.array([0.0, 0.05]), 0.5, 9.0, stream(0, "b", 0))
+    for h in (0.0, -0.1):
+        with pytest.raises(ValueError, match="fine_step must be positive"):
+            simulate_yn(spec, BROWNIAN, 2, np.array([0.0, 0.5]), h, 9.0, stream(0, "b", 0))
 
 
 def test_refinement_halves_the_step_error():
@@ -539,10 +542,11 @@ class _RecordingGenerator:
 
 
 def test_segment_sampler_draw_contract():
-    # a frozen and a time-varying law with p = 2, both with Gaussian noise and
-    # with jumps in every replication. Each generator draws, in this order and
-    # inside the loop over replications: the normals, one Poisson call per run
-    # of equal rates, the uniform offsets and the uniforms of the atom sizes
+    # a frozen and a time-varying law with p = 2 and the per-step increments,
+    # all with Gaussian noise and with jumps in every replication. Each
+    # generator draws, in this order and inside the loop over replications:
+    # the normals, one Poisson call per run of equal rates, the uniform offsets
+    # and the uniforms of the atom sizes
     R, frequent = 4, LevyTriplet(0.0, 0.5, JumpSpec(3.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     plan = _law_plan(models.diag2())
     law = build_segment_law(plan, frequent)
@@ -552,6 +556,7 @@ def test_segment_sampler_draw_contract():
     runs = {
         "time-varying": (lambda gens: draw_segment_noise(law, gens), 2),
         "frozen": (lambda gens: st.simulate_stationary_batch(fr, frequent, gaps, R, gens), 4),
+        "per-step": (lambda gens: _draw_increments_rows(frequent, LAW_H, 200, gens), 1),
     }
     assert 1 + np.count_nonzero(np.diff(law.jump_mean)) == runs["time-varying"][1]
     for name, (run, n_runs) in runs.items():

@@ -4,7 +4,9 @@ from scipy import integrate
 
 from locstat import models
 from locstat import stationary as st
-from locstat.dynamics import Lipschitz, ModelSpec
+from locstat.dynamics import (
+    Lipschitz, ModelSpec, covariance_factor, draw_segment_noise, segment_states,
+)
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 from locstat.rng import stream
 
@@ -326,7 +328,7 @@ def test_gaussian_step_covariance_matches_quadrature():
     from scipy.linalg import expm
 
     for h in (0.7, 12.0):
-        chol = st._step_law(fr, BROWNIAN, h).chol
+        chol = st._frozen_law(fr, BROWNIAN, np.array([h])).chol[-1]
         oracle = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
@@ -454,9 +456,24 @@ def test_stationary_moments_bundle():
 # --- batched exact simulation against the per-replication, per-step loop ------
 
 
-def reference_batch(fr, triplet, gaps, R, gens, return_state=False):
+def reference_step_law(fr, triplet, h):
+    """(e^{Ah}, drift term, factor of the Gaussian covariance or None) of a
+    frozen step of length h, written out on its own."""
+    from scipy import linalg
+
+    prop = linalg.expm(fr.A * h)
+    drift = triplet.path_drift * np.linalg.solve(fr.A, (prop - np.eye(fr.p)) @ fr.C)
+    chol = None
+    if triplet.sigma2 > 0:
+        gam = st.lyapunov_gram(fr)
+        chol = covariance_factor(triplet.sigma2 * (gam - prop @ gam @ prop.T))
+    return prop, drift, chol
+
+
+def reference_batch(fr, triplet, gaps, R, gens):
     """One replication and one step at a time, with one expm per jump on the
-    expm path: the loop the batched simulator replaced, with its draw order."""
+    expm path: the loop the batched simulator replaced, with its draw order.
+    Returns the Y values (R, len(gaps) + 1) and the final states (R, p)."""
     from scipy import linalg
 
     gaps = np.asarray(gaps, dtype=float)
@@ -465,7 +482,8 @@ def reference_batch(fr, triplet, gaps, R, gens, return_state=False):
         w_eig, V, _ = eig
         vinv_c = np.linalg.solve(V, fr.C.astype(complex))
     warm = 12.0 / fr.margin
-    laws = {h: st._step_law(fr, triplet, h) for h in np.concatenate([[warm], np.unique(gaps)])}
+    step_lengths = np.concatenate([[warm], np.unique(gaps)])
+    laws = {h: reference_step_law(fr, triplet, h) for h in step_lengths}
     n, p, rate = len(gaps), fr.p, triplet.jump_rate
     all_gaps = np.concatenate([[warm], gaps])
     out = np.empty((R, n + 1))
@@ -492,13 +510,13 @@ def reference_batch(fr, triplet, gaps, R, gens, return_state=False):
                 np.add.at(jump_term, step_idx, contrib)
         x = np.zeros(p)
         for i, h in enumerate(all_gaps):
-            law = laws[h]
-            x = law.prop @ x + law.drift + jump_term[i]
-            if law.chol is not None:
-                x = x + law.chol @ z[i]
+            prop, drift, chol = laws[h]
+            x = prop @ x + drift + jump_term[i]
+            if chol is not None:
+                x = x + chol @ z[i]
             out[r, i] = fr.B @ x
         states[r] = x
-    return (out, states) if return_state else out
+    return out, states
 
 
 JORDAN = st.FrozenSystem(
@@ -529,16 +547,17 @@ def test_batched_simulation_matches_per_step_loop(system, driver):
         for name, gaps in EQUIV_GAPS.items():
             purpose = f"equiv:{system}:{driver}:{name}"
             ref, ref_state = reference_batch(
-                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)], return_state=True
-            )
-            out, state = st.simulate_stationary_batch(
-                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)], return_state=True
-            )
-            plain = st.simulate_stationary_batch(
                 fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)]
             )
-            assert out.shape == (R, len(gaps) + 1) and state.shape == (R, fr.p)
-            assert np.array_equal(plain, out)
+            out = st.simulate_stationary_batch(
+                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)]
+            )
+            # the final states, from the same law and streams
+            law = st._frozen_law(fr, tri, gaps)
+            eta = draw_segment_noise(law, [stream(5, purpose, r) for r in range(R)])
+            state = segment_states(law, eta)[-1].T
+            assert out.shape == (R, len(gaps) + 1) and out.flags.c_contiguous
+            assert state.shape == (R, fr.p)
             tol = 1e-12 * np.abs(ref).max()
             assert np.abs(out - ref).max() <= tol, (R, name)
             assert np.abs(state - ref_state).max() <= 1e-12 * np.abs(ref_state).max(), (R, name)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from locstat import stationary as st
+from locstat.dynamics import draw_segment_noise, run_segment_law, segment_states
 from locstat.noise import JumpSpec, LevyTriplet, triplet_moments
 
 R = 1000
@@ -66,9 +67,9 @@ def test_batched_simulator_matches_closed_form_moments(fr, tri, lag, seed):
     gen = np.random.default_rng(seed)
     gap = lag / fr.margin
     # one generator for every replication: the paths stay independent
-    y, x = st.simulate_stationary_batch(
-        fr, tri, np.array([gap]), R, [gen] * R, return_state=True
-    )
+    law = st._frozen_law(fr, tri, np.array([gap]))
+    eta = draw_segment_noise(law, [gen] * R)
+    y, x = run_segment_law(law, eta), segment_states(law, eta)[-1].T
     mean = st.stationary_mean(fr, 0.0, tri)
     c0, c1 = y[:, 0] - mean, y[:, 1] - mean
     checks = {
