@@ -6,28 +6,21 @@ the rescaled process
 
     Y_N(t) = B(t)' X(N t),    dX(s) = A(s/N) X(s) ds + C(s/N) L(ds),
 
-by a state recursion on a fine grid in rescaled time s. The recursion uses
-a midpoint one-step propagator (exact integral of the coefficient to second
-order) and left-point noise weighting; its O(h) bias is checked by the
-refinement tests rather than hidden behind richer schemes.
+by a state recursion on a fine grid in rescaled time s. A fine step
+freezes A at its midpoint and C at its left point and moves the state by
+the exact step law of :class:`StepLaw`, which the frozen process of
+``stationary`` uses too (non-commuting models take an RK4 propagator).
 
-Every model runs as a state space model: a scalar :class:`Car1Spec` is the
-1x1 system of its ``to_state_space()`` view, so there is one simulator for
-every state dimension p >= 1. The recursion x <- P_k x + C(s_k/N) dL_k
-takes its propagators from :func:`step_propagators` and runs as a prefix
-scan of affine maps (:func:`affine_states`).
-
-Between two recorded nodes the recursion is linear in the noise, so every
-caller runs it over records: :func:`_segment_stacks` turns the propagators
-of each record segment into its product D_k and its noise weights v_j. The
-campaigns draw the noise of a segment from its exact law
-(:class:`SegmentLaw`); :func:`simulate_yn` and :func:`refine_path` keep
-per-step increments, because coupled paths are built on them, and sum
-v_j dL_j over each segment. There is one sampler of the driver,
-:func:`draw_segment_noise`, and one map from a triplet to a law,
-:func:`_driver_law`: the per-step increments are draws of the law of one-cell
-segments of unit weight, and the exact frozen simulator of ``stationary``
-draws its steps as segments of the same kind.
+Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
+``to_state_space()`` view), and the recursion runs over records as a prefix
+scan of affine maps (:func:`affine_states`) on the segment data of
+:func:`_segment_stacks`. The campaigns draw the noise of a segment from its
+exact law (:class:`SegmentLaw`). :func:`simulate_yn` and :func:`refine_path`
+keep per-step increments, on which coupled paths are built; an increment
+does not say where inside its step its jumps fell, so they weight it by
+C(s_j / N) at the left point, an O(h) error. One sampler,
+:func:`draw_segment_noise`, draws the driver, and one map,
+:func:`_driver_law`, turns a triplet into a law.
 """
 
 import functools
@@ -35,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate, linalg  # perfbench/spans.py traces linalg.expm calls from here
 
 from .noise import JumpSpec, LevyTriplet
 
@@ -56,6 +49,8 @@ __all__ = [
     "coefficient_values",
     "eigenbasis",
     "step_propagators",
+    "StepLaw",
+    "JumpWeights",
     "affine_states",
     "covariance_factor",
     "SegmentLaw",
@@ -446,8 +441,8 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
 
 def covariance_factor(Q: np.ndarray) -> np.ndarray:
     """A factor L with L L' = Q for each covariance of the stack Q (..., p, p),
-    symmetrized first. Cholesky fails on a singular Q (the one-step segment of
-    a p >= 2 model has rank 1) and on tiny negative curvature from roundoff;
+    symmetrized first. Cholesky fails on a singular Q (no steps, or two equal
+    systems on one driver) and on tiny negative curvature from roundoff;
     the stack then takes V diag(sqrt(w)) from its eigendecomposition, with
     every eigenvalue below p eps max(w) of its stack item set to 0. Those are
     rounding noise in a null direction, and their square roots would put noise
@@ -468,28 +463,22 @@ class SegmentLaw:
 
     Record segment k is the run of fine steps ``[lo, hi)`` that ends at
     record k: ``hi = plan.record_steps[k]``, and ``lo`` is the record step
-    before it, or 0 for the first segment, the burn-in. With the one-step
-    propagators P_j of :func:`step_propagators` and the weights
-    v_j = P_{hi-1} ... P_{j+1} C(s_j / N), the recursion moves the state over
-    the segment by
-
-        x <- D_k x + sum_j v_j dL_j,    D_k = P_{hi-1} ... P_lo,
-
-    and the sum has the law of ``mean_k + chol_k Z`` (Z standard normal in
-    R^p) plus, for each of Poisson(rate h m_k) jumps, ``jump_weight(k, U) *
-    size``, U uniform on [0, 1) picking the cell among the segment's m_k.
-    Recorded states drawn this way have the same joint law as the fine-grid
-    recursion, from one draw per segment instead of one per step. A product
-    that underflows to 0 is the right value. A frozen step of length h is a
-    segment of one cell with decay e^{Ah} and jump weight e^{A(h-r)} C at
-    arrival offset r = U h (``stationary.simulate_stationary_batch``), and a
-    fine step of the driver itself is a one-cell segment of unit weight
-    (:func:`_draw_increments_rows`). :func:`_driver_law` builds all three.
+    before it, or 0 for the first segment, the burn-in. With the step laws
+    of :class:`StepLaw` (propagator P_j, drift weight d_j, covariance G_j) and
+    M_j = P_{hi-1} ... P_{j+1}, the recursion moves the state over the
+    segment by x <- D_k x + eta_k, D_k = P_{hi-1} ... P_lo, and eta_k has the
+    law of ``mean_k + chol_k Z`` (Z standard normal in R^p) plus, for each of
+    Poisson(rate h m_k) jumps, ``jump_weight(k, U) * size``, U uniform on
+    [0, 1) placing the jump among the segment's m_k cells. Recorded states
+    drawn this way have the law of the fine-grid recursion, from one draw per
+    segment instead of one per step. A product that underflows to 0 is the
+    right value. A frozen step is a segment of one cell, and the per-step
+    increments are the law of one unit-weight step, broadcast.
     """
 
     decay: np.ndarray  # (n_records, p, p) D_k
-    mean: np.ndarray  # (n_records, p) path_drift * h * sum(v)
-    chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 * h * sum(v v'); None without sigma2
+    mean: np.ndarray  # (n_records, p) path_drift * sum_j M_j d_j
+    chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 sum_j M_j G_j M_j'; None without sigma2
     jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
     # (seg, U) -> (total, p) jump weights; a functools.partial, so a law pickles
     jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
@@ -497,11 +486,20 @@ class SegmentLaw:
     B: np.ndarray  # (n_records, p) output vector B(t_k) of each record
 
 
-def _cell_weights(bounds: np.ndarray, weights: np.ndarray, seg: np.ndarray, unit: np.ndarray):
-    """v_j of the cell ``unit`` picks in segment ``seg``, from the (n_steps, p) ``weights``."""
+def _cell_weights(bounds: np.ndarray, weights, seg: np.ndarray, unit: np.ndarray):
+    """Weights of jumps placed by ``unit`` in segments ``seg``: the integer part
+    of unit m_k picks the cell and the fractional part the offset inside it,
+    where the :class:`JumpWeights` ``weights`` of the cells weigh the jump."""
     lo = bounds[seg]
     cells = bounds[seg + 1] - lo
-    return weights[lo + np.minimum((unit * cells).astype(np.int64), cells - 1)]
+    x = unit * cells
+    k = np.minimum(x.astype(np.int64), cells - 1)
+    return weights(lo + k, 1.0 - (x - k))
+
+
+def _unit_weights(seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Weight 1 for every jump of a per-step increment."""
+    return np.ones((seg.size, 1))
 
 
 def _prefix_products(T: np.ndarray) -> np.ndarray:
@@ -524,10 +522,10 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
 
 
 def _segment_stacks(plan: Plan):
-    """Yields ``(segs, steps, D, v)`` per stack of g equal-length record
+    """Yields ``(segs, steps, D, M, law)`` per stack of g equal-length record
     segments of ``plan``: segment indices (g,), fine steps (g, m), products
-    D = P_{hi-1} ... P_lo (g, p, p) and weights v_j = P_{hi-1} ... P_{j+1}
-    C(s_j / N) (g, m, p). The only code that turns per-step propagators into
+    D = P_{hi-1} ... P_lo (g, p, p), M_j = P_{hi-1} ... P_{j+1} (g, m, p, p)
+    and the :class:`StepLaw` of the steps; the only code that turns steps into
     segment data. A stack holds about ``_BLOCK_ENTRIES`` matrix entries but at
     least one segment, so a segment of m fine steps costs O(m p^2) memory.
     """
@@ -537,46 +535,33 @@ def _segment_stacks(plan: Plan):
     p = spec.p
     for m in np.unique(lengths):
         same = np.flatnonzero(lengths == m)
-        if m == 0:  # a record at step 0 (burn-in below half a step) keeps the zero start
-            yield same, np.empty((same.size, 0), int), np.eye(p)[None], np.empty((same.size, 0, p))
-            continue
-        stack = max(1, _BLOCK_ENTRIES // (m * p * p))
+        stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
         for segs in np.split(same, np.arange(stack, same.size, stack)):
             steps = bounds[segs, None] + np.arange(m)  # (segments, m)
-            lefts = plan.start + steps * h
+            P, law = _step_stack(spec, plan.start + steps * h, N, h)
+            if m == 0:  # a record at step 0 (burn-in below half a step) keeps the zero start
+                yield segs, steps, np.eye(p)[None], P, law
+                continue
             # T[:, i] = P_{hi-1} ... P_{hi-1-i}
-            T = _prefix_products(step_propagators(spec, lefts[:, ::-1], N, h))
+            T = _prefix_products(P[:, ::-1])
+            del P  # freed now, not while the next stack is built
             # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
             last = np.broadcast_to(np.eye(p), (segs.size, 1, p, p))
-            suffix = np.concatenate([T[:, -2::-1], last], axis=1)
-            v = (suffix @ coefficient_values(spec, "C", lefts / N)[..., None])[..., 0]
-            yield segs, steps, T[:, -1], v
+            yield segs, steps, T[:, -1], np.concatenate([T[:, -2::-1], last], axis=1), law
 
 
-def _driver_law(triplet: LevyTriplet, dt: float, drift, cov, cells, decay, B, jump_weight,
-                law_of=None) -> SegmentLaw:
-    """The :class:`SegmentLaw` of the driver ``triplet`` on segments whose
-    noise is sum_j v_j dL_j over ``cells`` cells of length ``dt``.
-
-    ``drift`` holds sum_j v_j and ``cov`` sum_j v_j v_j' of each segment, so
-    the law has mean path_drift dt drift, the factor of sigma2 dt cov and
-    Poisson(rate dt cells) jumps, each weighted by ``jump_weight``; the
-    Gaussian and jump fields are set only for a positive sigma2 and rate.
-    With ``law_of``, ``decay``, ``drift`` and ``cov`` hold distinct laws and
-    segment k takes law law_of[k]; each distinct covariance is factored on its
-    own, so a singular one does not move the others to eigh.
-    """
-    pick = slice(None) if law_of is None else law_of
-    chol = None
-    if triplet.sigma2 > 0:
-        Q = triplet.sigma2 * dt * cov
-        chol = covariance_factor(Q) if law_of is None else np.stack([covariance_factor(q) for q in Q])
-        chol = chol[pick]
+def _driver_law(triplet: LevyTriplet, drift, cov, dt: float, cells, decay, B,
+                jump_weight) -> SegmentLaw:
+    """The :class:`SegmentLaw` of ``triplet`` on segments of ``cells`` cells of
+    length ``dt`` whose noise int K dL has ``drift`` = int K and ``cov`` =
+    int K K': mean path_drift drift, the factor of sigma2 cov and
+    Poisson(rate dt cells) jumps weighted by ``jump_weight``, the last two
+    only for a positive sigma2 and rate."""
     has_jumps = triplet.jump_rate > 0
     return SegmentLaw(
-        decay=decay[pick],
-        mean=(triplet.path_drift * dt * drift)[pick],
-        chol=chol,
+        decay=decay,
+        mean=triplet.path_drift * drift,
+        chol=covariance_factor(triplet.sigma2 * cov) if triplet.sigma2 > 0 else None,
         jump_mean=triplet.jump_rate * dt * cells if has_jumps else None,
         jump_weight=jump_weight if has_jumps else None,
         jumps=triplet.jumps if has_jumps else None,
@@ -586,37 +571,33 @@ def _driver_law(triplet: LevyTriplet, dt: float, drift, cov, cells, decay, B, ju
 
 def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``, from the stacks of
-    :func:`_segment_stacks`; per-cell weights are kept only when the driver
-    has jumps."""
-    spec, h, N = plan.spec, plan.h, plan.N
+    :func:`_segment_stacks`; the jump weights of the steps, carried by M_j,
+    are kept only when the driver has jumps."""
+    spec, N = plan.spec, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     n, p = bounds.size - 1, spec.p
-    has_jumps = triplet.jump_rate > 0
-    decay, s1, s2 = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
-    weights = np.empty((plan.n_steps, p)) if has_jumps else None
-    for segs, steps, D, v in _segment_stacks(plan):
+    weights = JumpWeights(plan.n_steps, p) if triplet.jump_rate > 0 else None
+    decay, drift, cov = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
+    for segs, steps, D, M, law in _segment_stacks(plan):
         decay[segs] = D
-        s1[segs] = v.sum(axis=1)
-        s2[segs] = np.einsum("gja,gjb->gab", v, v)
-        if has_jumps:
-            weights[steps] = v
+        d, G = law.moments()
+        drift[segs] = np.einsum("gjab,gjb->ga", M, d)
+        cov[segs] = np.einsum("gjab,gjbc,gjdc->gad", M, G, M)
+        if weights is not None:
+            weights.put(steps, law, M)
     return _driver_law(
-        triplet, h, s1, s2, np.diff(bounds), decay,
+        triplet, drift, cov, plan.h, np.diff(bounds), decay,
         coefficient_values(spec, "B", plan.eval_rescaled / N),
-        functools.partial(_cell_weights, bounds, weights) if has_jumps else None,
+        functools.partial(_cell_weights, bounds, weights),
     )
 
 
 def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
     """Increments of the driver over n fine steps of length h, shape (R, n),
     replication r from the r-th generator of ``gens``: :func:`draw_segment_noise`
-    on n one-cell segments of unit weight, whose law is that of L(h)."""
-    one = np.ones((1, 1, 1))
-    law = _driver_law(
-        triplet, h, one[0], one, np.ones(n), one, np.ones((n, 1)),
-        functools.partial(_cell_weights, np.arange(n + 1), np.ones((n, 1))),
-        law_of=np.zeros(n, dtype=np.int64),
-    )
+    on the law of L(h), one segment of unit weight, broadcast to n segments."""
+    law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), h,
+                      np.broadcast_to(1.0, n), None, None, _unit_weights)
     # C-contiguous rows: the coupling products inc @ d round by memory layout
     return np.ascontiguousarray(draw_segment_noise(law, gens)[:, 0, :].T)
 
@@ -765,38 +746,155 @@ def coefficient_values(spec: ModelSpec, name: str, t) -> np.ndarray:
     return vals
 
 
+def _phi(x, e=None):
+    """(e^x - 1) / x, and 1 at x = 0; ``e`` is expm1(x) when already known."""
+    return np.divide(np.expm1(x) if e is None else e, x, out=np.ones_like(x), where=x != 0)
+
+
+class StepLaw:
+    """Exact law of steps x <- e^{Ah} x + int_0^h e^{A(h-r)} C L(dr) with A, C
+    frozen in each step (Brockwell 2001, "Levy-driven CARMA processes", AISM
+    53): drift weight d = int_0^h e^{Ar} dr C, covariance G = int_0^h e^{Ar}
+    CC' e^{A'r} dr, and jump weight e^{A(h-r)} C at offset r
+    (:class:`JumpWeights`). With M = A h, all are entrywise for p = 1. On a
+    trusted eigenbasis M = V diag(w) V^-1 (:func:`eigenbasis`), e^M = V
+    diag(e^w) V^-1; with g = V^-1 C and phi(x) = expm1(x) / x, d = h V (phi(w)
+    g) and G = h V [g g^* o phi(w_i + conj w_k)] V^*. The terms g g^* grow like
+    cond(V)^2 |C|^2 and cancel down to G, so d and G take that form only where
+    the estimate of cond(V) is at most sqrt(``_COND_MAX``). Otherwise e^M comes
+    from expm, d = h M^-1 (e^M - I) C and G = h (S - e^M S e^M'), S the Gramian
+    of (M, C), which unlike a block exponential does not cancel on long steps.
+    ``A`` is (..., p, p) and ``C`` broadcasts to (..., p), ``h`` to their
+    leading shape; one (p, p) ``A`` and one (p,) ``C`` (the frozen process)
+    share one eigenbasis over every step. The eigenbasis is taken on first use.
+    """
+
+    def __init__(self, A, C, h):
+        self.h = np.asarray(h, dtype=float)
+        self.shared = np.ndim(A) == 2 and np.ndim(C) == 1
+        self.A = A if self.shared else None  # only the shared basis reads A
+        self.M = A * self.h[..., None, None]
+        self.C = np.broadcast_to(C, self.M.shape[:-1])
+
+    @functools.cached_property
+    def basis(self):
+        """(w, V, V^-1, trusted) of M; for p = 1, w = M[..., 0] and V = None."""
+        if self.M.shape[-1] == 1:
+            return self.M[..., 0], None, None, np.ones(self.M.shape[:-2], dtype=bool)
+        if not self.shared:
+            return eigenbasis(self.M)
+        w, V, Vinv, good = eigenbasis(self.A)
+        return (w * self.h[..., None], np.broadcast_to(V, self.M.shape),
+                np.broadcast_to(Vinv, self.M.shape), np.full(self.M.shape[:-2], good))
+
+    def _expm(self, rows: np.ndarray) -> np.ndarray:
+        """e^M of the steps ``rows`` (a mask), once per distinct M."""
+        M, at = np.unique(self.M[rows], axis=0, return_inverse=True)
+        return linalg.expm(M)[at.ravel()]
+
+    def propagator(self) -> np.ndarray:
+        """e^{Ah}, shape (..., p, p)."""
+        w, V, Vinv, good = self.basis
+        if V is None:
+            return np.exp(self.M)
+        P = np.empty(self.M.shape)
+        P[good] = ((V[good] * np.exp(w[good])[:, None, :]) @ Vinv[good]).real
+        if not good.all():
+            P[~good] = self._expm(~good)
+        return P
+
+    def moments(self):
+        """Drift weights d (..., p) and covariances G (..., p, p)."""
+        w, V, Vinv, good = self.basis
+        h = self.h[..., None]
+        if V is None:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
+            e = np.expm1(w)
+            q = h * _phi(w, e)
+            return q * self.C, (q * (1.0 + 0.5 * e) * self.C**2)[..., None]
+        good = good & (np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
+                       <= np.sqrt(_COND_MAX))
+        d, G = np.empty(self.C.shape), np.empty(self.M.shape)
+        g, w, V = (Vinv[good] @ self.C[good][..., None])[..., 0], w[good], V[good]
+        d[good] = (V @ (_phi(w) * g)[..., None])[..., 0].real
+        X = g[:, :, None] * g.conj()[:, None, :] * _phi(w[:, :, None] + w.conj()[:, None, :])
+        G[good] = (V @ X @ V.conj().swapaxes(-1, -2)).real
+        if not good.all():
+            M, C, P = self.M[~good], self.C[~good][..., None], self._expm(~good)
+            S = _gramian(M, C)
+            d[~good] = np.linalg.solve(M, P @ C - C)[..., 0]
+            G[~good] = S - P @ S @ P.swapaxes(-1, -2)
+        return h * d, h[..., None] * G
+
+
+class JumpWeights:
+    """Weights of jumps in a flat stack of n steps. A jump in step j with the
+    fraction f of the step still to run has weight L_j e^{M_j f} C_j, with
+    M_j = A_j h_j and L_j the matrix that carries it to its record. On a
+    trusted eigenbasis of M_j (:class:`StepLaw`) that is (U_j e^{w_j f}).real
+    with U_j = L_j V_j diag(V_j^-1 C_j), stored per step; the other steps keep
+    L_j, M_j and C_j and take expm per jump.
+    """
+
+    def __init__(self, n: int, p: int):
+        self.U, self.w = np.zeros((n, p, p)), np.zeros((n, p))
+        self.slot = np.full(n, -1)  # row of a step in L, M, C; -1 on a trusted step
+        self.L, self.M, self.C = [], [], []
+
+    def put(self, steps: np.ndarray, law: StepLaw, L: np.ndarray | None = None) -> None:
+        """Store the steps ``steps`` (the leading shape of ``law``), carried
+        by L (steps.shape + (p, p)), or by I when L is None."""
+        w, V, Vinv, good = law.basis
+        L = np.broadcast_to(np.eye(law.C.shape[-1]), law.M.shape) if L is None else L
+        U = L[good] @ (law.C[good][..., None] if V is None else
+                       V[good] * (Vinv[good] @ law.C[good][..., None]).swapaxes(-1, -2))
+        # complex only once some eigenbasis is: real weights gather and sum faster
+        dtype = np.result_type(self.U, U, w)
+        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
+        self.U[steps[good]], self.w[steps] = U, w
+        if not good.all():
+            self.slot[steps[~good]] = sum(map(len, self.L)) + np.arange(np.count_nonzero(~good))
+            for kept, x in zip((self.L, self.M, self.C), (L, law.M, law.C)):
+                kept.append(x[~good])
+
+    def __call__(self, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """Weights (len(rows), p) of jumps in steps ``rows`` with the fractions ``rest`` to run."""
+        out = np.einsum("kab,kb->ka", self.U[rows], np.exp(self.w[rows] * rest[:, None])).real
+        k = self.slot[rows]
+        if (k >= 0).any():
+            at, k = k >= 0, k[k >= 0]
+            L, M, C = (np.concatenate(x)[k] for x in (self.L, self.M, self.C))
+            out[at] = (L @ linalg.expm(M * rest[at, None, None]) @ C[..., None])[..., 0]
+        return out
+
+
+def _gramian(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """S with M S + S M' = -C C' for each item of M (k, p, p) and C (k, p, 1),
+    from one batched solve of the Kronecker form; the one Lyapunov solver."""
+    k, p = M.shape[:2]
+    K = np.einsum("kij,ab->kiajb", M, np.eye(p)) + np.einsum("ij,kab->kiajb", np.eye(p), M)
+    CC = (C @ C.swapaxes(-1, -2)).reshape(k, p * p, 1)
+    return np.linalg.solve(K.reshape(k, p * p, p * p), -CC).reshape(k, p, p)
+
+
+def _step_stack(spec: ModelSpec, lefts: np.ndarray, N: float, h: float):
+    """Propagators of the steps [s, s + h], ``s = lefts`` in rescaled time,
+    and the :class:`StepLaw` of their noise with A at (s + h/2)/N and C at
+    s/N. A model not declared commuting takes one RK4 step as propagator."""
+    A1 = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
+    law = StepLaw(A1, coefficient_values(spec, "C", lefts / N), h)
+    if spec.commuting:
+        return law.propagator(), law
+    A0, A2 = (coefficient_values(spec, "A", t / N) for t in (lefts, lefts + h))
+    eye = np.eye(spec.p)
+    k2 = A1 @ (eye + (h / 2) * A0)
+    k3 = A1 @ (eye + (h / 2) * k2)
+    return eye + (h / 6) * (A0 + 2 * k2 + 2 * k3 + A2 @ (eye + h * k3)), law
+
+
 def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
     """Propagators (n, p, p) of dX/ds = A(s/N) X over the steps [s, s + h]
-    with left points ``s = lefts`` in rescaled time.
-
-    Commuting models take expm(A((s + h/2)/N) h), computed for all steps at
-    once as V diag(e^{lambda h}) V^-1 from a batched eigendecomposition; the
-    steps whose eigenbasis :func:`eigenbasis` does not trust (near-defective
-    A) go through ``linalg.expm``. A 1x1 A h is exponentiated entrywise; a
-    batched eigendecomposition of 1x1 matrices costs about 60 times as
-    much. Other models take one
-    RK4 step of length h, with A at s/N, (s + h/2)/N and (s + h)/N.
-    """
-    lefts = np.asarray(lefts, dtype=float)
-    if not spec.commuting:
-        A0 = coefficient_values(spec, "A", lefts / N)
-        A1 = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
-        A2 = coefficient_values(spec, "A", (lefts + h) / N)
-        eye = np.eye(spec.p)
-        k1 = A0
-        k2 = A1 @ (eye + (h / 2) * k1)
-        k3 = A1 @ (eye + (h / 2) * k2)
-        k4 = A2 @ (eye + h * k3)
-        return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    Ah = coefficient_values(spec, "A", (lefts + 0.5 * h) / N) * h
-    if spec.p == 1:
-        return np.exp(Ah)
-    w, V, Vinv, good = eigenbasis(Ah)
-    props = np.empty(Ah.shape)
-    props[good] = ((V[good] * np.exp(w[good])[:, None, :]) @ Vinv[good]).real
-    if not good.all():
-        props[~good] = linalg.expm(Ah[~good])
-    return props
+    with left points ``s = lefts`` in rescaled time (:func:`_step_stack`)."""
+    return _step_stack(spec, np.asarray(lefts, dtype=float), N, h)[0]
 
 
 def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -845,9 +943,10 @@ def _simulate_yn_statespace(
     # the noise each record segment adds is sum_j v_j dL_j; one scan over records
     n, p = plan.record_steps.size, spec.p
     decay, eta = np.empty((n, p, p)), np.empty((n, p))
-    for segs, steps, D, v in _segment_stacks(plan):
+    for segs, steps, D, M, law in _segment_stacks(plan):
         decay[segs] = D
-        eta[segs] = np.einsum("gjp,gj->gp", v, inc[steps])
+        # left-point weights v_j = M_j C(s_j / N)
+        eta[segs] = np.einsum("gjp,gj->gp", (M @ law.C[..., None])[..., 0], inc[steps])
     states = affine_states(decay, eta, np.zeros(p))
     B = coefficient_values(spec, "B", plan.eval_rescaled / N)
     values = np.einsum("kp,kp->k", B, states)

@@ -29,7 +29,7 @@ bit-identical for any worker count.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import multiprocessing
 
 import numpy as np
@@ -197,11 +197,12 @@ def _coupling_weights(model, u, N, h, burn_in):
     Unrolling the recursion over the burn-in writes each as a weighted sum of
     the shared increments; differencing the weight vectors gives the coupled
     gap. Y_N(u) is the one record of the plan that ends at N u, so its weights
-    are w_n[j] = B(u)' v_j with the segment weights v_j of that record.
+    are w_n[j] = B(u)' v_j with the left-point weights v_j = M_j C(s_j / N)
+    of that record (an increment does not place its jumps inside its step).
     """
     plan = build_plan(model, N, [N * u], h, burn_in)
-    _, _, _, v = next(_segment_stacks(plan))
-    w_n = v[0] @ coefficient_values(plan.spec, "B", float(u))
+    _, _, _, M, law = next(_segment_stacks(plan))
+    w_n = (M[0] @ law.C[0, :, :, None])[..., 0] @ coefficient_values(plan.spec, "B", float(u))
     depth = (plan.n_steps - 1 - np.arange(plan.n_steps)) * h
     fr = stat.freeze(plan.spec, float(u))
     w_frozen = stat._exp_pair(fr, fr.B, fr.C)(depth)
@@ -223,17 +224,22 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
     Both processes are built from one shared increment array per replication
     (indexed by distance to the evaluation time), so the gap is measured on
     coupled noise. Passes when the fitted log-log slope lies in [-1.3, -0.7].
+    A model that does not vary in time has, at every N, the exact distance of
+    the model frozen at u, the floor of the discretization alone; there is no
+    rate to fit, and every row must pass.
     """
     _validate(config)
     h = config.fine_step
     mom = triplet_moments(config.triplet)
+    exact_l2 = lambda w: np.sqrt(mom.Sigma_L * h * float(w @ w) + mom.mu_L**2 * (h * float(w.sum())) ** 2)
+    fr = stat.freeze(config.model, config.u)
+    still = replace(config.model.to_state_space(), A=lambda t: fr.A, B=lambda t: fr.B, C=lambda t: fr.C)
+    w_still, w_frozen = _coupling_weights(still, config.u, 1, h, config.burn_in)
     diffs, targets = [], []
     for N in config.N_list:
         w_n, w_f = _coupling_weights(config.model, config.u, N, h, config.burn_in)
-        d = w_n - w_f
-        diffs.append(d)
-        exact_sq = mom.Sigma_L * h * float(d @ d) + mom.mu_L**2 * (h * float(d.sum())) ** 2
-        targets.append(np.sqrt(exact_sq))
+        diffs.append(w_n - w_f)
+        targets.append(exact_l2(diffs[-1]))
     payload = {"config": config, "diff_weights": diffs}
     D = _map_chunks(_coupling_chunk, payload, config.replications, config.workers)
 
@@ -253,6 +259,9 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
     slope, intercept, passed = _loglog_fit(
         config.N_list, dists, rows, lambda slope: -1.3 <= slope <= -0.7
     )
+    floor, scale = exact_l2(w_still - w_frozen), exact_l2(w_frozen)
+    if all(abs(t - floor) <= 1e-12 * scale for t in targets):
+        passed = all(row["pass"] for row in rows)
     return ExperimentReport(
         kind="coupling",
         passed=passed,

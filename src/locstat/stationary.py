@@ -20,16 +20,14 @@ integral of the lagged fourth moment) comes from one vector-valued adaptive
 quadrature (:func:`_product_integrals`). The lagged fourth moments make the
 limit variance of the second-order statistic exact for every centered driver.
 
-Simulation is exact in distribution: per step the Gaussian convolution
-increment is drawn with its true covariance (Gamma - e^{Ah} Gamma e^{A'h}),
-jumps are placed at their Poisson arrival times with the exact decay factor,
-and the initial state comes from a long warm start. Each step is one segment
-of a ``dynamics.SegmentLaw``, built by the same map from the triplet as the
-laws of ``Y_N``, so the frozen process is drawn and scanned by the same
-sampler: each replication draws from its own generator in a fixed order
-(``dynamics.draw_segment_noise``), and one affine prefix scan over time
-(``dynamics.run_segment_law``) carries the states of all replications,
-shape (steps, p, R).
+Simulation is exact in distribution: each step of the grid, and a long
+warm start before it, is one step of the constant-A ``dynamics.StepLaw``,
+the step law the simulator of ``Y_N`` uses too, and one segment of a
+``dynamics.SegmentLaw``. So the frozen process is drawn and scanned by the
+same sampler as ``Y_N``: each replication draws from its own generator in
+a fixed order (``dynamics.draw_segment_noise``), and one affine prefix scan
+over time (``dynamics.run_segment_law``) carries the states of all
+replications, shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
 widely separated samples the half-second-moment normalization
@@ -46,7 +44,8 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .dynamics import (
-    PathSample, SegmentLaw, _driver_law, draw_segment_noise, eigenbasis, run_segment_law,
+    JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law, _gramian,
+    draw_segment_noise, eigenbasis, run_segment_law,
 )
 from .noise import LevyTriplet, triplet_moments
 
@@ -127,7 +126,7 @@ def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
 
 def lyapunov_gram(fr: FrozenSystem) -> np.ndarray:
     """Gamma = int_0^inf e^{As} C C' e^{A's} ds via the Lyapunov equation."""
-    return linalg.solve_continuous_lyapunov(fr.A, -np.outer(fr.C, fr.C))
+    return _gramian(fr.A[None], fr.C[None, :, None])[0]
 
 
 def stationary_mean(spec, u: float, triplet: LevyTriplet) -> float:
@@ -394,15 +393,8 @@ def covariance_decay_check(spec, u: float, triplet: LevyTriplet, eps: float) -> 
 # exact simulation
 
 
-def _step_law(fr: FrozenSystem, h: float, gam: np.ndarray):
-    """Propagator e^{Ah} of a frozen step of length h and its integrals
-    int_0^h e^{As} C ds and int_0^h e^{As} CC' e^{A's} ds, from the
-    controllability Gramian ``gam``."""
-    prop = linalg.expm(fr.A * h)
-    # int_0^h e^{As} CC' e^{A's} ds = Gamma - e^{Ah} Gamma e^{A'h}. The block
-    # exponential of [[-A, CC'], [0, A']] loses this to cancellation on long
-    # steps of a non-normal A (relative error 3.5e4 for companion2 at h = 12).
-    return prop, np.linalg.solve(fr.A, (prop - np.eye(fr.p)) @ fr.C), gam - prop @ gam @ prop.T
+# perfbench/spans.py counts the frozen step laws by this name
+_step_law = StepLaw
 
 
 def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
@@ -410,20 +402,21 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     warm start of length 12 / margin from the zero state.
 
     Step k is segment k of a ``dynamics.SegmentLaw``: one cell of length
-    gaps[k] (dt = 1), with the integrals of :func:`_step_law` in place of
-    the sums of the noise weights, and jump weight e^{A(h-r)} C at arrival
-    offset r. Each distinct step length has one law.
+    gaps[k], with the drift weight and covariance of the constant-A
+    ``dynamics.StepLaw``, whose one eigenbasis serves every step, and jump
+    weight e^{A(h-r)} C at arrival offset r.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
     all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
-    law_gaps, law_of = np.unique(all_gaps, return_inverse=True)
-    gam = lyapunov_gram(fr)
-    props, drifts, covs = (np.stack(x) for x in zip(*(_step_law(fr, h, gam) for h in law_gaps)))
+    law, weights = _step_law(fr.A, fr.C, all_gaps), JumpWeights(all_gaps.size, fr.p)
+    if triplet.jump_rate > 0:
+        weights.put(np.arange(all_gaps.size), law)
     return _driver_law(
-        triplet, 1.0, drifts, covs, all_gaps, props, np.broadcast_to(fr.B, (all_gaps.size, fr.p)),
-        functools.partial(_arrival_weights, fr, all_gaps), law_of=law_of,
+        triplet, *law.moments(), 1.0, all_gaps, law.propagator(),
+        np.broadcast_to(fr.B, (all_gaps.size, fr.p)),
+        functools.partial(_cell_weights, np.arange(all_gaps.size + 1), weights),
     )
 
 
@@ -442,23 +435,6 @@ def simulate_stationary_batch(fr: FrozenSystem, triplet: LevyTriplet, gaps, R: i
     if len(gens) != R:
         raise ValueError(f"{len(gens)} generators for R = {R} replications")
     return np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gens)))
-
-
-def _arrival_weights(fr: FrozenSystem, gaps: np.ndarray, step: np.ndarray, unit: np.ndarray):
-    """e^{A r} C of jumps at offsets ``unit`` of their steps, r the time left after arrival."""
-    return _decayed_inputs(fr, gaps[step] * (1.0 - unit))
-
-
-def _decayed_inputs(fr: FrozenSystem, v: np.ndarray) -> np.ndarray:
-    """e^{A v_i} C for every entry of v, shape (len(v), p), in one batch:
-    V diag(e^{lambda v_i}) V^-1 C on a trusted eigenbasis, else one batched
-    expm."""
-    eig = _eig_cache(fr)
-    if eig is not None:
-        w, V, _ = eig
-        vinv_c = np.linalg.solve(V, fr.C.astype(complex))
-        return np.real((np.exp(np.multiply.outer(v, w)) * vinv_c) @ V.T)
-    return linalg.expm(np.multiply.outer(v, fr.A)) @ fr.C
 
 
 def simulate_stationary(spec, u: float, triplet: LevyTriplet, grid, rng) -> PathSample:

@@ -289,12 +289,33 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("model", [
-    {"kind": "car1", "a": "1.5 + 0.0*sin(t)", "lipschitz": 1.0, "infimum": 1.0},
-    {"kind": "statespace", "p": 2, "A_entries": [["-1", "0.3"], ["0", "-2"]], "B": ["1", "1"],
-     "C": ["1", "0.5"], "commuting": False, "stability_margin": 0.5,
-     "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}},
-], ids=["car1", "statespace"])
+# models that do not vary in time: a scalar one and a non-commuting p = 2 one
+CONSTANT_MODELS = {
+    "car1": {"kind": "car1", "a": "1.5 + 0.0*sin(t)", "lipschitz": 1.0, "infimum": 1.0},
+    "statespace": {"kind": "statespace", "p": 2, "A_entries": [["-1", "0.3"], ["0", "-2"]],
+                   "B": ["1", "1"], "C": ["1", "0.5"], "commuting": False,
+                   "stability_margin": 0.5, "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}},
+}
+
+
+@pytest.mark.parametrize("model", list(CONSTANT_MODELS.values()), ids=list(CONSTANT_MODELS))
+def test_coupling_of_a_constant_model_passes_on_its_rows(tmp_path, model):
+    # the exact distances of a model that does not vary in time do not depend
+    # on N, so the fitted slope is rounding noise and the verdict is that every
+    # row passes
+    cfg = write_config(tmp_path, {
+        "model": model,
+        "simulation": {"fine_step": 0.0078125, "burn_in": 16.0},
+        "experiment": {"kind": "coupling", "N_list": [8, 16], "replications": 100},
+    })
+    assert main(["coupling", "--config", cfg, "--seed", "2", "--out", str(tmp_path)]) == 0
+    payload = _strict_json((tmp_path / "coupling-2.json").read_text())
+    rows = payload["rows"]
+    assert payload["passed"] is True and all(row["pass"] for row in rows)
+    assert rows[0]["target"] == rows[1]["target"] and rows[0]["estimate"] == rows[1]["estimate"]
+
+
+@pytest.mark.parametrize("model", list(CONSTANT_MODELS.values()), ids=list(CONSTANT_MODELS))
 @pytest.mark.parametrize("p_norm", [2, 4])
 def test_lipschitz_of_a_constant_model_is_zero_and_passes(tmp_path, model, p_norm):
     # the frozen family does not move with u: every distance is exactly 0,

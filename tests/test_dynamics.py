@@ -366,9 +366,56 @@ def _fine_grid_values(plan, inc):
     return out
 
 
+def _exact_step_moments(spec, lefts, N, h):
+    """Drift weights int_0^h e^{Ar} dr C (n, p) and covariances
+    int_0^h e^{Ar} CC' e^{A'r} dr (n, p, p) of the steps with left points
+    ``lefts``, A frozen at the midpoint and C at the left point, from Van
+    Loan's block exponentials (Van Loan 1978, IEEE TAC 23), one expm each."""
+    from scipy.linalg import expm
+
+    A = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
+    C = coefficient_values(spec, "C", lefts / N)
+    n, p = C.shape
+    drift_block = np.zeros((n, p + 1, p + 1))
+    drift_block[:, :p, :p], drift_block[:, :p, p] = A, C
+    cov_block = np.zeros((n, 2 * p, 2 * p))
+    cov_block[:, :p, :p] = -A
+    cov_block[:, :p, p:] = C[:, :, None] * C[:, None, :]
+    cov_block[:, p:, p:] = np.swapaxes(A, -1, -2)
+    F = expm(cov_block * h)
+    return expm(drift_block * h)[:, :p, p], np.swapaxes(F[:, p:, p:], -1, -2) @ F[:, :p, p:]
+
+
 def _fine_paths(plan, tri, purpose, n_reps):
-    gens = [stream(11, purpose, r) for r in range(n_reps)]
-    return _fine_grid_values(plan, _draw_increments_rows(tri, LAW_H, plan.n_steps, gens))
+    """Reference paths one fine step at a time under the exact in-step law:
+    x <- P_j x + path_drift d_j + sigma2^(1/2) G_j^(1/2) Z
+    (:func:`_exact_step_moments`) plus Poisson(rate h) jumps, each with a
+    uniform fraction f of its step still to run and weight e^{A_j h f} C_j
+    by one expm per jump. Returns B(t_k)' x at the records, shape
+    (n_reps, n_records)."""
+    from scipy.linalg import expm
+
+    spec, N, h = plan.spec, plan.N, plan.h
+    lefts = plan.start + np.arange(plan.n_steps) * h
+    P = step_propagators(spec, lefts, N, h)
+    d, G = _exact_step_moments(spec, lefts, N, h)
+    F = covariance_factor(tri.sigma2 * G)
+    A = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
+    C = coefficient_values(spec, "C", lefts / N)
+    B = coefficient_values(spec, "B", plan.eval_rescaled / N)
+    record_of = {int(s): k for k, s in enumerate(plan.record_steps)}
+    gen = stream(11, purpose, 0)
+    x = np.zeros((n_reps, spec.p))
+    out = np.empty((n_reps, plan.record_steps.size))
+    for j in range(plan.n_steps):
+        x = x @ P[j].T + tri.path_drift * d[j] + gen.standard_normal((n_reps, spec.p)) @ F[j].T
+        reps = np.repeat(np.arange(n_reps), gen.poisson(tri.jump_rate * h, n_reps))
+        if reps.size:
+            weights = expm(A[j] * h * gen.random(reps.size)[:, None, None]) @ C[j]
+            np.add.at(x, reps, weights * tri.jumps.sample(reps.size, gen)[:, None])
+        if j + 1 in record_of:
+            out[:, record_of[j + 1]] = x @ B[record_of[j + 1]]
+    return out
 
 
 def test_segment_law_structure():
@@ -431,16 +478,33 @@ def test_burn_in_below_half_a_step_records_the_zero_start():
 
 
 def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
-    # a segment of one fine step adds sigma2 h C C', a rank-1 covariance on
-    # which plain Cholesky fails
+    # a segment of one fine step adds sigma2 times the in-step covariance,
+    # which is nearly singular: its smaller eigenvalue is O(h^2) of the larger
     spec = models.diag2()
     plan = build_plan(spec, 64, 64.0 + np.array([0.0, LAW_H, 2.0]), LAW_H, 16.0)
     law = build_segment_law(plan, DRIFT_GAUSS)
-    C = coefficient_values(spec, "C", (plan.start + plan.record_steps[0] * LAW_H) / 64)
-    Q = DRIFT_GAUSS.sigma2 * LAW_H * np.outer(C, C)
+    left = np.array([plan.start + plan.record_steps[0] * LAW_H])
+    Q = DRIFT_GAUSS.sigma2 * _exact_step_moments(spec, left, 64, LAW_H)[1][0]
     L = law.chol[1]
     assert np.all(np.isfinite(law.chol))
     assert np.linalg.norm(L @ L.T - Q) <= 1e-14 * np.linalg.norm(Q)
+
+
+def test_step_law_moments_on_an_ill_conditioned_trusted_eigenbasis():
+    # eigenvalues 1e-6 apart: the eigenbasis estimate is about 2e6, trusted for
+    # the propagator, but the eigenbasis form of G would lose eps cond^2, about
+    # 1e-4 of it; shared (frozen) and per-step bases against Van Loan
+    A = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-6]])
+    C = np.array([0.3, 1.0])
+    assert dynamics.eigenbasis(A)[3]
+    spec = ModelSpec(2, lambda t: A, lambda t: C, lambda t: C, Lipschitz(0.0), True, 1.0, "near")
+    h = np.array([1.0 / 64.0, 0.5, 2.0])
+    for law in (dynamics.StepLaw(A, C, h), dynamics.StepLaw(np.stack([A] * 3), C, h)):
+        d, G = law.moments()
+        for k in range(h.size):
+            d_ref, G_ref = _exact_step_moments(spec, np.zeros(1), 1.0, h[k])
+            assert np.abs(d[k] - d_ref[0]).max() <= 1e-12 * np.abs(d_ref).max()
+            assert np.abs(G[k] - G_ref[0]).max() <= 1e-12 * np.abs(G_ref).max()
 
 
 def test_covariance_factor_is_exactly_zero_in_a_rounding_null_direction():
@@ -470,19 +534,19 @@ def test_segment_law_matches_exact_moment_recursion(tri):
     n_reps = 4000
     for spec in LAW_MODELS:
         plan = _law_plan(spec)
-        # exact moments of the fine-grid recursion, one step at a time:
-        # m <- P m + mu_L h C, V <- P V P' + Sigma_L h C C', and W <- P W from
-        # W = V at a record, so that B' W B_prev is the covariance of
-        # consecutive nodes
+        # exact moments of the recursion with its noise inside each step, one
+        # step at a time: m <- P m + mu_L d, V <- P V P' + Sigma_L G with the
+        # in-step drift weight d and covariance G, and W <- P W from W = V at
+        # a record, so that B' W B_prev is the covariance of consecutive nodes
         lefts = plan.start + np.arange(plan.n_steps) * LAW_H
         P = step_propagators(plan.spec, lefts, 64, LAW_H)
-        C = coefficient_values(plan.spec, "C", lefts / 64)
+        d, G = _exact_step_moments(plan.spec, lefts, 64, LAW_H)
         B = coefficient_values(plan.spec, "B", plan.eval_rescaled / 64)
         means, variances, lag_covs = [], [], []
         m, V, W = np.zeros(spec.p), np.zeros((spec.p, spec.p)), None
         for j in range(plan.n_steps):
-            m = P[j] @ m + mom.mu_L * LAW_H * C[j]
-            V = P[j] @ V @ P[j].T + mom.Sigma_L * LAW_H * np.outer(C[j], C[j])
+            m = P[j] @ m + mom.mu_L * d[j]
+            V = P[j] @ V @ P[j].T + mom.Sigma_L * G[j]
             W = None if W is None else P[j] @ W
             if j + 1 in plan.record_steps:
                 b = B[len(means)]

@@ -167,6 +167,32 @@ def test_clt_small_o1_mean():
     assert len(rep.replication_values) == 1000
 
 
+PM_ONE = JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5)))
+
+
+@pytest.mark.parametrize("model", [models.ou(1.0), models.companion2()], ids=["ou", "companion2"])
+def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
+    # with constant coefficients the law of a record segment is exact whatever
+    # the fine step h: the noise of a step decays inside it, and a jump sits at
+    # U m h into its segment of m cells. The segments, the Poisson rates and
+    # so every draw are the same at h and h / 4, and only rounding moves
+    def outputs(h):
+        scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
+        lln = run_lln(ExperimentConfig(
+            "lln_discrete", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (2**8, 2**10), 100, 3,
+            h, 8.0, statistic="mean", **scheme,
+        ))
+        clt = run_clt(ExperimentConfig(
+            "clt_cov", model, LevyTriplet(0.0, 0.5, PM_ONE), 1.0, (2**10,), 1000, 5, h, 8.0,
+            lag=1, **scheme,
+        ))
+        rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
+        return np.array(rows), clt.replication_values
+
+    for fine, coarse in zip(outputs(1.0 / 64.0), outputs(1.0 / 16.0)):
+        assert np.abs(fine - coarse).max() <= 1e-12 * np.abs(coarse).max()
+
+
 def test_lipschitz_small():
     cfg = ExperimentConfig(
         "lipschitz_u", models.tvcar_sin(), BROWNIAN, 1.0, (1,), 150, 8, 0.01, 8.0,

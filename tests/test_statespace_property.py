@@ -1,5 +1,6 @@
 """The state-space simulator, the per-segment law and the coupling weights
-against a per-step reference loop.
+against a per-step reference loop, and draws of the per-segment law against
+the exact moments of the recursion with its noise inside each step.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
@@ -21,11 +22,14 @@ from locstat.dynamics import (
     ModelSpec,
     build_plan,
     build_segment_law,
+    draw_segment_noise,
     run_segment_law,
+    segment_states,
     simulate_yn,
 )
 from locstat.experiments import _coupling_weights
-from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
+from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet, triplet_moments
+from locstat.rng import streams
 
 H = 1.0 / 32.0  # binary fractions keep every grid time exact
 BURN_IN = 8.0  # 8 / declared margin 1
@@ -127,8 +131,10 @@ def _rk4_step(A, left, N, h):
     return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def reference_path(spec, N, times, h, burn_in, inc):
-    """One step at a time, with scalar coefficient calls."""
+def reference_path(spec, N, times, h, burn_in, inc, rest=0.0):
+    """One step at a time, with scalar coefficient calls. The increment of a
+    step enters with weight e^{A rest h} C, as if it fell with the fraction
+    ``rest`` of the step still to run, A frozen at the midpoint."""
     rescaled = N * times
     n_burn = int(np.ceil(burn_in / h - 1e-12))
     record_steps = n_burn + np.concatenate([[0], np.cumsum(np.rint(np.diff(rescaled) / h))])
@@ -141,7 +147,10 @@ def reference_path(spec, N, times, h, burn_in, inc):
             P = linalg.expm(spec.A((left + 0.5 * h) / N) * h)
         else:
             P = _rk4_step(spec.A, left, N, h)
-        x = P @ x + spec.C(left / N) * inc[j]
+        noise = spec.C(left / N) * inc[j]
+        if rest:
+            noise = linalg.expm(spec.A((left + 0.5 * h) / N) * rest * h) @ noise
+        x = P @ x + noise
         if j + 1 in record_steps:
             values.append(spec.B((start + (j + 1) * h) / N) @ x)
     return np.array(values)
@@ -200,9 +209,9 @@ JUMPS = LevyTriplet(0.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     seed=st.integers(0, 2**32 - 1),
 )
 def test_segment_law_matches_the_per_step_reference(spec, N, gaps, first, n_noisy, seed):
-    # noise in a few chosen cells: the law moves it to its record as v_j dL_j
-    # and carries it over the later records by D_k; the reference runs the
-    # same increments one fine step at a time
+    # noise in a few chosen cells: the law moves it to its record with the
+    # jump weight of its cell and carries it over the later records by D_k;
+    # the reference runs the same increments one fine step at a time
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     law = build_segment_law(plan, JUMPS)
@@ -212,12 +221,13 @@ def test_segment_law_matches_the_per_step_reference(spec, N, gaps, first, n_nois
     inc[cells] = rng.standard_normal(cells.size)
     bounds = np.concatenate([[0], plan.record_steps])
     seg = np.searchsorted(bounds, cells, side="right") - 1
-    # the uniform at the middle of a cell picks that cell
+    # the uniform at the middle of a cell picks that cell and places the jump
+    # at the middle of it
     unit = (cells - bounds[seg] + 0.5) / (bounds[seg + 1] - bounds[seg])
     eta = np.zeros((len(rescaled), spec.p, 1))
     np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[cells, None])
     got = run_segment_law(law, eta)[0]
-    ref = reference_path(spec, N, rescaled / N, H, BURN_IN, inc)
+    ref = reference_path(spec, N, rescaled / N, H, BURN_IN, inc, rest=0.5)
     scale = max(np.abs(ref).max(), np.finfo(float).tiny)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)
 
@@ -237,3 +247,50 @@ def test_coupling_weights_match_the_per_step_reference(spec, N, first, seed):
     ref = reference_path(spec, N, np.array([u]), H, BURN_IN, inc)[0]
     scale = max(abs(ref), np.finfo(float).tiny)
     assert abs(inc @ w_n - ref) <= 1e-12 * scale
+
+
+def exact_node_moments(spec, plan, triplet):
+    """State means (n_records, p) and covariances (n_records, p, p) of the
+    recursion with the exact in-step noise, one step at a time with scalar
+    coefficient calls: m <- P m + mu_L d, V <- P V P' + Sigma_L G. The drift
+    weight d = int_0^h e^{Ar} dr C and covariance G = int_0^h e^{Ar} CC'
+    e^{A'r} dr of a step, A at its midpoint and C at its left point, come from
+    Van Loan's block exponentials (Van Loan 1978, IEEE TAC 23)."""
+    mom, p, h, N = triplet_moments(triplet), spec.p, plan.h, plan.N
+    m, V, means, covs = np.zeros(p), np.zeros((p, p)), [], []
+    for j in range(plan.n_steps):
+        left = plan.start + j * h
+        A, C = spec.A((left + 0.5 * h) / N), spec.C(left / N)
+        P = linalg.expm(A * h) if spec.commuting else _rk4_step(spec.A, left, N, h)
+        d = linalg.expm(np.block([[A, C[:, None]], [np.zeros((1, p + 1))]]) * h)[:p, p]
+        F = linalg.expm(np.block([[-A, np.outer(C, C)], [np.zeros((p, p)), A.T]]) * h)
+        m = P @ m + mom.mu_L * d
+        V = P @ V @ P.T + mom.Sigma_L * F[p:, p:].T @ F[:p, p:]
+        if j + 1 in plan.record_steps:
+            means.append(m)
+            covs.append(V)
+    return np.array(means), np.array(covs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    spec=systems(),
+    N=st.sampled_from([1, 4, 32]),
+    gaps=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    first=st.integers(0, 64),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_segment_law_draws_match_the_exact_moment_recursion(spec, N, gaps, first, seed):
+    # a driver with drift, Gaussian part and jumps: mu_L = 1, Sigma_L = 2
+    tri, R = LevyTriplet(1.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5)))), 4000
+    rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
+    plan = build_plan(spec, N, rescaled, H, BURN_IN)
+    law = build_segment_law(plan, tri)
+    x = segment_states(law, draw_segment_noise(law, streams(seed, "moments", 0, R)))
+    means, covs = exact_node_moments(spec, plan, tri)
+    z_mean = (x.mean(axis=2) - means) / np.sqrt(np.diagonal(covs, axis1=1, axis2=2) / R)
+    assert np.abs(z_mean).max() < 4.5
+    centered = x - x.mean(axis=2, keepdims=True)
+    products = centered[:, :, None, :] * centered[:, None, :, :]  # (n, p, p, R)
+    z_cov = (products.mean(axis=-1) - covs) / (products.std(axis=-1) / np.sqrt(R))
+    assert np.abs(z_cov).max() < 4.5

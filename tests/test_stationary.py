@@ -5,7 +5,7 @@ from scipy import integrate
 from locstat import models
 from locstat import stationary as st
 from locstat.dynamics import (
-    Lipschitz, ModelSpec, covariance_factor, draw_segment_noise, segment_states,
+    JumpWeights, Lipschitz, ModelSpec, StepLaw, covariance_factor, draw_segment_noise, segment_states,
 )
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 from locstat.rng import stream
@@ -577,15 +577,21 @@ def test_generator_count_must_match_replications():
 
 
 def test_jump_inputs_match_per_jump_expm():
-    # e^{A v} C for a batch of decay times: the Jordan block (expm path, whose
-    # e^{A v} C = e^{-v} (v, 1)) and companion2 (eigenbasis path) against one
-    # expm per jump
+    # e^{A v} C for a batch of decay times, as the weights of jumps with the
+    # fraction v / 6 of a step of length 6 still to run: the Jordan block (expm
+    # path, whose e^{A v} C = e^{-v} (v, 1)) and companion2 (eigenbasis path)
+    # against one expm per jump
     from scipy.linalg import expm
 
     v = np.linspace(0.0, 6.0, 25)
+
+    def weights(fr):
+        table = JumpWeights(1, fr.p)
+        table.put(np.zeros(1, dtype=np.int64), StepLaw(fr.A, fr.C, [6.0]))
+        return table(np.zeros(v.size, dtype=np.int64), v / 6.0)
+
     for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):
-        got = st._decayed_inputs(fr, v)
         ref = np.stack([expm(fr.A * x) @ fr.C for x in v])
-        assert np.abs(got - ref).max() <= 1e-12
+        assert np.abs(weights(fr) - ref).max() <= 1e-12
     exact = np.exp(-v)[:, None] * np.stack([v, np.ones_like(v)], axis=1)
-    assert np.abs(st._decayed_inputs(JORDAN, v) - exact).max() <= 1e-12
+    assert np.abs(weights(JORDAN) - exact).max() <= 1e-12
