@@ -9,7 +9,10 @@ the rescaled process
 by a state recursion on a fine grid in rescaled time s. A fine step
 freezes A at its midpoint and C at its left point and moves the state by
 the exact step law of :class:`StepLaw`, which the frozen process of
-``stationary`` uses too (non-commuting models take an RK4 propagator).
+``stationary`` uses too (non-commuting models take an RK4 propagator). A
+stack of steps shares the eigenbasis of its first step wherever that basis
+diagonalizes every step up to a residual of ``_RESIDUAL_MAX``; otherwise each
+step takes its own.
 
 Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
 ``to_state_space()`` view), and the recursion runs over records as a prefix
@@ -697,24 +700,28 @@ _BLOCK_ENTRIES = 16384
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
+# off-diagonal part of V^-1 M V, relative to M, up to which a step shares the
+# eigenbasis V of its stack's reference step (StepLaw.basis)
+_RESIDUAL_MAX = 1e-12
 _TINY = np.finfo(float).tiny
 
 
 def eigenbasis(M: np.ndarray):
-    """Eigendecomposition ``(w, V, V^-1, trusted)`` of M, shape (..., p, p).
+    """Eigendecomposition ``(w, V, V^-1, est)`` of M, shape (..., p, p).
 
-    ``trusted`` is True where ||V||_F ||V^-1||_F <= ``_COND_MAX``. That
-    estimate lies between cond_2(V) and p cond_2(V), and needs no SVD. A NaN
-    or infinite estimate is untrusted, and so is every matrix of a batch in
-    which some V is exactly singular (``inv`` raises); callers take expm there.
+    ``est`` = ||V||_F ||V^-1||_F estimates the condition number of V: it lies
+    between cond_2(V) and p cond_2(V), and needs no SVD. Callers trust the
+    basis where ``est <= _COND_MAX`` and take expm elsewhere. A NaN estimate
+    is ``inf``, and so is every matrix of a batch in which some V is exactly
+    singular (``inv`` raises).
     """
     w, V = np.linalg.eig(M)
     try:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return w, V, np.full_like(V, np.nan), np.zeros(M.shape[:-2], dtype=bool)
+        return w, V, np.full_like(V, np.nan), np.full(M.shape[:-2], np.inf)
     est = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
-    return w, V, Vinv, est <= _COND_MAX
+    return w, V, Vinv, np.where(np.isnan(est), np.inf, est)
 
 
 def coefficient_values(spec: ModelSpec, name: str, t) -> np.ndarray:
@@ -751,6 +758,12 @@ def _phi(x, e=None):
     return np.divide(np.expm1(x) if e is None else e, x, out=np.ones_like(x), where=x != 0)
 
 
+def _rows(good: np.ndarray):
+    """Index of the steps where ``good`` holds: the mask, or ``...`` when it
+    holds on every step, since a mask copies even a broadcast view."""
+    return ... if good.all() else good
+
+
 class StepLaw:
     """Exact law of steps x <- e^{Ah} x + int_0^h e^{A(h-r)} C L(dr) with A, C
     frozen in each step (Brockwell 2001, "Levy-driven CARMA processes", AISM
@@ -764,28 +777,46 @@ class StepLaw:
     the estimate of cond(V) is at most sqrt(``_COND_MAX``). Otherwise e^M comes
     from expm, d = h M^-1 (e^M - I) C and G = h (S - e^M S e^M'), S the Gramian
     of (M, C), which unlike a block exponential does not cancel on long steps.
-    ``A`` is (..., p, p) and ``C`` broadcasts to (..., p), ``h`` to their
-    leading shape; one (p, p) ``A`` and one (p,) ``C`` (the frozen process)
-    share one eigenbasis over every step. The eigenbasis is taken on first use.
+
+    A stack of steps takes one eigenbasis when it can: commuting
+    diagonalizable matrices share their eigenvectors (Horn & Johnson, *Matrix
+    Analysis*, Thm 1.3.21). V and V^-1 come from the first step, and each step
+    takes w_k = diag(V^-1 M_k V), provided the basis is trusted and every
+    off-diagonal part ||V^-1 M_k V - diag(w_k)||_F is at most
+    ``_RESIDUAL_MAX`` ||M_k||_F. Otherwise every step of the stack takes its
+    own eigenbasis. The residuals decide, not a declared commuting flag; a
+    constant A, as in the frozen process, passes with rounding residuals.
+    ``A`` is (..., p, p) or one (p, p) matrix, ``C`` broadcasts to (..., p)
+    and ``h`` to their leading shape. The eigenbasis is taken on first use.
     """
 
     def __init__(self, A, C, h):
         self.h = np.asarray(h, dtype=float)
-        self.shared = np.ndim(A) == 2 and np.ndim(C) == 1
-        self.A = A if self.shared else None  # only the shared basis reads A
         self.M = A * self.h[..., None, None]
         self.C = np.broadcast_to(C, self.M.shape[:-1])
 
     @functools.cached_property
     def basis(self):
-        """(w, V, V^-1, trusted) of M; for p = 1, w = M[..., 0] and V = None."""
-        if self.M.shape[-1] == 1:
-            return self.M[..., 0], None, None, np.ones(self.M.shape[:-2], dtype=bool)
-        if not self.shared:
-            return eigenbasis(self.M)
-        w, V, Vinv, good = eigenbasis(self.A)
-        return (w * self.h[..., None], np.broadcast_to(V, self.M.shape),
-                np.broadcast_to(Vinv, self.M.shape), np.full(self.M.shape[:-2], good))
+        """(w, V, V^-1, est) of M, ``est`` the condition estimate of
+        :func:`eigenbasis` per step. A shared basis gives V, V^-1 and est as
+        broadcast views; for p = 1, w = M[..., 0], V = None and est = 1."""
+        M = self.M
+        lead, p = M.shape[:-2], M.shape[-1]
+        if p == 1:
+            return M[..., 0], None, None, np.broadcast_to(1.0, lead)
+        if M.size == 0:
+            return eigenbasis(M)
+        _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
+        if est > _COND_MAX:
+            return eigenbasis(M)
+        R = Vinv @ M @ V
+        w = np.diagonal(R, axis1=-2, axis2=-1).copy()
+        R[..., np.arange(p), np.arange(p)] = 0.0
+        if np.any(np.linalg.norm(R, axis=(-2, -1))
+                  > _RESIDUAL_MAX * np.linalg.norm(M, axis=(-2, -1))):
+            return eigenbasis(M)
+        return (w, np.broadcast_to(V, M.shape), np.broadcast_to(Vinv, M.shape),
+                np.broadcast_to(est, lead))
 
     def _expm(self, rows: np.ndarray) -> np.ndarray:
         """e^M of the steps ``rows`` (a mask), once per distinct M."""
@@ -794,31 +825,33 @@ class StepLaw:
 
     def propagator(self) -> np.ndarray:
         """e^{Ah}, shape (..., p, p)."""
-        w, V, Vinv, good = self.basis
+        w, V, Vinv, est = self.basis
         if V is None:
             return np.exp(self.M)
+        good = est <= _COND_MAX
+        at = _rows(good)
         P = np.empty(self.M.shape)
-        P[good] = ((V[good] * np.exp(w[good])[:, None, :]) @ Vinv[good]).real
-        if not good.all():
+        P[at] = ((V[at] * np.exp(w[at])[..., None, :]) @ Vinv[at]).real
+        if at is not ...:
             P[~good] = self._expm(~good)
         return P
 
     def moments(self):
         """Drift weights d (..., p) and covariances G (..., p, p)."""
-        w, V, Vinv, good = self.basis
+        w, V, Vinv, est = self.basis
         h = self.h[..., None]
         if V is None:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
             e = np.expm1(w)
             q = h * _phi(w, e)
             return q * self.C, (q * (1.0 + 0.5 * e) * self.C**2)[..., None]
-        good = good & (np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
-                       <= np.sqrt(_COND_MAX))
+        good = est <= np.sqrt(_COND_MAX)
+        at = _rows(good)
         d, G = np.empty(self.C.shape), np.empty(self.M.shape)
-        g, w, V = (Vinv[good] @ self.C[good][..., None])[..., 0], w[good], V[good]
-        d[good] = (V @ (_phi(w) * g)[..., None])[..., 0].real
-        X = g[:, :, None] * g.conj()[:, None, :] * _phi(w[:, :, None] + w.conj()[:, None, :])
-        G[good] = (V @ X @ V.conj().swapaxes(-1, -2)).real
-        if not good.all():
+        g, w, V = (Vinv[at] @ self.C[at][..., None])[..., 0], w[at], V[at]
+        d[at] = (V @ (_phi(w) * g)[..., None])[..., 0].real
+        X = g[..., :, None] * g.conj()[..., None, :] * _phi(w[..., :, None] + w.conj()[..., None, :])
+        G[at] = (V @ X @ V.conj().swapaxes(-1, -2)).real
+        if at is not ...:
             M, C, P = self.M[~good], self.C[~good][..., None], self._expm(~good)
             S = _gramian(M, C)
             d[~good] = np.linalg.solve(M, P @ C - C)[..., 0]
@@ -843,15 +876,17 @@ class JumpWeights:
     def put(self, steps: np.ndarray, law: StepLaw, L: np.ndarray | None = None) -> None:
         """Store the steps ``steps`` (the leading shape of ``law``), carried
         by L (steps.shape + (p, p)), or by I when L is None."""
-        w, V, Vinv, good = law.basis
+        w, V, Vinv, est = law.basis
+        good = est <= _COND_MAX
+        at = _rows(good)
         L = np.broadcast_to(np.eye(law.C.shape[-1]), law.M.shape) if L is None else L
-        U = L[good] @ (law.C[good][..., None] if V is None else
-                       V[good] * (Vinv[good] @ law.C[good][..., None]).swapaxes(-1, -2))
+        U = L[at] @ (law.C[at][..., None] if V is None else
+                     V[at] * (Vinv[at] @ law.C[at][..., None]).swapaxes(-1, -2))
         # complex only once some eigenbasis is: real weights gather and sum faster
         dtype = np.result_type(self.U, U, w)
         self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
-        self.U[steps[good]], self.w[steps] = U, w
-        if not good.all():
+        self.U[steps[at]], self.w[steps] = U, w
+        if at is not ...:
             self.slot[steps[~good]] = sum(map(len, self.L)) + np.arange(np.count_nonzero(~good))
             for kept, x in zip((self.L, self.M, self.C), (L, law.M, law.C)):
                 kept.append(x[~good])

@@ -44,8 +44,8 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .dynamics import (
-    JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law, _gramian,
-    draw_segment_noise, eigenbasis, run_segment_law,
+    _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law,
+    _gramian, draw_segment_noise, eigenbasis, run_segment_law,
 )
 from .noise import LevyTriplet, triplet_moments
 
@@ -104,8 +104,8 @@ def _eig_cache(fr: FrozenSystem):
     Near-defective matrices (repeated roots of companion forms) make the
     eigenvector basis ill-conditioned; callers then fall back to expm.
     """
-    w, V, Vinv, trusted = eigenbasis(fr.A)
-    return (w, V, Vinv) if trusted else None
+    w, V, Vinv, est = eigenbasis(fr.A)
+    return (w, V, Vinv) if est <= _COND_MAX else None
 
 
 def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
@@ -403,8 +403,8 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
 
     Step k is segment k of a ``dynamics.SegmentLaw``: one cell of length
     gaps[k], with the drift weight and covariance of the constant-A
-    ``dynamics.StepLaw``, whose one eigenbasis serves every step, and jump
-    weight e^{A(h-r)} C at arrival offset r.
+    ``dynamics.StepLaw``, whose steps share the eigenbasis of the first one
+    when it is trusted, and jump weight e^{A(h-r)} C at arrival offset r.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):

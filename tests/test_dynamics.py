@@ -475,6 +475,11 @@ def test_burn_in_below_half_a_step_records_the_zero_start():
     assert law.decay[0, 0, 0] == 1.0 and law.mean[0, 0] == 0.0 and law.jump_mean[0] == 0.0
     path = simulate_yn(spec, BROWNIAN, 4, [1.0, 1.25], 0.25, 0.0, None, increments=np.ones(4))
     assert path.values[0] == 0.0 and path.values[1] == 1.0
+    # a vector model: the empty stack of the step-0 record takes no eigenbasis
+    spec = dataclasses.replace(models.companion2(), stability_margin=1e15)
+    law = build_segment_law(build_plan(spec, 4, [4.0, 5.0], 0.25, 0.0), GAUSS_JUMPS)
+    assert np.array_equal(law.decay[0], np.eye(2)) and not law.mean[0].any()
+    assert law.jump_mean[0] == 0.0
 
 
 def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
@@ -493,10 +498,10 @@ def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
 def test_step_law_moments_on_an_ill_conditioned_trusted_eigenbasis():
     # eigenvalues 1e-6 apart: the eigenbasis estimate is about 2e6, trusted for
     # the propagator, but the eigenbasis form of G would lose eps cond^2, about
-    # 1e-4 of it; shared (frozen) and per-step bases against Van Loan
+    # 1e-4 of it; A given once (frozen) and per step, against Van Loan
     A = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-6]])
     C = np.array([0.3, 1.0])
-    assert dynamics.eigenbasis(A)[3]
+    assert np.sqrt(dynamics._COND_MAX) < dynamics.eigenbasis(A)[3] <= dynamics._COND_MAX
     spec = ModelSpec(2, lambda t: A, lambda t: C, lambda t: C, Lipschitz(0.0), True, 1.0, "near")
     h = np.array([1.0 / 64.0, 0.5, 2.0])
     for law in (dynamics.StepLaw(A, C, h), dynamics.StepLaw(np.stack([A] * 3), C, h)):

@@ -1,6 +1,7 @@
 """The state-space simulator, the per-segment law and the coupling weights
-against a per-step reference loop, and draws of the per-segment law against
-the exact moments of the recursion with its noise inside each step.
+against a per-step reference loop, draws of the per-segment law against the
+exact moments of the recursion with its noise inside each step, and the step
+laws of a stack that shares one eigenbasis against per-step eigenbases.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
@@ -9,14 +10,17 @@ The stack bound is drawn too, so stacks hold one segment, split the segments
 of one length, or hold them all.
 """
 
+import copy
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from locstat import dynamics
+from locstat import dynamics, models, stationary
+from locstat.cli import _build_model
 from locstat.dynamics import (
     Lipschitz,
     ModelSpec,
@@ -189,10 +193,96 @@ def test_near_defective_family_takes_the_expm_fallback():
         A = _NearDefective(J)(np.linspace(0.0, 3.0, 7))
         _, V = np.linalg.eig(A)
         assert np.all(np.linalg.cond(V) > dynamics._COND_MAX)
-        assert not np.any(dynamics.eigenbasis(A)[3])
+        assert np.all(dynamics.eigenbasis(A)[3] > dynamics._COND_MAX)
     # a basis whose inverse comes out NaN must not pass as well conditioned
     with mock.patch.object(np.linalg, "inv", lambda V: np.full_like(V, np.nan)):
-        assert not np.any(dynamics.eigenbasis(A)[3])
+        assert np.all(dynamics.eigenbasis(A)[3] > dynamics._COND_MAX)
+
+
+def _shares_one_basis(law) -> bool:
+    """Whether the steps of ``law`` share one V, a broadcast view."""
+    V = law.basis[1]
+    return V is not None and V.strides[:-2] == (0,) * (V.ndim - 2)
+
+
+def assert_matches_per_step_bases(law):
+    """Propagators, d and G of ``law`` within 1e-13 of their scale of those
+    from each step's own eigenbasis."""
+    if law.M.shape[-1] == 1:  # entrywise, no eigenbasis
+        return
+    ref = copy.copy(law)
+    ref.__dict__["basis"] = dynamics.eigenbasis(law.M)
+    for got, want in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
+        scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+
+
+# the model of the statespace_simulate benchmark workload, and its plan
+STATESPACE_MODEL = {
+    "kind": "statespace", "p": 2,
+    "A_entries": [["-1 - 0.5*sin(t)", "0"], ["0", "-2"]],
+    "B": ["1", "1"], "C": ["1", "1"], "commuting": True,
+    "stability_margin": 0.5, "lipschitz": {"A": 0.5, "B": 0.0, "C": 0.0},
+}
+SPECS = {"diag2": models.diag2, "companion2": models.companion2,
+         "statespace_simulate": lambda: _build_model(STATESPACE_MODEL)}
+
+
+def _statespace_plan(spec):
+    return build_plan(spec, 256, 256.0 * np.linspace(0.5, 1.5, 65), 0.01, 16.0)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_shared_eigenbasis_matches_per_step_bases(name):
+    spec = SPECS[name]()
+    for *_, law in dynamics._segment_stacks(_statespace_plan(spec)):
+        assert _shares_one_basis(law)
+        assert_matches_per_step_bases(law)
+    # the frozen process: a constant A over steps of many lengths
+    fr = stationary.freeze(spec, 1.0)
+    law = dynamics.StepLaw(fr.A, fr.C, np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)]))
+    assert _shares_one_basis(law)
+    assert_matches_per_step_bases(law)
+
+
+def test_repeated_eigenvalue_at_the_reference_step_takes_per_step_bases():
+    # equal rates at t0 = 3 pi / 2, where sin(t0) = -1: A(t0) = -1.5 I up to
+    # rounding, whose computed eigenbasis is trusted but does not diagonalize
+    # the later steps of the family, so the residual test sends the stack to
+    # per-step bases
+    family = _Commuting(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.5, 1.5]),
+                        np.array([0.3, 0.0]), np.array([1.0, 1.0]), 0)
+    A = family(1.5 * np.pi + np.arange(64) / 64.0)
+    assert np.ptp(np.linalg.eigvals(A[0])) == 0.0
+    assert dynamics.eigenbasis(A[0])[3] <= dynamics._COND_MAX
+    law = dynamics.StepLaw(A, np.array([1.0, 0.3]), 1.0 / 64.0)
+    assert not _shares_one_basis(law)
+    assert_matches_per_step_bases(law)
+
+
+def _eigenbasis_shapes(run):
+    """Shapes of the matrices :func:`dynamics.eigenbasis` receives during ``run()``."""
+    with mock.patch.object(dynamics, "eigenbasis", wraps=dynamics.eigenbasis) as eig:
+        run()
+    return [call.args[0].shape for call in eig.call_args_list]
+
+
+def test_commuting_stacks_take_one_eigenbasis_each():
+    diag2 = models.diag2()
+    plan = _statespace_plan(diag2)
+    shapes = _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS))
+    assert shapes and all(shape == (2, 2) for shape in shapes)
+    times = np.linspace(0.5, 1.5, 65)
+    shapes = _eigenbasis_shapes(lambda: simulate_yn(
+        SPECS["statespace_simulate"](), BROWNIAN, 256, times, 0.01, 16.0, np.random.default_rng(1)))
+    assert shapes and all(shape == (2, 2) for shape in shapes)
+    # a non-commuting stack fails the residual test and is decomposed whole
+    spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
+                     diag2.B, diag2.C, Lipschitz(1.0, 1.0, 1.0), False, 1.0, "noncommuting")
+    plan = _statespace_plan(spec)
+    stacks = [steps.shape + (2, 2) for _, steps, *_ in dynamics._segment_stacks(plan)]
+    shapes = _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS))
+    assert [shape for shape in shapes if shape != (2, 2)] == stacks
 
 
 # a jump driver, so that the law keeps the weight v_j of every cell
@@ -215,6 +305,8 @@ def test_segment_law_matches_the_per_step_reference(spec, N, gaps, first, n_nois
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     law = build_segment_law(plan, JUMPS)
+    for *_, step_law in dynamics._segment_stacks(plan):
+        assert_matches_per_step_bases(step_law)
     rng = np.random.default_rng(seed)
     cells = rng.choice(plan.n_steps, size=min(n_noisy, plan.n_steps), replace=False)
     inc = np.zeros(plan.n_steps)
