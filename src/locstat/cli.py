@@ -275,11 +275,21 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
+    """Write the bytes ``csv.writer`` writes in its default dialect: cells
+    joined by commas, each line ended by CRLF. That dialect would quote a
+    cell holding a comma, a quote or a line break, or a row of one empty
+    cell; those raise ValueError instead."""
+    rows = [header, *rows]
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    text = "\n".join(lines)
+    commas = sum(map(len, rows)) - sum(map(bool, rows))  # one fewer than cells in a row
+    if (text.count(",") != commas or text.count("\n") != len(lines) - 1
+            or '"' in text or "\r" in text):
+        raise ValueError("a CSV cell holds a comma, a quote or a line break")
+    if "" in lines and any(row and not line for row, line in zip(rows, lines)):
+        raise ValueError("a CSV row of one empty cell")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(text.replace("\n", "\r\n") + "\r\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -439,7 +449,7 @@ def _cmd_experiment(cfg: dict, seed: int, out_dir: str, subcommand: str) -> int:
         _write_csv(
             os.path.join(out_dir, base + ".csv"),
             ["replication", "value"],
-            list(enumerate(report.replication_values)),
+            list(enumerate(report.replication_values.tolist())),
         )
     else:
         header = sorted({key for row in report.rows for key in row})

@@ -595,56 +595,40 @@ def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     )
 
 
-def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, gens) -> np.ndarray:
-    """Increments of the driver over n fine steps of length h, shape (R, n),
-    replication r from the r-th generator of ``gens``: :func:`draw_segment_noise`
+def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -> np.ndarray:
+    """Increments of the driver over n fine steps of length h for R
+    replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
     law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), h,
                       np.broadcast_to(1.0, n), None, None, _unit_weights)
     # C-contiguous rows: the coupling products inc @ d round by memory layout
-    return np.ascontiguousarray(draw_segment_noise(law, gens)[:, 0, :].T)
+    return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 
-def draw_segment_noise(law: SegmentLaw, gens) -> np.ndarray:
-    """Noise of every record segment, shape (n_records, p, R).
+def draw_segment_noise(law: SegmentLaw, gen: np.random.Generator, R: int) -> np.ndarray:
+    """Noise of every record segment for R replications, shape (n_records, p, R).
 
-    ``gens`` is a sized iterable of generators, one per replication, taken in
-    order; each replication draws all it needs before the next is taken, in
-    this order: standard normals (n_records, p) (when chol is set), the
-    Poisson jump counts of the segments, a uniform per jump that places it in
-    its segment, then the jump sizes. The counts are drawn one call per run
-    of segments with equal rates, which gives the draws of one call on the
-    whole rate array. The loop only draws; the noise of every segment and
-    replication is then built at once.
+    ``gen`` draws the whole batch, one call per kind, in this order: standard
+    normals (R, n_records, p) (when chol is set), the Poisson jump counts on
+    the (R, n_records) broadcast of the segment rates, a uniform per jump that
+    places it in its segment, then the jump sizes; jumps are ordered by
+    replication, then by segment. The noise of every segment and replication
+    is then built at once.
     """
     n, p = law.mean.shape
-    R = len(gens)
-    z = np.empty((R, n, p)) if law.chol is not None else None
-    counts = runs = None
-    if law.jump_mean is not None:
-        counts = np.empty((R, n), dtype=np.int64)
-        # rates are nonnegative, so a rate of -1 on either side closes the
-        # first and the last run, and a law without segments has no run
-        edges = np.flatnonzero(np.diff(law.jump_mean, prepend=-1.0, append=-1.0))
-        runs = [(float(law.jump_mean[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
-    units, sizes = [], []
-    for r, gen in enumerate(gens):
-        if z is not None:
-            z[r] = gen.standard_normal((n, p))
-        if counts is not None:
-            for rate, a, b in runs:
-                counts[r, a:b] = gen.poisson(rate, b - a)
-            total = int(counts[r].sum())
-            if total:
-                units.append(gen.random(total))
-                sizes.append(law.jumps.sample(total, gen))
     eta = np.repeat(law.mean[:, :, None], R, axis=2)
-    if z is not None:
-        eta += law.chol @ z.transpose(1, 2, 0)
-    if units:
+    if law.chol is not None:
+        eta += law.chol @ gen.standard_normal((R, n, p)).transpose(1, 2, 0)
+    if law.jump_mean is None:
+        return eta
+    counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n)))
+    total = int(counts.sum())
+    if total:
+        units = gen.random(total)
+        sizes = law.jumps.sample(total, gen)
         # replication-major cell of each jump, in draw order
         rep, seg = np.divmod(np.repeat(np.arange(R * n), counts.ravel()), n)
-        contrib = law.jump_weight(seg, np.concatenate(units)) * np.concatenate(sizes)[:, None]
+        contrib = law.jump_weight(seg, units) * sizes[:, None]
         # one bincount per state column; it sums each cell in draw order, as np.add.at does
         cell = seg * R + rep
         for j in range(p):
@@ -969,7 +953,7 @@ def _simulate_yn_statespace(
     spec, h, n_steps = plan.spec, plan.h, plan.n_steps
 
     if increments is None:
-        inc = _draw_increments_rows(triplet, h, n_steps, [rng])[0]
+        inc = _draw_increments_rows(triplet, h, n_steps, 1, rng)[0]
     else:
         inc = np.asarray(increments, dtype=float)
         if inc.shape != (n_steps,):

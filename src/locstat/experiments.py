@@ -22,10 +22,10 @@ run the recursion over records only. The coupling campaign keeps per-step
 increments, because it couples two processes on them; the same sampler
 draws them, as the law of one-cell segments.
 
-Replications are deterministic: each replication draws from its own
-counter-based stream keyed by (seed, purpose, replication index), work is cut
-into fixed-size chunks, and reduction is in chunk order, so reports are
-bit-identical for any worker count.
+Replications are deterministic: work is cut into fixed chunks of ``CHUNK``
+replications, each chunk draws all its replications from its own
+counter-based stream keyed by (seed, purpose, chunk index), and reduction is
+in chunk order, so reports are bit-identical for any worker count.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -53,10 +53,7 @@ from .dynamics import (
 from .kernels import LocalizingKernel, rectangular
 from .noise import LevyTriplet, triplet_moments
 from .observation import BandwidthRule, clt_admissible, make_scheme
-from .rng import (
-    stream,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
-    streams,
-)
+from .rng import stream
 
 __all__ = [
     "ExperimentConfig",
@@ -213,8 +210,8 @@ def _coupling_chunk(payload, lo, hi):
     cfg = payload["config"]
     diffs = payload["diff_weights"]  # list over N of (n_cells,) arrays
     n_cells = diffs[0].shape[0]
-    gens = streams(cfg.seed, "coupling", lo, hi)
-    inc = _draw_increments_rows(cfg.triplet, cfg.fine_step, n_cells, gens)
+    gen = stream(cfg.seed, "coupling", lo // CHUNK)
+    inc = _draw_increments_rows(cfg.triplet, cfg.fine_step, n_cells, hi - lo, gen)
     return np.stack([inc @ d for d in diffs], axis=1)  # (R, len(N_list))
 
 
@@ -335,8 +332,8 @@ def _localized_chunk(payload, lo, hi):
     ``center``."""
     cfg: ExperimentConfig = payload["config"]
     law = payload["law"]
-    gens = streams(cfg.seed, payload["purpose"], lo, hi)
-    Y = run_segment_law(law, draw_segment_noise(law, gens))
+    gen = stream(cfg.seed, payload["purpose"], lo // CHUNK)
+    Y = run_segment_law(law, draw_segment_noise(law, gen, hi - lo))
     summands = Y[:, payload["base_idx"]]
     if payload["statistic"] != "mean":
         summands = summands * Y[:, payload["shift_idx"]] - payload["center"]
@@ -414,8 +411,8 @@ def _global_average_chunk(payload, lo, hi):
     cfg: ExperimentConfig = payload["config"]
     N = payload["N"]
     law = payload["law"]
-    gens = streams(cfg.seed, f"lln_cont:{N}", lo, hi)
-    Y = run_segment_law(law, draw_segment_noise(law, gens))
+    gen = stream(cfg.seed, f"lln_cont:{N}", lo // CHUNK)
+    Y = run_segment_law(law, draw_segment_noise(law, gen, hi - lo))
     # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
     integral = np.trapezoid(Y, dx=payload["gap"], axis=1)
     return integral / (N * cfg.t_end)
@@ -620,10 +617,11 @@ def _joint_frozen(model, triplet, u1, u2):
 
 def _lipschitz_chunk(payload, lo, hi):
     cfg: ExperimentConfig = payload["config"]
-    fr = payload["frozen"]
-    gaps = payload["gaps"]
-    gens = streams(cfg.seed, payload["purpose"], lo, hi)
-    D = stat.simulate_stationary_batch(fr, cfg.triplet, gaps, hi - lo, gens)
+    law = payload["law"]
+    gen = stream(cfg.seed, payload["purpose"], lo // CHUNK)
+    # C-contiguous, as simulate_stationary_batch returns it: the mean over
+    # time rounds by memory layout
+    D = np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gen, hi - lo)))
     return np.mean(np.abs(D) ** cfg.p_norm, axis=1)
 
 
@@ -653,8 +651,7 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
         gaps = np.full(config.time_points - 1, spacing)
         payload = {
             "config": config,
-            "frozen": fr,
-            "gaps": gaps,
+            "law": stat._frozen_law(fr, config.triplet, gaps),
             "purpose": f"lipschitz:p{p}:{j}",
         }
         vals = _map_chunks(_lipschitz_chunk, payload, config.replications, config.workers)

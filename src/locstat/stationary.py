@@ -24,8 +24,8 @@ Simulation is exact in distribution: each step of the grid, and a long
 warm start before it, is one step of the constant-A ``dynamics.StepLaw``,
 the step law the simulator of ``Y_N`` uses too, and one segment of a
 ``dynamics.SegmentLaw``. So the frozen process is drawn and scanned by the
-same sampler as ``Y_N``: each replication draws from its own generator in
-a fixed order (``dynamics.draw_segment_noise``), and one affine prefix scan
+same sampler as ``Y_N``: a batch of replications draws from one generator,
+one call per kind (``dynamics.draw_segment_noise``), and one affine prefix scan
 over time (``dynamics.run_segment_law``) carries the states of all
 replications, shape (steps, p, R).
 
@@ -420,21 +420,19 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     )
 
 
-def simulate_stationary_batch(fr: FrozenSystem, triplet: LevyTriplet, gaps, R: int, gens):
+def simulate_stationary_batch(fr: FrozenSystem, triplet: LevyTriplet, gaps, R: int, gen):
     """Exact-in-distribution stationary paths for R replications, Y values of
     shape (R, len(gaps) + 1), C-contiguous. Step 0 is a warm start of length
     12 / margin from the zero state, so column 0 is the state at the first
     grid point.
 
-    ``dynamics.draw_segment_noise`` draws the law of :func:`_frozen_law`,
-    replication r from the r-th generator that iterating ``gens`` yields, and
+    ``dynamics.draw_segment_noise`` draws the law of :func:`_frozen_law` for
+    all R replications from the one generator ``gen``, and
     ``dynamics.run_segment_law`` carries all R states in one affine scan over
-    time. ``gens`` is a sized iterable such as ``rng.streams``.
+    time.
     """
     law = _frozen_law(fr, triplet, gaps)
-    if len(gens) != R:
-        raise ValueError(f"{len(gens)} generators for R = {R} replications")
-    return np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gens)))
+    return np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gen, R)))
 
 
 def simulate_stationary(spec, u: float, triplet: LevyTriplet, grid, rng) -> PathSample:
@@ -446,7 +444,7 @@ def simulate_stationary(spec, u: float, triplet: LevyTriplet, grid, rng) -> Path
         raise ValueError("grid must be strictly increasing")
     fr = freeze(spec, u)
     gaps = np.diff(grid)
-    vals = simulate_stationary_batch(fr, triplet, gaps, 1, [rng])[0]
+    vals = simulate_stationary_batch(fr, triplet, gaps, 1, rng)[0]
     return PathSample(times=grid, values=vals, fine_grid=None, meta={"model_id": "stationary", "u": u})
 
 

@@ -75,13 +75,13 @@ def test_criterion_02_stationary_moments_vs_simulation():
     n, spacing = 10**5, 3.0
     fr = st.freeze(models.ou(1.0), 1.0)
     gauss = st.simulate_stationary_batch(fr, BROWNIAN, np.full(n, spacing), 1,
-                                          [stream(20, "acc2:gauss", 0)])[0]
+                                          stream(20, "acc2:gauss", 0))[0]
     se_var = np.std(gauss**2) / np.sqrt(len(gauss))
     se_m4 = np.std(gauss**4) / np.sqrt(len(gauss))
     var_ok = abs(gauss.var() - 0.5) < 4 * se_var
     m4_ok = abs(np.mean(gauss**4) - 0.75) < 4 * se_m4
     cpois = st.simulate_stationary_batch(fr, CPOIS, np.full(n, spacing), 1,
-                                         [stream(20, "acc2:cpois", 0)])[0]
+                                         stream(20, "acc2:cpois", 0))[0]
     se_c4 = np.std(cpois**4) / np.sqrt(len(cpois))
     c4_ok = abs(np.mean(cpois**4) - 1.0) < 4 * se_c4
     report(

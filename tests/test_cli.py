@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from locstat.cli import main
+from locstat.cli import _write_csv, main
 from locstat.dynamics import PathSample
 from locstat.estimators import localized_autocov, localized_mean
 from locstat.kernels import rectangular
@@ -361,3 +362,38 @@ def test_cli_and_its_campaigns_never_import_scipy_stats(tmp_path):
     assert not after_campaigns
     assert all(code in (0, 1) for code in codes)
     assert (tmp_path / "clt-0.json").exists() and (tmp_path / "lln-0.json").exists()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # the bytes of csv.writer's default dialect on the cells the CLI writes:
+    # ints, floats at 17 significant digits, numpy floats, bools, strings and
+    # empty cells
+    header = ["N", "estimate", "pass", "kind", "note"]
+    rows = [
+        [1, 0.1, True, "mean", ""],
+        [2**40, np.float64(-1.0 / 3.0), False, "autocov", "x"],
+        (0, float("inf"), np.float64("nan"), "clt", ""),
+        [np.int64(7), 1e-300, np.bool_(True), "", "2.5"],
+    ]
+    _write_csv(str(tmp_path / "new.csv"), header, rows)
+    with io.StringIO(newline="") as ref:
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+        want = ref.getvalue()
+    assert (tmp_path / "new.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_write_csv_refuses_a_cell_csv_writer_would_quote(tmp_path, cell):
+    with pytest.raises(ValueError, match="CSV cell holds"):
+        _write_csv(str(tmp_path / "bad.csv"), ["kind", "value"], [[cell, 1.0]])
+
+
+def test_write_csv_refuses_a_row_of_one_empty_cell(tmp_path):
+    # csv.writer writes that row as "" to tell it from an empty row
+    with pytest.raises(ValueError, match="one empty cell"):
+        _write_csv(str(tmp_path / "bad.csv"), ["value"], [[1.0], [""]])
+    _write_csv(str(tmp_path / "ok.csv"), ["value"], [[1.0], []])
+    assert (tmp_path / "ok.csv").read_bytes() == b"value\r\n1\r\n\r\n"

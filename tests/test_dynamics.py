@@ -184,8 +184,8 @@ def test_variance_matches_frozen_closed_form():
     assert target == pytest.approx(1.0 / (2.0 * (2.0 + np.sin(1.0))), abs=1e-12)
     n_reps, h = 3000, 0.0025
     plan = build_plan(spec, 64, 64 * np.array([1.0]), h, 8.0)
-    gens = [stream(1, "variance-example", r) for r in range(n_reps)]
-    vals = _fine_grid_values(plan, _draw_increments_rows(BROWNIAN, h, plan.n_steps, gens))[:, 0]
+    inc = _draw_increments_rows(BROWNIAN, h, plan.n_steps, n_reps, stream(1, "variance-example", 0))
+    vals = _fine_grid_values(plan, inc)[:, 0]
     se = vals.var() * np.sqrt(2.0 / n_reps)
     assert abs(vals.var() - target) < 3 * se
 
@@ -343,8 +343,7 @@ def _law_plan(spec):
 
 def _segment_paths(plan, tri, purpose, n_reps):
     law = build_segment_law(plan, tri)
-    gens = [stream(11, purpose, r) for r in range(n_reps)]
-    return run_segment_law(law, draw_segment_noise(law, gens))
+    return run_segment_law(law, draw_segment_noise(law, stream(11, purpose, 0), n_reps))
 
 
 def _fine_grid_values(plan, inc):
@@ -594,17 +593,16 @@ def test_segment_law_agrees_with_fine_grid_on_jump_driver():
 
 
 class _RecordingGenerator:
-    """A Generator whose draws are logged as (replication, method name) to a
-    log shared by every replication, so the log shows their order."""
+    """A Generator whose draws are logged by method name."""
 
-    def __init__(self, gen, rep, log):
-        self._gen, self._rep, self._log = gen, rep, log
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
 
     def __getattr__(self, name):
         method = getattr(self._gen, name)
 
         def draw(*args, **kwargs):
-            self._log.append((self._rep, name))
+            self._log.append(name)
             return method(*args, **kwargs)
 
         return draw
@@ -612,10 +610,9 @@ class _RecordingGenerator:
 
 def test_segment_sampler_draw_contract():
     # a frozen and a time-varying law with p = 2 and the per-step increments,
-    # all with Gaussian noise and with jumps in every replication. Each
-    # generator draws, in this order and inside the loop over replications:
-    # the normals, one Poisson call per run of equal rates, the uniform offsets
-    # and the uniforms of the atom sizes
+    # all with Gaussian noise and with jumps in the chunk. One generator draws
+    # the whole chunk, one call per kind, in this order: the normals, the
+    # Poisson counts, the uniform offsets and the uniforms of the atom sizes
     R, frequent = 4, LevyTriplet(0.0, 0.5, JumpSpec(3.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     plan = _law_plan(models.diag2())
     law = build_segment_law(plan, frequent)
@@ -623,23 +620,21 @@ def test_segment_sampler_draw_contract():
     # the warm start, then three runs of equal gaps
     gaps = np.concatenate([np.full(5, 0.5), np.full(5, 0.25), np.full(10, 0.5)])
     runs = {
-        "time-varying": (lambda gens: draw_segment_noise(law, gens), 2),
-        "frozen": (lambda gens: st.simulate_stationary_batch(fr, frequent, gaps, R, gens), 4),
-        "per-step": (lambda gens: _draw_increments_rows(frequent, LAW_H, 200, gens), 1),
+        "time-varying": lambda gen: draw_segment_noise(law, gen, R),
+        "frozen": lambda gen: st.simulate_stationary_batch(fr, frequent, gaps, R, gen),
+        "per-step": lambda gen: _draw_increments_rows(frequent, LAW_H, 200, R, gen),
     }
-    assert 1 + np.count_nonzero(np.diff(law.jump_mean)) == runs["time-varying"][1]
-    for name, (run, n_runs) in runs.items():
-        kinds = ("standard_normal",) + ("poisson",) * n_runs + ("random", "random")
+    for name, run in runs.items():
         log = []
-        run([_RecordingGenerator(stream(3, f"contract:{name}", r), r, log) for r in range(R)])
-        assert log == [(r, kind) for r in range(R) for kind in kinds], name
+        run(_RecordingGenerator(stream(3, f"contract:{name}", 0), log))
+        assert log == ["standard_normal", "poisson", "random", "random"], name
 
 
-def test_counts_by_runs_are_one_poisson_call_on_the_rates():
-    # the sampler draws the Poisson counts one call per run of equal rates;
-    # on random run layouts (zero rates, rates of 10 or more, which take
-    # another numpy algorithm, and runs of one segment) its counts and the
-    # generator state afterwards equal those of one call on the rate array
+def test_counts_are_one_poisson_call_on_the_broadcast_rates():
+    # on random rate layouts (zero rates, rates of 10 or more, which take
+    # another numpy algorithm, and runs of one segment) the counts of a chunk
+    # and the generator state afterwards equal those of one poisson call on
+    # the rates broadcast to (R, n_records)
     layouts = np.random.default_rng(31)
     unit_jumps = JumpSpec(1.0, atoms=((1.0, 1.0),))
     for case in range(120):
@@ -656,16 +651,15 @@ def test_counts_by_runs_are_one_poisson_call_on_the_rates():
             B=np.ones((n, 1)),
         )
         R = 3
-        gens = [stream(4, f"runs:{case}", r) for r in range(R)]
+        gen = stream(4, f"runs:{case}", 0)
         # every jump has size 1 and weight 1, so the noise is the counts
-        eta = draw_segment_noise(law, gens)
-        for r, gen in enumerate(gens):
-            ref = stream(4, f"runs:{case}", r)
-            counts = ref.poisson(jump_mean)
-            ref.random(int(counts.sum()))  # offsets
-            ref.random(int(counts.sum()))  # atom sizes
-            assert np.array_equal(eta[:, 0, r], counts), (case, r)
-            assert _philox_state(gen) == _philox_state(ref), (case, r)
+        eta = draw_segment_noise(law, gen, R)
+        ref = stream(4, f"runs:{case}", 0)
+        counts = ref.poisson(np.broadcast_to(jump_mean, (R, n)))
+        ref.random(int(counts.sum()))  # offsets
+        ref.random(int(counts.sum()))  # atom sizes
+        assert np.array_equal(eta[:, 0, :], counts.T), case
+        assert _philox_state(gen) == _philox_state(ref), case
 
 
 def _philox_state(gen) -> tuple:
@@ -674,17 +668,39 @@ def _philox_state(gen) -> tuple:
             s["buffer_pos"], s["has_uint32"], s["uinteger"])
 
 
-def test_segment_batch_replication_is_its_stream_alone():
-    # bit for bit at p = 1; at p >= 2 the batched matmuls of chol z and of the
-    # scan may round differently for another batch width
+@pytest.mark.parametrize("spec", (models.tvcar_sin(), models.companion2()), ids=lambda s: s.model_id)
+def test_one_replication_draws_as_one_path(spec):
+    # R = 1 draws what one path drawn on its own does: normals (n, p), the
+    # counts of its segments in one call, then the offsets and sizes of its
+    # jumps, each once; the noise and the generator state afterwards agree,
+    # so a one-path run (simulate) keeps its bytes
+    law = build_segment_law(_law_plan(spec), GAUSS_JUMPS)
+    n, p = law.mean.shape
+    gen, ref = stream(11, "one-path", 0), stream(11, "one-path", 0)
+    eta = draw_segment_noise(law, gen, 1)
+    want = law.mean + (law.chol @ ref.standard_normal((n, p))[:, :, None])[:, :, 0]
+    counts = ref.poisson(law.jump_mean)
+    total = int(counts.sum())
+    assert total > 0
+    units = ref.random(total)
+    seg = np.repeat(np.arange(n), counts)
+    jumps = np.zeros((n, p))  # each segment's jumps summed in draw order, then added
+    np.add.at(jumps, seg, law.jump_weight(seg, units) * law.jumps.sample(total, ref)[:, None])
+    want += jumps
+    assert eta.shape == (n, p, 1) and np.array_equal(eta[:, :, 0], want)
+    assert _philox_state(gen) == _philox_state(ref)
+
+
+def test_segment_chunk_is_its_stream_alone():
+    # a chunk's paths are its stream's alone: drawn again after the chunks of
+    # other indices, they are the same bytes, and another index draws others
     for spec in (models.tvcar_sin(), models.diag2(), models.companion2()):
-        plan = _law_plan(spec)
-        batch = _segment_paths(plan, GAUSS_JUMPS, "law-alone", 5)
-        law = build_segment_law(plan, GAUSS_JUMPS)
-        for r in range(5):
-            alone = run_segment_law(law, draw_segment_noise(law, [stream(11, "law-alone", r)]))[0]
-            if spec.p == 1:
-                assert np.array_equal(alone, batch[r]), r
-            else:
-                tol = 1e-12 * np.abs(batch).max()
-                assert np.abs(alone - batch[r]).max() <= tol, (spec.model_id, r)
+        law = build_segment_law(_law_plan(spec), GAUSS_JUMPS)
+
+        def chunk(k):
+            return run_segment_law(law, draw_segment_noise(law, stream(11, "law-alone", k), 5))
+
+        first = chunk(1)
+        others = [chunk(k) for k in (2, 0)]
+        assert np.array_equal(chunk(1), first), spec.model_id
+        assert all(not np.any(first == other) for other in others), spec.model_id

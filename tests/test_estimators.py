@@ -124,7 +124,7 @@ def test_localized_mean_consistency_stationary():
     vals = np.empty(reps)
     wsum = None
     for r in range(reps):
-        y = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(2, "lmc", r)])[0]
+        y = st.simulate_stationary_batch(fr, tri, gaps, 1, stream(2, "lmc", r))[0]
         stat = localized_mean(PathSample(times=scheme.grid, values=y), scheme, RECT)
         vals[r] = stat.value
         wsum = stat.weight_sum
@@ -150,7 +150,7 @@ def test_localized_autocov_consistency_stationary():
     times = union / scheme.N
     wsum = None
     for r in range(reps):
-        y = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(3, "acc", r)])[0]
+        y = st.simulate_stationary_batch(fr, tri, gaps, 1, stream(3, "acc", r))[0]
         path = PathSample(times=times, values=y)
         s0 = localized_autocov(path, scheme, RECT, 0)
         vals0[r] = s0.value
@@ -210,8 +210,7 @@ def test_localized_continuous_mean_consistency():
     h = gap / 4.0
     plan = build_plan(spec, N, rescaled, h, 8.0)
     reps = 200
-    gens = [stream(4, "cont-mean", r) for r in range(reps)]
-    inc = _draw_increments_rows(tri, h, plan.n_steps, gens)
+    inc = _draw_increments_rows(tri, h, plan.n_steps, reps, stream(4, "cont-mean", 0))
     Y = [simulate_yn(spec, tri, N, plan.eval_rescaled / N, h, 8.0, None, increments=row).values
          for row in inc]
     vals = np.array(

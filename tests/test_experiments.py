@@ -12,7 +12,10 @@ from locstat.experiments import (
     ExperimentConfig,
     InadmissibleSchemeError,
     _coupling_weights,
+    _localized_chunk,
+    _localized_payload,
     _loglog_fit,
+    _map_chunks,
     _union_offsets,
     ks_distance_normal,
     run_clt,
@@ -21,9 +24,11 @@ from locstat.experiments import (
     run_lln,
     skewness_kurtosis,
 )
+from locstat.dynamics import draw_segment_noise, run_segment_law
 from locstat.kernels import biweight
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
+from locstat.rng import stream
 
 BROWNIAN = LevyTriplet(0.0, 1.0)
 
@@ -246,6 +251,47 @@ def test_segment_sampler_determinism_across_workers():
         c = json.dumps(run(dataclasses.replace(cfg, workers=2)).to_dict(), sort_keys=True)
         d = json.dumps(run(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
         assert a == b == c == d
+
+
+def test_jump_driven_reports_are_identical_across_workers():
+    # criterion 11 with a jump driver: clt, lipschitz_u and coupling reports
+    # are the same bytes at 1, 2 and 3 workers, with a short last chunk
+    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    clt = ExperimentConfig(
+        "clt_mean", models.ou(1.0), jumps, 1.0, (2**8,), 1000, 15, 1.0 / 16.0, 8.0,
+        bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0),
+    )
+    lip = ExperimentConfig(
+        "lipschitz_u", models.tvcar_sin(), jumps, 1.0, (1,), 130, 16, 0.01, 8.0,
+        ladder=(0.05, 0.5), time_points=16,
+    )
+    coupling = ExperimentConfig(
+        "coupling", models.tvcar_sin(), jumps, 1.0, (16, 64), 130, 17, 0.01, 8.0
+    )
+    for cfg, run in ((clt, run_clt), (lip, run_lipschitz_u), (coupling, run_coupling)):
+        assert cfg.replications % CHUNK != 0
+        reports = {
+            json.dumps(run(dataclasses.replace(cfg, workers=w)).to_dict(), sort_keys=True)
+            for w in (1, 2, 3)
+        }
+        assert len(reports) == 1, cfg.kind
+
+
+def test_chunk_draws_from_the_stream_of_its_index():
+    # chunk [lo, hi) draws its replications from stream (seed, purpose,
+    # lo // CHUNK) alone, the short last chunk too
+    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    cfg = ExperimentConfig(
+        "lln_discrete", models.tvcar_sin(), jumps, 1.0, (2**8,), 130, 18, 1.0 / 16.0, 8.0,
+        bandwidth=BandwidthRule(0.5, 1.0 / 3.0), step_rule=StepRuleO1(1.0),
+    )
+    payload = _localized_payload(cfg, 2**8, 0, "mean", purpose="chunk-identity")
+    law = payload["law"]
+    vals = _map_chunks(_localized_chunk, payload, cfg.replications, 1)
+    for k, (lo, hi) in enumerate(((0, 64), (64, 128), (128, 130))):
+        Y = run_segment_law(law, draw_segment_noise(law, stream(18, "chunk-identity", k), hi - lo))
+        want = payload["scale"] * (Y[:, payload["base_idx"]] @ payload["weights"])
+        assert np.array_equal(vals[lo:hi], want), k
 
 
 def _clt_samples():

@@ -44,7 +44,7 @@ def test_atom_arithmetic_moments():
 def test_atom_arithmetic_vs_monte_carlo():
     tri = LevyTriplet(0.5, 2.0, JumpSpec(2.0, atoms=((2.0, 1.0),)))
     m = triplet_moments(tri)
-    x = _draw_increments_rows(tri, 1.0, 10**6, [stream(0, "noise-mc", 0)])[0]
+    x = _draw_increments_rows(tri, 1.0, 10**6, 1, stream(0, "noise-mc", 0))[0]
     assert abs(x.mean() - m.mu_L) < 4 * x.std() / 1000.0
     var_se = np.std((x - x.mean()) ** 2) / 1000.0
     assert abs(x.var() - m.Sigma_L) < 4 * var_se
@@ -89,27 +89,27 @@ def test_invalid_specs_rejected():
 
 @pytest.mark.parametrize("R", [1, 3, 64])
 def test_gaussian_rows_are_drift_plus_scaled_normals(R):
-    # each row is its stream's standard normals, scaled and shifted as one
-    # increment of L(h) each, bit for bit; the rows are C-contiguous, as the
-    # coupling products inc @ d round by memory layout
+    # row r is row r of the chunk stream's (R, n) standard normals, scaled
+    # and shifted as one increment of L(h) each, bit for bit; the rows are
+    # C-contiguous, as the coupling products inc @ d round by memory layout
     tri, h, n = LevyTriplet(0.3, 1.7), 0.01, 800
-    rows = _draw_increments_rows(tri, h, n, [stream(4, "rows", r) for r in range(R)])
+    rows = _draw_increments_rows(tri, h, n, R, stream(4, "rows", 0))
     assert rows.shape == (R, n) and rows.flags.c_contiguous
+    normals = stream(4, "rows", 0).standard_normal((R, n))
     for r in range(R):
-        normals = stream(4, "rows", r).standard_normal(n)
-        want = tri.path_drift * h + np.sqrt(tri.sigma2 * h) * normals
+        want = tri.path_drift * h + np.sqrt(tri.sigma2 * h) * normals[r]
         assert rows[r].tobytes() == want.tobytes(), r
 
 
 def test_deterministic_drift_increments():
     tri = LevyTriplet(3.0, 0.0)
-    x = _draw_increments_rows(tri, 0.5, 100, [stream(0, "drift", 0)])[0]
+    x = _draw_increments_rows(tri, 0.5, 100, 1, stream(0, "drift", 0))[0]
     assert np.all(x == 1.5)
 
 
 def test_standard_gaussian_increments():
     n = 10**5
-    x = _draw_increments_rows(BROWNIAN, 1.0, n, [stream(0, "gauss", 0)])[0]
+    x = _draw_increments_rows(BROWNIAN, 1.0, n, 1, stream(0, "gauss", 0))[0]
     assert abs(x.mean()) < 3.0 / np.sqrt(n)
     assert abs(x.var() - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
@@ -123,7 +123,7 @@ def test_compound_poisson_fourth_moment():
     oracle = kappa4 + 3 * kappa2**2
     assert oracle == 4.0
     n = 10**5
-    x = _draw_increments_rows(tri, 1.0, n, [stream(0, "cp4", 0)])[0]
+    x = _draw_increments_rows(tri, 1.0, n, 1, stream(0, "cp4", 0))[0]
     m4 = np.mean(x**4)
     se = np.std(x**4) / np.sqrt(n)
     assert abs(m4 - oracle) < 3 * se
@@ -136,7 +136,7 @@ def test_cumulants_scale_linearly_in_dt(dt):
     theory = {1: m.mu_L * dt, 2: m.Sigma_L * dt, 3: m.nu3 * dt, 4: m.nu4 * dt}
     n_batches, batch = 20, 5000
     gen = stream(2, "cumulants", 0)
-    draws = _draw_increments_rows(tri, dt, n_batches * batch, [gen])[0].reshape(n_batches, batch)
+    draws = _draw_increments_rows(tri, dt, n_batches * batch, 1, gen)[0].reshape(n_batches, batch)
     for order in (1, 2, 3, 4):
         ks = np.array([stats.kstat(row, order) for row in draws])
         se = ks.std(ddof=1) / np.sqrt(n_batches)
@@ -147,9 +147,9 @@ def test_additivity_of_increments():
     tri = LevyTriplet(0.2, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     n, dt = 10**5, 0.7
     gen = stream(3, "additivity", 0)
-    first = _draw_increments_rows(tri, dt, n, [gen])[0]
-    two_halves = first + _draw_increments_rows(tri, dt, n, [gen])[0]
-    one = _draw_increments_rows(tri, 2 * dt, n, [stream(3, "additivity", 1)])[0]
+    first = _draw_increments_rows(tri, dt, n, 1, gen)[0]
+    two_halves = first + _draw_increments_rows(tri, dt, n, 1, gen)[0]
+    one = _draw_increments_rows(tri, 2 * dt, n, 1, stream(3, "additivity", 1))[0]
     for order in (1, 2, 3, 4):
         a, b = two_halves**order, one**order
         se = np.sqrt(a.var() / n + b.var() / n)
@@ -158,10 +158,10 @@ def test_additivity_of_increments():
 
 def test_determinism():
     tri = LevyTriplet(0.1, 0.4, JumpSpec(2.0, atoms=((0.5, 1.0),)))
-    x = _draw_increments_rows(tri, 0.3, 1000, [stream(7, "det", 4)])[0]
-    y = _draw_increments_rows(tri, 0.3, 1000, [stream(7, "det", 4)])[0]
+    x = _draw_increments_rows(tri, 0.3, 1000, 1, stream(7, "det", 4))[0]
+    y = _draw_increments_rows(tri, 0.3, 1000, 1, stream(7, "det", 4))[0]
     assert np.array_equal(x, y)
-    z = _draw_increments_rows(tri, 0.3, 1000, [stream(7, "det", 5)])[0]
+    z = _draw_increments_rows(tri, 0.3, 1000, 1, stream(7, "det", 5))[0]
     assert not np.array_equal(x, z)
 
 

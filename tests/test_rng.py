@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from locstat.rng import stream, streams
+from locstat.rng import stream
 
 
 def test_same_identity_same_draws():
@@ -30,12 +32,6 @@ def test_negative_index_rejected():
         stream(0, "p", -1)
 
 
-def _philox_state(gen) -> tuple:
-    s = gen.bit_generator.state
-    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
-            s["buffer_pos"], s["has_uint32"], s["uinteger"])
-
-
 # every purpose the experiments draw from, in the forms they build
 EXPERIMENT_PURPOSES = (
     "coupling",
@@ -50,38 +46,21 @@ EXPERIMENT_PURPOSES = (
 
 
 @pytest.mark.parametrize("purpose", EXPERIMENT_PURPOSES)
-def test_streams_draw_what_stream_draws(purpose):
-    # each replication makes an odd number of 32-bit draws, which leaves a
-    # cached half word and a half-used Philox buffer behind; the next
-    # replication's re-key must drop both, so its first 32-bit draw matches
-    lo, hi = 61, 70
-    gens = streams(7, purpose, lo, hi)
-    assert len(gens) == hi - lo
-    n_seen = 0
-    for i, gen in zip(range(lo, hi), gens):
-        ref = stream(7, purpose, i)
-        got = _replication_draws(gen, i)
-        want = _replication_draws(ref, i)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (purpose, i)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        assert _philox_state(gen) == _philox_state(ref), (purpose, i)
-        n_seen += 1
-    assert n_seen == hi - lo
+def test_chunk_stream_keys_of_each_experiment_purpose(purpose):
+    # the Philox key of (seed, purpose, chunk index) is (seed ^ h1 ^ index *
+    # golden, h2 + index) mod 2^64 with h1, h2 the first two little-endian
+    # words of sha256(purpose); every chunk index keys its own stream
+    digest = hashlib.sha256(purpose.encode("utf-8")).digest()
+    h1, h2 = int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")
+    mask, golden, seed = 2**64 - 1, 0x9E3779B97F4A7C15, 7
+    keys = set()
+    for index in (0, 1, 2, 61, 2**40):
+        key = stream(seed, purpose, index).bit_generator.state["state"]["key"].tolist()
+        assert key == [(seed ^ h1 ^ (index * golden & mask)) & mask, (h2 + index) & mask]
+        keys.add(tuple(key))
+    assert len(keys) == 5
 
 
-def _replication_draws(gen, i):
-    return (
-        gen.integers(0, 2**32, size=1 + 2 * (i % 3), dtype=np.uint32),
-        gen.standard_normal(5),
-        gen.poisson(3.0, i % 4),
-        gen.random(i % 5),
-        gen.integers(0, 2**32, size=2, dtype=np.uint32),
-    )
-
-
-def test_streams_index_range():
-    with pytest.raises(ValueError):
-        streams(0, "p", -1, 4)
-    assert len(streams(0, "p", 3, 3)) == 0 and list(streams(0, "p", 3, 3)) == []
-    first = next(iter(streams(5, "p", 0, 2))).standard_normal(4)
-    assert np.array_equal(first, stream(5, "p", 0).standard_normal(4))
+def test_stream_index_range():
+    # the index defaults to 0, the stream of a one-path run
+    assert np.array_equal(stream(5, "p").standard_normal(4), stream(5, "p", 0).standard_normal(4))

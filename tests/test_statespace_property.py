@@ -33,7 +33,7 @@ from locstat.dynamics import (
 )
 from locstat.experiments import _coupling_weights
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet, triplet_moments
-from locstat.rng import streams
+from locstat.rng import stream
 
 H = 1.0 / 32.0  # binary fractions keep every grid time exact
 BURN_IN = 8.0  # 8 / declared margin 1
@@ -378,7 +378,7 @@ def test_segment_law_draws_match_the_exact_moment_recursion(spec, N, gaps, first
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     law = build_segment_law(plan, tri)
-    x = segment_states(law, draw_segment_noise(law, streams(seed, "moments", 0, R)))
+    x = segment_states(law, draw_segment_noise(law, stream(seed, "moments", 0), R))
     means, covs = exact_node_moments(spec, plan, tri)
     z_mean = (x.mean(axis=2) - means) / np.sqrt(np.diagonal(covs, axis1=1, axis2=2) / R)
     assert np.abs(z_mean).max() < 4.5

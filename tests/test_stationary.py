@@ -129,7 +129,7 @@ def test_fourth_moment_vs_exact_simulation():
     # Monte Carlo oracle on exactly placed jumps
     gen = stream(5, "fourth-mc", 0)
     fr = st.freeze(models.ou(1.0), 1.0)
-    vals = st.simulate_stationary_batch(fr, CPOIS, np.full(2 * 10**5, 3.0), 1, [gen])[0]
+    vals = st.simulate_stationary_batch(fr, CPOIS, np.full(2 * 10**5, 3.0), 1, gen)[0]
     m4 = np.mean(vals**4)
     se = np.std(vals**4) / np.sqrt(len(vals))
     assert abs(m4 - 1.0) < 3 * se
@@ -226,7 +226,7 @@ def test_sigma2_tilde_vs_exact_simulation():
     tri = LevyTriplet(0.0, 0.25, JumpSpec(0.5, atoms=((1.5, 0.5), (-1.5, 0.5))))
     n = 40_000
     gaps = np.tile([0.5, 0.5, 12.0 / fr.margin], n)[:-1]
-    y = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(11, "tilde-exact", 0)])[0]
+    y = st.simulate_stationary_batch(fr, tri, gaps, 1, stream(11, "tilde-exact", 0))[0]
     y = y.reshape(n, 3)
     for col, k in enumerate((0.0, 0.5, 1.0)):
         v = (y[:, 0] * y[:, col] - st.stationary_autocov(spec, 1.0, tri, k)) ** 2
@@ -289,7 +289,7 @@ def test_moment_simulation_consistency_shipped_specs():
         n = 60_000
         spacing = 2.0 / fr.margin
         vals = st.simulate_stationary_batch(
-            fr, tri, np.full(n, spacing), 1, [stream(4, f"cons:{spec.model_id}", 0)]
+            fr, tri, np.full(n, spacing), 1, stream(4, f"cons:{spec.model_id}", 0)
         )[0]
         mean = st.stationary_mean(spec, u, tri)
         var = float(st.stationary_autocov(spec, u, tri, 0.0))
@@ -310,7 +310,7 @@ def test_isserlis_cross_check_gaussian():
     ou = models.ou(1.0)
     fr = st.freeze(ou, 1.0)
     n = 2 * 10**5
-    vals = st.simulate_stationary_batch(fr, BROWNIAN, np.full(n, 1.0), 1, [stream(6, "iss", 0)])[0]
+    vals = st.simulate_stationary_batch(fr, BROWNIAN, np.full(n, 1.0), 1, stream(6, "iss", 0))[0]
     m = len(vals)
     r = lambda h: float(st.stationary_autocov(ou, 1.0, BROWNIAN, float(abs(h))))
     for k in (0, 1):
@@ -364,7 +364,7 @@ def test_defective_state_matrix_uses_expm_fallback():
     assert var == pytest.approx(oracle, rel=1e-10)
     tri = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     vals = st.simulate_stationary_batch(fr, tri, np.full(30_000, 2.0), 1,
-                                        [stream(11, "jordan", 0)])[0]
+                                        stream(11, "jordan", 0))[0]
     target = float(st.stationary_autocov(spec, 0.0, tri, 0.0))
     se = np.std(vals**2) / np.sqrt(len(vals) / 2)
     assert abs(vals.var() - target) < 4 * se
@@ -470,10 +470,12 @@ def reference_step_law(fr, triplet, h):
     return prop, drift, chol
 
 
-def reference_batch(fr, triplet, gaps, R, gens):
+def reference_batch(fr, triplet, gaps, R, gen):
     """One replication and one step at a time, with one expm per jump on the
-    expm path: the loop the batched simulator replaced, with its draw order.
-    Returns the Y values (R, len(gaps) + 1) and the final states (R, p)."""
+    expm path: the loop the batched simulator replaced, on the draws of one
+    chunk (normals (R, steps, p), counts (R, steps), offsets, sizes; jumps
+    replication by replication). Returns the Y values (R, len(gaps) + 1) and
+    the final states (R, p)."""
     from scipy import linalg
 
     gaps = np.asarray(gaps, dtype=float)
@@ -488,17 +490,20 @@ def reference_batch(fr, triplet, gaps, R, gens):
     all_gaps = np.concatenate([[warm], gaps])
     out = np.empty((R, n + 1))
     states = np.empty((R, p))
+    z = gen.standard_normal((R, n + 1, p)) if triplet.sigma2 > 0 else None
+    if rate > 0:
+        counts = gen.poisson(np.broadcast_to(rate * all_gaps, (R, n + 1)))
+        offs_all = gen.uniform(0.0, 1.0, int(counts.sum()))
+        sizes_all = triplet.jumps.sample(offs_all.size, gen)
+        ends = np.cumsum(counts.sum(axis=1))
     for r in range(R):
-        gen = gens[r]
-        z = gen.standard_normal((n + 1, p)) if triplet.sigma2 > 0 else None
         jump_term = np.zeros((n + 1, p))
         if rate > 0:
-            counts = gen.poisson(rate * all_gaps)
-            total = int(counts.sum())
+            total = int(counts[r].sum())
             if total:
-                offs_unit = gen.uniform(0.0, 1.0, total)
-                sizes = triplet.jumps.sample(total, gen)
-                step_idx = np.repeat(np.arange(n + 1), counts)
+                offs_unit = offs_all[ends[r] - total:ends[r]]
+                sizes = sizes_all[ends[r] - total:ends[r]]
+                step_idx = np.repeat(np.arange(n + 1), counts[r])
                 remain = all_gaps[step_idx] * (1.0 - offs_unit)
                 if eig is not None:
                     expf = np.exp(np.multiply.outer(remain, w_eig))
@@ -513,7 +518,7 @@ def reference_batch(fr, triplet, gaps, R, gens):
             prop, drift, chol = laws[h]
             x = prop @ x + drift + jump_term[i]
             if chol is not None:
-                x = x + chol @ z[i]
+                x = x + chol @ z[r, i]
             out[r, i] = fr.B @ x
         states[r] = x
     return out, states
@@ -546,34 +551,22 @@ def test_batched_simulation_matches_per_step_loop(system, driver):
     for R in (1, 7, 64):
         for name, gaps in EQUIV_GAPS.items():
             purpose = f"equiv:{system}:{driver}:{name}"
-            ref, ref_state = reference_batch(
-                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)]
-            )
-            out = st.simulate_stationary_batch(
-                fr, tri, gaps, R, [stream(5, purpose, r) for r in range(R)]
-            )
-            # the final states, from the same law and streams
+            ref, ref_state = reference_batch(fr, tri, gaps, R, stream(5, purpose, 0))
+            out = st.simulate_stationary_batch(fr, tri, gaps, R, stream(5, purpose, 0))
+            # the final states, from the same law and stream
             law = st._frozen_law(fr, tri, gaps)
-            eta = draw_segment_noise(law, [stream(5, purpose, r) for r in range(R)])
+            eta = draw_segment_noise(law, stream(5, purpose, 0), R)
             state = segment_states(law, eta)[-1].T
             assert out.shape == (R, len(gaps) + 1) and out.flags.c_contiguous
             assert state.shape == (R, fr.p)
             tol = 1e-12 * np.abs(ref).max()
             assert np.abs(out - ref).max() <= tol, (R, name)
             assert np.abs(state - ref_state).max() <= 1e-12 * np.abs(ref_state).max(), (R, name)
-            # replication r of the batch is the same stream run alone
-            for r in {0, R // 2, R - 1}:
-                alone = st.simulate_stationary_batch(fr, tri, gaps, 1, [stream(5, purpose, r)])
-                assert np.abs(alone[0] - out[r]).max() <= tol, (R, name, r)
-
-
-def test_generator_count_must_match_replications():
-    fr = st.freeze(models.ou(1.0), 0.0)
-    gaps = np.full(5, 0.5)
-    for R, n_gens in ((1, 3), (5, 3)):
-        gens = [stream(1, "count", r) for r in range(n_gens)]
-        with pytest.raises(ValueError, match="generators"):
-            st.simulate_stationary_batch(fr, CPOIS, gaps, R, gens)
+            # the chunk is its stream alone: drawn again after another
+            # index's chunk, it is the same bytes
+            st.simulate_stationary_batch(fr, tri, gaps, R, stream(5, purpose, 1))
+            alone = st.simulate_stationary_batch(fr, tri, gaps, R, stream(5, purpose, 0))
+            assert np.array_equal(alone, out), (R, name)
 
 
 def test_jump_inputs_match_per_jump_expm():

@@ -68,7 +68,7 @@ def test_batched_simulator_matches_closed_form_moments(fr, tri, lag, seed):
     gap = lag / fr.margin
     # one generator for every replication: the paths stay independent
     law = st._frozen_law(fr, tri, np.array([gap]))
-    eta = draw_segment_noise(law, [gen] * R)
+    eta = draw_segment_noise(law, gen, R)
     y, x = run_segment_law(law, eta), segment_states(law, eta)[-1].T
     mean = st.stationary_mean(fr, 0.0, tri)
     c0, c1 = y[:, 0] - mean, y[:, 1] - mean
