@@ -630,9 +630,10 @@ def test_segment_sampler_draw_contract():
         assert log == ["standard_normal", "poisson", "random", "random"], name
 
 
-def test_counts_are_one_poisson_call_on_the_broadcast_rates():
-    # on random rate layouts (zero rates, rates of 10 or more, which take
-    # another numpy algorithm, and runs of one segment) the counts of a chunk
+def test_counts_by_runs_are_one_poisson_call_on_the_rates():
+    # on random layouts of runs of equal rates (zero rates, rates of 10 or
+    # more, which take another numpy algorithm, and runs of one segment) the
+    # counts of a chunk
     # and the generator state afterwards equal those of one poisson call on
     # the rates broadcast to (R, n_records)
     layouts = np.random.default_rng(31)

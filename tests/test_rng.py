@@ -61,6 +61,9 @@ def test_chunk_stream_keys_of_each_experiment_purpose(purpose):
     assert len(keys) == 5
 
 
-def test_stream_index_range():
-    # the index defaults to 0, the stream of a one-path run
+def test_streams_index_range():
+    # stream indices run from 0, the default and the stream of a one-path
+    # run, upwards; a negative index is refused
+    with pytest.raises(ValueError):
+        stream(0, "p", -1)
     assert np.array_equal(stream(5, "p").standard_normal(4), stream(5, "p", 0).standard_normal(4))
