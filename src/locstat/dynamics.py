@@ -6,10 +6,10 @@ the rescaled process
 
     Y_N(t) = B(t)' X(N t),    dX(s) = A(s/N) X(s) ds + C(s/N) L(ds),
 
-by a state recursion on a fine grid in rescaled time s. A fine step
-freezes A at its midpoint and C at its left point and moves the state by
-the exact step law of :class:`StepLaw`, which the frozen process of
-``stationary`` uses too (non-commuting models take an RK4 propagator). A
+by a state recursion on a fine grid in rescaled time s. A fine step moves
+the state by the exact step law of :class:`StepLaw`, which the frozen process
+of ``stationary`` uses too, with the fourth-order Magnus exponent of A over
+the step and C at the step midpoint (:func:`_step_stack`). A
 stack of steps shares the eigenbasis of its first step wherever that basis
 diagonalizes every step up to a residual of ``_RESIDUAL_MAX``; otherwise each
 step takes its own.
@@ -20,8 +20,8 @@ scan of affine maps (:func:`affine_states`) on the segment data of
 :func:`_segment_stacks`. The campaigns draw the noise of a segment from its
 exact law (:class:`SegmentLaw`). :func:`simulate_yn` and :func:`refine_path`
 keep per-step increments, on which coupled paths are built; an increment
-does not say where inside its step its jumps fell, so they weight it by
-C(s_j / N) at the left point, an O(h) error. One sampler,
+does not say where inside its step its jumps fell, so they add it at the
+end of its step with weight C(mid), an O(h) error. One sampler,
 :func:`draw_segment_noise`, draws the driver, and one map,
 :func:`_driver_law`, turns a triplet into a law.
 """
@@ -51,7 +51,6 @@ __all__ = [
     "build_plan",
     "coefficient_values",
     "eigenbasis",
-    "step_propagators",
     "StepLaw",
     "JumpWeights",
     "affine_states",
@@ -541,7 +540,8 @@ def _segment_stacks(plan: Plan):
         stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
         for segs in np.split(same, np.arange(stack, same.size, stack)):
             steps = bounds[segs, None] + np.arange(m)  # (segments, m)
-            P, law = _step_stack(spec, plan.start + steps * h, N, h)
+            law = _step_stack(spec, plan.start + steps * h, N, h)
+            P = law.propagator()
             if m == 0:  # a record at step 0 (burn-in below half a step) keeps the zero start
                 yield segs, steps, np.eye(p)[None], P, law
                 continue
@@ -749,14 +749,15 @@ def _rows(good: np.ndarray):
 
 
 class StepLaw:
-    """Exact law of steps x <- e^{Ah} x + int_0^h e^{A(h-r)} C L(dr) with A, C
-    frozen in each step (Brockwell 2001, "Levy-driven CARMA processes", AISM
-    53): drift weight d = int_0^h e^{Ar} dr C, covariance G = int_0^h e^{Ar}
-    CC' e^{A'r} dr, and jump weight e^{A(h-r)} C at offset r
-    (:class:`JumpWeights`). With M = A h, all are entrywise for p = 1. On a
-    trusted eigenbasis M = V diag(w) V^-1 (:func:`eigenbasis`), e^M = V
-    diag(e^w) V^-1; with g = V^-1 C and phi(x) = expm1(x) / x, d = h V (phi(w)
-    g) and G = h V [g g^* o phi(w_i + conj w_k)] V^*. The terms g g^* grow like
+    """Exact law of steps x <- e^M x + int_0^h e^{M(h-r)/h} C L(dr) with the
+    exponent M and C fixed in each step: M = A h for a frozen A (Brockwell
+    2001, "Levy-driven CARMA processes", AISM 53), or the Magnus exponent of
+    :func:`_step_stack`. Drift weight d = int_0^h e^{Mr/h} dr C, covariance G =
+    int_0^h e^{Mr/h} CC' e^{M'r/h} dr, jump weight e^{M(h-r)/h} C at offset r
+    (:class:`JumpWeights`); all entrywise for p = 1. On a trusted eigenbasis
+    M = V diag(w) V^-1 (:func:`eigenbasis`), e^M = V diag(e^w) V^-1; with g =
+    V^-1 C and phi(x) = expm1(x) / x, d = h V (phi(w) g) and G = h V [g g^* o
+    phi(w_i + conj w_k)] V^*. The terms g g^* grow like
     cond(V)^2 |C|^2 and cancel down to G, so d and G take that form only where
     the estimate of cond(V) is at most sqrt(``_COND_MAX``). Otherwise e^M comes
     from expm, d = h M^-1 (e^M - I) C and G = h (S - e^M S e^M'), S the Gramian
@@ -770,13 +771,13 @@ class StepLaw:
     ``_RESIDUAL_MAX`` ||M_k||_F. Otherwise every step of the stack takes its
     own eigenbasis. The residuals decide, not a declared commuting flag; a
     constant A, as in the frozen process, passes with rounding residuals.
-    ``A`` is (..., p, p) or one (p, p) matrix, ``C`` broadcasts to (..., p)
-    and ``h`` to their leading shape. The eigenbasis is taken on first use.
+    ``M`` is (..., p, p), ``C`` broadcasts to (..., p) and ``h`` to their
+    leading shape. The eigenbasis is taken on first use.
     """
 
-    def __init__(self, A, C, h):
+    def __init__(self, M, C, h):
         self.h = np.asarray(h, dtype=float)
-        self.M = A * self.h[..., None, None]
+        self.M = np.asarray(M, dtype=float)
         self.C = np.broadcast_to(C, self.M.shape[:-1])
 
     @functools.cached_property
@@ -808,7 +809,7 @@ class StepLaw:
         return linalg.expm(M)[at.ravel()]
 
     def propagator(self) -> np.ndarray:
-        """e^{Ah}, shape (..., p, p)."""
+        """e^M, shape (..., p, p)."""
         w, V, Vinv, est = self.basis
         if V is None:
             return np.exp(self.M)
@@ -846,8 +847,8 @@ class StepLaw:
 class JumpWeights:
     """Weights of jumps in a flat stack of n steps. A jump in step j with the
     fraction f of the step still to run has weight L_j e^{M_j f} C_j, with
-    M_j = A_j h_j and L_j the matrix that carries it to its record. On a
-    trusted eigenbasis of M_j (:class:`StepLaw`) that is (U_j e^{w_j f}).real
+    M_j the exponent of its :class:`StepLaw` and L_j the matrix that carries
+    it to its record. On a trusted eigenbasis of M_j that is (U_j e^{w_j f}).real
     with U_j = L_j V_j diag(V_j^-1 C_j), stored per step; the other steps keep
     L_j, M_j and C_j and take expm per jump.
     """
@@ -895,25 +896,20 @@ def _gramian(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K.reshape(k, p * p, p * p), -CC).reshape(k, p, p)
 
 
-def _step_stack(spec: ModelSpec, lefts: np.ndarray, N: float, h: float):
-    """Propagators of the steps [s, s + h], ``s = lefts`` in rescaled time,
-    and the :class:`StepLaw` of their noise with A at (s + h/2)/N and C at
-    s/N. A model not declared commuting takes one RK4 step as propagator."""
-    A1 = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
-    law = StepLaw(A1, coefficient_values(spec, "C", lefts / N), h)
-    if spec.commuting:
-        return law.propagator(), law
-    A0, A2 = (coefficient_values(spec, "A", t / N) for t in (lefts, lefts + h))
-    eye = np.eye(spec.p)
-    k2 = A1 @ (eye + (h / 2) * A0)
-    k3 = A1 @ (eye + (h / 2) * k2)
-    return eye + (h / 6) * (A0 + 2 * k2 + 2 * k3 + A2 @ (eye + h * k3)), law
-
-
-def step_propagators(spec: ModelSpec, lefts, N: float, h: float) -> np.ndarray:
-    """Propagators (n, p, p) of dX/ds = A(s/N) X over the steps [s, s + h]
-    with left points ``s = lefts`` in rescaled time (:func:`_step_stack`)."""
-    return _step_stack(spec, np.asarray(lefts, dtype=float), N, h)[0]
+def _step_stack(spec: ModelSpec, lefts: np.ndarray, N: float, h: float) -> StepLaw:
+    """:class:`StepLaw` of the steps [s, s + h], ``s = lefts`` in rescaled time,
+    with the fourth-order Magnus exponent (h/2)(A_1 + A_2) + (sqrt(3) h^2/12)
+    [A_2, A_1], A_1 and A_2 at the Gauss nodes (s + (1/2 -+ sqrt(3)/6) h)/N
+    (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), and C at (s + h/2)/N.
+    A constant A gives A h bit for bit. Diagonal matrices, p = 1 among them,
+    commute exactly, so their commutator is not computed."""
+    nodes = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+    A1, A2 = (coefficient_values(spec, "A", (lefts + c * h) / N) for c in nodes)
+    M = 0.5 * h * (A1 + A2)
+    off = ~np.eye(spec.p, dtype=bool)
+    if A1[..., off].any() or A2[..., off].any():
+        M += (np.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
+    return StepLaw(M, coefficient_values(spec, "C", (lefts + 0.5 * h) / N), h)
 
 
 def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -964,7 +960,7 @@ def _simulate_yn_statespace(
     decay, eta = np.empty((n, p, p)), np.empty((n, p))
     for segs, steps, D, M, law in _segment_stacks(plan):
         decay[segs] = D
-        # left-point weights v_j = M_j C(s_j / N)
+        # per-step weights v_j = M_j C_j, C_j at the midpoint of step j
         eta[segs] = np.einsum("gjp,gj->gp", (M @ law.C[..., None])[..., 0], inc[steps])
     states = affine_states(decay, eta, np.zeros(p))
     B = coefficient_values(spec, "B", plan.eval_rescaled / N)

@@ -194,8 +194,8 @@ def _coupling_weights(model, u, N, h, burn_in):
     Unrolling the recursion over the burn-in writes each as a weighted sum of
     the shared increments; differencing the weight vectors gives the coupled
     gap. Y_N(u) is the one record of the plan that ends at N u, so its weights
-    are w_n[j] = B(u)' v_j with the left-point weights v_j = M_j C(s_j / N)
-    of that record (an increment does not place its jumps inside its step).
+    are w_n[j] = B(u)' v_j with the per-step weights v_j = M_j C_j of that
+    record, C_j at the step midpoint (an increment enters at its step's end).
     """
     plan = build_plan(model, N, [N * u], h, burn_in)
     _, _, _, M, law = next(_segment_stacks(plan))

@@ -21,13 +21,13 @@ quadrature (:func:`_product_integrals`). The lagged fourth moments make the
 limit variance of the second-order statistic exact for every centered driver.
 
 Simulation is exact in distribution: each step of the grid, and a long
-warm start before it, is one step of the constant-A ``dynamics.StepLaw``,
-the step law the simulator of ``Y_N`` uses too, and one segment of a
-``dynamics.SegmentLaw``. So the frozen process is drawn and scanned by the
-same sampler as ``Y_N``: a batch of replications draws from one generator,
-one call per kind (``dynamics.draw_segment_noise``), and one affine prefix scan
-over time (``dynamics.run_segment_law``) carries the states of all
-replications, shape (steps, p, R).
+warm start before it, is one step of ``dynamics.StepLaw`` with exponent A
+times its length, the step law the simulator of ``Y_N`` uses too, and one
+segment of a ``dynamics.SegmentLaw``. So the frozen process is drawn and
+scanned by the same sampler as ``Y_N``: a batch of replications draws from
+one generator, one call per kind (``dynamics.draw_segment_noise``), and one
+affine prefix scan over time (``dynamics.run_segment_law``) carries the
+states of all replications, shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
 widely separated samples the half-second-moment normalization
@@ -402,15 +402,16 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     warm start of length 12 / margin from the zero state.
 
     Step k is segment k of a ``dynamics.SegmentLaw``: one cell of length
-    gaps[k], with the drift weight and covariance of the constant-A
-    ``dynamics.StepLaw``, whose steps share the eigenbasis of the first one
+    gaps[k], with the drift weight and covariance of the ``dynamics.StepLaw``
+    of exponent A gaps[k], whose steps share the eigenbasis of the first one
     when it is trusted, and jump weight e^{A(h-r)} C at arrival offset r.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
     all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
-    law, weights = _step_law(fr.A, fr.C, all_gaps), JumpWeights(all_gaps.size, fr.p)
+    law = _step_law(fr.A * all_gaps[:, None, None], fr.C, all_gaps)
+    weights = JumpWeights(all_gaps.size, fr.p)
     if triplet.jump_rate > 0:
         weights.put(np.arange(all_gaps.size), law)
     return _driver_law(

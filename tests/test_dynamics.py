@@ -21,7 +21,6 @@ from locstat.dynamics import (
     refine_path,
     run_segment_law,
     simulate_yn,
-    step_propagators,
     transition_matrix,
     transition_seminorm_check,
     validate_car1,
@@ -229,7 +228,8 @@ def test_coupling_determinism():
 
 def test_statespace_path_matches_scalar_path():
     # the 1x1 state space view runs the scalar recursion
-    # Y <- exp(-a(mid) h) Y + dL step by step
+    # Y <- exp(-(h/2)(a(s_1) + a(s_2))) Y + dL step by step, s_1 and s_2 the
+    # Gauss nodes of the step
     car = models.tvcar_sin()
     tri = LevyTriplet(0.3, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     times = np.array([0.5, 1.0])
@@ -237,8 +237,8 @@ def test_statespace_path_matches_scalar_path():
     b = simulate_yn(car.to_state_space(), tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     assert np.array_equal(a.values, b.values)
     inc, start = a.fine_grid.increments, a.fine_grid.start
-    mids = start + (np.arange(inc.size) + 0.5) * 0.01
-    phi = np.exp(-car.a(mids / 16) * 0.01)
+    a1, a2 = (car.a((start + (np.arange(inc.size) + c) * 0.01) / 16) for c in GAUSS)
+    phi = np.exp(-0.5 * 0.01 * (a1 + a2))
     y, expect = 0.0, []
     record_steps = np.rint((16 * times - start) / 0.01).astype(int)
     for j in range(inc.size):
@@ -249,15 +249,30 @@ def test_statespace_path_matches_scalar_path():
 
 
 def test_noncommuting_step_matches_commuting_path():
-    # companion2 has constant A, so one RK4 step of length h and expm(A h)
-    # agree to O(h^5); an RK4 step over the wrong time span does not
+    # the declared flag does not choose the step: every model takes the Magnus
+    # step, which for the constant A of companion2 is A h either way
     spec = models.companion2()
     noncommuting = dataclasses.replace(spec, commuting=False)
     times = np.linspace(0.5, 1.5, 21)
     for N in (4, 16):
         a = simulate_yn(spec, BROWNIAN, N, times, 0.005, 8.0, stream(3, "nc", N))
         b = simulate_yn(noncommuting, BROWNIAN, N, times, 0.005, 8.0, stream(3, "nc", N))
-        assert np.abs(b.values - a.values).max() <= 1e-6 * np.abs(a.values).max()
+        assert np.array_equal(b.values, a.values)
+
+
+def test_step_propagators_are_fourth_order_on_a_noncommuting_model():
+    # the product of the Magnus step propagators over [0, 2] against a fine
+    # RK4 transition matrix: each halving of h cuts the error about 16-fold
+    spec = _noncommuting()
+    ref = transition_matrix(spec, 2.0, 0.0, method="ode_rk4", step=1e-4)
+    errors = []
+    for h in (0.4, 0.2, 0.1, 0.05):
+        product = np.eye(2)
+        for P in _propagators(spec, np.arange(round(2.0 / h)) * h, 1.0, h):
+            product = P @ product
+        errors.append(np.linalg.norm(product - ref))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((14.0 <= ratios) & (ratios <= 18.0)), ratios
 
 
 def test_shipped_coefficients_take_arrays_of_times():
@@ -346,14 +361,31 @@ def _segment_paths(plan, tri, purpose, n_reps):
     return run_segment_law(law, draw_segment_noise(law, stream(11, purpose, 0), n_reps))
 
 
+# Gauss nodes of the fourth-order Magnus step, as fractions of the step
+GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+
+def _magnus_exponents(spec, lefts, N, h):
+    """Fourth-order Magnus exponents (n, p, p) of the steps with left points
+    ``lefts``: (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)[A_2, A_1], A_1 and A_2 at
+    the Gauss nodes of each step."""
+    A1, A2 = (coefficient_values(spec, "A", (lefts + c * h) / N) for c in GAUSS)
+    return 0.5 * h * (A1 + A2) + (np.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
+
+
+def _propagators(spec, lefts, N, h):
+    """Propagators (n, p, p) of the simulator's steps with left points ``lefts``."""
+    return dynamics._step_stack(spec, np.asarray(lefts, dtype=float), N, h).propagator()
+
+
 def _fine_grid_values(plan, inc):
-    """Reference recursion x <- P_j x + C(s_j / N) dL_j one fine step at a
+    """Reference recursion x <- P_j x + C(mid_j / N) dL_j one fine step at a
     time, for every row of increments ``inc`` (R, n_steps) at once; returns
     B(t_k)' x at the plan's records, shape (R, n_records)."""
     spec, N, h = plan.spec, plan.N, plan.h
     lefts = plan.start + np.arange(plan.n_steps) * h
-    P = step_propagators(spec, lefts, N, h)
-    C = coefficient_values(spec, "C", lefts / N)
+    P = _propagators(spec, lefts, N, h)
+    C = coefficient_values(spec, "C", (lefts + 0.5 * h) / N)
     B = coefficient_values(spec, "B", plan.eval_rescaled / N)
     record_of = {int(s): k for k, s in enumerate(plan.record_steps)}
     x = np.zeros((spec.p, inc.shape[0]))
@@ -366,41 +398,41 @@ def _fine_grid_values(plan, inc):
 
 
 def _exact_step_moments(spec, lefts, N, h):
-    """Drift weights int_0^h e^{Ar} dr C (n, p) and covariances
-    int_0^h e^{Ar} CC' e^{A'r} dr (n, p, p) of the steps with left points
-    ``lefts``, A frozen at the midpoint and C at the left point, from Van
-    Loan's block exponentials (Van Loan 1978, IEEE TAC 23), one expm each."""
+    """Drift weights int_0^h e^{Wr/h} dr C (n, p) and covariances
+    int_0^h e^{Wr/h} CC' e^{W'r/h} dr (n, p, p) of the steps with left points
+    ``lefts``, W the Magnus exponent of the step and C at its midpoint, from
+    Van Loan's block exponentials (Van Loan 1978, IEEE TAC 23), one expm each."""
     from scipy.linalg import expm
 
-    A = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
-    C = coefficient_values(spec, "C", lefts / N)
+    W = _magnus_exponents(spec, lefts, N, h)
+    C = coefficient_values(spec, "C", (lefts + 0.5 * h) / N)
     n, p = C.shape
     drift_block = np.zeros((n, p + 1, p + 1))
-    drift_block[:, :p, :p], drift_block[:, :p, p] = A, C
+    drift_block[:, :p, :p], drift_block[:, :p, p] = W, h * C
     cov_block = np.zeros((n, 2 * p, 2 * p))
-    cov_block[:, :p, :p] = -A
-    cov_block[:, :p, p:] = C[:, :, None] * C[:, None, :]
-    cov_block[:, p:, p:] = np.swapaxes(A, -1, -2)
-    F = expm(cov_block * h)
-    return expm(drift_block * h)[:, :p, p], np.swapaxes(F[:, p:, p:], -1, -2) @ F[:, :p, p:]
+    cov_block[:, :p, :p] = -W
+    cov_block[:, :p, p:] = h * C[:, :, None] * C[:, None, :]
+    cov_block[:, p:, p:] = np.swapaxes(W, -1, -2)
+    F = expm(cov_block)
+    return expm(drift_block)[:, :p, p], np.swapaxes(F[:, p:, p:], -1, -2) @ F[:, :p, p:]
 
 
 def _fine_paths(plan, tri, purpose, n_reps):
     """Reference paths one fine step at a time under the exact in-step law:
     x <- P_j x + path_drift d_j + sigma2^(1/2) G_j^(1/2) Z
     (:func:`_exact_step_moments`) plus Poisson(rate h) jumps, each with a
-    uniform fraction f of its step still to run and weight e^{A_j h f} C_j
-    by one expm per jump. Returns B(t_k)' x at the records, shape
-    (n_reps, n_records)."""
+    uniform fraction f of its step still to run and weight e^{W_j f} C_j, W_j
+    the Magnus exponent of the step, by one expm per jump. Returns B(t_k)' x
+    at the records, shape (n_reps, n_records)."""
     from scipy.linalg import expm
 
     spec, N, h = plan.spec, plan.N, plan.h
     lefts = plan.start + np.arange(plan.n_steps) * h
-    P = step_propagators(spec, lefts, N, h)
+    P = _propagators(spec, lefts, N, h)
     d, G = _exact_step_moments(spec, lefts, N, h)
     F = covariance_factor(tri.sigma2 * G)
-    A = coefficient_values(spec, "A", (lefts + 0.5 * h) / N)
-    C = coefficient_values(spec, "C", lefts / N)
+    W = _magnus_exponents(spec, lefts, N, h)
+    C = coefficient_values(spec, "C", (lefts + 0.5 * h) / N)
     B = coefficient_values(spec, "B", plan.eval_rescaled / N)
     record_of = {int(s): k for k, s in enumerate(plan.record_steps)}
     gen = stream(11, purpose, 0)
@@ -410,7 +442,7 @@ def _fine_paths(plan, tri, purpose, n_reps):
         x = x @ P[j].T + tri.path_drift * d[j] + gen.standard_normal((n_reps, spec.p)) @ F[j].T
         reps = np.repeat(np.arange(n_reps), gen.poisson(tri.jump_rate * h, n_reps))
         if reps.size:
-            weights = expm(A[j] * h * gen.random(reps.size)[:, None, None]) @ C[j]
+            weights = expm(W[j] * gen.random(reps.size)[:, None, None]) @ C[j]
             np.add.at(x, reps, weights * tri.jumps.sample(reps.size, gen)[:, None])
         if j + 1 in record_of:
             out[:, record_of[j + 1]] = x @ B[record_of[j + 1]]
@@ -419,8 +451,9 @@ def _fine_paths(plan, tri, purpose, n_reps):
 
 def test_segment_law_structure():
     plan = _law_plan(models.tvcar_sin())
-    mids = plan.start + (np.arange(plan.n_steps) + 0.5) * LAW_H
-    phi = np.exp(-models.tvcar_sin().a(mids / 64) * LAW_H)
+    a = (models.tvcar_sin().a((plan.start + (np.arange(plan.n_steps) + c) * LAW_H) / 64)
+         for c in GAUSS)
+    phi = np.exp(-0.5 * LAW_H * sum(a))
     # fine-step bounds of the record segments; the first segment is the burn-in
     bounds = np.concatenate([[0], plan.record_steps])
     assert bounds[-1] == plan.n_steps
@@ -497,18 +530,17 @@ def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
 def test_step_law_moments_on_an_ill_conditioned_trusted_eigenbasis():
     # eigenvalues 1e-6 apart: the eigenbasis estimate is about 2e6, trusted for
     # the propagator, but the eigenbasis form of G would lose eps cond^2, about
-    # 1e-4 of it; A given once (frozen) and per step, against Van Loan
+    # 1e-4 of it; against Van Loan
     A = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-6]])
     C = np.array([0.3, 1.0])
     assert np.sqrt(dynamics._COND_MAX) < dynamics.eigenbasis(A)[3] <= dynamics._COND_MAX
     spec = ModelSpec(2, lambda t: A, lambda t: C, lambda t: C, Lipschitz(0.0), True, 1.0, "near")
     h = np.array([1.0 / 64.0, 0.5, 2.0])
-    for law in (dynamics.StepLaw(A, C, h), dynamics.StepLaw(np.stack([A] * 3), C, h)):
-        d, G = law.moments()
-        for k in range(h.size):
-            d_ref, G_ref = _exact_step_moments(spec, np.zeros(1), 1.0, h[k])
-            assert np.abs(d[k] - d_ref[0]).max() <= 1e-12 * np.abs(d_ref).max()
-            assert np.abs(G[k] - G_ref[0]).max() <= 1e-12 * np.abs(G_ref).max()
+    d, G = dynamics.StepLaw(A * h[:, None, None], C, h).moments()
+    for k in range(h.size):
+        d_ref, G_ref = _exact_step_moments(spec, np.zeros(1), 1.0, h[k])
+        assert np.abs(d[k] - d_ref[0]).max() <= 1e-12 * np.abs(d_ref).max()
+        assert np.abs(G[k] - G_ref[0]).max() <= 1e-12 * np.abs(G_ref).max()
 
 
 def test_covariance_factor_is_exactly_zero_in_a_rounding_null_direction():
@@ -543,7 +575,7 @@ def test_segment_law_matches_exact_moment_recursion(tri):
         # in-step drift weight d and covariance G, and W <- P W from W = V at
         # a record, so that B' W B_prev is the covariance of consecutive nodes
         lefts = plan.start + np.arange(plan.n_steps) * LAW_H
-        P = step_propagators(plan.spec, lefts, 64, LAW_H)
+        P = _propagators(plan.spec, lefts, 64, LAW_H)
         d, G = _exact_step_moments(plan.spec, lefts, 64, LAW_H)
         B = coefficient_values(plan.spec, "B", plan.eval_rescaled / 64)
         means, variances, lag_covs = [], [], []

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from locstat import models
+from locstat.cli import _build_model
 from locstat.experiments import (
     CHUNK,
     ExperimentConfig,
@@ -75,13 +76,15 @@ def test_coupling_rate_and_negative_control():
 
 
 def test_coupling_weights_statespace_matches_scalar():
-    # scalar weights: suffix products of the one-step decays exp(-a(mid) h)
+    # scalar weights: suffix products of the one-step decays
+    # exp(-(h/2)(a(s_1) + a(s_2))), s_1 and s_2 the Gauss nodes of the step,
     # for Y_N, exp(-a(u) depth) for the frozen process
     car = models.tvcar_sin()
     n_cells, h = 800, 0.01
     for N in (16, 64):
-        mids = N * 1.0 - (n_cells - np.arange(n_cells)) * h + 0.5 * h
-        phi = np.exp(-car.a(mids / N) * h)
+        lefts = N * 1.0 - (n_cells - np.arange(n_cells)) * h
+        a1, a2 = (car.a((lefts + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N) for c in (-1.0, 1.0))
+        phi = np.exp(-0.5 * h * (a1 + a2))
         w_n = np.ones(n_cells)
         w_n[:-1] = np.cumprod(phi[:0:-1])[::-1]
         w_f = np.exp(-car.a(1.0) * (n_cells - 1 - np.arange(n_cells)) * h)
@@ -269,6 +272,34 @@ def test_jump_driven_reports_are_identical_across_workers():
         "coupling", models.tvcar_sin(), jumps, 1.0, (16, 64), 130, 17, 0.01, 8.0
     )
     for cfg, run in ((clt, run_clt), (lip, run_lipschitz_u), (coupling, run_coupling)):
+        assert cfg.replications % CHUNK != 0
+        reports = {
+            json.dumps(run(dataclasses.replace(cfg, workers=w)).to_dict(), sort_keys=True)
+            for w in (1, 2, 3)
+        }
+        assert len(reports) == 1, cfg.kind
+
+
+def test_noncommuting_reports_are_identical_across_workers():
+    # criterion 11 on a non-commuting p = 2 model with a jump driver: its
+    # steps take per-step eigenbases, complex where A(t) has complex
+    # eigenvalues (sin t < -1/2), and lln and clt reports are the same bytes at
+    # 1, 2 and 3 workers, with a short last chunk
+    model = _build_model({
+        "kind": "statespace", "p": 2, "A_entries": [["-2", "1"], ["0.5*sin(t)", "-3"]],
+        "B": ["1", "0.5"], "C": ["1", "-0.5"], "commuting": False, "stability_margin": 1.5,
+        "lipschitz": {"A": 0.5, "B": 0.0, "C": 0.0},
+    })
+    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
+    lln = ExperimentConfig(
+        "lln_discrete", model, jumps, 4.5, (2**6, 2**8), 130, 19, 1.0 / 16.0, 8.0,
+        statistic="mean", **scheme,
+    )
+    clt = ExperimentConfig(
+        "clt_mean", model, jumps, 4.5, (2**8,), 1000, 20, 1.0 / 16.0, 8.0, **scheme,
+    )
+    for cfg, run in ((lln, run_lln), (clt, run_clt)):
         assert cfg.replications % CHUNK != 0
         reports = {
             json.dumps(run(dataclasses.replace(cfg, workers=w)).to_dict(), sort_keys=True)

@@ -126,19 +126,19 @@ def systems(draw):
     return ModelSpec(p, A, B, C, Lipschitz(1.0, 1.0, 1.0), kind != "noncommuting", 1.0, kind)
 
 
-def _rk4_step(A, left, N, h):
-    eye = np.eye(A(0.0).shape[0])
-    k1 = A(left / N)
-    k2 = A((left + h / 2) / N) @ (eye + (h / 2) * k1)
-    k3 = A((left + h / 2) / N) @ (eye + (h / 2) * k2)
-    k4 = A((left + h) / N) @ (eye + h * k3)
-    return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _magnus(A, left, N, h):
+    """Fourth-order Magnus exponent of dX/ds = A(s/N) X over [left, left + h]:
+    (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)[A_2, A_1], A_1 and A_2 at the Gauss
+    nodes left + (1/2 -+ sqrt(3)/6) h."""
+    A1, A2 = (A((left + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N) for c in (-1.0, 1.0))
+    return 0.5 * h * (A1 + A2) + (np.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
 
 
 def reference_path(spec, N, times, h, burn_in, inc, rest=0.0):
-    """One step at a time, with scalar coefficient calls. The increment of a
-    step enters with weight e^{A rest h} C, as if it fell with the fraction
-    ``rest`` of the step still to run, A frozen at the midpoint."""
+    """One step at a time, with scalar coefficient calls. The step propagator
+    is e^W, W the Magnus exponent of the step, and the increment of a step
+    enters with weight e^{W rest} C(mid), as if it fell with the fraction
+    ``rest`` of the step still to run."""
     rescaled = N * times
     n_burn = int(np.ceil(burn_in / h - 1e-12))
     record_steps = n_burn + np.concatenate([[0], np.cumsum(np.rint(np.diff(rescaled) / h))])
@@ -147,14 +147,11 @@ def reference_path(spec, N, times, h, burn_in, inc, rest=0.0):
     values = []
     for j in range(int(record_steps[-1])):
         left = start + j * h
-        if spec.commuting:
-            P = linalg.expm(spec.A((left + 0.5 * h) / N) * h)
-        else:
-            P = _rk4_step(spec.A, left, N, h)
-        noise = spec.C(left / N) * inc[j]
+        W = _magnus(spec.A, left, N, h)
+        noise = spec.C((left + 0.5 * h) / N) * inc[j]
         if rest:
-            noise = linalg.expm(spec.A((left + 0.5 * h) / N) * rest * h) @ noise
-        x = P @ x + noise
+            noise = linalg.expm(W * rest) @ noise
+        x = linalg.expm(W) @ x + noise
         if j + 1 in record_steps:
             values.append(spec.B((start + (j + 1) * h) / N) @ x)
     return np.array(values)
@@ -240,7 +237,8 @@ def test_shared_eigenbasis_matches_per_step_bases(name):
         assert_matches_per_step_bases(law)
     # the frozen process: a constant A over steps of many lengths
     fr = stationary.freeze(spec, 1.0)
-    law = dynamics.StepLaw(fr.A, fr.C, np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)]))
+    h = np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)])
+    law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
     assert _shares_one_basis(law)
     assert_matches_per_step_bases(law)
 
@@ -255,7 +253,7 @@ def test_repeated_eigenvalue_at_the_reference_step_takes_per_step_bases():
     A = family(1.5 * np.pi + np.arange(64) / 64.0)
     assert np.ptp(np.linalg.eigvals(A[0])) == 0.0
     assert dynamics.eigenbasis(A[0])[3] <= dynamics._COND_MAX
-    law = dynamics.StepLaw(A, np.array([1.0, 0.3]), 1.0 / 64.0)
+    law = dynamics.StepLaw(A / 64.0, np.array([1.0, 0.3]), 1.0 / 64.0)
     assert not _shares_one_basis(law)
     assert_matches_per_step_bases(law)
 
@@ -344,18 +342,19 @@ def test_coupling_weights_match_the_per_step_reference(spec, N, first, seed):
 def exact_node_moments(spec, plan, triplet):
     """State means (n_records, p) and covariances (n_records, p, p) of the
     recursion with the exact in-step noise, one step at a time with scalar
-    coefficient calls: m <- P m + mu_L d, V <- P V P' + Sigma_L G. The drift
-    weight d = int_0^h e^{Ar} dr C and covariance G = int_0^h e^{Ar} CC'
-    e^{A'r} dr of a step, A at its midpoint and C at its left point, come from
-    Van Loan's block exponentials (Van Loan 1978, IEEE TAC 23)."""
+    coefficient calls: m <- P m + mu_L d, V <- P V P' + Sigma_L G. With W the
+    Magnus exponent of a step and C at its midpoint, P = e^W, and the drift
+    weight d = int_0^h e^{Wr/h} dr C and covariance G = int_0^h e^{Wr/h} CC'
+    e^{W'r/h} dr come from Van Loan's block exponentials (Van Loan 1978, IEEE
+    TAC 23)."""
     mom, p, h, N = triplet_moments(triplet), spec.p, plan.h, plan.N
     m, V, means, covs = np.zeros(p), np.zeros((p, p)), [], []
     for j in range(plan.n_steps):
         left = plan.start + j * h
-        A, C = spec.A((left + 0.5 * h) / N), spec.C(left / N)
-        P = linalg.expm(A * h) if spec.commuting else _rk4_step(spec.A, left, N, h)
-        d = linalg.expm(np.block([[A, C[:, None]], [np.zeros((1, p + 1))]]) * h)[:p, p]
-        F = linalg.expm(np.block([[-A, np.outer(C, C)], [np.zeros((p, p)), A.T]]) * h)
+        W, C = _magnus(spec.A, left, N, h), spec.C((left + 0.5 * h) / N)
+        P = linalg.expm(W)
+        d = linalg.expm(np.block([[W, h * C[:, None]], [np.zeros((1, p + 1))]]))[:p, p]
+        F = linalg.expm(np.block([[-W, h * np.outer(C, C)], [np.zeros((p, p)), W.T]]))
         m = P @ m + mom.mu_L * d
         V = P @ V @ P.T + mom.Sigma_L * F[p:, p:].T @ F[:p, p:]
         if j + 1 in plan.record_steps:

@@ -580,7 +580,7 @@ def test_jump_inputs_match_per_jump_expm():
 
     def weights(fr):
         table = JumpWeights(1, fr.p)
-        table.put(np.zeros(1, dtype=np.int64), StepLaw(fr.A, fr.C, [6.0]))
+        table.put(np.zeros(1, dtype=np.int64), StepLaw(6.0 * fr.A[None], fr.C, [6.0]))
         return table(np.zeros(v.size, dtype=np.int64), v / 6.0)
 
     for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):
