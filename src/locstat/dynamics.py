@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, linalg  # perfbench/spans.py traces linalg.expm calls from here
+from scipy import linalg  # perfbench/spans.py traces linalg.expm calls from here
 
 from .noise import JumpSpec, LevyTriplet
 
@@ -261,15 +261,18 @@ def validate_car1(
 
 
 def _integral_of_A(spec: ModelSpec, t0: float, t1: float) -> np.ndarray:
+    from .stationary import _gauss_kronrod  # stationary imports this module
+
     if t1 == t0:
         return np.zeros((spec.p, spec.p))
-    result, _ = integrate.quad_vec(
-        lambda tau: np.asarray(spec.A(tau), dtype=float), t0, t1, epsabs=1e-13, epsrel=1e-13
+    return _gauss_kronrod(
+        lambda taus: np.stack([np.asarray(spec.A(tau), dtype=float) for tau in taus]), t0, t1
     )
-    return result
 
 
 def _peano_baker(spec: ModelSpec, t0: float, t1: float, order: int, nodes: int | None) -> np.ndarray:
+    from scipy import integrate
+
     span = t1 - t0
     if nodes is None:
         nodes = int(max(129, 64 * np.ceil(max(span, 1.0)) + 1))

@@ -419,13 +419,9 @@ def _global_average_chunk(payload, lo, hi):
 
 
 def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
-    from scipy import integrate
-
     model = config.model
-    target, _ = integrate.quad(
-        lambda v: stat.stationary_mean(model, v, config.triplet), 0.0, config.t_end, limit=400
-    )
-    target /= config.t_end
+    mean = np.vectorize(lambda v: stat.stationary_mean(model, v, config.triplet), otypes=[float])
+    target = float(stat._gauss_kronrod(mean, 0.0, config.t_end)) / config.t_end
     rows = []
     all_ok = True
     for N in config.N_list:

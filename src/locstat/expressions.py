@@ -80,8 +80,13 @@ class ExprFunc:
         return self._tree
 
     def __call__(self, t):
-        result = _eval(self._ensure(), np.asarray(t, dtype=float))
-        return np.asarray(result, dtype=float) + np.zeros_like(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return np.asarray(self._raw(t), dtype=float) + np.zeros_like(t)
+
+    def _raw(self, t: np.ndarray):
+        """The value at the float array ``t``, a scalar for an expression
+        without ``t``."""
+        return _eval(self._ensure(), t)
 
     def __getstate__(self):
         return {"source": self.source}
@@ -103,6 +108,21 @@ def parse_expression(source: str) -> ast.Expression:
     return tree
 
 
+def _fill(t, rows) -> np.ndarray:
+    """The values of ``rows`` of expressions at times ``t``, shape
+    ``t.shape + (len(rows), len(rows[0]))``.
+
+    Each entry adds its raw value to one zero array, as ``ExprFunc`` adds
+    zeros to it: 0.0 + x equals x + 0.0 bit for bit, so -0.0 comes out +0.0.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, f in enumerate(row):
+            out[..., i, j] += f._raw(t)
+    return out
+
+
 class ExprVector:
     """Vector-valued coefficient function from a list of expression strings.
 
@@ -114,7 +134,7 @@ class ExprVector:
         self.funcs = [ExprFunc(s) for s in sources]
 
     def __call__(self, t):
-        return np.stack([f(t) for f in self.funcs], axis=-1)
+        return _fill(t, [self.funcs])[..., 0, :]
 
     def __repr__(self):
         return f"ExprVector({[f.source for f in self.funcs]!r})"
@@ -134,7 +154,7 @@ class ExprMatrix:
             raise ValueError("matrix rows must have equal length")
 
     def __call__(self, t):
-        return np.stack([np.stack([f(t) for f in row], axis=-1) for row in self.rows], axis=-2)
+        return _fill(t, self.rows)
 
     def __repr__(self):
         return f"ExprMatrix({[[f.source for f in row] for row in self.rows]!r})"

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "LocalizingKernel",
@@ -78,6 +77,8 @@ def kernel_validate(kernel: LocalizingKernel, n_grid: int = 10_000) -> KernelRep
     Unit mass is checked by adaptive quadrature on the support, compactness on
     an exterior grid, boundedness on an interior grid.
     """
+    from scipy import integrate
+
     integral, _ = integrate.quad(lambda x: float(kernel(x)), -1.0, 1.0, limit=400, epsabs=1e-13)
     exterior = np.concatenate(
         [np.linspace(-50.0, -1.0 - 1e-9, 500), np.linspace(1.0 + 1e-9, 50.0, 500)]

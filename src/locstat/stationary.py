@@ -17,8 +17,11 @@ Gramian solving A Gamma + Gamma A' = -C C'):
 
 Every integral of a product of f (the int f^k above and the cumulant
 integral of the lagged fourth moment) comes from one vector-valued adaptive
-quadrature (:func:`_product_integrals`). The lagged fourth moments make the
-limit variance of the second-order statistic exact for every centered driver.
+quadrature (:func:`_product_integrals`): QUADPACK's Gauss-Kronrod G10K21
+rule, written in numpy (:func:`_gauss_kronrod`), which evaluates the nodes
+of all its open panels as one array, so no module here loads
+``scipy.integrate``. The lagged fourth moments make the limit variance of
+the second-order statistic exact for every centered driver.
 
 Simulation is exact in distribution: each step of the grid, and a long
 warm start before it, is one step of ``dynamics.StepLaw`` with exponent A
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .dynamics import (
     _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law,
@@ -111,8 +114,8 @@ def _eig_cache(fr: FrozenSystem):
 def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
     """The map s -> left' e^{A s} right, vectorized over lag arrays of any shape.
 
-    A is factorized once, here, so callers that evaluate at many lags (the
-    quadrature of :func:`_product_integrals`) pay for it once.
+    A is factorized once, here, so callers that evaluate at many lags pay
+    for it once.
     """
     eig = _eig_cache(fr)
     if eig is not None:
@@ -152,17 +155,119 @@ def second_moment(spec, u: float, triplet: LevyTriplet) -> float:
     return float(stationary_autocov(spec, u, triplet, 0.0)) + m * m
 
 
+# QUADPACK's G10K21 rule (Piessens et al. 1983, dqk21), the constants of
+# scipy's quad_vec: the 11 Kronrod abscissae of [0, 1], largest first (the
+# 2nd, 4th, ..., 10th are the Gauss abscissae), their Kronrod weights and the
+# weights of the 5 Gauss abscissae
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the 21 nodes of [-1, 1] from the left, and the two weight rows over them
+_GK_NODES = np.concatenate([np.negative(_XGK[:-1]), _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1::2] = _WG + _WG[::-1]
+_GK_EPSREL = 1e-12
+# most panels the rule holds at once (quad_vec's limit); a panel that would
+# take it past this is not bisected, and the rule returns the estimate it has
+_GK_PANELS = 10_000
+# most values of the integrand's work one call takes (nodes x size), and so
+# the panels whose nodes are evaluated and reduced together
+_GK_VALUES = 1 << 17
+
+
+def _gk_panels(f, lo, hi, per_call: int):
+    """K21 integrals, error estimates and round-off floors of the panels
+    [lo, hi), the estimates of scipy's quad_vec on each."""
+    h = 0.5 * (hi - lo)
+    nodes = ((0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES).ravel()
+    values = np.concatenate([f(nodes[i:i + per_call]) for i in range(0, nodes.size, per_call)])
+    out = values.shape[1:]
+    values = values.reshape(len(lo), 21, -1)
+    h = h[:, None]
+    kronrod = _GK_KRONROD @ values
+    err = np.linalg.norm((kronrod - _GK_GAUSS @ values) * h, axis=1)
+    dabs = np.linalg.norm((_GK_KRONROD @ np.abs(values - 0.5 * kronrod[:, None])) * h, axis=1)
+    scaled = dabs * np.minimum(1.0, 200.0 * err / np.where(dabs > 0, dabs, 1.0)) ** 1.5
+    err = np.where((dabs != 0) & (err != 0), scaled, err)
+    floor = np.linalg.norm(50.0 * np.finfo(float).eps * h * (_GK_KRONROD @ np.abs(values)), axis=1)
+    err = np.where(floor > np.finfo(float).tiny, np.maximum(err, floor), err)
+    return (kronrod * h).reshape((len(lo),) + out), err, floor
+
+
+def _gauss_kronrod(f, a: float, b: float, size: int = 1):
+    """int_a^b f(s) ds by adaptive G10K21 panels.
+
+    ``f`` maps a 1-D array of nodes to values of shape (nodes,) + out. Each
+    round evaluates the nodes of every open panel in one call; an integrand
+    that works through ``size`` values per node is called on at most
+    ``_GK_VALUES / size`` nodes at once, and its values are reduced panel
+    group by panel group, so one round holds no more than that.
+
+    The error of a panel is estimated as by scipy's quad_vec: the 2-norm
+    over the output of its K21 - G10 difference, QUADPACK's rescaling
+    ``dabs min(1, (200 err / dabs)^1.5)`` by the absolute deviation from the
+    mean, and the round-off floor ``50 eps h int |f|``. A panel is accepted
+    when its error is within its length share of ``epsrel ||I||``
+    (``epsrel`` 1e-12, absolute floor the smallest normal double) or at its
+    round-off floor, where bisection cannot help; the others are bisected.
+    At ``_GK_PANELS`` panels the rule stops and returns its estimate, NaN for
+    an integrand that gives NaN.
+    """
+    per_call = max(1, _GK_VALUES // size)
+    group = max(1, per_call // 21)
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    done, n_done = 0.0, 0
+    while True:
+        groups = [_gk_panels(f, lo[i:i + group], hi[i:i + group], per_call)
+                  for i in range(0, len(lo), group)]
+        parts, err, floor = (np.concatenate(x) for x in zip(*groups))
+        total = done + parts.sum(axis=0)
+        tol = max(np.finfo(float).tiny, _GK_EPSREL * np.linalg.norm(total))
+        ok = (err * abs(b - a) <= tol * np.abs(hi - lo)) | (err <= floor)
+        n_open = len(ok) - np.count_nonzero(ok)
+        if n_open == 0 or n_done + len(ok) + n_open > _GK_PANELS:
+            return total
+        done = done + parts[ok].sum(axis=0)
+        n_done += len(ok) - n_open
+        lo, hi = lo[~ok], hi[~ok]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+
+
 def _product_integrals(fr: FrozenSystem, shifts, powers=1):
     """int_0^{60/margin} (prod_i f(s + shifts[..., i])) ** powers ds, f(s) = B' e^{A s} C.
 
-    One quad_vec call covers every row of ``shifts`` (and every entry of
-    ``powers``, broadcast against the rows). The tolerance is relative: an
-    absolute one is as large as int f^4 for nearly equal joint systems. The
-    absolute floor is the smallest normal double, so that an identically
-    zero integrand (a joint system of two equal systems) stops at once.
+    One run of :func:`_gauss_kronrod` covers every row of ``shifts`` (and
+    every entry of ``powers``, broadcast against the rows); its tolerance is
+    relative, since an absolute one is as large as int f^4 for nearly equal
+    joint systems. The absolute floor is the smallest normal double, so that
+    an identically zero integrand stops at once.
 
-    Without a trusted eigenbasis, f(s + shift) = (B' e^{As}) (e^{A shift} C):
-    the shifted columns are computed once, so each node costs one expm.
+    Each value is a row of the node times a column of the shift,
+    f(s + shift) = (B' e^{As}) (e^{A shift} C), and the columns are computed
+    once. On a trusted eigenbasis A = V diag(w) V^-1 the row is e^{w s} and
+    the column e^{w shift} (B'V) * (V^-1 C); without one, each round takes one
+    batched expm over its nodes. A round is then one matrix product of its
+    rows and the columns.
 
     f vanishes identically (two equal halves of a joint system) when each
     B' A^k C, k < p, is below 1e-13 of |B|' |A^k| |C| (Cayley-Hamilton); its
@@ -172,17 +277,18 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
     if all(abs(fr.B @ Ak @ fr.C) <= 1e-13 * (np.abs(fr.B) @ np.abs(Ak) @ np.abs(fr.C))
            for Ak in (np.linalg.matrix_power(fr.A, k) for k in range(fr.p))):
         return np.zeros(np.broadcast_shapes(shifts.shape[:-1], np.shape(powers)))
-    if _eig_cache(fr) is not None:
-        f = _exp_pair(fr, fr.B, fr.C)
-        values = lambda s: f(s + shifts)
+    eig = _eig_cache(fr)
+    if eig is not None:
+        w, V, Vinv = eig
+        left = lambda s: np.exp(np.multiply.outer(s, w))
+        cols = np.exp(np.multiply.outer(shifts, w)) * ((fr.B @ V) * (Vinv @ fr.C))
     else:
-        cols = linalg.expm(np.multiply.outer(shifts, fr.A)) @ fr.C  # shifts.shape + (p,)
-        values = lambda s: cols @ (fr.B @ linalg.expm(s * fr.A))
-    val, _ = integrate.quad_vec(
-        lambda s: np.prod(values(s), axis=-1) ** powers,
-        0.0, 60.0 / fr.margin, epsabs=np.finfo(float).tiny, epsrel=1e-12,
-    )
-    return val
+        left = lambda s: fr.B @ linalg.expm(np.multiply.outer(s, fr.A))
+        cols = linalg.expm(np.multiply.outer(shifts, fr.A)) @ fr.C
+    # f(s + shift) for every node and shift, shape nodes.shape + shifts.shape
+    values = lambda s: np.real(np.tensordot(left(s), cols, axes=(-1, -1)))
+    return _gauss_kronrod(lambda s: np.prod(values(s), axis=-1) ** powers, 0.0, 60.0 / fr.margin,
+                          size=shifts.size)
 
 
 def kernel_power_integrals(fr: FrozenSystem):

@@ -401,6 +401,51 @@ def test_cli_and_its_campaigns_never_import_scipy_stats(tmp_path):
     assert (tmp_path / "clt-0.json").exists() and (tmp_path / "lln-0.json").exists()
 
 
+def test_cli_and_its_campaigns_never_import_scipy_integrate(tmp_path):
+    # scipy.integrate costs about 0.2 s of start-up; the product integrals
+    # and the lln_continuous target use the package's own Gauss-Kronrod rule,
+    # so neither the import of the CLI nor any campaign subcommand loads it
+    configs = {
+        "lln": {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}},
+        "lln_cont": {"triplet": {"gamma": 1.0, "sigma2": 1.0},
+                     "experiment": {"kind": "lln_continuous", "N_list": [16], "replications": 100,
+                                    "t_end": 1.0, "n_quad": 64}},
+        "clt": {"scheme": {"u": 1.0, "b": 0.5, "beta": 0.6666666666666666, "scheme": "O1",
+                           "Delta": 1.0},
+                "experiment": {"kind": "clt_mean", "N_list": [64], "replications": 1000}},
+        "lipschitz": {"triplet": {"gamma": 0.0, "sigma2": 1.0,
+                                  "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
+                      "experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 70,
+                                     "p_norm": 4, "time_points": 8, "ladder": [0.05, 0.1, 0.2]}},
+        "coupling": {"experiment": {"kind": "coupling", "N_list": [8, 16], "replications": 100}},
+        "simulate": {"experiment": {"kind": "lln_discrete", "N_list": [16], "replications": 100},
+                     "simulate": {"times": [0.5, 1.0, 1.5]}},
+        "moments": {"moments": {"u": 1.0, "delta": 0.5}},
+    }
+    runs = [(name.split("_")[0], write_config(tmp_path, extra, name=f"{name}.json"))
+            for name, extra in configs.items()]
+    script = textwrap.dedent(f"""
+        import json, sys
+        import locstat.cli as cli
+        at_import = "scipy.integrate" in sys.modules
+        after = []
+        for sub, cfg in {runs!r}:
+            code = cli.main([sub, "--config", cfg, "--out", {str(tmp_path)!r}])
+            after.append([sub, code, "scipy.integrate" in sys.modules])
+        print(json.dumps([at_import, after]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    at_import, after = json.loads(out.splitlines()[-1])
+    assert not at_import
+    assert [sub for sub, _, loaded in after if loaded] == []
+    assert all(code in (0, 1) for _, code, _ in after), after
+    assert len(after) == 7
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # the bytes of csv.writer's default dialect on the cells the CLI writes:
     # ints, floats at 17 significant digits, numpy floats, bools, strings and

@@ -67,3 +67,18 @@ def test_vector_and_matrix():
         assert np.array_equal(m(t)[idx], m(t[idx]))
     with pytest.raises(ValueError):
         ExprMatrix([["1", "2"], ["3"]])
+
+
+@pytest.mark.parametrize("t", [0.7, np.linspace(-2.0, 3.0, 7).reshape(7, 1)])
+def test_filled_values_are_the_stacked_bytes(t):
+    # one preallocated array, each entry added to zeros, gives the bytes of
+    # stacking each entry's ExprFunc value; the -0.0 entry comes out +0.0
+    sources = [["-1 - 0.5*sin(t)", "-0.0"], ["0", "-2"]]
+    rows = [[ExprFunc(s) for s in row] for row in sources]
+    stacked = np.stack([np.stack([f(t) for f in row], axis=-1) for row in rows], axis=-2)
+    got = ExprMatrix(sources)(t)
+    assert got.shape == stacked.shape and got.tobytes() == stacked.tobytes()
+    assert not np.signbit(got[..., 0, 1]).any()
+    vector = np.stack([f(t) for f in rows[0]], axis=-1)
+    got = ExprVector(sources[0])(t)
+    assert got.shape == vector.shape and got.tobytes() == vector.tobytes()

@@ -388,6 +388,80 @@ def test_product_integrals_factor_the_shift_on_the_expm_path(delta):
         np.testing.assert_allclose(st._product_integrals(fr, shifts), unfactored, rtol=1e-12)
 
 
+def _complex_companion():
+    # companion form with roots -1 +- i sqrt(5 + sin t)
+    return ModelSpec(
+        2,
+        lambda t: np.array([[0.0, 1.0], [-(6.0 + np.sin(t)), -2.0]]),
+        lambda t: np.array([1.0, 0.5]),
+        lambda t: np.array([0.0, 1.0]),
+        Lipschitz(1.0, 0.0, 0.0),
+        True,
+        1.0,
+        "companion_complex",
+    )
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_product_integrals_match_quad_vec_on_a_complex_eigenbasis(k):
+    # the joint system of a companion form at two u (complex roots, a trusted
+    # eigenbasis), with the shift rows of sigma2_tilde's O1 series
+    from locstat.experiments import _joint_frozen
+
+    fr = _joint_frozen(_complex_companion(), BROWNIAN, 0.4, 0.9)
+    w = np.linalg.eigvals(fr.A)
+    assert st._eig_cache(fr) is not None and np.all(np.abs(w.imag) > 2.0)
+    f = st._exp_pair(fr, fr.B, fr.C)
+    h = 0.05 * np.arange(0, 60)
+    shifts = np.stack([np.zeros_like(h), np.full_like(h, k), h, h + k], axis=-1)
+    ref, _ = integrate.quad_vec(
+        lambda s: np.prod(f(s + shifts), axis=-1), 0.0, 60.0 / fr.margin,
+        epsabs=np.finfo(float).tiny, epsrel=1e-12,
+    )
+    np.testing.assert_allclose(st._product_integrals(fr, shifts), ref, rtol=1e-12)
+    powers, _ = integrate.quad_vec(
+        lambda s: f(s) ** np.arange(1, 5), 0.0, 60.0 / fr.margin,
+        epsabs=np.finfo(float).tiny, epsrel=1e-12,
+    )
+    np.testing.assert_allclose(st.kernel_power_integrals(fr), powers, rtol=1e-12)
+
+
+def test_gauss_kronrod_returns_nan_at_the_panel_cap():
+    # an integrand that is NaN everywhere accepts no panel; the rule bisects
+    # up to its panel cap, then returns the NaN estimate instead of looping
+    nodes = []
+
+    def nan(s):
+        nodes.append(s.size)
+        return np.full(s.shape + (3,), np.nan)
+
+    got = st._gauss_kronrod(nan, 0.0, 1.0)
+    assert got.shape == (3,) and np.isnan(got).all()
+    assert sum(nodes) <= 2 * 21 * st._GK_PANELS
+
+
+def test_gauss_kronrod_caps_the_nodes_of_one_call(monkeypatch):
+    # an integrand that works through 40 values per node is called on at most
+    # _GK_VALUES / 40 nodes at once; the capped rule integrates e^{-k s} as
+    # the uncapped one does
+    rates = np.arange(1.0, 41.0)
+    calls = []
+
+    def decay(s):
+        calls.append(s.size)
+        return np.exp(-np.multiply.outer(s, rates))
+
+    exact = -np.expm1(-3.0 * rates) / rates
+    whole = st._gauss_kronrod(decay, 0.0, 3.0, size=rates.size)
+    assert max(calls) > 5
+    monkeypatch.setattr(st, "_GK_VALUES", 200)
+    calls.clear()
+    capped = st._gauss_kronrod(decay, 0.0, 3.0, size=rates.size)
+    assert max(calls) == 5
+    np.testing.assert_allclose(capped, whole, rtol=1e-15)
+    np.testing.assert_allclose(capped, exact, rtol=1e-13)
+
+
 def test_joint_system_of_equal_systems_integrates_to_zero():
     # f of the difference of two equal defective systems is rounding noise,
     # which a relative tolerance cannot resolve; its integrals are exactly 0.
