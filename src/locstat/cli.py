@@ -126,23 +126,25 @@ def _build_model(section: dict):
 
 
 def _build_triplet(section: dict) -> LevyTriplet:
+    """The driver of the ``triplet`` section; a value the driver rejects (a
+    negative variance, a non-finite number) is a schema error that names it."""
     _no_extra(section, {"gamma", "sigma2", "jumps"}, "triplet")
-    jumps = None
-    if section.get("jumps") is not None:
-        jsec = section["jumps"]
+    jsec = section.get("jumps")
+    if jsec is not None:
         _no_extra(jsec, {"rate", "atoms", "normal"}, "triplet.jumps")
-        atoms = jsec.get("atoms")
-        normal = jsec.get("normal")
-        jumps = JumpSpec(
+    try:
+        jumps = None if jsec is None else JumpSpec(
             rate=float(_need(jsec, "rate", "triplet.jumps")),
-            atoms=tuple(tuple(a) for a in atoms) if atoms is not None else None,
-            normal=tuple(normal) if normal is not None else None,
+            atoms=None if jsec.get("atoms") is None else tuple(tuple(a) for a in jsec["atoms"]),
+            normal=None if jsec.get("normal") is None else tuple(jsec["normal"]),
         )
-    return LevyTriplet(
-        gamma=float(_need(section, "gamma", "triplet")),
-        sigma2=float(_need(section, "sigma2", "triplet")),
-        jumps=jumps,
-    )
+        return LevyTriplet(
+            gamma=float(_need(section, "gamma", "triplet")),
+            sigma2=float(_need(section, "sigma2", "triplet")),
+            jumps=jumps,
+        )
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"triplet: {exc}") from None
 
 
 def _build_scheme_rules(section: dict):
@@ -213,8 +215,11 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
             raise SchemaError(str(exc)) from None
     sim = raw.get("simulation", {})
     _no_extra(sim, {"fine_step", "burn_in"}, "simulation")
-    out["fine_step"] = float(sim.get("fine_step", 0.01))
-    out["burn_in"] = float(sim.get("burn_in", 8.0 / out["model"].stability_margin))
+    try:
+        out["fine_step"] = float(sim.get("fine_step", 0.01))
+        out["burn_in"] = float(sim.get("burn_in", 8.0 / out["model"].stability_margin))
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"simulation: {exc}") from None
 
     if "experiment" in raw:
         esec = raw["experiment"]
@@ -223,11 +228,8 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
         if kind not in ("coupling", "lln_discrete", "lln_continuous", "clt_mean", "clt_cov",
                         "lipschitz_u"):
             raise SchemaError(f"experiment.kind: unknown kind {kind!r}")
-        extra = {}
-        for key in ("lag", "statistic", "t_end", "n_quad", "ladder", "p_norm", "time_points",
-                    "rmse_tol", "validate_inputs"):
-            if key in esec:
-                extra[key] = tuple(esec[key]) if key == "ladder" else esec[key]
+        extra = {key: esec[key] for key in _EXPERIMENT_KEYS - {"kind", "N_list", "replications"}
+                 if key in esec}
         try:
             out["experiment"] = ExperimentConfig(
                 kind=kind,
@@ -246,7 +248,7 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
                 **extra,
             )
         except (ValueError, TypeError) as exc:
-            raise SchemaError(str(exc)) from None
+            raise SchemaError(f"experiment: {exc}") from None
         # semantic gates that reference the target theorems
         if kind in ("clt_mean", "clt_cov"):
             if "bandwidth" not in out:
@@ -324,7 +326,7 @@ def _cmd_simulate(cfg: dict, seed: int, out_dir: str) -> int:
     rng = stream(seed, "simulate", 0)
     path = simulate_yn(
         cfg["model"], cfg["triplet"], N, times, cfg["fine_step"], cfg["burn_in"], rng,
-        keep_increments=False, meta={"seed": seed},
+        meta={"seed": seed},
     )
     csv_path = os.path.join(out_dir, f"simulate-{seed}.csv")
     _write_csv(csv_path, ["time", "value"], list(zip(path.times, path.values)))

@@ -17,11 +17,10 @@ step takes its own.
 Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
 ``to_state_space()`` view), and the recursion runs over records as a prefix
 scan of affine maps (:func:`affine_states`) on the segment data of
-:func:`_segment_stacks`. The campaigns draw the noise of a segment from its
-exact law (:class:`SegmentLaw`). :func:`simulate_yn` and :func:`refine_path`
-keep per-step increments, on which coupled paths are built; an increment
-does not say where inside its step its jumps fell, so they add it at the
-end of its step with weight C(mid), an O(h) error. One sampler,
+:func:`_segment_stacks`, which sums the steps of a stack in eigen coordinates
+where it can and by matrix products where it must. Every draw of Y_N, the
+campaigns' and :func:`simulate_yn`'s alike, is one draw of the noise of each
+record segment from its exact law (:class:`SegmentLaw`): one sampler,
 :func:`draw_segment_noise`, draws the driver, and one map,
 :func:`_driver_law`, turns a triplet into a law.
 """
@@ -40,11 +39,9 @@ __all__ = [
     "ModelSpec",
     "Car1Spec",
     "PathSample",
-    "FineGrid",
     "transition_matrix",
     "transition_seminorm_check",
     "simulate_yn",
-    "refine_path",
     "validate_model",
     "validate_car1",
     "Plan",
@@ -149,21 +146,10 @@ class Car1Spec:
         )
 
 
-@dataclass(frozen=True)
-class FineGrid:
-    """Simulation grid record kept for coupled re-use of the noise."""
-
-    step: float
-    start: float  # rescaled time of the first fine node
-    increments: np.ndarray | None
-    gaussian_only: bool
-
-
 @dataclass
 class PathSample:
     times: np.ndarray
     values: np.ndarray
-    fine_grid: FineGrid | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -414,17 +400,19 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     """Plan of a run recording at the nodes ``rescaled``, given directly in
     rescaled time s = N t (no lossy round trip through original time).
 
-    Checks that the nodes increase, that the step is positive and divides
-    every gap between them and that the burn-in is at least 8 / stability
-    margin. ``spec`` is a :class:`ModelSpec` or anything with a
-    ``to_state_space()`` view, such as :class:`Car1Spec`.
+    Checks that the nodes increase, that the step is finite, positive and
+    divides every gap between them and that the burn-in is finite and at
+    least 8 / stability margin. ``spec`` is a :class:`ModelSpec` or anything
+    with a ``to_state_space()`` view, such as :class:`Car1Spec`.
     """
     spec = spec.to_state_space()
     rescaled = np.asarray(rescaled, dtype=float)
     if rescaled.size == 0:
         raise ValueError("need at least one evaluation time")
-    if h <= 0:
-        raise ValueError("fine_step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"fine_step must be positive and finite, got {h}")
+    if not np.isfinite(burn_in):
+        raise ValueError(f"burn_in must be finite, got {burn_in}")
     min_burn = 8.0 / spec.stability_margin
     if burn_in < min_burn - 1e-9:
         raise ValueError(f"burn_in {burn_in} below required {min_burn} (8 / stability margin)")
@@ -502,11 +490,6 @@ def _cell_weights(bounds: np.ndarray, weights, seg: np.ndarray, unit: np.ndarray
     return weights(lo + k, 1.0 - (x - k))
 
 
-def _unit_weights(seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Weight 1 for every jump of a per-step increment."""
-    return np.ones((seg.size, 1))
-
-
 def _prefix_products(T: np.ndarray) -> np.ndarray:
     """Products T[:, 0] @ ... @ T[:, i] for every i, T of shape (G, m, p, p):
     runs of b = ceil(sqrt(m)) factors are multiplied out, then each run is
@@ -526,13 +509,19 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
     return U.reshape(G, n_runs * b, p, p)[:, :m]
 
 
-def _segment_stacks(plan: Plan):
-    """Yields ``(segs, steps, D, M, law)`` per stack of g equal-length record
-    segments of ``plan``: segment indices (g,), fine steps (g, m), products
-    D = P_{hi-1} ... P_lo (g, p, p), M_j = P_{hi-1} ... P_{j+1} (g, m, p, p)
+def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None):
+    """Yields ``(segs, steps, D, drift, cov, law)`` per stack of g equal-length
+    record segments of ``plan``: segment indices (g,), fine steps (g, m),
+    D = P_{hi-1} ... P_lo (g, p, p), the unit-driver drift sum_j M_j d_j (g, p)
+    and covariance sum_j M_j G_j M_j' (g, p, p), M_j = P_{hi-1} ... P_{j+1},
     and the :class:`StepLaw` of the steps; the only code that turns steps into
-    segment data. A stack holds about ``_BLOCK_ENTRIES`` matrix entries but at
-    least one segment, so a segment of m fine steps costs O(m p^2) memory.
+    segment data. Jump weights go into ``weights`` when it is given. A stack
+    on one eigenbasis trusted up to sqrt(``_COND_MAX``), and every p = 1
+    stack, is summed in eigen coordinates (:func:`_eigen_sums`), the others
+    by :func:`_scan_sums`; a record at step 0 (a burn-in below half a step)
+    keeps the zero start: D = I and no noise. A stack holds about
+    ``_BLOCK_ENTRIES`` matrix entries but at least one segment: a segment of m
+    steps costs O(m p^2).
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
@@ -544,16 +533,50 @@ def _segment_stacks(plan: Plan):
         for segs in np.split(same, np.arange(stack, same.size, stack)):
             steps = bounds[segs, None] + np.arange(m)  # (segments, m)
             law = _step_stack(spec, plan.start + steps * h, N, h)
-            P = law.propagator()
-            if m == 0:  # a record at step 0 (burn-in below half a step) keeps the zero start
-                yield segs, steps, np.eye(p)[None], P, law
-                continue
-            # T[:, i] = P_{hi-1} ... P_{hi-1-i}
-            T = _prefix_products(P[:, ::-1])
-            del P  # freed now, not while the next stack is built
-            # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
-            last = np.broadcast_to(np.eye(p), (segs.size, 1, p, p))
-            yield segs, steps, T[:, -1], np.concatenate([T[:, -2::-1], last], axis=1), law
+            shared = law.shared
+            sums = _eigen_sums if shared and shared[3] <= np.sqrt(_COND_MAX) else _scan_sums
+            yield (segs, steps, *sums(law, steps, weights), law)
+
+
+def _eigen_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
+    """D, drift and covariance of a stack (g, m) on the shared eigenbasis V of
+    ``law`` (V = I for p = 1), with no matrix scan. With w_j the eigenvalues of
+    step j, S_j = w_{j+1} + ... + w_{m-1}, g_j = V^-1 C_j and y_j = e^{S_j} g_j,
+    M_j = V diag(e^{S_j}) V^-1, so D = V diag(e^{w_0 + ... + w_{m-1}}) V^-1,
+
+        sum_j M_j d_j = h V sum_j e^{S_j} phi(w_j) g_j,
+        sum_j M_j G_j M_j' = h V [sum_j y_j y_j^* o phi(w_j + conj w_j')] V^*,
+
+    and step j has jump weight V diag(y_j) e^{w_j f}; every sum is elementwise."""
+    w, V, Vinv, _ = law.shared
+    h = law.h[..., None]
+    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # w_j + ... + w_{m-1}
+    e = np.exp(np.concatenate([suffix[:, 1:], np.zeros_like(w[:, :1])], axis=1))
+    g = np.einsum("ab,gjb->gja", Vinv, law.C)
+    y = e * g
+    drift = (h * e * _phi(w) * g).sum(axis=1)
+    phi = _phi(w[..., :, None] + w.conj()[..., None, :])
+    X = (h[..., None] * y[..., :, None] * y.conj()[..., None, :] * phi).sum(axis=1)
+    if weights is not None:
+        weights.trusted(steps, V * y[..., None, :], w)
+    # the total from a pairwise sum: the cumsum rounds like m eps |S|
+    D = (V * np.exp(w.sum(axis=1))[:, None, :]) @ Vinv
+    return D.real, (drift @ V.T).real, (V @ X @ V.conj().T).real
+
+
+def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
+    """D, drift and covariance of a stack (g, m) from the products M_j of the
+    scan :func:`_prefix_products`, for the stacks :func:`_eigen_sums` cannot take."""
+    P = law.propagator()
+    g, p = P.shape[0], P.shape[-1]
+    # T[:, i] = P_{hi-1} ... P_{hi-1-i}
+    T = _prefix_products(P[:, ::-1])
+    # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
+    M = np.concatenate([T[:, -2::-1], np.broadcast_to(np.eye(p), (g, 1, p, p))], axis=1)
+    d, G = law.moments()
+    if weights is not None:
+        weights.put(steps, law, M)
+    return T[:, -1], np.einsum("gjab,gjb->ga", M, d), np.einsum("gjab,gjbc,gjdc->gad", M, G, M)
 
 
 def _driver_law(triplet: LevyTriplet, drift, cov, dt: float, cells, decay, B,
@@ -577,20 +600,15 @@ def _driver_law(triplet: LevyTriplet, drift, cov, dt: float, cells, decay, B,
 
 def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``, from the stacks of
-    :func:`_segment_stacks`; the jump weights of the steps, carried by M_j,
-    are kept only when the driver has jumps."""
+    :func:`_segment_stacks`; the jump weights of the steps are kept only when
+    the driver has jumps."""
     spec, N = plan.spec, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     n, p = bounds.size - 1, spec.p
     weights = JumpWeights(plan.n_steps, p) if triplet.jump_rate > 0 else None
     decay, drift, cov = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
-    for segs, steps, D, M, law in _segment_stacks(plan):
-        decay[segs] = D
-        d, G = law.moments()
-        drift[segs] = np.einsum("gjab,gjb->ga", M, d)
-        cov[segs] = np.einsum("gjab,gjbc,gjdc->gad", M, G, M)
-        if weights is not None:
-            weights.put(steps, law, M)
+    for segs, _, D, d, G, _ in _segment_stacks(plan, weights):
+        decay[segs], drift[segs], cov[segs] = D, d, G
     return _driver_law(
         triplet, drift, cov, plan.h, np.diff(bounds), decay,
         coefficient_values(spec, "B", plan.eval_rescaled / N),
@@ -603,8 +621,7 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -
     replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
     law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), h,
-                      np.broadcast_to(1.0, n), None, None, _unit_weights)
-    # C-contiguous rows: the coupling products inc @ d round by memory layout
+                      np.broadcast_to(1.0, n), None, None, lambda seg, unit: np.ones((seg.size, 1)))
     return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 
@@ -655,28 +672,16 @@ build_scalar_plan_rescaled = build_plan
 run_scalar_plan = run_segment_law
 
 
-def simulate_yn(
-    spec,
-    triplet: LevyTriplet,
-    N: int,
-    eval_times,
-    fine_step: float,
-    burn_in: float,
-    rng: np.random.Generator,
-    keep_increments: bool = True,
-    increments: np.ndarray | None = None,
-    meta: dict | None = None,
-) -> PathSample:
+def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float, burn_in: float,
+                rng: np.random.Generator, meta: dict | None = None) -> PathSample:
     """Simulate Y_N at the given original-time evaluation points.
 
     State starts at zero a burn-in before the first evaluation; the burn-in
     must be at least 8 / stability_margin so the truncated history is below
-    Monte Carlo resolution. Passing ``increments`` re-runs the recursion on
-    externally supplied noise (coupled experiments, refinement checks).
+    Monte Carlo resolution. The path is one replication of the campaigns'
+    draw: the segment law of the plan, drawn from ``rng``.
     """
-    return _simulate_yn_statespace(
-        spec, triplet, N, eval_times, fine_step, burn_in, rng, keep_increments, increments, meta
-    )
+    return _simulate_yn_statespace(spec, triplet, N, eval_times, fine_step, burn_in, rng, meta)
 
 
 # Stack bound of _segment_stacks, measured on a 2-core VM: the statespace_simulate
@@ -784,27 +789,35 @@ class StepLaw:
         self.C = np.broadcast_to(C, self.M.shape[:-1])
 
     @functools.cached_property
-    def basis(self):
-        """(w, V, V^-1, est) of M, ``est`` the condition estimate of
-        :func:`eigenbasis` per step. A shared basis gives V, V^-1 and est as
-        broadcast views; for p = 1, w = M[..., 0], V = None and est = 1."""
-        M = self.M
-        lead, p = M.shape[:-2], M.shape[-1]
-        if p == 1:
-            return M[..., 0], None, None, np.broadcast_to(1.0, lead)
-        if M.size == 0:
-            return eigenbasis(M)
+    def shared(self):
+        """(w, V, V^-1, est) with the eigenbasis V (p, p) of the first step
+        when every step shares it, else None; V = I for p = 1 or no steps."""
+        M, p = self.M, self.M.shape[-1]
+        if p == 1 or M.size == 0:
+            return np.diagonal(M, axis1=-2, axis2=-1), np.eye(p), np.eye(p), 1.0
         _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
         if est > _COND_MAX:
-            return eigenbasis(M)
+            return None
         R = Vinv @ M @ V
         w = np.diagonal(R, axis1=-2, axis2=-1).copy()
         R[..., np.arange(p), np.arange(p)] = 0.0
         if np.any(np.linalg.norm(R, axis=(-2, -1))
                   > _RESIDUAL_MAX * np.linalg.norm(M, axis=(-2, -1))):
-            return eigenbasis(M)
-        return (w, np.broadcast_to(V, M.shape), np.broadcast_to(Vinv, M.shape),
-                np.broadcast_to(est, lead))
+            return None
+        return w, V, Vinv, est
+
+    @functools.cached_property
+    def basis(self):
+        """(w, V, V^-1, est) of M, ``est`` the condition estimate of
+        :func:`eigenbasis` per step. A shared basis gives V, V^-1 and est as
+        broadcast views; for p = 1, w = M[..., 0], V = None and est = 1."""
+        if self.shared is None:
+            return eigenbasis(self.M)
+        (w, V, Vinv, est), shape = self.shared, self.M.shape
+        if shape[-1] == 1:
+            return w, None, None, np.broadcast_to(1.0, shape[:-2])
+        return (w, np.broadcast_to(V, shape), np.broadcast_to(Vinv, shape),
+                np.broadcast_to(est, shape[:-2]))
 
     def _expm(self, rows: np.ndarray) -> np.ndarray:
         """e^M of the steps ``rows`` (a mask), once per distinct M."""
@@ -870,14 +883,18 @@ class JumpWeights:
         L = np.broadcast_to(np.eye(law.C.shape[-1]), law.M.shape) if L is None else L
         U = L[at] @ (law.C[at][..., None] if V is None else
                      V[at] * (Vinv[at] @ law.C[at][..., None]).swapaxes(-1, -2))
-        # complex only once some eigenbasis is: real weights gather and sum faster
-        dtype = np.result_type(self.U, U, w)
-        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
-        self.U[steps[at]], self.w[steps] = U, w
+        self.trusted(steps[at], U, w[at])
         if at is not ...:
             self.slot[steps[~good]] = sum(map(len, self.L)) + np.arange(np.count_nonzero(~good))
             for kept, x in zip((self.L, self.M, self.C), (L, law.M, law.C)):
                 kept.append(x[~good])
+
+    def trusted(self, steps: np.ndarray, U: np.ndarray, w: np.ndarray) -> None:
+        """Store the steps ``steps`` with weights (U_j e^{w_j f}).real."""
+        # complex only once some eigenbasis is: real weights gather and sum faster
+        dtype = np.result_type(self.U, U, w)
+        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
+        self.U[steps], self.w[steps] = U, w
 
     def __call__(self, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         """Weights (len(rows), p) of jumps in steps ``rows`` with the fractions ``rest`` to run."""
@@ -944,77 +961,12 @@ def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return v
 
 
-def _simulate_yn_statespace(
-    spec, triplet, N, eval_times, fine_step, burn_in, rng, keep_increments, increments, meta
-):
+def _simulate_yn_statespace(spec, triplet, N, eval_times, fine_step, burn_in, rng, meta):
     eval_times = np.asarray(eval_times, dtype=float)
     plan = build_plan(spec, N, N * eval_times, fine_step, burn_in)
-    spec, h, n_steps = plan.spec, plan.h, plan.n_steps
-
-    if increments is None:
-        inc = _draw_increments_rows(triplet, h, n_steps, 1, rng)[0]
-    else:
-        inc = np.asarray(increments, dtype=float)
-        if inc.shape != (n_steps,):
-            raise ValueError(f"increments must have shape ({n_steps},)")
-
-    # the noise each record segment adds is sum_j v_j dL_j; one scan over records
-    n, p = plan.record_steps.size, spec.p
-    decay, eta = np.empty((n, p, p)), np.empty((n, p))
-    for segs, steps, D, M, law in _segment_stacks(plan):
-        decay[segs] = D
-        # per-step weights v_j = M_j C_j, C_j at the midpoint of step j
-        eta[segs] = np.einsum("gjp,gj->gp", (M @ law.C[..., None])[..., 0], inc[steps])
-    states = affine_states(decay, eta, np.zeros(p))
-    B = coefficient_values(spec, "B", plan.eval_rescaled / N)
-    values = np.einsum("kp,kp->k", B, states)
-    grid = FineGrid(
-        step=h,
-        start=plan.start,
-        increments=inc if keep_increments else None,
-        gaussian_only=triplet.jumps is None or triplet.jump_rate == 0.0,
-    )
-    info = {"N": N, "model_id": spec.model_id}
+    law = build_segment_law(plan, triplet)
+    values = run_segment_law(law, draw_segment_noise(law, rng, 1))[0]
+    info = {"N": N, "model_id": plan.spec.model_id}
     if meta:
         info.update(meta)
-    return PathSample(eval_times, values, grid, info)
-
-
-def refine_path(
-    spec,
-    triplet: LevyTriplet,
-    path: PathSample,
-    rng: np.random.Generator,
-) -> PathSample:
-    """Re-simulate on the same noise at half the step.
-
-    Each retained increment is split into two conditionally on its total
-    (a bridge draw), so the refined path is driven by the same underlying
-    noise. Only drift + Gaussian drivers split exactly this way.
-    """
-    grid = path.fine_grid
-    if grid is None or grid.increments is None:
-        raise ValueError("path does not retain increments")
-    if not grid.gaussian_only:
-        raise ValueError("increment splitting implemented for Gaussian drivers only")
-    h = grid.step
-    inc = grid.increments
-    half = np.empty(2 * inc.size)
-    bridge = 0.5 * np.sqrt(triplet.sigma2 * h) * rng.standard_normal(inc.size)
-    first = 0.5 * inc + bridge
-    half[0::2] = first
-    half[1::2] = inc - first
-    # same rescaled burn-in span, so the fine grid start is unchanged and the
-    # halved-step burn-in step count doubles exactly
-    burn = path.times[0] * path.meta["N"] - grid.start
-    return simulate_yn(
-        spec,
-        triplet,
-        path.meta["N"],
-        path.times,
-        h / 2,
-        burn,
-        rng,
-        keep_increments=True,
-        increments=half,
-    )
+    return PathSample(eval_times, values, info)

@@ -34,6 +34,12 @@ __all__ = [
 _PROB_TOL = 1e-12
 
 
+def _require_finite(name: str, value) -> None:
+    """Reject a non-finite value, naming it: a NaN passes every ordering test."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JumpSpec:
     """Compound-Poisson jump component.
@@ -48,12 +54,14 @@ class JumpSpec:
     normal: tuple[float, float] | None = None
 
     def __post_init__(self):
+        _require_finite("jump rate", self.rate)
         if self.rate < 0:
             raise ValueError("jump rate must be nonnegative")
         if (self.atoms is None) == (self.normal is None):
             raise ValueError("specify exactly one of atoms or normal")
         if self.atoms is not None:
             atoms = tuple((float(v), float(p)) for v, p in self.atoms)
+            _require_finite("jump atoms", atoms)
             object.__setattr__(self, "atoms", atoms)
             probs = np.array([p for _, p in atoms])
             if np.any(probs < 0):
@@ -71,6 +79,7 @@ class JumpSpec:
             object.__setattr__(self, "_cdf", cdf)
         else:
             mean, std = self.normal
+            _require_finite("jump normal", self.normal)
             if std < 0:
                 raise ValueError("normal jump std must be nonnegative")
             object.__setattr__(self, "normal", (float(mean), float(std)))
@@ -129,6 +138,8 @@ class LevyTriplet:
     jumps: JumpSpec | None = None
 
     def __post_init__(self):
+        _require_finite("gamma", self.gamma)
+        _require_finite("sigma2", self.sigma2)
         if self.sigma2 < 0:
             raise ValueError("Gaussian variance must be nonnegative")
 

@@ -552,7 +552,7 @@ def simulate_stationary(spec, u: float, triplet: LevyTriplet, grid, rng) -> Path
     fr = freeze(spec, u)
     gaps = np.diff(grid)
     vals = simulate_stationary_batch(fr, triplet, gaps, 1, rng)[0]
-    return PathSample(times=grid, values=vals, fine_grid=None, meta={"model_id": "stationary", "u": u})
+    return PathSample(times=grid, values=vals, meta={"model_id": "stationary", "u": u})
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,46 @@ def test_schema_violations_exit_2(tmp_path):
     assert main(["simulate", "--config", str(not_json), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("path, value", [
+    (("gamma",), float("nan")), (("sigma2",), float("inf")), (("jumps", "rate"), float("nan")),
+    (("jumps", "atoms"), [[float("nan"), 0.5], [-1.0, 0.5]]),
+    (("jumps", "normal"), [0.0, float("inf")]),
+], ids=["gamma-nan", "sigma2-inf", "rate-nan", "atoms-nan", "normal-inf"])
+def test_non_finite_driver_values_exit_2_naming_the_key(tmp_path, capsys, path, value):
+    # a NaN passes every ordering test, so a NaN rate used to run and fail
+    triplet = {"gamma": 0.0, "sigma2": 1.0, "jumps": {
+        "rate": 1.0, **({"normal": [0.0, 0.5]} if path[-1] == "normal"
+                        else {"atoms": [[1.0, 0.5], [-1.0, 0.5]]})}}
+    node = triplet
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg = write_config(tmp_path, {
+        "triplet": triplet,
+        "experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100},
+    })
+    assert main(["lln", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"triplet: {'jump ' if len(path) > 1 else ''}{path[-1]} must be finite" in err
+
+
+@pytest.mark.parametrize("subcommand, experiment, simulation, key", [
+    ("lln", {"kind": "lln_continuous", "t_end": 0.0}, {}, "t_end"),
+    ("lln", {"kind": "lln_continuous", "n_quad": 0}, {}, "n_quad"),
+    ("lln", {"kind": "lln_discrete", "N_list": []}, {}, "N_list"),
+    ("lln", {"kind": "lln_discrete"}, {"burn_in": float("inf")}, "burn_in"),
+    ("lipschitz", {"kind": "lipschitz_u", "N_list": [1], "ladder": []}, {}, "ladder"),
+], ids=["t_end-0", "n_quad-0", "N_list-empty", "burn_in-inf", "ladder-empty"])
+def test_configs_that_ended_in_a_traceback_exit_with_a_message(
+        tmp_path, capsys, subcommand, experiment, simulation, key):
+    cfg = write_config(tmp_path, {
+        "simulation": {**BASE["simulation"], **simulation},
+        "experiment": {"N_list": [16, 64], "replications": 100, **experiment},
+    })
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) in (2, 3)
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_exit_4(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 4
 

@@ -5,12 +5,17 @@ Models are scalar ``car1`` or ``statespace`` with p = 1..3, commuting
 (A(t) = g(t) M with M upper triangular) or not (A(t) = M + sin(t) E with E
 strictly lower triangular). The declared margins and Lipschitz constants
 hold for most draws; a draw whose declaration fails the sampled validation
-must still end with exit 3, not a crash.
+must still end with exit 3, not a crash. Boundary configs set one key of
+the driver, the simulation or the experiment to 0, -1, NaN, Infinity or []
+and run in a child interpreter, whose stderr must hold no traceback.
 """
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import numpy as np
 from hypothesis import given, settings
@@ -132,3 +137,70 @@ def test_schema_valid_configs_end_with_a_documented_exit_code(case, seed):
             json.dump(cfg, fh)
         code = main([subcommand, "--config", path, "--seed", str(seed), "--out", out])
     assert code in (0, 1, 2, 3, 4)
+
+
+# keys a config may set to a boundary value: the driver's numbers and the
+# sizes of a run. Each must run or end with an exit code, never a traceback.
+BOUNDARY_KEYS = (
+    ("triplet", "gamma"), ("triplet", "sigma2"), ("triplet", "jumps", "rate"),
+    ("triplet", "jumps", "atoms"), ("triplet", "jumps", "normal"),
+    ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
+    ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
+)
+BOUNDARY_VALUES = (0, -1, float("nan"), float("inf"), [])
+
+
+@st.composite
+def boundary_cases(draw):
+    """(subcommand, config) with one key of a valid tiny config set to 0, -1,
+    NaN, Infinity or []."""
+    path = draw(st.sampled_from(BOUNDARY_KEYS))
+    if path[-1] in ("t_end", "n_quad"):
+        subcommand, section = "lln", {"experiment": {
+            "kind": "lln_continuous", "N_list": [16], "replications": 100, "n_quad": 16}}
+    elif path[-1] == "ladder":
+        subcommand, section = "lipschitz", draw(sections("lipschitz"))
+    else:
+        subcommand = draw(st.sampled_from(("simulate", "lln", "coupling", "lipschitz")))
+        section = draw(sections(subcommand))
+    jumps = ({"rate": 0.5, "normal": [0.0, 0.5]} if path[-1] == "normal"
+             else {"rate": 0.5, "atoms": [[1.0, 0.5], [-1.0, 0.5]]})
+    cfg = {
+        "model": draw(car1_models()),
+        "triplet": {"gamma": 0.0, "sigma2": 0.5, "jumps": jumps},
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+        "simulation": {"fine_step": 0.125, "burn_in": 8.0},
+        **section,
+    }
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(st.sampled_from(BOUNDARY_VALUES))
+    return subcommand, cfg
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(cases=st.lists(boundary_cases(), min_size=12, max_size=12))
+def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases):
+    # one child interpreter runs every case of the batch, as the command line
+    # would, so a traceback reaches its stderr
+    script = textwrap.dedent("""
+        import json, os, sys, tempfile
+        from locstat.cli import main
+        codes = []
+        for subcommand, cfg in json.load(sys.stdin):
+            with tempfile.TemporaryDirectory() as out:
+                path = os.path.join(out, "config.json")
+                with open(path, "w") as fh:
+                    json.dump(cfg, fh)
+                codes.append(main([subcommand, "--config", path, "--out", out]))
+        print(json.dumps(codes))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases), env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert "Traceback" not in run.stderr, run.stderr
+    codes = json.loads(run.stdout.splitlines()[-1])
+    assert len(codes) == len(cases) and all(code in (0, 1, 2, 3, 4) for code in codes), codes

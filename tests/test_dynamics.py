@@ -13,12 +13,12 @@ from locstat.dynamics import (
     PathSample,
     PeanoBakerNonConvergence,
     SegmentLaw,
+    affine_states,
     build_plan,
     build_segment_law,
     coefficient_values,
     covariance_factor,
     draw_segment_noise,
-    refine_path,
     run_segment_law,
     simulate_yn,
     transition_matrix,
@@ -155,8 +155,9 @@ def test_validate_rejects_wrong_declarations():
 
 
 def test_noiseless_fixed_point_extrapolates_to_mean():
-    # mu_L / a = 1; the one-step scheme has O(h) bias, so check convergence of
-    # the Richardson limit 2 Y(h/2) - Y(h) to the exact value
+    # mu_L / a = 1; the exact segment law has no step bias for a constant
+    # model, so both steps and their Richardson limit 2 Y(h/2) - Y(h) sit at
+    # the value the burn-in of 15 leaves, 1 - e^-15 and more
     tri = LevyTriplet(1.0, 0.0)
     spec = models.ou(1.0)
 
@@ -202,20 +203,17 @@ def test_rejects_bad_step_and_burn_in():
             simulate_yn(spec, BROWNIAN, 2, np.array([0.0, 0.5]), h, 9.0, stream(0, "b", 0))
 
 
-def test_refinement_halves_the_step_error():
-    # same underlying noise, bridge-split increments: successive step halvings
-    # change the output by O(h)
-    spec, tri = models.ou(1.0), BROWNIAN
-    d1, d2 = [], []
-    for r in range(1500):
-        g = stream(9, "refine", r)
-        p1 = simulate_yn(spec, tri, 1, np.array([0.0]), 0.1, 8.0, g)
-        p2 = refine_path(spec, tri, p1, g)
-        p3 = refine_path(spec, tri, p2, g)
-        d1.append(p1.values[0] - p2.values[0])
-        d2.append(p2.values[0] - p3.values[0])
-    ratio = np.sqrt(np.mean(np.square(d1)) / np.mean(np.square(d2)))
-    assert 1.5 <= ratio <= 3.0
+def test_refinement_quarters_the_step_error():
+    # the records, and so the normals simulate draws from one stream, do not
+    # change with the fine step; the segment law of a time-varying model
+    # converges at second order, so each halving of the step cuts the change
+    # of the output about 4-fold
+    spec, tri = models.tvcar_sin(), LevyTriplet(1.0, 1.0)
+    values = [simulate_yn(spec, tri, 1, np.array([0.0, 1.0]), h, 8.0, stream(9, "refine", 0)).values
+              for h in (0.2, 0.1, 0.05, 0.025)]
+    changes = np.abs(np.diff(values, axis=0)).max(axis=1)
+    ratios = changes[:-1] / changes[1:]
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
 def test_coupling_determinism():
@@ -223,29 +221,35 @@ def test_coupling_determinism():
     a = simulate_yn(*args, stream(4, "det", 5))
     b = simulate_yn(*args, stream(4, "det", 5))
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.fine_grid.increments, b.fine_grid.increments)
 
 
 def test_statespace_path_matches_scalar_path():
-    # the 1x1 state space view runs the scalar recursion
-    # Y <- exp(-(h/2)(a(s_1) + a(s_2))) Y + dL step by step, s_1 and s_2 the
-    # Gauss nodes of the step
+    # the 1x1 state space view runs the scalar recursion: the same bytes, and
+    # a segment law whose decay, mean and variance are the scalar step
+    # products and sums y <- phi y + dL, phi = exp(w), w = -(h/2)(a(s_1) +
+    # a(s_2)) with s_1 and s_2 the Gauss nodes of the step; the path is
+    # that law's draw on the same stream, scanned over the records
     car = models.tvcar_sin()
     tri = LevyTriplet(0.3, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     times = np.array([0.5, 1.0])
     a = simulate_yn(car, tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     b = simulate_yn(car.to_state_space(), tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
     assert np.array_equal(a.values, b.values)
-    inc, start = a.fine_grid.increments, a.fine_grid.start
-    a1, a2 = (car.a((start + (np.arange(inc.size) + c) * 0.01) / 16) for c in GAUSS)
-    phi = np.exp(-0.5 * 0.01 * (a1 + a2))
-    y, expect = 0.0, []
-    record_steps = np.rint((16 * times - start) / 0.01).astype(int)
-    for j in range(inc.size):
-        y = phi[j] * y + inc[j]
-        if j + 1 in record_steps:
-            expect.append(y)
-    assert np.allclose(a.values, expect, rtol=1e-10, atol=1e-12)
+    plan = build_plan(car, 16, 16 * times, 0.01, 8.0)
+    law = build_segment_law(plan, tri)
+    lefts = plan.start + np.arange(plan.n_steps) * 0.01
+    w = -0.5 * 0.01 * sum(car.a((lefts + c * 0.01) / 16) for c in GAUSS)
+    decay, mean, var, k = 1.0, 0.0, 0.0, 0
+    for j in range(plan.n_steps):
+        decay, mean = np.exp(w[j]) * decay, np.exp(w[j]) * mean + 0.01 * np.expm1(w[j]) / w[j]
+        var = np.exp(2 * w[j]) * var + 0.01 * np.expm1(2 * w[j]) / (2 * w[j])
+        if j + 1 == plan.record_steps[k]:
+            assert law.decay[k, 0, 0] == pytest.approx(decay, rel=1e-12)
+            assert law.mean[k, 0] == pytest.approx(tri.path_drift * mean, rel=1e-12)
+            assert law.chol[k, 0, 0] ** 2 == pytest.approx(tri.sigma2 * var, rel=1e-12)
+            decay, mean, var, k = 1.0, 0.0, 0.0, k + 1
+    eta = draw_segment_noise(law, stream(2, "ss", 0), 1)[:, 0, 0]
+    assert np.allclose(a.values, [eta[0], law.decay[1, 0, 0] * eta[0] + eta[1]], rtol=1e-12, atol=0.0)
 
 
 def test_noncommuting_step_matches_commuting_path():
@@ -273,6 +277,90 @@ def test_step_propagators_are_fourth_order_on_a_noncommuting_model():
         errors.append(np.linalg.norm(product - ref))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all((14.0 <= ratios) & (ratios <= 18.0)), ratios
+
+
+def test_strong_decay_stays_representable():
+    # total decay exp(-2000): the early composed maps of the scan underflow
+    # to 0, which is their value to double precision, and the rest of the
+    # scan stays exact
+    m = 20000
+    P = np.full((m, 1, 1), np.exp(-0.1))
+    c = np.zeros((m, 1, 2))
+    c[0], c[-2], c[-1] = 1.0, 0.5, 2.0
+    x = np.ones((1, 2))
+    expect = x.copy()
+    for j in range(m):
+        expect = P[j] * expect + c[j]
+    got = affine_states(P, c, x)[-1]
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expect, rtol=1e-15)
+    np.testing.assert_allclose(got, 2.0 + 0.5 * np.exp(-0.1), rtol=1e-15)
+
+
+def test_long_burn_in_runs_as_one_segment():
+    # burn-in decay exp(-800): the first segment's early suffix weights underflow
+    spec, h, burn_in = models.ou(2.0), 0.05, 400.0
+    times = np.array([0.0, 0.5, 0.55, 1.25])
+    plan = build_plan(spec, 1, times, h, burn_in)
+    n_burn = 8000
+    record_steps = n_burn + np.rint(times / h).astype(int)
+    assert plan.segment_bounds == list(zip([0, *record_steps[:-1]], record_steps))
+
+    law = build_segment_law(plan, BROWNIAN)
+    # the decay is the exponential of the summed exponents, which rounds
+    # differently from np.prod, and the burn-in decay exp(-800) underflows to
+    # 0 or to a subnormal
+    expected = [np.prod(np.full(hi - lo, np.exp(-0.1))) for lo, hi in plan.segment_bounds]
+    np.testing.assert_allclose(law.decay[:, 0, 0], expected, rtol=1e-14, atol=1e-300)
+    assert law.decay[0, 0, 0] < 1e-300
+    for arr in (law.decay, law.mean, law.chol):
+        assert not np.any(np.isnan(arr))
+
+    # the path is the law's draw carried over the records one at a time
+    got = simulate_yn(spec, BROWNIAN, 1, times, h, burn_in, stream(3, "long-burn-in", 0)).values
+    eta = draw_segment_noise(law, stream(3, "long-burn-in", 0), 1)[:, 0, 0]
+    x, expect = 0.0, []
+    for decay, noise in zip(law.decay[:, 0, 0], eta):
+        x = decay * x + noise
+        expect.append(x)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+
+# a stiff non-commuting model: margin 30, with A(t) coupling its two rates
+STIFF = ModelSpec(
+    p=2,
+    A=lambda t: np.stack([np.stack([np.full(np.shape(t), -40.0), 1.0 + 0.5 * np.sin(t)], -1),
+                          np.stack([0.5 * np.cos(t), np.full(np.shape(t), -50.0)], -1)], -2),
+    B=lambda t: np.ones(2), C=lambda t: np.ones(2), lipschitz=Lipschitz(0.5), commuting=False,
+    stability_margin=30.0, model_id="stiff",
+)
+
+
+def test_stiff_model_simulate_does_not_depend_on_the_fine_step():
+    # simulate draws the exact segment law, so at the coarse step 1/16 the mean
+    # of Y^2 over 400 paths agrees with the one at 0.01 within Monte Carlo
+    # error, both near the exact 0.0477 (gamma 1, sigma2 1); a per-step
+    # increment at the end of each step gave 0.264 and 0.076
+    tri, times = LevyTriplet(1.0, 1.0), np.linspace(0.5, 1.5, 9)
+    laws = {}  # the law is a function of the plan: build it once per step
+
+    def law_of(plan, triplet):
+        if plan.h not in laws:
+            laws[plan.h] = build_segment_law(plan, triplet)
+        return laws[plan.h]
+
+    def mean_square(h):
+        with mock.patch.object(dynamics, "build_segment_law", law_of):
+            sq = [simulate_yn(STIFF, tri, 64, times, h, 8.0, stream(12, f"stiff:{h}", r)).values ** 2
+                  for r in range(400)]
+        per_path = np.mean(sq, axis=1)
+        return per_path.mean(), per_path.std(ddof=1) / np.sqrt(per_path.size)
+
+    (coarse, se_coarse), (fine, se_fine) = mean_square(1.0 / 16.0), mean_square(0.01)
+    assert abs(coarse - fine) <= 3.0 * np.hypot(se_coarse, se_fine)
+    for value, se in ((coarse, se_coarse), (fine, se_fine)):
+        assert abs(value - 0.0477) <= 3.0 * se + 1e-3
 
 
 def test_shipped_coefficients_take_arrays_of_times():
@@ -505,8 +593,10 @@ def test_burn_in_below_half_a_step_records_the_zero_start():
     assert plan.record_steps.tolist() == [0, 4]
     law = build_segment_law(plan, GAUSS_JUMPS)
     assert law.decay[0, 0, 0] == 1.0 and law.mean[0, 0] == 0.0 and law.jump_mean[0] == 0.0
-    path = simulate_yn(spec, BROWNIAN, 4, [1.0, 1.25], 0.25, 0.0, None, increments=np.ones(4))
-    assert path.values[0] == 0.0 and path.values[1] == 1.0
+    # the first value is the zero start; the second the noise of its last
+    # step, whose stationary sd is (2e15)^(-1/2)
+    path = simulate_yn(spec, BROWNIAN, 4, [1.0, 1.25], 0.25, 0.0, stream(0, "zero-start", 0))
+    assert path.values[0] == 0.0 and 0.0 < abs(path.values[1]) < 6.0 / np.sqrt(2e15)
     # a vector model: the empty stack of the step-0 record takes no eigenbasis
     spec = dataclasses.replace(models.companion2(), stability_margin=1e15)
     law = build_segment_law(build_plan(spec, 4, [4.0, 5.0], 0.25, 0.0), GAUSS_JUMPS)

@@ -197,7 +197,7 @@ def test_global_average_trivial():
 
 def test_localized_continuous_mean_consistency():
     # kernel-weighted fine-grid average of Y_N recovers the frozen mean
-    from locstat.dynamics import _draw_increments_rows, build_plan, simulate_yn
+    from locstat.dynamics import build_plan, build_segment_law, draw_segment_noise, run_segment_law
 
     spec = models.tvcar_sin()
     tri = LevyTriplet(1.0, 1.0)
@@ -210,9 +210,8 @@ def test_localized_continuous_mean_consistency():
     h = gap / 4.0
     plan = build_plan(spec, N, rescaled, h, 8.0)
     reps = 200
-    inc = _draw_increments_rows(tri, h, plan.n_steps, reps, stream(4, "cont-mean", 0))
-    Y = [simulate_yn(spec, tri, N, plan.eval_rescaled / N, h, 8.0, None, increments=row).values
-         for row in inc]
+    law = build_segment_law(plan, tri)
+    Y = run_segment_law(law, draw_segment_noise(law, stream(4, "cont-mean", 0), reps))
     vals = np.array(
         [
             localized_continuous_mean(PathSample(times=times, values=row), u, b, biweight())

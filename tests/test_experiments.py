@@ -12,7 +12,7 @@ from locstat.experiments import (
     CHUNK,
     ExperimentConfig,
     InadmissibleSchemeError,
-    _coupling_weights,
+    _coupling_law,
     _localized_chunk,
     _localized_payload,
     _loglog_fit,
@@ -25,7 +25,7 @@ from locstat.experiments import (
     run_lln,
     skewness_kurtosis,
 )
-from locstat.dynamics import draw_segment_noise, run_segment_law
+from locstat.dynamics import draw_segment_noise, run_segment_law, simulate_yn
 from locstat.kernels import biweight
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
@@ -57,7 +57,7 @@ def test_coupling_constant_coefficient_distance_is_roundoff():
     )
     rep = run_coupling(cfg)
     for row in rep.rows:
-        assert row["estimate"] < 1e-12
+        assert row["estimate"] == 0.0 and row["target"] == 0.0
 
 
 def test_coupling_rate_and_negative_control():
@@ -76,22 +76,32 @@ def test_coupling_rate_and_negative_control():
 
 
 def test_coupling_weights_statespace_matches_scalar():
-    # scalar weights: suffix products of the one-step decays
-    # exp(-(h/2)(a(s_1) + a(s_2))), s_1 and s_2 the Gauss nodes of the step,
-    # for Y_N, exp(-a(u) depth) for the frozen process
+    # scalar reference of the coupling law for a(t) = 2 + sin t at u = 1: per
+    # step, exponents w_j = -(h/2)(a(s_1) + a(s_2)) for Y_N (s_1 and s_2 the
+    # Gauss nodes of the step) and v = -a(u) h for the frozen process, suffix
+    # sums S_j and T_j of the later steps, and over a step
+    # int (e^{S_j + w_j r/h} - e^{T_j + v r/h})^2 dr
+    #   = h (e^{2 S_j} phi(2 w_j) - 2 e^{S_j + T_j} phi(w_j + v) + e^{2 T_j} phi(2 v)),
+    # phi(x) = expm1(x) / x; likewise int (e^{S_j + w_j r/h} - e^{T_j + v r/h}) dr
     car = models.tvcar_sin()
     n_cells, h = 800, 0.01
-    for N in (16, 64):
-        lefts = N * 1.0 - (n_cells - np.arange(n_cells)) * h
-        a1, a2 = (car.a((lefts + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N) for c in (-1.0, 1.0))
-        phi = np.exp(-0.5 * h * (a1 + a2))
-        w_n = np.ones(n_cells)
-        w_n[:-1] = np.cumprod(phi[:0:-1])[::-1]
-        w_f = np.exp(-car.a(1.0) * (n_cells - 1 - np.arange(n_cells)) * h)
-        for model in (car, car.to_state_space()):
-            s_n, s_f = _coupling_weights(model, 1.0, N, h, n_cells * h)
-            np.testing.assert_allclose(s_n, w_n, rtol=1e-10, atol=0.0)
-            np.testing.assert_allclose(s_f, w_f, rtol=1e-10, atol=0.0)
+    tri = LevyTriplet(0.5, 1.0)
+    phi = lambda x: np.expm1(x) / x  # noqa: E731
+    Ns = (16, 64)
+    for model in (car, car.to_state_space()):
+        _, _, targets = _coupling_law(model, tri, 1.0, Ns, h, n_cells * h)
+        for N, target in zip(Ns, targets):
+            lefts = -(n_cells - np.arange(n_cells)) * h
+            w = -0.5 * h * sum(car.a(1.0 + (lefts + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N)
+                               for c in (-1.0, 1.0))
+            v = np.full(n_cells, -car.a(1.0) * h)
+            S, T = (np.concatenate([np.cumsum(x[:0:-1])[::-1], [0.0]]) for x in (w, v))
+            sq = h * np.sum(np.exp(2 * S) * phi(2 * w) - 2 * np.exp(S + T) * phi(w + v)
+                            + np.exp(2 * T) * phi(2 * v))
+            mean = h * np.sum(np.exp(S) * phi(w) - np.exp(T) * phi(v))
+            assert target == pytest.approx(np.sqrt(sq + (0.5 * mean) ** 2), rel=1e-10), N
+    car_targets = _coupling_law(car, tri, 1.0, Ns, h, n_cells * h)[2]
+    assert np.array_equal(car_targets, _coupling_law(car.to_state_space(), tri, 1.0, Ns, h, n_cells * h)[2])
 
 
 def test_coupling_refuses_invalid_model():
@@ -183,7 +193,9 @@ def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
     # with constant coefficients the law of a record segment is exact whatever
     # the fine step h: the noise of a step decays inside it, and a jump sits at
     # U m h into its segment of m cells. The segments, the Poisson rates and
-    # so every draw are the same at h and h / 4, and only rounding moves
+    # so every draw are the same at h and h / 4, and only rounding moves. That
+    # holds for a simulate path on one stream and for the coupling report,
+    # whose distances are exactly 0 for a model that does not vary in time
     def outputs(h):
         scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
         lln = run_lln(ExperimentConfig(
@@ -194,11 +206,19 @@ def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
             "clt_cov", model, LevyTriplet(0.0, 0.5, PM_ONE), 1.0, (2**10,), 1000, 5, h, 8.0,
             lag=1, **scheme,
         ))
+        path = simulate_yn(model, LevyTriplet(1.0, 0.5, PM_ONE), 16, np.linspace(0.5, 1.5, 9), h,
+                           8.0, stream(6, "simulate", 0))
+        coupling = run_coupling(ExperimentConfig(
+            "coupling", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (16, 64), 100, 7, h, 8.0,
+        ))
         rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
-        return np.array(rows), clt.replication_values
+        distances = [[row[k] for k in ("estimate", "target")] for row in coupling.rows]
+        return np.array(rows), clt.replication_values, path.values, np.array(distances)
 
-    for fine, coarse in zip(outputs(1.0 / 64.0), outputs(1.0 / 16.0)):
+    fine_outputs, coarse_outputs = outputs(1.0 / 64.0), outputs(1.0 / 16.0)
+    for fine, coarse in zip(fine_outputs, coarse_outputs):
         assert np.abs(fine - coarse).max() <= 1e-12 * np.abs(coarse).max()
+    assert not fine_outputs[-1].any() and not coarse_outputs[-1].any()
 
 
 def test_lipschitz_small():
