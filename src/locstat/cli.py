@@ -147,20 +147,24 @@ def _build_triplet(section: dict) -> LevyTriplet:
         raise SchemaError(f"triplet: {exc}") from None
 
 
+def _finite(section: dict, key: str, path: str) -> float:
+    """The number at ``key``; a NaN or an infinity is a schema error naming it."""
+    value = float(_need(section, key, path))
+    if not np.isfinite(value):
+        raise SchemaError(f"{path}.{key} must be finite, got {value}")
+    return value
+
+
 def _build_scheme_rules(section: dict):
     kind = _need(section, "scheme", "scheme")
-    u = float(_need(section, "u", "scheme"))
-    bw = BandwidthRule(
-        b=float(_need(section, "b", "scheme")), beta=float(_need(section, "beta", "scheme"))
-    )
+    u = _finite(section, "u", "scheme")
+    bw = BandwidthRule(b=_finite(section, "b", "scheme"), beta=_finite(section, "beta", "scheme"))
     if kind == "O1":
         _no_extra(section, {"scheme", "u", "b", "beta", "Delta"}, "scheme")
-        step = StepRuleO1(Delta=float(_need(section, "Delta", "scheme")))
+        step = StepRuleO1(Delta=_finite(section, "Delta", "scheme"))
     elif kind == "O2":
         _no_extra(section, {"scheme", "u", "b", "beta", "d", "alpha"}, "scheme")
-        step = StepRuleO2(
-            d=float(_need(section, "d", "scheme")), alpha=float(_need(section, "alpha", "scheme"))
-        )
+        step = StepRuleO2(d=_finite(section, "d", "scheme"), alpha=_finite(section, "alpha", "scheme"))
     else:
         raise SchemaError(f"scheme.scheme must be 'O1' or 'O2', got {kind!r}")
     return u, bw, step

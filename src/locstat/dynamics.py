@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import linalg  # perfbench/spans.py traces linalg.expm calls from here
 
+from . import linalg  # perfbench/spans.py traces linalg.expm calls from here
 from .noise import JumpSpec, LevyTriplet
 
 __all__ = [
@@ -256,9 +256,17 @@ def _integral_of_A(spec: ModelSpec, t0: float, t1: float) -> np.ndarray:
     )
 
 
-def _peano_baker(spec: ModelSpec, t0: float, t1: float, order: int, nodes: int | None) -> np.ndarray:
-    from scipy import integrate
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """int_0^{x_i} y for every node x_i = i h of an odd number of nodes,
+    along axis 0. Each step integrates the parabola through the pair of steps
+    it belongs to, as scipy's ``cumulative_simpson`` does on such a grid."""
+    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
+    steps = np.stack([5.0 * f0 + 8.0 * f1 - f2, 5.0 * f2 + 8.0 * f1 - f0], axis=1)
+    steps = (h / 12.0) * steps.reshape((len(y) - 1,) + y.shape[1:])
+    return np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(steps, axis=0)])
 
+
+def _peano_baker(spec: ModelSpec, t0: float, t1: float, order: int, nodes: int | None) -> np.ndarray:
     span = t1 - t0
     if nodes is None:
         nodes = int(max(129, 64 * np.ceil(max(span, 1.0)) + 1))
@@ -272,7 +280,7 @@ def _peano_baker(spec: ModelSpec, t0: float, t1: float, order: int, nodes: int |
     last_norm = np.inf
     for _ in range(order):
         integrand = A_vals @ term
-        term = integrate.cumulative_simpson(integrand, x=ts, axis=0, initial=0.0)
+        term = _cumulative_simpson(integrand, span / (nodes - 1))
         total = total + term[-1]
         last_norm = np.linalg.norm(term[-1])
     if last_norm > 1e-8 * max(np.linalg.norm(total), 1e-300):
@@ -401,14 +409,17 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     rescaled time s = N t (no lossy round trip through original time).
 
     Checks that the nodes increase, that the step is finite, positive and
-    divides every gap between them and that the burn-in is finite and at
-    least 8 / stability margin. ``spec`` is a :class:`ModelSpec` or anything
-    with a ``to_state_space()`` view, such as :class:`Car1Spec`.
+    divides every gap between them, that the burn-in is finite and at least
+    8 / stability margin, and that the run is at most ``_MAX_STEPS`` steps.
+    ``spec`` is a :class:`ModelSpec` or anything with a ``to_state_space()``
+    view, such as :class:`Car1Spec`.
     """
     spec = spec.to_state_space()
     rescaled = np.asarray(rescaled, dtype=float)
     if rescaled.size == 0:
         raise ValueError("need at least one evaluation time")
+    if not np.all(np.isfinite(rescaled)):
+        raise ValueError("evaluation times must be finite")
     if not 0 < h < np.inf:
         raise ValueError(f"fine_step must be positive and finite, got {h}")
     if not np.isfinite(burn_in):
@@ -419,6 +430,10 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     gaps = np.diff(rescaled)
     if gaps.size and not np.all(gaps > 0):
         raise ValueError("evaluation times must be strictly increasing")
+    n = (burn_in + float(rescaled[-1] - rescaled[0])) / h  # a Python float: inf, no warning
+    if n > _MAX_STEPS:
+        run = f"simulation.burn_in {burn_in}" if burn_in / h > _MAX_STEPS else "the run"
+        raise ValueError(f"{run} over fine_step {h} is {n:.3g} steps, more than {_MAX_STEPS}")
     if gaps.size and h > gaps.min() + 1e-12:
         raise ValueError("fine_step exceeds the smallest rescaled evaluation gap")
     steps_per_gap = np.rint(gaps / h).astype(int)
@@ -689,6 +704,8 @@ def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float
 # (lln_ladder: 66.2, 62.3 and 62.1 MB); with 8192 the lln_ladder campaign takes
 # about 2 ms longer than with 16384, as its ladder builds twice as many stacks.
 _BLOCK_ENTRIES = 16384
+# most fine steps of a run, burn-in included: its memory grows with its steps
+_MAX_STEPS = 1 << 22
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
@@ -903,7 +920,7 @@ class JumpWeights:
         if (k >= 0).any():
             at, k = k >= 0, k[k >= 0]
             L, M, C = (np.concatenate(x)[k] for x in (self.L, self.M, self.C))
-            out[at] = (L @ linalg.expm(M * rest[at, None, None]) @ C[..., None])[..., 0]
+            out[at] = (L @ linalg.expm(M * rest[at, None, None], C)[..., None])[..., 0]
         return out
 
 

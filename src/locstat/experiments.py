@@ -34,9 +34,8 @@ import functools
 import multiprocessing
 
 import numpy as np
-from scipy import linalg, special
 
-from . import stationary as stat
+from . import linalg, special, stationary as stat
 from .dynamics import (
     Car1Spec,
     JumpWeights,
@@ -121,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("clt experiments need at least 1000 replications")
         if self.kind == "lipschitz_u" and self.p_norm not in (2, 4):
             raise ValueError("p_norm must be 2 or 4")
+        if not 0 < float(self.rmse_tol) < np.inf:
+            raise ValueError(f"rmse_tol must be positive and finite, got {self.rmse_tol}")
 
 
 @dataclass
@@ -456,7 +457,8 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
     all_ok = True
     for N in config.N_list:
         gap = N * config.t_end / config.n_quad
-        h_eff = gap / max(1, int(round(gap / config.fine_step)))
+        # a float count: an infinite gap reaches build_plan's checks, not int()
+        h_eff = gap / max(1.0, np.rint(gap / config.fine_step))
         plan = build_plan(model, N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in)
         payload = {"config": config, "N": N, "gap": gap, "law": build_segment_law(plan, config.triplet)}
         vals = _map_chunks(_global_average_chunk, payload, config.replications, config.workers)

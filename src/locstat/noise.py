@@ -20,7 +20,8 @@ sitting exactly at +-1 do not contribute.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from . import special
 
 __all__ = [
     "JumpSpec",
@@ -111,8 +112,9 @@ class JumpSpec:
         if s == 0.0:
             return m if abs(m) > 1.0 else 0.0
         # E[J 1{J>b}] = m*(1-Phi(zb)) + s*phi(zb) with zb=(b-m)/s; lower tail analogous.
-        # Phi and phi are evaluated as scipy's norm does (ndtr, and the density
-        # on an array), so the result matches norm.sf/cdf/pdf bit for bit.
+        # Phi and phi are evaluated as scipy's norm does (the Cephes ndtr of
+        # special.ndtr, and the density on an array), so the result matches
+        # norm.sf/cdf/pdf bit for bit.
         zu, zl = z = np.array([(1.0 - m) / s, (-1.0 - m) / s])
         pu, pl = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
         upper = m * special.ndtr(-zu) + s * pu

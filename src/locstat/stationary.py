@@ -19,9 +19,10 @@ Every integral of a product of f (the int f^k above and the cumulant
 integral of the lagged fourth moment) comes from one vector-valued adaptive
 quadrature (:func:`_product_integrals`): QUADPACK's Gauss-Kronrod G10K21
 rule, written in numpy (:func:`_gauss_kronrod`), which evaluates the nodes
-of all its open panels as one array, so no module here loads
-``scipy.integrate``. The lagged fourth moments make the limit variance of
-the second-order statistic exact for every centered driver.
+of all its open panels as one array. Where A has no trusted eigenbasis,
+e^{As} comes from the package's batched ``linalg.expm``. The lagged fourth
+moments make the limit variance of the second-order statistic exact for
+every centered driver.
 
 Simulation is exact in distribution: each step of the grid, and a long
 warm start before it, is one step of ``dynamics.StepLaw`` with exponent A
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
 
+from . import linalg
 from .dynamics import (
     _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law,
     _gramian, draw_segment_noise, eigenbasis, run_segment_law,

@@ -78,8 +78,12 @@ def test_non_finite_driver_values_exit_2_naming_the_key(tmp_path, capsys, path, 
     ("lln", {"kind": "lln_continuous", "n_quad": 0}, {}, "n_quad"),
     ("lln", {"kind": "lln_discrete", "N_list": []}, {}, "N_list"),
     ("lln", {"kind": "lln_discrete"}, {"burn_in": float("inf")}, "burn_in"),
+    # burn_in / fine_step overflows to inf, or to no int64 at 1e300
+    ("lln", {"kind": "lln_discrete"}, {"burn_in": 1e308}, "simulation.burn_in"),
+    ("lln", {"kind": "lln_discrete"}, {"burn_in": 1e300}, "simulation.burn_in"),
     ("lipschitz", {"kind": "lipschitz_u", "N_list": [1], "ladder": []}, {}, "ladder"),
-], ids=["t_end-0", "n_quad-0", "N_list-empty", "burn_in-inf", "ladder-empty"])
+], ids=["t_end-0", "n_quad-0", "N_list-empty", "burn_in-inf", "burn_in-1e308", "burn_in-1e300",
+        "ladder-empty"])
 def test_configs_that_ended_in_a_traceback_exit_with_a_message(
         tmp_path, capsys, subcommand, experiment, simulation, key):
     cfg = write_config(tmp_path, {
@@ -87,6 +91,21 @@ def test_configs_that_ended_in_a_traceback_exit_with_a_message(
         "experiment": {"N_list": [16, 64], "replications": 100, **experiment},
     })
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) in (2, 3)
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"), ("scheme", "beta"),
+    ("experiment", "rmse_tol"),
+])
+def test_non_finite_scheme_and_tolerance_exit_2_naming_the_key(tmp_path, capsys, section, key):
+    # a NaN u reached the simulator ("Array must not contain infs or NaNs"),
+    # a NaN Delta or b an int conversion, and a NaN rmse_tol failed the run
+    # with no message
+    cfg = {"scheme": dict(BASE["scheme"]),
+           "experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}}
+    cfg[section][key] = float("nan")
+    assert main(["lln", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
 
 
@@ -484,6 +503,56 @@ def test_cli_and_its_campaigns_never_import_scipy_integrate(tmp_path):
     assert [sub for sub, _, loaded in after if loaded] == []
     assert all(code in (0, 1) for _, code, _ in after), after
     assert len(after) == 7
+
+
+def test_cli_and_every_subcommand_never_import_scipy(tmp_path):
+    # the package runs on numpy alone: no module of scipy is loaded by the
+    # import of the CLI, by a tiny run of each of its eight subcommands or by
+    # the transition-matrix methods
+    path_csv = str(tmp_path / "simulate-1.csv")
+    configs = {
+        "simulate": {"experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
+                     "simulate": {"use_scheme_grid": True}},
+        "estimate": {"experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
+                     "estimate": {"path_file": path_csv,
+                                  "statistics": [{"kind": "mean"}, {"kind": "clt", "k": None}]}},
+        "moments": {"moments": {"u": 1.0, "delta": 0.5}},
+        "lln": {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}},
+        "clt": {"experiment": {"kind": "clt_mean", "N_list": [64], "replications": 1000}},
+        "coupling": {"experiment": {"kind": "coupling", "N_list": [8, 16], "replications": 100}},
+        "lipschitz": {"triplet": {"gamma": 0.0, "sigma2": 1.0,
+                                  "jumps": {"rate": 1.0, "normal": [0.0, 1.5]}},
+                      "experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 70,
+                                     "p_norm": 4, "time_points": 8, "ladder": [0.05, 0.1, 0.2]}},
+        "validate-kernel": {"kernel": "biweight"},
+    }
+    configs["clt"]["scheme"] = {**BASE["scheme"], "beta": 0.6666666666666666}
+    runs = [(sub, write_config(tmp_path, extra, name=f"{sub}.json")) for sub, extra in configs.items()]
+    script = textwrap.dedent(f"""
+        import json, sys
+        import locstat.cli as cli
+        from locstat import dynamics, models
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        at_import = loaded()
+        after = []
+        for sub, cfg in {runs!r}:
+            code = cli.main([sub, "--config", cfg, "--seed", "1", "--out", {str(tmp_path)!r}])
+            after.append([sub, code, loaded()])
+        for method in ("commuting_exp", "peano_baker", "ode_rk4"):
+            dynamics.transition_matrix(models.companion2(), 1.0, 0.5, method=method)
+        print(json.dumps([at_import, after, loaded()]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    at_import, after, at_end = json.loads(out.splitlines()[-1])
+    assert at_import == []
+    assert [(sub, mods) for sub, _, mods in after if mods] == []
+    assert at_end == []
+    assert [sub for sub, _, _ in after] == list(configs)
+    assert all(code in (0, 1) for _, code, _ in after), after
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

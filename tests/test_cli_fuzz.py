@@ -6,8 +6,9 @@ Models are scalar ``car1`` or ``statespace`` with p = 1..3, commuting
 strictly lower triangular). The declared margins and Lipschitz constants
 hold for most draws; a draw whose declaration fails the sampled validation
 must still end with exit 3, not a crash. Boundary configs set one key of
-the driver, the simulation or the experiment to 0, -1, NaN, Infinity or []
-and run in a child interpreter, whose stderr must hold no traceback.
+the driver, the scheme, the simulation or the experiment to 0, -1, 1e308,
+NaN, Infinity or [] and run in a child interpreter, whose stderr must hold
+no traceback.
 """
 
 import json
@@ -139,21 +140,24 @@ def test_schema_valid_configs_end_with_a_documented_exit_code(case, seed):
     assert code in (0, 1, 2, 3, 4)
 
 
-# keys a config may set to a boundary value: the driver's numbers and the
-# sizes of a run. Each must run or end with an exit code, never a traceback.
+# keys a config may set to a boundary value: the driver's numbers, the
+# scheme's and the sizes of a run. Each must run or end with an exit code,
+# never a traceback.
 BOUNDARY_KEYS = (
     ("triplet", "gamma"), ("triplet", "sigma2"), ("triplet", "jumps", "rate"),
     ("triplet", "jumps", "atoms"), ("triplet", "jumps", "normal"),
+    ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"),
     ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
     ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
+    ("experiment", "rmse_tol"),
 )
-BOUNDARY_VALUES = (0, -1, float("nan"), float("inf"), [])
+BOUNDARY_VALUES = (0, -1, 1e308, float("nan"), float("inf"), [])
 
 
 @st.composite
 def boundary_cases(draw):
     """(subcommand, config) with one key of a valid tiny config set to 0, -1,
-    NaN, Infinity or []."""
+    1e308, NaN, Infinity or []."""
     path = draw(st.sampled_from(BOUNDARY_KEYS))
     if path[-1] in ("t_end", "n_quad"):
         subcommand, section = "lln", {"experiment": {

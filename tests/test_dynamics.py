@@ -110,6 +110,28 @@ def test_peano_baker_nonconvergence_reported():
         transition_matrix(spec, 4.0, 0.0, method="peano_baker", order=6)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (0.3, 2.8), (1.0, 1.25)])
+def test_cumulative_simpson_matches_scipy_on_the_peano_baker_nodes(t0, t1):
+    # every nested integral of the series, on its own grid and integrand
+    calls = []
+
+    def record(y, h):
+        calls.append((y, h))
+        return cumulative_simpson(y, h)
+
+    cumulative_simpson = dynamics._cumulative_simpson
+    with mock.patch.object(dynamics, "_cumulative_simpson", record):
+        transition_matrix(models.diag2(), t1, t0, method="peano_baker", order=40)
+    assert len(calls) == 40
+    for y, h in calls:
+        ts = np.linspace(t0, t1, len(y))
+        assert len(y) % 2 == 1 and h == (t1 - t0) / (len(y) - 1)
+        ref = integrate.cumulative_simpson(y, x=ts, axis=0, initial=0.0)
+        got = cumulative_simpson(y, h)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_seminorm_constant_scalar():
     rep = transition_seminorm_check(models.ou(1.3).to_state_space())
     assert abs(rep.lambda_hat - 1.3) < 1e-6
