@@ -21,7 +21,7 @@ Config schema (JSON, unknown keys rejected at every level):
   simulation  {"fine_step": num, "burn_in": num}
   experiment  {"kind": "coupling"|"lln_discrete"|"lln_continuous"|
                        "clt_mean"|"clt_cov"|"lipschitz_u",
-               "N_list": [int,..], "replications": int, ...optional fields:
+               "N_list": [int,..], "replications": int (1 to 2^24), ...optional fields:
                "lag", "statistic", "t_end", "n_quad", "ladder", "p_norm",
                "time_points", "rmse_tol", "validate_inputs"}
   simulate    {"times": [num,..]} | {"use_scheme_grid": true, "lag": int}
@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import Car1Spec, Lipschitz, ModelSpec, PathSample, simulate_yn
+from .dynamics import _MAX_STEPS, Car1Spec, Lipschitz, ModelSpec, PathSample, simulate_yn
 from .estimators import clt_statistic, localized_autocov, localized_mean
 from .expressions import ExprFunc, ExprMatrix, ExprVector
 from .experiments import ExperimentConfig, InadmissibleSchemeError, _union_offsets, run_experiment
@@ -56,6 +56,9 @@ EXIT_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_SEMANTIC = 3
 EXIT_IO = 4
+
+# 2^18 chunks of CHUNK replications: at most a few hundred MB of statistics
+_MAX_REPLICATIONS = 1 << 24
 
 
 class SchemaError(Exception):
@@ -155,6 +158,19 @@ def _finite(section: dict, key: str, path: str) -> float:
     return value
 
 
+def _count(section: dict, key: str, path: str, most: int) -> int:
+    """The integer at ``key``, from 1 to ``most``; anything else is a schema
+    error naming it."""
+    value = _need(section, key, path)
+    try:
+        ok = 1 <= float(value) <= most and float(value).is_integer()
+    except (ValueError, TypeError):
+        ok = False
+    if not ok:
+        raise SchemaError(f"{path}.{key} must be an integer from 1 to {most}, got {value!r}")
+    return int(value)
+
+
 def _build_scheme_rules(section: dict):
     kind = _need(section, "scheme", "scheme")
     u = _finite(section, "u", "scheme")
@@ -234,6 +250,9 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
             raise SchemaError(f"experiment.kind: unknown kind {kind!r}")
         extra = {key: esec[key] for key in _EXPERIMENT_KEYS - {"kind", "N_list", "replications"}
                  if key in esec}
+        if "n_quad" in esec:  # one fine step at least per interval
+            extra["n_quad"] = _count(esec, "n_quad", "experiment", _MAX_STEPS)
+        replications = _count(esec, "replications", "experiment", _MAX_REPLICATIONS)
         try:
             out["experiment"] = ExperimentConfig(
                 kind=kind,
@@ -241,7 +260,7 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
                 triplet=out["triplet"],
                 u=out.get("u", 1.0),
                 N_list=tuple(_need(esec, "N_list", "experiment")),
-                replications=int(_need(esec, "replications", "experiment")),
+                replications=replications,
                 seed=seed,
                 fine_step=out["fine_step"],
                 burn_in=out["burn_in"],
@@ -488,14 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("LOCSTAT_WORKERS", "1")),
-        help="worker processes (default: env LOCSTAT_WORKERS or 1)",
+        default=os.environ.get("LOCSTAT_WORKERS", "1"),  # a string: argparse applies int
+        help="processes of a campaign, at most one per core and one per chunk of "
+        "replications (default: env LOCSTAT_WORKERS or 1)",
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"config error: --workers (or LOCSTAT_WORKERS) must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         with open(args.config) as fh:
             text = fh.read()

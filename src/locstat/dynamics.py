@@ -542,7 +542,7 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None):
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     lengths = np.diff(bounds)
     p = spec.p
-    for m in np.unique(lengths):
+    for m in linalg.unique(lengths):
         same = np.flatnonzero(lengths == m)
         stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
         for segs in np.split(same, np.arange(stack, same.size, stack)):

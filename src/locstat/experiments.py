@@ -25,18 +25,23 @@ of a block system on one driver, over the burn-in before u.
 Replications are deterministic: work is cut into fixed chunks of ``CHUNK``
 replications, each chunk draws all its replications from its own
 counter-based stream keyed by (seed, purpose, chunk index), and reduction is
-in chunk order, so reports are bit-identical for any worker count.
+in chunk order, so reports are bit-identical for any worker count. With
+several workers, ``_map_chunks`` runs the first batch of chunks itself and
+each other batch in a child forked for it, which inherits the chunk payload
+(the segment law) instead of receiving it pickled.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import functools
-import multiprocessing
+import os
+import pickle
+import signal
 
 import numpy as np
 
 from . import linalg, special, stationary as stat
 from .dynamics import (
+    _MAX_STEPS,
     Car1Spec,
     JumpWeights,
     _cell_weights,
@@ -153,26 +158,84 @@ def _py(obj):
     return obj
 
 
-def _call_chunk(args):
-    fn, payload, lo, hi = args
-    return fn(payload, lo, hi)
-
-
 def _map_chunks(fn, payload, n_reps: int, workers: int) -> np.ndarray:
+    """``fn(payload, lo, hi)`` over the ``CHUNK``-sized chunks of ``n_reps``
+    replications, concatenated in chunk order.
+
+    The chunks are cut into contiguous batches, one per process, and at most
+    ``min(workers, chunks, os.cpu_count())`` processes run. The parent runs
+    batch 0; each other batch runs in a child forked for it, which inherits
+    ``fn`` and ``payload`` and sends its parts back pickled on a pipe. Where
+    ``os.fork`` does not exist every chunk runs in the parent. The chunk
+    bounds, and so the bits, never depend on the number of processes. No
+    child outlives the call: after a failure the rest are killed and reaped.
+    """
     chunks = [(lo, min(lo + CHUNK, n_reps)) for lo in range(0, n_reps, CHUNK)]
-    if workers <= 1 or len(chunks) == 1:
-        parts = [fn(payload, lo, hi) for lo, hi in chunks]
-    else:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        ctx = multiprocessing.get_context(method)
-        # one batch of chunks per worker: pickle's memo then sends the shared
-        # payload once per batch instead of once per chunk
-        batch = -(-len(chunks) // workers)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(
-                pool.map(_call_chunk, [(fn, payload, lo, hi) for lo, hi in chunks], chunksize=batch)
-            )
+    procs = min(workers, len(chunks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    size = -(-len(chunks) // max(procs, 1))
+    batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
+    pids, fds = [], []  # children not yet reaped and read ends still open, in batch order
+    try:
+        for batch in batches[1:]:
+            pid, fd = _fork_batch(fn, payload, batch, fds)
+            pids.append(pid)
+            fds.append(fd)
+        parts = [fn(payload, lo, hi) for lo, hi in batches[0]]
+        while pids:
+            with open(fds[0], "rb", closefd=False) as fh:
+                data = fh.read()
+            os.close(fds.pop(0))
+            status = os.waitpid(pids.pop(0), 0)[1]
+            if not data:
+                raise RuntimeError(f"a worker ended with exit code "
+                                   f"{os.waitstatus_to_exitcode(status)} and no result")
+            ok, value = pickle.loads(data)  # bytes our own child wrote
+            if not ok:
+                raise value
+            parts.extend(value)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return np.concatenate(parts, axis=0)
+
+
+def _fork_batch(fn, payload, batch, inherited: list) -> tuple[int, int]:
+    """Fork a child that runs the chunks of ``batch`` and writes
+    ``(True, parts)``, or ``(False, exception)``, pickled to a pipe; returns
+    its pid and the read end. The child closes the read ends of its elder
+    siblings' pipes (``inherited``) and always leaves by ``os._exit``, so it
+    flushes no output buffer that it shares with the parent."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 70
+    try:
+        for fd in (read_fd, *inherited):
+            os.close(fd)
+        try:
+            result = (True, [fn(payload, lo, hi) for lo, hi in batch])
+        except BaseException as exc:  # the parent raises it again
+            result = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                result = (False, RuntimeError(
+                    f"a worker raised {type(exc).__qualname__}, which cannot be sent back: {exc}"))
+        with open(write_fd, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -317,7 +380,7 @@ def _union_offsets(scheme, lag: int):
         shift_idx = base_idx
         return offsets, base_idx, shift_idx
     shifted = base + float(lag)
-    offsets = np.union1d(base, shifted)
+    offsets = linalg.unique(np.concatenate([base, shifted]))
     # collapse float near-duplicates (exact coincidence is the common case)
     keep = np.concatenate([[True], np.diff(offsets) > 1e-9 * max(s, 1.0)])
     offsets = offsets[keep]
@@ -450,6 +513,10 @@ def _global_average_chunk(payload, lo, hi):
 
 
 def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
+    N = config.N_list[-1]
+    if not N * config.t_end / config.fine_step <= _MAX_STEPS:  # Python floats: inf, no warning
+        raise ValueError(f"experiment.t_end {config.t_end} at N = {N} over fine_step "
+                         f"{config.fine_step} is more than {_MAX_STEPS} steps")
     model = config.model
     mean = np.vectorize(lambda v: stat.stationary_mean(model, v, config.triplet), otypes=[float])
     target = float(stat._gauss_kronrod(mean, 0.0, config.t_end)) / config.t_end

@@ -1,5 +1,6 @@
 """Matrix functions the package needs beyond numpy: the matrix exponential
-of a stack of matrices and the block diagonal of two.
+of a stack of matrices and the block diagonal of two; and :func:`unique`,
+``np.unique`` without its import of ``numpy.ma``.
 
 :func:`expm` is the scaling and squaring method of Higham 2005 ("The scaling
 and squaring method for the matrix exponential revisited", SIAM J. Matrix
@@ -13,7 +14,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["expm", "block_diag"]
+__all__ = ["expm", "block_diag", "unique"]
 
 # Higham 2005, Table 2.3: the 1-norm up to which the [m/m] Pade approximant
 # of e^A has a backward error of at most the unit roundoff
@@ -81,7 +82,7 @@ def expm(A, v=None) -> np.ndarray:
     norm = functools.reduce(np.maximum, functools.reduce(np.add, np.abs(X).transpose(1, 2, 0)))
     degree = np.searchsorted(_THETA, norm)  # index into _DEGREES; 5 past theta_13
     R = np.empty(X.shape if w is None else w.shape)
-    for i in np.unique(degree):
+    for i in unique(degree):
         at = degree == i
         at = ... if at.all() else at
         if i < len(_DEGREES):
@@ -107,3 +108,14 @@ def block_diag(*blocks) -> np.ndarray:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
+
+
+def unique(a) -> np.ndarray:
+    """The sorted distinct values of ``a`` (flattened, NaN-free), the values
+    ``np.unique`` gives, by one sort. In numpy 2.4 ``np.unique`` and
+    ``np.union1d`` import ``numpy.ma`` on their first call, which takes
+    about 13 ms, longer than a campaign's whole use of them."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]

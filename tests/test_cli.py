@@ -555,6 +555,85 @@ def test_cli_and_every_subcommand_never_import_scipy(tmp_path):
     assert all(code in (0, 1) for _, code, _ in after), after
 
 
+def _modules_after_campaigns(tmp_path, runs, modules, workers=1) -> list:
+    """[subcommand, exit code, which of ``modules`` are loaded] after each of
+    ``runs`` (subcommand, config extra) in one child interpreter, in order."""
+    runs = [(sub, write_config(tmp_path, extra, name=f"{sub}.json")) for sub, extra in runs]
+    script = textwrap.dedent(f"""
+        import json, sys
+        import locstat.cli as cli
+        after = []
+        for sub, cfg in {runs!r}:
+            code = cli.main([sub, "--config", cfg, "--out", {str(tmp_path)!r},
+                             "--workers", "{workers}"])
+            after.append([sub, code, [m for m in {list(modules)!r} if m in sys.modules]])
+        print(json.dumps(after))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env.pop("LOCSTAT_WORKERS", None)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_campaigns_never_import_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma (about 13 ms) on their first
+    # call; the package's sort-based unique does not, on any campaign path:
+    # segment stacks, lagged node unions and the Pade degrees of expm, which
+    # a model without an eigenbasis takes
+    jumps = {"gamma": 0.0, "sigma2": 1.0, "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}}
+    runs = [
+        ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100,
+                                "statistic": "autocov", "lag": 1}}),
+        ("clt", {"scheme": {**BASE["scheme"], "beta": 0.6666666666666666},
+                 "experiment": {"kind": "clt_mean", "N_list": [64], "replications": 1000}}),
+        ("coupling", {"triplet": jumps,
+                      "experiment": {"kind": "coupling", "N_list": [8, 16], "replications": 100}}),
+        ("lipschitz", {"triplet": jumps,
+                       "experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 70,
+                                      "p_norm": 4, "time_points": 8, "ladder": [0.05, 0.1, 0.2]}}),
+        ("simulate", {"model": {"kind": "statespace", "p": 2,  # a Jordan block: no eigenbasis
+                                "A_entries": [["-2 - 0.5*sin(t)", "1"], ["0", "-2 - 0.5*sin(t)"]],
+                                "B": ["1", "0.5"], "C": ["1", "-0.5"], "commuting": True,
+                                "stability_margin": 1.0, "lipschitz": {"A": 1.0, "B": 0, "C": 0}},
+                      "triplet": jumps,
+                      "experiment": {"kind": "lln_discrete", "N_list": [16], "replications": 100},
+                      "simulate": {"use_scheme_grid": True, "lag": 1}}),
+    ]
+    after = _modules_after_campaigns(tmp_path, runs, ["numpy.ma"])
+    assert [sub for sub, _, _ in after] == [sub for sub, _ in runs]
+    assert all(code in (0, 1) for _, code, _ in after), after
+    assert [(sub, mods) for sub, _, mods in after if mods] == []
+
+
+def test_two_worker_clt_loads_no_process_pool(tmp_path):
+    # the campaigns fork their workers themselves
+    runs = [("clt", {"scheme": {**BASE["scheme"], "beta": 0.6666666666666666},
+                     "experiment": {"kind": "clt_mean", "N_list": [64], "replications": 1000}})]
+    after = _modules_after_campaigns(
+        tmp_path, runs, ["multiprocessing", "concurrent.futures"], workers=2)
+    assert after == [["clt", after[0][1], []]] and after[0][1] in (0, 1), after
+    assert (tmp_path / "clt-0.csv").exists()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--workers", "0"], None), (["--workers", "-3"], None), ([], "0"), ([], "-1"),
+])
+def test_workers_below_one_exit_2_naming_the_option(tmp_path, capsys, monkeypatch, argv, env):
+    # a worker count below 1 used to run serially without a word
+    if env is None:
+        monkeypatch.delenv("LOCSTAT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("LOCSTAT_WORKERS", env)
+    cfg = write_config(tmp_path, {
+        "experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}})
+    assert main(["lln", "--config", cfg, "--out", str(tmp_path), *argv]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "lln-0.json").exists()
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # the bytes of csv.writer's default dialect on the cells the CLI writes:
     # ints, floats at 17 significant digits, numpy floats, bools, strings and

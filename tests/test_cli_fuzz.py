@@ -13,6 +13,7 @@ no traceback.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -149,7 +150,7 @@ BOUNDARY_KEYS = (
     ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"),
     ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
     ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
-    ("experiment", "rmse_tol"),
+    ("experiment", "rmse_tol"), ("experiment", "replications"),
 )
 BOUNDARY_VALUES = (0, -1, 1e308, float("nan"), float("inf"), [])
 
@@ -183,11 +184,11 @@ def boundary_cases(draw):
     return subcommand, cfg
 
 
-@settings(max_examples=5, deadline=None, derandomize=True, database=None)
-@given(cases=st.lists(boundary_cases(), min_size=12, max_size=12))
-def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases):
-    # one child interpreter runs every case of the batch, as the command line
-    # would, so a traceback reaches its stderr
+def _run_in_child(cases, timeout, address_space=None):
+    """Exit codes and stderr of ``cases`` (subcommand, config), run one after
+    another in one child interpreter, as the command line would run them, so
+    a traceback reaches its stderr. The child is killed after ``timeout`` s,
+    and its address space is capped at ``address_space`` bytes if given."""
     script = textwrap.dedent("""
         import json, os, sys, tempfile
         from locstat.cli import main
@@ -198,13 +199,43 @@ def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases)
                 with open(path, "w") as fh:
                     json.dump(cfg, fh)
                 codes.append(main([subcommand, "--config", path, "--out", out]))
+                print(f"--- {subcommand} exit {codes[-1]}", file=sys.stderr)
         print(json.dumps(codes))
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    cap = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     run = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases), env=env,
-                         capture_output=True, text=True, timeout=600)
+                         capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
     assert "Traceback" not in run.stderr, run.stderr
     codes = json.loads(run.stdout.splitlines()[-1])
-    assert len(codes) == len(cases) and all(code in (0, 1, 2, 3, 4) for code in codes), codes
+    assert len(codes) == len(cases), codes
+    return codes, run.stderr
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(cases=st.lists(boundary_cases(), min_size=12, max_size=12))
+def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases):
+    codes, _ = _run_in_child(cases, timeout=600)
+    assert all(code in (0, 1, 2, 3, 4) for code in codes), codes
+
+
+def test_huge_sizes_exit_naming_their_key():
+    # replications 1e308 used to build its chunk list until memory ran out
+    # (hence the cap), and n_quad and t_end 1e308 exited 3 with numpy's messages
+    base = {
+        "model": {"kind": "car1", "a": "1.5 + 0.5*sin(t)", "lipschitz": 0.5, "infimum": 1.0},
+        "triplet": {"gamma": 1.0, "sigma2": 0.5},
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+        "simulation": {"fine_step": 0.125, "burn_in": 8.0},
+    }
+    keys = ("replications", "n_quad", "t_end")
+    cases = [("lln", {**base, "experiment": {
+        "kind": "lln_discrete" if key == "replications" else "lln_continuous",
+        "N_list": [16], "replications": 100, "n_quad": 16, key: 1e308}}) for key in keys]
+    codes, stderr = _run_in_child(cases, timeout=120, address_space=2 << 30)
+    messages = stderr.split("--- ")
+    for key, code, message in zip(keys, codes, messages):
+        assert code in (2, 3) and f"experiment.{key}" in message, (key, code, message)

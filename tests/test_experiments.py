@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from locstat import models
+from locstat import experiments, models
 from locstat.cli import _build_model
 from locstat.experiments import (
     CHUNK,
@@ -326,6 +329,149 @@ def test_noncommuting_reports_are_identical_across_workers():
             for w in (1, 2, 3)
         }
         assert len(reports) == 1, cfg.kind
+
+
+def _counted_forks(monkeypatch, cpus):
+    """pids of the children ``_map_chunks`` forks, on a host of ``cpus`` cores."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pids
+
+
+def _chunk_ids(payload, lo, hi):
+    return np.arange(lo, hi, dtype=float) + payload
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_fork_map_forks_one_child_per_batch_but_the_first(monkeypatch):
+    # at most min(workers, chunks, cores) processes; the parent is one of them
+    n_reps = 3 * CHUNK - 5
+    want = np.arange(n_reps, dtype=float) + 0.5
+    pids = _counted_forks(monkeypatch, cpus=64)
+    assert np.array_equal(_map_chunks(_chunk_ids, 0.5, n_reps, 16), want)
+    assert len(pids) == 2  # chunks - 1
+    _assert_reaped(pids)
+    pids.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert np.array_equal(_map_chunks(_chunk_ids, 0.5, n_reps, 16), want)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    pids.clear()
+    assert np.array_equal(_map_chunks(_chunk_ids, 0.5, CHUNK, 16), want[:CHUNK])
+    assert pids == []
+
+
+def test_fork_map_runs_in_the_parent_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    vals = _map_chunks(_chunk_ids, 0.25, 5 * CHUNK, 4)
+    assert np.array_equal(vals, np.arange(5 * CHUNK, dtype=float) + 0.25)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _failing_chunk(payload, lo, hi):
+    if lo >= payload["from"]:
+        raise payload["error"]()
+    return np.zeros(hi - lo)
+
+
+def test_child_exception_is_raised_with_its_type(monkeypatch):
+    # the child of the last batch raises; an exception that cannot make the
+    # round trip through pickle comes back as a RuntimeError naming its type
+    class Local(ValueError):  # no module attribute names it, so it cannot be pickled
+        pass
+
+    pids = _counted_forks(monkeypatch, cpus=4)
+    payload = {"from": 2 * CHUNK, "error": lambda: KeyError("no such key")}
+    with pytest.raises(KeyError, match="no such key"):
+        _map_chunks(_failing_chunk, payload, 3 * CHUNK, 3)
+    assert len(pids) == 2
+    payload["error"] = lambda: Local("local")
+    with pytest.raises(RuntimeError, match="Local"):
+        _map_chunks(_failing_chunk, payload, 3 * CHUNK, 3)
+    payload["error"] = lambda: _TwoArgError(1, 2)
+    with pytest.raises(RuntimeError, match="_TwoArgError"):
+        _map_chunks(_failing_chunk, payload, 3 * CHUNK, 3)
+    assert len(pids) == 6
+    _assert_reaped(pids)
+
+
+def _stuck_chunk(payload, lo, hi):
+    if lo == 0:
+        raise ValueError("the parent's batch fails")
+    if lo == CHUNK:
+        time.sleep(30)
+    return np.ones((hi - lo, 4096))  # 2 MB, well beyond a pipe's 64 KB
+
+
+def test_parent_failure_frees_children_blocked_on_large_results(monkeypatch):
+    # one child blocks writing its 2 MB, the other is still at work; the
+    # parent's own batch raises, and the call must return at once, without
+    # waiting on either, and leave no child behind
+    def timeout(signum, frame):
+        raise TimeoutError("the fork map hung")
+
+    pids = _counted_forks(monkeypatch, cpus=4)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    start = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="parent's batch"):
+            _map_chunks(_stuck_chunk, None, 3 * CHUNK, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10.0
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_child_exception_gives_the_cli_exit_code_of_the_serial_run(monkeypatch, tmp_path):
+    # a ValueError in a chunk exits 3 (semantic) whether the chunk ran in the
+    # parent or in a forked child
+    from locstat.cli import main
+
+    chunk = experiments._localized_chunk
+
+    def failing(payload, lo, hi):
+        if lo >= CHUNK:
+            raise ValueError("chunk failed")
+        return chunk(payload, lo, hi)
+
+    monkeypatch.setattr(experiments, "_localized_chunk", failing)
+    pids = _counted_forks(monkeypatch, cpus=4)
+    cfg = tmp_path / "lln.json"
+    cfg.write_text(json.dumps({
+        "model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0},
+        "triplet": {"gamma": 0.0, "sigma2": 1.0},
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+        "simulation": {"fine_step": 0.0625, "burn_in": 8.0},
+        "experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 2 * CHUNK},
+    }))
+    codes = [main(["lln", "--config", str(cfg), "--out", str(tmp_path), "--workers", w])
+             for w in ("1", "2")]
+    assert codes == [3, 3]
+    assert len(pids) == 1
+    _assert_reaped(pids)
 
 
 def test_chunk_draws_from_the_stream_of_its_index():

@@ -119,3 +119,17 @@ def test_block_diag_matches_scipy():
         got = linalg.block_diag(*blocks)
         np.testing.assert_array_equal(got, sla.block_diag(*blocks))
         assert got.dtype == np.float64
+
+
+def test_unique_matches_numpy():
+    # the values np.unique and np.union1d give, on the int and float arrays the
+    # package passes: segment lengths, Pade degree indices and node offsets
+    gen = np.random.default_rng(3)
+    ints = gen.integers(0, 6, size=(7, 9))
+    base = 0.25 * np.arange(-40, 41)
+    for a in (ints, ints.astype(np.intp), np.concatenate([base, base + 3.0]), np.zeros(0),
+              np.array([2.5])):
+        got, want = linalg.unique(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(linalg.unique(np.concatenate([base, base + 3.0])),
+                          np.union1d(base, base + 3.0))
