@@ -158,17 +158,23 @@ def _finite(section: dict, key: str, path: str) -> float:
     return value
 
 
-def _count(section: dict, key: str, path: str, most: int) -> int:
-    """The integer at ``key``, from 1 to ``most``; anything else is a schema
-    error naming it."""
+def _count(section: dict, key: str, path: str, most: int, least: int = 1) -> int:
+    """The integer at ``key``, from ``least`` to ``most``; anything else is a
+    schema error naming it."""
     value = _need(section, key, path)
     try:
-        ok = 1 <= float(value) <= most and float(value).is_integer()
+        ok = least <= float(value) <= most and float(value).is_integer()
     except (ValueError, TypeError):
         ok = False
     if not ok:
-        raise SchemaError(f"{path}.{key} must be an integer from 1 to {most}, got {value!r}")
-    return int(value)
+        raise SchemaError(f"{path}.{key} must be an integer from {least} to {most}, got {value!r}")
+    return int(float(value))
+
+
+def _lag(section: dict, key: str, path: str) -> int:
+    """The integer lag at ``key``, of either sign: a negative lag is a
+    semantic error of the statistic, not of the schema."""
+    return _count(section, key, path, _MAX_STEPS, least=-_MAX_STEPS)
 
 
 def _build_scheme_rules(section: dict):
@@ -252,6 +258,8 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
                  if key in esec}
         if "n_quad" in esec:  # one fine step at least per interval
             extra["n_quad"] = _count(esec, "n_quad", "experiment", _MAX_STEPS)
+        if "lag" in esec:
+            extra["lag"] = _lag(esec, "lag", "experiment")
         replications = _count(esec, "replications", "experiment", _MAX_REPLICATIONS)
         try:
             out["experiment"] = ExperimentConfig(
@@ -333,8 +341,9 @@ def _eval_times_from_config(cfg: dict):
         if N is None:
             raise SemanticError("simulate.use_scheme_grid requires an experiment.N_list")
         scheme = make_scheme(cfg["u"], N, cfg["bandwidth"], cfg["step_rule"])
+        lag = _count(sec, "lag", "simulate", _MAX_STEPS, least=0) if "lag" in sec else 0
         # the union rule of the campaigns, so near-duplicate nodes collapse
-        offsets, _, _ = _union_offsets(scheme, int(sec.get("lag", 0)))
+        offsets, _, _ = _union_offsets(scheme, lag)
         return N, (N * scheme.u + offsets) / N
     times = sec.get("times")
     if not times:
@@ -377,6 +386,8 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("estimate")
     if sec is None:
         raise SchemaError("estimate subcommand needs an 'estimate' config section")
+    if "bandwidth" not in cfg:
+        raise SchemaError("estimate subcommand needs a scheme section")
     path = _read_path_csv(_need(sec, "path_file", "estimate"))
     exp = cfg.get("experiment")
     N = exp.N_list[-1] if exp is not None else 1
@@ -386,19 +397,16 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
     for spec in _need(sec, "statistics", "estimate"):
         _no_extra(spec, {"kind", "k", "center"}, "estimate.statistics[]")
         kind = _need(spec, "kind", "estimate.statistics[]")
+        k = _lag(spec, "k", "estimate.statistics[]") if spec.get("k") is not None else None
         if kind == "mean":
             st = localized_mean(path, scheme, kernel)
             rows.append([scheme.N, scheme.u, "mean", 0, st.value, st.weight_sum])
         elif kind == "autocov":
-            st = localized_autocov(path, scheme, kernel, int(spec.get("k", 0)))
-            rows.append([scheme.N, scheme.u, "autocov", int(spec.get("k", 0)), st.value, st.weight_sum])
+            st = localized_autocov(path, scheme, kernel, k or 0)
+            rows.append([scheme.N, scheme.u, "autocov", k or 0, st.value, st.weight_sum])
         elif kind == "clt":
-            k = spec.get("k")
-            value = clt_statistic(
-                path, scheme, kernel, k=None if k is None else int(k),
-                center=float(spec.get("center", 0.0)),
-            )
-            rows.append([scheme.N, scheme.u, "clt", 0 if k is None else int(k), value, ""])
+            value = clt_statistic(path, scheme, kernel, k=k, center=float(spec.get("center", 0.0)))
+            rows.append([scheme.N, scheme.u, "clt", k or 0, value, ""])
         else:
             raise SchemaError(f"estimate.statistics[]: unknown kind {kind!r}")
     csv_path = os.path.join(out_dir, f"estimate-{seed}.csv")
@@ -412,6 +420,8 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
 
 def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("moments", {})
+    tilde = {f"tilde_lags[{i}]": k for i, k in enumerate(sec.get("tilde_lags", [0, 1]))}
+    tilde_lags = [_lag(tilde, key, "moments") for key in tilde]
     u = float(sec.get("u", cfg.get("u", 1.0)))
     mom = stationary.stationary_moments(cfg["model"], u, cfg["triplet"])
     record = {
@@ -428,8 +438,8 @@ def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
         record[f"sigma2_O1_delta_{delta:g}"] = float(mom.sigma2_O1(delta))
         record["sigma2_O2"] = float(mom.sigma2_O2)
         if mom.sigma2_tilde_O2 is not None:
-            for k in sec.get("tilde_lags", [0, 1]):
-                record[f"sigma2_tilde_O2_k{k:d}"] = float(mom.sigma2_tilde_O2(int(k)))
+            for k in tilde_lags:
+                record[f"sigma2_tilde_O2_k{k:d}"] = float(mom.sigma2_tilde_O2(k))
     else:
         record["sigma2_note"] = "driver not centered; limit variances undefined"
     _write_json(os.path.join(out_dir, f"moments-{seed}.json"), record)

@@ -488,7 +488,7 @@ class SegmentLaw:
     mean: np.ndarray  # (n_records, p) path_drift * sum_j M_j d_j
     chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 sum_j M_j G_j M_j'; None without sigma2
     jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
-    # (seg, U) -> (total, p) jump weights; a functools.partial, so a law pickles
+    # (seg, U) -> (total, p) jump weights
     jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     jumps: JumpSpec | None
     B: np.ndarray  # (n_records, p) output vector B(t_k) of each record

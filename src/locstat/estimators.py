@@ -4,6 +4,10 @@ All discrete statistics share the raw weighting (delta_N / b_N) K((tau - u) / b_
 the weights are never renormalized because the limit-theorem scaling depends
 on the raw factor. ``weight_sum`` reports the Riemann sum of the kernel as a
 diagnostic.
+
+:func:`localized_sum` is the one computation of the discrete statistic: the
+estimators apply it to one observed path, and the lln and clt campaigns of
+``experiments`` to each chunk of simulated replications.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,8 @@ __all__ = [
     "clt_statistic",
     "global_average",
     "localized_continuous_mean",
+    "localized_sum",
+    "localized_weights",
 ]
 
 _MATCH_TOL = 1e-12
@@ -36,13 +42,16 @@ class LocalizedStatistic:
     weight_sum: float
 
 
+def _nearest(nodes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of the node of the sorted ``nodes`` nearest each of ``wanted``."""
+    idx = np.clip(np.searchsorted(nodes, wanted), 0, len(nodes) - 1)
+    left = np.clip(idx - 1, 0, len(nodes) - 1)
+    return np.where(np.abs(nodes[left] - wanted) < np.abs(nodes[idx] - wanted), left, idx)
+
+
 def _match_times(times: np.ndarray, wanted: np.ndarray, what: str) -> np.ndarray:
     """Indices of ``wanted`` inside ``times``; errors on the first mismatch."""
-    idx = np.searchsorted(times, wanted)
-    idx = np.clip(idx, 0, len(times) - 1)
-    left = np.clip(idx - 1, 0, len(times) - 1)
-    use_left = np.abs(times[left] - wanted) < np.abs(times[idx] - wanted)
-    idx = np.where(use_left, left, idx)
+    idx = _nearest(times, wanted)
     err = np.abs(times[idx] - wanted)
     tol = _MATCH_TOL * np.maximum(1.0, np.abs(wanted))
     bad = np.nonzero(err > tol)[0]
@@ -55,37 +64,47 @@ def _match_times(times: np.ndarray, wanted: np.ndarray, what: str) -> np.ndarray
     return idx
 
 
-def _weights(scheme: ObservationScheme, kernel: LocalizingKernel):
-    x = (scheme.grid - scheme.u) / scheme.b_N
-    w = kernel(x)
+def localized_weights(
+    scheme: ObservationScheme, kernel: LocalizingKernel, root: bool = False
+) -> tuple[np.ndarray, float]:
+    """The kernel weights K((grid - u) / b_N) of ``scheme`` and the scale
+    delta_N / b_N, or its square root (``root``, the central limit scaling)."""
     factor = scheme.delta_N / scheme.b_N
-    return w, factor, float(factor * np.sum(w))
+    return kernel((scheme.grid - scheme.u) / scheme.b_N), np.sqrt(factor) if root else factor
 
 
-def _weighted_value(w: np.ndarray, values: np.ndarray, factor: float) -> float:
-    return float(factor * np.dot(w, values))
+def localized_sum(values, base_idx, shift_idx, weights, scale, center: float = 0.0):
+    """scale * sum_i weights_i S_i over the last axis of ``values`` (..., n).
+
+    S_i = values[..., base_idx[i]] for the mean (``shift_idx`` None) and
+    S_i = values[..., base_idx[i]] * values[..., shift_idx[i]] - center for
+    the lagged product.
+    """
+    summands = values[..., base_idx]
+    if shift_idx is not None:
+        summands = summands * values[..., shift_idx] - center
+    return scale * (summands @ weights)
+
+
+def _on_path(path: PathSample, scheme: ObservationScheme, kernel: LocalizingKernel,
+             k: int | None, what: str, center: float = 0.0, root: bool = False):
+    """The statistic of ``path`` on the scheme's grid, lagged by k/N unless k
+    is None, and its weight sum (the scale times the sum of the weights)."""
+    base_idx = _match_times(path.times, scheme.grid, f"{what} (grid)")
+    shift_idx = None if k is None else _match_times(
+        path.times, scheme.grid + k / scheme.N, f"{what} (shifted grid)")
+    weights, scale = localized_weights(scheme, kernel, root)
+    value = localized_sum(path.values, base_idx, shift_idx, weights, scale, center)
+    return float(value), float(scale * np.sum(weights))
 
 
 def localized_mean(
     path: PathSample, scheme: ObservationScheme, kernel: LocalizingKernel
 ) -> LocalizedStatistic:
     """(delta_N / b_N) sum_i K((tau_i - u)/b_N) Y(tau_i)."""
-    if path.times.shape == scheme.grid.shape and np.all(
-        np.abs(path.times - scheme.grid) <= _MATCH_TOL * np.maximum(1.0, np.abs(scheme.grid))
-    ):
-        values = path.values
-    else:
-        idx = _match_times(path.times, scheme.grid, "localized_mean")
-        values = path.values[idx]
-    w, factor, wsum = _weights(scheme, kernel)
-    return LocalizedStatistic(
-        value=_weighted_value(w, values, factor),
-        scheme=scheme,
-        kernel_id=kernel.id,
-        lag=0,
-        centered=False,
-        weight_sum=wsum,
-    )
+    value, wsum = _on_path(path, scheme, kernel, None, "localized_mean")
+    return LocalizedStatistic(value=value, scheme=scheme, kernel_id=kernel.id, lag=0,
+                              centered=False, weight_sum=wsum)
 
 
 def localized_autocov(
@@ -98,19 +117,9 @@ def localized_autocov(
     """
     if k < 0:
         raise ValueError("lag k must be nonnegative")
-    base_idx = _match_times(path.times, scheme.grid, "localized_autocov (grid)")
-    shifted = scheme.grid + k / scheme.N
-    shift_idx = _match_times(path.times, shifted, "localized_autocov (shifted grid)")
-    products = path.values[base_idx] * path.values[shift_idx]
-    w, factor, wsum = _weights(scheme, kernel)
-    return LocalizedStatistic(
-        value=_weighted_value(w, products, factor),
-        scheme=scheme,
-        kernel_id=kernel.id,
-        lag=k,
-        centered=False,
-        weight_sum=wsum,
-    )
+    value, wsum = _on_path(path, scheme, kernel, k, "localized_autocov")
+    return LocalizedStatistic(value=value, scheme=scheme, kernel_id=kernel.id, lag=k,
+                              centered=False, weight_sum=wsum)
 
 
 def clt_statistic(
@@ -131,17 +140,9 @@ def clt_statistic(
         raise ValueError(
             f"clt_statistic requires the rectangular kernel, got {kernel.id!r}"
         )
-    if k is None:
-        if center != 0.0:
-            raise ValueError("mean statistic admits no centering constant; pass center=0")
-        idx = _match_times(path.times, scheme.grid, "clt_statistic")
-        summands = path.values[idx]
-    else:
-        base_idx = _match_times(path.times, scheme.grid, "clt_statistic (grid)")
-        shift_idx = _match_times(path.times, scheme.grid + k / scheme.N, "clt_statistic (shifted)")
-        summands = path.values[base_idx] * path.values[shift_idx] - center
-    w, factor, _ = _weights(scheme, kernel)
-    return float(np.sqrt(factor) * np.dot(w, summands))
+    if k is None and center != 0.0:
+        raise ValueError("mean statistic admits no centering constant; pass center=0")
+    return _on_path(path, scheme, kernel, k, "clt_statistic", center, root=True)[0]
 
 
 def _uniform_cover(path: PathSample, lo: float, hi: float, name: str):

@@ -17,18 +17,21 @@ Every campaign takes scalar and state space models alike: the simulator
 runs the state space view of the model, whatever its dimension p. The lln
 and clt campaigns need Y_N only at the observation nodes. Their chunks draw
 the noise of each record segment in one exact draw (see
-``dynamics.SegmentLaw``) from a plan and segment law built once per N, and
-run the recursion over records only. The coupling campaign draws every
-Y_N(u) and the frozen process at u as one joint state, from the segment law
-of a block system on one driver, over the burn-in before u.
+``dynamics.SegmentLaw``) from a plan and segment law built once per N, run
+the recursion over records only, and reduce each replication with
+``estimators.localized_sum``, the statistic that ``estimate`` computes on an
+observed path. The coupling campaign draws every Y_N(u) and the frozen
+process at u as one joint state, from the segment law of a block system on
+one driver, over the burn-in before u.
 
 Replications are deterministic: work is cut into fixed chunks of ``CHUNK``
-replications, each chunk draws all its replications from its own
-counter-based stream keyed by (seed, purpose, chunk index), and reduction is
-in chunk order, so reports are bit-identical for any worker count. With
-several workers, ``_map_chunks`` runs the first batch of chunks itself and
-each other batch in a child forked for it, which inherits the chunk payload
-(the segment law) instead of receiving it pickled.
+replications, each chunk of every campaign draws all its replications from
+its own counter-based stream keyed by (seed, purpose, chunk index)
+(``_chunk_noise``), and reduction is in chunk order, so reports are
+bit-identical for any worker count. With several workers, ``_map_chunks``
+runs the first batch of chunks itself and each other batch in a child forked
+for it, which inherits the chunk payload (the segment law) instead of
+receiving it pickled.
 """
 
 from dataclasses import dataclass, field, replace
@@ -59,6 +62,7 @@ from .dynamics import (
     validate_car1,
     validate_model,
 )
+from .estimators import _nearest, localized_sum, localized_weights
 from .kernels import LocalizingKernel, rectangular
 from .noise import LevyTriplet, triplet_moments
 from .observation import BandwidthRule, clt_admissible, make_scheme
@@ -117,6 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (float(self.n_quad) >= 1 and float(self.n_quad).is_integer()):
             raise ValueError(f"n_quad must be an integer >= 1, got {self.n_quad}")
+        if not float(self.lag).is_integer():
+            raise ValueError(f"lag must be an integer, got {self.lag}")
+        object.__setattr__(self, "lag", int(self.lag))
         if self.kind == "lipschitz_u" and not self.ladder:
             raise ValueError("ladder must hold at least one separation")
         if self.kind in ("lln_discrete", "lln_continuous") and self.replications < 100:
@@ -314,11 +321,15 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
     return law, b, np.sqrt(mom.Sigma_L * var + (mom.mu_L * (b @ drift[0])) ** 2)
 
 
+def _chunk_noise(payload, lo, hi):
+    """Segment noise of replications [lo, hi) of ``payload["law"]``, drawn
+    from the chunk's stream (seed, ``payload["purpose"]``, lo // CHUNK)."""
+    gen = stream(payload["config"].seed, payload["purpose"], lo // CHUNK)
+    return draw_segment_noise(payload["law"], gen, hi - lo)
+
+
 def _coupling_chunk(payload, lo, hi):
-    cfg = payload["config"]
-    law = payload["law"]
-    gen = stream(cfg.seed, "coupling", lo // CHUNK)
-    x = segment_states(law, draw_segment_noise(law, gen, hi - lo))[-1]  # (joint p, R)
+    x = segment_states(payload["law"], _chunk_noise(payload, lo, hi))[-1]  # (joint p, R)
     return (payload["rows"] @ x).T  # (R, len(N_list))
 
 
@@ -335,7 +346,7 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
     _validate(config)
     law, rows_b, targets = _coupling_law(config.model, config.triplet, config.u, config.N_list,
                                          config.fine_step, config.burn_in)
-    payload = {"config": config, "law": law, "rows": rows_b}
+    payload = {"config": config, "law": law, "rows": rows_b, "purpose": "coupling"}
     D = _map_chunks(_coupling_chunk, payload, config.replications, config.workers)
 
     rows = []
@@ -375,24 +386,14 @@ def _union_offsets(scheme, lag: int):
     s = scheme.rescaled_spacing
     base = s * np.arange(-scheme.m_N, scheme.m_N + 1)
     if lag <= 0:
-        offsets = base
-        base_idx = np.arange(base.size)
-        shift_idx = base_idx
-        return offsets, base_idx, shift_idx
+        idx = np.arange(base.size)
+        return base, idx, idx
     shifted = base + float(lag)
     offsets = linalg.unique(np.concatenate([base, shifted]))
     # collapse float near-duplicates (exact coincidence is the common case)
     keep = np.concatenate([[True], np.diff(offsets) > 1e-9 * max(s, 1.0)])
     offsets = offsets[keep]
-
-    def nearest(wanted):
-        idx = np.clip(np.searchsorted(offsets, wanted), 0, len(offsets) - 1)
-        left = np.clip(idx - 1, 0, len(offsets) - 1)
-        return np.where(
-            np.abs(offsets[left] - wanted) < np.abs(offsets[idx] - wanted), left, idx
-        )
-
-    return offsets, nearest(base), nearest(shifted)
+    return offsets, _nearest(offsets, base), _nearest(offsets, shifted)
 
 
 def _localized_payload(
@@ -400,41 +401,34 @@ def _localized_payload(
     center: float = 0.0, clt: bool = False,
 ) -> dict:
     """Chunk payload of a localized statistic at one N: the segment law of the
-    union of the observation grid and its lagged shift, the node indices, the
-    kernel weights and the scale, delta_N / b_N (lln) or its square root
-    (clt). Built once per N and shared by every chunk."""
+    union of the observation grid and its lagged shift, the node indices (no
+    shift for the statistic "mean"), and the weights and scale of
+    ``estimators.localized_weights`` (its square root for clt). Built once
+    per N and shared by every chunk."""
     scheme = make_scheme(config.u, N, config.bandwidth, config.step_rule)
     offsets, base_idx, shift_idx = _union_offsets(scheme, lag)
     plan = build_plan(config.model, N, N * config.u + offsets, config.fine_step, config.burn_in)
-    factor = scheme.delta_N / scheme.b_N
+    weights, scale = localized_weights(scheme, config.kernel, root=clt)
     return {
         "config": config,
         "law": build_segment_law(plan, config.triplet),
         "base_idx": base_idx,
-        "shift_idx": shift_idx,
-        "weights": config.kernel((scheme.grid - scheme.u) / scheme.b_N),
-        "scale": np.sqrt(factor) if clt else factor,
-        "statistic": statistic,
+        "shift_idx": None if statistic == "mean" else shift_idx,
+        "weights": weights,
+        "scale": scale,
         "center": center,
         "purpose": purpose,
     }
 
 
 def _localized_chunk(payload, lo, hi):
-    """Scaled localized statistic of replications [lo, hi): the kernel-weighted
-    sum of the states (statistic "mean") or of the lagged products minus
-    ``center``."""
-    cfg: ExperimentConfig = payload["config"]
-    law = payload["law"]
-    gen = stream(cfg.seed, payload["purpose"], lo // CHUNK)
-    Y = run_segment_law(law, draw_segment_noise(law, gen, hi - lo))
-    summands = Y[:, payload["base_idx"]]
-    if payload["statistic"] != "mean":
-        summands = summands * Y[:, payload["shift_idx"]] - payload["center"]
-    return payload["scale"] * (summands @ payload["weights"])
+    """``estimators.localized_sum`` of replications [lo, hi), one row each."""
+    Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
+    return localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
+                         payload["scale"], payload["center"])
 
 
-def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport:
+def run_lln(config: ExperimentConfig) -> ExperimentReport:
     """Replication RMSE of the localized statistics against the frozen targets.
 
     Discrete: kernel-weighted mean or lagged product over the observation
@@ -444,7 +438,7 @@ def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport
     errors of the integrated frozen mean.
     """
     _validate(config)
-    if not discrete or config.kind == "lln_continuous":
+    if config.kind == "lln_continuous":
         return _run_lln_continuous(config)
     model = config.model
     if config.statistic == "mean":
@@ -502,14 +496,10 @@ def run_lln(config: ExperimentConfig, discrete: bool = True) -> ExperimentReport
 
 
 def _global_average_chunk(payload, lo, hi):
-    cfg: ExperimentConfig = payload["config"]
-    N = payload["N"]
-    law = payload["law"]
-    gen = stream(cfg.seed, f"lln_cont:{N}", lo // CHUNK)
-    Y = run_segment_law(law, draw_segment_noise(law, gen, hi - lo))
+    Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
     # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
     integral = np.trapezoid(Y, dx=payload["gap"], axis=1)
-    return integral / (N * cfg.t_end)
+    return integral / (payload["N"] * payload["config"].t_end)
 
 
 def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
@@ -527,7 +517,8 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
         # a float count: an infinite gap reaches build_plan's checks, not int()
         h_eff = gap / max(1.0, np.rint(gap / config.fine_step))
         plan = build_plan(model, N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in)
-        payload = {"config": config, "N": N, "gap": gap, "law": build_segment_law(plan, config.triplet)}
+        payload = {"config": config, "N": N, "gap": gap, "purpose": f"lln_cont:{N}",
+                   "law": build_segment_law(plan, config.triplet)}
         vals = _map_chunks(_global_average_chunk, payload, config.replications, config.workers)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
@@ -575,7 +566,7 @@ def skewness_kurtosis(z: np.ndarray) -> tuple[float, float]:
     return float(np.mean(d2 * d) / m2**1.5), float(np.mean(d2**2) / m2**2.0 - 3)
 
 
-def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentReport:
+def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Standardize the scaled localized statistic by every candidate limit
     variance and test normality at the largest N.
 
@@ -599,9 +590,8 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
             f"driver mean is {mom.mu_L}; the statistic requires a centered driver "
             "(shift gamma by -mu_L, see noise.centered)"
         )
-    if lag is None:
-        lag = config.lag if config.kind == "clt_cov" else 0
-    is_cov = config.kind == "clt_cov" or (lag and lag > 0)
+    is_cov = config.kind == "clt_cov"
+    lag = config.lag if is_cov else 0
 
     N = config.N_list[-1]
     scheme = make_scheme(config.u, N, config.bandwidth, config.step_rule)
@@ -622,7 +612,7 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
         statistic = "mean"
 
     payload = _localized_payload(
-        config, N, int(lag), statistic,
+        config, N, lag, statistic,
         purpose=f"clt:{statistic}:{scheme.kind}:{N}", center=center, clt=True,
     )
     T = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
@@ -675,7 +665,7 @@ def run_clt(config: ExperimentConfig, lag: int | None = None) -> ExperimentRepor
         rows=rows,
         summary={
             "N": N,
-            "lag": int(lag),
+            "lag": lag,
             "scheme": scheme.kind,
             "m_N": scheme.m_N,
             "rescaled_spacing": float(spacing),
@@ -711,13 +701,10 @@ def _joint_frozen(model, triplet, u1, u2):
 
 
 def _lipschitz_chunk(payload, lo, hi):
-    cfg: ExperimentConfig = payload["config"]
-    law = payload["law"]
-    gen = stream(cfg.seed, payload["purpose"], lo // CHUNK)
     # C-contiguous, as simulate_stationary_batch returns it: the mean over
     # time rounds by memory layout
-    D = np.ascontiguousarray(run_segment_law(law, draw_segment_noise(law, gen, hi - lo)))
-    return np.mean(np.abs(D) ** cfg.p_norm, axis=1)
+    D = np.ascontiguousarray(run_segment_law(payload["law"], _chunk_noise(payload, lo, hi)))
+    return np.mean(np.abs(D) ** payload["config"].p_norm, axis=1)
 
 
 def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
@@ -787,10 +774,8 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.kind == "coupling":
         return run_coupling(config)
-    if config.kind == "lln_discrete":
-        return run_lln(config, discrete=True)
-    if config.kind == "lln_continuous":
-        return run_lln(config, discrete=False)
+    if config.kind in ("lln_discrete", "lln_continuous"):
+        return run_lln(config)
     if config.kind in ("clt_mean", "clt_cov"):
         return run_clt(config)
     if config.kind == "lipschitz_u":

@@ -9,8 +9,9 @@ own key), so streams can be drawn in any order or on any number of workers
 without shared state.
 
 A campaign cuts its replications into fixed chunks and keys one stream per
-chunk: the index is the chunk index ``lo // CHUNK``, and the chunk draws all
-its replications from that stream, one call per kind of draw. The chunk, not
+chunk (``experiments._chunk_noise``): the index is the chunk index
+``lo // CHUNK``, and the chunk draws all its replications from that stream,
+one call per kind of draw. The chunk, not
 the replication, is the unit of determinism; chunk bounds never depend on
 the worker count. A one-path routine (``simulate``) draws its one path from
 index 0.

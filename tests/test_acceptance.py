@@ -185,7 +185,7 @@ def test_criterion_07_lln_continuous():
         u=1.0, N_list=(2**10,), replications=200, seed=27, fine_step=5e-4, burn_in=8.0,
         t_end=1.0, n_quad=2048,
     )
-    rep = run_lln(cfg, discrete=False)
+    rep = run_lln(cfg)
     row = rep.rows[0]
     assert row["target"] == pytest.approx(target, abs=1e-9)
     report(

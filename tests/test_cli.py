@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from locstat.cli import _write_csv, main
+from locstat.cli import _count, _write_csv, main
 from locstat.dynamics import PathSample
 from locstat.estimators import localized_autocov, localized_mean
 from locstat.kernels import rectangular
@@ -107,6 +107,59 @@ def test_non_finite_scheme_and_tolerance_exit_2_naming_the_key(tmp_path, capsys,
     cfg[section][key] = float("nan")
     assert main(["lln", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+SIM = {"experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
+       "simulate": {"use_scheme_grid": True, "lag": 1}}
+CLT_SCHEME = {"u": 1.0, "b": 0.5, "beta": 0.55, "scheme": "O1", "Delta": 1.0}
+
+
+@pytest.mark.parametrize("subcommand, extra, key, code", [
+    # clt_cov at lag 1.5 built its statistic at lag 1 and centered it at 1.5
+    ("clt", {"scheme": CLT_SCHEME, "experiment": {
+        "kind": "clt_cov", "N_list": [64], "replications": 1000, "lag": 1.5}}, "experiment.lag", 2),
+    ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100,
+                            "statistic": "autocov", "lag": 1.5}}, "experiment.lag", 2),
+    ("simulate", {**SIM, "simulate": {"use_scheme_grid": True, "lag": 1.5}}, "simulate.lag", 2),
+    ("simulate", {**SIM, "simulate": {"use_scheme_grid": True, "lag": -1}}, "simulate.lag", 2),
+    ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": [
+        {"kind": "autocov", "k": 1.5}]}}, "estimate.statistics[].k", 2),
+    ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": [
+        {"kind": "clt", "k": 1.5}]}}, "estimate.statistics[].k", 2),
+    ("moments", {"moments": {"tilde_lags": [0, 1.5]}}, "moments.tilde_lags[1]", 2),
+    # a negative lag is still the statistic's semantic error
+    ("clt", {"scheme": CLT_SCHEME, "experiment": {
+        "kind": "clt_cov", "N_list": [64], "replications": 1000, "lag": -1}}, "nonnegative", 3),
+    ("moments", {"moments": {"tilde_lags": [-1]}}, "nonnegative", 3),
+], ids=["clt_cov-1.5", "lln-autocov-1.5", "simulate-1.5", "simulate-neg", "estimate-autocov-1.5",
+        "estimate-clt-1.5", "moments-1.5", "clt_cov-neg", "moments-neg"])
+def test_lags_must_be_integers_and_simulate_lag_nonnegative(
+        tmp_path, capsys, subcommand, extra, key, code):
+    # non-integer lags were truncated by int() and a negative simulate.lag was
+    # taken as 0
+    if "estimate" in extra:
+        (tmp_path / "path.csv").write_text("time,value\n1,0\n")
+        extra = {**extra, "estimate": {**extra["estimate"], "path_file": str(tmp_path / "path.csv")}}
+    cfg = write_config(tmp_path, extra)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == code
+    assert key in capsys.readouterr().err
+
+
+def test_count_takes_a_numeric_string_it_accepts():
+    # "100.0" passed the range check and then ended in int("100.0")
+    assert _count({"replications": "100.0"}, "replications", "experiment", 1000) == 100
+    assert _count({"lag": -3}, "lag", "experiment", 10, least=-10) == -3
+
+
+def test_estimate_without_a_scheme_exits_2_naming_the_section(tmp_path, capsys):
+    # it ended in a KeyError traceback
+    (tmp_path / "path.csv").write_text("time,value\n1,0\n")
+    cfg = {key: value for key, value in BASE.items() if key != "scheme"}
+    cfg["estimate"] = {"path_file": str(tmp_path / "path.csv"), "statistics": [{"kind": "mean"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["estimate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "scheme section" in capsys.readouterr().err
 
 
 def test_missing_config_exit_4(tmp_path):

@@ -7,8 +7,8 @@ strictly lower triangular). The declared margins and Lipschitz constants
 hold for most draws; a draw whose declaration fails the sampled validation
 must still end with exit 3, not a crash. Boundary configs set one key of
 the driver, the scheme, the simulation or the experiment to 0, -1, 1e308,
-NaN, Infinity or [] and run in a child interpreter, whose stderr must hold
-no traceback.
+NaN, Infinity or [] (a lag also to 1.5) and run in a child interpreter,
+whose stderr must hold no traceback.
 """
 
 import json
@@ -150,19 +150,27 @@ BOUNDARY_KEYS = (
     ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"),
     ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
     ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
-    ("experiment", "rmse_tol"), ("experiment", "replications"),
+    ("experiment", "rmse_tol"), ("experiment", "replications"), ("experiment", "lag"),
 )
 BOUNDARY_VALUES = (0, -1, 1e308, float("nan"), float("inf"), [])
+LAG_VALUES = (*BOUNDARY_VALUES, 1.5)  # a lag must also be an integer
 
 
 @st.composite
 def boundary_cases(draw):
     """(subcommand, config) with one key of a valid tiny config set to 0, -1,
-    1e308, NaN, Infinity or []."""
+    1e308, NaN, Infinity or [] (or 1.5, for a lag)."""
     path = draw(st.sampled_from(BOUNDARY_KEYS))
     if path[-1] in ("t_end", "n_quad"):
         subcommand, section = "lln", {"experiment": {
             "kind": "lln_continuous", "N_list": [16], "replications": 100, "n_quad": 16}}
+    elif path[-1] == "lag":
+        subcommand, section = draw(st.sampled_from((
+            ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64],
+                                    "replications": 100, "statistic": "autocov", "lag": 1}}),
+            ("clt", {"experiment": {"kind": "clt_cov", "N_list": [64], "replications": 1000,
+                                    "lag": 1}}),
+        )))
     elif path[-1] == "ladder":
         subcommand, section = "lipschitz", draw(sections("lipschitz"))
     else:
@@ -180,7 +188,7 @@ def boundary_cases(draw):
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = draw(st.sampled_from(BOUNDARY_VALUES))
+    node[path[-1]] = draw(st.sampled_from(LAG_VALUES if path[-1] == "lag" else BOUNDARY_VALUES))
     return subcommand, cfg
 
 

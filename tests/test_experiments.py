@@ -15,6 +15,7 @@ from locstat.experiments import (
     CHUNK,
     ExperimentConfig,
     InadmissibleSchemeError,
+    _chunk_noise,
     _coupling_law,
     _localized_chunk,
     _localized_payload,
@@ -28,8 +29,9 @@ from locstat.experiments import (
     run_lln,
     skewness_kurtosis,
 )
-from locstat.dynamics import draw_segment_noise, run_segment_law, simulate_yn
-from locstat.kernels import biweight
+from locstat.dynamics import PathSample, draw_segment_noise, run_segment_law, simulate_yn
+from locstat.estimators import clt_statistic, localized_autocov, localized_mean, localized_sum
+from locstat.kernels import biweight, rectangular
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
 from locstat.rng import stream
@@ -150,7 +152,7 @@ def test_lln_continuous_small_scale():
         8.0,
         n_quad=1024,
     )
-    rep = run_lln(cfg, discrete=False)
+    rep = run_lln(cfg)
     assert rep.passed
 
 
@@ -268,7 +270,7 @@ def test_segment_sampler_determinism_across_workers():
         "lipschitz_u", models.tvcar_sin(), jumps, 1.0, (1,), 2 * CHUNK + 5, 12, 0.01, 8.0,
         ladder=(0.05, 0.5), p_norm=4, time_points=16,
     )
-    lln_cont = lambda c: run_lln(c, discrete=False)  # noqa: E731
+    lln_cont = lambda c: run_lln(c)  # noqa: E731
     runs = ((clt, run_clt), (clt_cov, run_clt), (cont, lln_cont), (cont_ss, lln_cont),
             (lip, run_lipschitz_u))
     for cfg, run in runs:
@@ -489,6 +491,56 @@ def test_chunk_draws_from_the_stream_of_its_index():
         Y = run_segment_law(law, draw_segment_noise(law, stream(18, "chunk-identity", k), hi - lo))
         want = payload["scale"] * (Y[:, payload["base_idx"]] @ payload["weights"])
         assert np.array_equal(vals[lo:hi], want), k
+
+
+def test_experiment_lag_must_be_an_integer():
+    # a clt_cov lag of 1.5 used to build the statistic at lag 1 and center it
+    # at lag 1.5
+    with pytest.raises(ValueError, match="lag must be an integer"):
+        ExperimentConfig("clt_cov", models.ou(1.0), BROWNIAN, 1.0, (16,), 1000, 0, 0.01, 8.0,
+                         lag=1.5)
+    cfg = ExperimentConfig("lln_discrete", models.ou(1.0), BROWNIAN, 1.0, (16,), 100, 0, 0.01,
+                           8.0, lag=2.0)
+    assert cfg.lag == 2 and isinstance(cfg.lag, int)
+
+
+@pytest.mark.parametrize("statistic, lag, clt", [
+    ("mean", 0, False), ("autocov", 1, False), ("mean", 0, True), ("autocov", 1, True),
+], ids=["lln-mean", "lln-autocov-1", "clt-mean", "clt-cov-1"])
+def test_localized_chunk_agrees_with_the_estimators(statistic, lag, clt):
+    # a campaign chunk is localized_sum of its batch, bit for bit, and each of
+    # its rows is the statistic that estimate computes on the replication's
+    # recorded path (record time, value), up to the rounding of a batched
+    # matrix-vector product against a dot product
+    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+    kernel = rectangular() if clt else biweight()
+    N, center = 2**10, 0.3 if statistic == "autocov" and clt else 0.0
+    cfg = ExperimentConfig(
+        ("clt_cov" if lag else "clt_mean") if clt else "lln_discrete", models.tvcar_sin(), jumps,
+        1.0, (N,), 1000, 19, 1.0 / 16.0, 8.0, kernel=kernel, bandwidth=BandwidthRule(0.5, 0.55),
+        step_rule=StepRuleO1(1.0),
+    )
+    payload = _localized_payload(cfg, N, lag, statistic, purpose="agree", center=center, clt=clt)
+    scheme = make_scheme(cfg.u, N, cfg.bandwidth, cfg.step_rule)
+    times = (N * scheme.u + _union_offsets(scheme, lag)[0]) / N
+    for lo, hi in ((0, CHUNK), (CHUNK, CHUNK + 6)):
+        Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
+        vals = _localized_chunk(payload, lo, hi)
+        want = localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
+                             payload["scale"], center)
+        assert np.array_equal(vals, want)
+        for value, row in zip(vals, Y):
+            path = PathSample(times=times, values=row)
+            if clt:
+                est = clt_statistic(path, scheme, kernel, k=lag if lag else None, center=center)
+            elif lag:
+                est = localized_autocov(path, scheme, kernel, lag).value
+            else:
+                est = localized_mean(path, scheme, kernel).value
+            # relative to the size of the terms, as their sum may cancel to near 0
+            size = localized_sum(np.abs(row), payload["base_idx"], payload["shift_idx"],
+                                 np.abs(payload["weights"]), payload["scale"], -abs(center))
+            assert abs(value - est) <= 1e-13 * size, (value, est)
 
 
 def _clt_samples():
