@@ -69,22 +69,33 @@ class SemanticError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _object(section, path: str) -> dict:
+    """``section``; anything but a JSON object is a schema error naming it."""
+    if not isinstance(section, dict):
+        raise SchemaError(f"{path} must be an object, got {section!r}")
+    return section
 
 
 def _no_extra(section: dict, allowed: set, path: str) -> None:
-    extra = set(section) - allowed
+    extra = set(_object(section, path)) - allowed
     if extra:
         raise SchemaError(f"{path}: unknown keys {sorted(extra)}")
 
 
 def _need(section: dict, key: str, path: str):
-    if key not in section:
+    if key not in _object(section, path):
         raise SchemaError(f"{path}: missing required key {key!r}")
     return section[key]
+
+
+def _list(section: dict, key: str, path: str, default: list | None = None) -> list:
+    """The list at ``key``, or ``default`` when one is given and the key is
+    absent; any other value (a number, a string, an object) is a schema error
+    naming the key."""
+    value = _need(section, key, path) if default is None else section.get(key, default)
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key} must be a list, got {value!r}")
+    return value
 
 
 def _build_model(section: dict):
@@ -105,11 +116,12 @@ def _build_model(section: dict):
         lip = _need(section, "lipschitz", "model")
         _no_extra(lip, {"A", "B", "C"}, "model.lipschitz")
         p = int(_need(section, "p", "model"))
-        A = ExprMatrix(_need(section, "A_entries", "model"))
-        if len(A.rows) != p or any(len(r) != p for r in A.rows):
+        entries = _list(section, "A_entries", "model")
+        if len(entries) != p or any(not isinstance(r, list) or len(r) != p for r in entries):
             raise SchemaError(f"model.A_entries: expected a {p}x{p} expression matrix")
-        B = ExprVector(_need(section, "B", "model"))
-        C = ExprVector(_need(section, "C", "model"))
+        A = ExprMatrix(entries)
+        B = ExprVector(_list(section, "B", "model"))
+        C = ExprVector(_list(section, "C", "model"))
         if len(B.funcs) != p or len(C.funcs) != p:
             raise SchemaError(f"model.B and model.C must have length {p}")
         return ModelSpec(
@@ -138,8 +150,10 @@ def _build_triplet(section: dict) -> LevyTriplet:
     try:
         jumps = None if jsec is None else JumpSpec(
             rate=float(_need(jsec, "rate", "triplet.jumps")),
-            atoms=None if jsec.get("atoms") is None else tuple(tuple(a) for a in jsec["atoms"]),
-            normal=None if jsec.get("normal") is None else tuple(jsec["normal"]),
+            atoms=None if jsec.get("atoms") is None else tuple(
+                tuple(a) for a in _list(jsec, "atoms", "triplet.jumps")),
+            normal=None if jsec.get("normal") is None else tuple(
+                _list(jsec, "normal", "triplet.jumps")),
         )
         return LevyTriplet(
             gamma=float(_need(section, "gamma", "triplet")),
@@ -260,6 +274,8 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
             extra["n_quad"] = _count(esec, "n_quad", "experiment", _MAX_STEPS)
         if "lag" in esec:
             extra["lag"] = _lag(esec, "lag", "experiment")
+        if "ladder" in esec:
+            extra["ladder"] = _list(esec, "ladder", "experiment")
         replications = _count(esec, "replications", "experiment", _MAX_REPLICATIONS)
         try:
             out["experiment"] = ExperimentConfig(
@@ -267,7 +283,7 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
                 model=out["model"],
                 triplet=out["triplet"],
                 u=out.get("u", 1.0),
-                N_list=tuple(_need(esec, "N_list", "experiment")),
+                N_list=tuple(_list(esec, "N_list", "experiment")),
                 replications=replications,
                 seed=seed,
                 fine_step=out["fine_step"],
@@ -311,9 +327,18 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     """Write the bytes ``csv.writer`` writes in its default dialect: cells
     joined by commas, each line ended by CRLF. That dialect would quote a
     cell holding a comma, a quote or a line break, or a row of one empty
-    cell; those raise ValueError instead."""
+    cell; those raise ValueError instead. A float cell is written as
+    ``format(x, ".17g")`` and any other as ``str(x)``, by one %-format per
+    row whose template is kept per tuple of cell types."""
     rows = [header, *rows]
-    lines = [",".join(map(_fmt, row)) for row in rows]
+    templates, lines = {}, []
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(template % tuple(row))
     text = "\n".join(lines)
     commas = sum(map(len, rows)) - sum(map(bool, rows))  # one fewer than cells in a row
     if (text.count(",") != commas or text.count("\n") != len(lines) - 1
@@ -345,7 +370,7 @@ def _eval_times_from_config(cfg: dict):
         # the union rule of the campaigns, so near-duplicate nodes collapse
         offsets, _, _ = _union_offsets(scheme, lag)
         return N, (N * scheme.u + offsets) / N
-    times = sec.get("times")
+    times = _list(sec, "times", "simulate") if "times" in sec else []
     if not times:
         raise SchemaError("simulate: provide 'times' or set 'use_scheme_grid'")
     exp = cfg.get("experiment")
@@ -388,13 +413,14 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
         raise SchemaError("estimate subcommand needs an 'estimate' config section")
     if "bandwidth" not in cfg:
         raise SchemaError("estimate subcommand needs a scheme section")
+    statistics = _list(sec, "statistics", "estimate")
     path = _read_path_csv(_need(sec, "path_file", "estimate"))
     exp = cfg.get("experiment")
     N = exp.N_list[-1] if exp is not None else 1
     scheme = make_scheme(cfg["u"], N, cfg["bandwidth"], cfg["step_rule"])
     kernel = cfg["kernel"]
     rows = []
-    for spec in _need(sec, "statistics", "estimate"):
+    for spec in statistics:
         _no_extra(spec, {"kind", "k", "center"}, "estimate.statistics[]")
         kind = _need(spec, "kind", "estimate.statistics[]")
         k = _lag(spec, "k", "estimate.statistics[]") if spec.get("k") is not None else None
@@ -420,7 +446,8 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
 
 def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("moments", {})
-    tilde = {f"tilde_lags[{i}]": k for i, k in enumerate(sec.get("tilde_lags", [0, 1]))}
+    tilde = {f"tilde_lags[{i}]": k
+             for i, k in enumerate(_list(sec, "tilde_lags", "moments", [0, 1]))}
     tilde_lags = [_lag(tilde, key, "moments") for key in tilde]
     u = float(sec.get("u", cfg.get("u", 1.0)))
     mom = stationary.stationary_moments(cfg["model"], u, cfg["triplet"])
@@ -431,7 +458,7 @@ def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
         "second_moment": mom.second_moment,
         "fourth_moment": mom.fourth_moment,
     }
-    for lag in sec.get("autocov_lags", [0.0, 0.5, 1.0, 2.0]):
+    for lag in _list(sec, "autocov_lags", "moments", [0.0, 0.5, 1.0, 2.0]):
         record[f"autocov_{lag:g}"] = float(mom.autocov(float(lag)))
     if mom.sigma2_O2 is not None:
         delta = float(sec.get("delta", 1.0))

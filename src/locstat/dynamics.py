@@ -10,9 +10,10 @@ by a state recursion on a fine grid in rescaled time s. A fine step moves
 the state by the exact step law of :class:`StepLaw`, which the frozen process
 of ``stationary`` uses too, with the fourth-order Magnus exponent of A over
 the step and C at the step midpoint (:func:`_step_stack`). A
-stack of steps shares the eigenbasis of its first step wherever that basis
-diagonalizes every step up to a residual of ``_RESIDUAL_MAX``; otherwise each
-step takes its own.
+stack of diagonal steps takes the identity basis with no eigendecomposition;
+any other stack shares the eigenbasis of its first step wherever that basis
+diagonalizes every step up to a residual of ``_RESIDUAL_MAX``, and otherwise
+each step takes its own.
 
 Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
 ``to_state_space()`` view), and the recursion runs over records as a prefix
@@ -531,10 +532,11 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None):
     and covariance sum_j M_j G_j M_j' (g, p, p), M_j = P_{hi-1} ... P_{j+1},
     and the :class:`StepLaw` of the steps; the only code that turns steps into
     segment data. Jump weights go into ``weights`` when it is given. A stack
-    on one eigenbasis trusted up to sqrt(``_COND_MAX``), and every p = 1
-    stack, is summed in eigen coordinates (:func:`_eigen_sums`), the others
-    by :func:`_scan_sums`; a record at step 0 (a burn-in below half a step)
-    keeps the zero start: D = I and no noise. A stack holds about
+    on one eigenbasis trusted up to sqrt(``_COND_MAX``), and every diagonal
+    stack (p = 1 among them), is summed in eigen coordinates
+    (:func:`_eigen_sums`), the others by :func:`_scan_sums`; a record at
+    step 0 (a burn-in below half a step) keeps the zero start: D = I and no
+    noise. A stack holds about
     ``_BLOCK_ENTRIES`` matrix entries but at least one segment: a segment of m
     steps costs O(m p^2).
     """
@@ -555,27 +557,34 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None):
 
 def _eigen_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
     """D, drift and covariance of a stack (g, m) on the shared eigenbasis V of
-    ``law`` (V = I for p = 1), with no matrix scan. With w_j the eigenvalues of
-    step j, S_j = w_{j+1} + ... + w_{m-1}, g_j = V^-1 C_j and y_j = e^{S_j} g_j,
-    M_j = V diag(e^{S_j}) V^-1, so D = V diag(e^{w_0 + ... + w_{m-1}}) V^-1,
+    ``law``, with no matrix scan. With w_j the eigenvalues of step j, S_j =
+    w_{j+1} + ... + w_{m-1}, g_j = V^-1 C_j and y_j = e^{S_j} g_j, M_j = V
+    diag(e^{S_j}) V^-1, so D = V diag(e^{w_0 + ... + w_{m-1}}) V^-1,
 
         sum_j M_j d_j = h V sum_j e^{S_j} phi(w_j) g_j,
         sum_j M_j G_j M_j' = h V [sum_j y_j y_j^* o phi(w_j + conj w_j')] V^*,
 
-    and step j has jump weight V diag(y_j) e^{w_j f}; every sum is elementwise."""
+    and step j has jump weight V diag(y_j) e^{w_j f}; every sum is elementwise.
+    On the identity basis of a diagonal stack (V = None) g_j = C_j and the
+    sums are already in state coordinates: no product with V is taken."""
     w, V, Vinv, _ = law.shared
     h = law.h[..., None]
+    p = w.shape[-1]
     suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # w_j + ... + w_{m-1}
     e = np.exp(np.concatenate([suffix[:, 1:], np.zeros_like(w[:, :1])], axis=1))
-    g = np.einsum("ab,gjb->gja", Vinv, law.C)
+    g = law.C if V is None else np.einsum("ab,gjb->gja", Vinv, law.C)
     y = e * g
     drift = (h * e * _phi(w) * g).sum(axis=1)
-    phi = _phi(w[..., :, None] + w.conj()[..., None, :])
-    X = (h[..., None] * y[..., :, None] * y.conj()[..., None, :] * phi).sum(axis=1)
+    wc, yc = (w.conj(), y.conj()) if np.iscomplexobj(w) else (w, y)
+    phi = _phi(w[..., :, None] + wc[..., None, :])
+    X = (h[..., None] * y[..., :, None] * yc[..., None, :] * phi).sum(axis=1)
     if weights is not None:
-        weights.trusted(steps, V * y[..., None, :], w)
+        weights.trusted(steps, (np.eye(p) if V is None else V) * y[..., None, :], w)
     # the total from a pairwise sum: the cumsum rounds like m eps |S|
-    D = (V * np.exp(w.sum(axis=1))[:, None, :]) @ Vinv
+    decay = np.exp(w.sum(axis=1))[:, None, :]
+    if V is None:
+        return np.eye(p) * decay, drift, X
+    D = (V * decay) @ Vinv
     return D.real, (drift @ V.T).real, (V @ X @ V.conj().T).real
 
 
@@ -764,7 +773,10 @@ def coefficient_values(spec: ModelSpec, name: str, t) -> np.ndarray:
 
 def _phi(x, e=None):
     """(e^x - 1) / x, and 1 at x = 0; ``e`` is expm1(x) when already known."""
-    return np.divide(np.expm1(x) if e is None else e, x, out=np.ones_like(x), where=x != 0)
+    with np.errstate(invalid="ignore"):  # 0 / 0, set to 1 below
+        out = (np.expm1(x) if e is None else e) / x
+    out[x == 0] = 1.0
+    return out
 
 
 def _rows(good: np.ndarray):
@@ -790,7 +802,9 @@ class StepLaw:
 
     A stack of steps takes one eigenbasis when it can: commuting
     diagonalizable matrices share their eigenvectors (Horn & Johnson, *Matrix
-    Analysis*, Thm 1.3.21). V and V^-1 come from the first step, and each step
+    Analysis*, Thm 1.3.21). A stack with no nonzero off-diagonal entry takes
+    V = I and w_k = diag(M_k), with no eigendecomposition or residual test.
+    Otherwise V and V^-1 come from the first step, and each step
     takes w_k = diag(V^-1 M_k V), provided the basis is trusted and every
     off-diagonal part ||V^-1 M_k V - diag(w_k)||_F is at most
     ``_RESIDUAL_MAX`` ||M_k||_F. Otherwise every step of the stack takes its
@@ -808,10 +822,13 @@ class StepLaw:
     @functools.cached_property
     def shared(self):
         """(w, V, V^-1, est) with the eigenbasis V (p, p) of the first step
-        when every step shares it, else None; V = I for p = 1 or no steps."""
+        when every step shares it, else None. A stack with no steps, or with no
+        nonzero off-diagonal entry in any step (every p = 1 stack), takes the
+        identity, V = V^-1 = None, and w = diag(M): no eigendecomposition and
+        no residual test."""
         M, p = self.M, self.M.shape[-1]
-        if p == 1 or M.size == 0:
-            return np.diagonal(M, axis1=-2, axis2=-1), np.eye(p), np.eye(p), 1.0
+        if not M[..., ~np.eye(p, dtype=bool)].any():
+            return np.diagonal(M, axis1=-2, axis2=-1), None, None, 1.0
         _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
         if est > _COND_MAX:
             return None
@@ -827,12 +844,15 @@ class StepLaw:
     def basis(self):
         """(w, V, V^-1, est) of M, ``est`` the condition estimate of
         :func:`eigenbasis` per step. A shared basis gives V, V^-1 and est as
-        broadcast views; for p = 1, w = M[..., 0], V = None and est = 1."""
+        broadcast views, V = I on the identity basis; for p = 1, w = M[..., 0],
+        V = None and est = 1."""
         if self.shared is None:
             return eigenbasis(self.M)
         (w, V, Vinv, est), shape = self.shared, self.M.shape
         if shape[-1] == 1:
             return w, None, None, np.broadcast_to(1.0, shape[:-2])
+        if V is None:
+            V = Vinv = np.eye(shape[-1])
         return (w, np.broadcast_to(V, shape), np.broadcast_to(Vinv, shape),
                 np.broadcast_to(est, shape[:-2]))
 
@@ -915,8 +935,9 @@ class JumpWeights:
 
     def __call__(self, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         """Weights (len(rows), p) of jumps in steps ``rows`` with the fractions ``rest`` to run."""
-        out = np.einsum("kab,kb->ka", self.U[rows], np.exp(self.w[rows] * rest[:, None])).real
-        k = self.slot[rows]
+        # take gathers rows several times faster than fancy indexing
+        U, w, k = (x.take(rows, axis=0) for x in (self.U, self.w, self.slot))
+        out = np.einsum("kab,kb->ka", U, np.exp(w * rest[:, None])).real
         if (k >= 0).any():
             at, k = k >= 0, k[k >= 0]
             L, M, C = (np.concatenate(x)[k] for x in (self.L, self.M, self.C))

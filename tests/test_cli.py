@@ -162,6 +162,78 @@ def test_estimate_without_a_scheme_exits_2_naming_the_section(tmp_path, capsys):
     assert "scheme section" in capsys.readouterr().err
 
 
+STATESPACE = {"kind": "statespace", "p": 2, "A_entries": [["-1", "0"], ["0", "-2"]],
+              "B": ["1", "1"], "C": ["1", "1"], "commuting": True, "stability_margin": 1.0,
+              "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}}
+ATOMS = {"gamma": 0.0, "sigma2": 1.0,
+         "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}}
+TIMES = {**SIM, "simulate": {"times": [0.5, 1.0]}}
+
+
+def _set(cfg: dict, path: tuple, value) -> dict:
+    """A deep copy of ``cfg`` with the key at ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("subcommand, extra, path, value", [
+    ("moments", {"moments": {"tilde_lags": [0, 1]}}, ("moments", "tilde_lags"), 5),
+    ("moments", {"moments": {"autocov_lags": [0.0]}}, ("moments", "autocov_lags"), 5),
+    ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": []}},
+     ("estimate", "statistics"), 5),
+    ("simulate", TIMES, ("simulate", "times"), 1.0),
+    ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}},
+     ("experiment", "N_list"), 16),
+    ("lipschitz", {"experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 64,
+                                  "ladder": [0.1], "time_points": 8}},
+     ("experiment", "ladder"), 0.1),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "B"), 1),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "A_entries"), 1),
+    ("simulate", {**TIMES, "triplet": ATOMS}, ("triplet", "jumps", "atoms"), 1.0),
+    ("simulate", TIMES, ("simulate", "times"), "0.5"),
+], ids=["tilde_lags", "autocov_lags", "statistics", "times", "N_list", "ladder", "B", "A_entries",
+        "atoms", "times-string"])
+def test_a_list_key_given_as_a_scalar_exits_2_naming_the_key(
+        tmp_path, capsys, subcommand, extra, path, value):
+    # the moments and estimate keys ended in a TypeError traceback, a scalar
+    # simulate.times exited 3 with numpy's message, and the others exited 2
+    # with "'int' object is not iterable"
+    cfg = _set(extra, path, value)
+    if "estimate" in cfg:
+        (tmp_path / "path.csv").write_text("time,value\n1,0\n")
+        cfg["estimate"]["path_file"] = str(tmp_path / "path.csv")
+    assert main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"{'.'.join(path)} must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, extra, path", [
+    ("simulate", TIMES, ("simulate",)),
+    ("moments", {"moments": {}}, ("moments",)),
+    ("estimate", {**SIM, "estimate": {}}, ("estimate",)),
+    ("lln", {"experiment": {}}, ("experiment",)),
+    ("simulate", TIMES, ("simulation",)),
+    ("simulate", {**TIMES, "triplet": ATOMS}, ("triplet", "jumps")),
+], ids=["simulate", "moments", "estimate", "experiment", "simulation", "jumps"])
+def test_an_object_key_given_as_a_scalar_exits_2_naming_the_key(
+        tmp_path, capsys, subcommand, extra, path):
+    # the four sections ended in a TypeError traceback, and a scalar
+    # triplet.jumps exited 2 with "'int' object is not iterable"
+    cfg = write_config(tmp_path, _set(extra, path, 5))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{'.'.join(path)} must be an object" in capsys.readouterr().err
+
+
+def test_a_statistic_given_as_a_scalar_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "path.csv").write_text("time,value\n1,0\n")
+    cfg = {**SIM, "estimate": {"path_file": str(tmp_path / "path.csv"), "statistics": [5]}}
+    assert main(["estimate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "estimate.statistics[] must be an object" in capsys.readouterr().err
+
+
 def test_missing_config_exit_4(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 4
 

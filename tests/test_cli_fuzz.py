@@ -6,9 +6,10 @@ Models are scalar ``car1`` or ``statespace`` with p = 1..3, commuting
 strictly lower triangular). The declared margins and Lipschitz constants
 hold for most draws; a draw whose declaration fails the sampled validation
 must still end with exit 3, not a crash. Boundary configs set one key of
-the driver, the scheme, the simulation or the experiment to 0, -1, 1e308,
-NaN, Infinity or [] (a lag also to 1.5) and run in a child interpreter,
-whose stderr must hold no traceback.
+the driver, the scheme, the simulation or the experiment, or a list key of
+the model, simulate, estimate or moments sections, to 0, -1, 1e308, NaN,
+Infinity or [] (a lag also to 1.5) and run in a child interpreter, whose
+stderr must hold no traceback.
 """
 
 import json
@@ -142,8 +143,9 @@ def test_schema_valid_configs_end_with_a_documented_exit_code(case, seed):
 
 
 # keys a config may set to a boundary value: the driver's numbers, the
-# scheme's and the sizes of a run. Each must run or end with an exit code,
-# never a traceback.
+# scheme's, the sizes of a run and the lists of the other sections, which a
+# number then stands in for. Each must run or end with an exit code, never a
+# traceback.
 BOUNDARY_KEYS = (
     ("triplet", "gamma"), ("triplet", "sigma2"), ("triplet", "jumps", "rate"),
     ("triplet", "jumps", "atoms"), ("triplet", "jumps", "normal"),
@@ -151,7 +153,11 @@ BOUNDARY_KEYS = (
     ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
     ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
     ("experiment", "rmse_tol"), ("experiment", "replications"), ("experiment", "lag"),
+    ("model", "B"), ("simulate", "times"), ("estimate", "statistics"),
+    ("moments", "tilde_lags"), ("moments", "autocov_lags"),
 )
+# a one-point path for the estimate subcommand
+PATH_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "path.csv")
 BOUNDARY_VALUES = (0, -1, 1e308, float("nan"), float("inf"), [])
 LAG_VALUES = (*BOUNDARY_VALUES, 1.5)  # a lag must also be an integer
 
@@ -173,13 +179,19 @@ def boundary_cases(draw):
         )))
     elif path[-1] == "ladder":
         subcommand, section = "lipschitz", draw(sections("lipschitz"))
+    elif path[0] in ("simulate", "moments"):
+        subcommand, section = path[0], draw(sections(path[0]))
+    elif path[0] == "estimate":
+        subcommand, section = "estimate", {
+            "experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
+            "estimate": {"path_file": PATH_CSV, "statistics": [{"kind": "mean"}]}}
     else:
         subcommand = draw(st.sampled_from(("simulate", "lln", "coupling", "lipschitz")))
         section = draw(sections(subcommand))
     jumps = ({"rate": 0.5, "normal": [0.0, 0.5]} if path[-1] == "normal"
              else {"rate": 0.5, "atoms": [[1.0, 0.5], [-1.0, 0.5]]})
     cfg = {
-        "model": draw(car1_models()),
+        "model": draw(statespace_models() if path[0] == "model" else car1_models()),
         "triplet": {"gamma": 0.0, "sigma2": 0.5, "jumps": jumps},
         "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
         "simulation": {"fine_step": 0.125, "burn_in": 8.0},

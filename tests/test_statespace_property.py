@@ -1,8 +1,9 @@
 """The per-segment law and the coupling law against per-step reference
 loops, draws of the per-segment law against the exact moments of the
 recursion with its noise inside each step, the step laws of a stack that
-shares one eigenbasis against per-step eigenbases, and the eigen-coordinate
-segment sums against the matrix scan.
+shares one eigenbasis against per-step eigenbases, the eigen-coordinate
+segment sums against the matrix scan, and the identity basis of diagonal
+stacks against the eigenbasis route it replaces.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
@@ -32,7 +33,7 @@ from locstat.dynamics import (
     segment_states,
     simulate_yn,
 )
-from locstat.experiments import _coupling_law
+from locstat.experiments import _coupling_law, _joint_frozen
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet, triplet_moments
 from locstat.rng import stream
 
@@ -280,14 +281,26 @@ def _eigenbasis_shapes(run):
 
 
 def test_commuting_stacks_take_one_eigenbasis_each():
+    # a diagonal stack takes the identity basis, with no eigendecomposition:
+    # diag2, the statespace_simulate model and the joint frozen system of a
+    # scalar model
     diag2 = models.diag2()
     plan = _statespace_plan(diag2)
-    shapes = _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS))
-    assert shapes and all(shape == (2, 2) for shape in shapes)
+    assert _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS)) == []
     times = np.linspace(0.5, 1.5, 65)
-    shapes = _eigenbasis_shapes(lambda: simulate_yn(
-        SPECS["statespace_simulate"](), BROWNIAN, 256, times, 0.01, 16.0, np.random.default_rng(1)))
-    assert shapes and all(shape == (2, 2) for shape in shapes)
+    assert _eigenbasis_shapes(lambda: simulate_yn(
+        SPECS["statespace_simulate"](), BROWNIAN, 256, times, 0.01, 16.0,
+        np.random.default_rng(1))) == []
+    fr = _joint_frozen(models.tvcar_sin(), JUMPS, 0.9, 1.1)
+    assert _eigenbasis_shapes(lambda: stationary._frozen_law(fr, JUMPS, np.full(8, 0.25))) == []
+    # a commuting stack with off-diagonal entries takes one (2, 2) basis:
+    # companion2, constant, and a(t) K with a fixed companion matrix K
+    K = models.companion2().A(0.0)
+    scaled = ModelSpec(2, lambda t: (1.0 + 0.5 * np.sin(np.asarray(t)))[..., None, None] * K,
+                       diag2.B, diag2.C, Lipschitz(1.0, 0.0, 0.0), True, 0.5, "scaled")
+    for spec in (models.companion2(), scaled):
+        shapes = _eigenbasis_shapes(lambda: build_segment_law(_statespace_plan(spec), JUMPS))
+        assert shapes and all(shape == (2, 2) for shape in shapes)
     # a non-commuting stack fails the residual test and is decomposed whole
     spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
                      diag2.B, diag2.C, Lipschitz(1.0, 1.0, 1.0), False, 1.0, "noncommuting")
@@ -507,3 +520,91 @@ def test_shared_and_scalar_stacks_take_no_matrix_scan():
                          "noncommuting")
         build_segment_law(_statespace_plan(spec), BROWNIAN)
         assert scan.call_count > 0
+
+
+@st.composite
+def diagonal_systems(draw):
+    """Diagonal A(t) = -diag(rates + amps (1 + sin(freqs t))) with p = 1..3:
+    distinct rates, rates 1e-9 apart, exactly equal rates (equal amplitudes
+    and frequencies too), and strong decay, whose decay over a segment
+    underflows to 0."""
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "near_equal", "equal", "strong"]))
+    rates, amps, freqs = rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 0.5, p), rng.uniform(0.5, 2.0, p)
+    if kind == "near_equal":
+        rates = rates[0] + 1e-9 * np.arange(p)
+    elif kind == "equal":
+        rates, amps, freqs = (np.full(p, x[0]) for x in (rates, amps, freqs))
+    elif kind == "strong":
+        rates = rates * 400.0
+    B = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
+    C = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
+    return ModelSpec(p, _Commuting(np.eye(p), rates, amps, freqs, 0), B, C,
+                     Lipschitz(1.0, 1.0, 1.0), True, 1.0, kind)
+
+
+def _eigenbasis_route(law):
+    """A copy of ``law`` on the eigenbasis of its first step, as every stack
+    took it before the identity basis: V, V^-1 from :func:`dynamics.eigenbasis`
+    and w_k = diag(V^-1 M_k V)."""
+    p = law.M.shape[-1]
+    _, V, Vinv, est = dynamics.eigenbasis(law.M.reshape(-1, p, p)[0])
+    ref = copy.copy(law)
+    ref.__dict__.pop("basis", None)
+    ref.__dict__["shared"] = (np.diagonal(Vinv @ law.M @ V, axis1=-2, axis2=-1).copy(), V, Vinv, est)
+    return ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    spec=diagonal_systems(),
+    N=st.sampled_from([1, 4, 32]),
+    gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
+    first=st.integers(0, 64),
+    jumps=st.booleans(),
+)
+def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, first, jumps):
+    # a diagonal stack skips the eigendecomposition, the residual test and the
+    # products with V; for diagonal M, V is a signed permutation of I, so the
+    # eigenbasis route rounds the same and gives the same numbers
+    rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
+    plan = build_plan(spec, N, rescaled, H, BURN_IN)
+    for _, steps, *_, law in dynamics._segment_stacks(plan):
+        assert law.shared[1] is None
+        ref = _eigenbasis_route(law)
+        rows, rest = np.repeat(steps.ravel(), 2), np.tile([0.2, 0.7], steps.size)
+        got = []
+        for stack_law, sums in ((law, dynamics._eigen_sums), (ref, dynamics._eigen_sums),
+                                (law, dynamics._scan_sums)):
+            weights = dynamics.JumpWeights(plan.n_steps, spec.p) if jumps else None
+            out = sums(stack_law, steps, weights)
+            got.append(out + ((weights(rows, rest),) if jumps else ()))
+        ident, eigen, scan = got
+        for a, b in zip(ident, eigen):
+            assert np.array_equal(a, b)
+        for a, b in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
+            assert np.array_equal(a, b)
+        for i, (a, b) in enumerate(zip(ident, scan)):
+            scale = max(np.abs(b).max(initial=0.0), 1.0 if i == 0 else np.finfo(float).tiny)
+            assert np.abs(a - b).max(initial=0.0) <= 1e-13 * scale, i
+
+
+@pytest.mark.parametrize("entry", [0.5, 1e-300])
+@pytest.mark.parametrize("at", [0, 5])
+def test_one_nonzero_off_diagonal_entry_takes_the_residual_test(entry, at):
+    # the identity basis needs every off-diagonal entry of every step to be 0;
+    # one step with a nonzero entry sends the stack through eigenbasis and the
+    # residual test, which keeps a shared basis only for a residual below
+    # _RESIDUAL_MAX of the step's size
+    h = 1.0 / 64.0
+    M = _Commuting(np.eye(2), np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([1.0, 1.0]),
+                   0)(np.arange(8) * h) * h
+    M[at, 0, 1] = entry
+    law = dynamics.StepLaw(M, np.ones(2), h)
+    assert _eigenbasis_shapes(lambda: law.shared) == [(2, 2)]
+    if entry == 0.5:
+        assert law.shared is None
+    else:
+        assert law.shared[1] is not None and _shares_one_basis(law)
+        assert_matches_per_step_bases(law)
