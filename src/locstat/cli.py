@@ -33,6 +33,7 @@ Config schema (JSON, unknown keys rejected at every level):
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -329,25 +330,32 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     cell holding a comma, a quote or a line break, or a row of one empty
     cell; those raise ValueError instead. A float cell is written as
     ``format(x, ".17g")`` and any other as ``str(x)``, by one %-format per
-    row whose template is kept per tuple of cell types."""
+    run of rows of one length with floats in the same cells, whose template
+    repeats the line of a row, CRLF included, once per row of the run."""
     rows = [header, *rows]
-    templates, lines = {}, []
-    for row in rows:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(template % tuple(row))
-    text = "\n".join(lines)
+    parts = []
+    for length, same in itertools.groupby(rows, len):
+        same = list(same)
+        # which cells of each row are floats, tested column by column
+        kinds = (zip(*(map(isinstance, col, itertools.repeat(float)) for col in zip(*same)))
+                 if length else itertools.repeat((), len(same)))
+        start = 0
+        for floats, run in itertools.groupby(kinds):
+            stop = start + len(list(run))
+            line = ",".join("%.17g" if f else "%s" for f in floats) + "\r\n"
+            cells = tuple(itertools.chain.from_iterable(same[start:stop]))
+            parts.append(line * (stop - start) % cells)
+            start = stop
+    text = "".join(parts)
     commas = sum(map(len, rows)) - sum(map(bool, rows))  # one fewer than cells in a row
-    if (text.count(",") != commas or text.count("\n") != len(lines) - 1
-            or '"' in text or "\r" in text):
+    if (text.count(",") != commas or text.count("\n") != len(rows)
+            or text.count("\r") != len(rows) or '"' in text):
         raise ValueError("a CSV cell holds a comma, a quote or a line break")
-    if "" in lines and any(row and not line for row, line in zip(rows, lines)):
-        raise ValueError("a CSV row of one empty cell")
+    if "\r\n\r\n" in "\r\n" + text:  # an empty line, which only an empty row may give
+        if any(row and not line for row, line in zip(rows, text.split("\r\n"))):
+            raise ValueError("a CSV row of one empty cell")
     with open(path, "w", newline="") as fh:
-        fh.write(text.replace("\n", "\r\n") + "\r\n")
+        fh.write(text)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -19,7 +19,10 @@ Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
 ``to_state_space()`` view), and the recursion runs over records as a prefix
 scan of affine maps (:func:`affine_states`) on the segment data of
 :func:`_segment_stacks`, which sums the steps of a stack in eigen coordinates
-where it can and by matrix products where it must. Every draw of Y_N, the
+where it can and by matrix products where it must. The eigen-coordinate sums
+(:func:`_eigen_sums`) run step-major, on (g, p[, p], m) arrays whose fine-step
+axis is innermost and contiguous, and keep the bits of the step-second layout
+they replaced (:func:`_step_sum`). Every draw of Y_N, the
 campaigns' and :func:`simulate_yn`'s alike, is one draw of the noise of each
 record segment from its exact law (:class:`SegmentLaw`): one sampler,
 :func:`draw_segment_noise`, draws the driver, and one map,
@@ -438,11 +441,11 @@ def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     if gaps.size and h > gaps.min() + 1e-12:
         raise ValueError("fine_step exceeds the smallest rescaled evaluation gap")
     steps_per_gap = np.rint(gaps / h).astype(int)
-    for i, (m, gap) in enumerate(zip(steps_per_gap, gaps)):
-        if m < 1 or abs(m * h - gap) > 1e-12 * max(1.0, abs(gap)):
-            raise ValueError(
-                f"fine_step {h} does not divide evaluation gap {gap} at index {i}"
-            )
+    bad = (steps_per_gap < 1) | (
+        np.abs(steps_per_gap * h - gaps) > 1e-12 * np.maximum(1.0, np.abs(gaps)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"fine_step {h} does not divide evaluation gap {gaps[i]} at index {i}")
     n_burn = int(np.ceil(burn_in / h - 1e-12))
     record_steps = n_burn + np.concatenate([[0], np.cumsum(steps_per_gap)])
     return Plan(spec, N, h, rescaled[0] - n_burn * h, int(record_steps[-1]), record_steps)
@@ -566,26 +569,48 @@ def _eigen_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
 
     and step j has jump weight V diag(y_j) e^{w_j f}; every sum is elementwise.
     On the identity basis of a diagonal stack (V = None) g_j = C_j and the
-    sums are already in state coordinates: no product with V is taken."""
+    sums are already in state coordinates: no product with V is taken.
+
+    The sums run step-major: w, g, e, y and phi are (g, p[, p], m), with the
+    fine steps innermost and contiguous, so each ufunc loops over m steps and
+    not over p states. Every product keeps its operand order, each exp and
+    expm1 reads a contiguous array (numpy rounds exp and expm1 of a reversed
+    view, such as a slice of the reversed cumsum, differently in the last bit
+    for a few percent of entries), and :func:`_step_sum` adds the steps in the
+    order the (g, m, p[, p]) layout added them, so every output keeps its
+    bits."""
     w, V, Vinv, _ = law.shared
-    h = law.h[..., None]
     p = w.shape[-1]
-    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # w_j + ... + w_{m-1}
-    e = np.exp(np.concatenate([suffix[:, 1:], np.zeros_like(w[:, :1])], axis=1))
-    g = law.C if V is None else np.einsum("ab,gjb->gja", Vinv, law.C)
+    h = law.h  # the one step length of a stack of _segment_stacks
+    ws = np.ascontiguousarray(w.transpose(0, 2, 1))  # for p = 1 a reshape, no copy
+    suffix = np.cumsum(ws[..., ::-1], axis=-1)[..., ::-1]  # w_j + ... + w_{m-1}
+    e = np.exp(np.concatenate([suffix[..., 1:], np.zeros_like(ws[..., :1])], axis=-1))
+    g = (law.C if V is None else np.einsum("ab,gjb->gja", Vinv, law.C)).transpose(0, 2, 1)
     y = e * g
-    drift = (h * e * _phi(w) * g).sum(axis=1)
-    wc, yc = (w.conj(), y.conj()) if np.iscomplexobj(w) else (w, y)
-    phi = _phi(w[..., :, None] + wc[..., None, :])
-    X = (h[..., None] * y[..., :, None] * yc[..., None, :] * phi).sum(axis=1)
+    drift = _step_sum(h * e * _phi(ws) * g)
+    wc, yc = (ws.conj(), y.conj()) if np.iscomplexobj(ws) else (ws, y)
+    phi = _phi(ws[:, :, None] + wc[:, None])
+    X = _step_sum((h * y)[:, :, None] * yc[:, None] * phi)
     if weights is not None:
-        weights.trusted(steps, (np.eye(p) if V is None else V) * y[..., None, :], w)
-    # the total from a pairwise sum: the cumsum rounds like m eps |S|
-    decay = np.exp(w.sum(axis=1))[:, None, :]
+        U = (np.eye(p) if V is None else V) * y.transpose(0, 2, 1)[..., None, :]
+        weights.trusted(steps, U, w)
+    # the cumsum's S_0 rounds like m eps |S|: the total is summed afresh
+    decay = np.exp(_step_sum(ws))[:, None, :]
     if V is None:
         return np.eye(p) * decay, drift, X
     D = (V * decay) @ Vinv
     return D.real, (drift @ V.T).real, (V @ X @ V.conj().T).real
+
+
+def _step_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, the m steps of a step-major array (g, p[, p], m),
+    rounded as numpy sums the step axis of the (g, m, p[, p]) layout: pairwise
+    for p = 1, where the steps are contiguous in both layouts, and otherwise
+    one step after another from +0, so terms that are all -0 sum to +0. No
+    steps (a record at step 0) sum to 0."""
+    if x.shape[1] == 1 or x.shape[-1] == 0:
+        return x.sum(axis=-1)
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
 
 
 def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
@@ -662,7 +687,8 @@ def draw_segment_noise(law: SegmentLaw, gen: np.random.Generator, R: int) -> np.
     n, p = law.mean.shape
     eta = np.repeat(law.mean[:, :, None], R, axis=2)
     if law.chol is not None:
-        eta += law.chol @ gen.standard_normal((R, n, p)).transpose(1, 2, 0)
+        z = gen.standard_normal((R, n, p)).transpose(1, 2, 0)
+        eta += (_product if p == 1 else np.matmul)(law.chol, z)
     if law.jump_mean is None:
         return eta
     counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n)))
@@ -986,17 +1012,26 @@ def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     if n:
         v[0] += P[0] @ x0
     cols = v if v.ndim == 3 else v[..., None]  # a view: updates land in v
+    mul = _product if P.shape[-1] == 1 else np.matmul
     d = 1
     while d < n:
-        cols[d:] += M[d:] @ cols[:-d]
+        cols[d:] += mul(M[d:], cols[:-d])
         if 2 * d < n:
-            M[d:] = M[d:] @ M[:-d]
+            M[d:] = mul(M[d:], M[:-d])
             # a composed map below the smallest normal double adds nothing to
             # a state of normal size, and subnormal operands slow every matmul
             # that reads them (strong decay over many steps reaches them)
             M[np.abs(M) < _TINY] = 0.0
         d *= 2
     return v
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a of shape (..., 1, 1), elementwise: a matmul adds a b to
+    +0, so a -0 product comes out +0 here too."""
+    out = a * b
+    out += 0.0
+    return out
 
 
 def _simulate_yn_statespace(spec, triplet, N, eval_times, fine_step, burn_in, rng, meta):

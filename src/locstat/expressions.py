@@ -80,8 +80,11 @@ class ExprFunc:
         return self._tree
 
     def __call__(self, t):
+        """The value at ``t`` with the shape of ``t``, a new array in which
+        -0.0 comes out +0.0 (the sum with +0 that broadcasts a constant)."""
         t = np.asarray(t, dtype=float)
-        return np.asarray(self._raw(t), dtype=float) + np.zeros_like(t)
+        raw = np.asarray(self._raw(t), dtype=float)
+        return raw + (0.0 if raw.shape == t.shape else np.zeros_like(t))
 
     def _raw(self, t: np.ndarray):
         """The value at the float array ``t``, a scalar for an expression

@@ -780,6 +780,21 @@ def test_write_csv_matches_csv_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == want.encode()
 
 
+def test_write_csv_matches_csv_writer_over_runs_of_rows(tmp_path):
+    # runs of rows of one length and one pattern of float cells, each written
+    # by one template: the runs change with the length, with the cells that
+    # are floats, and across empty rows
+    rows = [(i, 0.1 * i) for i in range(5)] + [("x",), [], [], (7, np.float64(2.5)), (1, 2),
+                                                 [1.5, "a", 2.0], [1.5, "a", 2.0], (3, 0.3)]
+    _write_csv(str(tmp_path / "new.csv"), ["N", "value"], rows)
+    with io.StringIO(newline="") as ref:
+        writer = csv.writer(ref)
+        for row in [["N", "value"], *rows]:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+        want = ref.getvalue()
+    assert (tmp_path / "new.csv").read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
 def test_write_csv_refuses_a_cell_csv_writer_would_quote(tmp_path, cell):
     with pytest.raises(ValueError, match="CSV cell holds"):

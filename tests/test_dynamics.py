@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
 from locstat import dynamics, models
@@ -849,3 +851,47 @@ def test_segment_chunk_is_its_stream_alone():
         others = [chunk(k) for k in (2, 0)]
         assert np.array_equal(chunk(1), first), spec.model_id
         assert all(not np.any(first == other) for other in others), spec.model_id
+
+
+def test_build_plan_names_the_first_gap_the_step_does_not_divide():
+    # gaps 0.5, 0.5, 0.375 and 0.625: the third and fourth do not take a
+    # whole number of quarter steps, and the message names the third
+    msg = r"^fine_step 0.25 does not divide evaluation gap 0.375 at index 2$"
+    with pytest.raises(ValueError, match=msg):
+        build_plan(models.ou(1.0), 1, [0.0, 0.5, 1.0, 1.375, 2.0], 0.25, 8.0)
+
+
+def _signed(rng, shape, scale):
+    """Normals times ``scale`` with a fifth of the entries -0.0 or +0.0."""
+    x = scale * rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=hst.integers(0, 70),
+    R=hst.sampled_from([None, 1, 3, 64]),
+    decay=hst.sampled_from(["mild", "strong", "signed"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=0, R=None, decay="mild", seed=1)
+@example(n=1, R=3, decay="signed", seed=2)
+@example(n=64, R=64, decay="strong", seed=3)
+def test_scalar_scan_and_noise_match_their_matmul_forms_bit_for_bit(n, R, decay, seed):
+    # for p = 1 the scan and the Gaussian noise multiply elementwise; a matmul
+    # adds each product to +0, and so do they. Strong decay composes maps
+    # below the smallest normal double, which the scan flushes to 0
+    rng = np.random.default_rng(seed)
+    P = {"mild": rng.uniform(0.5, 1.0, n), "strong": rng.uniform(1e-160, 1e-150, n),
+         "signed": _signed(rng, n, 1.0)}[decay].reshape(n, 1, 1)
+    tail = (1,) if R is None else (1, R)
+    c, x0 = _signed(rng, (n,) + tail, 1.0), _signed(rng, tail, 1.0)
+    law = SegmentLaw(P, _signed(rng, (n, 1), 1.0), _signed(rng, (n, 1, 1), 1.0), None, None, None,
+                     np.ones((n, 1)))
+    got = (affine_states(P, c, x0), draw_segment_noise(law, np.random.default_rng(seed), R or 2))
+    with mock.patch.object(dynamics, "_product", np.matmul):
+        want = (affine_states(P, c, x0), draw_segment_noise(law, np.random.default_rng(seed), R or 2))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

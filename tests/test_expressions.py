@@ -82,3 +82,20 @@ def test_filled_values_are_the_stacked_bytes(t):
     vector = np.stack([f(t) for f in rows[0]], axis=-1)
     got = ExprVector(sources[0])(t)
     assert got.shape == vector.shape and got.tobytes() == vector.tobytes()
+
+
+@pytest.mark.parametrize("source", ["t", "-t", "0 * t", "-0.0", "1.5", "sin(t)"])
+@pytest.mark.parametrize("t", [-0.0, 0.5, [-0.0, 0.0, 1.0], [[-0.0], [2.0]]],
+                         ids=["-0", "scalar", "vector", "column"])
+def test_call_returns_a_new_array_with_signed_zeros_cleared(source, t):
+    # the raw value plus +0 broadcast to the shape of t: -0.0 comes out
+    # +0.0, a constant takes the shape of t, and the bare t is a new array
+    f = ExprFunc(source)
+    t = np.asarray(t, dtype=float)
+    raw = np.asarray(f._raw(t), dtype=float)
+    want = raw + np.zeros_like(t)
+    got = f(t)
+    assert type(got) is type(want) and np.shape(got) == t.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert not np.signbit(np.where(got == 0, got, 1.0)).any()
+    assert got is not t and not np.shares_memory(got, t)

@@ -2,8 +2,10 @@
 loops, draws of the per-segment law against the exact moments of the
 recursion with its noise inside each step, the step laws of a stack that
 shares one eigenbasis against per-step eigenbases, the eigen-coordinate
-segment sums against the matrix scan, and the identity basis of diagonal
-stacks against the eigenbasis route it replaces.
+segment sums against the matrix scan, the identity basis of diagonal
+stacks against the eigenbasis route it replaces, and the step-major segment
+sums against a frozen copy of the step-second layout they replace, bit for
+bit.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
@@ -608,3 +610,158 @@ def test_one_nonzero_off_diagonal_entry_takes_the_residual_test(entry, at):
     else:
         assert law.shared[1] is not None and _shares_one_basis(law)
         assert_matches_per_step_bases(law)
+
+
+def _frozen_phi(x):
+    """(e^x - 1) / x, and 1 at x = 0: ``dynamics._phi`` as the frozen
+    :func:`_eigen_sums_frozen` calls it."""
+    with np.errstate(invalid="ignore"):
+        out = np.expm1(x) / x
+    out[x == 0] = 1.0
+    return out
+
+
+def _eigen_sums_frozen(law, steps, weights):
+    """``dynamics._eigen_sums`` as it was in the (g, m, p[, p]) layout, with
+    the fine-step axis second: the oracle of the step-major form."""
+    w, V, Vinv, _ = law.shared
+    h = law.h[..., None]
+    p = w.shape[-1]
+    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    e = np.exp(np.concatenate([suffix[:, 1:], np.zeros_like(w[:, :1])], axis=1))
+    g = law.C if V is None else np.einsum("ab,gjb->gja", Vinv, law.C)
+    y = e * g
+    drift = (h * e * _frozen_phi(w) * g).sum(axis=1)
+    wc, yc = (w.conj(), y.conj()) if np.iscomplexobj(w) else (w, y)
+    phi = _frozen_phi(w[..., :, None] + wc[..., None, :])
+    X = (h[..., None] * y[..., :, None] * yc[..., None, :] * phi).sum(axis=1)
+    if weights is not None:
+        weights.trusted(steps, (np.eye(p) if V is None else V) * y[..., None, :], w)
+    decay = np.exp(w.sum(axis=1))[:, None, :]
+    if V is None:
+        return np.eye(p) * decay, drift, X
+    D = (V * decay) @ Vinv
+    return D.real, (drift @ V.T).real, (V @ X @ V.conj().T).real
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike ``array_equal``, tells -0 from +0."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _signed_zero_copies(law):
+    """``law``, and a copy whose C is -0 in its first state and negative in
+    the others, so that products of terms with a zero factor round to -0."""
+    C = np.array(law.C)
+    C[..., 0] = -0.0
+    C[..., 1:] = -np.abs(C[..., 1:])
+    return law, dynamics.StepLaw(law.M, C, law.h)
+
+
+def assert_step_major_sums_keep_their_bits(law, steps, n_steps):
+    """D, drift, covariance and the stored jump weights of the stack ``law``
+    are the bytes of the frozen layout, with and without jump weights, for
+    ``law`` and for its signed-zero copy; and, for segments of at least one
+    step, within 1e-13 of the matrix scan, on the scale of
+    :func:`assert_eigen_sums_match_the_scan`."""
+    for stack_law in _signed_zero_copies(law):
+        shared = stack_law.shared
+        assert shared is not None and shared[3] <= np.sqrt(dynamics._COND_MAX)
+        p = stack_law.M.shape[-1]
+        for jumps in (False, True):
+            got = []
+            scan_sums = (dynamics._scan_sums,) if steps.shape[1] else ()
+            for sums in (dynamics._eigen_sums, _eigen_sums_frozen, *scan_sums):
+                weights = dynamics.JumpWeights(n_steps, p) if jumps else None
+                got.append(sums(stack_law, steps, weights)
+                           + ((weights.U, weights.w) if jumps else ()))
+            step_major, frozen, *scan = got
+            for a, b in zip(step_major, frozen):
+                assert _same_bits(a, b)
+            for want in scan:
+                for i, (a, b) in enumerate(zip(step_major[:3], want)):
+                    scale = max(np.abs(b).max(initial=0.0),
+                                1.0 if i == 0 else np.finfo(float).tiny)
+                    assert np.abs(a - b).max(initial=0.0) <= 1e-13 * scale, i
+
+
+def _eigen_stacks(plan):
+    """(law, steps) of each stack of ``plan`` that takes the eigen sums."""
+    for _, steps, *_, law in dynamics._segment_stacks(plan):
+        shared = law.shared
+        if shared is not None and shared[3] <= np.sqrt(dynamics._COND_MAX):
+            yield law, steps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.one_of(diagonal_systems(), systems()),
+    N=st.sampled_from([1, 4, 32]),
+    gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
+    first=st.integers(0, 64),
+)
+def test_step_major_sums_keep_the_bits_of_the_frozen_layout(spec, N, gaps, first):
+    # diagonal stacks with distinct, 1e-9-apart and equal rates and with
+    # strong decay take the identity basis; commuting ones with complex
+    # pairs a shared complex eigenbasis
+    rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
+    plan = build_plan(spec, N, rescaled, H, BURN_IN)
+    for law, steps in _eigen_stacks(plan):
+        assert_step_major_sums_keep_their_bits(law, steps, plan.n_steps)
+
+
+def _scaled_companion():
+    K = models.companion2().A(0.0)
+    diag2 = models.diag2()
+    return ModelSpec(2, lambda t: (1.0 + 0.5 * np.sin(np.asarray(t)))[..., None, None] * K,
+                     diag2.B, diag2.C, Lipschitz(1.0, 0.0, 0.0), True, 0.5, "scaled")
+
+
+@pytest.mark.parametrize("name", ["diag2", "companion2", "statespace_simulate", "scaled"])
+def test_step_major_sums_keep_their_bits_on_the_shipped_shapes(name):
+    # ten 400-step segments per stack and one 1600-step burn-in (g = 1); the
+    # companion matrix K of companion2 and a(t) K share a non-diagonal basis
+    spec = _scaled_companion() if name == "scaled" else SPECS[name]()
+    plan = _statespace_plan(spec)
+    stacks = list(_eigen_stacks(plan))
+    assert [steps.shape for _, steps in stacks][-1] == (1, 1600)
+    assert (stacks[0][0].shared[1] is None) == (name in ("diag2", "statespace_simulate"))
+    for law, steps in stacks:
+        assert_step_major_sums_keep_their_bits(law, steps, plan.n_steps)
+
+
+@pytest.mark.parametrize("spec", [models.diag2(), models.tvcar_sin()], ids=lambda s: s.model_id)
+def test_step_major_sums_keep_their_bits_on_a_4096_step_segment(spec):
+    plan = build_plan(spec, 1, [4.0], 1.0 / 256.0, 16.0)
+    [(law, steps)] = _eigen_stacks(plan)
+    assert steps.shape == (1, 4096)
+    assert_step_major_sums_keep_their_bits(law, steps, plan.n_steps)
+
+
+def test_step_major_sums_keep_their_bits_on_the_joint_coupling_system():
+    # the joint system of _coupling_law for a scalar model at four N is
+    # diagonal with p = 5: one stack, one segment, the whole burn-in
+    seen, sums = [], dynamics._eigen_sums
+
+    def record(law, steps, weights):
+        seen.append((law, steps))
+        return sums(law, steps, weights)
+
+    with mock.patch.object(dynamics, "_eigen_sums", record):
+        _coupling_law(models.tvcar_sin(), JUMPS, 1.0, [4, 16, 64, 256], 1.0 / 64.0, 8.0)
+    [(law, steps)] = seen
+    assert law.M.shape[-2:] == (5, 5) and law.shared[1] is None and steps.shape == (1, 512)
+    assert_step_major_sums_keep_their_bits(law, steps, steps.size)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_step_major_sums_of_a_stack_of_empty_segments(p):
+    # a record at step 0 gives segments of m = 0 steps: D = I and no noise,
+    # as in the frozen layout (a running total of no steps has no last entry)
+    law = dynamics.StepLaw(np.zeros((3, 0, p, p)), np.ones(p), 0.25)
+    steps = np.zeros((3, 0), dtype=np.int64)
+    assert_step_major_sums_keep_their_bits(law, steps, 4)
+    D, drift, cov = dynamics._eigen_sums(law, steps, None)
+    assert np.array_equal(D, np.broadcast_to(np.eye(p), (3, p, p)))
+    assert not drift.any() and not cov.any() and not np.signbit(cov).any()
