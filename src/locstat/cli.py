@@ -1,34 +1,40 @@
 """Command line interface: configuration, orchestration, data emission.
 
 Exit codes: 0 success (and experiment passed), 1 experiment ran but failed
-its acceptance window, 2 config schema violation, 3 semantic violation of a
-mathematical precondition, 4 I/O failure.
+its acceptance window, 2 config schema violation, naming the key path and
+any list index (moments.autocov_lags[0]), or a value a model, driver, scheme
+or experiment constructor rejects, 3 semantic violation of a mathematical
+precondition, 4 I/O failure.
 
-Config schema (JSON, unknown keys rejected at every level):
+Config schema (JSON; unknown keys rejected at every level; a key marked ?
+may be left out). num is a finite number, real any number (NaN and Infinity
+too, for the simulator to reject), int an integral number or numeric string
+(at most 2^22 in size; N_list entries 2^53), bool true or false, str a string.
 
   model       {"kind": "car1", "a": EXPR, "lipschitz": num, "infimum": num}
-            | {"kind": "statespace", "p": int, "A_entries": [[EXPR,..],..],
-               "B": [EXPR,..], "C": [EXPR,..], "commuting": bool,
-               "stability_margin": num,
-               "lipschitz": {"A": num, "B": num, "C": num}}
-              EXPR uses the grammar {+,-,*,/, sin, cos, exp, numbers, t}.
-  triplet     {"gamma": num, "sigma2": num,
-               "jumps": {"rate": num, "atoms": [[value, prob], ...]}
-                      | {"rate": num, "normal": [mean, std]}}   (jumps optional)
-  kernel      "rectangular" | "biweight"
-  scheme      {"u": num, "b": num, "beta": num, "scheme": "O1", "Delta": num}
+            | {"kind": "statespace", "p": int >= 1, "A_entries": [[EXPR x p] x p],
+               "B": [EXPR x p], "C": [EXPR x p], "commuting": bool,
+               "stability_margin": num, "lipschitz": {"A"?: num, "B"?: num, "C"?: num}}
+              EXPR is a str in the grammar {+,-,*,/, sin, cos, exp, numbers, t}.
+  triplet     {"gamma": num, "sigma2": num, "jumps"?: null
+                 | {"rate": num, "atoms": [[value num, prob num], ...] (at least one)}
+                 | {"rate": num, "normal": [mean num, std num]}}
+  kernel?     "rectangular" | "biweight"
+  scheme?     {"u": num, "b": num, "beta": num, "scheme": "O1", "Delta": num}
             | {"u": num, "b": num, "beta": num, "scheme": "O2", "d": num, "alpha": num}
-  simulation  {"fine_step": num, "burn_in": num}
-  experiment  {"kind": "coupling"|"lln_discrete"|"lln_continuous"|
+  simulation? {"fine_step"?: real, "burn_in"?: real}
+  experiment? {"kind": "coupling"|"lln_discrete"|"lln_continuous"|
                        "clt_mean"|"clt_cov"|"lipschitz_u",
-               "N_list": [int,..], "replications": int (1 to 2^24), ...optional fields:
-               "lag", "statistic", "t_end", "n_quad", "ladder", "p_norm",
-               "time_points", "rmse_tol", "validate_inputs"}
-  simulate    {"times": [num,..]} | {"use_scheme_grid": true, "lag": int}
-  estimate    {"path_file": str, "statistics": [{"kind": "mean"}
-               | {"kind": "autocov", "k": int}
-               | {"kind": "clt", "k": int|null, "center": num}, ...]}
-  moments     {"u": num, "delta": num, "autocov_lags": [num,..], "tilde_lags": [int,..]}
+               "N_list": [int >= 1, ...] (at least one), "replications": int 1 to 2^24,
+               "lag"?: int, "statistic"?: str, "t_end"?: num, "n_quad"?: int >= 1,
+               "ladder"?: [num > 0, ...] (at least one), "p_norm"?: 2 | 4,
+               "time_points"?: int >= 1, "rmse_tol"?: num, "validate_inputs"?: bool}
+  simulate?   {"times"?: [real, ...] (at least one), "use_scheme_grid"?: bool,
+               "lag"?: int >= 0}; times unless use_scheme_grid is true
+  estimate?   {"path_file": str, "statistics": [{"kind": "mean"}
+               | {"kind": "autocov", "k"?: int}
+               | {"kind": "clt", "k"?: int|null, "center"?: num}, ...]}
+  moments?    {"u"?: num, "delta"?: num, "autocov_lags"?: [num, ...], "tilde_lags"?: [int, ...]}
 """
 
 import argparse
@@ -37,6 +43,7 @@ import itertools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,235 +77,233 @@ class SemanticError(Exception):
     pass
 
 
-def _object(section, path: str) -> dict:
-    """``section``; anything but a JSON object is a schema error naming it."""
-    if not isinstance(section, dict):
-        raise SchemaError(f"{path} must be an object, got {section!r}")
-    return section
+# The domain of each key: ``str``, ``bool`` (a JSON string or boolean),
+# ``float`` (a JSON number, NaN and the infinities included, which the
+# simulator's own checks reject) or one of these.
+class Real(NamedTuple):  # a finite JSON number, above 0 if positive
+    positive: bool = False
 
 
-def _no_extra(section: dict, allowed: set, path: str) -> None:
-    extra = set(_object(section, path)) - allowed
-    if extra:
-        raise SchemaError(f"{path}: unknown keys {sorted(extra)}")
+class Int(NamedTuple):  # an integral number or numeric string from least to most, read as an int
+    least: int
+    most: int
 
 
-def _need(section: dict, key: str, path: str):
-    if key not in _object(section, path):
-        raise SchemaError(f"{path}: missing required key {key!r}")
-    return section[key]
+class Choice(NamedTuple):  # one of values
+    values: tuple
 
 
-def _list(section: dict, key: str, path: str, default: list | None = None) -> list:
-    """The list at ``key``, or ``default`` when one is given and the key is
-    absent; any other value (a number, a string, an object) is a schema error
-    naming the key."""
-    value = _need(section, key, path) if default is None else section.get(key, default)
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}.{key} must be a list, got {value!r}")
+class List(NamedTuple):
+    """A JSON array of ``item`` values: ``size`` of them if given (a count,
+    or the name of an integer key checked before it in the same object),
+    else any number, at least one if ``nonempty``."""
+    item: object
+    size: int | str | None = None
+    nonempty: bool = False
+
+
+class Obj(NamedTuple):  # an object of every required key, any optional one and no other
+    required: dict
+    optional: dict = {}
+
+
+class Tagged(NamedTuple):
+    """One of the ``variants`` objects: the one named by the value at its
+    ``tag`` key, or with no tag, the one whose name is its only key among
+    the variant names."""
+    tag: str | None
+    variants: dict
+
+
+class Maybe(NamedTuple):  # JSON null, or a value of domain
+    domain: object
+
+
+_FINITE = Real()
+_LAG = Int(-_MAX_STEPS, _MAX_STEPS)
+_EXPRS = List(str, size="p")
+_SCHEME = {"scheme": str, "u": _FINITE, "b": _FINITE, "beta": _FINITE}
+_STATISTIC = {"kind": str}
+CONFIG = Obj(
+    required={
+        "model": Tagged("kind", {
+            "car1": Obj({"kind": str, "a": str, "lipschitz": _FINITE, "infimum": _FINITE}),
+            "statespace": Obj({
+                "kind": str, "p": Int(1, _MAX_STEPS), "A_entries": List(_EXPRS, size="p"),
+                "B": _EXPRS, "C": _EXPRS, "commuting": bool, "stability_margin": _FINITE,
+                "lipschitz": Obj({}, {"A": _FINITE, "B": _FINITE, "C": _FINITE}),
+            }),
+        }),
+        "triplet": Obj({"gamma": _FINITE, "sigma2": _FINITE}, {"jumps": Maybe(Tagged(None, {
+            "atoms": Obj({"rate": _FINITE, "atoms": List(List(_FINITE, size=2), nonempty=True)}),
+            "normal": Obj({"rate": _FINITE, "normal": List(_FINITE, size=2)}),
+        }))}),
+    },
+    optional={
+        "kernel": Choice(("rectangular", "biweight")),
+        "scheme": Tagged("scheme", {
+            "O1": Obj({**_SCHEME, "Delta": _FINITE}),
+            "O2": Obj({**_SCHEME, "d": _FINITE, "alpha": _FINITE}),
+        }),
+        "simulation": Obj({}, {"fine_step": float, "burn_in": float}),
+        "experiment": Obj({
+            "kind": Choice(("coupling", "lln_discrete", "lln_continuous", "clt_mean", "clt_cov",
+                            "lipschitz_u")),
+            "N_list": List(Int(1, 1 << 53), nonempty=True),
+            "replications": Int(1, _MAX_REPLICATIONS),
+        }, {
+            "lag": _LAG, "statistic": str, "t_end": _FINITE, "n_quad": Int(1, _MAX_STEPS),
+            "ladder": List(Real(positive=True), nonempty=True), "p_norm": Choice((2, 4)),
+            "time_points": Int(1, _MAX_STEPS), "rmse_tol": _FINITE, "validate_inputs": bool,
+        }),
+        "simulate": Obj({}, {"times": List(float, nonempty=True), "use_scheme_grid": bool,
+                             "lag": Int(0, _MAX_STEPS)}),
+        "estimate": Obj({"path_file": str, "statistics": List(Tagged("kind", {
+            "mean": Obj(_STATISTIC),
+            "autocov": Obj(_STATISTIC, {"k": _LAG}),
+            "clt": Obj(_STATISTIC, {"k": Maybe(_LAG), "center": _FINITE}),
+        }))}),
+        "moments": Obj({}, {"u": _FINITE, "delta": _FINITE, "autocov_lags": List(_FINITE),
+                            "tilde_lags": List(_LAG)}),
+    },
+)
+
+
+def _check(value, domain, path: str, siblings: dict):
+    """``value`` if it lies in ``domain``, as a copy in which integers are
+    ints; ``siblings`` holds the keys checked before it in its object. The
+    first value outside its domain raises SchemaError naming its ``path``."""
+    if isinstance(domain, Maybe):
+        return None if value is None else _check(value, domain.domain, path, siblings)
+    if isinstance(domain, (Obj, Tagged)):
+        where = path or "config"
+        if not isinstance(value, dict):
+            raise SchemaError(f"{where} must be an object, got {value!r}")
+        if isinstance(domain, Tagged) and domain.tag:
+            name = value.get(domain.tag)
+            if not isinstance(name, str) or name not in domain.variants:
+                raise SchemaError(f"{where}.{domain.tag} must be one of "
+                                  f"{sorted(domain.variants)}, got {name!r}")
+            domain = domain.variants[name]
+        elif isinstance(domain, Tagged):
+            names = [name for name in domain.variants if name in value]
+            if len(names) != 1:
+                raise SchemaError(f"{where} must hold one of the keys {sorted(domain.variants)}")
+            domain = domain.variants[names[0]]
+        extra = set(value) - set(domain.required) - set(domain.optional)
+        if extra:
+            raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
+        checked = {}
+        for key, item in (*domain.required.items(), *domain.optional.items()):
+            if key in value:
+                checked[key] = _check(value[key], item, f"{path}.{key}" if path else key, checked)
+            elif key in domain.required:
+                raise SchemaError(f"{where}: missing required key {key!r}")
+        return checked
+    if isinstance(domain, List):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path} must be a list, got {value!r}")
+        size = siblings[domain.size] if isinstance(domain.size, str) else domain.size
+        if size is not None and len(value) != size:
+            raise SchemaError(f"{path} must have length {size}, got {value!r}")
+        if domain.nonempty and not value:
+            raise SchemaError(f"{path} must not be empty")
+        return [_check(x, domain.item, f"{path}[{i}]", siblings) for i, x in enumerate(value)]
+    if isinstance(domain, Int):
+        try:
+            number = float(value)
+            ok = domain.least <= number <= domain.most and number.is_integer()
+        except (ValueError, TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise SchemaError(
+                f"{path} must be an integer from {domain.least} to {domain.most}, got {value!r}")
+        return int(number)
+    finite = isinstance(domain, Real)
+    if isinstance(domain, Choice):
+        if value not in domain.values:
+            raise SchemaError(f"{path} must be one of {list(domain.values)}, got {value!r}")
+    elif domain in (str, bool):
+        if not isinstance(value, domain):
+            what = "a string" if domain is str else "true or false"
+            raise SchemaError(f"{path} must be {what}, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path} must be a number, got {value!r}")
+    # a float key takes NaN and the infinities, but no int beyond the doubles
+    elif not abs(value) <= sys.float_info.max and (finite or isinstance(value, int)):
+        raise SchemaError(f"{path} must be finite, got {value!r}")
+    elif finite and domain.positive and value <= 0:
+        raise SchemaError(f"{path} must be positive, got {value!r}")
     return value
 
 
 def _build_model(section: dict):
-    kind = _need(section, "kind", "model")
-    if kind == "car1":
-        _no_extra(section, {"kind", "a", "lipschitz", "infimum"}, "model")
-        return Car1Spec(
-            a=ExprFunc(_need(section, "a", "model")),
-            lipschitz_a=float(_need(section, "lipschitz", "model")),
-            infimum_a=float(_need(section, "infimum", "model")),
-        )
-    if kind == "statespace":
-        _no_extra(
-            section,
-            {"kind", "p", "A_entries", "B", "C", "commuting", "stability_margin", "lipschitz"},
-            "model",
-        )
-        lip = _need(section, "lipschitz", "model")
-        _no_extra(lip, {"A", "B", "C"}, "model.lipschitz")
-        p = int(_need(section, "p", "model"))
-        entries = _list(section, "A_entries", "model")
-        if len(entries) != p or any(not isinstance(r, list) or len(r) != p for r in entries):
-            raise SchemaError(f"model.A_entries: expected a {p}x{p} expression matrix")
-        A = ExprMatrix(entries)
-        B = ExprVector(_list(section, "B", "model"))
-        C = ExprVector(_list(section, "C", "model"))
-        if len(B.funcs) != p or len(C.funcs) != p:
-            raise SchemaError(f"model.B and model.C must have length {p}")
-        return ModelSpec(
-            p=p,
-            A=A,
-            B=B,
-            C=C,
-            lipschitz=Lipschitz(
-                L_A=float(lip.get("A", 0.0)),
-                L_B=float(lip.get("B", 0.0)),
-                L_C=float(lip.get("C", 0.0)),
-            ),
-            commuting=bool(_need(section, "commuting", "model")),
-            stability_margin=float(_need(section, "stability_margin", "model")),
-        )
-    raise SchemaError(f"model.kind: unknown kind {kind!r}")
+    """The model of a checked ``model`` section."""
+    if section["kind"] == "car1":
+        return Car1Spec(a=ExprFunc(section["a"]), lipschitz_a=float(section["lipschitz"]),
+                        infimum_a=float(section["infimum"]))
+    lip = section["lipschitz"]
+    return ModelSpec(
+        p=section["p"],
+        A=ExprMatrix(section["A_entries"]),
+        B=ExprVector(section["B"]),
+        C=ExprVector(section["C"]),
+        lipschitz=Lipschitz(L_A=float(lip.get("A", 0.0)), L_B=float(lip.get("B", 0.0)),
+                            L_C=float(lip.get("C", 0.0))),
+        commuting=section["commuting"],
+        stability_margin=float(section["stability_margin"]),
+    )
 
 
 def _build_triplet(section: dict) -> LevyTriplet:
-    """The driver of the ``triplet`` section; a value the driver rejects (a
-    negative variance, a non-finite number) is a schema error that names it."""
-    _no_extra(section, {"gamma", "sigma2", "jumps"}, "triplet")
+    """The driver of a checked ``triplet`` section."""
     jsec = section.get("jumps")
-    if jsec is not None:
-        _no_extra(jsec, {"rate", "atoms", "normal"}, "triplet.jumps")
-    try:
-        jumps = None if jsec is None else JumpSpec(
-            rate=float(_need(jsec, "rate", "triplet.jumps")),
-            atoms=None if jsec.get("atoms") is None else tuple(
-                tuple(a) for a in _list(jsec, "atoms", "triplet.jumps")),
-            normal=None if jsec.get("normal") is None else tuple(
-                _list(jsec, "normal", "triplet.jumps")),
-        )
-        return LevyTriplet(
-            gamma=float(_need(section, "gamma", "triplet")),
-            sigma2=float(_need(section, "sigma2", "triplet")),
-            jumps=jumps,
-        )
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"triplet: {exc}") from None
-
-
-def _finite(section: dict, key: str, path: str) -> float:
-    """The number at ``key``; a NaN or an infinity is a schema error naming it."""
-    value = float(_need(section, key, path))
-    if not np.isfinite(value):
-        raise SchemaError(f"{path}.{key} must be finite, got {value}")
-    return value
-
-
-def _count(section: dict, key: str, path: str, most: int, least: int = 1) -> int:
-    """The integer at ``key``, from ``least`` to ``most``; anything else is a
-    schema error naming it."""
-    value = _need(section, key, path)
-    try:
-        ok = least <= float(value) <= most and float(value).is_integer()
-    except (ValueError, TypeError):
-        ok = False
-    if not ok:
-        raise SchemaError(f"{path}.{key} must be an integer from {least} to {most}, got {value!r}")
-    return int(float(value))
-
-
-def _lag(section: dict, key: str, path: str) -> int:
-    """The integer lag at ``key``, of either sign: a negative lag is a
-    semantic error of the statistic, not of the schema."""
-    return _count(section, key, path, _MAX_STEPS, least=-_MAX_STEPS)
+    jumps = None if jsec is None else JumpSpec(
+        rate=float(jsec["rate"]),
+        atoms=tuple(map(tuple, jsec["atoms"])) if "atoms" in jsec else None,
+        normal=tuple(jsec["normal"]) if "normal" in jsec else None,
+    )
+    return LevyTriplet(gamma=float(section["gamma"]), sigma2=float(section["sigma2"]), jumps=jumps)
 
 
 def _build_scheme_rules(section: dict):
-    kind = _need(section, "scheme", "scheme")
-    u = _finite(section, "u", "scheme")
-    bw = BandwidthRule(b=_finite(section, "b", "scheme"), beta=_finite(section, "beta", "scheme"))
-    if kind == "O1":
-        _no_extra(section, {"scheme", "u", "b", "beta", "Delta"}, "scheme")
-        step = StepRuleO1(Delta=_finite(section, "Delta", "scheme"))
-    elif kind == "O2":
-        _no_extra(section, {"scheme", "u", "b", "beta", "d", "alpha"}, "scheme")
-        step = StepRuleO2(d=_finite(section, "d", "scheme"), alpha=_finite(section, "alpha", "scheme"))
+    """The point u, bandwidth rule and step rule of a checked ``scheme``."""
+    bandwidth = BandwidthRule(b=float(section["b"]), beta=float(section["beta"]))
+    if section["scheme"] == "O1":
+        step = StepRuleO1(Delta=float(section["Delta"]))
     else:
-        raise SchemaError(f"scheme.scheme must be 'O1' or 'O2', got {kind!r}")
-    return u, bw, step
-
-
-_EXPERIMENT_KEYS = {
-    "kind",
-    "N_list",
-    "replications",
-    "lag",
-    "statistic",
-    "t_end",
-    "n_quad",
-    "ladder",
-    "p_norm",
-    "time_points",
-    "rmse_tol",
-    "validate_inputs",
-}
+        step = StepRuleO2(d=float(section["d"]), alpha=float(section["alpha"]))
+    return float(section["u"]), bandwidth, step
 
 
 def _parse_config(text: str, seed: int, workers: int) -> dict:
-    """Validate the full config document; raises SchemaError / SemanticError."""
+    """Check the config document against ``CONFIG`` and build its objects.
+
+    A value outside its key's domain raises SchemaError; a value the model,
+    driver, scheme or experiment rejects raises their ValueError, and a
+    scheme the central limit theorem does not cover raises SemanticError."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("config root must be an object")
-    _no_extra(
-        raw,
-        {"model", "triplet", "kernel", "scheme", "simulation", "experiment", "simulate",
-         "estimate", "moments"},
-        "config",
-    )
-    out = {}
-    try:
-        out["model"] = _build_model(_need(raw, "model", "config"))
-        out["triplet"] = _build_triplet(_need(raw, "triplet", "config"))
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc)) from None
-    out["kernel_name"] = raw.get("kernel", "rectangular")
-    try:
-        out["kernel"] = from_name(out["kernel_name"])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    doc = _check(raw, CONFIG, "", {})
+    out = {"model": _build_model(doc["model"]), "triplet": _build_triplet(doc["triplet"])}
+    out["kernel_name"] = doc.get("kernel", "rectangular")
+    out["kernel"] = from_name(out["kernel_name"])
+    if "scheme" in doc:
+        out["u"], out["bandwidth"], out["step_rule"] = _build_scheme_rules(doc["scheme"])
+    sim = doc.get("simulation", {})
+    out["fine_step"] = float(sim.get("fine_step", 0.01))
+    out["burn_in"] = float(sim.get("burn_in", 8.0 / out["model"].stability_margin))
 
-    if "scheme" in raw:
-        try:
-            out["u"], out["bandwidth"], out["step_rule"] = _build_scheme_rules(raw["scheme"])
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(str(exc)) from None
-    sim = raw.get("simulation", {})
-    _no_extra(sim, {"fine_step", "burn_in"}, "simulation")
-    try:
-        out["fine_step"] = float(sim.get("fine_step", 0.01))
-        out["burn_in"] = float(sim.get("burn_in", 8.0 / out["model"].stability_margin))
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"simulation: {exc}") from None
-
-    if "experiment" in raw:
-        esec = raw["experiment"]
-        _no_extra(esec, _EXPERIMENT_KEYS, "experiment")
-        kind = _need(esec, "kind", "experiment")
-        if kind not in ("coupling", "lln_discrete", "lln_continuous", "clt_mean", "clt_cov",
-                        "lipschitz_u"):
-            raise SchemaError(f"experiment.kind: unknown kind {kind!r}")
-        extra = {key: esec[key] for key in _EXPERIMENT_KEYS - {"kind", "N_list", "replications"}
-                 if key in esec}
-        if "n_quad" in esec:  # one fine step at least per interval
-            extra["n_quad"] = _count(esec, "n_quad", "experiment", _MAX_STEPS)
-        if "lag" in esec:
-            extra["lag"] = _lag(esec, "lag", "experiment")
-        if "ladder" in esec:
-            extra["ladder"] = _list(esec, "ladder", "experiment")
-        replications = _count(esec, "replications", "experiment", _MAX_REPLICATIONS)
-        try:
-            out["experiment"] = ExperimentConfig(
-                kind=kind,
-                model=out["model"],
-                triplet=out["triplet"],
-                u=out.get("u", 1.0),
-                N_list=tuple(_list(esec, "N_list", "experiment")),
-                replications=replications,
-                seed=seed,
-                fine_step=out["fine_step"],
-                burn_in=out["burn_in"],
-                kernel=out["kernel"],
-                bandwidth=out.get("bandwidth"),
-                step_rule=out.get("step_rule"),
-                workers=workers,
-                **extra,
-            )
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"experiment: {exc}") from None
+    if "experiment" in doc:
+        out["experiment"] = ExperimentConfig(
+            **doc["experiment"], model=out["model"], triplet=out["triplet"], u=out.get("u", 1.0),
+            seed=seed, fine_step=out["fine_step"], burn_in=out["burn_in"], kernel=out["kernel"],
+            bandwidth=out.get("bandwidth"), step_rule=out.get("step_rule"), workers=workers,
+        )
         # semantic gates that reference the target theorems
-        if kind in ("clt_mean", "clt_cov"):
+        if out["experiment"].kind in ("clt_mean", "clt_cov"):
             if "bandwidth" not in out:
                 raise SchemaError("clt experiments need a scheme section")
             if not clt_admissible(out["bandwidth"], out["step_rule"]):
@@ -313,14 +318,7 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
                     f"clt experiments need a centered driver; driver mean is {mu} "
                     "(set gamma to subtract it)"
                 )
-    for section, allowed in (
-        ("simulate", {"times", "use_scheme_grid", "lag"}),
-        ("estimate", {"path_file", "statistics"}),
-        ("moments", {"u", "delta", "autocov_lags", "tilde_lags"}),
-    ):
-        if section in raw:
-            _no_extra(raw[section], allowed, section)
-            out[section] = raw[section]
+    out.update((key, doc[key]) for key in ("simulate", "estimate", "moments") if key in doc)
     return out
 
 
@@ -374,16 +372,14 @@ def _eval_times_from_config(cfg: dict):
         if N is None:
             raise SemanticError("simulate.use_scheme_grid requires an experiment.N_list")
         scheme = make_scheme(cfg["u"], N, cfg["bandwidth"], cfg["step_rule"])
-        lag = _count(sec, "lag", "simulate", _MAX_STEPS, least=0) if "lag" in sec else 0
         # the union rule of the campaigns, so near-duplicate nodes collapse
-        offsets, _, _ = _union_offsets(scheme, lag)
+        offsets, _, _ = _union_offsets(scheme, sec.get("lag", 0))
         return N, (N * scheme.u + offsets) / N
-    times = _list(sec, "times", "simulate") if "times" in sec else []
-    if not times:
+    if not sec.get("times"):
         raise SchemaError("simulate: provide 'times' or set 'use_scheme_grid'")
     exp = cfg.get("experiment")
     N = exp.N_list[-1] if exp is not None else 1
-    return N, np.asarray(times, dtype=float)
+    return N, np.asarray(sec["times"], dtype=float)
 
 
 def _cmd_simulate(cfg: dict, seed: int, out_dir: str) -> int:
@@ -403,15 +399,21 @@ def _cmd_simulate(cfg: dict, seed: int, out_dir: str) -> int:
 
 
 def _read_path_csv(file_path: str) -> PathSample:
+    """The path in the CSV file at ``file_path``: a time,value header, then
+    one time and one value per line. Anything else is a schema error naming
+    the file and its 1-based line."""
     times, values = [], []
     with open(file_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["time", "value"]:
-            raise SchemaError(f"{file_path}: expected header time,value")
+        if [h.strip() for h in next(reader, [])[:2]] != ["time", "value"]:
+            raise SchemaError(f"{file_path} line 1: expected header time,value")
         for row in reader:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise SchemaError(f"{file_path} line {reader.line_num}: expected a time and "
+                                  f"a value, got {row!r}") from None
     return PathSample(times=np.asarray(times), values=np.asarray(values))
 
 
@@ -421,28 +423,23 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
         raise SchemaError("estimate subcommand needs an 'estimate' config section")
     if "bandwidth" not in cfg:
         raise SchemaError("estimate subcommand needs a scheme section")
-    statistics = _list(sec, "statistics", "estimate")
-    path = _read_path_csv(_need(sec, "path_file", "estimate"))
+    path = _read_path_csv(sec["path_file"])
     exp = cfg.get("experiment")
     N = exp.N_list[-1] if exp is not None else 1
     scheme = make_scheme(cfg["u"], N, cfg["bandwidth"], cfg["step_rule"])
     kernel = cfg["kernel"]
     rows = []
-    for spec in statistics:
-        _no_extra(spec, {"kind", "k", "center"}, "estimate.statistics[]")
-        kind = _need(spec, "kind", "estimate.statistics[]")
-        k = _lag(spec, "k", "estimate.statistics[]") if spec.get("k") is not None else None
+    for spec in sec["statistics"]:
+        kind, k = spec["kind"], spec.get("k")
         if kind == "mean":
             st = localized_mean(path, scheme, kernel)
             rows.append([scheme.N, scheme.u, "mean", 0, st.value, st.weight_sum])
         elif kind == "autocov":
             st = localized_autocov(path, scheme, kernel, k or 0)
             rows.append([scheme.N, scheme.u, "autocov", k or 0, st.value, st.weight_sum])
-        elif kind == "clt":
+        else:
             value = clt_statistic(path, scheme, kernel, k=k, center=float(spec.get("center", 0.0)))
             rows.append([scheme.N, scheme.u, "clt", k or 0, value, ""])
-        else:
-            raise SchemaError(f"estimate.statistics[]: unknown kind {kind!r}")
     csv_path = os.path.join(out_dir, f"estimate-{seed}.csv")
     _write_csv(csv_path, ["N", "u", "kind", "k", "value", "weight_sum"], rows)
     _write_json(
@@ -454,9 +451,6 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
 
 def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("moments", {})
-    tilde = {f"tilde_lags[{i}]": k
-             for i, k in enumerate(_list(sec, "tilde_lags", "moments", [0, 1]))}
-    tilde_lags = [_lag(tilde, key, "moments") for key in tilde]
     u = float(sec.get("u", cfg.get("u", 1.0)))
     mom = stationary.stationary_moments(cfg["model"], u, cfg["triplet"])
     record = {
@@ -466,14 +460,14 @@ def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
         "second_moment": mom.second_moment,
         "fourth_moment": mom.fourth_moment,
     }
-    for lag in _list(sec, "autocov_lags", "moments", [0.0, 0.5, 1.0, 2.0]):
+    for lag in sec.get("autocov_lags", [0.0, 0.5, 1.0, 2.0]):
         record[f"autocov_{lag:g}"] = float(mom.autocov(float(lag)))
     if mom.sigma2_O2 is not None:
         delta = float(sec.get("delta", 1.0))
         record[f"sigma2_O1_delta_{delta:g}"] = float(mom.sigma2_O1(delta))
         record["sigma2_O2"] = float(mom.sigma2_O2)
         if mom.sigma2_tilde_O2 is not None:
-            for k in tilde_lags:
+            for k in sec.get("tilde_lags", [0, 1]):
                 record[f"sigma2_tilde_O2_k{k:d}"] = float(mom.sigma2_tilde_O2(k))
     else:
         record["sigma2_note"] = "driver not centered; limit variances undefined"
@@ -573,7 +567,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     try:
         cfg = _parse_config(text, args.seed, args.workers)
-    except SchemaError as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except SemanticError as exc:

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from locstat.cli import _count, _write_csv, main
+from locstat.cli import _write_csv, main
 from locstat.dynamics import PathSample
 from locstat.estimators import localized_autocov, localized_mean
 from locstat.kernels import rectangular
@@ -70,7 +70,7 @@ def test_non_finite_driver_values_exit_2_naming_the_key(tmp_path, capsys, path, 
     })
     assert main(["lln", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"triplet: {'jump ' if len(path) > 1 else ''}{path[-1]} must be finite" in err
+    assert f"triplet.{'.'.join(path)}" in err and "must be finite" in err
 
 
 @pytest.mark.parametrize("subcommand, experiment, simulation, key", [
@@ -123,9 +123,9 @@ CLT_SCHEME = {"u": 1.0, "b": 0.5, "beta": 0.55, "scheme": "O1", "Delta": 1.0}
     ("simulate", {**SIM, "simulate": {"use_scheme_grid": True, "lag": 1.5}}, "simulate.lag", 2),
     ("simulate", {**SIM, "simulate": {"use_scheme_grid": True, "lag": -1}}, "simulate.lag", 2),
     ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": [
-        {"kind": "autocov", "k": 1.5}]}}, "estimate.statistics[].k", 2),
+        {"kind": "autocov", "k": 1.5}]}}, "estimate.statistics[0].k", 2),
     ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": [
-        {"kind": "clt", "k": 1.5}]}}, "estimate.statistics[].k", 2),
+        {"kind": "clt", "k": 1.5}]}}, "estimate.statistics[0].k", 2),
     ("moments", {"moments": {"tilde_lags": [0, 1.5]}}, "moments.tilde_lags[1]", 2),
     # a negative lag is still the statistic's semantic error
     ("clt", {"scheme": CLT_SCHEME, "experiment": {
@@ -145,10 +145,21 @@ def test_lags_must_be_integers_and_simulate_lag_nonnegative(
     assert key in capsys.readouterr().err
 
 
-def test_count_takes_a_numeric_string_it_accepts():
+def test_count_takes_a_numeric_string_it_accepts(tmp_path, capsys):
     # "100.0" passed the range check and then ended in int("100.0")
-    assert _count({"replications": "100.0"}, "replications", "experiment", 1000) == 100
-    assert _count({"lag": -3}, "lag", "experiment", 10, least=-10) == -3
+    outputs = []
+    for replications in (100, "100.0"):
+        out = tmp_path / str(replications)
+        cfg = write_config(tmp_path, {"experiment": {
+            "kind": "lln_discrete", "N_list": [16, 64], "replications": replications}})
+        assert main(["lln", "--config", cfg, "--out", str(out)]) in (0, 1)
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    # a negative integer lag passes the schema to the statistic's own check
+    cfg = write_config(tmp_path, {"scheme": CLT_SCHEME, "experiment": {
+        "kind": "clt_cov", "N_list": [64], "replications": 1000, "lag": -3}})
+    assert main(["clt", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_estimate_without_a_scheme_exits_2_naming_the_section(tmp_path, capsys):
@@ -231,7 +242,101 @@ def test_a_statistic_given_as_a_scalar_exits_2_naming_it(tmp_path, capsys):
     (tmp_path / "path.csv").write_text("time,value\n1,0\n")
     cfg = {**SIM, "estimate": {"path_file": str(tmp_path / "path.csv"), "statistics": [5]}}
     assert main(["estimate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
-    assert "estimate.statistics[] must be an object" in capsys.readouterr().err
+    assert "estimate.statistics[0] must be an object" in capsys.readouterr().err
+
+
+MOMENTS = {"moments": {"u": 1.0, "delta": 0.5, "autocov_lags": [0.0], "tilde_lags": [0, 1]}}
+LIPSCHITZ = {"experiment": {"kind": "lipschitz_u", "N_list": [1], "replications": 64,
+                            "ladder": [0.1], "time_points": 8}}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("subcommand, extra, path, value, key", [
+    ("moments", MOMENTS, ("moments", "autocov_lags"), [[1]], "moments.autocov_lags[0]"),
+    ("moments", MOMENTS, ("moments", "autocov_lags"), ["1"], "moments.autocov_lags[0]"),
+    ("moments", MOMENTS, ("moments", "autocov_lags"), [NAN], "moments.autocov_lags[0]"),
+    ("simulate", {**TIMES, "triplet": ATOMS}, ("triplet", "jumps", "atoms"), [1.0, 2.0],
+     "triplet.jumps.atoms[0]"),
+    ("simulate", {**TIMES, "triplet": ATOMS}, ("triplet", "jumps", "atoms"),
+     [[1.0], [2.0, 1.0]], "triplet.jumps.atoms[0]"),
+    ("simulate", {**TIMES, "triplet": {**ATOMS, "jumps": {"rate": 1.0, "normal": [0.0, 0.5]}}},
+     ("triplet", "jumps", "normal"), [0.0], "triplet.jumps.normal"),
+    ("simulate", TIMES, ("simulate", "times"), ["a", 1.0], "simulate.times[0]"),
+    ("simulate", TIMES, ("simulate", "times"), [[0.5], 1.0], "simulate.times[0]"),
+    ("lipschitz", LIPSCHITZ, ("experiment", "ladder"), ["a"], "experiment.ladder[0]"),
+    ("lipschitz", LIPSCHITZ, ("experiment", "ladder"), [NAN], "experiment.ladder[0]"),
+    ("lipschitz", LIPSCHITZ, ("experiment", "ladder"), [-0.1], "experiment.ladder[0]"),
+    ("lipschitz", LIPSCHITZ, ("experiment", "time_points"), 2.5, "experiment.time_points"),
+    ("lipschitz", LIPSCHITZ, ("experiment", "time_points"), 0, "experiment.time_points"),
+    ("simulate", TIMES, ("experiment", "N_list"), [16.5, 64], "experiment.N_list[0]"),
+    ("simulate", TIMES, ("experiment", "N_list"), [[16], 64], "experiment.N_list[0]"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "p"), 2.5, "model.p"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "commuting"), "no", "model.commuting"),
+    ("simulate", TIMES, ("experiment", "validate_inputs"), "no", "experiment.validate_inputs"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "B"), [1, "1"], "model.B[0]"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "A_entries"), [[0, "0"], ["0", "-2"]],
+     "model.A_entries[0][0]"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "stability_margin"), NAN,
+     "model.stability_margin"),
+    ("simulate", {**TIMES, "model": STATESPACE}, ("model", "lipschitz", "A"), NAN,
+     "model.lipschitz.A"),
+    ("simulate", TIMES, ("model", "infimum"), NAN, "model.infimum"),
+    ("moments", MOMENTS, ("moments", "u"), "x", "moments.u"),
+    ("moments", MOMENTS, ("moments", "u"), NAN, "moments.u"),
+    ("moments", MOMENTS, ("moments", "delta"), NAN, "moments.delta"),
+    ("estimate", {**SIM, "estimate": {"path_file": "", "statistics": [{"kind": "mean"}]}},
+     ("estimate", "path_file"), 5, "estimate.path_file"),
+], ids=["autocov_lags-list", "autocov_lags-string", "autocov_lags-nan", "atoms-flat",
+        "atoms-short", "normal-short", "times-string", "times-list", "ladder-string", "ladder-nan",
+        "ladder-negative", "time_points-2.5", "time_points-0", "N_list-16.5", "N_list-list",
+        "p-2.5", "commuting-no", "validate_inputs-no", "B-number", "A_entries-number",
+        "stability_margin-nan", "lipschitz.A-nan", "infimum-nan", "moments.u-string",
+        "moments.u-nan", "delta-nan", "path_file-5"])
+def test_values_outside_their_domain_exit_2_naming_the_key_and_index(
+        tmp_path, capsys, subcommand, extra, path, value, key):
+    # each ended at the parent in a traceback, an exit 3 with numpy's, LAPACK's
+    # or Python's message, an exit 2 naming no key, an exit 4 on file
+    # descriptor 5, or a run on a truncated, coerced or NaN value
+    cfg = write_config(tmp_path, _set({**BASE, **extra}, path, value))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {key} must" in capsys.readouterr().err
+
+
+def test_an_integer_path_file_exits_2_and_leaves_stderr_open(tmp_path):
+    # open(2) took the number for a file descriptor and closed stderr; the
+    # error print then raised OSError and the run ended with exit 1 and no
+    # message
+    cfg = write_config(tmp_path, {**SIM, "estimate": {"path_file": 2,
+                                                      "statistics": [{"kind": "mean"}]}})
+    script = textwrap.dedent(f"""
+        import os
+        from locstat.cli import main
+        code = main(["estimate", "--config", {cfg!r}, "--out", {str(tmp_path)!r}])
+        os.fstat(2)
+        print(code)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2"]
+    assert "config error: estimate.path_file must be a string" in run.stderr
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1), ("time,value\n1\n", 2), ("time,value\n0,0\n1,x\n", 3),
+], ids=["empty", "one-cell", "not-a-number"])
+def test_a_malformed_path_csv_exits_2_naming_the_file_and_line(tmp_path, capsys, text, line):
+    # an empty file and a row of one cell ended in a traceback, and a cell
+    # that is not a number exited 3 naming neither the file nor the line
+    csv_path = tmp_path / "path.csv"
+    csv_path.write_text(text)
+    cfg = write_config(tmp_path, {**SIM, "estimate": {"path_file": str(csv_path),
+                                                      "statistics": [{"kind": "mean"}]}})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {csv_path} line {line}: expected" in capsys.readouterr().err
 
 
 def test_missing_config_exit_4(tmp_path):

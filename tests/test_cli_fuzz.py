@@ -6,10 +6,10 @@ Models are scalar ``car1`` or ``statespace`` with p = 1..3, commuting
 strictly lower triangular). The declared margins and Lipschitz constants
 hold for most draws; a draw whose declaration fails the sampled validation
 must still end with exit 3, not a crash. Boundary configs set one key of
-the driver, the scheme, the simulation or the experiment, or a list key of
-the model, simulate, estimate or moments sections, to 0, -1, 1e308, NaN,
-Infinity or [] (a lag also to 1.5) and run in a child interpreter, whose
-stderr must hold no traceback.
+the config table to 0, -1, 1e308, NaN, Infinity or [] (a lag also to 1.5),
+or one element of a list key to a list, a string or NaN, and run in a child
+interpreter, whose stderr must hold no traceback. Every key of the table is
+drawn, or exempt for a stated reason.
 """
 
 import json
@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locstat.cli import main
+from locstat.cli import CONFIG, Maybe, Obj, Tagged, main
 
 SUBCOMMANDS = ("simulate", "moments", "lln", "clt", "coupling", "lipschitz")
 
@@ -142,43 +142,63 @@ def test_schema_valid_configs_end_with_a_documented_exit_code(case, seed):
     assert code in (0, 1, 2, 3, 4)
 
 
-# keys a config may set to a boundary value: the driver's numbers, the
-# scheme's, the sizes of a run and the lists of the other sections, which a
-# number then stands in for. Each must run or end with an exit code, never a
+# keys a config may set to a boundary value: every key of the config table
+# but those in EXEMPT_KEYS. Each must run or end with an exit code, never a
 # traceback.
 BOUNDARY_KEYS = (
     ("triplet", "gamma"), ("triplet", "sigma2"), ("triplet", "jumps", "rate"),
-    ("triplet", "jumps", "atoms"), ("triplet", "jumps", "normal"),
-    ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"),
+    ("triplet", "jumps", "atoms"), ("triplet", "jumps", "normal"), ("kernel",),
+    ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"), ("scheme", "beta"),
+    ("scheme", "d"), ("scheme", "alpha"),
     ("simulation", "fine_step"), ("simulation", "burn_in"), ("experiment", "N_list"),
     ("experiment", "t_end"), ("experiment", "n_quad"), ("experiment", "ladder"),
     ("experiment", "rmse_tol"), ("experiment", "replications"), ("experiment", "lag"),
-    ("model", "B"), ("simulate", "times"), ("estimate", "statistics"),
-    ("moments", "tilde_lags"), ("moments", "autocov_lags"),
+    ("experiment", "statistic"), ("experiment", "time_points"), ("experiment", "p_norm"),
+    ("experiment", "validate_inputs"),
+    ("model", "p"), ("model", "A_entries"), ("model", "B"), ("model", "C"),
+    ("model", "commuting"), ("model", "stability_margin"), ("model", "lipschitz", "A"),
+    ("model", "lipschitz", "B"), ("model", "lipschitz", "C"), ("model", "lipschitz"),
+    ("model", "infimum"),
+    ("simulate", "times"), ("simulate", "use_scheme_grid"), ("simulate", "lag"),
+    ("estimate", "path_file"), ("estimate", "statistics"),
+    ("moments", "u"), ("moments", "delta"), ("moments", "tilde_lags"), ("moments", "autocov_lags"),
 )
+EXEMPT_KEYS = {
+    ("model", "kind"): "a discriminator: any other value is one unknown-variant check",
+    ("scheme", "scheme"): "a discriminator: any other value is one unknown-variant check",
+    ("experiment", "kind"): "a discriminator of the run: any other value is one choice check",
+    ("model", "a"): "an expression string: the grammar is tested in test_expressions.py",
+}
+CAR1_KEYS = (("model", "lipschitz"), ("model", "infimum"))
 # a one-point path for the estimate subcommand
 PATH_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "path.csv")
 BOUNDARY_VALUES = (0, -1, 1e308, float("nan"), float("inf"), [])
 LAG_VALUES = (*BOUNDARY_VALUES, 1.5)  # a lag must also be an integer
+ELEMENT_VALUES = ([1.0], "x", float("nan"))
 
 
 @st.composite
 def boundary_cases(draw):
     """(subcommand, config) with one key of a valid tiny config set to 0, -1,
-    1e308, NaN, Infinity or [] (or 1.5, for a lag)."""
+    1e308, NaN, Infinity or [] (or 1.5, for a lag), or one element of a
+    list key set to a list, a string or NaN."""
     path = draw(st.sampled_from(BOUNDARY_KEYS))
     if path[-1] in ("t_end", "n_quad"):
         subcommand, section = "lln", {"experiment": {
             "kind": "lln_continuous", "N_list": [16], "replications": 100, "n_quad": 16}}
-    elif path[-1] == "lag":
+    elif path == ("experiment", "lag"):
         subcommand, section = draw(st.sampled_from((
             ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64],
                                     "replications": 100, "statistic": "autocov", "lag": 1}}),
             ("clt", {"experiment": {"kind": "clt_cov", "N_list": [64], "replications": 1000,
                                     "lag": 1}}),
         )))
-    elif path[-1] == "ladder":
+    elif path[-1] in ("ladder", "time_points", "p_norm"):
         subcommand, section = "lipschitz", draw(sections("lipschitz"))
+    elif path in (("simulate", "lag"), ("simulate", "use_scheme_grid")):
+        subcommand, section = "simulate", {
+            "experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
+            "simulate": {"use_scheme_grid": True, "lag": 1}}
     elif path[0] in ("simulate", "moments"):
         subcommand, section = path[0], draw(sections(path[0]))
     elif path[0] == "estimate":
@@ -190,17 +210,26 @@ def boundary_cases(draw):
         section = draw(sections(subcommand))
     jumps = ({"rate": 0.5, "normal": [0.0, 0.5]} if path[-1] == "normal"
              else {"rate": 0.5, "atoms": [[1.0, 0.5], [-1.0, 0.5]]})
+    scheme = ({"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O2", "d": 0.25, "alpha": 0.5}
+              if path[-1] in ("d", "alpha") else
+              {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0})
     cfg = {
-        "model": draw(statespace_models() if path[0] == "model" else car1_models()),
+        "model": draw(statespace_models() if path[0] == "model" and path not in CAR1_KEYS
+                      else car1_models()),
         "triplet": {"gamma": 0.0, "sigma2": 0.5, "jumps": jumps},
-        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+        "scheme": scheme,
         "simulation": {"fine_step": 0.125, "burn_in": 8.0},
         **section,
     }
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = draw(st.sampled_from(LAG_VALUES if path[-1] == "lag" else BOUNDARY_VALUES))
+    if isinstance(node.get(path[-1]), list) and draw(st.booleans()):
+        node, path = node[path[-1]], (draw(st.integers(0, len(node[path[-1]]) - 1)),)
+        values = ELEMENT_VALUES
+    else:
+        values = LAG_VALUES if path[-1] == "lag" else BOUNDARY_VALUES
+    node[path[-1]] = draw(st.sampled_from(values))
     return subcommand, cfg
 
 
@@ -240,6 +269,27 @@ def _run_in_child(cases, timeout, address_space=None):
 def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases):
     codes, _ = _run_in_child(cases, timeout=600)
     assert all(code in (0, 1, 2, 3, 4) for code in codes), codes
+
+
+def _table_keys(domain, path=()):
+    """The paths of the keys of the config table whose domain is not an
+    object, over every variant."""
+    domain = domain.domain if isinstance(domain, Maybe) else domain
+    if isinstance(domain, Tagged):
+        return set().union(*(_table_keys(v, path) for v in domain.variants.values()))
+    if isinstance(domain, Obj):
+        return set().union(*(_table_keys(item, path + (key,)) for key, item in
+                             {**domain.required, **domain.optional}.items()))
+    return {path}
+
+
+def test_every_table_key_is_a_boundary_key_or_exempt():
+    keys = _table_keys(CONFIG)
+    unfuzzed = keys - set(BOUNDARY_KEYS) - set(EXEMPT_KEYS)
+    assert not unfuzzed, f"keys neither fuzzed nor exempt: {sorted(unfuzzed)}"
+    stale = (set(BOUNDARY_KEYS) | set(EXEMPT_KEYS)) - keys
+    assert not stale, f"fuzzed or exempt keys not in the table: {sorted(stale)}"
+    assert not set(BOUNDARY_KEYS) & set(EXEMPT_KEYS)
 
 
 def test_huge_sizes_exit_naming_their_key():
