@@ -449,26 +449,44 @@ def _cmd_estimate(cfg: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _finite(key: str, compute) -> float:
+    """``compute()`` as a float. A value that is not finite, or that overflows
+    a float on the way, is an error naming its output key (exit 3)."""
+    try:
+        with np.errstate(all="ignore"):
+            value = float(compute())
+    except OverflowError:
+        value = float("inf")
+    if not np.isfinite(value):
+        raise ValueError(f"moments: {key} is not finite ({value}) for this model and triplet")
+    return value
+
+
 def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("moments", {})
     u = float(sec.get("u", cfg.get("u", 1.0)))
-    mom = stationary.stationary_moments(cfg["model"], u, cfg["triplet"])
+    model, triplet = cfg["model"], cfg["triplet"]
+    mean = _finite("mean", lambda: stationary.stationary_mean(model, u, triplet))
+    var = _finite("variance", lambda: stationary.stationary_autocov(model, u, triplet, 0.0))
     record = {
         "u": u,
-        "mean": mom.mean,
-        "variance": mom.variance,
-        "second_moment": mom.second_moment,
-        "fourth_moment": mom.fourth_moment,
+        "mean": mean,
+        "variance": var,
+        "second_moment": _finite("second_moment", lambda: var + mean**2),
+        "fourth_moment": _finite("fourth_moment",
+                                 lambda: stationary.fourth_moment_integral(model, u, triplet)),
     }
     for lag in sec.get("autocov_lags", [0.0, 0.5, 1.0, 2.0]):
-        record[f"autocov_{lag:g}"] = float(mom.autocov(float(lag)))
-    if mom.sigma2_O2 is not None:
+        key = f"autocov_{lag:g}"
+        record[key] = _finite(key, lambda: stationary.stationary_autocov(model, u, triplet, float(lag)))
+    if abs(triplet_moments(triplet).mu_L) <= 1e-12:
         delta = float(sec.get("delta", 1.0))
-        record[f"sigma2_O1_delta_{delta:g}"] = float(mom.sigma2_O1(delta))
-        record["sigma2_O2"] = float(mom.sigma2_O2)
-        if mom.sigma2_tilde_O2 is not None:
-            for k in sec.get("tilde_lags", [0, 1]):
-                record[f"sigma2_tilde_O2_k{k:d}"] = float(mom.sigma2_tilde_O2(k))
+        key = f"sigma2_O1_delta_{delta:g}"
+        record[key] = _finite(key, lambda: stationary.sigma2(model, u, triplet, ("O1", delta)).value)
+        record["sigma2_O2"] = _finite("sigma2_O2", lambda: stationary.sigma2(model, u, triplet, "O2").value)
+        for k in sec.get("tilde_lags", [0, 1]):
+            key = f"sigma2_tilde_O2_k{k:d}"
+            record[key] = _finite(key, lambda: stationary.sigma2_tilde(model, u, triplet, k, "O2").value)
     else:
         record["sigma2_note"] = "driver not centered; limit variances undefined"
     _write_json(os.path.join(out_dir, f"moments-{seed}.json"), record)

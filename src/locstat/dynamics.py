@@ -6,27 +6,35 @@ the rescaled process
 
     Y_N(t) = B(t)' X(N t),    dX(s) = A(s/N) X(s) ds + C(s/N) L(ds),
 
-by a state recursion on a fine grid in rescaled time s. A fine step moves
-the state by the exact step law of :class:`StepLaw`, which the frozen process
-of ``stationary`` uses too, with the fourth-order Magnus exponent of A over
-the step and C at the step midpoint (:func:`_step_stack`). A
-stack of diagonal steps takes the identity basis with no eigendecomposition;
-any other stack shares the eigenbasis of its first step wherever that basis
-diagonalizes every step up to a residual of ``_RESIDUAL_MAX``, and otherwise
-each step takes its own.
+by a recursion over its records, x_k = D_k x_{k-1} + eta_k, in rescaled
+time s. Every draw of Y_N, the campaigns' and :func:`simulate_yn`'s alike,
+is one draw of the noise eta_k of each record segment from its law
+(:class:`SegmentLaw`): one sampler, :func:`draw_segment_noise`, draws the
+driver, one map, :func:`_driver_law`, turns a triplet into a law, and one
+affine prefix scan (:func:`affine_states`) runs the recursion. Every model
+runs as a state space model (a :class:`Car1Spec` as its 1x1
+``to_state_space()`` view).
 
-Every model runs as a state space model (a :class:`Car1Spec` as its 1x1
-``to_state_space()`` view), and the recursion runs over records as a prefix
-scan of affine maps (:func:`affine_states`) on the segment data of
-:func:`_segment_stacks`, which sums the steps of a stack in eigen coordinates
-where it can and by matrix products where it must. The eigen-coordinate sums
-(:func:`_eigen_sums`) run step-major, on (g, p[, p], m) arrays whose fine-step
-axis is innermost and contiguous, and keep the bits of the step-second layout
-they replaced (:func:`_step_sum`). Every draw of Y_N, the
-campaigns' and :func:`simulate_yn`'s alike, is one draw of the noise of each
-record segment from its exact law (:class:`SegmentLaw`): one sampler,
-:func:`draw_segment_noise`, draws the driver, and one map,
-:func:`_driver_law`, turns a triplet into a law.
+:func:`_segment_stacks` builds the segment data by one of two laws:
+
+* gap laws, exact for the continuous model, where A shares one basis at
+  the quadrature nodes of the gaps (the identity for a diagonal A, every
+  p = 1 model among them, or a trusted eigenbasis): the transition of a
+  commuting A is exp(int A), so D_k, the drift, the covariance and the jump
+  weights are integrals over each gap, taken by G10K21 panels
+  (:func:`_gap_sums`). A and C are evaluated at the panel nodes only, and
+  the fine step enters neither the work nor the law;
+* fine-step laws elsewhere (a non-commuting or near-defective A): each
+  fine step moves the state by the exact step law of :class:`StepLaw` with
+  the fourth-order Magnus exponent of A over the step and C at its midpoint
+  (:func:`_step_stack`), and the steps of a segment are combined by a
+  matrix scan (:func:`_scan_sums`). These laws are exact for the fine-step
+  recursion; its in-step noise weight freezes A, so against the continuous
+  model they are second order in the fine step, which sets their work.
+
+The fine step keeps its checks (it must divide every gap, a run has at most
+``_MAX_STEPS`` steps) for every model. The frozen process of ``stationary``
+takes :class:`StepLaw` with a constant exponent, which is exact.
 """
 
 import functools
@@ -471,27 +479,29 @@ def covariance_factor(Q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SegmentLaw:
-    """Exact law of the noise a linear recursion adds between two records.
+    """Law of the noise a linear recursion adds between two records.
 
-    Record segment k is the run of fine steps ``[lo, hi)`` that ends at
-    record k: ``hi = plan.record_steps[k]``, and ``lo`` is the record step
-    before it, or 0 for the first segment, the burn-in. With the step laws
-    of :class:`StepLaw` (propagator P_j, drift weight d_j, covariance G_j) and
-    M_j = P_{hi-1} ... P_{j+1}, the recursion moves the state over the
-    segment by x <- D_k x + eta_k, D_k = P_{hi-1} ... P_lo, and eta_k has the
-    law of ``mean_k + chol_k Z`` (Z standard normal in R^p) plus, for each of
-    Poisson(rate h m_k) jumps, ``jump_weight(k, U) * size``, U uniform on
-    [0, 1) placing the jump among the segment's m_k cells. Recorded states
-    drawn this way have the law of the fine-grid recursion, from one draw per
-    segment instead of one per step. A product that underflows to 0 is the
-    right value. A frozen step is a segment of one cell, and the per-step
+    Record segment k ends at record k; the first segment is the burn-in.
+    The recursion moves the state over the segment by x <- D_k x + eta_k,
+    and eta_k has the law of ``mean_k + chol_k Z`` (Z standard normal in R^p)
+    plus, for each of Poisson(``jump_mean_k``) jumps, ``jump_weight(k, U) *
+    size``, with U uniform on [0, 1) placing the jump in the segment. Recorded
+    states drawn this way have the law of the model the segment data come
+    from, from one draw per segment. A gap law (:func:`_gap_sums`) is the law
+    of the continuous model, exact up to rounding; a fine-step law
+    (:func:`_scan_sums`) is that of the fine-step recursion, with step
+    products M_j = P_{hi-1} ... P_{j+1}, D_k = P_{hi-1} ... P_lo, mean
+    path_drift sum_j M_j d_j, covariance sigma2 sum_j M_j G_j M_j' and jumps
+    placed in the segment's cells, and is second order in the fine step
+    against the continuous model. A product that underflows to 0 is the right
+    value. A frozen step is a segment of one cell, and the per-step
     increments are the law of one unit-weight step, broadcast.
     """
 
     decay: np.ndarray  # (n_records, p, p) D_k
-    mean: np.ndarray  # (n_records, p) path_drift * sum_j M_j d_j
-    chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 sum_j M_j G_j M_j'; None without sigma2
-    jump_mean: np.ndarray | None  # (n_records,) rate * h * m_k; None without jumps
+    mean: np.ndarray  # (n_records, p) path_drift times the unit-driver drift
+    chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 times the covariance; None without sigma2
+    jump_mean: np.ndarray | None  # (n_records,) rate times the span jumps reach from; None without jumps
     # (seg, U) -> (total, p) jump weights
     jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     jumps: JumpSpec | None
@@ -528,94 +538,314 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
     return U.reshape(G, n_runs * b, p, p)[:, :m]
 
 
-def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None):
-    """Yields ``(segs, steps, D, drift, cov, law)`` per stack of g equal-length
-    record segments of ``plan``: segment indices (g,), fine steps (g, m),
-    D = P_{hi-1} ... P_lo (g, p, p), the unit-driver drift sum_j M_j d_j (g, p)
-    and covariance sum_j M_j G_j M_j' (g, p, p), M_j = P_{hi-1} ... P_{j+1},
-    and the :class:`StepLaw` of the steps; the only code that turns steps into
-    segment data. Jump weights go into ``weights`` when it is given. A stack
-    on one eigenbasis trusted up to sqrt(``_COND_MAX``), and every diagonal
-    stack (p = 1 among them), is summed in eigen coordinates
-    (:func:`_eigen_sums`), the others by :func:`_scan_sums`; a record at
-    step 0 (a burn-in below half a step) keeps the zero start: D = I and no
-    noise. A stack holds about
-    ``_BLOCK_ENTRIES`` matrix entries but at least one segment: a segment of m
-    steps costs O(m p^2).
+def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None,
+                    panels: "PanelWeights | None" = None, values: bool = False):
+    """Yields ``(segs, D, drift, cov, span, coeffs)`` per stack of
+    equal-length record segments of ``plan``: segment indices (g,),
+    D (g, p, p), the unit-driver drift (g, p) and covariance (g, p, p) of the
+    noise each segment adds, the span over which its jumps reach the record
+    (the live part (g,) of a gap law, NaN for fine steps), and, when
+    ``values`` is set, the list of ``(A, C)`` coefficient arrays the stack was
+    built from (else None); the only code that turns a plan into segment
+    data.
+
+    A stack whose A shares one basis at the panel nodes of :func:`_gap_sums`
+    (the identity for a diagonal A, every p = 1 model among them, or a
+    trusted eigenbasis) takes the law of the continuous model from quadrature
+    over each gap, with jump weights in ``panels``. Its stacks are chunks of
+    ``_GAP_SEGMENTS`` / p^2 segments, set by the record times alone, so the
+    fine step does not enter its law. The other segments run the fine-step
+    recursion, in stacks of about ``_BLOCK_ENTRIES`` matrix entries (a
+    segment of m steps costs O(m p^2)): the Magnus step laws of
+    :func:`_step_stack`, the matrix scan :func:`_scan_sums` and jump weights
+    per step in ``weights``; their ``coeffs`` are the step exponents M and C.
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     lengths = np.diff(bounds)
     p = spec.p
+    chunk = max(1, _GAP_SEGMENTS // (p * p))
     for m in linalg.unique(lengths):
         same = np.flatnonzero(lengths == m)
+        rest = []
+        for segs in np.split(same, np.arange(chunk, same.size, chunk)):
+            out = _gap_sums(spec, N, plan.start + bounds[segs] * h, m, h, segs, panels, values)
+            if out is None:
+                rest.append(segs)
+            else:
+                yield (segs, *out)
+        rest = np.concatenate(rest) if rest else same[:0]
         stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
-        for segs in np.split(same, np.arange(stack, same.size, stack)):
+        for segs in np.split(rest, np.arange(stack, rest.size, stack)) if rest.size else ():
             steps = bounds[segs, None] + np.arange(m)  # (segments, m)
             law = _step_stack(spec, plan.start + steps * h, N, h)
-            shared = law.shared
-            sums = _eigen_sums if shared and shared[3] <= np.sqrt(_COND_MAX) else _scan_sums
-            yield (segs, steps, *sums(law, steps, weights), law)
+            yield (segs, *_scan_sums(law, steps, weights), np.nan, [(law.M, law.C)] if values else None)
 
 
-def _eigen_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
-    """D, drift and covariance of a stack (g, m) on the shared eigenbasis V of
-    ``law``, with no matrix scan. With w_j the eigenvalues of step j, S_j =
-    w_{j+1} + ... + w_{m-1}, g_j = V^-1 C_j and y_j = e^{S_j} g_j, M_j = V
-    diag(e^{S_j}) V^-1, so D = V diag(e^{w_0 + ... + w_{m-1}}) V^-1,
+def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs: np.ndarray,
+              panels: "PanelWeights | None", values: bool):
+    """D, drift, covariance, span and coefficient values (as
+    :func:`_segment_stacks` yields them) of the continuous model over the gaps
+    [lo_k, lo_k + L], L = m h, in rescaled time, or None where A has no shared
+    trusted basis at the nodes, or where a gap would need more than
+    ``_GAP_PANELS`` panels per fine step (a spectrum whose ratio
+    max |lambda| / min -Re lambda runs into the millions), which the
+    fine-step recursion then takes.
 
-        sum_j M_j d_j = h V sum_j e^{S_j} phi(w_j) g_j,
-        sum_j M_j G_j M_j' = h V [sum_j y_j y_j^* o phi(w_j + conj w_j')] V^*,
+    With A(s/N) = V diag(lambda(s)) V^-1 at every node, g = V^-1 C and
+    E(s) = int_s^b lambda on a gap [a, b] (exp(int A) is the transition of a
+    commuting A):
 
-    and step j has jump weight V diag(y_j) e^{w_j f}; every sum is elementwise.
-    On the identity basis of a diagonal stack (V = None) g_j = C_j and the
-    sums are already in state coordinates: no product with V is taken.
+        D = V diag(e^{E(a)}) V^-1,   drift = V int_a^b y(s) ds,
+        cov = V [int_a^b y y^* ds] V^*,   y = e^{E} g,
 
-    The sums run step-major: w, g, e, y and phi are (g, p[, p], m), with the
-    fine steps innermost and contiguous, so each ufunc loops over m steps and
-    not over p states. Every product keeps its operand order, each exp and
-    expm1 reads a contiguous array (numpy rounds exp and expm1 of a reversed
-    view, such as a slice of the reversed cumsum, differently in the last bit
-    for a few percent of entries), and :func:`_step_sum` adds the steps in the
-    order the (g, m, p[, p]) layout added them, so every output keeps its
-    bits."""
-    w, V, Vinv, _ = law.shared
-    p = w.shape[-1]
-    h = law.h  # the one step length of a stack of _segment_stacks
-    ws = np.ascontiguousarray(w.transpose(0, 2, 1))  # for p = 1 a reshape, no copy
-    suffix = np.cumsum(ws[..., ::-1], axis=-1)[..., ::-1]  # w_j + ... + w_{m-1}
-    e = np.exp(np.concatenate([suffix[..., 1:], np.zeros_like(ws[..., :1])], axis=-1))
-    g = (law.C if V is None else np.einsum("ab,gjb->gja", Vinv, law.C)).transpose(0, 2, 1)
-    y = e * g
-    drift = _step_sum(h * e * _phi(ws) * g)
-    wc, yc = (ws.conj(), y.conj()) if np.iscomplexobj(ws) else (ws, y)
-    phi = _phi(ws[:, :, None] + wc[:, None])
-    X = _step_sum((h * y)[:, :, None] * yc[:, None] * phi)
-    if weights is not None:
-        U = (np.eye(p) if V is None else V) * y.transpose(0, 2, 1)[..., None, :]
-        weights.trusted(steps, U, w)
-    # the cumsum's S_0 rounds like m eps |S|: the total is summed afresh
-    decay = np.exp(_step_sum(ws))[:, None, :]
+    and a jump at x has weight V diag(e^{E(x)}) g(x) (:class:`PanelWeights`).
+
+    A first cut of each gap into panels of ``_PANEL_TIME`` in original time
+    gives the basis, max |lambda| and min -Re lambda > 0 at its nodes. Where
+    Re E falls below -``_UNDERFLOW``, e^E is 0 in floating point: that head of
+    the gap adds to E(a) alone, integrated on panels of the first cut's
+    length, and no jump there reaches the record, so the segment's jumps fall
+    on the rest, its live part (the span returned). The live part is cut
+    into n equal panels, no longer than
+    ``_PANEL_TIME`` in original time (A and C are then close to polynomials
+    of degree 20 on each) and than ``_PANEL_DECAY`` / max |lambda| (the
+    exponent of an integrand then moves by at most 2 ``_PANEL_DECAY`` across
+    one). Each panel takes the G10K21 rule of ``stationary._gauss_kronrod``,
+    and E the exact integral of the Chebyshev interpolant of lambda at its 21
+    nodes (:func:`_panel_sums`). Panels run in blocks of about
+    ``_GAP_ENTRIES`` node values of A, from the end of the gaps. The basis,
+    and its residual test at every node, are those of :func:`_shared_basis`;
+    it must be trusted up to sqrt(``_COND_MAX``), since y y^* grows like
+    cond(V)^2 |C|^2 and cancels down to the covariance.
+    """
+    p, g, L = spec.p, lo.size, m * h
+    if L == 0:  # records at step 0: the zero start
+        return np.broadcast_to(np.eye(p), (g, p, p)), np.zeros((g, p)), np.zeros((g, p, p)), 0.0, []
+    n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
+    basis, rho, kappa, first = None, np.zeros(g), np.full(g, np.inf), None
+    for q0, q1 in _panel_blocks(n0, g, p):
+        A = _panel_values(spec, N, "A", lo, L, n0, q0, q1)
+        shared = _shared_basis(A, basis)
+        if shared is None or shared[3] > np.sqrt(_COND_MAX):
+            return None
+        w, *basis = shared
+        w = _nodes_last(w)
+        rho = np.maximum(rho, np.abs(w).max(axis=(1, 2, 3)))
+        kappa = np.minimum(kappa, -w.real.max(axis=(1, 2, 3)))
+        first = (A, w) if q1 - q0 == n0 else None
+    V, Vinv, _ = basis
+    live = np.where(kappa > 0, np.minimum(L, _UNDERFLOW / kappa), L)
+    head = L - live
+    dtype = np.result_type(w, *(() if V is None else (Vinv,)))
+    total, drift, X = np.zeros((g, p), dtype), np.empty((g, p), dtype), np.empty((g, p, p), dtype)
+    n_head = np.ceil(head / (N * _PANEL_TIME)).astype(np.int64)
+    for n in linalg.unique(n_head[n_head > 0]):
+        sub = np.flatnonzero(n_head == n)
+        for q0, q1 in _panel_blocks(n, sub.size, p):
+            A = _panel_values(spec, N, "A", lo[sub], head[sub], n, q0, q1)
+            shared = _shared_basis(A, basis)
+            if shared is None:
+                return None
+            dl = _nodes_last(shared[0]) @ _panel_rule()[1]  # per unit half-width
+            total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
+    counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)),
+                        np.ceil(live * rho / _PANEL_DECAY)).astype(np.int64)
+    if counts.max() > _GAP_PANELS * m:
+        return None
+    vals, laws = [], []
+    for n in linalg.unique(counts):
+        sub = np.flatnonzero(counts == n)
+        E = np.zeros((sub.size, p), dtype=np.result_type(w))
+        d = G = 0.0
+        coefs = []
+        for q0, q1 in _panel_blocks(n, sub.size, p):
+            if first is not None and n == n0 and not head[sub].any():
+                A, w = first[0][sub], first[1][sub]
+            else:
+                A = _panel_values(spec, N, "A", lo[sub] + head[sub], live[sub], n, q0, q1)
+                shared = _shared_basis(A, basis)
+                if shared is None:
+                    return None
+                w = _nodes_last(shared[0])
+            C = _panel_values(spec, N, "C", lo[sub] + head[sub], live[sub], n, q0, q1)
+            E, d_part, G_part, coef = _panel_sums(w, _nodes_last(C if V is None else C @ Vinv.T),
+                                                  0.5 * live[sub] / n, E, panels is not None)
+            d, G = d + d_part, G + G_part
+            coefs.insert(0, coef)
+            if values:
+                vals.append((A, C))
+        total[sub] += E
+        drift[sub], X[sub] = d, G
+        laws.append((segs[sub], n, coefs))
+    if panels is not None:
+        for args in laws:
+            panels.put(*args, V)
+    decay = np.exp(total)[:, None, :]
     if V is None:
-        return np.eye(p) * decay, drift, X
-    D = (V * decay) @ Vinv
-    return D.real, (drift @ V.T).real, (V @ X @ V.conj().T).real
+        return np.eye(p) * decay, drift, X, live, vals
+    return (((V * decay) @ Vinv).real, (drift @ V.T).real, (V @ X @ V.conj().T).real, live, vals)
 
 
-def _step_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, the m steps of a step-major array (g, p[, p], m),
-    rounded as numpy sums the step axis of the (g, m, p[, p]) layout: pairwise
-    for p = 1, where the steps are contiguous in both layouts, and otherwise
-    one step after another from +0, so terms that are all -0 sum to +0. No
-    steps (a record at step 0) sum to 0."""
-    if x.shape[1] == 1 or x.shape[-1] == 0:
-        return x.sum(axis=-1)
-    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
+def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jumps: bool) -> tuple:
+    """One block of panels (s, b) of half-widths r (s,), with the eigenvalues w and
+    g = V^-1 C at their 21 nodes (s, b, p, 21), nodes last, and E (s, p) at the
+    end of the last panel: E at the start of the first panel, the integrals
+    of y and of y y^* over the block (eigen coordinates), and, when ``jumps``
+    is set, the Chebyshev coefficients (s, b, 2p, degree) of E and of g on
+    each panel (else None), E's first,
+    cut after the last above 16 eps of its function's largest one (E's
+    constant term, which carries the later panels, aside). Each map over the
+    nodes is one matrix product of the (s b p, 21) values.
+
+    On a panel with nodes c + r x_i, lambda is taken as its interpolant at
+    the nodes, sum_j a_j T_j(x), whose integral F has the coefficients
+    b_1 = a_0 - a_2 / 2 and b_k = (a_{k-1} - a_{k+1}) / (2k) (Mason & Handscomb
+    2003, *Chebyshev Polynomials*, 2.4.4); so E(x) = E(1) + r (F(1) - F(x)).
+    """
+    _, k, T, Tinv = _panel_rule()
+    shape, p = w.shape, w.shape[2]
+    r = r[:, None, None]
+    rows = w.reshape(-1, 21)
+    a = (rows @ Tinv.T).reshape(shape)
+    dl = r * (rows @ k).reshape(shape[:-1])  # int of lambda over each panel
+    after = np.cumsum(dl[:, ::-1], axis=1)[:, ::-1]  # over it and the later panels
+    tail = E[:, None] + np.concatenate([after[:, 1:], np.zeros_like(dl[:, :1])], axis=1)
+    pad = np.concatenate([a, np.zeros_like(a[..., :2])], axis=-1)
+    e = np.empty(shape[:-1] + (22,), dtype=a.dtype)
+    e[..., 1] = a[..., 0] - 0.5 * a[..., 2]
+    e[..., 2:] = (pad[..., 1:21] - pad[..., 3:23]) / (2.0 * np.arange(2, 22))
+    e[..., 1:] *= -r[..., None]
+    e[..., 0] = tail - e[..., 1:].sum(axis=-1)
+    y = np.exp((e.reshape(-1, 22) @ T.T).reshape(shape)) * g
+    yc = y.conj() if np.iscomplexobj(y) else y
+    drift = r[:, 0] * (y.reshape(-1, 21) @ k).reshape(shape[:-1]).sum(axis=1)
+    X = r * np.einsum("sbai,sbci->sac", y * k, yc)
+    if not jumps:
+        return E + after[:, 0], drift, X, None
+    gc = (g.reshape(-1, 21) @ Tinv.T).reshape(shape)
+    coef = np.concatenate([e, np.concatenate([gc, np.zeros_like(gc[..., :1])], axis=-1)], axis=-2)
+    size = np.abs(coef)
+    ref = np.concatenate([size[..., :p, 1:].max(axis=-1), size[..., p:, :].max(axis=-1)], axis=-1)
+    big = (size[..., 1:] > 16.0 * np.finfo(float).eps * ref[..., None]).any(axis=(0, 1, 2))
+    degree = int(np.flatnonzero(big)[-1]) + 1 if big.any() else 0
+    return E + after[:, 0], drift, X, coef[..., : degree + 1]
+
+
+def _nodes_last(x: np.ndarray) -> np.ndarray:
+    """Values (s, b, 21, p) at the nodes of panels as a contiguous (s, b, p, 21)."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+
+def _panel_blocks(n: int, g: int, p: int) -> list:
+    """(q0, q1) of the blocks of panels of n-panel gaps, g of them at once,
+    with about ``_GAP_ENTRIES`` node values of A each, last block first."""
+    size = max(1, _GAP_ENTRIES // (21 * g * p * p))
+    return [(max(0, q1 - size), q1) for q1 in range(n, 0, -size)]
+
+
+def _panel_values(spec: ModelSpec, N: float, name: str, lo: np.ndarray, L, n: int,
+                  q0: int, q1: int) -> np.ndarray:
+    """Coefficient ``name`` at the nodes (g, q1 - q0, 21) of the panels q0 .. q1 - 1
+    of the gaps [lo, lo + L] of rescaled time (L a length or one per gap),
+    each cut into n equal panels."""
+    width = np.reshape(np.divide(L, n), (-1, 1))
+    left = lo[:, None] + width * np.arange(q0, q1)
+    return coefficient_values(spec, name, (left[..., None] + (0.5 * width)[..., None]
+                                           * (1.0 + _panel_rule()[0])) / N)
+
+
+@functools.cache
+def _panel_rule():
+    """The G10K21 nodes x (21,) of [-1, 1] and their Kronrod weights (21,),
+    those of ``stationary``, the Chebyshev polynomials T_0 .. T_21 at the
+    nodes (21, 22), and the map (21, 21) from values at the nodes to the
+    Chebyshev coefficients of their interpolant (condition number 1.8)."""
+    from .stationary import _GK_KRONROD, _GK_NODES  # stationary imports this module
+
+    T = np.ones((21, 22))
+    T[:, 1] = _GK_NODES
+    for j in range(2, 22):
+        T[:, j] = 2.0 * _GK_NODES * T[:, j - 1] - T[:, j - 2]
+    # Gauss-Jordan with partial pivoting: LAPACK's solvers page in more memory
+    # than a campaign that needs no other solve takes
+    G = np.hstack([T[:, :21], np.eye(21)])
+    for i in range(21):
+        j = i + int(np.argmax(np.abs(G[i:, i])))
+        G[[i, j]] = G[[j, i]]
+        G[i] /= G[i, i]
+        G -= np.outer(np.where(np.arange(21) == i, 0.0, G[:, i]), G[i])
+    return _GK_NODES, _GK_KRONROD, T, G[:, 21:]
+
+
+class PanelWeights:
+    """Jump weights of the gap laws of :func:`_gap_sums`. A jump placed by its
+    uniform U on the live part of a gap, cut into n panels, falls in panel
+    q = floor(U n) at x = 2 (U n - q) - 1 of [-1, 1], and weighs
+    V diag(e^{E(x)}) g(x), with E and g summed from their Chebyshev
+    coefficients on the panel (:func:`_panel_sums`) by Clenshaw's recurrence.
+    Segments not here have ``count`` 0."""
+
+    def __init__(self, n_records: int):
+        self.start, self.count, self.basis = (np.zeros(n_records, dtype=np.int64) for _ in range(3))
+        self.bases, self.blocks, self.rows = [], [], 0
+
+    def put(self, segs: np.ndarray, n: int, coefs: list, V) -> None:
+        """The segments ``segs`` of n live panels on the basis V, with the
+        coefficients (segments, panels, 2p, degree) of their panels in the
+        blocks ``coefs``, first panels first."""
+        self.start[segs] = self.rows + n * np.arange(segs.size)
+        self.count[segs], self.basis[segs] = n, len(self.bases)
+        self.bases.append(V)
+        self.rows += n * segs.size
+        q0 = 0
+        for coef in coefs:
+            rows = (self.start[segs][:, None] + np.arange(q0, q0 + coef.shape[1])).ravel()
+            self.blocks.append((rows, coef.reshape((rows.size,) + coef.shape[2:]).swapaxes(-1, -2)))
+            q0 += coef.shape[1]
+
+    @functools.cached_property
+    def table(self):
+        """The coefficients (panels, degree, 2p) of every panel, and the bases
+        (stacks, p, p), or None where every basis is the identity."""
+        degree = max(c.shape[1] for _, c in self.blocks)
+        first = self.blocks[0][1]
+        out = np.zeros((self.rows, degree, first.shape[-1]),
+                       dtype=np.result_type(*(c for _, c in self.blocks)))
+        for rows, c in self.blocks:
+            out[rows, : c.shape[1]] = c
+        self.blocks = None
+        p = first.shape[-1] // 2
+        if all(V is None for V in self.bases):
+            return out, None
+        return out, np.stack([np.eye(p) if V is None else V for V in self.bases])
+
+    def __call__(self, seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        """Weights (len(seg), p) of jumps at the fractions ``unit`` of their segments ``seg``."""
+        coef, bases = self.table
+        n = self.count.take(seg)
+        x = unit * n
+        q = np.minimum(x.astype(np.int64), n - 1)
+        t = (2.0 * (x - q) - 1.0)[:, None]
+        c = coef.take(self.start.take(seg) + q, axis=0)
+        if c.shape[1] == 1:
+            val = c[:, 0]
+        else:  # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
+            b1, b2 = c[:, -1], 0.0
+            for j in range(c.shape[1] - 2, 0, -1):
+                b1, b2 = c[:, j] + 2.0 * t * b1 - b2, b1
+            val = c[:, 0] + t * b1 - b2
+        p = c.shape[-1] // 2
+        y = np.exp(val[:, :p]) * val[:, p:]
+        if bases is None:
+            return y
+        return np.einsum("kab,kb->ka", bases.take(self.basis.take(seg), axis=0), y).real
 
 
 def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
-    """D, drift and covariance of a stack (g, m) from the products M_j of the
-    scan :func:`_prefix_products`, for the stacks :func:`_eigen_sums` cannot take."""
+    """D, drift and covariance of a stack (g, m) of fine steps from the
+    products M_j of the scan :func:`_prefix_products`: the fine-step law of
+    the stacks that have no gap law."""
     P = law.propagator()
     g, p = P.shape[0], P.shape[-1]
     # T[:, i] = P_{hi-1} ... P_{hi-1-i}
@@ -628,40 +858,78 @@ def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
     return T[:, -1], np.einsum("gjab,gjb->ga", M, d), np.einsum("gjab,gjbc,gjdc->gad", M, G, M)
 
 
-def _driver_law(triplet: LevyTriplet, drift, cov, dt: float, cells, decay, B,
-                jump_weight) -> SegmentLaw:
-    """The :class:`SegmentLaw` of ``triplet`` on segments of ``cells`` cells of
-    length ``dt`` whose noise int K dL has ``drift`` = int K and ``cov`` =
-    int K K': mean path_drift drift, the factor of sigma2 cov and
-    Poisson(rate dt cells) jumps weighted by ``jump_weight``, the last two
-    only for a positive sigma2 and rate."""
+def _driver_law(triplet: LevyTriplet, drift, cov, jump_mean, decay, B, jump_weight) -> SegmentLaw:
+    """The :class:`SegmentLaw` of ``triplet`` on segments whose noise int K dL
+    has ``drift`` = int K and ``cov`` = int K K': mean path_drift drift, the
+    factor of sigma2 cov and Poisson(``jump_mean``) jumps weighted by
+    ``jump_weight``, the last two only for a positive sigma2 and rate."""
     has_jumps = triplet.jump_rate > 0
     return SegmentLaw(
         decay=decay,
         mean=triplet.path_drift * drift,
         chol=covariance_factor(triplet.sigma2 * cov) if triplet.sigma2 > 0 else None,
-        jump_mean=triplet.jump_rate * dt * cells if has_jumps else None,
+        jump_mean=jump_mean if has_jumps else None,
         jump_weight=jump_weight if has_jumps else None,
         jumps=triplet.jumps if has_jumps else None,
         B=B,
     )
 
 
-def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
-    """Segment law of ``plan`` under ``triplet``, from the stacks of
-    :func:`_segment_stacks`; the jump weights of the steps are kept only when
-    the driver has jumps."""
-    spec, N = plan.spec, plan.N
+def _plan_sums(plan: Plan, jumps: bool, values: bool = False) -> tuple:
+    """Decay (n, p, p), unit-driver drift (n, p) and covariance (n, p, p) of
+    every record segment of ``plan`` from :func:`_segment_stacks`; the span
+    (n,) over which a jump reaches the record, the live part of a gap law and
+    NaN for fine steps; the coefficient arrays of its stacks (when
+    ``values``); and the map (seg, U) -> jump weights (when ``jumps``, else
+    None)."""
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
-    n, p = bounds.size - 1, spec.p
-    weights = JumpWeights(plan.n_steps, p) if triplet.jump_rate > 0 else None
-    decay, drift, cov = np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p))
-    for segs, _, D, d, G, _ in _segment_stacks(plan, weights):
-        decay[segs], drift[segs], cov[segs] = D, d, G
+    n, p = bounds.size - 1, plan.spec.p
+    cells, panels = (JumpWeights(plan.n_steps, p), PanelWeights(n)) if jumps else (None, None)
+    decay, drift, cov, span, coeffs = (np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p)),
+                                       np.full(n, np.nan), [])
+    for segs, D, d, G, live, vals in _segment_stacks(plan, cells, panels, values):
+        decay[segs], drift[segs], cov[segs], span[segs] = D, d, G, live
+        coeffs += vals or []
+    return decay, drift, cov, span, coeffs, _jump_weight(bounds, cells, panels) if jumps else None
+
+
+def _jump_means(triplet: LevyTriplet, h: float, cells: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Poisson means of the jumps of record segments of ``cells`` fine steps:
+    rate h cells, and rate times the live span of a gap law (:func:`_plan_sums`)."""
+    mean = triplet.jump_rate * h * cells
+    gap = ~np.isnan(span)
+    mean[gap] = triplet.jump_rate * span[gap]
+    return mean
+
+
+def _jump_weight(bounds: np.ndarray, cells: "JumpWeights", panels: PanelWeights):
+    """(seg, U) -> weights of the jumps of a plan: by ``panels`` in the
+    segments of gap laws, and by the step weights ``cells`` of
+    :func:`_cell_weights` in the others."""
+    fine = functools.partial(_cell_weights, bounds, cells)
+    if cells.U is None:
+        return panels
+    if not panels.count.any():
+        return fine
+
+    def mixed(seg, unit):
+        out = np.empty((seg.size, cells.U.shape[-1]))
+        gap = panels.count.take(seg) > 0
+        out[gap] = panels(seg[gap], unit[gap])
+        out[~gap] = fine(seg[~gap], unit[~gap])
+        return out
+
+    return mixed
+
+
+def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
+    """Segment law of ``plan`` under ``triplet``, from :func:`_plan_sums`; the
+    jump weights are kept only when the driver has jumps."""
+    decay, drift, cov, span, _, jump_weight = _plan_sums(plan, triplet.jump_rate > 0)
+    cells = np.diff(np.concatenate([[0], plan.record_steps]))
     return _driver_law(
-        triplet, drift, cov, plan.h, np.diff(bounds), decay,
-        coefficient_values(spec, "B", plan.eval_rescaled / N),
-        functools.partial(_cell_weights, bounds, weights),
+        triplet, drift, cov, _jump_means(triplet, plan.h, cells, span), decay,
+        coefficient_values(plan.spec, "B", plan.eval_rescaled / plan.N), jump_weight,
     )
 
 
@@ -669,8 +937,9 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -
     """Increments of the driver over n fine steps of length h for R
     replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
-    law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), h,
-                      np.broadcast_to(1.0, n), None, None, lambda seg, unit: np.ones((seg.size, 1)))
+    law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h),
+                      triplet.jump_rate * h * np.broadcast_to(1.0, n), None, None,
+                      lambda seg, unit: np.ones((seg.size, 1)))
     return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 
@@ -741,6 +1010,20 @@ def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float
 _BLOCK_ENTRIES = 16384
 # most fine steps of a run, burn-in included: its memory grows with its steps
 _MAX_STEPS = 1 << 22
+# gap laws (_gap_sums): segments per stack times p^2, and the panel bounds,
+# _PANEL_DECAY / max |lambda| in rescaled time and _PANEL_TIME in original
+# time. On [-1, 1] the K21 rule integrates e^{a x} and e^{i a x} within 2e-16
+# for a <= 8 (1.7e-13 at a = 12), and the exponent of a covariance integrand
+# moves by up to 2 _PANEL_DECAY across a panel
+_GAP_SEGMENTS = 1024
+_PANEL_DECAY = 8.0
+_PANEL_TIME = 1.0
+# node values of A per block of panels of a gap law, and the most panels a
+# gap law takes per fine step of its gap
+_GAP_ENTRIES = 16384
+_GAP_PANELS = 64
+# e^-x is 0 in floating point for x above 745.2
+_UNDERFLOW = 760.0
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
@@ -811,6 +1094,38 @@ def _rows(good: np.ndarray):
     return ... if good.all() else good
 
 
+def _shared_basis(M: np.ndarray, basis=None):
+    """(w, V, V^-1, est): the eigenvalues w (..., p) of every matrix of the
+    stack M (..., p, p) on one eigenbasis V (p, p), with its condition
+    estimate, or None when they share none. With no nonzero off-diagonal
+    entry in any matrix (every p = 1 stack, and every stack with no matrices)
+    the basis is the identity, V = V^-1 = None and w = diag(M): no
+    eigendecomposition and no residual test. Otherwise V and V^-1 are
+    ``basis`` = (V, V^-1, est) when given, else those of the first matrix,
+    and each matrix takes w = diag(V^-1 M V), provided the basis is trusted
+    and every off-diagonal part ||V^-1 M V - diag(w)||_F is at most
+    ``_RESIDUAL_MAX`` ||M||_F. A given identity basis is kept only by a
+    diagonal stack."""
+    p = M.shape[-1]
+    diagonal = not M[..., ~np.eye(p, dtype=bool)].any()
+    if diagonal and (basis is None or basis[0] is None):
+        return np.diagonal(M, axis1=-2, axis2=-1), None, None, 1.0
+    if basis is None:
+        _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
+    elif basis[0] is None:
+        return None
+    else:
+        V, Vinv, est = basis
+    if est > _COND_MAX:
+        return None
+    R = Vinv @ M @ V
+    w = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    R[..., np.arange(p), np.arange(p)] = 0.0
+    if np.any(np.linalg.norm(R, axis=(-2, -1)) > _RESIDUAL_MAX * np.linalg.norm(M, axis=(-2, -1))):
+        return None
+    return w, V, Vinv, est
+
+
 class StepLaw:
     """Exact law of steps x <- e^M x + int_0^h e^{M(h-r)/h} C L(dr) with the
     exponent M and C fixed in each step: M = A h for a frozen A (Brockwell
@@ -848,23 +1163,8 @@ class StepLaw:
     @functools.cached_property
     def shared(self):
         """(w, V, V^-1, est) with the eigenbasis V (p, p) of the first step
-        when every step shares it, else None. A stack with no steps, or with no
-        nonzero off-diagonal entry in any step (every p = 1 stack), takes the
-        identity, V = V^-1 = None, and w = diag(M): no eigendecomposition and
-        no residual test."""
-        M, p = self.M, self.M.shape[-1]
-        if not M[..., ~np.eye(p, dtype=bool)].any():
-            return np.diagonal(M, axis1=-2, axis2=-1), None, None, 1.0
-        _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
-        if est > _COND_MAX:
-            return None
-        R = Vinv @ M @ V
-        w = np.diagonal(R, axis1=-2, axis2=-1).copy()
-        R[..., np.arange(p), np.arange(p)] = 0.0
-        if np.any(np.linalg.norm(R, axis=(-2, -1))
-                  > _RESIDUAL_MAX * np.linalg.norm(M, axis=(-2, -1))):
-            return None
-        return w, V, Vinv, est
+        when every step shares it, else None (:func:`_shared_basis`)."""
+        return _shared_basis(self.M)
 
     @functools.cached_property
     def basis(self):
@@ -929,35 +1229,35 @@ class JumpWeights:
     M_j the exponent of its :class:`StepLaw` and L_j the matrix that carries
     it to its record. On a trusted eigenbasis of M_j that is (U_j e^{w_j f}).real
     with U_j = L_j V_j diag(V_j^-1 C_j), stored per step; the other steps keep
-    L_j, M_j and C_j and take expm per jump.
+    L_j, M_j and C_j and take expm per jump. The per-step tables are made by
+    the first :meth:`put`.
     """
 
     def __init__(self, n: int, p: int):
-        self.U, self.w = np.zeros((n, p, p)), np.zeros((n, p))
-        self.slot = np.full(n, -1)  # row of a step in L, M, C; -1 on a trusted step
+        self.n, self.p = n, p
+        self.U = self.w = self.slot = None
         self.L, self.M, self.C = [], [], []
 
     def put(self, steps: np.ndarray, law: StepLaw, L: np.ndarray | None = None) -> None:
         """Store the steps ``steps`` (the leading shape of ``law``), carried
         by L (steps.shape + (p, p)), or by I when L is None."""
+        if self.U is None:
+            self.U, self.w = np.zeros((self.n, self.p, self.p)), np.zeros((self.n, self.p))
+            self.slot = np.full(self.n, -1)  # row of a step in L, M, C; -1 on a trusted step
         w, V, Vinv, est = law.basis
         good = est <= _COND_MAX
         at = _rows(good)
         L = np.broadcast_to(np.eye(law.C.shape[-1]), law.M.shape) if L is None else L
         U = L[at] @ (law.C[at][..., None] if V is None else
                      V[at] * (Vinv[at] @ law.C[at][..., None]).swapaxes(-1, -2))
-        self.trusted(steps[at], U, w[at])
+        # complex only once some eigenbasis is: real weights gather and sum faster
+        dtype = np.result_type(self.U, U, w)
+        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
+        self.U[steps[at]], self.w[steps[at]] = U, w[at]
         if at is not ...:
             self.slot[steps[~good]] = sum(map(len, self.L)) + np.arange(np.count_nonzero(~good))
             for kept, x in zip((self.L, self.M, self.C), (L, law.M, law.C)):
                 kept.append(x[~good])
-
-    def trusted(self, steps: np.ndarray, U: np.ndarray, w: np.ndarray) -> None:
-        """Store the steps ``steps`` with weights (U_j e^{w_j f}).real."""
-        # complex only once some eigenbasis is: real weights gather and sum faster
-        dtype = np.result_type(self.U, U, w)
-        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
-        self.U[steps], self.w[steps] = U, w
 
     def __call__(self, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         """Weights (len(rows), p) of jumps in steps ``rows`` with the fractions ``rest`` to run."""

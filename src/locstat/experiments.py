@@ -35,7 +35,6 @@ receiving it pickled.
 """
 
 from dataclasses import dataclass, field, replace
-import functools
 import os
 import pickle
 import signal
@@ -46,11 +45,10 @@ from . import linalg, special, stationary as stat
 from .dynamics import (
     _MAX_STEPS,
     Car1Spec,
-    JumpWeights,
-    _cell_weights,
     _draw_increments_rows,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     _driver_law,
-    _segment_stacks,
+    _jump_means,
+    _plan_sums,
     build_plan,
     build_scalar_plan_rescaled,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     build_segment_law,
@@ -282,8 +280,9 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
     one driver drives them all. The plan is one record at r = 0: per
     replication, one Gaussian draw of the joint state plus its jumps, placed
     exactly, and E D_k^2 = Sigma_L b_k' cov b_k + (mu_L b_k' drift)^2 from the
-    unit-driver drift and covariance of that segment. A block whose steps
-    equal the frozen ones moves with x~ exactly; its row is 0, as in
+    unit-driver drift and covariance of that segment. A block whose A and C
+    equal the frozen ones at every node (or step) the law was built from
+    moves with x~ exactly; its row is 0, as in
     ``_joint_frozen``, where the factor of the singular joint covariance
     would leave rounding noise in D_k.
     """
@@ -304,17 +303,16 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
         C=lambda r: stacked("C", fr.C, r).reshape(np.shape(r) + (P,)),
     )
     plan = build_plan(joint, 1, [0.0], h, burn_in)
-    weights = JumpWeights(plan.n_steps, P) if triplet.jump_rate > 0 else None
-    # one record, so one segment and one stack
-    [(_, _, decay, drift, cov, step_law)] = _segment_stacks(plan, weights)
-    M, C = step_law.M, step_law.C
+    # one record, so one segment
+    decay, drift, cov, span, coeffs, jump_weight = _plan_sums(plan, triplet.jump_rate > 0,
+                                                              values=True)
     b = np.zeros((K, P))
     for k, blk in enumerate(blocks[:K]):
-        if not (np.array_equal(M[..., blk, blk], M[..., blocks[K], blocks[K]])
-                and np.array_equal(C[..., blk], C[..., blocks[K]])):
+        if not all(np.array_equal(A[..., blk, blk], A[..., blocks[K], blocks[K]])
+                   and np.array_equal(C[..., blk], C[..., blocks[K]]) for A, C in coeffs):
             b[k, blk], b[k, blocks[K]] = fr.B, -fr.B
-    law = _driver_law(triplet, drift, cov, h, np.array([plan.n_steps]), decay, np.zeros((1, P)),
-                      functools.partial(_cell_weights, np.array([0, plan.n_steps]), weights))
+    law = _driver_law(triplet, drift, cov, _jump_means(triplet, h, np.array([plan.n_steps]), span),
+                      decay, np.zeros((1, P)), jump_weight)
     mom = triplet_moments(triplet)
     # b' cov b of two nearly equal blocks can round below 0
     var = np.maximum(np.einsum("ka,ab,kb->k", b, cov[0], b), 0.0)

@@ -912,3 +912,34 @@ def test_write_csv_refuses_a_row_of_one_empty_cell(tmp_path):
         _write_csv(str(tmp_path / "bad.csv"), ["value"], [[1.0], [""]])
     _write_csv(str(tmp_path / "ok.csv"), ["value"], [[1.0], []])
     assert (tmp_path / "ok.csv").read_bytes() == b"value\r\n1\r\n\r\n"
+
+
+def _peak_rss_mb(cfg: dict, tmp_path, name: str) -> float:
+    """Peak resident memory (MB) of an ``lln`` run of ``cfg`` in a child interpreter."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    child = subprocess.Popen([sys.executable, "-m", "locstat.cli", "lln", "--config", str(path),
+                              "--out", str(tmp_path / name)], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) in (0, 1)
+    return usage.ru_maxrss / 1024.0
+
+
+def test_a_long_burn_in_takes_no_more_memory_than_a_short_one(tmp_path):
+    # the burn-in is one gap law: e^E underflows to 0 more than 760 / min(a)
+    # before its record, so the panels and the jumps of a burn-in of 1e5 are
+    # those of its last 760, as many as a burn-in of 1e3 has (a fine-step
+    # law held 8e5 steps, and a draw 6.4e6 jumps per chunk: 386 MB)
+    cfg = {
+        "model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0},
+        "triplet": {"gamma": 0.0, "sigma2": 0.5,
+                    "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+        "simulation": {"fine_step": 0.125, "burn_in": 1e3},
+        "experiment": {"kind": "lln_discrete", "N_list": [256, 1024], "replications": 100},
+    }
+    short = _peak_rss_mb(cfg, tmp_path, "short")
+    cfg["simulation"]["burn_in"] = 1e5
+    assert _peak_rss_mb(cfg, tmp_path, "long") <= 1.2 * short

@@ -206,7 +206,9 @@ def boundary_cases(draw):
             "experiment": {"kind": "lln_discrete", "N_list": [64], "replications": 100},
             "estimate": {"path_file": PATH_CSV, "statistics": [{"kind": "mean"}]}}
     else:
-        subcommand = draw(st.sampled_from(("simulate", "lln", "coupling", "lipschitz")))
+        # the moments subcommand reads the triplet too
+        subcommand = draw(st.sampled_from(("simulate", "lln", "coupling", "lipschitz")
+                                          + (("moments",) if path[0] == "triplet" else ())))
         section = draw(sections(subcommand))
     jumps = ({"rate": 0.5, "normal": [0.0, 0.5]} if path[-1] == "normal"
              else {"rate": 0.5, "atoms": [[1.0, 0.5], [-1.0, 0.5]]})
@@ -269,6 +271,28 @@ def _run_in_child(cases, timeout, address_space=None):
 def test_boundary_values_end_with_a_documented_exit_code_and_no_traceback(cases):
     codes, _ = _run_in_child(cases, timeout=600)
     assert all(code in (0, 1, 2, 3, 4) for code in codes), codes
+
+
+def test_driver_boundary_values_with_moments_exit_naming_what_is_not_finite():
+    # triplet.gamma, triplet.sigma2 and triplet.jumps.rate at every boundary
+    # value through the moments subcommand: a moment that overflows exits 3
+    # naming its output key, never with a traceback
+    cases = []
+    for path in (("gamma",), ("sigma2",), ("jumps", "rate")):
+        for value in BOUNDARY_VALUES:
+            triplet = {"gamma": 0.0, "sigma2": 0.5,
+                       "jumps": {"rate": 0.5, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}}
+            node = triplet if len(path) == 1 else triplet["jumps"]
+            node[path[-1]] = value
+            cases.append(("moments", {"model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0,
+                                                "infimum": 1.0},
+                                      "triplet": triplet, **{"moments": {"u": 1.0}}}))
+    codes, stderr = _run_in_child(cases, timeout=300)
+    assert all(code in (0, 1, 2, 3, 4) for code in codes), codes
+    huge = [code for (_, cfg), code in zip(cases, codes)
+            if 1e308 in (cfg["triplet"]["gamma"], cfg["triplet"]["sigma2"], cfg["triplet"]["jumps"]["rate"])]
+    assert huge == [3, 3, 3], codes
+    assert stderr.count("is not finite (inf)") == 3, stderr
 
 
 def _table_keys(domain, path=()):

@@ -227,17 +227,16 @@ def test_rejects_bad_step_and_burn_in():
             simulate_yn(spec, BROWNIAN, 2, np.array([0.0, 0.5]), h, 9.0, stream(0, "b", 0))
 
 
-def test_refinement_quarters_the_step_error():
+def test_simulate_path_does_not_move_with_the_fine_step():
     # the records, and so the normals simulate draws from one stream, do not
-    # change with the fine step; the segment law of a time-varying model
-    # converges at second order, so each halving of the step cuts the change
-    # of the output about 4-fold
+    # change with the fine step, and the gap law of a time-varying scalar
+    # model is that of the continuous model at every step: every value keeps
+    # its bits
     spec, tri = models.tvcar_sin(), LevyTriplet(1.0, 1.0)
     values = [simulate_yn(spec, tri, 1, np.array([0.0, 1.0]), h, 8.0, stream(9, "refine", 0)).values
-              for h in (0.2, 0.1, 0.05, 0.025)]
-    changes = np.abs(np.diff(values, axis=0)).max(axis=1)
-    ratios = changes[:-1] / changes[1:]
-    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+              for h in (0.25, 0.125, 0.0625, 0.03125)]
+    for other in values[1:]:
+        assert other.tobytes() == values[0].tobytes()
 
 
 def test_coupling_determinism():
@@ -248,11 +247,11 @@ def test_coupling_determinism():
 
 
 def test_statespace_path_matches_scalar_path():
-    # the 1x1 state space view runs the scalar recursion: the same bytes, and
-    # a segment law whose decay, mean and variance are the scalar step
-    # products and sums y <- phi y + dL, phi = exp(w), w = -(h/2)(a(s_1) +
-    # a(s_2)) with s_1 and s_2 the Gauss nodes of the step; the path is
-    # that law's draw on the same stream, scanned over the records
+    # the 1x1 state space view runs the scalar law: the same bytes, and a
+    # segment law whose decay, mean and variance are those of the continuous
+    # model over each gap [s0, s1] of rescaled time, e^{E(s0)}, int e^{E} and
+    # int e^{2E} with E(s) = -int_s^s1 a(x / 16) dx in closed form; the path
+    # is that law's draw on the same stream, scanned over the records
     car = models.tvcar_sin()
     tri = LevyTriplet(0.3, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     times = np.array([0.5, 1.0])
@@ -261,17 +260,13 @@ def test_statespace_path_matches_scalar_path():
     assert np.array_equal(a.values, b.values)
     plan = build_plan(car, 16, 16 * times, 0.01, 8.0)
     law = build_segment_law(plan, tri)
-    lefts = plan.start + np.arange(plan.n_steps) * 0.01
-    w = -0.5 * 0.01 * sum(car.a((lefts + c * 0.01) / 16) for c in GAUSS)
-    decay, mean, var, k = 1.0, 0.0, 0.0, 0
-    for j in range(plan.n_steps):
-        decay, mean = np.exp(w[j]) * decay, np.exp(w[j]) * mean + 0.01 * np.expm1(w[j]) / w[j]
-        var = np.exp(2 * w[j]) * var + 0.01 * np.expm1(2 * w[j]) / (2 * w[j])
-        if j + 1 == plan.record_steps[k]:
-            assert law.decay[k, 0, 0] == pytest.approx(decay, rel=1e-12)
-            assert law.mean[k, 0] == pytest.approx(tri.path_drift * mean, rel=1e-12)
-            assert law.chol[k, 0, 0] ** 2 == pytest.approx(tri.sigma2 * var, rel=1e-12)
-            decay, mean, var, k = 1.0, 0.0, 0.0, k + 1
+    for k, (s0, s1) in enumerate([(0.0, 8.0), (8.0, 16.0)]):
+        E = lambda s: -2.0 * (s1 - s) + 16.0 * (np.cos(s1 / 16.0) - np.cos(s / 16.0))  # noqa: E731
+        mean = integrate.quad(lambda s: np.exp(E(s)), s0, s1, epsabs=0.0, epsrel=1e-13)[0]
+        var = integrate.quad(lambda s: np.exp(2.0 * E(s)), s0, s1, epsabs=0.0, epsrel=1e-13)[0]
+        assert law.decay[k, 0, 0] == pytest.approx(np.exp(E(s0)), rel=1e-12)
+        assert law.mean[k, 0] == pytest.approx(tri.path_drift * mean, rel=1e-12)
+        assert law.chol[k, 0, 0] ** 2 == pytest.approx(tri.sigma2 * var, rel=1e-12)
     eta = draw_segment_noise(law, stream(2, "ss", 0), 1)[:, 0, 0]
     assert np.allclose(a.values, [eta[0], law.decay[1, 0, 0] * eta[0] + eta[1]], rtol=1e-12, atol=0.0)
 
@@ -629,13 +624,19 @@ def test_burn_in_below_half_a_step_records_the_zero_start():
 
 
 def test_one_step_segment_of_a_vector_model_has_a_finite_factor():
-    # a segment of one fine step adds sigma2 times the in-step covariance,
-    # which is nearly singular: its smaller eigenvalue is O(h^2) of the larger
+    # a segment of one fine step adds sigma2 times its covariance, which is
+    # nearly singular: its smaller eigenvalue is O(h^2) of the larger. For
+    # diag2 (C = (1, 1)) the covariance is int_0^h e^{E_i(s) + E_k(s)} ds,
+    # E_1(s) = -int_s^h (1 + 0.5 sin((s0 + x) / 64)) dx and E_2(s) = -2 (h - s)
     spec = models.diag2()
     plan = build_plan(spec, 64, 64.0 + np.array([0.0, LAW_H, 2.0]), LAW_H, 16.0)
     law = build_segment_law(plan, DRIFT_GAUSS)
-    left = np.array([plan.start + plan.record_steps[0] * LAW_H])
-    Q = DRIFT_GAUSS.sigma2 * _exact_step_moments(spec, left, 64, LAW_H)[1][0]
+    s0 = plan.start + plan.record_steps[0] * LAW_H
+    E = [lambda s: -(LAW_H - s) + 32.0 * (np.cos((s0 + LAW_H) / 64.0) - np.cos((s0 + s) / 64.0)),
+         lambda s: -2.0 * (LAW_H - s)]
+    Q = DRIFT_GAUSS.sigma2 * np.array([[integrate.quad(lambda s: np.exp(Ei(s) + Ek(s)), 0.0, LAW_H,
+                                                       epsabs=0.0, epsrel=1e-13)[0]
+                                        for Ek in E] for Ei in E])
     L = law.chol[1]
     assert np.all(np.isfinite(law.chol))
     assert np.linalg.norm(L @ L.T - Q) <= 1e-14 * np.linalg.norm(Q)

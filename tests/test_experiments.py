@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -29,7 +30,9 @@ from locstat.experiments import (
     run_lln,
     skewness_kurtosis,
 )
-from locstat.dynamics import PathSample, draw_segment_noise, run_segment_law, simulate_yn
+from locstat.dynamics import (
+    Lipschitz, ModelSpec, PathSample, draw_segment_noise, run_segment_law, simulate_yn,
+)
 from locstat.estimators import clt_statistic, localized_autocov, localized_mean, localized_sum
 from locstat.kernels import biweight, rectangular
 from locstat.noise import JumpSpec, LevyTriplet
@@ -81,29 +84,24 @@ def test_coupling_rate_and_negative_control():
 
 
 def test_coupling_weights_statespace_matches_scalar():
-    # scalar reference of the coupling law for a(t) = 2 + sin t at u = 1: per
-    # step, exponents w_j = -(h/2)(a(s_1) + a(s_2)) for Y_N (s_1 and s_2 the
-    # Gauss nodes of the step) and v = -a(u) h for the frozen process, suffix
-    # sums S_j and T_j of the later steps, and over a step
-    # int (e^{S_j + w_j r/h} - e^{T_j + v r/h})^2 dr
-    #   = h (e^{2 S_j} phi(2 w_j) - 2 e^{S_j + T_j} phi(w_j + v) + e^{2 T_j} phi(2 v)),
-    # phi(x) = expm1(x) / x; likewise int (e^{S_j + w_j r/h} - e^{T_j + v r/h}) dr
+    # scalar reference of the coupling law for a(t) = 2 + sin t at u = 1, over
+    # the burn-in r in [-8, 0] of rescaled time: Y_N decays from r to 0 by
+    # e^{S(r)}, S(r) = -int_r^0 a(1 + x / N) dx = 2 r + N (cos(1) - cos(1 + r / N)),
+    # the frozen process by e^{T(r)}, T(r) = a(1) r, and
+    # E D^2 = Sigma_L int (e^S - e^T)^2 dr + (mu_L int (e^S - e^T) dr)^2
+    from scipy import integrate
+
     car = models.tvcar_sin()
     n_cells, h = 800, 0.01
     tri = LevyTriplet(0.5, 1.0)
-    phi = lambda x: np.expm1(x) / x  # noqa: E731
     Ns = (16, 64)
     for model in (car, car.to_state_space()):
         _, _, targets = _coupling_law(model, tri, 1.0, Ns, h, n_cells * h)
         for N, target in zip(Ns, targets):
-            lefts = -(n_cells - np.arange(n_cells)) * h
-            w = -0.5 * h * sum(car.a(1.0 + (lefts + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N)
-                               for c in (-1.0, 1.0))
-            v = np.full(n_cells, -car.a(1.0) * h)
-            S, T = (np.concatenate([np.cumsum(x[:0:-1])[::-1], [0.0]]) for x in (w, v))
-            sq = h * np.sum(np.exp(2 * S) * phi(2 * w) - 2 * np.exp(S + T) * phi(w + v)
-                            + np.exp(2 * T) * phi(2 * v))
-            mean = h * np.sum(np.exp(S) * phi(w) - np.exp(T) * phi(v))
+            gap = lambda r: (np.exp(2.0 * r + N * (np.cos(1.0) - np.cos(1.0 + r / N)))  # noqa: E731
+                             - np.exp((2.0 + np.sin(1.0)) * r))
+            sq = integrate.quad(lambda r: gap(r) ** 2, -8.0, 0.0, epsabs=0.0, epsrel=1e-13)[0]
+            mean = integrate.quad(gap, -8.0, 0.0, epsabs=0.0, epsrel=1e-13)[0]
             assert target == pytest.approx(np.sqrt(sq + (0.5 * mean) ** 2), rel=1e-10), N
     car_targets = _coupling_law(car, tri, 1.0, Ns, h, n_cells * h)[2]
     assert np.array_equal(car_targets, _coupling_law(car.to_state_space(), tri, 1.0, Ns, h, n_cells * h)[2])
@@ -191,39 +189,75 @@ def test_clt_small_o1_mean():
 
 
 PM_ONE = JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5)))
+# the model of the statespace_simulate workload
+STATESPACE_SIMULATE = {
+    "kind": "statespace", "p": 2,
+    "A_entries": [["-1 - 0.5*sin(t)", "0"], ["0", "-2"]],
+    "B": ["1", "1"], "C": ["1", "1"], "commuting": True,
+    "stability_margin": 0.5, "lipschitz": {"A": 0.5, "B": 0.0, "C": 0.0},
+}
 
 
-@pytest.mark.parametrize("model", [models.ou(1.0), models.companion2()], ids=["ou", "companion2"])
+def _noncommuting():
+    """A(t) = A0 + sin(t) A1 with [A0, A1] != 0; eigenvalues -2.5 +- i ..."""
+    A0, A1 = np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]
+    return ModelSpec(2, lambda t: A0 + np.sin(np.asarray(t, dtype=float))[..., None, None] * A1,
+                     lambda t: np.ones(np.shape(t) + (2,)),
+                     lambda t: np.broadcast_to([1.0, 0.5], np.shape(t) + (2,)),
+                     Lipschitz(0.75, 0.0, 0.0), False, 1.0, "noncommuting")
+
+
+def _campaign_outputs(model, h):
+    """lln rows, clt replication values, a simulate path and the coupling
+    distances of small campaigns of ``model`` at the fine step h."""
+    scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
+    burn = max(8.0, 8.0 / model.stability_margin)
+    lln = run_lln(ExperimentConfig(
+        "lln_discrete", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (2**8, 2**10), 100, 3,
+        h, burn, statistic="mean", **scheme,
+    ))
+    clt = run_clt(ExperimentConfig(
+        "clt_cov", model, LevyTriplet(0.0, 0.5, PM_ONE), 1.0, (2**10,), 1000, 5, h, burn,
+        lag=1, **scheme,
+    ))
+    path = simulate_yn(model, LevyTriplet(1.0, 0.5, PM_ONE), 16, np.linspace(0.5, 1.5, 9), h,
+                       burn, stream(6, "simulate", 0))
+    coupling = run_coupling(ExperimentConfig(
+        "coupling", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (16, 64), 100, 7, h, burn,
+    ))
+    rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
+    distances = [[row[k] for k in ("estimate", "target")] for row in coupling.rows]
+    return np.array(rows), clt.replication_values, path.values, np.array(distances)
+
+
+@pytest.mark.parametrize("model", [models.ou(1.0), models.companion2(), models.tvcar_sin(),
+                                   _build_model(STATESPACE_SIMULATE)],
+                         ids=["ou", "companion2", "tvcar_sin", "statespace_simulate"])
 def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
-    # with constant coefficients the law of a record segment is exact whatever
-    # the fine step h: the noise of a step decays inside it, and a jump sits at
-    # U m h into its segment of m cells. The segments, the Poisson rates and
-    # so every draw are the same at h and h / 4, and only rounding moves. That
-    # holds for a simulate path on one stream and for the coupling report,
-    # whose distances are exactly 0 for a model that does not vary in time
-    def outputs(h):
-        scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
-        lln = run_lln(ExperimentConfig(
-            "lln_discrete", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (2**8, 2**10), 100, 3,
-            h, 8.0, statistic="mean", **scheme,
-        ))
-        clt = run_clt(ExperimentConfig(
-            "clt_cov", model, LevyTriplet(0.0, 0.5, PM_ONE), 1.0, (2**10,), 1000, 5, h, 8.0,
-            lag=1, **scheme,
-        ))
-        path = simulate_yn(model, LevyTriplet(1.0, 0.5, PM_ONE), 16, np.linspace(0.5, 1.5, 9), h,
-                           8.0, stream(6, "simulate", 0))
-        coupling = run_coupling(ExperimentConfig(
-            "coupling", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (16, 64), 100, 7, h, 8.0,
-        ))
-        rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
-        distances = [[row[k] for k in ("estimate", "target")] for row in coupling.rows]
-        return np.array(rows), clt.replication_values, path.values, np.array(distances)
-
-    fine_outputs, coarse_outputs = outputs(1.0 / 64.0), outputs(1.0 / 16.0)
+    # a model on a shared basis takes the law of the continuous model over
+    # each gap, set by the record times alone, and a jump sits at U L into
+    # its gap of length L. The segments, the Poisson rates and so every draw
+    # are the same at h and h / 4, and with every node dyadic so is every
+    # output byte: for a simulate path on one stream and for the lln, clt
+    # and coupling reports. The coupling distances of a model that does not
+    # vary in time are exactly 0
+    fine_outputs, coarse_outputs = _campaign_outputs(model, 1.0 / 64.0), _campaign_outputs(model, 1.0 / 16.0)
     for fine, coarse in zip(fine_outputs, coarse_outputs):
-        assert np.abs(fine - coarse).max() <= 1e-12 * np.abs(coarse).max()
-    assert not fine_outputs[-1].any() and not coarse_outputs[-1].any()
+        assert fine.tobytes() == coarse.tobytes()
+    constant = model.model_id in ("ou_a1", "companion2")
+    assert constant == (not fine_outputs[-1].any())
+
+
+def test_noncommuting_model_outputs_keep_their_bytes():
+    # a stack without a shared basis runs the fine-step recursion (Magnus
+    # steps, the matrix scan and expm jump weights) as before the gap laws:
+    # the sha256 of the outputs of _campaign_outputs at h = 1/64, taken with
+    # the per-step segment sums (at a4060c4)
+    digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0)))
+    assert digest.hexdigest() == NONCOMMUTING_SHA256
+
+
+NONCOMMUTING_SHA256 = "20eefbccf97b14df5d73eed2b2dc65daf294420f055595788f1d0dff7c22d804"
 
 
 def test_lipschitz_small():
