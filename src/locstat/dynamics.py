@@ -801,40 +801,49 @@ class PanelWeights:
         q0 = 0
         for coef in coefs:
             rows = (self.start[segs][:, None] + np.arange(q0, q0 + coef.shape[1])).ravel()
-            self.blocks.append((rows, coef.reshape((rows.size,) + coef.shape[2:]).swapaxes(-1, -2)))
+            self.blocks.append((rows, np.moveaxis(coef.reshape((rows.size,) + coef.shape[2:]), -1, 0)))
             q0 += coef.shape[1]
 
     @functools.cached_property
     def table(self):
-        """The coefficients (panels, degree, 2p) of every panel, and the bases
-        (stacks, p, p), or None where every basis is the identity."""
-        degree = max(c.shape[1] for _, c in self.blocks)
+        """The coefficients (degree, panels, 2p) of every panel, the bases
+        (stacks, p, p), or None where every basis is the identity, and
+        whether every gap is one panel."""
+        degree = max(c.shape[0] for _, c in self.blocks)
         first = self.blocks[0][1]
-        out = np.zeros((self.rows, degree, first.shape[-1]),
+        out = np.zeros((degree, self.rows, first.shape[-1]),
                        dtype=np.result_type(*(c for _, c in self.blocks)))
         for rows, c in self.blocks:
-            out[rows, : c.shape[1]] = c
+            out[: c.shape[0], rows] = c
         self.blocks = None
-        p = first.shape[-1] // 2
+        p, single = first.shape[-1] // 2, self.count.max() == 1
         if all(V is None for V in self.bases):
-            return out, None
-        return out, np.stack([np.eye(p) if V is None else V for V in self.bases])
+            return out, None, single
+        return out, np.stack([np.eye(p) if V is None else V for V in self.bases]), single
 
     def __call__(self, seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
         """Weights (len(seg), p) of jumps at the fractions ``unit`` of their segments ``seg``."""
-        coef, bases = self.table
-        n = self.count.take(seg)
-        x = unit * n
-        q = np.minimum(x.astype(np.int64), n - 1)
-        t = (2.0 * (x - q) - 1.0)[:, None]
-        c = coef.take(self.start.take(seg) + q, axis=0)
-        if c.shape[1] == 1:
-            val = c[:, 0]
-        else:  # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
-            b1, b2 = c[:, -1], 0.0
-            for j in range(c.shape[1] - 2, 0, -1):
-                b1, b2 = c[:, j] + 2.0 * t * b1 - b2, b1
-            val = c[:, 0] + t * b1 - b2
+        coef, bases, single = self.table
+        rows = self.start.take(seg)
+        if single:  # one panel per gap: q = 0
+            t = 2.0 * unit - 1.0
+        else:
+            n = self.count.take(seg)
+            x = unit * n
+            q = np.minimum(x.astype(np.int64), n - 1)
+            rows += q
+            t = 2.0 * (x - q) - 1.0
+        c = coef.take(rows, axis=1)  # (degree, jumps, 2p), each degree contiguous
+        t = t[:, None]
+        # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
+        val = c[-1]
+        if len(c) > 1:
+            b1, b2 = val, 0.0
+            for j in range(len(c) - 2, 0, -1):
+                b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
+            val = c[0] + t * b1
+            if len(c) > 2:
+                val -= b2
         p = c.shape[-1] // 2
         y = np.exp(val[:, :p]) * val[:, p:]
         if bases is None:
