@@ -4,7 +4,8 @@ Exit codes: 0 success (and experiment passed), 1 experiment ran but failed
 its acceptance window, 2 config schema violation, naming the key path and
 any list index (moments.autocov_lags[0]), or a value a model, driver, scheme
 or experiment constructor rejects, 3 semantic violation of a mathematical
-precondition, 4 I/O failure.
+precondition (a moments output that is not finite among them, naming its
+key), 4 I/O failure.
 
 Config schema (JSON; unknown keys rejected at every level; a key marked ?
 may be left out). num is a finite number, real any number (NaN and Infinity

@@ -763,19 +763,8 @@ def _panel_rule():
     Chebyshev coefficients of their interpolant (condition number 1.8)."""
     from .stationary import _GK_KRONROD, _GK_NODES  # stationary imports this module
 
-    T = np.ones((21, 22))
-    T[:, 1] = _GK_NODES
-    for j in range(2, 22):
-        T[:, j] = 2.0 * _GK_NODES * T[:, j - 1] - T[:, j - 2]
-    # Gauss-Jordan with partial pivoting: LAPACK's solvers page in more memory
-    # than a campaign that needs no other solve takes
-    G = np.hstack([T[:, :21], np.eye(21)])
-    for i in range(21):
-        j = i + int(np.argmax(np.abs(G[i:, i])))
-        G[[i, j]] = G[[j, i]]
-        G[i] /= G[i, i]
-        G -= np.outer(np.where(np.arange(21) == i, 0.0, G[:, i]), G[i])
-    return _GK_NODES, _GK_KRONROD, T, G[:, 21:]
+    T = np.cos(np.arccos(_GK_NODES)[:, None] * np.arange(22))
+    return _GK_NODES, _GK_KRONROD, T, np.linalg.inv(T[:, :21])
 
 
 class PanelWeights:
@@ -947,8 +936,7 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -
     replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
     law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h),
-                      triplet.jump_rate * h * np.broadcast_to(1.0, n), None, None,
-                      lambda seg, unit: np.ones((seg.size, 1)))
+                      np.full(n, triplet.jump_rate * h), None, None, lambda seg, unit: np.ones((seg.size, 1)))
     return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 

@@ -522,7 +522,7 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     if triplet.jump_rate > 0:
         weights.put(np.arange(all_gaps.size), law)
     return _driver_law(
-        triplet, *law.moments(), triplet.jump_rate * 1.0 * all_gaps, law.propagator(),
+        triplet, *law.moments(), triplet.jump_rate * all_gaps, law.propagator(),
         np.broadcast_to(fr.B, (all_gaps.size, fr.p)),
         functools.partial(_cell_weights, np.arange(all_gaps.size + 1), weights),
     )
