@@ -96,17 +96,6 @@ class ScaledCompanion:
         return K_V
 
 
-def _statespace_simulate():
-    # the model of the statespace_simulate workload
-    return Rates([1.0, 2.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-
-
-def _shifted(model):
-    """The statespace_simulate rates are -1 - 0.5 sin t and -2: shift by -0.5."""
-    model.rate = model.rate - model.amp
-    return model
-
-
 def oracle(model, N, a, b, xs):
     """D (p, p), drift (p,), covariance (p, p) and the jump weights (len(xs), p)
     of the gap [a, b] (rescaled time) to 40 digits."""
@@ -163,7 +152,8 @@ def _check(model, N, a, b, h):
     (Rates([40.0], [0.0], [0.0], [1.0], [0.0]), 1, 1.0),
     (Rates([1.0], [1.0], [1.0], [1.0], [0.0]), 1, 1.0),
     (Rates([1.0], [1.0], [1.0], [1.0], [0.0]), 16, 1.0),
-    (_shifted(_statespace_simulate()), 256, 4.0),
+    # the statespace_simulate workload model: rates 1 + 0.5 sin t and 2
+    (Rates([0.5, 2.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]), 256, 4.0),
     (Rates([1.0, 1.5, 2.5], [0.5, 0.0, 1.0], [1.0, 1.0, 2.0], [1.0, -0.5, 0.3], [0.2, 0.0, 0.1]), 4, 2.0),
     (ScaledCompanion(0.5, [0.0, 1.0], 0.0), 1, 1.0),
     (ScaledCompanion(0.5, [0.3, 1.0], 0.2), 8, 3.0),

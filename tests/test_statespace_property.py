@@ -459,7 +459,7 @@ def test_segment_law_draws_match_the_exact_moment_recursion(spec, N, gaps, first
     assert np.abs(z_cov).max() < 4.5
 
 
-def _scan_sums(plan, h):
+def _fine_step_sums(plan, h):
     """D, drift and covariance of every record segment of the records of
     ``plan`` from the fine-step recursion at step h: the Magnus step laws and
     the matrix scan that stacks without a shared basis take."""
@@ -481,7 +481,7 @@ def assert_eigen_sums_match_the_scan(plan):
     least 10-fold from the step h to h / 4 (second order: 16-fold), or is
     within 1e-12 of its scale (a constant A, where both are exact)."""
     gap = dynamics._plan_sums(plan, False)[:3]
-    coarse, fine = _scan_sums(plan, plan.h), _scan_sums(plan, plan.h / 4.0)
+    coarse, fine = _fine_step_sums(plan, plan.h), _fine_step_sums(plan, plan.h / 4.0)
     for got, far, near in zip(gap, coarse, fine):
         scale = max(np.abs(got).max(initial=0.0), np.finfo(float).tiny)
         far, near = np.abs(far - got).max(initial=0.0), np.abs(near - got).max(initial=0.0)
