@@ -4,16 +4,17 @@ Runs each seed of a check as one ``locstat`` CLI campaign, in a child forked
 from this process after it has imported ``locstat.cli`` (as
 ``perfbench/run.py`` does), and records per seed the exit code, each
 sub-verdict of the campaign's acceptance window and the statistic that
-decides it. A check is one workload of ``perfbench/workloads.py``, run with
-its config, subcommand and worker count at the CLI seed the benchmark derives
-from the seed; nothing under ``perfbench/`` is changed.
+decides it. A check is one workload of ``perfbench/workloads.py`` or of
+``calib/checks.py``, run with its config, subcommand and worker count at the
+CLI seed the benchmark derives from the seed; nothing under ``perfbench/`` is
+changed.
 
 Run from the root of a checkout:
 
     python3 calib/sweep.py --check lln_ladder --check clt_jumps --seeds 1-1000 \\
         --out CALIB_2.json --previous CALIB_1.json
 
-``--check all`` runs every workload. The record (``--out``) holds, per
+``--check all`` runs every workload and check. The record (``--out``) holds, per
 check: the seeds, the runtime, the failure count and failing seeds of the
 campaign and of each sub-verdict, and the quantiles of each statistic, plus
 the commit and the digest of the sources. With ``--previous``, each failure
@@ -242,7 +243,7 @@ def _setup_paths() -> None:
     for name in PINNED_THREADS:
         os.environ[name] = "1"
     os.environ.pop("LOCSTAT_WORKERS", None)
-    for path in (str(SRC), str(ROOT / "perfbench")):
+    for path in (str(SRC), str(ROOT / "perfbench"), str(HERE)):
         if path not in sys.path:
             sys.path.insert(0, path)
 
@@ -250,23 +251,26 @@ def _setup_paths() -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="append", required=True,
-                        help="a workload of perfbench/workloads.py, or all (repeatable)")
+                        help="a workload of perfbench/workloads.py or a check of "
+                        "calib/checks.py, or all (repeatable)")
     parser.add_argument("--seeds", type=_seed_range, required=True, help="seed range A-B")
     parser.add_argument("--out", help="write the record to this JSON file")
     parser.add_argument("--previous", help="a previous record to compare the failure counts with")
     args = parser.parse_args(argv)
     _setup_paths()
+    import checks
     import workloads
 
-    names = sorted(workloads.WORKLOADS) if "all" in args.check else args.check
-    unknown = [n for n in names if n not in workloads.WORKLOADS]
+    known = {**workloads.WORKLOADS, **checks.CHECKS}
+    names = sorted(known) if "all" in args.check else args.check
+    unknown = [n for n in names if n not in known]
     if unknown:
-        parser.error(f"unknown check {unknown}; choose from {sorted(workloads.WORKLOADS)} or all")
+        parser.error(f"unknown check {unknown}; choose from {sorted(known)} or all")
     import locstat.cli  # noqa: F401  (imported once here, inherited by every fork)
 
     record = {**_environment(), "checks": {}}
     for name in names:
-        record["checks"][name] = check = sweep(workloads.WORKLOADS[name], args.seeds)
+        record["checks"][name] = check = sweep(known[name], args.seeds)
         print(f"# {name}: {check['failures']}/{check['runs']} campaigns failed "
               f"({check['runtime_s']} s); failing seeds {check['failing_seeds']}")
     if args.previous:

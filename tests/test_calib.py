@@ -20,12 +20,13 @@ def _load(name, path):
 sweep = _load("calib_sweep", ROOT / "calib" / "sweep.py")
 workloads = _load("workloads", ROOT / "perfbench" / "workloads.py")
 sys.modules.setdefault("workloads", workloads)
+checks = _load("calib_checks", ROOT / "calib" / "checks.py")
 
 
 def _small(name):
-    w = workloads.WORKLOADS[name]
+    w = {**workloads.WORKLOADS, **checks.CHECKS}[name]
     cfg = {**w.config, "experiment": {**w.config["experiment"], "replications": 128}}
-    if name == "lln_ladder":
+    if name in ("lln_ladder", "noncommuting_lln"):
         cfg["experiment"]["N_list"] = [2**6, 2**8]
     if name == "statespace_simulate":
         cfg["simulate"] = {"times": [0.5 + k / 32.0 for k in range(9)]}
@@ -35,6 +36,7 @@ def _small(name):
 @pytest.mark.parametrize("name,verdicts", [
     ("lln_ladder", {"strictly_decreasing", "final_rmse_below_tol"}),
     ("statespace_simulate", {"statespace_window"}),
+    ("noncommuting_lln", {"strictly_decreasing", "final_rmse_below_tol"}),
 ])
 def test_a_sweep_records_every_verdict_and_repeats_itself(name, verdicts):
     workload = _small(name)
@@ -49,6 +51,11 @@ def test_a_sweep_records_every_verdict_and_repeats_itself(name, verdicts):
     for entry in first["verdicts"].values():
         assert entry["failures"] == len(entry["failing_seeds"])
         assert set(entry["statistic"]) == {f"{q:g}" for q in sweep.QUANTILES}
+
+
+def test_checks_are_named_apart_from_the_workloads():
+    assert checks.CHECKS and not set(checks.CHECKS) & set(workloads.WORKLOADS)
+    assert all(name == w.name for name, w in checks.CHECKS.items())
 
 
 def test_binomial_test_of_two_failure_counts():

@@ -207,23 +207,24 @@ def _noncommuting():
                      Lipschitz(0.75, 0.0, 0.0), False, 1.0, "noncommuting")
 
 
-def _campaign_outputs(model, h):
+def _campaign_outputs(model, h, jumps=PM_ONE):
     """lln rows, clt replication values, a simulate path and the coupling
-    distances of small campaigns of ``model`` at the fine step h."""
+    distances of small campaigns of ``model`` at the fine step h, with the
+    jumps ``jumps`` (None for a driver without jumps)."""
     scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
     burn = max(8.0, 8.0 / model.stability_margin)
     lln = run_lln(ExperimentConfig(
-        "lln_discrete", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (2**8, 2**10), 100, 3,
+        "lln_discrete", model, LevyTriplet(1.0, 0.5, jumps), 1.0, (2**8, 2**10), 100, 3,
         h, burn, statistic="mean", **scheme,
     ))
     clt = run_clt(ExperimentConfig(
-        "clt_cov", model, LevyTriplet(0.0, 0.5, PM_ONE), 1.0, (2**10,), 1000, 5, h, burn,
+        "clt_cov", model, LevyTriplet(0.0, 0.5, jumps), 1.0, (2**10,), 1000, 5, h, burn,
         lag=1, **scheme,
     ))
-    path = simulate_yn(model, LevyTriplet(1.0, 0.5, PM_ONE), 16, np.linspace(0.5, 1.5, 9), h,
+    path = simulate_yn(model, LevyTriplet(1.0, 0.5, jumps), 16, np.linspace(0.5, 1.5, 9), h,
                        burn, stream(6, "simulate", 0))
     coupling = run_coupling(ExperimentConfig(
-        "coupling", model, LevyTriplet(1.0, 0.5, PM_ONE), 1.0, (16, 64), 100, 7, h, burn,
+        "coupling", model, LevyTriplet(1.0, 0.5, jumps), 1.0, (16, 64), 100, 7, h, burn,
     ))
     rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
     distances = [[row[k] for k in ("estimate", "target")] for row in coupling.rows]
@@ -258,6 +259,16 @@ def test_noncommuting_model_outputs_keep_their_bytes():
 
 
 NONCOMMUTING_SHA256 = "20eefbccf97b14df5d73eed2b2dc65daf294420f055595788f1d0dff7c22d804"
+
+
+def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
+    # the campaigns of the test above on a driver without jumps, whose
+    # outputs no jump weight enters: the sha256 taken at efb71e3
+    digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0, None)))
+    assert digest.hexdigest() == NONCOMMUTING_GAUSSIAN_SHA256
+
+
+NONCOMMUTING_GAUSSIAN_SHA256 = "1fdfbb3abbd9f9fd2e38241b98f2780a5910f9a3f6565c270a4f80591b5bbf9e"
 
 
 def test_lipschitz_small():
