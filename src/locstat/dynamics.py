@@ -28,13 +28,21 @@ runs as a state space model (a :class:`Car1Spec` as its 1x1
   fine step moves the state by the exact step law of :class:`StepLaw` with
   the fourth-order Magnus exponent of A over the step and C at its midpoint
   (:func:`_step_stack`), and the steps of a segment are combined by a
-  matrix scan (:func:`_scan_sums`). These laws are exact for the fine-step
-  recursion; its in-step noise weight freezes A, so against the continuous
-  model they are second order in the fine step, which sets their work.
+  matrix scan (:func:`_scan_sums`, :func:`_fine_sums`). These laws are
+  exact for the fine-step recursion; its in-step noise weight freezes A, so
+  against the continuous model they are second order in the fine step,
+  which sets their work.
+
+Every segment reports its span, the part of it whose jumps reach the record
+(the live part of a gap law, the whole of a fine-step segment), so
+its Poisson mean is rate times span. One table, :class:`JumpWeights`,
+places and weighs the jumps of every law: a row per panel of a gap law and
+per fine step, each a pair of Chebyshev series on [-1, 1].
 
 The fine step keeps its checks (it must divide every gap, a run has at most
 ``_MAX_STEPS`` steps) for every model. The frozen process of ``stationary``
-takes :class:`StepLaw` with a constant exponent, which is exact.
+takes :class:`StepLaw` with a constant exponent, which is exact, and the
+same table, one row per step.
 """
 
 import functools
@@ -485,38 +493,28 @@ class SegmentLaw:
     The recursion moves the state over the segment by x <- D_k x + eta_k,
     and eta_k has the law of ``mean_k + chol_k Z`` (Z standard normal in R^p)
     plus, for each of Poisson(``jump_mean_k``) jumps, ``jump_weight(k, U) *
-    size``, with U uniform on [0, 1) placing the jump in the segment. Recorded
-    states drawn this way have the law of the model the segment data come
-    from, from one draw per segment. A gap law (:func:`_gap_sums`) is the law
-    of the continuous model, exact up to rounding; a fine-step law
-    (:func:`_scan_sums`) is that of the fine-step recursion, with step
+    size``, with U uniform on [0, 1) placing the jump in the segment's span.
+    Recorded states drawn this way have the law of the model the segment
+    data come from, from one draw per segment. A gap law (:func:`_gap_sums`)
+    is the law of the continuous model, exact up to rounding; a fine-step law
+    (:func:`_fine_sums`) is that of the fine-step recursion, with step
     products M_j = P_{hi-1} ... P_{j+1}, D_k = P_{hi-1} ... P_lo, mean
-    path_drift sum_j M_j d_j, covariance sigma2 sum_j M_j G_j M_j' and jumps
-    placed in the segment's cells, and is second order in the fine step
-    against the continuous model. A product that underflows to 0 is the right
-    value. A frozen step is a segment of one cell, and the per-step
-    increments are the law of one unit-weight step, broadcast.
+    path_drift sum_j M_j d_j and covariance sigma2 sum_j M_j G_j M_j', and is
+    second order in the fine step against the continuous model. A product
+    that underflows to 0 is the right value. A frozen step is a segment of
+    one step, and the per-step increments are the law of one unit-weight
+    step, broadcast. One :class:`JumpWeights` table weighs the jumps of every
+    kind of segment.
     """
 
     decay: np.ndarray  # (n_records, p, p) D_k
     mean: np.ndarray  # (n_records, p) path_drift times the unit-driver drift
     chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 times the covariance; None without sigma2
-    jump_mean: np.ndarray | None  # (n_records,) rate times the span jumps reach from; None without jumps
-    # (seg, U) -> (total, p) jump weights
+    jump_mean: np.ndarray | None  # (n_records,) rate times the span of each segment; None without jumps
+    # (seg, U) -> (total, p) jump weights, a JumpWeights table
     jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     jumps: JumpSpec | None
     B: np.ndarray  # (n_records, p) output vector B(t_k) of each record
-
-
-def _cell_weights(bounds: np.ndarray, weights, seg: np.ndarray, unit: np.ndarray):
-    """Weights of jumps placed by ``unit`` in segments ``seg``: the integer part
-    of unit m_k picks the cell and the fractional part the offset inside it,
-    where the :class:`JumpWeights` ``weights`` of the cells weigh the jump."""
-    lo = bounds[seg]
-    cells = bounds[seg + 1] - lo
-    x = unit * cells
-    k = np.minimum(x.astype(np.int64), cells - 1)
-    return weights(lo + k, 1.0 - (x - k))
 
 
 def _prefix_products(T: np.ndarray) -> np.ndarray:
@@ -538,27 +536,26 @@ def _prefix_products(T: np.ndarray) -> np.ndarray:
     return U.reshape(G, n_runs * b, p, p)[:, :m]
 
 
-def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None,
-                    panels: "PanelWeights | None" = None, values: bool = False):
+def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None, values: bool = False):
     """Yields ``(segs, D, drift, cov, span, coeffs)`` per stack of
     equal-length record segments of ``plan``: segment indices (g,),
     D (g, p, p), the unit-driver drift (g, p) and covariance (g, p, p) of the
-    noise each segment adds, the span over which its jumps reach the record
-    (the live part (g,) of a gap law, NaN for fine steps), and, when
-    ``values`` is set, the list of ``(A, C)`` coefficient arrays the stack was
-    built from (else None); the only code that turns a plan into segment
-    data.
+    noise each segment adds, the span (g,) over which its jumps reach the
+    record, and, when ``values`` is set, the list of ``(A, C)`` coefficient
+    arrays the stack was built from (else None); the only code that turns a
+    plan into segment data. The rows of the jump weights of every stack go
+    to the one table ``weights`` (when given).
 
     A stack whose A shares one basis at the panel nodes of :func:`_gap_sums`
     (the identity for a diagonal A, every p = 1 model among them, or a
     trusted eigenbasis) takes the law of the continuous model from quadrature
-    over each gap, with jump weights in ``panels``. Its stacks are chunks of
-    ``_GAP_SEGMENTS`` / p^2 segments, set by the record times alone, so the
-    fine step does not enter its law. The other segments run the fine-step
-    recursion, in stacks of about ``_BLOCK_ENTRIES`` matrix entries (a
-    segment of m steps costs O(m p^2)): the Magnus step laws of
-    :func:`_step_stack`, the matrix scan :func:`_scan_sums` and jump weights
-    per step in ``weights``; their ``coeffs`` are the step exponents M and C.
+    over each gap, and its span is the live part of the gap. Its stacks are
+    chunks of ``_GAP_SEGMENTS`` / p^2 segments, set by the record times
+    alone, so the fine step does not enter its law. The other segments run
+    the fine-step recursion of :func:`_fine_sums`, in stacks of about
+    ``_BLOCK_ENTRIES`` matrix entries (a segment of m steps costs O(m p^2));
+    their span is the whole segment, and their ``coeffs`` are the step
+    exponents M and C.
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
@@ -569,7 +566,7 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None,
         same = np.flatnonzero(lengths == m)
         rest = []
         for segs in np.split(same, np.arange(chunk, same.size, chunk)):
-            out = _gap_sums(spec, N, plan.start + bounds[segs] * h, m, h, segs, panels, values)
+            out = _gap_sums(spec, N, plan.start + bounds[segs] * h, m, h, segs, weights, values)
             if out is None:
                 rest.append(segs)
             else:
@@ -577,13 +574,24 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None,
         rest = np.concatenate(rest) if rest else same[:0]
         stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
         for segs in np.split(rest, np.arange(stack, rest.size, stack)) if rest.size else ():
-            steps = bounds[segs, None] + np.arange(m)  # (segments, m)
-            law = _step_stack(spec, plan.start + steps * h, N, h)
-            yield (segs, *_scan_sums(law, steps, weights), np.nan, [(law.M, law.C)] if values else None)
+            yield (segs, *_fine_sums(plan, bounds[segs], m, segs, weights, values))
+
+
+def _fine_sums(plan: Plan, lo: np.ndarray, m: int, segs: np.ndarray, weights: "JumpWeights | None",
+               values: bool) -> tuple:
+    """D, drift, covariance, span and coefficient values (as
+    :func:`_segment_stacks` yields them) of the fine-step recursion over the
+    segments of m steps from the steps ``lo``: the Magnus step laws of
+    :func:`_step_stack` and the matrix scan :func:`_scan_sums`."""
+    law = _step_stack(plan.spec, plan.start + (lo[:, None] + np.arange(m)) * plan.h, plan.N, plan.h)
+    D, drift, cov, L = _scan_sums(law)
+    if weights is not None:
+        weights.put_steps(segs, [(law, L)])
+    return D, drift, cov, np.full(segs.size, m * plan.h), [(law.M, law.C)] if values else None
 
 
 def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs: np.ndarray,
-              panels: "PanelWeights | None", values: bool):
+              weights: "JumpWeights | None", values: bool):
     """D, drift, covariance, span and coefficient values (as
     :func:`_segment_stacks` yields them) of the continuous model over the gaps
     [lo_k, lo_k + L], L = m h, in rescaled time, or None where A has no shared
@@ -599,7 +607,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs:
         D = V diag(e^{E(a)}) V^-1,   drift = V int_a^b y(s) ds,
         cov = V [int_a^b y y^* ds] V^*,   y = e^{E} g,
 
-    and a jump at x has weight V diag(e^{E(x)}) g(x) (:class:`PanelWeights`).
+    and a jump at x has weight V diag(e^{E(x)}) g(x) (:class:`JumpWeights`).
 
     A first cut of each gap into panels of ``_PANEL_TIME`` in original time
     gives the basis, max |lambda| and min -Re lambda > 0 at its nodes. Where
@@ -670,17 +678,17 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs:
                 w = _nodes_last(shared[0])
             C = _panel_values(spec, N, "C", lo[sub] + head[sub], live[sub], n, q0, q1)
             E, d_part, G_part, coef = _panel_sums(w, _nodes_last(C if V is None else C @ Vinv.T),
-                                                  0.5 * live[sub] / n, E, panels is not None)
+                                                  0.5 * live[sub] / n, E, weights is not None)
             d, G = d + d_part, G + G_part
             coefs.insert(0, coef)
             if values:
                 vals.append((A, C))
         total[sub] += E
         drift[sub], X[sub] = d, G
-        laws.append((segs[sub], n, coefs))
-    if panels is not None:
-        for args in laws:
-            panels.put(*args, V)
+        laws.append((segs[sub], coefs))
+    if weights is not None:
+        for sub, coefs in laws:
+            weights.put(sub, [(coef, None if V is None else V[None], None) for coef in coefs])
     decay = np.exp(total)[:, None, :]
     if V is None:
         return np.eye(p) * decay, drift, X, live, vals
@@ -692,7 +700,7 @@ def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jump
     g = V^-1 C at their 21 nodes (s, b, p, 21), nodes last, and E (s, p) at the
     end of the last panel: E at the start of the first panel, the integrals
     of y and of y y^* over the block (eigen coordinates), and, when ``jumps``
-    is set, the Chebyshev coefficients (s, b, 2p, degree) of E and of g on
+    is set, the Chebyshev coefficients (degree, s, b, 2p) of E and of g on
     each panel (else None), E's first,
     cut after the last above 16 eps of its function's largest one (E's
     constant term, which carries the later panels, aside). Each map over the
@@ -729,7 +737,7 @@ def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jump
     ref = np.concatenate([size[..., :p, 1:].max(axis=-1), size[..., p:, :].max(axis=-1)], axis=-1)
     big = (size[..., 1:] > 16.0 * np.finfo(float).eps * ref[..., None]).any(axis=(0, 1, 2))
     degree = int(np.flatnonzero(big)[-1]) + 1 if big.any() else 0
-    return E + after[:, 0], drift, X, coef[..., : degree + 1]
+    return E + after[:, 0], drift, X, np.moveaxis(coef[..., : degree + 1], -1, 0)
 
 
 def _nodes_last(x: np.ndarray) -> np.ndarray:
@@ -767,83 +775,126 @@ def _panel_rule():
     return _GK_NODES, _GK_KRONROD, T, np.linalg.inv(T[:, :21])
 
 
-class PanelWeights:
-    """Jump weights of the gap laws of :func:`_gap_sums`. A jump placed by its
-    uniform U on the live part of a gap, cut into n panels, falls in panel
-    q = floor(U n) at x = 2 (U n - q) - 1 of [-1, 1], and weighs
-    V diag(e^{E(x)}) g(x), with E and g summed from their Chebyshev
-    coefficients on the panel (:func:`_panel_sums`) by Clenshaw's recurrence.
-    Segments not here have ``count`` 0."""
+class JumpWeights:
+    """Weights of the jumps of every record segment of a law, in one table.
+
+    Segment k owns n_k rows, and a jump that its uniform U places in it
+    falls in row q = floor(U n_k) at t = 2 (U n_k - q) - 1 of [-1, 1]. A row
+    weighs it by basis (e^{E(t)} o g(t)), E and g (p each) Chebyshev series
+    on the row, summed by Clenshaw's recurrence:
+
+    * a panel of a gap law (:func:`_gap_sums`): the coefficients of
+      :func:`_panel_sums` on the stack's basis V;
+    * a fine step (:func:`_fine_sums`) or a frozen step, of exponent
+      M = V diag(w) V^-1 (:class:`StepLaw`) and carry L to its record:
+      E = w (1 - t) / 2 and g = V^-1 C on the basis L V, V for a frozen step
+      and none on the identity basis, so the weight is L e^{M (1 - t) / 2} C;
+    * a step with no trusted basis: L expm(M (1 - t) / 2) C per jump.
+
+    Segments with no rows have ``count`` 0. The table is laid out on first
+    use, degree-major so that each Clenshaw term is contiguous.
+    """
 
     def __init__(self, n_records: int):
-        self.start, self.count, self.basis = (np.zeros(n_records, dtype=np.int64) for _ in range(3))
-        self.bases, self.blocks, self.rows = [], [], 0
+        self.start, self.count = (np.zeros(n_records, dtype=np.int64) for _ in range(2))
+        self.blocks, self.rows = [], 0  # (rows, coef (degree, k, 2p), basis, expm)
 
-    def put(self, segs: np.ndarray, n: int, coefs: list, V) -> None:
-        """The segments ``segs`` of n live panels on the basis V, with the
-        coefficients (segments, panels, 2p, degree) of their panels in the
-        blocks ``coefs``, first panels first."""
-        self.start[segs] = self.rows + n * np.arange(segs.size)
-        self.count[segs], self.basis[segs] = n, len(self.bases)
-        self.bases.append(V)
+    def put(self, segs: np.ndarray, blocks: list) -> None:
+        """Rows of the segments ``segs`` from ``blocks`` of (coef, basis,
+        expm), first rows first: the coefficients (degree, g, k, 2p) of k rows
+        per segment, their basis, (1, p, p) or (g k, p, p), or None for the
+        identity, and (mask, M, C) of the g k rows, where the mask marks those
+        that take expm, or None."""
+        n = sum(coef.shape[2] for coef, *_ in blocks)
+        self.start[segs], self.count[segs] = self.rows + n * np.arange(segs.size), n
         self.rows += n * segs.size
         q0 = 0
-        for coef in coefs:
-            rows = (self.start[segs][:, None] + np.arange(q0, q0 + coef.shape[1])).ravel()
-            self.blocks.append((rows, np.moveaxis(coef.reshape((rows.size,) + coef.shape[2:]), -1, 0)))
-            q0 += coef.shape[1]
+        for coef, *rest in blocks:
+            rows = self.start[segs, None] + np.arange(q0, q0 + coef.shape[2])
+            self.blocks.append((rows.ravel(), coef.reshape(len(coef), -1, coef.shape[-1]), *rest))
+            q0 += coef.shape[2]
+
+    def put_steps(self, segs: np.ndarray, blocks: list) -> None:
+        """The steps of the segments ``segs`` from blocks ``(law, L)`` in step
+        order: a :class:`StepLaw` of leading shape (g, k), or (g,) for one
+        step per segment, and the carries L (law.M's shape) of its steps to
+        their records, or None for I."""
+        parts = []
+        for law, L in blocks:
+            p = law.M.shape[-1]
+            w, V, Vinv, est = law.basis if law.shared is None else law.shared
+            g = law.C if V is None else (Vinv @ law.C[..., None])[..., 0]
+            coef = np.zeros((2, law.C.size // p, 2 * p), dtype=np.result_type(w, g))
+            coef[0, :, :p] = 0.5 * w.reshape(-1, p)
+            coef[1, :, :p] = -0.5 * w.reshape(-1, p)
+            coef[0, :, p:] = g.reshape(-1, p)
+            basis, expm = V if L is None else L if V is None else L @ V, None
+            basis = None if basis is None else basis.reshape(-1, p, p)
+            bad = ~np.broadcast_to(est <= _COND_MAX, law.M.shape[:-2]).ravel()
+            if bad.any():
+                L = np.broadcast_to(np.eye(p), law.M.shape) if L is None else L
+                basis = np.where(bad[:, None, None], L.reshape(-1, p, p), basis)
+                coef[:, bad] = 0.0
+                expm = bad, law.M.reshape(-1, p, p), law.C.reshape(-1, p)
+            parts.append((coef.reshape(2, segs.size, -1, 2 * p), basis, expm))
+        self.put(segs, parts)
 
     @functools.cached_property
     def table(self):
-        """The coefficients (degree, panels, 2p) of every panel, the bases
-        (stacks, p, p), or None where every basis is the identity, and
-        whether every gap is one panel."""
-        degree = max(c.shape[0] for _, c in self.blocks)
-        first = self.blocks[0][1]
-        out = np.zeros((degree, self.rows, first.shape[-1]),
-                       dtype=np.result_type(*(c for _, c in self.blocks)))
-        for rows, c in self.blocks:
-            out[: c.shape[0], rows] = c
-        self.blocks = None
-        p, single = first.shape[-1] // 2, self.count.max() == 1
-        if all(V is None for V in self.bases):
-            return out, None, single
-        return out, np.stack([np.eye(p) if V is None else V for V in self.bases]), single
+        """The coefficients (degree, rows, 2p) and bases (rows, p, p) of every
+        row (None where no row has a basis), the mask of the rows that take
+        expm with their M and C (None where none does), and whether every
+        segment has one row."""
+        blocks, self.blocks = self.blocks, None
+        c = [block[1] for block in blocks]
+        coef = np.zeros((max(map(len, c)), self.rows, c[0].shape[-1]), dtype=np.result_type(*c))
+        p, given = coef.shape[-1] // 2, [block[2] for block in blocks if block[2] is not None]
+        bases = np.tile(np.eye(p, dtype=np.result_type(*given)), (self.rows, 1, 1)) if given else None
+        expm = [block for block in blocks if block[3] is not None] or None
+        if expm:
+            expm = np.zeros(self.rows, dtype=bool), np.zeros((self.rows, p, p)), np.zeros((self.rows, p))
+        for rows, c, basis, kept in blocks:
+            coef[: len(c), rows] = c
+            if basis is not None:
+                bases[rows] = basis
+            if kept is not None:
+                for x, y in zip(expm, kept):
+                    x[rows] = y
+        return coef, bases, expm, self.count.max() == 1
 
     def __call__(self, seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
         """Weights (len(seg), p) of jumps at the fractions ``unit`` of their segments ``seg``."""
-        coef, bases, single = self.table
+        coef, bases, expm, single = self.table
         rows = self.start.take(seg)
-        if single:  # one panel per gap: q = 0
-            t = 2.0 * unit - 1.0
+        if single:  # one row per segment: q = 0
+            f = unit
         else:
             n = self.count.take(seg)
             x = unit * n
             q = np.minimum(x.astype(np.int64), n - 1)
             rows += q
-            t = 2.0 * (x - q) - 1.0
+            f = x - q
+        t = (2.0 * f - 1.0)[:, None]
         c = coef.take(rows, axis=1)  # (degree, jumps, 2p), each degree contiguous
-        t = t[:, None]
         # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
-        val = c[-1]
-        if len(c) > 1:
-            b1, b2 = val, 0.0
-            for j in range(len(c) - 2, 0, -1):
-                b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
-            val = c[0] + t * b1
-            if len(c) > 2:
-                val -= b2
+        b1, b2 = c[-1], 0.0
+        for j in range(len(c) - 2, 0, -1):
+            b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
+        val = c[0] + t * b1 - b2 if len(c) > 1 else b1
         p = c.shape[-1] // 2
-        y = np.exp(val[:, :p]) * val[:, p:]
-        if bases is None:
-            return y
-        return np.einsum("kab,kb->ka", bases.take(self.basis.take(seg), axis=0), y).real
+        out = np.exp(val[:, :p]) * val[:, p:]
+        if bases is not None:
+            out = np.einsum("kab,kb->ka", bases.take(rows, axis=0), out).real
+        if expm is not None and (at := expm[0].take(rows)).any():
+            L, M, C = (x[rows[at]] for x in (bases.real, *expm[1:]))
+            out[at] = (L @ linalg.expm(M * (1.0 - f[at])[:, None, None], C)[..., None])[..., 0]
+        return out
 
 
-def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
-    """D, drift and covariance of a stack (g, m) of fine steps from the
-    products M_j of the scan :func:`_prefix_products`: the fine-step law of
-    the stacks that have no gap law."""
+def _scan_sums(law: "StepLaw") -> tuple:
+    """D, drift and covariance of a stack (g, m) of fine steps, and the
+    carries M_j (g, m, p, p) of its steps to the end of the stack, from the
+    products of the scan :func:`_prefix_products`."""
     P = law.propagator()
     g, p = P.shape[0], P.shape[-1]
     # T[:, i] = P_{hi-1} ... P_{hi-1-i}
@@ -851,22 +902,20 @@ def _scan_sums(law: "StepLaw", steps: np.ndarray, weights) -> tuple:
     # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
     M = np.concatenate([T[:, -2::-1], np.broadcast_to(np.eye(p), (g, 1, p, p))], axis=1)
     d, G = law.moments()
-    if weights is not None:
-        weights.put(steps, law, M)
-    return T[:, -1], np.einsum("gjab,gjb->ga", M, d), np.einsum("gjab,gjbc,gjdc->gad", M, G, M)
+    return T[:, -1], np.einsum("gjab,gjb->ga", M, d), np.einsum("gjab,gjbc,gjdc->gad", M, G, M), M
 
 
-def _driver_law(triplet: LevyTriplet, drift, cov, jump_mean, decay, B, jump_weight) -> SegmentLaw:
+def _driver_law(triplet: LevyTriplet, drift, cov, span, decay, B, jump_weight) -> SegmentLaw:
     """The :class:`SegmentLaw` of ``triplet`` on segments whose noise int K dL
     has ``drift`` = int K and ``cov`` = int K K': mean path_drift drift, the
-    factor of sigma2 cov and Poisson(``jump_mean``) jumps weighted by
+    factor of sigma2 cov and Poisson(rate ``span``) jumps weighted by
     ``jump_weight``, the last two only for a positive sigma2 and rate."""
     has_jumps = triplet.jump_rate > 0
     return SegmentLaw(
         decay=decay,
         mean=triplet.path_drift * drift,
         chol=covariance_factor(triplet.sigma2 * cov) if triplet.sigma2 > 0 else None,
-        jump_mean=jump_mean if has_jumps else None,
+        jump_mean=triplet.jump_rate * span if has_jumps else None,
         jump_weight=jump_weight if has_jumps else None,
         jumps=triplet.jumps if has_jumps else None,
         B=B,
@@ -876,67 +925,33 @@ def _driver_law(triplet: LevyTriplet, drift, cov, jump_mean, decay, B, jump_weig
 def _plan_sums(plan: Plan, jumps: bool, values: bool = False) -> tuple:
     """Decay (n, p, p), unit-driver drift (n, p) and covariance (n, p, p) of
     every record segment of ``plan`` from :func:`_segment_stacks`; the span
-    (n,) over which a jump reaches the record, the live part of a gap law and
-    NaN for fine steps; the coefficient arrays of its stacks (when
-    ``values``); and the map (seg, U) -> jump weights (when ``jumps``, else
-    None)."""
-    bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
-    n, p = bounds.size - 1, plan.spec.p
-    cells, panels = (JumpWeights(plan.n_steps, p), PanelWeights(n)) if jumps else (None, None)
+    (n,) over which a jump reaches the record; the coefficient arrays of its
+    stacks (when ``values``); and the :class:`JumpWeights` of its segments
+    (when ``jumps``, else None)."""
+    n, p = plan.record_steps.size, plan.spec.p
+    weights = JumpWeights(n) if jumps else None
     decay, drift, cov, span, coeffs = (np.empty((n, p, p)), np.empty((n, p)), np.empty((n, p, p)),
-                                       np.full(n, np.nan), [])
-    for segs, D, d, G, live, vals in _segment_stacks(plan, cells, panels, values):
+                                       np.empty(n), [])
+    for segs, D, d, G, live, vals in _segment_stacks(plan, weights, values):
         decay[segs], drift[segs], cov[segs], span[segs] = D, d, G, live
         coeffs += vals or []
-    return decay, drift, cov, span, coeffs, _jump_weight(bounds, cells, panels) if jumps else None
-
-
-def _jump_means(triplet: LevyTriplet, h: float, cells: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Poisson means of the jumps of record segments of ``cells`` fine steps:
-    rate h cells, and rate times the live span of a gap law (:func:`_plan_sums`)."""
-    mean = triplet.jump_rate * h * cells
-    gap = ~np.isnan(span)
-    mean[gap] = triplet.jump_rate * span[gap]
-    return mean
-
-
-def _jump_weight(bounds: np.ndarray, cells: "JumpWeights", panels: PanelWeights):
-    """(seg, U) -> weights of the jumps of a plan: by ``panels`` in the
-    segments of gap laws, and by the step weights ``cells`` of
-    :func:`_cell_weights` in the others."""
-    fine = functools.partial(_cell_weights, bounds, cells)
-    if cells.U is None:
-        return panels
-    if not panels.count.any():
-        return fine
-
-    def mixed(seg, unit):
-        out = np.empty((seg.size, cells.U.shape[-1]))
-        gap = panels.count.take(seg) > 0
-        out[gap] = panels(seg[gap], unit[gap])
-        out[~gap] = fine(seg[~gap], unit[~gap])
-        return out
-
-    return mixed
+    return decay, drift, cov, span, coeffs, weights
 
 
 def build_segment_law(plan: Plan, triplet: LevyTriplet) -> SegmentLaw:
     """Segment law of ``plan`` under ``triplet``, from :func:`_plan_sums`; the
     jump weights are kept only when the driver has jumps."""
-    decay, drift, cov, span, _, jump_weight = _plan_sums(plan, triplet.jump_rate > 0)
-    cells = np.diff(np.concatenate([[0], plan.record_steps]))
-    return _driver_law(
-        triplet, drift, cov, _jump_means(triplet, plan.h, cells, span), decay,
-        coefficient_values(plan.spec, "B", plan.eval_rescaled / plan.N), jump_weight,
-    )
+    decay, drift, cov, span, _, weights = _plan_sums(plan, triplet.jump_rate > 0)
+    return _driver_law(triplet, drift, cov, span, decay,
+                       coefficient_values(plan.spec, "B", plan.eval_rescaled / plan.N), weights)
 
 
 def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -> np.ndarray:
     """Increments of the driver over n fine steps of length h for R
     replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
-    law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h),
-                      np.full(n, triplet.jump_rate * h), None, None, lambda seg, unit: np.ones((seg.size, 1)))
+    law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), np.full(n, h),
+                      None, None, lambda seg, unit: np.ones((seg.size, 1)))
     return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 
@@ -1218,54 +1233,6 @@ class StepLaw:
             d[~good] = np.linalg.solve(M, P @ C - C)[..., 0]
             G[~good] = S - P @ S @ P.swapaxes(-1, -2)
         return h * d, h[..., None] * G
-
-
-class JumpWeights:
-    """Weights of jumps in a flat stack of n steps. A jump in step j with the
-    fraction f of the step still to run has weight L_j e^{M_j f} C_j, with
-    M_j the exponent of its :class:`StepLaw` and L_j the matrix that carries
-    it to its record. On a trusted eigenbasis of M_j that is (U_j e^{w_j f}).real
-    with U_j = L_j V_j diag(V_j^-1 C_j), stored per step; the other steps keep
-    L_j, M_j and C_j and take expm per jump. The per-step tables are made by
-    the first :meth:`put`.
-    """
-
-    def __init__(self, n: int, p: int):
-        self.n, self.p = n, p
-        self.U = self.w = self.slot = None
-        self.L, self.M, self.C = [], [], []
-
-    def put(self, steps: np.ndarray, law: StepLaw, L: np.ndarray | None = None) -> None:
-        """Store the steps ``steps`` (the leading shape of ``law``), carried
-        by L (steps.shape + (p, p)), or by I when L is None."""
-        if self.U is None:
-            self.U, self.w = np.zeros((self.n, self.p, self.p)), np.zeros((self.n, self.p))
-            self.slot = np.full(self.n, -1)  # row of a step in L, M, C; -1 on a trusted step
-        w, V, Vinv, est = law.basis
-        good = est <= _COND_MAX
-        at = _rows(good)
-        L = np.broadcast_to(np.eye(law.C.shape[-1]), law.M.shape) if L is None else L
-        U = L[at] @ (law.C[at][..., None] if V is None else
-                     V[at] * (Vinv[at] @ law.C[at][..., None]).swapaxes(-1, -2))
-        # complex only once some eigenbasis is: real weights gather and sum faster
-        dtype = np.result_type(self.U, U, w)
-        self.U, self.w = self.U.astype(dtype, copy=False), self.w.astype(dtype, copy=False)
-        self.U[steps[at]], self.w[steps[at]] = U, w[at]
-        if at is not ...:
-            self.slot[steps[~good]] = sum(map(len, self.L)) + np.arange(np.count_nonzero(~good))
-            for kept, x in zip((self.L, self.M, self.C), (L, law.M, law.C)):
-                kept.append(x[~good])
-
-    def __call__(self, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        """Weights (len(rows), p) of jumps in steps ``rows`` with the fractions ``rest`` to run."""
-        # take gathers rows several times faster than fancy indexing
-        U, w, k = (x.take(rows, axis=0) for x in (self.U, self.w, self.slot))
-        out = np.einsum("kab,kb->ka", U, np.exp(w * rest[:, None])).real
-        if (k >= 0).any():
-            at, k = k >= 0, k[k >= 0]
-            L, M, C = (np.concatenate(x)[k] for x in (self.L, self.M, self.C))
-            out[at] = (L @ linalg.expm(M * rest[at, None, None], C)[..., None])[..., 0]
-        return out
 
 
 def _gramian(M: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -47,7 +47,6 @@ from .dynamics import (
     Car1Spec,
     _draw_increments_rows,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     _driver_law,
-    _jump_means,
     _plan_sums,
     build_plan,
     build_scalar_plan_rescaled,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
@@ -304,15 +303,13 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
     )
     plan = build_plan(joint, 1, [0.0], h, burn_in)
     # one record, so one segment
-    decay, drift, cov, span, coeffs, jump_weight = _plan_sums(plan, triplet.jump_rate > 0,
-                                                              values=True)
+    decay, drift, cov, span, coeffs, weights = _plan_sums(plan, triplet.jump_rate > 0, values=True)
     b = np.zeros((K, P))
     for k, blk in enumerate(blocks[:K]):
         if not all(np.array_equal(A[..., blk, blk], A[..., blocks[K], blocks[K]])
                    and np.array_equal(C[..., blk], C[..., blocks[K]]) for A, C in coeffs):
             b[k, blk], b[k, blocks[K]] = fr.B, -fr.B
-    law = _driver_law(triplet, drift, cov, _jump_means(triplet, h, np.array([plan.n_steps]), span),
-                      decay, np.zeros((1, P)), jump_weight)
+    law = _driver_law(triplet, drift, cov, span, decay, np.zeros((1, P)), weights)
     mom = triplet_moments(triplet)
     # b' cov b of two nearly equal blocks can round below 0
     var = np.maximum(np.einsum("ka,ab,kb->k", b, cov[0], b), 0.0)

@@ -40,7 +40,6 @@ plain second moment also circulates. Both are exposed as candidates and the
 central limit experiment records which one standardizes to unit variance.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import (
-    _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _cell_weights, _driver_law,
+    _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _driver_law,
     _gramian, draw_segment_noise, eigenbasis, run_segment_law,
 )
 from .noise import LevyTriplet, triplet_moments
@@ -508,24 +507,24 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     """Exact law of the frozen process on a grid with the given gaps, after a
     warm start of length 12 / margin from the zero state.
 
-    Step k is segment k of a ``dynamics.SegmentLaw``: one cell of length
-    gaps[k], with the drift weight and covariance of the ``dynamics.StepLaw``
-    of exponent A gaps[k], whose steps share the eigenbasis of the first one
-    when it is trusted, and jump weight e^{A(h-r)} C at arrival offset r.
+    Step k is segment k of a ``dynamics.SegmentLaw``: one step of length
+    gaps[k], its span, with the drift weight and covariance of the
+    ``dynamics.StepLaw`` of exponent A gaps[k], whose steps share the
+    eigenbasis of the first one when it is trusted, and jump weight
+    e^{A(h-r)} C at arrival offset r: one row of ``dynamics.JumpWeights``
+    per step, the table that weighs the jumps of ``Y_N`` too.
     """
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
     all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
     law = _step_law(fr.A * all_gaps[:, None, None], fr.C, all_gaps)
-    weights = JumpWeights(all_gaps.size, fr.p)
+    weights = None
     if triplet.jump_rate > 0:
-        weights.put(np.arange(all_gaps.size), law)
-    return _driver_law(
-        triplet, *law.moments(), triplet.jump_rate * all_gaps, law.propagator(),
-        np.broadcast_to(fr.B, (all_gaps.size, fr.p)),
-        functools.partial(_cell_weights, np.arange(all_gaps.size + 1), weights),
-    )
+        weights = JumpWeights(all_gaps.size)
+        weights.put_steps(np.arange(all_gaps.size), [(law, None)])
+    return _driver_law(triplet, *law.moments(), all_gaps, law.propagator(),
+                       np.broadcast_to(fr.B, (all_gaps.size, fr.p)), weights)
 
 
 def simulate_stationary_batch(fr: FrozenSystem, triplet: LevyTriplet, gaps, R: int, gen):

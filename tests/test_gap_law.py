@@ -187,7 +187,7 @@ def test_fine_step_recursion_is_second_order_against_the_oracle():
     for h in (1.0 / 16.0, 1.0 / 64.0):
         steps = np.arange(int(round(1.0 / h)))[None]
         law = dynamics._step_stack(spec, 1.0 + steps * h, 1, h)
-        _, _, fine_cov = dynamics._scan_sums(law, steps, None)
+        fine_cov = dynamics._scan_sums(law)[2]
         errors.append(abs(fine_cov[0, 0, 0] - cov[0, 0]) / cov[0, 0])
     assert 1.3e-4 < errors[0] < 2.1e-4 and 0.8e-5 < errors[1] < 1.3e-5, errors
     assert 15.0 < errors[0] / errors[1] < 17.0
@@ -222,6 +222,25 @@ def test_shipped_commuting_models_take_the_gap_law():
             dynamics._plan_sums(plan, True)
 
 
+def _fine_segments(plan, jumps):
+    """``dynamics._plan_sums`` of ``plan``, and a mask of the segments whose
+    fine steps ``dynamics._step_stack`` built."""
+    lefts, step_stack = [], dynamics._step_stack
+
+    def counted(spec, left, N, h):
+        lefts.append(left)
+        return step_stack(spec, left, N, h)
+
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(dynamics, "_step_stack", counted)
+        out = dynamics._plan_sums(plan, jumps)
+    bounds = plan.start + np.concatenate([[0], plan.record_steps]) * plan.h
+    fine = np.zeros(plan.record_steps.size, dtype=bool)
+    for left in lefts:
+        fine[np.searchsorted(bounds, left, side="right") - 1] = True
+    return out, fine
+
+
 def test_a_plan_with_gap_and_fine_segments_weighs_each_jump_by_its_own_law():
     # A is diagonal before t = 1.25 and does not commute after it: the
     # segments before take gap laws, the ones after the fine-step recursion,
@@ -235,9 +254,9 @@ def test_a_plan_with_gap_and_fine_segments_weighs_each_jump_by_its_own_law():
     spec = ModelSpec(2, A, lambda t: np.ones(np.shape(t) + (2,)),
                      lambda t: np.ones(np.shape(t) + (2,)), Lipschitz(1.0, 0.0, 0.0), False, 1.0, "half")
     plan = build_plan(spec, 1, [1.0, 1.25, 1.375, 1.5, 1.625], 1.0 / 64.0, 8.0)
-    *_, span, _, weight = dynamics._plan_sums(plan, True)
-    gap = ~np.isnan(span)
-    assert gap[:2].all() and not gap[2:].any()
+    (*_, span, _, weight), fine = _fine_segments(plan, True)
+    assert not fine[:2].any() and fine[2:].all()
+    assert np.array_equal(span[1:], np.diff(plan.eval_rescaled))
     seg = np.repeat(np.arange(5), 2)
     unit = np.tile([0.25, 0.75], 5)
     both = weight(seg, unit)
@@ -252,5 +271,5 @@ def test_a_spectrum_stiff_beyond_the_panel_bound_runs_the_fine_steps():
     # the fine-step recursion
     spec = Rates([1e6, 1e-3], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]).spec()
     plan = build_plan(spec, 1, [8000.0, 8001.0], 1.0 / 4.0, 8000.0)
-    *_, span, _, _ = dynamics._plan_sums(plan, False)
-    assert np.isnan(span).all()
+    (*_, span, _, _), fine = _fine_segments(plan, False)
+    assert fine.all() and span.tolist() == [8000.0, 1.0]

@@ -470,7 +470,7 @@ def _fine_step_sums(plan, h):
     lengths = np.diff(bounds)
     for m, law in zip(np.unique(lengths), _step_laws(plan)):
         steps = bounds[:-1][lengths == m, None] + np.arange(m)
-        for x, y in zip(out, dynamics._scan_sums(law, steps, None)):
+        for x, y in zip(out, dynamics._scan_sums(law)):
             x[lengths == m] = y
     return out
 
@@ -704,3 +704,89 @@ def test_step_major_sums_of_a_stack_of_empty_segments(p):
     assert span == 0.0
     assert np.array_equal(D, np.broadcast_to(np.eye(p), (3, p, p)))
     assert not drift.any() and not cov.any() and not np.signbit(cov).any()
+
+
+def reference_weights(spec, plan, seg, unit):
+    """Weights of jumps at the fractions ``unit`` of the segments ``seg`` of
+    ``plan``, one jump at a time with scalar coefficient calls: a jump falls
+    in step j = floor(U m) of its segment of m steps, with the fraction
+    rest = 1 - (U m - j) of the step still to run, and weighs
+    P_{m-1} ... P_{j+1} expm(W_j rest) C_j, with W_i the Magnus exponent of
+    step i, P_i = expm(W_i) and C_j at the middle of step j."""
+    bounds = np.concatenate([[0], plan.record_steps])
+    out = []
+    for k, u in zip(seg, unit):
+        lo, m = bounds[k], bounds[k + 1] - bounds[k]
+        x = u * m
+        j = min(int(x), m - 1)
+        left = plan.start + (lo + j) * plan.h
+        W = _magnus(spec.A, left, plan.N, plan.h)
+        w = linalg.expm(W * (1.0 - (x - j))) @ spec.C((left + 0.5 * plan.h) / plan.N)
+        for i in range(j + 1, m):
+            w = linalg.expm(_magnus(spec.A, plan.start + (lo + i) * plan.h, plan.N, plan.h)) @ w
+        out.append(w)
+    return np.array(out)
+
+
+def assert_close(got, want):
+    """Within 1e-12 of each value, or 1e-13 of the largest where values cancel
+    (as in ``test_gap_law.py``)."""
+    scale = np.abs(want).max(initial=0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-13 * scale), (got, want)
+
+
+@pytest.mark.parametrize("kinds", [("commuting",), FINE], ids=["shared", "per_step_or_expm"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    N=st.sampled_from([1, 4, 32]),
+    gaps=st.lists(st.integers(1, 24), min_size=1, max_size=4),
+    first=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first, seed):
+    # every stack takes the fine-step recursion: commuting ones on a shared
+    # basis, the identity for p = 1; non-commuting ones, p >= 2, on per-step
+    # bases; near-defective ones expm per jump
+    spec = data.draw(systems(kinds))
+    rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
+    plan = build_plan(spec, N, rescaled, H, BURN_IN)
+    rng = np.random.default_rng(seed)
+    seg = np.repeat(np.arange(len(rescaled)), 2)
+    unit = rng.random(seg.size)
+    with mock.patch.object(dynamics, "_gap_sums", lambda *args: None):
+        *_, span, _, weights = dynamics._plan_sums(plan, True)
+    assert np.array_equal(span, np.diff(np.concatenate([[0], plan.record_steps])) * H)
+    _, bases, expm, _ = weights.table
+    assert (expm is not None) == (spec.model_id == "near_defective")
+    assert bases is not None  # the carries to the record
+    assert_close(weights(seg, unit), reference_weights(spec, plan, seg, unit))
+
+
+@pytest.mark.parametrize("basis", ["identity", "eigenbasis"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    u=st.floats(0.0, 3.0),
+    gaps=st.lists(st.sampled_from([0.01, 0.25, 1.0, 3.0]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frozen_step_rows_match_expm(basis, data, u, gaps, seed):
+    # a frozen step of length h weighs a jump at the fraction U by
+    # expm(A h (1 - U)) C, on the identity basis of a diagonal A or on the
+    # shared eigenbasis of a commuting one with p >= 2, complex where A has
+    # complex-conjugate pairs
+    if basis == "identity":
+        spec = data.draw(diagonal_systems())
+    else:
+        spec = data.draw(systems(("commuting",)).filter(lambda spec: spec.p >= 2))
+    fr = stationary.freeze(spec, u)
+    law = stationary._frozen_law(fr, JUMPS, gaps)
+    all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
+    assert np.array_equal(law.jump_mean, all_gaps)
+    seg = np.repeat(np.arange(all_gaps.size), 3)
+    unit = np.random.default_rng(seed).random(seg.size)
+    _, bases, _, single = law.jump_weight.table
+    assert single and (bases is None) == (basis == "identity")
+    want = np.array([linalg.expm(fr.A * all_gaps[k] * (1.0 - U)) @ fr.C for k, U in zip(seg, unit)])
+    assert_close(law.jump_weight(seg, unit), want)

@@ -644,8 +644,8 @@ def test_batched_simulation_matches_per_step_loop(system, driver):
 
 
 def test_jump_inputs_match_per_jump_expm():
-    # e^{A v} C for a batch of decay times, as the weights of jumps with the
-    # fraction v / 6 of a step of length 6 still to run: the Jordan block (expm
+    # e^{A v} C for a batch of decay times, as the weights of jumps at the
+    # fraction 1 - v / 6 of a step of length 6, with v of it still to run: the Jordan block (expm
     # path, whose e^{A v} C = e^{-v} (v, 1)) and companion2 (eigenbasis path)
     # against one expm per jump
     from scipy.linalg import expm
@@ -653,9 +653,9 @@ def test_jump_inputs_match_per_jump_expm():
     v = np.linspace(0.0, 6.0, 25)
 
     def weights(fr):
-        table = JumpWeights(1, fr.p)
-        table.put(np.zeros(1, dtype=np.int64), StepLaw(6.0 * fr.A[None], fr.C, [6.0]))
-        return table(np.zeros(v.size, dtype=np.int64), v / 6.0)
+        table = JumpWeights(1)
+        table.put_steps(np.zeros(1, dtype=np.int64), [(StepLaw(6.0 * fr.A[None], fr.C, [6.0]), None)])
+        return table(np.zeros(v.size, dtype=np.int64), 1.0 - v / 6.0)
 
     for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):
         ref = np.stack([expm(fr.A * x) @ fr.C for x in v])
