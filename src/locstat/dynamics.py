@@ -28,13 +28,13 @@ runs as a state space model (a :class:`Car1Spec` as its 1x1
   fine step moves the state by the exact step law of :class:`StepLaw` with
   the fourth-order Magnus exponent of A over the step and C at its midpoint
   (:func:`_step_stack`), and the steps of a segment are combined by a
-  matrix scan (:func:`_scan_sums`, :func:`_fine_sums`). These laws are
-  exact for the fine-step recursion; its in-step noise weight freezes A, so
-  against the continuous model they are second order in the fine step,
-  which sets their work.
+  matrix scan (:func:`_scan_sums`), in blocks scanned back from the record
+  (:func:`_fine_sums`). These laws are exact for the fine-step recursion;
+  its in-step noise weight freezes A, so against the continuous model they
+  are second order in the fine step, which sets their work.
 
 Every segment reports its span, the part of it whose jumps reach the record
-(the live part of a gap law, the whole of a fine-step segment), so
+(the live part of a gap law, the scanned part of a fine-step segment), so
 its Poisson mean is rate times span. One table, :class:`JumpWeights`,
 places and weighs the jumps of every law: a row per panel of a gap law and
 per fine step, each a pair of Chebyshev series on [-1, 1].
@@ -554,8 +554,8 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None, values: bo
     alone, so the fine step does not enter its law. The other segments run
     the fine-step recursion of :func:`_fine_sums`, in stacks of about
     ``_BLOCK_ENTRIES`` matrix entries (a segment of m steps costs O(m p^2));
-    their span is the whole segment, and their ``coeffs`` are the step
-    exponents M and C.
+    their span is the part that the scan back from the record reached, and
+    their ``coeffs`` are the step exponents M and C.
     """
     spec, h, N = plan.spec, plan.h, plan.N
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
@@ -582,12 +582,39 @@ def _fine_sums(plan: Plan, lo: np.ndarray, m: int, segs: np.ndarray, weights: "J
     """D, drift, covariance, span and coefficient values (as
     :func:`_segment_stacks` yields them) of the fine-step recursion over the
     segments of m steps from the steps ``lo``: the Magnus step laws of
-    :func:`_step_stack` and the matrix scan :func:`_scan_sums`."""
-    law = _step_stack(plan.spec, plan.start + (lo[:, None] + np.arange(m)) * plan.h, plan.N, plan.h)
-    D, drift, cov, L = _scan_sums(law)
+    :func:`_step_stack` and the matrix scan :func:`_scan_sums`, in blocks of
+    at most ``_SCAN_ENTRIES`` / p^2 steps, scanned back from the record. A
+    block b before the part a already scanned joins it by D = D_a D_b,
+    drift = D_a d_b + d_a and cov = D_a G_b D_a' + G_a, and the carries of
+    its steps to the record are D_a times theirs. In a segment of more than
+    one block, entries of the carry below the smallest normal double are
+    flushed to 0, as in :func:`affine_states`; once it is 0, the earlier
+    steps add only the exact 0 of the decay and no jump there reaches the
+    record, so the scan stops, and the span is the part scanned. A segment
+    of one block is one scan, with no flush."""
+    spec, h, p = plan.spec, plan.h, plan.spec.p
+    size = max(1, _SCAN_ENTRIES // (p * p))
+    blocks, vals, hi = [], [], m
+    while hi > 0 and (not blocks or D.any()):
+        q0 = max(0, hi - size)
+        law = _step_stack(spec, plan.start + (lo[:, None] + np.arange(q0, hi)) * h, plan.N, h)
+        Db, db, Gb, L = _scan_sums(law)
+        if not blocks:
+            D, drift, cov = Db, db, Gb
+        else:
+            L = D[:, None] @ L
+            drift = drift + (D @ db[..., None])[..., 0]
+            cov = cov + D @ Gb @ D.swapaxes(-1, -2)
+            D = D @ Db
+        if m > size:
+            D[np.abs(D) < _TINY] = 0.0
+        blocks.insert(0, (law, L))
+        if values:
+            vals.append((law.M, law.C))
+        hi = q0
     if weights is not None:
-        weights.put_steps(segs, [(law, L)])
-    return D, drift, cov, np.full(segs.size, m * plan.h), [(law.M, law.C)] if values else None
+        weights.put_steps(segs, blocks)
+    return D, drift, cov, np.full(segs.size, (m - hi) * h), vals if values else None
 
 
 def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs: np.ndarray,
@@ -1020,6 +1047,8 @@ def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float
 # (lln_ladder: 66.2, 62.3 and 62.1 MB); with 8192 the lln_ladder campaign takes
 # about 2 ms longer than with 16384, as its ladder builds twice as many stacks.
 _BLOCK_ENTRIES = 16384
+# most entries (steps times p^2) of one block of the scan of a fine-step segment
+_SCAN_ENTRIES = 1 << 16
 # most fine steps of a run, burn-in included: its memory grows with its steps
 _MAX_STEPS = 1 << 22
 # gap laws (_gap_sums): segments per stack times p^2, and the panel bounds,

@@ -927,19 +927,32 @@ def _peak_rss_mb(cfg: dict, tmp_path, name: str) -> float:
     return usage.ru_maxrss / 1024.0
 
 
+NONCOMMUTING_MODEL = {
+    "kind": "statespace", "p": 2, "A_entries": [["-2", "1 + 0.5*sin(t)"], ["-1 + 0.5*sin(t)", "-3"]],
+    "B": ["1", "1"], "C": ["1", "0.5"], "commuting": False, "stability_margin": 1.0,
+    "lipschitz": {"A": 0.75, "B": 0.0, "C": 0.0},
+}
+
+
 def test_a_long_burn_in_takes_no_more_memory_than_a_short_one(tmp_path):
-    # the burn-in is one gap law: e^E underflows to 0 more than 760 / min(a)
-    # before its record, so the panels and the jumps of a burn-in of 1e5 are
-    # those of its last 760, as many as a burn-in of 1e3 has (a fine-step
-    # law held 8e5 steps, and a draw 6.4e6 jumps per chunk: 386 MB)
-    cfg = {
-        "model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0},
-        "triplet": {"gamma": 0.0, "sigma2": 0.5,
-                    "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
-        "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
-        "simulation": {"fine_step": 0.125, "burn_in": 1e3},
-        "experiment": {"kind": "lln_discrete", "N_list": [256, 1024], "replications": 100},
-    }
-    short = _peak_rss_mb(cfg, tmp_path, "short")
-    cfg["simulation"]["burn_in"] = 1e5
-    assert _peak_rss_mb(cfg, tmp_path, "long") <= 1.2 * short
+    # a gap law: e^E underflows to 0 more than 760 / min(a) before its
+    # record, so the panels and the jumps of a burn-in of 1e5 are those of
+    # its last 760, as many as a burn-in of 1e3 has (a fine-step law held 8e5
+    # steps, and a draw 6.4e6 jumps per chunk: 386 MB). Fine steps of a
+    # non-commuting A: the burn-in is scanned back from its record in blocks
+    # of 2^14 steps, and the carry to the record is 0 after the first, so
+    # the steps before it and their jumps are not built (the whole 1.6e6
+    # steps peaked at 1151 MB)
+    car1 = {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0}
+    for model, h in ((car1, 0.125), (NONCOMMUTING_MODEL, 0.0625)):
+        cfg = {
+            "model": model,
+            "triplet": {"gamma": 0.0, "sigma2": 0.5,
+                        "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}},
+            "scheme": {"u": 1.0, "b": 0.5, "beta": 1.0 / 3.0, "scheme": "O1", "Delta": 1.0},
+            "simulation": {"fine_step": h, "burn_in": 1e3},
+            "experiment": {"kind": "lln_discrete", "N_list": [256, 1024], "replications": 100},
+        }
+        short = _peak_rss_mb(cfg, tmp_path, f"{model['kind']}-short")
+        cfg["simulation"]["burn_in"] = 1e5
+        assert _peak_rss_mb(cfg, tmp_path, f"{model['kind']}-long") <= 1.2 * short, model["kind"]

@@ -742,12 +742,14 @@ def assert_close(got, want):
     N=st.sampled_from([1, 4, 32]),
     gaps=st.lists(st.integers(1, 24), min_size=1, max_size=4),
     first=st.integers(0, 64),
+    block=st.sampled_from([None, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first, seed):
-    # every stack takes the fine-step recursion: commuting ones on a shared
+def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first, block, seed):
+    # every stack takes the fine-step recursion (commuting ones on a shared
     # basis, the identity for p = 1; non-commuting ones, p >= 2, on per-step
-    # bases; near-defective ones expm per jump
+    # bases; near-defective ones expm per jump), scanned in one block or in
+    # blocks of 3 steps, whose D, drift and covariance are those of one block
     spec = data.draw(systems(kinds))
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
@@ -755,8 +757,12 @@ def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first
     seg = np.repeat(np.arange(len(rescaled)), 2)
     unit = rng.random(seg.size)
     with mock.patch.object(dynamics, "_gap_sums", lambda *args: None):
-        *_, span, _, weights = dynamics._plan_sums(plan, True)
+        whole = dynamics._plan_sums(plan, True)
+        with mock.patch.object(dynamics, "_SCAN_ENTRIES", block * spec.p**2 if block else 2**40):
+            decay, drift, cov, span, _, weights = dynamics._plan_sums(plan, True)
     assert np.array_equal(span, np.diff(np.concatenate([[0], plan.record_steps])) * H)
+    for got, want in zip((decay, drift, cov), whole):
+        assert_close(got, want)
     _, bases, expm, _ = weights.table
     assert (expm is not None) == (spec.model_id == "near_defective")
     assert bases is not None  # the carries to the record
@@ -790,3 +796,32 @@ def test_frozen_step_rows_match_expm(basis, data, u, gaps, seed):
     assert single and (bases is None) == (basis == "identity")
     want = np.array([linalg.expm(fr.A * all_gaps[k] * (1.0 - U)) @ fr.C for k, U in zip(seg, unit)])
     assert_close(law.jump_weight(seg, unit), want)
+
+
+def test_a_long_fine_step_burn_in_stops_where_its_carry_is_0():
+    # a non-commuting p = 2 model scans its burn-in back from the record in
+    # blocks of 2^16 / 4 steps; the carry e^{-2.5 s} to the record is 0
+    # after the first block, so the 1.6e5 steps before it are not built, the
+    # span is one block, D is 0, and the drift, covariance and jump weights
+    # are those of a burn-in of one block
+    spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
+                     models.diag2().B, models.diag2().C, Lipschitz(1.0, 1.0, 1.0), False, 1.0,
+                     "noncommuting")
+    built = []
+    step_stack = dynamics._step_stack
+
+    def counted(spec, lefts, N, h):
+        built.append(lefts.size)
+        return step_stack(spec, lefts, N, h)
+
+    with mock.patch.object(dynamics, "_step_stack", counted):
+        decay, drift, cov, span, _, weights = dynamics._plan_sums(
+            build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1e4), True)
+    assert sum(built) == 2**14 + 16
+    ref = dynamics._plan_sums(build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1024.0), True)
+    assert span.tolist() == ref[3].tolist() == [1024.0, 1.0]
+    assert not decay[0].any()
+    for got, want in zip((drift, cov), ref[1:3]):
+        assert_close(got, want)
+    seg, unit = np.array([0, 0, 0, 1]), np.array([0.0, 0.5, 0.999, 0.5])
+    assert_close(weights(seg, unit), ref[5](seg, unit))
