@@ -51,10 +51,12 @@ import numpy as np
 from .dynamics import _MAX_STEPS, Car1Spec, Lipschitz, ModelSpec, PathSample, simulate_yn
 from .estimators import clt_statistic, localized_autocov, localized_mean
 from .expressions import ExprFunc, ExprMatrix, ExprVector
-from .experiments import ExperimentConfig, InadmissibleSchemeError, _union_offsets, run_experiment
+from .experiments import (
+    ExperimentConfig, InadmissibleSchemeError, _union_offsets, clt_preconditions, run_experiment,
+)
 from .kernels import from_name, kernel_validate
 from .noise import JumpSpec, LevyTriplet, triplet_moments
-from .observation import BandwidthRule, StepRuleO1, StepRuleO2, clt_admissible, make_scheme
+from .observation import BandwidthRule, StepRuleO1, StepRuleO2, make_scheme
 from .rng import stream
 from . import stationary
 
@@ -303,22 +305,14 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
             seed=seed, fine_step=out["fine_step"], burn_in=out["burn_in"], kernel=out["kernel"],
             bandwidth=out.get("bandwidth"), step_rule=out.get("step_rule"), workers=workers,
         )
-        # semantic gates that reference the target theorems
+        # the semantic gates of the target theorem, at parse time
         if out["experiment"].kind in ("clt_mean", "clt_cov"):
             if "bandwidth" not in out:
                 raise SchemaError("clt experiments need a scheme section")
-            if not clt_admissible(out["bandwidth"], out["step_rule"]):
-                raise SemanticError(
-                    "scheme violates the bandwidth condition sqrt(m_N)*b_N -> 0 "
-                    f"(beta={out['bandwidth'].beta}, step rule={out['step_rule']}); "
-                    "O1 needs beta > 1/3, O2 needs alpha < 3*beta"
-                )
-            mu = triplet_moments(out["triplet"]).mu_L
-            if abs(mu) > 1e-12:
-                raise SemanticError(
-                    f"clt experiments need a centered driver; driver mean is {mu} "
-                    "(set gamma to subtract it)"
-                )
+            try:
+                clt_preconditions(out["kernel"], out["bandwidth"], out["step_rule"], out["triplet"])
+            except InadmissibleSchemeError as exc:
+                raise SemanticError(str(exc)) from None
     out.update((key, doc[key]) for key in ("simulate", "estimate", "moments") if key in doc)
     return out
 

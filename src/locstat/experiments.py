@@ -561,30 +561,38 @@ def skewness_kurtosis(z: np.ndarray) -> tuple[float, float]:
     return float(np.mean(d2 * d) / m2**1.5), float(np.mean(d2**2) / m2**2.0 - 3)
 
 
+def clt_preconditions(kernel: LocalizingKernel, bandwidth: BandwidthRule, step_rule,
+                      triplet: LevyTriplet) -> None:
+    """Raise InadmissibleSchemeError unless the central limit statistic is
+    established for the configuration: the rectangular kernel, a bandwidth
+    and step chain with sqrt(m_N) b_N -> 0, and a centered driver."""
+    if kernel.id != "rectangular":
+        raise InadmissibleSchemeError(
+            "the central limit statistic is established for the rectangular kernel only"
+        )
+    if not clt_admissible(bandwidth, step_rule):
+        raise InadmissibleSchemeError(
+            "scheme violates the bandwidth condition sqrt(m_N)*b_N -> 0 "
+            f"(beta={bandwidth.beta}, step rule={step_rule}); "
+            "O1 needs beta > 1/3, O2 needs alpha < 3*beta"
+        )
+    mu = triplet_moments(triplet).mu_L
+    if abs(mu) > 1e-12:
+        raise InadmissibleSchemeError(
+            f"the statistic needs a centered driver; driver mean is {mu} "
+            "(shift gamma by -mu_L, see noise.centered)"
+        )
+
+
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Standardize the scaled localized statistic by every candidate limit
     variance and test normality at the largest N.
 
-    Requires the rectangular kernel, an admissible bandwidth/step chain
-    (sqrt(m_N) b_N -> 0) and a centered driver. Records which candidate
+    Requires what :func:`clt_preconditions` checks. Records which candidate
     yields unit empirical variance.
     """
     _validate(config)
-    if config.kernel.id != "rectangular":
-        raise InadmissibleSchemeError(
-            "the central limit statistic is established for the rectangular kernel only"
-        )
-    if not clt_admissible(config.bandwidth, config.step_rule):
-        raise InadmissibleSchemeError(
-            "bandwidth/step rules violate sqrt(m_N)*b_N -> 0 "
-            f"(beta={config.bandwidth.beta}, rule={config.step_rule})"
-        )
-    mom = triplet_moments(config.triplet)
-    if abs(mom.mu_L) > 1e-12:
-        raise ValueError(
-            f"driver mean is {mom.mu_L}; the statistic requires a centered driver "
-            "(shift gamma by -mu_L, see noise.centered)"
-        )
+    clt_preconditions(config.kernel, config.bandwidth, config.step_rule, config.triplet)
     is_cov = config.kind == "clt_cov"
     lag = config.lag if is_cov else 0
 

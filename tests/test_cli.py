@@ -366,6 +366,19 @@ def test_uncentered_clt_rejected_exit_3(tmp_path):
     assert main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_biweight_clt_rejected_at_parse_time_exit_3(tmp_path, capsys, monkeypatch):
+    # the three clt gates of experiments.clt_preconditions run when the
+    # config is read: a biweight kernel stops before any experiment runs
+    cfg = dict(BASE, kernel="biweight")
+    cfg["scheme"] = {"u": 1.0, "b": 0.5, "beta": 0.6666666666666666, "scheme": "O1", "Delta": 1.0}
+    cfg["experiment"] = {"kind": "clt_mean", "N_list": [1024], "replications": 1000}
+    path = tmp_path / "biweight.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr("locstat.cli.run_experiment", None)
+    assert main(["clt", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "rectangular kernel" in capsys.readouterr().err
+
+
 def test_simulate_estimate_round_trip_bit_identical(tmp_path):
     out = str(tmp_path)
     sim_cfg = write_config(
