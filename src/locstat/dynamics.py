@@ -594,12 +594,12 @@ def _fine_sums(plan: Plan, lo: np.ndarray, m: int, segs: np.ndarray, weights: "J
     of one block is one scan, with no flush."""
     spec, h, p = plan.spec, plan.h, plan.spec.p
     size = max(1, _SCAN_ENTRIES // (p * p))
-    blocks, vals, hi = [], [], m
-    while hi > 0 and (not blocks or D.any()):
+    blocks, vals, hi, D = [], [], m, None
+    while hi > 0 and (D is None or D.any()):
         q0 = max(0, hi - size)
         law = _step_stack(spec, plan.start + (lo[:, None] + np.arange(q0, hi)) * h, plan.N, h)
         Db, db, Gb, L = _scan_sums(law)
-        if not blocks:
+        if D is None:
             D, drift, cov = Db, db, Gb
         else:
             L = D[:, None] @ L
@@ -608,7 +608,8 @@ def _fine_sums(plan: Plan, lo: np.ndarray, m: int, segs: np.ndarray, weights: "J
             D = D @ Db
         if m > size:
             D[np.abs(D) < _TINY] = 0.0
-        blocks.insert(0, (law, L))
+        if weights is not None:  # the jump rows of the block; without jumps it is dropped
+            blocks.insert(0, (law, L))
         if values:
             vals.append((law.M, law.C))
         hi = q0
