@@ -905,10 +905,14 @@ class JumpWeights:
         t = (2.0 * f - 1.0)[:, None]
         c = coef.take(rows, axis=1)  # (degree, jumps, 2p), each degree contiguous
         # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
-        b1, b2 = c[-1], 0.0
-        for j in range(len(c) - 2, 0, -1):
-            b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
-        val = c[0] + t * b1 - b2 if len(c) > 1 else b1
+        val = c[-1]
+        if len(c) > 1:
+            b1, b2 = val, 0.0
+            for j in range(len(c) - 2, 0, -1):
+                b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
+            val = c[0] + t * b1
+            if len(c) > 2:
+                val -= b2
         p = c.shape[-1] // 2
         out = np.exp(val[:, :p]) * val[:, p:]
         if bases is not None:
