@@ -517,10 +517,7 @@ def _cmd_experiment(cfg: dict, seed: int, out_dir: str, subcommand: str) -> int:
         raise SchemaError(
             f"experiment.kind {exp.kind!r} does not match subcommand {subcommand!r}"
         )
-    try:
-        report = run_experiment(exp)
-    except InadmissibleSchemeError as exc:
-        raise SemanticError(str(exc)) from None
+    report = run_experiment(exp)
     base = f"{subcommand}-{seed}"
     if report.replication_values is not None:
         _write_csv(
@@ -604,7 +601,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (SemanticError, InadmissibleSchemeError) as exc:
+    except SemanticError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except ValueError as exc:
