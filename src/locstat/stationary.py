@@ -26,12 +26,14 @@ every centered driver.
 
 Simulation is exact in distribution: each step of the grid, and a long
 warm start before it, is one step of ``dynamics.StepLaw`` with exponent A
-times its length, the step law the simulator of ``Y_N`` uses too, and one
-segment of a ``dynamics.SegmentLaw``. So the frozen process is drawn and
-scanned by the same sampler as ``Y_N``: a batch of replications draws from
-one generator, one call per kind (``dynamics.draw_segment_noise``), and one
-affine prefix scan over time (``dynamics.run_segment_law``) carries the
-states of all replications, shape (steps, p, R).
+times its length, the step law the simulator of ``Y_N`` uses too, one
+segment of a ``dynamics.SegmentLaw`` and one row of its
+``dynamics.JumpWeights``, the table that weighs every jump of ``Y_N``. So
+the frozen process is drawn and scanned by the same sampler as ``Y_N``: a
+batch of replications draws from one generator, one call per kind
+(``dynamics.draw_segment_noise``), and one affine prefix scan over time
+(``dynamics.run_segment_law``) carries the states of all replications,
+shape (steps, p, R).
 
 The limit variances of the localized statistics carry a known ambiguity: for
 widely separated samples the half-second-moment normalization

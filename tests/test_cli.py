@@ -954,8 +954,7 @@ def test_a_long_burn_in_takes_no_more_memory_than_a_short_one(tmp_path):
     # steps, and a draw 6.4e6 jumps per chunk: 386 MB). Fine steps of a
     # non-commuting A: the burn-in is scanned back from its record in blocks
     # of 2^14 steps, and the carry to the record is 0 after the first, so
-    # the steps before it and their jumps are not built (the whole 1.6e6
-    # steps peaked at 1151 MB)
+    # the steps before it and their jumps are not built
     car1 = {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0}
     for model, h in ((car1, 0.125), (NONCOMMUTING_MODEL, 0.0625)):
         cfg = {

@@ -252,9 +252,9 @@ def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
 def test_noncommuting_model_outputs_keep_their_bytes():
     # a stack without a shared basis runs the fine-step recursion (Magnus
     # steps, the matrix scan and, for its jumps, the fine-step rows of the
-    # one jump-weight table): the sha256 of the outputs of _campaign_outputs
-    # at h = 1/64, re-taken when those rows replaced the per-step table
-    # (20eefbcc... before; the outputs moved by at most 2.4e-15 relative)
+    # jump-weight table): the sha256 of the outputs of _campaign_outputs at
+    # h = 1/64, taken after test_fine_step_rows_match_the_per_step_reference
+    # checked those rows
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0)))
     assert digest.hexdigest() == NONCOMMUTING_SHA256
 
