@@ -37,7 +37,8 @@ Every segment reports its span, the part of it whose jumps reach the record
 (the live part of a gap law, the scanned part of a fine-step segment), so
 its Poisson mean is rate times span. One table, :class:`JumpWeights`,
 places and weighs the jumps of every law: a row per panel of a gap law and
-per fine step, each a pair of Chebyshev series on [-1, 1].
+per fine step, each a pair of Chebyshev series on [-1, 1], summed one state
+column at a time.
 
 The fine step keeps its checks (it must divide every gap, a run has at most
 ``_MAX_STEPS`` steps) for every model. The frozen process of ``stationary``
@@ -272,7 +273,7 @@ def _integral_of_A(spec: ModelSpec, t0: float, t1: float) -> np.ndarray:
     if t1 == t0:
         return np.zeros((spec.p, spec.p))
     return _gauss_kronrod(
-        lambda taus: np.stack([np.asarray(spec.A(tau), dtype=float) for tau in taus]), t0, t1
+        lambda taus: np.stack([np.asarray(spec.A(tau), dtype=float) for tau in taus]), [t0, t1]
     )
 
 
@@ -511,8 +512,7 @@ class SegmentLaw:
     mean: np.ndarray  # (n_records, p) path_drift times the unit-driver drift
     chol: np.ndarray | None  # (n_records, p, p) factor of sigma2 times the covariance; None without sigma2
     jump_mean: np.ndarray | None  # (n_records,) rate times the span of each segment; None without jumps
-    # (seg, U) -> (total, p) jump weights, a JumpWeights table
-    jump_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    jump_weight: "JumpWeights | None"  # weights of the jumps at (seg, U)
     jumps: JumpSpec | None
     B: np.ndarray  # (n_records, p) output vector B(t_k) of each record
 
@@ -820,12 +820,22 @@ class JumpWeights:
     * a step with no trusted basis: L expm(M (1 - t) / 2) C per jump.
 
     Segments with no rows have ``count`` 0. The table is laid out on first
-    use, degree-major so that each Clenshaw term is contiguous.
+    use as (2p, degree, rows), one block per column of E and g, and
+    :meth:`columns` weighs the jumps one state column at a time.
     """
 
     def __init__(self, n_records: int):
         self.start, self.count = (np.zeros(n_records, dtype=np.int64) for _ in range(2))
         self.blocks, self.rows = [], 0  # (rows, coef (degree, k, 2p), basis, expm)
+
+    @classmethod
+    def unit(cls, n_records: int) -> "JumpWeights":
+        """The table of ``n_records`` segments that share one row of weight 1."""
+        weights = cls(1)
+        weights.put(np.zeros(1, dtype=np.int64), [(np.array([[[[0.0, 1.0]]]]), None, None)])
+        weights.start, weights.count = (np.broadcast_to(x, n_records)
+                                        for x in (weights.start, weights.count))
+        return weights
 
     def put(self, segs: np.ndarray, blocks: list) -> None:
         """Rows of the segments ``segs`` from ``blocks`` of (coef, basis,
@@ -869,30 +879,45 @@ class JumpWeights:
 
     @functools.cached_property
     def table(self):
-        """The coefficients (degree, rows, 2p) and bases (rows, p, p) of every
-        row (None where no row has a basis), the mask of the rows that take
-        expm with their M and C (None where none does), and whether every
-        segment has one row."""
+        """The coefficients (2p, degree, rows) of every row, each column of E
+        and g cut after its last nonzero term (a list of 2p (degree_j, rows)
+        blocks), the bases (rows, p, p) (None where no row has a basis), the
+        mask of the rows that take expm with their M and C (None where none
+        does), and whether every segment has one row."""
         blocks, self.blocks = self.blocks, None
         c = [block[1] for block in blocks]
-        coef = np.zeros((max(map(len, c)), self.rows, c[0].shape[-1]), dtype=np.result_type(*c))
-        p, given = coef.shape[-1] // 2, [block[2] for block in blocks if block[2] is not None]
+        coef = np.zeros((c[0].shape[-1], max(map(len, c)), self.rows), dtype=np.result_type(*c))
+        p, given = len(coef) // 2, [block[2] for block in blocks if block[2] is not None]
         bases = np.tile(np.eye(p, dtype=np.result_type(*given)), (self.rows, 1, 1)) if given else None
         expm = [block for block in blocks if block[3] is not None] or None
         if expm:
             expm = np.zeros(self.rows, dtype=bool), np.zeros((self.rows, p, p)), np.zeros((self.rows, p))
         for rows, c, basis, kept in blocks:
-            coef[: len(c), rows] = c
+            coef[:, : len(c), rows] = np.moveaxis(c, -1, 0)
             if basis is not None:
                 bases[rows] = basis
             if kept is not None:
                 for x, y in zip(expm, kept):
                     x[rows] = y
-        return coef, bases, expm, self.count.max() == 1
+        # a zero term adds only the sign of a zero to the sum, so a column
+        # sums its terms up to its last nonzero one (at least its first)
+        cut = []
+        for col in coef:
+            terms = np.flatnonzero(col.any(axis=1))
+            cut.append(col[: terms[-1] + 1 if terms.size else 1])
+        return cut, bases, expm, self.count.max() == 1
 
-    def __call__(self, seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
-        """Weights (len(seg), p) of jumps at the fractions ``unit`` of their segments ``seg``."""
+    def columns(self, seg: np.ndarray, unit: np.ndarray):
+        """Weights of jumps at the fractions ``unit`` of their segments
+        ``seg``, one state column (len(seg),) at a time; each is a new array
+        or a column of one, which the caller may overwrite.
+
+        Each column of E and g gathers its terms for the jumps as contiguous
+        (degree, jumps) rows and sums them in place; e^E o g is then
+        yielded column by column, or, on rows with a basis, contracted with
+        it first."""
         coef, bases, expm, single = self.table
+        p = len(coef) // 2
         rows = self.start.take(seg)
         if single:  # one row per segment: q = 0
             f = unit
@@ -902,25 +927,47 @@ class JumpWeights:
             q = np.minimum(x.astype(np.int64), n - 1)
             rows += q
             f = x - q
-        t = (2.0 * f - 1.0)[:, None]
-        c = coef.take(rows, axis=1)  # (degree, jumps, 2p), each degree contiguous
-        # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2
-        val = c[-1]
-        if len(c) > 1:
-            b1, b2 = val, 0.0
-            for j in range(len(c) - 2, 0, -1):
-                b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
-            val = c[0] + t * b1
-            if len(c) > 2:
-                val -= b2
-        p = c.shape[-1] // 2
-        out = np.exp(val[:, :p]) * val[:, p:]
-        if bases is not None:
-            out = np.einsum("kab,kb->ka", bases.take(rows, axis=0), out).real
+        t = 2.0 * f
+        t -= 1.0
+        y = None if bases is None else np.empty((seg.size, p), dtype=coef[0].dtype)
+        for j in range(p):
+            col = _clenshaw(coef[j].take(rows, axis=1), t)
+            np.exp(col, out=col)
+            g = _clenshaw(coef[p + j].take(rows, axis=1), t)
+            if y is None:
+                g *= col
+                yield g
+            else:  # numpy rounds a complex product of one element written into its input otherwise
+                np.multiply(col, g, out=y[:, j])
+        if y is None:
+            return
+        out = np.einsum("kab,kb->ka", bases.take(rows, axis=0), y).real
         if expm is not None and (at := expm[0].take(rows)).any():
             L, M, C = (x[rows[at]] for x in (bases.real, *expm[1:]))
             out[at] = (L @ linalg.expm(M * (1.0 - f[at])[:, None, None], C)[..., None])[..., 0]
-        return out
+        yield from out.T
+
+    def __call__(self, seg: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        """Weights (len(seg), p) of jumps at the fractions ``unit`` of their segments ``seg``."""
+        return np.stack(list(self.columns(seg, unit)), axis=-1)
+
+
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(t) for terms c (degree, J) at t (J,), by Clenshaw's
+    recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2}, value c_0 + t b_1 - b_2,
+    in the rows of c, which it overwrites; a row of c is returned."""
+    if len(c) > 2:
+        t2, scratch = 2.0 * t, np.empty_like(c[0])
+        for k in range(len(c) - 2, 0, -1):
+            c[k] += np.multiply(t2, c[k + 1], out=scratch)
+            if k + 2 < len(c):
+                c[k] -= c[k + 2]
+    if len(c) > 1:
+        c[1] *= t
+        c[0] += c[1]
+        if len(c) > 2:
+            c[0] -= c[2]
+    return c[0]
 
 
 def _scan_sums(law: "StepLaw") -> tuple:
@@ -983,7 +1030,7 @@ def _draw_increments_rows(triplet: LevyTriplet, h: float, n: int, R: int, gen) -
     replications, shape (R, n), all drawn from ``gen``: :func:`draw_segment_noise`
     on the law of L(h), one segment of unit weight, broadcast to n segments."""
     law = _driver_law(triplet, np.broadcast_to(h, (n, 1)), np.full((1, 1, 1), h), np.full(n, h),
-                      None, None, lambda seg, unit: np.ones((seg.size, 1)))
+                      None, None, JumpWeights.unit(n))
     return np.ascontiguousarray(draw_segment_noise(law, gen, R)[:, 0, :].T)
 
 
@@ -995,27 +1042,33 @@ def draw_segment_noise(law: SegmentLaw, gen: np.random.Generator, R: int) -> np.
     the (R, n_records) broadcast of the segment rates, a uniform per jump that
     places it in its segment, then the jump sizes; jumps are ordered by
     replication, then by segment. The noise of every segment and replication
-    is then built at once.
+    is then built at once: the Gaussian product plus the mean, and the jumps
+    of each state column (:meth:`JumpWeights.columns`) times their sizes,
+    summed into their cells by one bincount. Each jump's segment and cell
+    come from repeating the maps of the cells by their counts.
     """
     n, p = law.mean.shape
-    eta = np.repeat(law.mean[:, :, None], R, axis=2)
-    if law.chol is not None:
-        z = gen.standard_normal((R, n, p)).transpose(1, 2, 0)
-        eta += (_product if p == 1 else np.matmul)(law.chol, z)
+    if law.chol is None:
+        eta = np.repeat(law.mean[:, :, None], R, axis=2)
+    else:
+        mul = _product if p == 1 else np.matmul
+        eta = mul(law.chol, gen.standard_normal((R, n, p)).transpose(1, 2, 0))
+        eta += law.mean[:, :, None]
     if law.jump_mean is None:
         return eta
-    counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n)))
+    counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n))).ravel()
     total = int(counts.sum())
     if total:
         units = gen.random(total)
         sizes = law.jumps.sample(total, gen)
-        # replication-major cell of each jump, in draw order
-        rep, seg = np.divmod(np.repeat(np.arange(R * n), counts.ravel()), n)
-        contrib = law.jump_weight(seg, units) * sizes[:, None]
+        # the segment and the segment-major cell of each jump, in draw order,
+        # from the maps of the replication-major cells
+        seg = np.repeat(np.tile(np.arange(n), R), counts)
+        cell = np.repeat(np.arange(n * R).reshape(n, R).T.ravel(), counts)
         # one bincount per state column; it sums each cell in draw order, as np.add.at does
-        cell = seg * R + rep
-        for j in range(p):
-            eta[:, j, :] += np.bincount(cell, contrib[:, j], n * R).reshape(n, R)
+        for j, col in enumerate(law.jump_weight.columns(seg, units)):
+            col *= sizes
+            eta[:, j, :] += np.bincount(cell, col, n * R).reshape(n, R)
     return eta
 
 

@@ -504,7 +504,7 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
                          f"{config.fine_step} is more than {_MAX_STEPS} steps")
     model = config.model
     mean = np.vectorize(lambda v: stat.stationary_mean(model, v, config.triplet), otypes=[float])
-    target = float(stat._gauss_kronrod(mean, 0.0, config.t_end)) / config.t_end
+    target = float(stat._gauss_kronrod(mean, [0.0, config.t_end])) / config.t_end
     rows = []
     all_ok = True
     for N in config.N_list:

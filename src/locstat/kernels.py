@@ -80,7 +80,7 @@ def kernel_validate(kernel: LocalizingKernel, n_grid: int = 10_000) -> KernelRep
     an exterior grid, boundedness on an interior grid.
     """
     with np.errstate(all="ignore"):  # an unbounded kernel gives inf at a node
-        integral = _gauss_kronrod(kernel, -1.0, 1.0)
+        integral = _gauss_kronrod(kernel, [-1.0, 1.0])
     exterior = np.concatenate(
         [np.linspace(-50.0, -1.0 - 1e-9, 500), np.linspace(1.0 + 1e-9, 50.0, 500)]
     )

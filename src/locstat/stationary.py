@@ -19,7 +19,9 @@ Every integral of a product of f (the int f^k above and the cumulant
 integral of the lagged fourth moment) comes from one vector-valued adaptive
 quadrature (:func:`_product_integrals`): QUADPACK's Gauss-Kronrod G10K21
 rule, written in numpy (:func:`_gauss_kronrod`), which evaluates the nodes
-of all its open panels as one array. Where A has no trusted eigenbasis,
+of all its open panels as one array, and whose first round runs on a cut of
+[0, 60/margin] graded toward s = 0, where f moves fastest
+(``_GRADED_CUT``). Where A has no trusted eigenbasis,
 e^{As} comes from the package's batched ``linalg.expm``. The lagged fourth
 moments make the limit variance of the second-order statistic exact for
 every centered driver.
@@ -194,6 +196,10 @@ _GK_PANELS = 10_000
 # most values of the integrand's work one call takes (nodes x size), and so
 # the panels whose nodes are evaluated and reduced together
 _GK_VALUES = 1 << 17
+# the first cut of [0, 60 / margin] for the integrals of products of f: the
+# panels that bisecting the one at s = 0, where f moves fastest, reaches
+# after five rounds
+_GRADED_CUT = np.concatenate([[0.0], 2.0 ** np.arange(-5, 1)])
 
 
 def _gk_panels(f, lo, hi, per_call: int):
@@ -215,8 +221,10 @@ def _gk_panels(f, lo, hi, per_call: int):
     return (kronrod * h).reshape((len(lo),) + out), err, floor
 
 
-def _gauss_kronrod(f, a: float, b: float, size: int = 1):
-    """int_a^b f(s) ds by adaptive G10K21 panels.
+def _gauss_kronrod(f, points, size: int = 1):
+    """int_a^b f(s) ds by adaptive G10K21 panels, a and b the first and last
+    of the break ``points``, whose gaps are the panels of the first round
+    (``[a, b]`` for one panel).
 
     ``f`` maps a 1-D array of nodes to values of shape (nodes,) + out. Each
     round evaluates the nodes of every open panel in one call; an integrand
@@ -236,7 +244,8 @@ def _gauss_kronrod(f, a: float, b: float, size: int = 1):
     """
     per_call = max(1, _GK_VALUES // size)
     group = max(1, per_call // 21)
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    points = np.asarray(points, dtype=float)
+    a, b, lo, hi = points[0], points[-1], points[:-1], points[1:]
     done, n_done = 0.0, 0
     while True:
         groups = [_gk_panels(f, lo[i:i + group], hi[i:i + group], per_call)
@@ -259,10 +268,11 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
     """int_0^{60/margin} (prod_i f(s + shifts[..., i])) ** powers ds, f(s) = B' e^{A s} C.
 
     One run of :func:`_gauss_kronrod` covers every row of ``shifts`` (and
-    every entry of ``powers``, broadcast against the rows); its tolerance is
-    relative, since an absolute one is as large as int f^4 for nearly equal
-    joint systems. The absolute floor is the smallest normal double, so that
-    an identically zero integrand stops at once.
+    every entry of ``powers``, broadcast against the rows), starting from
+    the panels of ``_GRADED_CUT``; its tolerance is relative, since an
+    absolute one is as large as int f^4 for nearly equal joint systems. The
+    absolute floor is the smallest normal double, so that an identically
+    zero integrand stops at once.
 
     Each value is a row of the node times a column of the shift,
     f(s + shift) = (B' e^{As}) (e^{A shift} C), and the columns are computed
@@ -289,8 +299,8 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
         cols = linalg.expm(np.multiply.outer(shifts, fr.A)) @ fr.C
     # f(s + shift) for every node and shift, shape nodes.shape + shifts.shape
     values = lambda s: np.real(np.tensordot(left(s), cols, axes=(-1, -1)))
-    return _gauss_kronrod(lambda s: np.prod(values(s), axis=-1) ** powers, 0.0, 60.0 / fr.margin,
-                          size=shifts.size)
+    return _gauss_kronrod(lambda s: np.prod(values(s), axis=-1) ** powers,
+                          60.0 / fr.margin * _GRADED_CUT, size=shifts.size)
 
 
 def kernel_power_integrals(fr: FrozenSystem):

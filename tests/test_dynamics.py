@@ -10,6 +10,7 @@ from scipy import integrate
 from locstat import dynamics, models
 from locstat import stationary as st
 from locstat.dynamics import (
+    JumpWeights,
     Lipschitz,
     ModelSpec,
     PathSample,
@@ -795,7 +796,7 @@ def test_counts_by_runs_are_one_poisson_call_on_the_rates():
         n = jump_mean.size
         law = SegmentLaw(
             decay=np.ones((n, 1, 1)), mean=np.zeros((n, 1)), chol=None, jump_mean=jump_mean,
-            jump_weight=lambda seg, unit: np.ones((seg.size, 1)), jumps=unit_jumps,
+            jump_weight=JumpWeights.unit(n), jumps=unit_jumps,
             B=np.ones((n, 1)),
         )
         R = 3

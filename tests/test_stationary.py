@@ -92,19 +92,51 @@ def test_kernel_power_integrals_ou_closed_forms():
     assert i4 == pytest.approx(0.25, rel=1e-10)
 
 
+# the separations of the frozen_lipschitz ladder about u = 1
+LADDER = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+
+
+def _ladder_rungs():
+    from locstat.experiments import _joint_frozen
+
+    return [_joint_frozen(models.tvcar_sin(), BROWNIAN, 1.0 - eps / 2.0, 1.0 + eps / 2.0)
+            for eps in LADDER]
+
+
 def test_kernel_power_integrals_near_equal_joint_system():
-    # smallest rung of the Lipschitz ladder: f(s) = e^{-a1 s} - e^{-a2 s} is
-    # tiny, and int f^4 = sum_j C(4,j) (-1)^j / ((4-j) a1 + j a2) exactly
+    # the rungs of the Lipschitz ladder: f(s) = e^{-a1 s} - e^{-a2 s}, tiny on
+    # the smallest, and int f^k = sum_j C(k,j) (-1)^j / ((k-j) a1 + j a2)
+    # exactly, for every power k
     from fractions import Fraction
     from math import comb
 
-    from locstat.experiments import _joint_frozen
+    for eps, fr in zip(LADDER, _ladder_rungs()):
+        a1, a2 = Fraction(-fr.A[0, 0]), Fraction(-fr.A[1, 1])
+        exact = [float(sum(Fraction(comb(k, j) * (-1) ** j) / ((k - j) * a1 + j * a2)
+                           for j in range(k + 1))) for k in range(1, 5)]
+        if eps == LADDER[0]:
+            assert exact[3] == pytest.approx(1.078310244740423e-13, rel=1e-15, abs=0.0)
+        got = st.kernel_power_integrals(fr)
+        for k in range(4):
+            assert got[k] == pytest.approx(exact[k], rel=1e-12, abs=0.0), (eps, k + 1)
 
-    fr = _joint_frozen(models.tvcar_sin(), BROWNIAN, 0.995, 1.005)
-    a1, a2 = Fraction(-fr.A[0, 0]), Fraction(-fr.A[1, 1])
-    exact = float(sum(Fraction(comb(4, j) * (-1) ** j) / ((4 - j) * a1 + j * a2) for j in range(5)))
-    assert exact == pytest.approx(1.078310244740423e-13, rel=1e-15, abs=0.0)
-    assert st.kernel_power_integrals(fr)[3] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+def test_kernel_power_integrals_take_one_round_on_the_ladder(monkeypatch):
+    # the graded first cut toward s = 0 is the cut bisection reached after
+    # five rounds; on every rung of the ladder all its panels are accepted,
+    # so one call of the panel rule gives the four powers
+    calls = []
+    panels = st._gk_panels
+
+    def counted(f, lo, hi, per_call):
+        calls.append(lo.size)
+        return panels(f, lo, hi, per_call)
+
+    monkeypatch.setattr(st, "_gk_panels", counted)
+    for eps, fr in zip(LADDER, _ladder_rungs()):
+        calls.clear()
+        st.kernel_power_integrals(fr)
+        assert calls == [st._GRADED_CUT.size - 1], eps
 
 
 def test_fourth_moment_examples():
@@ -435,7 +467,7 @@ def test_gauss_kronrod_returns_nan_at_the_panel_cap():
         nodes.append(s.size)
         return np.full(s.shape + (3,), np.nan)
 
-    got = st._gauss_kronrod(nan, 0.0, 1.0)
+    got = st._gauss_kronrod(nan, [0.0, 1.0])
     assert got.shape == (3,) and np.isnan(got).all()
     assert sum(nodes) <= 2 * 21 * st._GK_PANELS
 
@@ -452,11 +484,11 @@ def test_gauss_kronrod_caps_the_nodes_of_one_call(monkeypatch):
         return np.exp(-np.multiply.outer(s, rates))
 
     exact = -np.expm1(-3.0 * rates) / rates
-    whole = st._gauss_kronrod(decay, 0.0, 3.0, size=rates.size)
+    whole = st._gauss_kronrod(decay, [0.0, 3.0], size=rates.size)
     assert max(calls) > 5
     monkeypatch.setattr(st, "_GK_VALUES", 200)
     calls.clear()
-    capped = st._gauss_kronrod(decay, 0.0, 3.0, size=rates.size)
+    capped = st._gauss_kronrod(decay, [0.0, 3.0], size=rates.size)
     assert max(calls) == 5
     np.testing.assert_allclose(capped, whole, rtol=1e-15)
     np.testing.assert_allclose(capped, exact, rtol=1e-13)
@@ -662,3 +694,25 @@ def test_jump_inputs_match_per_jump_expm():
         assert np.abs(weights(fr) - ref).max() <= 1e-12
     exact = np.exp(-v)[:, None] * np.stack([v, np.ones_like(v)], axis=1)
     assert np.abs(weights(JORDAN) - exact).max() <= 1e-12
+
+
+def test_a_frozen_chunk_draw_weighs_its_jumps_in_columns():
+    # one chunk of the first frozen_lipschitz rung: 48 steps, 64 replications
+    # and about 4,500 jumps. The draw takes the jump weights one state column
+    # at a time, with no (jumps, 2p) or (degree, jumps, 2p) arrays; drawn
+    # that way, its traced peak was 957-994 KB
+    import tracemalloc
+
+    fr = _ladder_rungs()[0]
+    tri = LevyTriplet(0.0, 1.0, CPOIS.jumps)
+    law = st._frozen_law(fr, tri, np.full(47, 4.0 / fr.margin))
+    first = draw_segment_noise(law, stream(7, "frozen-peak", 0), 64)  # lays the table out
+    tracemalloc.start()
+    try:
+        eta = draw_segment_noise(law, stream(7, "frozen-peak", 0), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(eta, first)
+    assert law.jump_mean.sum() * 64 > 4000
+    assert peak <= 0.6 * 957e3, peak
