@@ -240,6 +240,15 @@ def _check(value, domain, path: str, siblings: dict):
     return value
 
 
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError names the config ``path``
+    of the section it was built from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _build_model(section: dict):
     """The model of a checked ``model`` section."""
     if section["kind"] == "car1":
@@ -261,12 +270,13 @@ def _build_model(section: dict):
 def _build_triplet(section: dict) -> LevyTriplet:
     """The driver of a checked ``triplet`` section."""
     jsec = section.get("jumps")
-    jumps = None if jsec is None else JumpSpec(
-        rate=float(jsec["rate"]),
+    jumps = None if jsec is None else _built(
+        "triplet.jumps", JumpSpec, rate=float(jsec["rate"]),
         atoms=tuple(map(tuple, jsec["atoms"])) if "atoms" in jsec else None,
         normal=tuple(jsec["normal"]) if "normal" in jsec else None,
     )
-    return LevyTriplet(gamma=float(section["gamma"]), sigma2=float(section["sigma2"]), jumps=jumps)
+    return _built("triplet", LevyTriplet, gamma=float(section["gamma"]),
+                  sigma2=float(section["sigma2"]), jumps=jumps)
 
 
 def _build_scheme_rules(section: dict):
@@ -290,17 +300,20 @@ def _parse_config(text: str, seed: int, workers: int) -> dict:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
     doc = _check(raw, CONFIG, "", {})
-    out = {"model": _build_model(doc["model"]), "triplet": _build_triplet(doc["triplet"])}
+    out = {"model": _built("model", _build_model, doc["model"]),
+           "triplet": _build_triplet(doc["triplet"])}
     out["kernel_name"] = doc.get("kernel", "rectangular")
     out["kernel"] = from_name(out["kernel_name"])
     if "scheme" in doc:
-        out["u"], out["bandwidth"], out["step_rule"] = _build_scheme_rules(doc["scheme"])
+        out["u"], out["bandwidth"], out["step_rule"] = _built("scheme", _build_scheme_rules,
+                                                              doc["scheme"])
     sim = doc.get("simulation", {})
     out["fine_step"] = float(sim.get("fine_step", 0.01))
     out["burn_in"] = float(sim.get("burn_in", 8.0 / out["model"].stability_margin))
 
     if "experiment" in doc:
-        out["experiment"] = ExperimentConfig(
+        out["experiment"] = _built(
+            "experiment", ExperimentConfig,
             **doc["experiment"], model=out["model"], triplet=out["triplet"], u=out.get("u", 1.0),
             seed=seed, fine_step=out["fine_step"], burn_in=out["burn_in"], kernel=out["kernel"],
             bandwidth=out.get("bandwidth"), step_rule=out.get("step_rule"), workers=workers,

@@ -73,6 +73,21 @@ def test_non_finite_driver_values_exit_2_naming_the_key(tmp_path, capsys, path, 
     assert f"triplet.{'.'.join(path)}" in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("triplet, message", [
+    ({"gamma": 0.0, "sigma2": -1.0}, "config error: triplet: Gaussian variance must be nonnegative"),
+    ({"gamma": 0.0, "sigma2": 1.0, "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.4]]}},
+     "config error: triplet.jumps: atom probabilities sum to 0.9"),
+], ids=["negative-sigma2", "atoms-sum"])
+def test_a_constructor_error_exits_2_naming_its_config_section(tmp_path, capsys, triplet, message):
+    # the driver's own checks named a quantity but not the key it came from
+    cfg = write_config(tmp_path, {
+        "triplet": triplet,
+        "experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100},
+    })
+    assert main(["lln", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, experiment, simulation, key", [
     ("lln", {"kind": "lln_continuous", "t_end": 0.0}, {}, "t_end"),
     ("lln", {"kind": "lln_continuous", "n_quad": 0}, {}, "n_quad"),
