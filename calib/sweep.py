@@ -21,6 +21,11 @@ the commit and the digest of the sources. With ``--previous``, each failure
 count is printed against the previous record's with a two-sided exact
 binomial test: given the failures of both records, the count of this one is
 Binomial(total, n / (n + n_previous)) when both have the same failure rate.
+``--previous`` repeats, oldest record first; each check is compared with the
+newest given record that holds it:
+
+    python3 calib/sweep.py --check lln_ladder --check noncommuting_lln \
+        --seeds 1-1000 --previous CALIB_2.json --previous CALIB_4.json
 
 Sub-verdicts and their statistics:
 
@@ -221,6 +226,17 @@ def compare(record: dict, previous: dict) -> list:
     return lines
 
 
+def newest_checks(records: list) -> tuple[dict, dict]:
+    """The record of each check, from the newest of ``records`` (pairs of
+    (label, record), oldest first) that holds it, and the label of that
+    record per check."""
+    checks, source = {}, {}
+    for label, record in records:
+        for name, check in record.get("checks", {}).items():
+            checks[name], source[name] = check, label
+    return {"checks": checks}, source
+
+
 def _environment() -> dict:
     import hashlib
 
@@ -255,7 +271,9 @@ def main(argv=None) -> int:
                         "calib/checks.py, or all (repeatable)")
     parser.add_argument("--seeds", type=_seed_range, required=True, help="seed range A-B")
     parser.add_argument("--out", help="write the record to this JSON file")
-    parser.add_argument("--previous", help="a previous record to compare the failure counts with")
+    parser.add_argument("--previous", action="append", default=[],
+                        help="a previous record to compare the failure counts with (repeatable, "
+                        "oldest first: each check is compared with the newest record that holds it)")
     args = parser.parse_args(argv)
     _setup_paths()
     import checks
@@ -274,9 +292,15 @@ def main(argv=None) -> int:
         print(f"# {name}: {check['failures']}/{check['runs']} campaigns failed "
               f"({check['runtime_s']} s); failing seeds {check['failing_seeds']}")
     if args.previous:
-        with open(args.previous) as fh:
-            for line in compare(record, json.load(fh)):
-                print(line)
+        records = []
+        for path in args.previous:
+            with open(path) as fh:
+                records.append((path, json.load(fh)))
+        previous, source = newest_checks(records)
+        for name in record["checks"]:
+            print(f"# {name}: against {source.get(name, 'no previous record')}")
+        for line in compare(record, previous):
+            print(line)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)

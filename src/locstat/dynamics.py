@@ -76,8 +76,10 @@ __all__ = [
     "SegmentLaw",
     "build_segment_law",
     "draw_segment_noise",
+    "draw_segment_jumps",
     "segment_states",
     "run_segment_law",
+    "adjoint_weights",
     "PeanoBakerNonConvergence",
 ]
 
@@ -203,48 +205,43 @@ class ModelValidation:
 def validate_model(
     spec: ModelSpec, t_range=(-5.0, 5.0), n_samples: int = 100, rng=None
 ) -> ModelValidation:
-    """Sampled checks of the declared commutation, margin and Lipschitz data."""
+    """Sampled checks of the declared commutation, margin and Lipschitz data.
+
+    Each coefficient is evaluated once at every sampled time, and each check
+    runs on the whole stack of samples: one batched product, norm or
+    eigenvalue call per check.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     lo, hi = t_range
     ts = rng.uniform(lo, hi, size=n_samples)
     ss = rng.uniform(lo, hi, size=n_samples)
+    times = np.concatenate([ts, ss])
+    (At, As), (Bt, Bs), (Ct, Cs) = (np.split(coefficient_values(spec, name, times), 2)
+                                    for name in "ABC")
+    norm = functools.partial(np.linalg.norm, axis=(-2, -1))
 
     commuting_ok = True
     if spec.commuting:
-        for t, s in zip(ts, ss):
-            At, As = spec.A(t), spec.A(s)
-            comm = At @ As - As @ At
-            bound = 1e-10 * max(np.linalg.norm(At) * np.linalg.norm(As), 1e-300)
-            if np.linalg.norm(comm) > bound:
-                commuting_ok = False
-                break
+        bound = 1e-10 * np.maximum(norm(At) * norm(As), 1e-300)
+        commuting_ok = bool(np.all(norm(At @ As - As @ At) <= bound))
 
-    margin_ok = True
-    worst = -np.inf
-    for t in ts:
-        top = float(np.max(np.real(np.linalg.eigvals(spec.A(t)))))
-        worst = max(worst, top)
-        if top > -spec.stability_margin + 1e-8:
-            margin_ok = False
+    tops = np.max(np.real(np.linalg.eigvals(At)), axis=-1)
+    margin_ok = bool(np.all(tops <= -spec.stability_margin + 1e-8))
 
-    lipschitz_ok = True
-    for t, s in zip(ts, ss):
-        gap = abs(t - s)
-        if gap == 0.0:
-            continue
-        slack = 1e-9 * max(1.0, gap)
-        if np.linalg.norm(spec.A(t) - spec.A(s)) > spec.lipschitz.L_A * gap + slack:
-            lipschitz_ok = False
-        if np.linalg.norm(spec.B(t) - spec.B(s)) > spec.lipschitz.L_B * gap + slack:
-            lipschitz_ok = False
-        if np.linalg.norm(spec.C(t) - spec.C(s)) > spec.lipschitz.L_C * gap + slack:
-            lipschitz_ok = False
+    gap = np.abs(ts - ss)
+    slack = 1e-9 * np.maximum(1.0, gap)
+    L = spec.lipschitz
+    lipschitz_ok = bool(np.all((gap == 0.0)
+                               | ((norm(At - As) <= L.L_A * gap + slack)
+                                  & (np.linalg.norm(Bt - Bs, axis=-1) <= L.L_B * gap + slack)
+                                  & (np.linalg.norm(Ct - Cs, axis=-1) <= L.L_C * gap + slack))))
 
     return ModelValidation(
         commuting_ok,
         margin_ok,
         lipschitz_ok,
-        detail={"worst_real_part": worst, "n_samples": n_samples},
+        detail={"worst_real_part": float(tops.max()) if n_samples else -np.inf,
+                "n_samples": n_samples},
     )
 
 
@@ -1056,20 +1053,31 @@ def draw_segment_noise(law: SegmentLaw, gen: np.random.Generator, R: int) -> np.
         eta += law.mean[:, :, None]
     if law.jump_mean is None:
         return eta
-    counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n))).ravel()
-    total = int(counts.sum())
-    if total:
-        units = gen.random(total)
-        sizes = law.jumps.sample(total, gen)
-        # the segment and the segment-major cell of each jump, in draw order,
-        # from the maps of the replication-major cells
-        seg = np.repeat(np.tile(np.arange(n), R), counts)
+    counts, seg, units, sizes = draw_segment_jumps(law, gen, R)
+    if seg is not None:
+        # the segment-major cell of each jump, in draw order, from the map of
+        # the replication-major cells
         cell = np.repeat(np.arange(n * R).reshape(n, R).T.ravel(), counts)
         # one bincount per state column; it sums each cell in draw order, as np.add.at does
         for j, col in enumerate(law.jump_weight.columns(seg, units)):
             col *= sizes
             eta[:, j, :] += np.bincount(cell, col, n * R).reshape(n, R)
     return eta
+
+
+def draw_segment_jumps(law: SegmentLaw, gen: np.random.Generator, R: int) -> tuple:
+    """The jump draws of :func:`draw_segment_noise`, which follow its
+    normals: the Poisson counts (R n,) of the replication-major cells, and
+    the segment, uniform and size of each jump in draw order (each None when
+    no jump falls)."""
+    n = len(law.mean)
+    counts = gen.poisson(np.broadcast_to(law.jump_mean, (R, n))).ravel()
+    total = int(counts.sum())
+    if not total:
+        return counts, None, None, None
+    units = gen.random(total)
+    sizes = law.jumps.sample(total, gen)
+    return counts, np.repeat(np.tile(np.arange(n), R), counts), units, sizes
 
 
 def segment_states(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
@@ -1081,6 +1089,17 @@ def segment_states(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
 def run_segment_law(law: SegmentLaw, eta: np.ndarray) -> np.ndarray:
     """Recorded values B(t_k)' x_k, shape (R, n_records), of :func:`segment_states`."""
     return (law.B[:, None, :] @ segment_states(law, eta))[:, 0, :].T
+
+
+def adjoint_weights(law: SegmentLaw, c: np.ndarray) -> np.ndarray:
+    """Weights a (n_records, p) with sum_k a_k . eta_k = sum_k c_k . x_k for
+    the states x_k of :func:`segment_states`: a_{n-1} = c_{n-1} and
+    a_k = c_k + D_{k+1}' a_{k+1}, the transpose of the forward recursion
+    (reverse accumulation), by one :func:`affine_states` over the records
+    in reverse order with the decays transposed."""
+    back = np.swapaxes(law.decay[::-1], -1, -2)  # back[m] = D_{n-1-m}'
+    # step m takes a_{n-m} to a_{n-1-m} by D_{n-m}'; step 0 starts from 0
+    return affine_states(np.roll(back, 1, axis=0), c[::-1], np.zeros(c.shape[1]))[::-1]
 
 
 # perfbench/spans.py traces plan construction and the record recursion by these names

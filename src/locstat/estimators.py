@@ -5,9 +5,12 @@ the weights are never renormalized because the limit-theorem scaling depends
 on the raw factor. ``weight_sum`` reports the Riemann sum of the kernel as a
 diagnostic.
 
-:func:`localized_sum` is the one computation of the discrete statistic: the
-estimators apply it to one observed path, and the lln and clt campaigns of
-``experiments`` to each chunk of simulated replications.
+:func:`localized_sum` is the one definition of the discrete statistic: the
+estimators apply it to one observed path, and the lagged-product campaigns
+of ``experiments`` to each chunk of simulated replications. The lag-free
+campaigns (the localized mean and the continuous average) contract their
+draws with adjoint weights instead, which gives the same statistic up to
+rounding without the states.
 """
 
 from dataclasses import dataclass

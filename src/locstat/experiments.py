@@ -15,14 +15,18 @@ Four experiment families:
 
 Every campaign takes scalar and state space models alike: the simulator
 runs the state space view of the model, whatever its dimension p. The lln
-and clt campaigns need Y_N only at the observation nodes. Their chunks draw
-the noise of each record segment in one exact draw (see
-``dynamics.SegmentLaw``) from a plan and segment law built once per N, run
-the recursion over records only, and reduce each replication with
-``estimators.localized_sum``, the statistic that ``estimate`` computes on an
-observed path. The coupling campaign draws every Y_N(u) and the frozen
-process at u as one joint state, from the segment law of a block system on
-one driver, over the burn-in before u.
+and clt campaigns need Y_N only at the observation nodes, and draw the
+noise of each record segment in one exact draw (see ``dynamics.SegmentLaw``)
+from a plan and segment law built once per N. A lagged product is quadratic
+in the states: its chunks run the recursion over records only and reduce
+each replication with ``estimators.localized_sum``, the statistic that
+``estimate`` computes on an observed path. A statistic without a lag (the
+localized mean and the continuous average) is linear in the noise: its
+adjoint weights are taken once per law (``dynamics.adjoint_weights``), and
+its chunks contract the same draws with them, building neither the noise
+nor the states (:func:`_localized_chunk`). The coupling campaign draws every
+Y_N(u) and the frozen process at u as one joint state, from the segment law
+of a block system on one driver, over the burn-in before u.
 
 Replications are deterministic: work is cut into fixed chunks of ``CHUNK``
 replications, each chunk of every campaign draws all its replications from
@@ -48,10 +52,12 @@ from .dynamics import (
     _draw_increments_rows,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     _driver_law,
     _plan_sums,
+    adjoint_weights,
     build_plan,
     build_scalar_plan_rescaled,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     build_segment_law,
     coefficient_values,
+    draw_segment_jumps,
     draw_segment_noise,
     run_scalar_plan,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     run_segment_law,
@@ -398,29 +404,83 @@ def _localized_payload(
     """Chunk payload of a localized statistic at one N: the segment law of the
     union of the observation grid and its lagged shift, the node indices (no
     shift for the statistic "mean"), and the weights and scale of
-    ``estimators.localized_weights`` (its square root for clt). Built once
-    per N and shared by every chunk."""
+    ``estimators.localized_weights`` (its square root for clt). The mean is
+    linear in the states, so its payload also holds what :func:`_adjoint`
+    derives from the kernel weights of the records, and its chunks scan
+    nothing; a lagged product has None there. Built once per N and shared
+    by every chunk."""
     scheme = make_scheme(config.u, N, config.bandwidth, config.step_rule)
     offsets, base_idx, shift_idx = _union_offsets(scheme, lag)
     plan = build_plan(config.model, N, N * config.u + offsets, config.fine_step, config.burn_in)
     weights, scale = localized_weights(scheme, config.kernel, root=clt)
+    law = build_segment_law(plan, config.triplet)
+    adjoint = None
+    if statistic == "mean":
+        record_weights = np.zeros(len(offsets))
+        record_weights[base_idx] = weights
+        adjoint = _adjoint(law, record_weights)
     return {
         "config": config,
-        "law": build_segment_law(plan, config.triplet),
+        "law": law,
         "base_idx": base_idx,
         "shift_idx": None if statistic == "mean" else shift_idx,
         "weights": weights,
         "scale": scale,
         "center": center,
         "purpose": purpose,
+        "adjoint": adjoint,
     }
 
 
+def _adjoint(law, record_weights: np.ndarray) -> tuple:
+    """What a chunk needs to contract its draws into sum_k w_k B_k' x_k,
+    for the weights w (n_records,) of the records: the adjoint weights a_k
+    of c_k = w_k B_k (``dynamics.adjoint_weights``), g_k = chol_k' a_k (None
+    without a Gaussian part) and the constant sum_k a_k . mean_k."""
+    a = adjoint_weights(law, record_weights[:, None] * law.B)
+    g = None if law.chol is None else np.einsum("kab,ka->kb", law.chol, a).ravel()
+    return a, g, float(np.sum(a * law.mean))
+
+
 def _localized_chunk(payload, lo, hi):
-    """``estimators.localized_sum`` of replications [lo, hi), one row each."""
-    Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
-    return localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
-                         payload["scale"], payload["center"])
+    """The statistic of replications [lo, hi), one value each.
+
+    A lagged product is ``estimators.localized_sum`` of the scanned states.
+    A statistic without a lag is linear in the noise eta_k, so it is
+    sum_k a_k . eta_k with the adjoint weights of ``payload["adjoint"]``,
+    taken from the draws of ``draw_segment_noise`` on the chunk's stream,
+    made in its order, without building eta or the states: the normals
+    contracted with g, the constant, and each jump's weights contracted
+    with a at its segment, times its size, summed per replication by one
+    bincount. Each replication reads only its own draws.
+    """
+    law = payload["law"]
+    if payload["adjoint"] is None:
+        Y = run_segment_law(law, _chunk_noise(payload, lo, hi))
+        return localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
+                             payload["scale"], payload["center"])
+    a, g, const = payload["adjoint"]
+    gen = stream(payload["config"].seed, payload["purpose"], lo // CHUNK)
+    R = hi - lo
+    if g is None:
+        value = np.full(R, const)
+    else:
+        # ufuncs, not a matrix product: no BLAS on the chunk path of a p = 1 law
+        z = gen.standard_normal((R, g.size))
+        z *= g
+        value = z.sum(axis=1)
+        value += const
+    if law.jump_mean is not None:
+        counts, seg, units, sizes = draw_segment_jumps(law, gen, R)
+        if seg is not None:
+            jump = None
+            for j, col in enumerate(law.jump_weight.columns(seg, units)):
+                col *= a[:, j].take(seg)
+                jump = col if jump is None else np.add(jump, col, out=jump)
+            jump *= sizes
+            rep = np.repeat(np.arange(R), counts.reshape(R, -1).sum(axis=1))
+            value += np.bincount(rep, jump, R)
+    return payload["scale"] * value
 
 
 def run_lln(config: ExperimentConfig) -> ExperimentReport:
@@ -490,13 +550,6 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _global_average_chunk(payload, lo, hi):
-    Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
-    # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
-    integral = np.trapezoid(Y, dx=payload["gap"], axis=1)
-    return integral / (payload["N"] * payload["config"].t_end)
-
-
 def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
     N = config.N_list[-1]
     if not N * config.t_end / config.fine_step <= _MAX_STEPS:  # Python floats: inf, no warning
@@ -512,9 +565,13 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
         # a float count: an infinite gap reaches build_plan's checks, not int()
         h_eff = gap / max(1.0, np.rint(gap / config.fine_step))
         plan = build_plan(model, N, gap * np.arange(config.n_quad + 1), h_eff, config.burn_in)
-        payload = {"config": config, "N": N, "gap": gap, "purpose": f"lln_cont:{N}",
-                   "law": build_segment_law(plan, config.triplet)}
-        vals = _map_chunks(_global_average_chunk, payload, config.replications, config.workers)
+        law = build_segment_law(plan, config.triplet)
+        # (1/t) int_0^t Y dt in original time = (1/(N t)) trapezoid in rescaled time
+        trapezoid = np.ones(config.n_quad + 1)
+        trapezoid[[0, -1]] = 0.5
+        payload = {"config": config, "law": law, "adjoint": _adjoint(law, trapezoid),
+                   "scale": gap / (N * config.t_end), "purpose": f"lln_cont:{N}"}
+        vals = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         ok = abs(est - target) <= 3.0 * se

@@ -68,3 +68,18 @@ def test_binomial_test_of_two_failure_counts():
     previous = {"checks": {"w": {"runs": 1000, "failures": 0, "verdicts": {}}}}
     [line] = sweep.compare(record, previous)
     assert "10/1000 failed against 0/1000" in line and "p = 0.00195" in line
+
+
+def test_each_check_is_compared_with_the_newest_record_that_holds_it():
+    def record(**failures):
+        return {"checks": {name: {"runs": 1000, "failures": k, "verdicts": {}}
+                           for name, k in failures.items()}}
+
+    old, new = record(a=1, b=2), record(b=9, c=3)
+    previous, source = sweep.newest_checks([("old", old), ("new", new)])
+    assert source == {"a": "old", "b": "new", "c": "new"}
+    assert {n: c["failures"] for n, c in previous["checks"].items()} == {"a": 1, "b": 9, "c": 3}
+    lines = sweep.compare(record(a=1, b=9, d=0), previous)
+    assert lines[0].startswith("a campaign: 1/1000 failed against 1/1000")
+    assert lines[1].startswith("b campaign: 9/1000 failed against 9/1000")
+    assert lines[2] == "d: not in the previous record"

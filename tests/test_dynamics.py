@@ -176,6 +176,87 @@ def test_validate_rejects_wrong_declarations():
     assert not validate_car1(models.tvcar_step()).passed  # Lipschitz violation at the jump
 
 
+def reference_validation(spec, t_range=(-5.0, 5.0), n_samples=100, rng=None):
+    """The checks of validate_model one sample at a time, as they were
+    written before the samples were batched: (commuting_ok, margin_ok,
+    lipschitz_ok, worst real part)."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    ts = rng.uniform(*t_range, size=n_samples)
+    ss = rng.uniform(*t_range, size=n_samples)
+    commuting_ok = True
+    if spec.commuting:
+        for t, s in zip(ts, ss):
+            At, As = spec.A(t), spec.A(s)
+            bound = 1e-10 * max(np.linalg.norm(At) * np.linalg.norm(As), 1e-300)
+            if np.linalg.norm(At @ As - As @ At) > bound:
+                commuting_ok = False
+                break
+    margin_ok, worst = True, -np.inf
+    for t in ts:
+        top = float(np.max(np.real(np.linalg.eigvals(spec.A(t)))))
+        worst = max(worst, top)
+        margin_ok = margin_ok and not top > -spec.stability_margin + 1e-8
+    lipschitz_ok = True
+    for t, s in zip(ts, ss):
+        gap = abs(t - s)
+        if gap == 0.0:
+            continue
+        slack = 1e-9 * max(1.0, gap)
+        for name, L in zip("ABC", (spec.lipschitz.L_A, spec.lipschitz.L_B, spec.lipschitz.L_C)):
+            f = getattr(spec, name)
+            if np.linalg.norm(f(t) - f(s)) > L * gap + slack:
+                lipschitz_ok = False
+    return commuting_ok, margin_ok, lipschitz_ok, worst
+
+
+_NONCOMMUTING_MODEL = {
+    "kind": "statespace", "p": 2,
+    "A_entries": [["-2", "1 + 0.5*sin(t)"], ["-1 + 0.5*sin(t)", "-3"]],
+    "B": ["1", "1"], "C": ["1", "0.5"], "commuting": False,
+    "stability_margin": 1.0, "lipschitz": {"A": 0.75, "B": 0.0, "C": 0.0},
+}
+_SCALED_MODEL = {
+    "kind": "statespace", "p": 3,
+    "A_entries": [["-2 - cos(t)", "1", "0"], ["0", "-2 - cos(t)", "0.5"], ["0", "0", "-2 - cos(t)"]],
+    "B": ["1", "sin(t)", "0.25"], "C": ["cos(t)", "1", "1"], "commuting": True,
+    "stability_margin": 1.0, "lipschitz": {"A": 2.0, "B": 1.0, "C": 1.0},
+}
+
+
+def _validation_cases():
+    from locstat.cli import _build_model
+
+    noncommuting, scaled = _build_model(_NONCOMMUTING_MODEL), _build_model(_SCALED_MODEL)
+    declared = dataclasses.replace
+    return {
+        "diag2": (models.diag2(), (True, True, True)),
+        "companion2": (models.companion2(), (True, True, True)),
+        "tvcar_sin": (models.tvcar_sin().to_state_space(), (True, True, True)),
+        "noncommuting": (noncommuting, (True, True, True)),
+        "scaled": (scaled, (True, True, True)),
+        "claims_commuting": (declared(noncommuting, commuting=True), (False, True, True)),
+        "claims_margin": (declared(models.diag2(), stability_margin=1.2), (True, False, True)),
+        "claims_L_A": (declared(scaled, lipschitz=Lipschitz(1.0, 1.0, 1.0)), (True, True, False)),
+        "claims_L_B": (declared(scaled, lipschitz=Lipschitz(2.0, 0.5, 1.0)), (True, True, False)),
+        "claims_L_C": (declared(scaled, lipschitz=Lipschitz(2.0, 1.0, 0.5)), (True, True, False)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_validation_cases()))
+def test_batched_validation_matches_the_per_sample_reference(name):
+    # one coefficient call per coefficient and one batched check, with the
+    # verdicts and the worst real part of the checks one sample at a time
+    spec, verdicts = _validation_cases()[name]
+    for kwargs in ({}, {"t_range": (0.0, 20.0), "n_samples": 37, "rng": np.random.default_rng(4)}):
+        got = validate_model(spec, **kwargs)
+        if "rng" in kwargs:
+            kwargs["rng"] = np.random.default_rng(4)
+        want = reference_validation(spec, **kwargs)
+        assert (got.commuting_ok, got.margin_ok, got.lipschitz_ok) == want[:3]
+        assert got.detail["worst_real_part"] == want[3]
+    assert (got.commuting_ok, got.margin_ok, got.lipschitz_ok) == verdicts
+
+
 # --- simulation of Y_N -------------------------------------------------------
 
 

@@ -38,6 +38,7 @@ from locstat.kernels import biweight, rectangular
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
 from locstat.rng import stream
+from test_adjoint import abs_noise, abs_terms
 
 BROWNIAN = LevyTriplet(0.0, 1.0)
 
@@ -264,12 +265,14 @@ NONCOMMUTING_SHA256 = "856216b7e2b464e79a8988a5271d0e9b2e79b3d646940a8259b2950b0
 
 def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
     # the campaigns of the test above on a driver without jumps, whose
-    # outputs no jump weight enters: the sha256 taken at efb71e3
+    # outputs no jump weight enters: the sha256 taken after
+    # test_adjoint_chunk_matches_the_scanned_statistic checked the lag-free
+    # chunk, which contracts its draws with adjoint weights
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0, None)))
     assert digest.hexdigest() == NONCOMMUTING_GAUSSIAN_SHA256
 
 
-NONCOMMUTING_GAUSSIAN_SHA256 = "1fdfbb3abbd9f9fd2e38241b98f2780a5910f9a3f6565c270a4f80591b5bbf9e"
+NONCOMMUTING_GAUSSIAN_SHA256 = "03a72aa12383351480d95cd097d0258936dec2664a6dbabfd3cf476f941c1547"
 
 
 def test_lipschitz_small():
@@ -536,7 +539,34 @@ def test_chunk_draws_from_the_stream_of_its_index():
     for k, (lo, hi) in enumerate(((0, 64), (64, 128), (128, 130))):
         Y = run_segment_law(law, draw_segment_noise(law, stream(18, "chunk-identity", k), hi - lo))
         want = payload["scale"] * (Y[:, payload["base_idx"]] @ payload["weights"])
-        assert np.array_equal(vals[lo:hi], want), k
+        # the chunk contracts the draws with adjoint weights: the statistic
+        # of the scanned states up to rounding (tests/test_adjoint.py)
+        size = abs_terms(law, abs_noise(law, stream(18, "chunk-identity", k), hi - lo),
+                         payload["weights"], payload["scale"])
+        assert np.all(np.abs(vals[lo:hi] - want) <= 1e-14 * size), k
+
+
+def test_lag_free_chunk_builds_no_noise_array():
+    # one chunk of the largest rung of the lln_ladder benchmark (N = 2^14,
+    # 645 records, 64 replications) holds its normals and no noise array
+    # (records, p, R) or states: its traced peak is at most half of the
+    # 1039 KB that drawing the noise and scanning it took
+    import tracemalloc
+
+    cfg = ExperimentConfig(
+        "lln_discrete", models.tvcar_sin(), LevyTriplet(1.0, 1.0), 1.0, (2**14,), 256, 31,
+        1.0 / 256.0, 8.0, bandwidth=BandwidthRule(0.5, 1.0 / 3.0), step_rule=StepRuleO1(1.0),
+    )
+    payload = _localized_payload(cfg, 2**14, 0, "mean", purpose="peak")
+    assert len(payload["law"].B) == 645
+    _localized_chunk(payload, 0, CHUNK)
+    tracemalloc.start()
+    try:
+        _localized_chunk(payload, CHUNK, 2 * CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 1039 * 1024, peak
 
 
 def test_experiment_lag_must_be_an_integer():
@@ -554,8 +584,10 @@ def test_experiment_lag_must_be_an_integer():
     ("mean", 0, False), ("autocov", 1, False), ("mean", 0, True), ("autocov", 1, True),
 ], ids=["lln-mean", "lln-autocov-1", "clt-mean", "clt-cov-1"])
 def test_localized_chunk_agrees_with_the_estimators(statistic, lag, clt):
-    # a campaign chunk is localized_sum of its batch, bit for bit, and each of
-    # its rows is the statistic that estimate computes on the replication's
+    # a campaign chunk of a lagged product is localized_sum of its batch, bit
+    # for bit; one of the mean contracts its draws with adjoint weights and
+    # is localized_sum up to rounding (tests/test_adjoint.py). Each of its
+    # rows is the statistic that estimate computes on the replication's
     # recorded path (record time, value), up to the rounding of a batched
     # matrix-vector product against a dot product
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
@@ -574,7 +606,12 @@ def test_localized_chunk_agrees_with_the_estimators(statistic, lag, clt):
         vals = _localized_chunk(payload, lo, hi)
         want = localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
                              payload["scale"], center)
-        assert np.array_equal(vals, want)
+        if lag:
+            assert np.array_equal(vals, want)
+        else:
+            noise = abs_noise(payload["law"], stream(cfg.seed, "agree", lo // CHUNK), hi - lo)
+            size = abs_terms(payload["law"], noise, payload["weights"], payload["scale"])
+            assert np.all(np.abs(vals - want) <= 1e-14 * size)
         for value, row in zip(vals, Y):
             path = PathSample(times=times, values=row)
             if clt:
