@@ -4,8 +4,9 @@ Exit codes: 0 success (and experiment passed), 1 experiment ran but failed
 its acceptance window, 2 config schema violation, naming the key path and
 any list index (moments.autocov_lags[0]), or a value a model, driver, scheme
 or experiment constructor rejects, 3 semantic violation of a mathematical
-precondition (a moments output that is not finite among them, naming its
-key), 4 I/O failure.
+precondition (a moments output or an experiment report number that is not
+finite among them, naming its key path: rows[0].rmse_std_error), 4 I/O
+failure.
 
 Config schema (JSON; unknown keys rejected at every level; a key marked ?
 may be left out). num is a finite number, real any number (NaN and Infinity
@@ -365,9 +366,10 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # a number that is not finite has no JSON form: ValueError, and no file
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _eval_times_from_config(cfg: dict):
@@ -470,6 +472,23 @@ def _finite(key: str, compute) -> float:
     return value
 
 
+def _nonfinite(doc, path: str = "") -> str | None:
+    """The key path (rows[0].rmse_std_error) of the first float of the JSON
+    document ``doc`` that is not finite, or None."""
+    if isinstance(doc, float):
+        return None if np.isfinite(doc) else path
+    if isinstance(doc, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in doc.items())
+    elif isinstance(doc, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(doc))
+    else:
+        return None
+    for key, value in items:
+        if (bad := _nonfinite(value, key)) is not None:
+            return bad
+    return None
+
+
 def _cmd_moments(cfg: dict, seed: int, out_dir: str) -> int:
     sec = cfg.get("moments", {})
     u = float(sec.get("u", cfg.get("u", 1.0)))
@@ -530,7 +549,13 @@ def _cmd_experiment(cfg: dict, seed: int, out_dir: str, subcommand: str) -> int:
         raise SchemaError(
             f"experiment.kind {exp.kind!r} does not match subcommand {subcommand!r}"
         )
-    report = run_experiment(exp)
+    with np.errstate(all="ignore"):  # a number that is not finite is named below
+        report = run_experiment(exp)
+    payload = report.to_dict()
+    payload["seed"] = seed
+    bad = _nonfinite(payload)
+    if bad is not None:
+        raise ValueError(f"{subcommand}: {bad} is not finite")
     base = f"{subcommand}-{seed}"
     if report.replication_values is not None:
         _write_csv(
@@ -545,8 +570,6 @@ def _cmd_experiment(cfg: dict, seed: int, out_dir: str, subcommand: str) -> int:
             header,
             [[row.get(k, "") for k in header] for row in report.rows],
         )
-    payload = report.to_dict()
-    payload["seed"] = seed
     _write_json(os.path.join(out_dir, base + ".json"), payload)
     return EXIT_OK if report.passed else EXIT_FAILED
 

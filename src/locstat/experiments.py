@@ -23,10 +23,12 @@ each replication with ``estimators.localized_sum``, the statistic that
 ``estimate`` computes on an observed path. A statistic without a lag (the
 localized mean and the continuous average) is linear in the noise: its
 adjoint weights are taken once per law (``dynamics.adjoint_weights``), and
-its chunks contract the same draws with them, building neither the noise
-nor the states (:func:`_localized_chunk`). The coupling campaign draws every
-Y_N(u) and the frozen process at u as one joint state, from the segment law
-of a block system on one driver, over the burn-in before u.
+with them the variance s^2 of its Gaussian part. Its chunks draw that part
+as s times one normal per replication and contract only the jumps with the
+weights, building neither the noise nor the states (:func:`_localized_chunk`).
+The coupling campaign draws every Y_N(u) and the frozen process at u as one
+joint state, from the segment law of a block system on one driver, over the
+burn-in before u.
 
 Replications are deterministic: work is cut into fixed chunks of ``CHUNK``
 replications, each chunk of every campaign draws all its replications from
@@ -39,6 +41,7 @@ receiving it pickled.
 """
 
 from dataclasses import dataclass, field, replace
+import math
 import os
 import pickle
 import signal
@@ -433,13 +436,17 @@ def _localized_payload(
 
 
 def _adjoint(law, record_weights: np.ndarray) -> tuple:
-    """What a chunk needs to contract its draws into sum_k w_k B_k' x_k,
-    for the weights w (n_records,) of the records: the adjoint weights a_k
-    of c_k = w_k B_k (``dynamics.adjoint_weights``), g_k = chol_k' a_k (None
-    without a Gaussian part) and the constant sum_k a_k . mean_k."""
+    """What a chunk needs to draw sum_k w_k B_k' x_k, for the weights w
+    (n_records,) of the records: the adjoint weights a_k of c_k = w_k B_k
+    (``dynamics.adjoint_weights``), the norm s = ||g|| of g_k = chol_k' a_k
+    (None without a Gaussian part) and the constant sum_k a_k . mean_k.
+
+    The Gaussian part sum_k g_k . z_k of the statistic, z_k standard normal,
+    has the law N(0, s^2). ``math.hypot`` takes s without overflow or
+    underflow where g . g would."""
     a = adjoint_weights(law, record_weights[:, None] * law.B)
     g = None if law.chol is None else np.einsum("kab,ka->kb", law.chol, a).ravel()
-    return a, g, float(np.sum(a * law.mean))
+    return a, None if g is None else math.hypot(*g.tolist()), float(np.sum(a * law.mean))
 
 
 def _localized_chunk(payload, lo, hi):
@@ -448,27 +455,25 @@ def _localized_chunk(payload, lo, hi):
     A lagged product is ``estimators.localized_sum`` of the scanned states.
     A statistic without a lag is linear in the noise eta_k, so it is
     sum_k a_k . eta_k with the adjoint weights of ``payload["adjoint"]``,
-    taken from the draws of ``draw_segment_noise`` on the chunk's stream,
-    made in its order, without building eta or the states: the normals
-    contracted with g, the constant, and each jump's weights contracted
-    with a at its segment, times its size, summed per replication by one
-    bincount. Each replication reads only its own draws.
+    drawn from the chunk's stream without building eta or the states: s z
+    for one normal z per replication (the Gaussian part, of law N(0, s^2)),
+    the constant, and then, from the jump draws of ``draw_segment_jumps``,
+    each jump's weights contracted with a at its segment, times its size,
+    summed per replication by one bincount. Each replication reads only its
+    own draws.
     """
     law = payload["law"]
     if payload["adjoint"] is None:
         Y = run_segment_law(law, _chunk_noise(payload, lo, hi))
         return localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
                              payload["scale"], payload["center"])
-    a, g, const = payload["adjoint"]
+    a, s, const = payload["adjoint"]
     gen = stream(payload["config"].seed, payload["purpose"], lo // CHUNK)
     R = hi - lo
-    if g is None:
+    if s is None:
         value = np.full(R, const)
     else:
-        # ufuncs, not a matrix product: no BLAS on the chunk path of a p = 1 law
-        z = gen.standard_normal((R, g.size))
-        z *= g
-        value = z.sum(axis=1)
+        value = s * gen.standard_normal(R)
         value += const
     if law.jump_mean is not None:
         counts, seg, units, sizes = draw_segment_jumps(law, gen, R)

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from locstat.cli import _write_csv, main
+from locstat.cli import _write_csv, _write_json, main
 from locstat.dynamics import PathSample
 from locstat.estimators import localized_autocov, localized_mean
 from locstat.kernels import rectangular
@@ -369,6 +369,22 @@ def test_clt_beta_quarter_rejected_exit_3(tmp_path, capsys):
     assert main(["clt", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "sqrt(m_N)*b_N -> 0" in err
+
+
+def test_an_experiment_number_that_is_not_finite_exits_3_naming_its_key(tmp_path, capsys):
+    # the lln_ladder benchmark config at sigma2 = 1e300: the squared errors
+    # overflow in the standard error of the RMSE, which used to be written as
+    # Infinity, which is not JSON, into every row, with exit 1
+    cfg = write_config(tmp_path, {
+        "triplet": {"gamma": 1.0, "sigma2": 1e300},
+        "simulation": {"fine_step": 1.0 / 256.0, "burn_in": 8.0},
+        "experiment": {"kind": "lln_discrete", "N_list": [2**8, 2**10, 2**12, 2**14],
+                       "replications": 100, "statistic": "mean"},
+    })
+    out = tmp_path / "out"
+    assert main(["lln", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "semantic error: lln: rows[0].rmse_std_error is not finite\n"
+    assert not list(out.iterdir())
 
 
 def test_uncentered_clt_rejected_exit_3(tmp_path):
@@ -932,6 +948,14 @@ def test_write_csv_matches_csv_writer_over_runs_of_rows(tmp_path):
 def test_write_csv_refuses_a_cell_csv_writer_would_quote(tmp_path, cell):
     with pytest.raises(ValueError, match="CSV cell holds"):
         _write_csv(str(tmp_path / "bad.csv"), ["kind", "value"], [[cell, 1.0]])
+
+
+def test_write_json_refuses_a_number_that_is_not_finite(tmp_path):
+    # Infinity and NaN are not JSON; no file is left behind
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(str(tmp_path / "out.json"), {"rows": [{"estimate": 1.0, "rmse": value}]})
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_write_csv_refuses_a_row_of_one_empty_cell(tmp_path):

@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import time
+from unittest import mock
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from locstat.kernels import biweight, rectangular
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, make_scheme
 from locstat.rng import stream
-from test_adjoint import abs_noise, abs_terms
+from test_adjoint import abs_noise, abs_terms, chunk_noise
 
 BROWNIAN = LevyTriplet(0.0, 1.0)
 
@@ -209,15 +210,24 @@ def _noncommuting():
 
 
 def _campaign_outputs(model, h, jumps=PM_ONE):
-    """lln rows, clt replication values, a simulate path and the coupling
-    distances of small campaigns of ``model`` at the fine step h, with the
-    jumps ``jumps`` (None for a driver without jumps)."""
+    """lln rows and replication values, clt replication values, a simulate
+    path and the coupling distances of small campaigns of ``model`` at the
+    fine step h, with the jumps ``jumps`` (None for a driver without
+    jumps)."""
     scheme = dict(bandwidth=BandwidthRule(0.5, 0.55), step_rule=StepRuleO1(1.0))
     burn = max(8.0, 8.0 / model.stability_margin)
-    lln = run_lln(ExperimentConfig(
-        "lln_discrete", model, LevyTriplet(1.0, 0.5, jumps), 1.0, (2**8, 2**10), 100, 3,
-        h, burn, statistic="mean", **scheme,
-    ))
+    lln_values = []
+
+    def recorded(*args):  # the replication values of each N, which the report does not hold
+        lln_values.append(_map_chunks(*args))
+        return lln_values[-1]
+
+    with mock.patch.object(experiments, "_map_chunks", recorded):
+        lln = run_lln(ExperimentConfig(
+            "lln_discrete", model, LevyTriplet(1.0, 0.5, jumps), 1.0, (2**8, 2**10), 100, 3,
+            h, burn, statistic="mean", **scheme,
+        ))
+    assert len(lln_values) == 2
     clt = run_clt(ExperimentConfig(
         "clt_cov", model, LevyTriplet(0.0, 0.5, jumps), 1.0, (2**10,), 1000, 5, h, burn,
         lag=1, **scheme,
@@ -229,7 +239,8 @@ def _campaign_outputs(model, h, jumps=PM_ONE):
     ))
     rows = [[row[k] for k in ("estimate", "std_error", "rmse")] for row in lln.rows]
     distances = [[row[k] for k in ("estimate", "target")] for row in coupling.rows]
-    return np.array(rows), clt.replication_values, path.values, np.array(distances)
+    return (np.array(rows), np.array(lln_values), clt.replication_values, path.values,
+            np.array(distances))
 
 
 @pytest.mark.parametrize("model", [models.ou(1.0), models.companion2(), models.tvcar_sin(),
@@ -255,24 +266,25 @@ def test_noncommuting_model_outputs_keep_their_bytes():
     # steps, the matrix scan and, for its jumps, the fine-step rows of the
     # jump-weight table): the sha256 of the outputs of _campaign_outputs at
     # h = 1/64, taken after test_fine_step_rows_match_the_per_step_reference
-    # checked those rows
+    # checked those rows and the tests of tests/test_adjoint.py the lag-free
+    # chunk
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0)))
     assert digest.hexdigest() == NONCOMMUTING_SHA256
 
 
-NONCOMMUTING_SHA256 = "856216b7e2b464e79a8988a5271d0e9b2e79b3d646940a8259b2950b0c4ae4bd"
+NONCOMMUTING_SHA256 = "14835b9fbe2e7f4dc49ca128946214bad0341d8e33662de8a7a45260aa801854"
 
 
 def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
     # the campaigns of the test above on a driver without jumps, whose
-    # outputs no jump weight enters: the sha256 taken after
-    # test_adjoint_chunk_matches_the_scanned_statistic checked the lag-free
-    # chunk, which contracts its draws with adjoint weights
+    # outputs no jump weight enters: the sha256 taken after the tests of
+    # tests/test_adjoint.py checked the lag-free chunk, which draws its
+    # Gaussian part as one normal per replication
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0, None)))
     assert digest.hexdigest() == NONCOMMUTING_GAUSSIAN_SHA256
 
 
-NONCOMMUTING_GAUSSIAN_SHA256 = "03a72aa12383351480d95cd097d0258936dec2664a6dbabfd3cf476f941c1547"
+NONCOMMUTING_GAUSSIAN_SHA256 = "a59e3d98b8e955916e679d8b05da707df6041ca2c2aecf360d1e6fb5e916b839"
 
 
 def test_lipschitz_small():
@@ -525,32 +537,54 @@ def test_child_exception_gives_the_cli_exit_code_of_the_serial_run(monkeypatch, 
     _assert_reaped(pids)
 
 
-def test_chunk_draws_from_the_stream_of_its_index():
-    # chunk [lo, hi) draws its replications from stream (seed, purpose,
-    # lo // CHUNK) alone, the short last chunk too
-    jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+class _Recording:
+    """A generator that records each draw it makes: (method, args, kwargs)."""
+
+    def __init__(self, gen, draws):
+        self._gen, self._draws = gen, draws
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def draw(*args, **kwargs):
+            self._draws.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def test_chunk_draws_from_the_stream_of_its_index(monkeypatch):
+    # chunk [lo, hi) of a law without jumps draws hi - lo normals, one call,
+    # from stream (seed, purpose, lo // CHUNK) alone, the short last chunk
+    # too, and its values are scale (s z + const) of them, bit for bit
     cfg = ExperimentConfig(
-        "lln_discrete", models.tvcar_sin(), jumps, 1.0, (2**8,), 130, 18, 1.0 / 16.0, 8.0,
-        bandwidth=BandwidthRule(0.5, 1.0 / 3.0), step_rule=StepRuleO1(1.0),
+        "lln_discrete", models.tvcar_sin(), LevyTriplet(0.7, 0.5), 1.0, (2**8,), 130, 18,
+        1.0 / 16.0, 8.0, bandwidth=BandwidthRule(0.5, 1.0 / 3.0), step_rule=StepRuleO1(1.0),
     )
     payload = _localized_payload(cfg, 2**8, 0, "mean", purpose="chunk-identity")
-    law = payload["law"]
+    _, s, const = payload["adjoint"]
+    keys, draws = [], []
+
+    def recording(*key):
+        keys.append(key)
+        return _Recording(stream(*key), draws)
+
+    monkeypatch.setattr(experiments, "stream", recording)
     vals = _map_chunks(_localized_chunk, payload, cfg.replications, 1)
-    for k, (lo, hi) in enumerate(((0, 64), (64, 128), (128, 130))):
-        Y = run_segment_law(law, draw_segment_noise(law, stream(18, "chunk-identity", k), hi - lo))
-        want = payload["scale"] * (Y[:, payload["base_idx"]] @ payload["weights"])
-        # the chunk contracts the draws with adjoint weights: the statistic
-        # of the scanned states up to rounding (tests/test_adjoint.py)
-        size = abs_terms(law, abs_noise(law, stream(18, "chunk-identity", k), hi - lo),
-                         payload["weights"], payload["scale"])
-        assert np.all(np.abs(vals[lo:hi] - want) <= 1e-14 * size), k
+    chunks = ((0, 64), (64, 128), (128, 130))
+    assert keys == [(18, "chunk-identity", k) for k in range(3)]
+    assert draws == [("standard_normal", (hi - lo,), {}) for lo, hi in chunks]
+    for k, (lo, hi) in enumerate(chunks):
+        want = payload["scale"] * (s * stream(18, "chunk-identity", k).standard_normal(hi - lo) + const)
+        assert np.array_equal(vals[lo:hi], want), k
 
 
 def test_lag_free_chunk_builds_no_noise_array():
     # one chunk of the largest rung of the lln_ladder benchmark (N = 2^14,
-    # 645 records, 64 replications) holds its normals and no noise array
-    # (records, p, R) or states: its traced peak is at most half of the
-    # 1039 KB that drawing the noise and scanning it took
+    # 645 records, 64 replications) draws one normal per replication and
+    # builds no noise array (records, p, R) or states: its traced peak is at
+    # most 16 KB, against the 1039 KB that drawing the noise and scanning it
+    # took and the 385 KB of its 64 x 645 normals
     import tracemalloc
 
     cfg = ExperimentConfig(
@@ -566,7 +600,7 @@ def test_lag_free_chunk_builds_no_noise_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * 1039 * 1024, peak
+    assert peak <= 16 * 1024, peak
 
 
 def test_experiment_lag_must_be_an_integer():
@@ -585,11 +619,11 @@ def test_experiment_lag_must_be_an_integer():
 ], ids=["lln-mean", "lln-autocov-1", "clt-mean", "clt-cov-1"])
 def test_localized_chunk_agrees_with_the_estimators(statistic, lag, clt):
     # a campaign chunk of a lagged product is localized_sum of its batch, bit
-    # for bit; one of the mean contracts its draws with adjoint weights and
-    # is localized_sum up to rounding (tests/test_adjoint.py). Each of its
-    # rows is the statistic that estimate computes on the replication's
-    # recorded path (record time, value), up to the rounding of a batched
-    # matrix-vector product against a dot product
+    # for bit; one of the mean is localized_sum of the states scanned on the
+    # noise replayed from its draws (test_adjoint.chunk_noise), up to
+    # rounding. Each of its rows is the statistic that estimate computes on
+    # the replication's recorded path (record time, value), up to the
+    # rounding of a batched matrix-vector product against a dot product
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     kernel = rectangular() if clt else biweight()
     N, center = 2**10, 0.3 if statistic == "autocov" and clt else 0.0
@@ -601,16 +635,21 @@ def test_localized_chunk_agrees_with_the_estimators(statistic, lag, clt):
     payload = _localized_payload(cfg, N, lag, statistic, purpose="agree", center=center, clt=clt)
     scheme = make_scheme(cfg.u, N, cfg.bandwidth, cfg.step_rule)
     times = (N * scheme.u + _union_offsets(scheme, lag)[0]) / N
+    law, adjoint = payload["law"], payload["adjoint"]
     for lo, hi in ((0, CHUNK), (CHUNK, CHUNK + 6)):
-        Y = run_segment_law(payload["law"], _chunk_noise(payload, lo, hi))
+        if lag:
+            Y = run_segment_law(law, _chunk_noise(payload, lo, hi))
+        else:
+            Y = run_segment_law(law, chunk_noise(law, adjoint, stream(cfg.seed, "agree", lo // CHUNK),
+                                                 hi - lo))
         vals = _localized_chunk(payload, lo, hi)
         want = localized_sum(Y, payload["base_idx"], payload["shift_idx"], payload["weights"],
                              payload["scale"], center)
         if lag:
             assert np.array_equal(vals, want)
         else:
-            noise = abs_noise(payload["law"], stream(cfg.seed, "agree", lo // CHUNK), hi - lo)
-            size = abs_terms(payload["law"], noise, payload["weights"], payload["scale"])
+            noise = abs_noise(law, adjoint, stream(cfg.seed, "agree", lo // CHUNK), hi - lo)
+            size = abs_terms(law, noise, payload["weights"], payload["scale"])
             assert np.all(np.abs(vals - want) <= 1e-14 * size)
         for value, row in zip(vals, Y):
             path = PathSample(times=times, values=row)
