@@ -5,8 +5,9 @@ its acceptance window, 2 config schema violation, naming the key path and
 any list index (moments.autocov_lags[0]), or a value a model, driver, scheme
 or experiment constructor rejects, 3 semantic violation of a mathematical
 precondition (a moments output or an experiment report number that is not
-finite among them, naming its key path: rows[0].rmse_std_error), 4 I/O
-failure.
+finite among them, naming its key path: rows[0].estimate; and a model whose
+spectrum ratio max |lambda| / min(-Re lambda) needs more than 2^22 panels,
+naming the ratio), 4 I/O failure.
 
 Config schema (JSON; unknown keys rejected at every level; a key marked ?
 may be left out). num is a finite number, real any number (NaN and Infinity

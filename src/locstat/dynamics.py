@@ -15,34 +15,23 @@ affine prefix scan (:func:`affine_states`) runs the recursion. Every model
 runs as a state space model (a :class:`Car1Spec` as its 1x1
 ``to_state_space()`` view).
 
-:func:`_segment_stacks` builds the segment data by one of two laws:
-
-* gap laws, exact for the continuous model, where A shares one basis at
-  the quadrature nodes of the gaps (the identity for a diagonal A, every
-  p = 1 model among them, or a trusted eigenbasis): the transition of a
-  commuting A is exp(int A), so D_k, the drift, the covariance and the jump
-  weights are integrals over each gap, taken by G10K21 panels
-  (:func:`_gap_sums`). A and C are evaluated at the panel nodes only, and
-  the fine step enters neither the work nor the law;
-* fine-step laws elsewhere (a non-commuting or near-defective A): each
-  fine step moves the state by the exact step law of :class:`StepLaw` with
-  the fourth-order Magnus exponent of A over the step and C at its midpoint
-  (:func:`_step_stack`), and the steps of a segment are combined by a
-  matrix scan (:func:`_scan_sums`), in blocks scanned back from the record
-  (:func:`_fine_sums`). These laws are exact for the fine-step recursion;
-  its in-step noise weight freezes A, so against the continuous model they
-  are second order in the fine step, which sets their work.
-
-Every segment reports its span, the part of it whose jumps reach the record
-(the live part of a gap law, the scanned part of a fine-step segment), so
-its Poisson mean is rate times span. One table, :class:`JumpWeights`,
-places and weighs the jumps of every law: a row per panel of a gap law and
-per fine step, each a pair of Chebyshev series on [-1, 1], summed one state
-column at a time.
+:func:`_segment_stacks` builds the segment data of the continuous model,
+D_k = Phi(b, a), the drift int_a^b Phi(b, s) C(s) ds, the covariance
+int_a^b Phi C C' Phi' ds and the jump weight Phi(b, x) C(x) of each gap
+[a, b], from G10K21 panels, with A and C at the panel nodes only: by the gap
+law of :func:`_gap_sums` where A shares one basis at the nodes, since the
+transition of a commuting A is exp(int A), and elsewhere by the
+node-propagator law of :func:`_propagator_sums`, whose propagators from the
+nodes come from Magnus steps between them. The fine step enters neither the
+work nor the law. Every segment reports its span, the part of it whose
+jumps reach the record, so its Poisson mean is rate times span. One table,
+:class:`JumpWeights`, places and weighs the jumps of every law: a row per
+panel, each a pair of Chebyshev series on [-1, 1], summed one state column
+at a time.
 
 The fine step keeps its checks (it must divide every gap, a run has at most
 ``_MAX_STEPS`` steps) for every model. The frozen process of ``stationary``
-takes :class:`StepLaw` with a constant exponent, which is exact, and the
+takes :class:`StepLaw`, the exact law of a step of one constant A, and the
 same table, one row per step.
 """
 
@@ -269,9 +258,7 @@ def _integral_of_A(spec: ModelSpec, t0: float, t1: float) -> np.ndarray:
 
     if t1 == t0:
         return np.zeros((spec.p, spec.p))
-    return _gauss_kronrod(
-        lambda taus: np.stack([np.asarray(spec.A(tau), dtype=float) for tau in taus]), [t0, t1]
-    )
+    return _gauss_kronrod(lambda taus: coefficient_values(spec, "A", taus), [t0, t1])
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -291,7 +278,7 @@ def _peano_baker(spec: ModelSpec, t0: float, t1: float, order: int, nodes: int |
     if nodes % 2 == 0:
         nodes += 1
     ts = np.linspace(t0, t1, nodes)
-    A_vals = np.stack([np.asarray(spec.A(t), dtype=float) for t in ts])  # (n, p, p)
+    A_vals = coefficient_values(spec, "A", ts)  # (n, p, p)
     eye = np.eye(spec.p)
     term = np.broadcast_to(eye, A_vals.shape).copy()  # I_0 on every node
     total = eye.copy()
@@ -493,16 +480,12 @@ class SegmentLaw:
     plus, for each of Poisson(``jump_mean_k``) jumps, ``jump_weight(k, U) *
     size``, with U uniform on [0, 1) placing the jump in the segment's span.
     Recorded states drawn this way have the law of the model the segment
-    data come from, from one draw per segment. A gap law (:func:`_gap_sums`)
-    is the law of the continuous model, exact up to rounding; a fine-step law
-    (:func:`_fine_sums`) is that of the fine-step recursion, with step
-    products M_j = P_{hi-1} ... P_{j+1}, D_k = P_{hi-1} ... P_lo, mean
-    path_drift sum_j M_j d_j and covariance sigma2 sum_j M_j G_j M_j', and is
-    second order in the fine step against the continuous model. A product
-    that underflows to 0 is the right value. A frozen step is a segment of
-    one step, and the per-step increments are the law of one unit-weight
-    step, broadcast. One :class:`JumpWeights` table weighs the jumps of every
-    kind of segment.
+    data come from, from one draw per segment. A record segment has the law
+    of the continuous model (:func:`_segment_stacks`), exact up to rounding
+    and the quadrature of its panels; a product that underflows to 0 is the
+    right value. A frozen step is a segment of one step, and the per-step
+    increments are the law of one unit-weight step, broadcast. One
+    :class:`JumpWeights` table weighs the jumps of every kind of segment.
     """
 
     decay: np.ndarray  # (n_records, p, p) D_k
@@ -538,92 +521,152 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None, values: bo
     equal-length record segments of ``plan``: segment indices (g,),
     D (g, p, p), the unit-driver drift (g, p) and covariance (g, p, p) of the
     noise each segment adds, the span (g,) over which its jumps reach the
-    record, and, when ``values`` is set, the list of ``(A, C)`` coefficient
-    arrays the stack was built from (else None); the only code that turns a
-    plan into segment data. The rows of the jump weights of every stack go
-    to the one table ``weights`` (when given).
-
-    A stack whose A shares one basis at the panel nodes of :func:`_gap_sums`
-    (the identity for a diagonal A, every p = 1 model among them, or a
-    trusted eigenbasis) takes the law of the continuous model from quadrature
-    over each gap, and its span is the live part of the gap. Its stacks are
-    chunks of ``_GAP_SEGMENTS`` / p^2 segments, set by the record times
-    alone, so the fine step does not enter its law. The other segments run
-    the fine-step recursion of :func:`_fine_sums`, in stacks of about
-    ``_BLOCK_ENTRIES`` matrix entries (a segment of m steps costs O(m p^2));
-    their span is the part that the scan back from the record reached, and
-    their ``coeffs`` are the step exponents M and C.
+    record, and, when ``values`` is set, the list of ``(A, C)`` arrays at the
+    panel nodes the stack was built from (else None); the only code that
+    turns a plan into segment data. The rows of the jump weights of every
+    stack go to the one table ``weights`` (when given). Stacks are chunks of
+    ``_GAP_SEGMENTS`` / p^2 segments, and each takes the gap law of
+    :func:`_gap_sums` or, where A shares no basis at the panel nodes, the
+    node-propagator law of :func:`_propagator_sums`.
     """
-    spec, h, N = plan.spec, plan.h, plan.N
+    spec, h = plan.spec, plan.h
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
     lengths = np.diff(bounds)
-    p = spec.p
-    chunk = max(1, _GAP_SEGMENTS // (p * p))
+    chunk = max(1, _GAP_SEGMENTS // (spec.p * spec.p))
     for m in linalg.unique(lengths):
         same = np.flatnonzero(lengths == m)
-        rest = []
         for segs in np.split(same, np.arange(chunk, same.size, chunk)):
-            out = _gap_sums(spec, N, plan.start + bounds[segs] * h, m, h, segs, weights, values)
-            if out is None:
-                rest.append(segs)
-            else:
-                yield (segs, *out)
-        rest = np.concatenate(rest) if rest else same[:0]
-        stack = max(1, _BLOCK_ENTRIES // max(1, m * p * p))
-        for segs in np.split(rest, np.arange(stack, rest.size, stack)) if rest.size else ():
-            yield (segs, *_fine_sums(plan, bounds[segs], m, segs, weights, values))
+            args = (spec, plan.N, plan.start + bounds[segs] * h, m * h, segs, weights, values)
+            yield (segs, *(_gap_sums(*args) or _propagator_sums(*args)))
 
 
-def _fine_sums(plan: Plan, lo: np.ndarray, m: int, segs: np.ndarray, weights: "JumpWeights | None",
-               values: bool) -> tuple:
+def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndarray,
+                     weights: "JumpWeights | None", values: bool) -> tuple:
     """D, drift, covariance, span and coefficient values (as
-    :func:`_segment_stacks` yields them) of the fine-step recursion over the
-    segments of m steps from the steps ``lo``: the Magnus step laws of
-    :func:`_step_stack` and the matrix scan :func:`_scan_sums`, in blocks of
-    at most ``_SCAN_ENTRIES`` / p^2 steps, scanned back from the record. A
-    block b before the part a already scanned joins it by D = D_a D_b,
-    drift = D_a d_b + d_a and cov = D_a G_b D_a' + G_a, and the carries of
-    its steps to the record are D_a times theirs. In a segment of more than
-    one block, entries of the carry below the smallest normal double are
+    :func:`_segment_stacks` yields them) of the continuous model over the gaps
+    [lo_k, lo_k + L] of rescaled time, L > 0, for an A with no shared basis
+    (a non-commuting or near-defective A): the node-propagator law.
+
+    The gaps are cut into the panels of a gap law (:func:`_panel_counts`,
+    with the eigenvalues of A at the nodes of a first cut), each with the
+    sums and jump row of :func:`_node_propagators`. Panels run in blocks of
+    about ``_GAP_ENTRIES`` node values of A from the end of the gaps, joined
+    as steps are, by the scan :func:`_scan_sums` of a block's panels and, as
+    its last step, the part already scanned. In a gap of more than one block,
+    entries of the carry to the record below the smallest normal double are
     flushed to 0, as in :func:`affine_states`; once it is 0, the earlier
-    steps add only the exact 0 of the decay and no jump there reaches the
-    record, so the scan stops, and the span is the part scanned. A segment
-    of one block is one scan, with no flush."""
-    spec, h, p = plan.spec, plan.h, plan.spec.p
-    size = max(1, _SCAN_ENTRIES // (p * p))
-    blocks, vals, hi, D = [], [], m, None
-    while hi > 0 and (D is None or D.any()):
-        q0 = max(0, hi - size)
-        law = _step_stack(spec, plan.start + (lo[:, None] + np.arange(q0, hi)) * h, plan.N, h)
-        Db, db, Gb, L = _scan_sums(law)
-        if D is None:
-            D, drift, cov = Db, db, Gb
-        else:
-            L = D[:, None] @ L
-            drift = drift + (D @ db[..., None])[..., 0]
-            cov = cov + D @ Gb @ D.swapaxes(-1, -2)
-            D = D @ Db
-        if m > size:
-            D[np.abs(D) < _TINY] = 0.0
-        if weights is not None:  # the jump rows of the block; without jumps it is dropped
-            blocks.insert(0, (law, L))
-        if values:
-            vals.append((law.M, law.C))
-        hi = q0
-    if weights is not None:
-        weights.put_steps(segs, blocks)
-    return D, drift, cov, np.full(segs.size, (m - hi) * h), vals if values else None
+    panels add only the exact 0 of the decay and no jump there reaches the
+    record, so the scan stops, and the span is the part scanned.
+    """
+    p, g = spec.p, lo.size
+    n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
+    w = np.concatenate([np.linalg.eigvals(_panel_values(spec, N, "A", lo, L, n0, q0, q1)).reshape(g, -1)
+                        for q0, q1 in _panel_blocks(n0, g, p)], axis=1)
+    counts = _panel_counts(L, N, np.abs(w).max(axis=1), -w.real.max(axis=1))
+    decay, drift, cov, span = np.empty((g, p, p)), np.empty((g, p)), np.empty((g, p, p)), np.empty(g)
+    vals = []
+    for n in linalg.unique(counts):
+        sub = np.flatnonzero(counts == n)
+        blocks, rows = _panel_blocks(n, sub.size, p), []
+        D, d, G = np.eye(p) + np.zeros((sub.size, p, p)), np.zeros((sub.size, p)), np.zeros((sub.size, p, p))
+        for q0, q1 in blocks:
+            A, C = (_panel_values(spec, N, name, lo[sub], L, n, q0, q1) for name in "AC")
+            *panels, coef = _node_propagators(A, C, 0.5 * L / n)
+            # the part already scanned is the last step of the block's scan
+            D, d, G, carry = _scan_sums(*(np.concatenate([x, y[:, None]], axis=1)
+                                          for x, y in zip(panels, (D, d, G))))
+            if len(blocks) > 1:
+                D[np.abs(D) < _TINY] = 0.0
+            rows.insert(0, (coef, carry[:, :-1].reshape(-1, p, p), None))
+            if values:
+                vals.append((A, C))
+            if not D.any():
+                break
+        decay[sub], drift[sub], cov[sub] = D, d, G
+        span[sub] = L - q0 * (L / n)
+        if weights is not None:
+            weights.put(segs[sub], rows)
+    return decay, drift, cov, span, vals
 
 
-def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs: np.ndarray,
+def _node_propagators(A: np.ndarray, C: np.ndarray, r: float) -> tuple:
+    """Decays Phi(b, a) (s, b, p, p), drifts sum_i w_i Phi(b, s_i) C(s_i)
+    (s, b, p) and covariances sum_i w_i Phi C C' Phi' (s, b, p, p), with the
+    K21 weights w_i, of a block of panels [a, b] (s, b) of half-width r, from
+    A (s, b, 21, p, p) and C (s, b, 21, p) at their nodes s_i; and their jump
+    rows (degree, s, b, 2p): E = 0, then the Chebyshev interpolant of
+    Phi(b, x) C(x) through the nodes.
+
+    Phi(b, s_i) composes Magnus steps over the 22 intervals between a, the
+    nodes and b, each cut into k equal substeps of length h, with the
+    sixth-order exponent of Blanes, Casas, Oteo & Ros 2009 (Phys. Rep. 470)
+    at the Gauss-Legendre points of a substep, A_1 .. A_3: with a1 = h A_2,
+    a2 = sqrt(15) h (A_3 - A_1) / 3, a3 = 10 h (A_3 - 2 A_2 + A_1) / 3,
+    c1 = [a1, a2] and c2 = -[a1, 2 a3 + c1] / 60, the exponent is
+    a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240. A there is the
+    interpolant of its node values, and k the least count of substeps no
+    longer than ``_MAGNUS_STEP`` / max ||A||_F over the block's nodes.
+    """
+    s, b, _, p, _ = A.shape
+    x, kron, _, Tinv = _panel_rule()
+    size = np.linalg.norm(A, axis=(-2, -1)).max()
+    k = max(1, int(np.ceil(r * np.diff(x).max(initial=0.0) * size / _MAGNUS_STEP)))
+    step, interpolant = _magnus_points(k)
+    Ag = np.moveaxis((interpolant @ A.reshape(s, b, 21, p * p)).reshape(s, b, 22, k, 3, p, p), 4, 0)
+    h = (r * step)[:, None, None, None]
+    a1 = h * Ag[1]
+    a2 = (np.sqrt(15.0) / 3.0) * h * (Ag[2] - Ag[0])
+    a3 = (10.0 / 3.0) * h * (Ag[2] - 2.0 * Ag[1] + Ag[0])
+    c1 = a1 @ a2 - a2 @ a1
+    u = 2.0 * a3 + c1
+    c2 = (a1 @ u - u @ a1) / -60.0
+    u, v = -20.0 * a1 - a3 + c1, a2 + c2
+    omega = a1 + a3 / 12.0 + (u @ v - v @ u) / 240.0
+    E = linalg.expm(omega.reshape(-1, p, p)).reshape(s * b, 22 * k, p, p)
+    # the products of the last j + 1 substeps; every k-th: Phi(b, s_{20-i}) for i <= 20, Phi(b, a)
+    T = _prefix_products(E[:, ::-1])[:, k - 1::k].reshape(s, b, 22, p, p)
+    y = (T[:, :, 20::-1] @ C[..., None])[..., 0]  # Phi(b, s_i) C(s_i)
+    drift = r * np.einsum("i,sbia->sba", kron, y)
+    cov = r * np.einsum("i,sbia,sbic->sbac", kron, y, y)
+    coef = np.zeros((s, b, 2 * p, 21))
+    coef[:, :, p:] = np.swapaxes(Tinv @ y, -1, -2)
+    return T[:, :, 21], drift, cov, _chebyshev_rows(coef)
+
+
+@functools.cache
+def _magnus_points(k: int) -> tuple:
+    """Lengths (22,) of k equal substeps of the intervals between -1, the
+    nodes of :func:`_panel_rule` and 1, and the map (22 k 3, 21) from values
+    at the nodes to their Chebyshev interpolant at the Gauss-Legendre points
+    1/2 -+ sqrt(15)/10 and 1/2 of each substep."""
+    x, _, _, Tinv = _panel_rule()
+    edges = np.concatenate([[-1.0], x, [1.0]])
+    step = np.diff(edges) / k
+    gauss = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+    points = edges[:-1, None, None] + step[:, None, None] * (np.arange(k)[:, None] + gauss)
+    T = np.cos(np.arccos(np.clip(points.ravel(), -1.0, 1.0))[:, None] * np.arange(21))
+    return step, T @ Tinv
+
+
+def _panel_counts(live: np.ndarray, N: float, rho: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Panels (g,) of gaps of length ``live``, no longer than ``_PANEL_TIME``
+    in original time and ``_PANEL_DECAY`` / ``rho``, with max |lambda| rho and
+    min -Re lambda ``kappa`` (g,) of A at their nodes. More than ``_MAX_STEPS``
+    in all raise ValueError naming the ratio rho / kappa of the spectrum."""
+    counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)), np.ceil(live * rho / _PANEL_DECAY))
+    if counts.sum() > _MAX_STEPS:
+        raise ValueError(
+            f"model: a spectrum with max |lambda| / min(-Re lambda) = {rho.max() / kappa.min():.3g} "
+            f"needs {counts.sum():.3g} panels, more than {_MAX_STEPS}")
+    return counts.astype(np.int64)
+
+
+def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndarray,
               weights: "JumpWeights | None", values: bool):
     """D, drift, covariance, span and coefficient values (as
     :func:`_segment_stacks` yields them) of the continuous model over the gaps
-    [lo_k, lo_k + L], L = m h, in rescaled time, or None where A has no shared
-    trusted basis at the nodes, or where a gap would need more than
-    ``_GAP_PANELS`` panels per fine step (a spectrum whose ratio
-    max |lambda| / min -Re lambda runs into the millions), which the
-    fine-step recursion then takes.
+    [lo_k, lo_k + L] in rescaled time, or None where A has no shared
+    trusted basis at the nodes, which :func:`_propagator_sums` then takes.
 
     With A(s/N) = V diag(lambda(s)) V^-1 at every node, g = V^-1 C and
     E(s) = int_s^b lambda on a gap [a, b] (exp(int A) is the transition of a
@@ -640,7 +683,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs:
     the gap adds to E(a) alone, integrated on panels of the first cut's
     length, and no jump there reaches the record, so the segment's jumps fall
     on the rest, its live part (the span returned). The live part is cut
-    into n equal panels, no longer than
+    into n equal panels (:func:`_panel_counts`), no longer than
     ``_PANEL_TIME`` in original time (A and C are then close to polynomials
     of degree 20 on each) and than ``_PANEL_DECAY`` / max |lambda| (the
     exponent of an integrand then moves by at most 2 ``_PANEL_DECAY`` across
@@ -652,7 +695,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs:
     it must be trusted up to sqrt(``_COND_MAX``), since y y^* grows like
     cond(V)^2 |C|^2 and cancels down to the covariance.
     """
-    p, g, L = spec.p, lo.size, m * h
+    p, g = spec.p, lo.size
     if L == 0:  # records at step 0: the zero start
         return np.broadcast_to(np.eye(p), (g, p, p)), np.zeros((g, p)), np.zeros((g, p, p)), 0.0, []
     n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
@@ -682,10 +725,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, m: int, h: float, segs:
                 return None
             dl = _nodes_last(shared[0]) @ _panel_rule()[1]  # per unit half-width
             total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
-    counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)),
-                        np.ceil(live * rho / _PANEL_DECAY)).astype(np.int64)
-    if counts.max() > _GAP_PANELS * m:
-        return None
+    counts = _panel_counts(live, N, rho, kappa)
     vals, laws = [], []
     for n in linalg.unique(counts):
         sub = np.flatnonzero(counts == n)
@@ -726,10 +766,8 @@ def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jump
     end of the last panel: E at the start of the first panel, the integrals
     of y and of y y^* over the block (eigen coordinates), and, when ``jumps``
     is set, the Chebyshev coefficients (degree, s, b, 2p) of E and of g on
-    each panel (else None), E's first,
-    cut after the last above 16 eps of its function's largest one (E's
-    constant term, which carries the later panels, aside). Each map over the
-    nodes is one matrix product of the (s b p, 21) values.
+    each panel (else None), E's first, cut by :func:`_chebyshev_rows`. Each
+    map over the nodes is one matrix product of the (s b p, 21) values.
 
     On a panel with nodes c + r x_i, lambda is taken as its interpolant at
     the nodes, sum_j a_j T_j(x), whose integral F has the coefficients
@@ -758,11 +796,19 @@ def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jump
         return E + after[:, 0], drift, X, None
     gc = (g.reshape(-1, 21) @ Tinv.T).reshape(shape)
     coef = np.concatenate([e, np.concatenate([gc, np.zeros_like(gc[..., :1])], axis=-1)], axis=-2)
-    size = np.abs(coef)
+    return E + after[:, 0], drift, X, _chebyshev_rows(coef)
+
+
+def _chebyshev_rows(coef: np.ndarray) -> np.ndarray:
+    """The Chebyshev coefficients (s, b, 2p, terms) of E and g on panels as
+    rows of :class:`JumpWeights`, (degree, s, b, 2p): cut after the last
+    term above 16 eps of its function's largest one, E's constant term,
+    which carries the later panels, aside."""
+    size, p = np.abs(coef), coef.shape[2] // 2
     ref = np.concatenate([size[..., :p, 1:].max(axis=-1), size[..., p:, :].max(axis=-1)], axis=-1)
     big = (size[..., 1:] > 16.0 * np.finfo(float).eps * ref[..., None]).any(axis=(0, 1, 2))
     degree = int(np.flatnonzero(big)[-1]) + 1 if big.any() else 0
-    return E + after[:, 0], drift, X, np.moveaxis(coef[..., : degree + 1], -1, 0)
+    return np.moveaxis(coef[..., : degree + 1], -1, 0)
 
 
 def _nodes_last(x: np.ndarray) -> np.ndarray:
@@ -810,11 +856,13 @@ class JumpWeights:
 
     * a panel of a gap law (:func:`_gap_sums`): the coefficients of
       :func:`_panel_sums` on the stack's basis V;
-    * a fine step (:func:`_fine_sums`) or a frozen step, of exponent
-      M = V diag(w) V^-1 (:class:`StepLaw`) and carry L to its record:
-      E = w (1 - t) / 2 and g = V^-1 C on the basis L V, V for a frozen step
-      and none on the identity basis, so the weight is L e^{M (1 - t) / 2} C;
-    * a step with no trusted basis: L expm(M (1 - t) / 2) C per jump.
+    * a panel of a node-propagator law (:func:`_propagator_sums`): E = 0 and
+      g the interpolant of Phi(b, x) C(x), on the basis of the carry from
+      the panel's end b to its record;
+    * a frozen step of exponent M = V diag(w) V^-1 (:class:`StepLaw`):
+      E = w (1 - t) / 2 and g = V^-1 C on the basis V, none on the identity
+      basis, so the weight is e^{M (1 - t) / 2} C;
+    * a frozen step with no trusted basis: expm(M (1 - t) / 2) C per jump.
 
     Segments with no rows have ``count`` 0. The table is laid out on first
     use as (2p, degree, rows), one block per column of E and g, and
@@ -849,30 +897,22 @@ class JumpWeights:
             self.blocks.append((rows.ravel(), coef.reshape(len(coef), -1, coef.shape[-1]), *rest))
             q0 += coef.shape[2]
 
-    def put_steps(self, segs: np.ndarray, blocks: list) -> None:
-        """The steps of the segments ``segs`` from blocks ``(law, L)`` in step
-        order: a :class:`StepLaw` of leading shape (g, k), or (g,) for one
-        step per segment, and the carries L (law.M's shape) of its steps to
-        their records, or None for I."""
-        parts = []
-        for law, L in blocks:
-            p = law.M.shape[-1]
-            w, V, Vinv, est = law.basis if law.shared is None else law.shared
-            g = law.C if V is None else (Vinv @ law.C[..., None])[..., 0]
-            coef = np.zeros((2, law.C.size // p, 2 * p), dtype=np.result_type(w, g))
-            coef[0, :, :p] = 0.5 * w.reshape(-1, p)
-            coef[1, :, :p] = -0.5 * w.reshape(-1, p)
-            coef[0, :, p:] = g.reshape(-1, p)
-            basis, expm = V if L is None else L if V is None else L @ V, None
-            basis = None if basis is None else basis.reshape(-1, p, p)
-            bad = ~np.broadcast_to(est <= _COND_MAX, law.M.shape[:-2]).ravel()
-            if bad.any():
-                L = np.broadcast_to(np.eye(p), law.M.shape) if L is None else L
-                basis = np.where(bad[:, None, None], L.reshape(-1, p, p), basis)
-                coef[:, bad] = 0.0
-                expm = bad, law.M.reshape(-1, p, p), law.C.reshape(-1, p)
-            parts.append((coef.reshape(2, segs.size, -1, 2 * p), basis, expm))
-        self.put(segs, parts)
+    def put_steps(self, segs: np.ndarray, law: "StepLaw") -> None:
+        """One row for each frozen step of ``law`` (leading shape (g,)), the
+        segments ``segs``: on the shared basis of its steps, or, with none,
+        expm per jump."""
+        p = law.M.shape[-1]
+        coef = np.zeros((2, segs.size, 1, 2 * p))
+        if law.shared is None:
+            self.put(segs, [(coef, np.eye(p)[None], (np.ones(segs.size, dtype=bool), law.M, law.C))])
+            return
+        w, V, Vinv, _ = law.shared
+        g = law.C if V is None else (Vinv @ law.C[..., None])[..., 0]
+        coef = coef.astype(np.result_type(w, g))
+        coef[0, :, 0, :p] = 0.5 * w
+        coef[1, :, 0, :p] = -0.5 * w
+        coef[0, :, 0, p:] = g
+        self.put(segs, [(coef, None if V is None else V[None], None)])
 
     @functools.cached_property
     def table(self):
@@ -967,17 +1007,16 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[0]
 
 
-def _scan_sums(law: "StepLaw") -> tuple:
-    """D, drift and covariance of a stack (g, m) of fine steps, and the
-    carries M_j (g, m, p, p) of its steps to the end of the stack, from the
-    products of the scan :func:`_prefix_products`."""
-    P = law.propagator()
+def _scan_sums(P: np.ndarray, d: np.ndarray, G: np.ndarray) -> tuple:
+    """D, drift and covariance of a stack (g, m) of steps with propagators
+    P (g, m, p, p), drifts d (g, m, p) and covariances G (g, m, p, p), and
+    the carries M_j (g, m, p, p) of its steps to the end of the stack, from
+    the products of the scan :func:`_prefix_products`."""
     g, p = P.shape[0], P.shape[-1]
-    # T[:, i] = P_{hi-1} ... P_{hi-1-i}
+    # T[:, i] = P_{m-1} ... P_{m-1-i}
     T = _prefix_products(P[:, ::-1])
-    # in step order, P_{hi-1} ... P_{j+1}, which is I for the last step
+    # in step order, P_{m-1} ... P_{j+1}, which is I for the last step
     M = np.concatenate([T[:, -2::-1], np.broadcast_to(np.eye(p), (g, 1, p, p))], axis=1)
-    d, G = law.moments()
     return T[:, -1], np.einsum("gjab,gjb->ga", M, d), np.einsum("gjab,gjbc,gjdc->gad", M, G, M), M
 
 
@@ -1119,14 +1158,8 @@ def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float
     return _simulate_yn_statespace(spec, triplet, N, eval_times, fine_step, burn_in, rng, meta)
 
 
-# Stack bound of _segment_stacks, measured on a 2-core VM: the statespace_simulate
-# benchmark peaks at 83.1 MB with 65536, 78.4 MB with 16384 and 77.6 MB with 8192
-# (lln_ladder: 66.2, 62.3 and 62.1 MB); with 8192 the lln_ladder campaign takes
-# about 2 ms longer than with 16384, as its ladder builds twice as many stacks.
-_BLOCK_ENTRIES = 16384
-# most entries (steps times p^2) of one block of the scan of a fine-step segment
-_SCAN_ENTRIES = 1 << 16
-# most fine steps of a run, burn-in included: its memory grows with its steps
+# most fine steps of a run, burn-in included, and most panels of one stack of
+# gaps: the memory of a run grows with its steps, and its work with its panels
 _MAX_STEPS = 1 << 22
 # gap laws (_gap_sums): segments per stack times p^2, and the panel bounds,
 # _PANEL_DECAY / max |lambda| in rescaled time and _PANEL_TIME in original
@@ -1136,17 +1169,19 @@ _MAX_STEPS = 1 << 22
 _GAP_SEGMENTS = 1024
 _PANEL_DECAY = 8.0
 _PANEL_TIME = 1.0
-# node values of A per block of panels of a gap law, and the most panels a
-# gap law takes per fine step of its gap
+# node values of A per block of panels of a gap law or a node-propagator law
 _GAP_ENTRIES = 16384
-_GAP_PANELS = 64
+# longest Magnus substep of a node-propagator law, times max ||A||_F at the
+# nodes: on the noncommuting_lln model at N = 1, panels of length 1 reach the
+# propagators of a DOP853 solve (rtol 1e-13) within 3e-14 with 2 substeps
+_MAGNUS_STEP = 0.25
 # e^-x is 0 in floating point for x above 745.2
 _UNDERFLOW = 760.0
 # eigenbasis condition number above which a matrix exponential is computed by
 # expm instead of from the eigendecomposition (here and in stationary)
 _COND_MAX = 1e8
-# off-diagonal part of V^-1 M V, relative to M, up to which a step shares the
-# eigenbasis V of its stack's reference step (StepLaw.basis)
+# off-diagonal part of V^-1 M V, relative to M, up to which a matrix shares the
+# eigenbasis V of its stack's reference matrix (_shared_basis)
 _RESIDUAL_MAX = 1e-12
 _TINY = np.finfo(float).tiny
 
@@ -1206,12 +1241,6 @@ def _phi(x, e=None):
     return out
 
 
-def _rows(good: np.ndarray):
-    """Index of the steps where ``good`` holds: the mask, or ``...`` when it
-    holds on every step, since a mask copies even a broadcast view."""
-    return ... if good.all() else good
-
-
 def _shared_basis(M: np.ndarray, basis=None):
     """(w, V, V^-1, est): the eigenvalues w (..., p) of every matrix of the
     stack M (..., p, p) on one eigenbasis V (p, p), with its condition
@@ -1245,32 +1274,22 @@ def _shared_basis(M: np.ndarray, basis=None):
 
 
 class StepLaw:
-    """Exact law of steps x <- e^M x + int_0^h e^{M(h-r)/h} C L(dr) with the
-    exponent M and C fixed in each step: M = A h for a frozen A (Brockwell
-    2001, "Levy-driven CARMA processes", AISM 53), or the Magnus exponent of
-    :func:`_step_stack`. Drift weight d = int_0^h e^{Mr/h} dr C, covariance G =
-    int_0^h e^{Mr/h} CC' e^{M'r/h} dr, jump weight e^{M(h-r)/h} C at offset r
-    (:class:`JumpWeights`); all entrywise for p = 1. On a trusted eigenbasis
-    M = V diag(w) V^-1 (:func:`eigenbasis`), e^M = V diag(e^w) V^-1; with g =
-    V^-1 C and phi(x) = expm1(x) / x, d = h V (phi(w) g) and G = h V [g g^* o
-    phi(w_i + conj w_k)] V^*. The terms g g^* grow like
-    cond(V)^2 |C|^2 and cancel down to G, so d and G take that form only where
-    the estimate of cond(V) is at most sqrt(``_COND_MAX``). Otherwise e^M comes
-    from expm, d = h M^-1 (e^M - I) C and G = h (S - e^M S e^M'), S the Gramian
-    of (M, C), which unlike a block exponential does not cancel on long steps.
-
-    A stack of steps takes one eigenbasis when it can: commuting
-    diagonalizable matrices share their eigenvectors (Horn & Johnson, *Matrix
-    Analysis*, Thm 1.3.21). A stack with no nonzero off-diagonal entry takes
-    V = I and w_k = diag(M_k), with no eigendecomposition or residual test.
-    Otherwise V and V^-1 come from the first step, and each step
-    takes w_k = diag(V^-1 M_k V), provided the basis is trusted and every
-    off-diagonal part ||V^-1 M_k V - diag(w_k)||_F is at most
-    ``_RESIDUAL_MAX`` ||M_k||_F. Otherwise every step of the stack takes its
-    own eigenbasis. The residuals decide, not a declared commuting flag; a
-    constant A, as in the frozen process, passes with rounding residuals.
-    ``M`` is (..., p, p), ``C`` broadcasts to (..., p) and ``h`` to their
-    leading shape. The eigenbasis is taken on first use.
+    """Exact law of steps x <- e^M x + int_0^h e^{M(h-r)/h} C L(dr) of one
+    constant A, M = A h, the steps of the frozen process (Brockwell 2001,
+    "Levy-driven CARMA processes", AISM 53). Drift weight d =
+    int_0^h e^{Mr/h} dr C, covariance G = int_0^h e^{Mr/h} CC' e^{M'r/h} dr,
+    jump weight e^{M(h-r)/h} C at offset r (:class:`JumpWeights`); all
+    entrywise for p = 1. The steps, multiples of one A, share the eigenbasis
+    M = V diag(w) V^-1 of the first (:func:`_shared_basis`; V = I for a
+    diagonal A): e^M = V diag(e^w) V^-1 and, with g = V^-1 C and phi(x) =
+    expm1(x) / x, d = h V (phi(w) g) and G = h V [g g^* o phi(w_i + conj w_k)]
+    V^*. The terms g g^* grow like cond(V)^2 |C|^2 and cancel down to G, so d
+    and G take that form only where the estimate of cond(V) is at most
+    sqrt(``_COND_MAX``); otherwise d = h M^-1 (e^M - I) C and
+    G = h (S - e^M S e^M'), S the Gramian of (M, C), which unlike a block
+    exponential does not cancel on long steps. Where the basis is not trusted
+    (a near-defective A), e^M comes from expm. ``M`` is (..., p, p), ``C``
+    broadcasts to (..., p) and ``h`` to their leading shape.
     """
 
     def __init__(self, M, C, h):
@@ -1284,61 +1303,45 @@ class StepLaw:
         when every step shares it, else None (:func:`_shared_basis`)."""
         return _shared_basis(self.M)
 
-    @functools.cached_property
-    def basis(self):
-        """(w, V, V^-1, est) of M, ``est`` the condition estimate of
-        :func:`eigenbasis` per step. A shared basis gives V, V^-1 and est as
-        broadcast views, V = I on the identity basis; for p = 1, w = M[..., 0],
-        V = None and est = 1."""
-        if self.shared is None:
-            return eigenbasis(self.M)
-        (w, V, Vinv, est), shape = self.shared, self.M.shape
-        if shape[-1] == 1:
-            return w, None, None, np.broadcast_to(1.0, shape[:-2])
+    def _eigen(self) -> tuple:
+        """w, V and V^-1 of the shared basis, V and V^-1 (I on the identity
+        basis) as views of M's shape."""
+        w, V, Vinv, _ = self.shared
         if V is None:
-            V = Vinv = np.eye(shape[-1])
-        return (w, np.broadcast_to(V, shape), np.broadcast_to(Vinv, shape),
-                np.broadcast_to(est, shape[:-2]))
+            V = Vinv = np.eye(self.M.shape[-1])
+        return w, np.broadcast_to(V, self.M.shape), np.broadcast_to(Vinv, self.M.shape)
 
-    def _expm(self, rows: np.ndarray) -> np.ndarray:
-        """e^M of the steps ``rows`` (a mask), once per distinct M."""
-        M, at = np.unique(self.M[rows], axis=0, return_inverse=True)
+    def _expm(self) -> np.ndarray:
+        """e^M of every step, once per distinct M."""
+        M, at = np.unique(self.M, axis=0, return_inverse=True)
         return linalg.expm(M)[at.ravel()]
 
     def propagator(self) -> np.ndarray:
         """e^M, shape (..., p, p)."""
-        w, V, Vinv, est = self.basis
-        if V is None:
+        if self.M.shape[-1] == 1:
             return np.exp(self.M)
-        good = est <= _COND_MAX
-        at = _rows(good)
-        P = np.empty(self.M.shape)
-        P[at] = ((V[at] * np.exp(w[at])[..., None, :]) @ Vinv[at]).real
-        if at is not ...:
-            P[~good] = self._expm(~good)
-        return P
+        if self.shared is None:
+            return self._expm()
+        w, V, Vinv = self._eigen()
+        return ((V * np.exp(w)[..., None, :]) @ Vinv).real
 
     def moments(self):
         """Drift weights d (..., p) and covariances G (..., p, p)."""
-        w, V, Vinv, est = self.basis
         h = self.h[..., None]
-        if V is None:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
+        if self.M.shape[-1] == 1:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
+            w = self.M[..., 0]
             e = np.expm1(w)
             q = h * _phi(w, e)
             return q * self.C, (q * (1.0 + 0.5 * e) * self.C**2)[..., None]
-        good = est <= np.sqrt(_COND_MAX)
-        at = _rows(good)
-        d, G = np.empty(self.C.shape), np.empty(self.M.shape)
-        g, w, V = (Vinv[at] @ self.C[at][..., None])[..., 0], w[at], V[at]
-        d[at] = (V @ (_phi(w) * g)[..., None])[..., 0].real
-        X = g[..., :, None] * g.conj()[..., None, :] * _phi(w[..., :, None] + w.conj()[..., None, :])
-        G[at] = (V @ X @ V.conj().swapaxes(-1, -2)).real
-        if at is not ...:
-            M, C, P = self.M[~good], self.C[~good][..., None], self._expm(~good)
+        if self.shared is None or self.shared[3] > np.sqrt(_COND_MAX):
+            M, C, P = self.M, self.C[..., None], self._expm()
             S = _gramian(M, C)
-            d[~good] = np.linalg.solve(M, P @ C - C)[..., 0]
-            G[~good] = S - P @ S @ P.swapaxes(-1, -2)
-        return h * d, h[..., None] * G
+            return h * np.linalg.solve(M, P @ C - C)[..., 0], h[..., None] * (S - P @ S @ P.swapaxes(-1, -2))
+        w, V, Vinv = self._eigen()
+        g = (Vinv @ self.C[..., None])[..., 0]
+        d = (V @ (_phi(w) * g)[..., None])[..., 0].real
+        X = g[..., :, None] * g.conj()[..., None, :] * _phi(w[..., :, None] + w.conj()[..., None, :])
+        return h * d, h[..., None] * (V @ X @ V.conj().swapaxes(-1, -2)).real
 
 
 def _gramian(M: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -1348,22 +1351,6 @@ def _gramian(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     K = np.einsum("kij,ab->kiajb", M, np.eye(p)) + np.einsum("ij,kab->kiajb", np.eye(p), M)
     CC = (C @ C.swapaxes(-1, -2)).reshape(k, p * p, 1)
     return np.linalg.solve(K.reshape(k, p * p, p * p), -CC).reshape(k, p, p)
-
-
-def _step_stack(spec: ModelSpec, lefts: np.ndarray, N: float, h: float) -> StepLaw:
-    """:class:`StepLaw` of the steps [s, s + h], ``s = lefts`` in rescaled time,
-    with the fourth-order Magnus exponent (h/2)(A_1 + A_2) + (sqrt(3) h^2/12)
-    [A_2, A_1], A_1 and A_2 at the Gauss nodes (s + (1/2 -+ sqrt(3)/6) h)/N
-    (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), and C at (s + h/2)/N.
-    A constant A gives A h bit for bit. Diagonal matrices, p = 1 among them,
-    commute exactly, so their commutator is not computed."""
-    nodes = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-    A1, A2 = (coefficient_values(spec, "A", (lefts + c * h) / N) for c in nodes)
-    M = 0.5 * h * (A1 + A2)
-    off = ~np.eye(spec.p, dtype=bool)
-    if A1[..., off].any() or A2[..., off].any():
-        M += (np.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
-    return StepLaw(M, coefficient_values(spec, "C", (lefts + 0.5 * h) / N), h)
 
 
 def affine_states(P: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -171,6 +171,14 @@ def _py(obj):
     return obj
 
 
+def _std_error(x: np.ndarray) -> float:
+    """np.std(x, ddof=1) / sqrt(n) on x scaled by 2^-k, k the exponent of
+    max |x|, scaled back by 2^k: the same bits, as the scaling is exact, but
+    no overflow in the squares of an x that is itself a square."""
+    k = int(np.frexp(np.max(np.abs(x)))[1])
+    return float(np.ldexp(np.std(np.ldexp(x, -k), ddof=1) / np.sqrt(len(x)), k))
+
+
 def _map_chunks(fn, payload, n_reps: int, workers: int) -> np.ndarray:
     """``fn(payload, lo, hi)`` over the ``CHUNK``-sized chunks of ``n_reps``
     replications, concatenated in chunk order.
@@ -289,7 +297,7 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
     replication, one Gaussian draw of the joint state plus its jumps, placed
     exactly, and E D_k^2 = Sigma_L b_k' cov b_k + (mu_L b_k' drift)^2 from the
     unit-driver drift and covariance of that segment. A block whose A and C
-    equal the frozen ones at every node (or step) the law was built from
+    equal the frozen ones at every node the law was built from
     moves with x~ exactly; its row is 0, as in
     ``_joint_frozen``, where the factor of the singular joint covariance
     would leave rounding noise in D_k.
@@ -359,7 +367,7 @@ def run_coupling(config: ExperimentConfig) -> ExperimentReport:
         sq = D[:, j] ** 2
         est_sq = float(np.mean(sq))
         dist = float(np.sqrt(est_sq))
-        se_sq = float(np.std(sq, ddof=1) / np.sqrt(len(sq)))
+        se_sq = _std_error(sq)
         se = se_sq / (2.0 * dist) if dist > 0 else 0.0
         target = float(targets[j])
         ok = abs(dist - target) <= 4.0 * se + 1e-15
@@ -521,12 +529,12 @@ def run_lln(config: ExperimentConfig) -> ExperimentReport:
         vals = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
         err_sq = (vals - target) ** 2
         rmse = float(np.sqrt(np.mean(err_sq)))
-        se = float(np.std(err_sq, ddof=1) / np.sqrt(len(err_sq)) / (2.0 * max(rmse, 1e-300)))
+        se = _std_error(err_sq) / (2.0 * max(rmse, 1e-300))
         rows.append(
             {
                 "N": N,
                 "estimate": float(np.mean(vals)),
-                "std_error": float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
+                "std_error": _std_error(vals),
                 "rmse": rmse,
                 "rmse_std_error": se,
                 "target": target,
@@ -578,7 +586,7 @@ def _run_lln_continuous(config: ExperimentConfig) -> ExperimentReport:
                    "scale": gap / (N * config.t_end), "purpose": f"lln_cont:{N}"}
         vals = _map_chunks(_localized_chunk, payload, config.replications, config.workers)
         est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+        se = _std_error(vals)
         ok = abs(est - target) <= 3.0 * se
         all_ok = all_ok and ok
         rows.append({"N": N, "estimate": est, "std_error": se, "target": float(target), "pass": bool(ok)})
@@ -719,7 +727,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
         {
             "N": N,
             "estimate": float(np.mean(T)),
-            "std_error": float(np.std(T, ddof=1) / np.sqrt(R)),
+            "std_error": _std_error(T),
             "target": 0.0,
             "pass": bool(passed),
         }
@@ -804,7 +812,7 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
         vals = _map_chunks(_lipschitz_chunk, payload, config.replications, config.workers)
         est_pow = float(np.mean(vals))
         dist = est_pow ** (1.0 / p)
-        se_pow = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+        se_pow = _std_error(vals)
         se = se_pow / (p * max(est_pow, 1e-300) ** ((p - 1) / p))
         if p == 2:
             target = np.sqrt(stat.second_moment(fr, 0.0, config.triplet))

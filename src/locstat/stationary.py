@@ -534,7 +534,7 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     weights = None
     if triplet.jump_rate > 0:
         weights = JumpWeights(all_gaps.size)
-        weights.put_steps(np.arange(all_gaps.size), [(law, None)])
+        weights.put_steps(np.arange(all_gaps.size), law)
     return _driver_law(triplet, *law.moments(), all_gaps, law.propagator(),
                        np.broadcast_to(fr.B, (all_gaps.size, fr.p)), weights)
 

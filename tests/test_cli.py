@@ -373,8 +373,9 @@ def test_clt_beta_quarter_rejected_exit_3(tmp_path, capsys):
 
 def test_an_experiment_number_that_is_not_finite_exits_3_naming_its_key(tmp_path, capsys):
     # the lln_ladder benchmark config at sigma2 = 1e300: the squared errors
-    # overflow in the standard error of the RMSE, which used to be written as
-    # Infinity, which is not JSON, into every row, with exit 1
+    # are near 1e300, whose squares overflowed in the standard error of the
+    # RMSE, which was written as Infinity into every row; it is a float,
+    # about 5e147, and the campaign fails its RMSE window (exit 1)
     cfg = write_config(tmp_path, {
         "triplet": {"gamma": 1.0, "sigma2": 1e300},
         "simulation": {"fine_step": 1.0 / 256.0, "burn_in": 8.0},
@@ -382,8 +383,22 @@ def test_an_experiment_number_that_is_not_finite_exits_3_naming_its_key(tmp_path
                        "replications": 100, "statistic": "mean"},
     })
     out = tmp_path / "out"
+    assert main(["lln", "--config", cfg, "--out", str(out)]) == 1
+    rows = json.loads((out / "lln-0.json").read_text())["rows"]
+    assert all(1e146 < row["rmse_std_error"] < 1e149 for row in rows)
+    # gamma 1e308 and a = 0.5: the mean of Y is 2e308, beyond the largest
+    # double at any scale, so the estimate is not finite
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "car1", "a": "0.5", "lipschitz": 1.0, "infimum": 0.5},
+        "triplet": {"gamma": 1e308, "sigma2": 1.0},
+        "simulation": {"fine_step": 1.0 / 256.0, "burn_in": 16.0},
+        "experiment": {"kind": "lln_discrete", "N_list": [2**8, 2**10], "replications": 100,
+                       "statistic": "mean"},
+    }, name="beyond.json")
+    out = tmp_path / "beyond"
+    capsys.readouterr()
     assert main(["lln", "--config", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "semantic error: lln: rows[0].rmse_std_error is not finite\n"
+    assert capsys.readouterr().err == "semantic error: lln: rows[0].estimate is not finite\n"
     assert not list(out.iterdir())
 
 

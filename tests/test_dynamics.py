@@ -354,8 +354,8 @@ def test_statespace_path_matches_scalar_path():
 
 
 def test_noncommuting_step_matches_commuting_path():
-    # the declared flag does not choose the step: every model takes the Magnus
-    # step, which for the constant A of companion2 is A h either way
+    # the declared flag does not choose the law: the nodes of companion2's
+    # constant A share its eigenbasis, and both take its gap law
     spec = models.companion2()
     noncommuting = dataclasses.replace(spec, commuting=False)
     times = np.linspace(0.5, 1.5, 21)
@@ -366,8 +366,9 @@ def test_noncommuting_step_matches_commuting_path():
 
 
 def test_step_propagators_are_fourth_order_on_a_noncommuting_model():
-    # the product of the Magnus step propagators over [0, 2] against a fine
-    # RK4 transition matrix: each halving of h cuts the error about 16-fold
+    # the product of the fine-step propagators of the references of this
+    # module (fourth-order Magnus) over [0, 2] against a fine RK4 transition
+    # matrix: each halving of h cuts the error about 16-fold
     spec = _noncommuting()
     ref = transition_matrix(spec, 2.0, 0.0, method="ode_rk4", step=1e-4)
     errors = []
@@ -563,8 +564,11 @@ def _magnus_exponents(spec, lefts, N, h):
 
 
 def _propagators(spec, lefts, N, h):
-    """Propagators (n, p, p) of the simulator's steps with left points ``lefts``."""
-    return dynamics._step_stack(spec, np.asarray(lefts, dtype=float), N, h).propagator()
+    """Propagators e^W (n, p, p) of the fine steps with left points ``lefts``
+    of the references below, W their Magnus exponents."""
+    from scipy.linalg import expm
+
+    return expm(_magnus_exponents(spec, np.asarray(lefts, dtype=float), N, h))
 
 
 def _fine_grid_values(plan, inc):
@@ -668,18 +672,21 @@ def test_segment_law_structure():
     assert _segment_paths(plan, GAUSS_JUMPS, "law-shape", 3).shape == (3, 41)
 
 
-@pytest.mark.parametrize("spec", [models.companion2(), models.diag2()], ids=lambda s: s.model_id)
+@pytest.mark.parametrize("spec", [models.companion2(), models.diag2(), _noncommuting()],
+                         ids=lambda s: s.model_id)
 def test_segment_law_bits_do_not_depend_on_the_stack_bound(spec):
     # stacking only batches the work, so the law, and with it every output
-    # byte, must not move with the bound; a segment here holds 128 entries, so
-    # 16 give one segment a stack, 1024 eight, and the larger bounds all 40 gaps
+    # byte, must not move with the bound; with p = 2, a bound of 8 gives two
+    # segments a stack, 32 eight, and the larger bounds all 40 gaps. (A
+    # stack of one segment rounds some D and drift entries 1 ulp apart: its
+    # products over the nodes have one row, and take other BLAS kernels.)
     plan = _law_plan(spec)
     bounds = np.concatenate([[0], plan.record_steps])
     seg = np.repeat(np.arange(41), np.diff(bounds))
     unit = (np.arange(plan.n_steps) - bounds[seg] + 0.5) / np.diff(bounds)[seg]
     laws = []
-    for entries in (16, 1024, dynamics._BLOCK_ENTRIES, 65536):
-        with mock.patch.object(dynamics, "_BLOCK_ENTRIES", entries):
+    for entries in (8, 32, dynamics._GAP_SEGMENTS, 65536):
+        with mock.patch.object(dynamics, "_GAP_SEGMENTS", entries):
             law = build_segment_law(plan, GAUSS_JUMPS)
         laws.append((law.decay, law.mean, law.chol, law.jump_weight(seg, unit)))
     for law in laws[1:]:

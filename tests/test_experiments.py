@@ -262,29 +262,28 @@ def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
 
 
 def test_noncommuting_model_outputs_keep_their_bytes():
-    # a stack without a shared basis runs the fine-step recursion (Magnus
-    # steps, the matrix scan and, for its jumps, the fine-step rows of the
-    # jump-weight table): the sha256 of the outputs of _campaign_outputs at
-    # h = 1/64, taken after test_fine_step_rows_match_the_per_step_reference
-    # checked those rows and the tests of tests/test_adjoint.py the lag-free
-    # chunk
+    # a stack without a shared basis takes the node-propagator law (Magnus
+    # steps between the panel nodes, the matrix scan of the panels and, for
+    # its jumps, the node-propagator rows of the jump-weight table): the
+    # sha256 of the outputs of _campaign_outputs at h = 1/64, taken after
+    # tests/test_panel_law.py checked that law against the ODE and
+    # test_panel_rows_match_the_ode_reference its rows
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0)))
     assert digest.hexdigest() == NONCOMMUTING_SHA256
 
 
-NONCOMMUTING_SHA256 = "14835b9fbe2e7f4dc49ca128946214bad0341d8e33662de8a7a45260aa801854"
+NONCOMMUTING_SHA256 = "aa0bb0d76b779d87159660673c7299f2eac5e5e6aa2f35d15bdd64ba4ded8f31"
 
 
 def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
     # the campaigns of the test above on a driver without jumps, whose
     # outputs no jump weight enters: the sha256 taken after the tests of
-    # tests/test_adjoint.py checked the lag-free chunk, which draws its
-    # Gaussian part as one normal per replication
+    # tests/test_panel_law.py checked the node-propagator law
     digest = hashlib.sha256(b"".join(x.tobytes() for x in _campaign_outputs(_noncommuting(), 1.0 / 64.0, None)))
     assert digest.hexdigest() == NONCOMMUTING_GAUSSIAN_SHA256
 
 
-NONCOMMUTING_GAUSSIAN_SHA256 = "a59e3d98b8e955916e679d8b05da707df6041ca2c2aecf360d1e6fb5e916b839"
+NONCOMMUTING_GAUSSIAN_SHA256 = "97fdb22d7999e3460fcf8c7477514ea2a7c2000523274a471d126b5378d47c33"
 
 
 def test_lipschitz_small():

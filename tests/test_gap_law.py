@@ -8,10 +8,13 @@ jump at x the weight Phi(b, x) C(x). The models: p = 1 rates (strong decay
 a = 40 among them), diagonal p = 2 and 3, a(t) K with K the companion matrix
 of eigenvalues -1 and -2, and the model of the ``statespace_simulate``
 workload. Their exponents int A have closed forms, so the oracle is one
-``mpmath.quad`` per entry. The fine-step recursion that non-commuting stacks
-still run is checked against the same oracle: its error is second order in
-the fine step.
+``mpmath.quad`` per entry. The node-propagator law of stacks without a shared
+basis is checked against a DOP853 solve in ``test_panel_law.py``; here, the
+choice between the two laws, and a spectrum too stiff for any panel budget.
 """
+
+import json
+
 
 import functools
 
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locstat import dynamics, models
+from locstat.cli import main
 from locstat.dynamics import Lipschitz, ModelSpec, build_plan
 
 mp.mp.dps = 40
@@ -176,24 +180,6 @@ def test_gap_law_matches_the_continuous_model_on_drawn_rates(p, seed, N, gap):
     _check(model, N, 0.5 * N, 0.5 * N + gap, gap / 8.0)
 
 
-def test_fine_step_recursion_is_second_order_against_the_oracle():
-    # the Magnus step laws and matrix scan that non-commuting stacks keep,
-    # run on tvcar_sin over the gap [1, 2] at N = 1: the covariance is off by
-    # 1.67e-4 at h = 1/16 and 1.05e-5 at h = 1/64, the gap law by rounding
-    model = Rates([1.0], [1.0], [1.0], [1.0], [0.0])
-    spec = model.spec()
-    _, _, cov, _ = oracle(model, 1, 1.0, 2.0, [])
-    errors = []
-    for h in (1.0 / 16.0, 1.0 / 64.0):
-        steps = np.arange(int(round(1.0 / h)))[None]
-        law = dynamics._step_stack(spec, 1.0 + steps * h, 1, h)
-        fine_cov = dynamics._scan_sums(law)[2]
-        errors.append(abs(fine_cov[0, 0, 0] - cov[0, 0]) / cov[0, 0])
-    assert 1.3e-4 < errors[0] < 2.1e-4 and 0.8e-5 < errors[1] < 1.3e-5, errors
-    assert 15.0 < errors[0] / errors[1] < 17.0
-    assert_close(gap_law(model, 1, 1.0, 2.0, 1.0 / 16.0, [])[2], cov)
-
-
 def test_a_long_burn_in_keeps_only_its_live_tail():
     # e^E underflows to 0 more than 760 / min(-Re lambda) = 760 before the
     # record (a >= 1): that head adds to the decay alone, and the jumps of the
@@ -218,32 +204,31 @@ def test_shipped_commuting_models_take_the_gap_law():
     for spec in (models.tvcar_sin(), models.diag2(), models.companion2(), models.ou(2.0)):
         plan = build_plan(spec, 64, 64.0 + np.arange(5.0), 1.0 / 64.0, 16.0)
         with pytest.MonkeyPatch.context() as mp_:
-            mp_.setattr(dynamics, "_step_stack", None)  # the fine-step path is not taken
+            mp_.setattr(dynamics, "_propagator_sums", None)  # the node-propagator law is not taken
             dynamics._plan_sums(plan, True)
 
 
 def _fine_segments(plan, jumps):
-    """``dynamics._plan_sums`` of ``plan``, and a mask of the segments whose
-    fine steps ``dynamics._step_stack`` built."""
-    lefts, step_stack = [], dynamics._step_stack
+    """``dynamics._plan_sums`` of ``plan``, and a mask of the segments that
+    ``dynamics._propagator_sums`` took, those without a shared basis."""
+    taken, propagator_sums = [], dynamics._propagator_sums
 
-    def counted(spec, left, N, h):
-        lefts.append(left)
-        return step_stack(spec, left, N, h)
+    def counted(spec, N, lo, L, segs, *rest):
+        taken.append(segs)
+        return propagator_sums(spec, N, lo, L, segs, *rest)
 
     with pytest.MonkeyPatch.context() as mp_:
-        mp_.setattr(dynamics, "_step_stack", counted)
+        mp_.setattr(dynamics, "_propagator_sums", counted)
         out = dynamics._plan_sums(plan, jumps)
-    bounds = plan.start + np.concatenate([[0], plan.record_steps]) * plan.h
     fine = np.zeros(plan.record_steps.size, dtype=bool)
-    for left in lefts:
-        fine[np.searchsorted(bounds, left, side="right") - 1] = True
+    for segs in taken:
+        fine[segs] = True
     return out, fine
 
 
 def test_a_plan_with_gap_and_fine_segments_weighs_each_jump_by_its_own_law():
     # A is diagonal before t = 1.25 and does not commute after it: the
-    # segments before take gap laws, the ones after the fine-step recursion,
+    # segments before take gap laws, the ones after the node-propagator law,
     # and each jump takes the weight of its own segment's law
     A0, E = np.diag([-1.0, -2.0]), np.array([[0.0, 0.5], [-0.5, 0.0]])
 
@@ -265,11 +250,25 @@ def test_a_plan_with_gap_and_fine_segments_weighs_each_jump_by_its_own_law():
         assert np.array_equal(both[2 * k: 2 * k + 2], alone)
 
 
-def test_a_spectrum_stiff_beyond_the_panel_bound_runs_the_fine_steps():
-    # rates 1e6 and 1e-3: the live part of a gap is 760 / 1e-3 long and needs
-    # 1e6 / 8 panels per unit, more than 64 per fine step, so the stack runs
-    # the fine-step recursion
+def test_a_spectrum_stiff_beyond_the_panel_bound_exits_3(tmp_path, capsys):
+    # rates 1e6 and 1e-3: the live part of the burn-in is 8000 long and needs
+    # 1e6 / 8 panels per unit, 1e9 in all, more than the 2^22 that bound a
+    # run; no law is built, and the CLI exits 3 naming the spectrum's ratio
     spec = Rates([1e6, 1e-3], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]).spec()
     plan = build_plan(spec, 1, [8000.0, 8001.0], 1.0 / 4.0, 8000.0)
-    (*_, span, _, _), fine = _fine_segments(plan, False)
-    assert fine.all() and span.tolist() == [8000.0, 1.0]
+    ratio = r"max \|lambda\| / min\(-Re lambda\) = 1e\+09 needs 1e\+09 panels, more than 4194304"
+    with pytest.raises(ValueError, match="^model: a spectrum with " + ratio):
+        dynamics._plan_sums(plan, False)
+    model = {"kind": "statespace", "p": 2, "A_entries": [["-1e6", "0"], ["0", "-0.001"]],
+             "B": ["1", "1"], "C": ["1", "1"], "commuting": True, "stability_margin": 0.001,
+             "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}}
+    config = tmp_path / "stiff.json"
+    config.write_text(json.dumps({
+        "model": model, "triplet": {"gamma": 0.0, "sigma2": 1.0},
+        "simulation": {"fine_step": 0.25, "burn_in": 8000.0},
+        "experiment": {"kind": "lln_discrete", "N_list": [1], "replications": 100},
+        "simulate": {"times": [8000.0, 8001.0]},
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("semantic error: model: a spectrum with max |lambda|")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -10,9 +10,9 @@ p = 1..3, with one or several rows per segment:
 
 * gap-law panels of degree 1 to 20, on the identity basis and on a shared
   (real or complex) basis, some columns of g with zero trailing terms;
-* fine steps with carries to their record, on a shared basis and on
-  per-step bases, in one block or in two;
-* near-defective fine steps, whose rows take expm;
+* node-propagator panels (E = 0) with carries to their record as bases, in
+  one block or in two;
+* near-defective frozen steps, whose rows take expm;
 * frozen steps on the identity basis and on a complex eigenbasis.
 """
 
@@ -27,8 +27,8 @@ JORDANS = (
     np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-10]]),
     np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]),
 )
-KINDS = ("panel_identity", "panel_shared", "fine_shared", "fine_per_step", "near_defective",
-         "frozen_identity", "frozen_complex")
+KINDS = ("panel_identity", "panel_shared", "propagator", "near_defective", "frozen_identity",
+         "frozen_complex")
 
 
 def reference_table(blocks: list, n_rows: int, count: np.ndarray):
@@ -105,30 +105,14 @@ def _panels(rng, p, g, k, degree, basis):
     return coef
 
 
-def _step_law(rng, kind, p, shape):
-    """A StepLaw of leading ``shape``: exponents on one shared basis, on
-    per-step bases (non-commuting), or near-defective (expm)."""
-    if kind == "near_defective":
-        J = JORDANS[p - 2]
-        M = rng.uniform(0.05, 1.0, shape)[..., None, None] * J
-    elif kind == "fine_per_step":
-        G = rng.standard_normal(shape + (p, p))
-        M = 0.5 * (-np.eye(p) - 0.3 * G @ np.swapaxes(G, -1, -2) + 0.5 * (G - np.swapaxes(G, -1, -2)))
-    else:
-        V = _basis(rng, p, False)
-        w = -rng.uniform(0.05, 1.5, shape + (p,))
-        M = (V * w[..., None, :]) @ np.linalg.inv(V)
-    return StepLaw(M, rng.standard_normal(shape + (p,)), np.full(shape, 0.25))
-
-
 @st.composite
 def tables(draw):
     """A JumpWeights table of one kind of row over g segments of k rows."""
     kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = draw(st.integers(2 if kind in ("near_defective", "fine_per_step", "frozen_complex") else 1, 3))
+    p = draw(st.integers(2 if kind in ("near_defective", "frozen_complex") else 1, 3))
     g = draw(st.integers(1, 4))
-    k = 1 if kind.startswith("frozen") else draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4)) if kind.startswith("p") else 1
     n_records = g + draw(st.integers(0, 2))  # segments with no rows besides
     segs = np.sort(rng.choice(n_records, size=g, replace=False))
     weights = JumpWeights(n_records)
@@ -139,8 +123,19 @@ def tables(draw):
         blocks = [(_panels(rng, p, g, k, draw(st.integers(1, 20)), basis), basis, None)
                   for _ in range(draw(st.integers(1, 2)))]
         weights.put(segs, blocks)
-    elif kind.startswith("frozen"):
-        if kind == "frozen_identity":
+    elif kind == "propagator":
+        cut = draw(st.integers(0, k - 1))
+        blocks = []
+        for lo, hi in ((0, cut), (cut, k)) if cut else ((0, k),):
+            coef = _panels(rng, p, g, hi - lo, draw(st.integers(1, 20)), None)
+            coef[..., :p] = 0.0
+            L = np.eye(p) + 0.5 * rng.standard_normal((g * (hi - lo), p, p))
+            blocks.append((coef, L, None))
+        weights.put(segs, blocks)
+    else:
+        if kind == "near_defective":
+            A = JORDANS[p - 2]
+        elif kind == "frozen_identity":
             A = np.diag(-rng.uniform(0.2, 3.0, p))
         else:  # V D V^-1, D with a block [[a, b], [-b, a]]: eigenvalues a +- i b
             D = np.diag(-rng.uniform(0.2, 3.0, p))
@@ -151,14 +146,7 @@ def tables(draw):
             A = V @ D @ np.linalg.inv(V)
         gaps = rng.choice([0.01, 0.25, 1.0, 3.0], size=g)
         law = StepLaw(A * gaps[:, None, None], rng.standard_normal(p), gaps)
-        weights.put_steps(segs, [(law, None)])
-    else:
-        cut = draw(st.integers(0, k - 1))
-        blocks = []
-        for lo, hi in ((0, cut), (cut, k)) if cut else ((0, k),):
-            L = np.eye(p) + 0.5 * rng.standard_normal((g, hi - lo, p, p))
-            blocks.append((_step_law(rng, kind, p, (g, hi - lo)), L))
-        weights.put_steps(segs, blocks)
+        weights.put_steps(segs, law)
     return kind, weights, segs
 
 

@@ -1,19 +1,19 @@
-"""The per-segment law and the coupling law against per-step reference
-loops, draws of the per-segment law against the exact moments of the
-recursion with its noise inside each step, the step laws of a stack that
-shares one eigenbasis against per-step eigenbases, the gap laws of
-shared-basis stacks against the fine-step matrix scan they are the limit of,
-the identity basis of diagonal stacks against the eigenbasis route it
-replaces, and the gap laws at two fine steps, bit for bit.
+"""The per-segment law and the coupling law against the moments of the
+continuous model, solved by DOP853 at rtol 1e-13 (``ode_sums``,
+``exact_node_moments``), draws of the per-segment law against the same
+moments, the frozen step laws that share one eigenbasis against per-step
+eigenbases, the gap laws of shared-basis stacks against the node-propagator
+law of the same stacks, the identity basis of diagonal stacks against the
+eigenbasis route it replaces, and the gap laws at two fine steps, bit for
+bit.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
-families whose eigenbasis forces the expm fallback, and non-commuting A(t).
-The last two (p >= 2) run the fine-step recursion, which the per-step
-references check; commuting ones take the gap law of the continuous model,
-which ``test_gap_law.py`` checks against 40-digit quadrature. The stack
-bound is drawn too, so stacks hold one segment, split the segments of one
-length, or hold them all.
+families whose eigenbasis is not trusted, and non-commuting A(t). The last
+two (p >= 2) take the node-propagator law; commuting ones the gap law, which
+``test_gap_law.py`` checks against 40-digit quadrature. The stack bound is
+drawn too, so stacks hold one segment, split the segments of one length, or
+hold them all.
 """
 
 import copy
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.integrate import solve_ivp
 
 from locstat import dynamics, models, stationary
 from locstat.cli import _build_model
@@ -110,7 +111,7 @@ class _Vector:
         return self.base + np.multiply.outer(np.cos(np.asarray(t, dtype=float)), self.slope)
 
 
-# the systems whose stacks run the fine-step recursion: no shared basis
+# the systems whose stacks take the node-propagator law: no shared basis
 FINE = ("near_defective", "noncommuting")
 
 
@@ -136,35 +137,32 @@ def systems(draw, kinds=("commuting", "near_defective", "noncommuting")):
     return ModelSpec(p, A, B, C, Lipschitz(1.0, 1.0, 1.0), kind != "noncommuting", 1.0, kind)
 
 
-def _magnus(A, left, N, h):
-    """Fourth-order Magnus exponent of dX/ds = A(s/N) X over [left, left + h]:
-    (h/2)(A_1 + A_2) + (sqrt(3) h^2 / 12)[A_2, A_1], A_1 and A_2 at the Gauss
-    nodes left + (1/2 -+ sqrt(3)/6) h."""
-    A1, A2 = (A((left + (0.5 + c * np.sqrt(3.0) / 6.0) * h) / N) for c in (-1.0, 1.0))
-    return 0.5 * h * (A1 + A2) + (np.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
+def _solve(f, s0, s1, y0):
+    """y(s1) of y' = f(s, y), y(s0) = y0, by DOP853 at rtol 1e-13."""
+    if s1 == s0:
+        return np.array(y0, dtype=float)
+    return solve_ivp(f, (s0, s1), y0, method="DOP853", rtol=1e-13, atol=1e-30).y[:, -1]
 
 
-def reference_path(spec, N, times, h, burn_in, inc, rest=0.0):
-    """One step at a time, with scalar coefficient calls. The step propagator
-    is e^W, W the Magnus exponent of the step, and the increment of a step
-    enters with weight e^{W rest} C(mid), as if it fell with the fraction
-    ``rest`` of the step still to run."""
-    rescaled = N * times
-    n_burn = int(np.ceil(burn_in / h - 1e-12))
-    record_steps = n_burn + np.concatenate([[0], np.cumsum(np.rint(np.diff(rescaled) / h))])
-    start = rescaled[0] - n_burn * h
-    x = np.zeros(spec.p)
-    values = []
-    for j in range(int(record_steps[-1])):
-        left = start + j * h
-        W = _magnus(spec.A, left, N, h)
-        noise = spec.C((left + 0.5 * h) / N) * inc[j]
-        if rest:
-            noise = linalg.expm(W * rest) @ noise
-        x = linalg.expm(W) @ x + noise
-        if j + 1 in record_steps:
-            values.append(spec.B((start + (j + 1) * h) / N) @ x)
-    return np.array(values)
+def ode_sums(spec, N, a, b, xs=()):
+    """D (p, p), drift (p,), covariance (p, p) and the jump weights
+    (len(xs), p) of the gap [a, b] of rescaled time in the continuous model:
+    Phi(b, s), int_s^b Phi(b, r) C(r / N) dr and int_s^b Phi C C' Phi' dr
+    solved back from s = b to a (and to each x, whose weight is
+    Phi(b, x) C(x / N)), with scalar coefficient calls."""
+    p = spec.p
+
+    def f(s, y):
+        Phi = y[: p * p].reshape(p, p)
+        v = Phi @ np.asarray(spec.C(s / N), dtype=float)
+        return -np.concatenate([(Phi @ np.asarray(spec.A(s / N), dtype=float)).ravel(), v,
+                                np.outer(v, v).ravel()])
+
+    y0 = np.concatenate([np.eye(p).ravel(), np.zeros(p + p * p)])
+    y = _solve(f, b, a, y0)
+    weights = [_solve(f, b, x, y0)[: p * p].reshape(p, p) @ spec.C(x / N) for x in xs]
+    return (y[: p * p].reshape(p, p), y[p * p: p * p + p], y[p * p + p:].reshape(p, p),
+            np.array(weights).reshape(len(xs), p))
 
 
 def law_node_moments(law):
@@ -186,22 +184,18 @@ def law_node_moments(law):
     gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
     repeat=st.integers(1, 3),
     first=st.integers(0, 64),
-    stacking=st.sampled_from(["one segment", "two of the longest gap", "all"]),
+    stacking=st.sampled_from(["one segment", "two segments", "all"]),
 )
 def test_blocked_path_matches_per_step_reference(spec, N, gaps, repeat, first, stacking):
     # repeated gaps give runs of equal-length segments for the stacks to
-    # split; the node moments of the law, whatever its stacks, are those of
-    # the exact recursion one fine step at a time
+    # split; the node moments of the node-propagator law, whatever its
+    # stacks, are those of the continuous model, solved from record to record
     gaps = gaps * repeat
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
-    entries = {
-        "one segment": 1,
-        "two of the longest gap": 2 * spec.p**2 * max(gaps, default=1),
-        "all": 2**40,
-    }[stacking]
+    segments = {"one segment": 1, "two segments": 2, "all": 2**40}[stacking]
     tri = LevyTriplet(1.0, 1.0)
-    with mock.patch.object(dynamics, "_BLOCK_ENTRIES", entries):
+    with mock.patch.object(dynamics, "_GAP_SEGMENTS", segments * spec.p**2):
         means, covs = law_node_moments(build_segment_law(plan, tri))
     ref_means, ref_covs = exact_node_moments(spec, plan, tri)
     for got, ref in ((means, ref_means), (covs, ref_covs)):
@@ -220,19 +214,19 @@ def test_near_defective_family_takes_the_expm_fallback():
 
 
 def _shares_one_basis(law) -> bool:
-    """Whether the steps of ``law`` share one V, a broadcast view."""
-    V = law.basis[1]
-    return V is not None and V.strides[:-2] == (0,) * (V.ndim - 2)
+    """Whether the steps of the frozen step law ``law`` share one basis."""
+    return law.shared is not None
 
 
 def assert_matches_per_step_bases(law):
     """Propagators, d and G of ``law`` within 1e-13 of their scale of those
-    from each step's own eigenbasis."""
+    from each step's own eigenbasis: the laws of its steps one at a time."""
     if law.M.shape[-1] == 1:  # entrywise, no eigenbasis
         return
-    ref = copy.copy(law)
-    ref.__dict__["basis"] = dynamics.eigenbasis(law.M)
-    for got, want in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
+    h = np.broadcast_to(law.h, law.M.shape[:-2])
+    steps = [dynamics.StepLaw(law.M[k:k + 1], law.C[k:k + 1], h[k:k + 1]) for k in range(len(h))]
+    refs = [np.concatenate(x) for x in zip(*((step.propagator(), *step.moments()) for step in steps))]
+    for got, want in zip((law.propagator(), *law.moments()), refs):
         scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
 
@@ -252,43 +246,41 @@ def _statespace_plan(spec):
     return build_plan(spec, 256, 256.0 * np.linspace(0.5, 1.5, 65), 0.01, 16.0)
 
 
-def _step_laws(plan):
-    """The Magnus :class:`dynamics.StepLaw` of the fine steps of each run of
-    equal-length record segments of ``plan``, one stack per length."""
-    bounds = np.concatenate([[0], plan.record_steps])
-    lengths = np.diff(bounds)
-    for m in np.unique(lengths):
-        steps = bounds[:-1][lengths == m, None] + np.arange(m)
-        yield dynamics._step_stack(plan.spec, plan.start + steps * plan.h, plan.N, plan.h)
-
-
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_shared_eigenbasis_matches_per_step_bases(name):
+    # the frozen process: a constant A over steps of many lengths
     spec = SPECS[name]()
-    for law in _step_laws(_statespace_plan(spec)):
+    for u in (0.5, 1.0):
+        fr = stationary.freeze(spec, u)
+        h = np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)])
+        law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
         assert _shares_one_basis(law)
         assert_matches_per_step_bases(law)
-    # the frozen process: a constant A over steps of many lengths
-    fr = stationary.freeze(spec, 1.0)
-    h = np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)])
-    law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
-    assert _shares_one_basis(law)
-    assert_matches_per_step_bases(law)
 
 
-def test_repeated_eigenvalue_at_the_reference_step_takes_per_step_bases():
+def test_repeated_eigenvalue_at_the_reference_node_takes_the_propagator_law():
     # equal rates at t0 = 3 pi / 2, where sin(t0) = -1: A(t0) = -1.5 I up to
     # rounding, whose computed eigenbasis is trusted but does not diagonalize
-    # the later steps of the family, so the residual test sends the stack to
-    # per-step bases
+    # the later nodes of the family, so the residual test rejects the stack,
+    # and its gap law is the node-propagator law, that of the ODE
     family = _Commuting(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.5, 1.5]),
                         np.array([0.3, 0.0]), np.array([1.0, 1.0]), 0)
     A = family(1.5 * np.pi + np.arange(64) / 64.0)
     assert np.ptp(np.linalg.eigvals(A[0])) == 0.0
     assert dynamics.eigenbasis(A[0])[3] <= dynamics._COND_MAX
-    law = dynamics.StepLaw(A / 64.0, np.array([1.0, 0.3]), 1.0 / 64.0)
-    assert not _shares_one_basis(law)
-    assert_matches_per_step_bases(law)
+    assert dynamics._shared_basis(A) is None
+    spec = ModelSpec(2, family, _Vector(np.ones(2), np.zeros(2)), _Vector(np.array([1.0, 0.3]), np.zeros(2)),
+                     Lipschitz(1.0, 1.0, 1.0), True, 1.0, "repeated")
+    t0 = 1.5 * np.pi
+    plan = build_plan(spec, 1, [t0, t0 + 1.0], 1.0 / 64.0, 8.0)
+    assert dynamics._gap_sums(spec, 1.0, np.array([t0]), 1.0, np.ones(1, dtype=np.int64),
+                              None, False) is None
+    decay, drift, cov, _, _, weight = dynamics._plan_sums(plan, True)
+    units = np.array([0.0, 0.4, 0.9])
+    want = ode_sums(spec, 1, t0, t0 + 1.0, t0 + units)
+    got = (decay[1], drift[1], cov[1], weight(np.ones(3, dtype=np.int64), units))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
 
 
 def _eigenbasis_shapes(run):
@@ -319,17 +311,37 @@ def test_commuting_stacks_take_one_eigenbasis_each():
     for spec in (models.companion2(), scaled):
         shapes = _eigenbasis_shapes(lambda: build_segment_law(_statespace_plan(spec), JUMPS))
         assert shapes and all(shape == (2, 2) for shape in shapes)
-    # a non-commuting stack fails the residual test and is decomposed whole
+    # a non-commuting stack fails the residual test of the basis of its first
+    # node, one (2, 2) eigenbasis a stack, and takes the node-propagator law,
+    # which takes none
     spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
                      diag2.B, diag2.C, Lipschitz(1.0, 1.0, 1.0), False, 1.0, "noncommuting")
     plan = _statespace_plan(spec)
-    stacks = [vals[0][0].shape for *_, vals in dynamics._segment_stacks(plan, values=True)]
+    stacks = list(dynamics._segment_stacks(plan))
     shapes = _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS))
-    assert [shape for shape in shapes if shape != (2, 2)] == stacks
+    assert shapes == [(2, 2)] * len(stacks)
 
 
 # a jump driver, so that the law keeps the weight v_j of every cell
 JUMPS = LevyTriplet(0.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
+
+
+def reference_path(spec, plan, times, values):
+    """B(t_k)' x at the records of ``plan`` in the continuous model driven by
+    the impulses ``values`` at the rescaled ``times``: x' = A(s / N) x solved
+    one step at a time between consecutive events, records and impulses,
+    and x += C(t / N) v at an impulse, with scalar coefficient calls."""
+    N = plan.N
+    events = sorted([(t, 0, v) for t, v in zip(times, values)]
+                    + [(t, 1, 0.0) for t in plan.eval_rescaled])
+    x, s0, out = np.zeros(spec.p), plan.start, []
+    for t, record, v in events:
+        x, s0 = _solve(lambda s, y: np.asarray(spec.A(s / N), dtype=float) @ y, s0, t, x), t
+        if record:
+            out.append(spec.B(t / N) @ x)
+        else:
+            x = x + spec.C(t / N) * v
+    return np.array(out)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -344,49 +356,42 @@ JUMPS = LevyTriplet(0.0, 1.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
 def test_segment_law_matches_the_per_step_reference(spec, N, gaps, first, n_noisy, seed):
     # noise in a few chosen cells: the law moves it to its record with the
     # jump weight of its cell and carries it over the later records by D_k;
-    # the reference runs the same increments one fine step at a time
+    # the reference carries the same impulses through the ODE
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     law = build_segment_law(plan, JUMPS)
-    for step_law in _step_laws(plan):
-        assert_matches_per_step_bases(step_law)
     rng = np.random.default_rng(seed)
     cells = rng.choice(plan.n_steps, size=min(n_noisy, plan.n_steps), replace=False)
-    inc = np.zeros(plan.n_steps)
-    inc[cells] = rng.standard_normal(cells.size)
+    inc = rng.standard_normal(cells.size)
     bounds = np.concatenate([[0], plan.record_steps])
     seg = np.searchsorted(bounds, cells, side="right") - 1
-    # the uniform at the middle of a cell picks that cell and places the jump
-    # at the middle of it
+    # the uniform at the middle of a cell places the jump at the middle of it
     unit = (cells - bounds[seg] + 0.5) / (bounds[seg + 1] - bounds[seg])
     eta = np.zeros((len(rescaled), spec.p, 1))
-    np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[cells, None])
+    np.add.at(eta[:, :, 0], seg, law.jump_weight(seg, unit) * inc[:, None])
     got = run_segment_law(law, eta)[0]
-    ref = reference_path(spec, N, rescaled / N, H, BURN_IN, inc, rest=0.5)
+    ref = reference_path(spec, plan, plan.start + (cells + 0.5) * H, inc)
     scale = max(np.abs(ref).max(), np.finfo(float).tiny)
-    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10 * scale)
 
 
 def coupling_reference(spec, u, N_list, h, burn_in, triplet):
-    """E D_k^2 and its scale from the moment recursion of the joint system,
-    one step at a time with scalar coefficient calls: block k of a step takes
-    the Magnus exponent of A(u + r / N_k) and C(u + r / N_k) at its midpoint,
-    the last block h A(u) and C(u), and P, d and G come from expm and Van
-    Loan's block exponentials, as in :func:`exact_node_moments`."""
+    """E D_k^2 and its scale from the drift and covariance of the joint
+    system over its burn-in [-n h, 0], n = ceil(burn_in / h), by
+    :func:`ode_sums`: block k has A(u + r / N_k) and C(u + r / N_k), the last
+    block A(u) and C(u), and one driver drives them all."""
     mom, p, K = triplet_moments(triplet), spec.p, len(N_list)
     fr = stationary.freeze(spec, u)
     n = int(np.ceil(burn_in / h - 1e-12))
-    m, V = np.zeros((K + 1) * p), np.zeros(((K + 1) * p,) * 2)
-    for j in range(n):
-        left = -(n - j) * h
-        W = linalg.block_diag(*[_magnus(spec.A, N * u + left, N, h) for N in N_list], h * fr.A)
-        C = np.concatenate([spec.C(u + (left + 0.5 * h) / N) for N in N_list] + [fr.C])
-        q = W.shape[0]
-        d = linalg.expm(np.block([[W, h * C[:, None]], [np.zeros((1, q + 1))]]))[:q, q]
-        F = linalg.expm(np.block([[-W, h * np.outer(C, C)], [np.zeros((q, q)), W.T]]))
-        P = linalg.expm(W)
-        m = P @ m + mom.mu_L * d
-        V = P @ V @ P.T + mom.Sigma_L * F[q:, q:].T @ F[:q, q:]
+    joint = ModelSpec(
+        (K + 1) * p,
+        lambda r: linalg.block_diag(*[spec.A(u + r / N) for N in N_list], fr.A),
+        None,
+        lambda r: np.concatenate([spec.C(u + r / N) for N in N_list] + [fr.C]),
+        Lipschitz(1.0), False, 1.0, "joint")
+    _, m, V, _ = ode_sums(joint, 1, -n * h, 0.0)
+    m = mom.mu_L * m
+    V = mom.Sigma_L * V
     b = np.zeros((K, (K + 1) * p))
     for k in range(K):
         b[k, k * p:(k + 1) * p], b[k, K * p:] = fr.B, -fr.B
@@ -403,7 +408,7 @@ def coupling_reference(spec, u, N_list, h, burn_in, triplet):
 )
 def test_coupling_weights_match_the_per_step_reference(spec, N, first):
     # the exact E D_k^2 of the coupling law, k over N and 4 N, against the
-    # moment recursion of the joint system one fine step at a time
+    # drift and covariance of the continuous joint system
     u, tri = first * H / N, LevyTriplet(1.0, 1.0)
     law, b, targets = _coupling_law(spec, tri, u, (N, 4 * N), H, BURN_IN)
     sq, scale = coupling_reference(spec, u, (N, 4 * N), H, BURN_IN, tri)
@@ -413,25 +418,22 @@ def test_coupling_weights_match_the_per_step_reference(spec, N, first):
 
 def exact_node_moments(spec, plan, triplet):
     """State means (n_records, p) and covariances (n_records, p, p) of the
-    recursion with the exact in-step noise, one step at a time with scalar
-    coefficient calls: m <- P m + mu_L d, V <- P V P' + Sigma_L G. With W the
-    Magnus exponent of a step and C at its midpoint, P = e^W, and the drift
-    weight d = int_0^h e^{Wr/h} dr C and covariance G = int_0^h e^{Wr/h} CC'
-    e^{W'r/h} dr come from Van Loan's block exponentials (Van Loan 1978, IEEE
-    TAC 23)."""
-    mom, p, h, N = triplet_moments(triplet), spec.p, plan.h, plan.N
-    m, V, means, covs = np.zeros(p), np.zeros((p, p)), [], []
-    for j in range(plan.n_steps):
-        left = plan.start + j * h
-        W, C = _magnus(spec.A, left, N, h), spec.C((left + 0.5 * h) / N)
-        P = linalg.expm(W)
-        d = linalg.expm(np.block([[W, h * C[:, None]], [np.zeros((1, p + 1))]]))[:p, p]
-        F = linalg.expm(np.block([[-W, h * np.outer(C, C)], [np.zeros((p, p)), W.T]]))
-        m = P @ m + mom.mu_L * d
-        V = P @ V @ P.T + mom.Sigma_L * F[p:, p:].T @ F[:p, p:]
-        if j + 1 in plan.record_steps:
-            means.append(m)
-            covs.append(V)
+    continuous model from the zero state at the plan's start:
+    m' = A m + mu_L C and V' = A V + V A' + Sigma_L C C', solved from record
+    to record with scalar coefficient calls."""
+    mom, p, N = triplet_moments(triplet), spec.p, plan.N
+
+    def f(s, y):
+        A, C = np.asarray(spec.A(s / N), dtype=float), np.asarray(spec.C(s / N), dtype=float)
+        V = y[p:].reshape(p, p)
+        return np.concatenate([A @ y[:p] + mom.mu_L * C,
+                               (A @ V + V @ A.T + mom.Sigma_L * np.outer(C, C)).ravel()])
+
+    y, s0, means, covs = np.zeros(p + p * p), plan.start, [], []
+    for s1 in plan.eval_rescaled:
+        y, s0 = _solve(f, s0, s1, y), s1
+        means.append(y[:p])
+        covs.append(y[p:].reshape(p, p))
     return np.array(means), np.array(covs)
 
 
@@ -459,33 +461,17 @@ def test_segment_law_draws_match_the_exact_moment_recursion(spec, N, gaps, first
     assert np.abs(z_cov).max() < 4.5
 
 
-def _fine_step_sums(plan, h):
-    """D, drift and covariance of every record segment of the records of
-    ``plan`` from the fine-step recursion at step h: the Magnus step laws and
-    the matrix scan that stacks without a shared basis take."""
-    plan = build_plan(plan.spec, plan.N, plan.eval_rescaled, h, plan.record_steps[0] * plan.h)
-    bounds = np.concatenate([[0], plan.record_steps])
-    out = [np.empty((bounds.size - 1, plan.spec.p, plan.spec.p)), np.empty((bounds.size - 1, plan.spec.p)),
-           np.empty((bounds.size - 1, plan.spec.p, plan.spec.p))]
-    lengths = np.diff(bounds)
-    for m, law in zip(np.unique(lengths), _step_laws(plan)):
-        steps = bounds[:-1][lengths == m, None] + np.arange(m)
-        for x, y in zip(out, dynamics._scan_sums(law)):
-            x[lengths == m] = y
-    return out
-
-
 def assert_eigen_sums_match_the_scan(plan):
-    """The gap law of ``plan`` (its eigen-coordinate sums over each gap) is
-    the limit of the fine-step matrix scan: the scan's distance to it falls at
-    least 10-fold from the step h to h / 4 (second order: 16-fold), or is
-    within 1e-12 of its scale (a constant A, where both are exact)."""
-    gap = dynamics._plan_sums(plan, False)[:3]
-    coarse, fine = _fine_step_sums(plan, plan.h), _fine_step_sums(plan, plan.h / 4.0)
-    for got, far, near in zip(gap, coarse, fine):
-        scale = max(np.abs(got).max(initial=0.0), np.finfo(float).tiny)
-        far, near = np.abs(far - got).max(initial=0.0), np.abs(near - got).max(initial=0.0)
-        assert near <= max(far / 10.0, 1e-12 * scale), (far, near, scale)
+    """The gap law of ``plan`` (its eigen-coordinate sums over each gap) and
+    the node-propagator law of the same stacks (the matrix scan of its
+    panels' node propagators), both the law of the continuous model: D,
+    drift, covariance and jump weights within 1e-11 of the scale of each."""
+    gap = _plan_outputs(plan)
+    with mock.patch.object(dynamics, "_gap_sums", lambda *args: None):
+        scan = _plan_outputs(plan)
+    for got, want in zip(gap, scan):
+        scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-11 * scale, (got, want)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -588,7 +574,7 @@ def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, 
     # a diagonal stack skips the eigendecomposition, the residual test and the
     # products with V; for diagonal A, V is a signed permutation of I, so the
     # eigenbasis route rounds the same and gives the same numbers, in the gap
-    # law and in the step laws
+    # law and in the frozen step laws
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
     ident = _plan_outputs(plan, jumps)
@@ -596,12 +582,15 @@ def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, 
         eigen = _plan_outputs(plan, jumps)
     for a, b in zip(ident, eigen):
         assert np.array_equal(a, b)
-    for law in _step_laws(plan):
-        assert law.shared[1] is None
-        ref = copy.copy(law)
-        ref.__dict__["shared"] = _eigenbasis_route(law.M)
-        for a, b in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
-            assert np.array_equal(a, b)
+    # the frozen steps of the same A, at the start of the plan
+    fr = stationary.freeze(spec, rescaled[0] / N)
+    h = np.concatenate([[12.0], np.diff(rescaled)])
+    law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
+    assert law.shared[1] is None
+    ref = copy.copy(law)
+    ref.__dict__["shared"] = _eigenbasis_route(law.M)
+    for a, b in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("entry", [0.5, 1e-300])
@@ -699,33 +688,11 @@ def test_step_major_sums_of_a_stack_of_empty_segments(p):
     # a record at step 0 gives segments of no length: D = I and no noise
     spec = ModelSpec(p, lambda t: -np.eye(p), models.diag2().B, lambda t: np.ones(p),
                      Lipschitz(0.0, 0.0, 0.0), True, 1.0, "empty")
-    D, drift, cov, span, _ = dynamics._gap_sums(spec, 1.0, np.zeros(3), 0, 0.25, np.arange(3), None,
+    D, drift, cov, span, _ = dynamics._gap_sums(spec, 1.0, np.zeros(3), 0.0, np.arange(3), None,
                                                 False)
     assert span == 0.0
     assert np.array_equal(D, np.broadcast_to(np.eye(p), (3, p, p)))
     assert not drift.any() and not cov.any() and not np.signbit(cov).any()
-
-
-def reference_weights(spec, plan, seg, unit):
-    """Weights of jumps at the fractions ``unit`` of the segments ``seg`` of
-    ``plan``, one jump at a time with scalar coefficient calls: a jump falls
-    in step j = floor(U m) of its segment of m steps, with the fraction
-    rest = 1 - (U m - j) of the step still to run, and weighs
-    P_{m-1} ... P_{j+1} expm(W_j rest) C_j, with W_i the Magnus exponent of
-    step i, P_i = expm(W_i) and C_j at the middle of step j."""
-    bounds = np.concatenate([[0], plan.record_steps])
-    out = []
-    for k, u in zip(seg, unit):
-        lo, m = bounds[k], bounds[k + 1] - bounds[k]
-        x = u * m
-        j = min(int(x), m - 1)
-        left = plan.start + (lo + j) * plan.h
-        W = _magnus(spec.A, left, plan.N, plan.h)
-        w = linalg.expm(W * (1.0 - (x - j))) @ spec.C((left + 0.5 * plan.h) / plan.N)
-        for i in range(j + 1, m):
-            w = linalg.expm(_magnus(spec.A, plan.start + (lo + i) * plan.h, plan.N, plan.h)) @ w
-        out.append(w)
-    return np.array(out)
 
 
 def assert_close(got, want):
@@ -735,21 +702,30 @@ def assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-13 * scale), (got, want)
 
 
-@pytest.mark.parametrize("kinds", [("commuting",), FINE], ids=["shared", "per_step_or_expm"])
+def ode_weights(plan, seg, unit):
+    """Weights of jumps at the fractions ``unit`` of the whole gaps of the
+    segments ``seg`` of ``plan``, one :func:`ode_sums` solve each."""
+    bounds = plan.start + np.concatenate([[0], plan.record_steps]) * plan.h
+    return np.array([ode_sums(plan.spec, plan.N, bounds[k], bounds[k + 1],
+                              [bounds[k] + u * (bounds[k + 1] - bounds[k])])[3][0]
+                     for k, u in zip(seg, unit)])
+
+
+@pytest.mark.parametrize("kinds", [("commuting",), FINE], ids=["shared", "no_shared_basis"])
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     data=st.data(),
     N=st.sampled_from([1, 4, 32]),
     gaps=st.lists(st.integers(1, 24), min_size=1, max_size=4),
     first=st.integers(0, 64),
-    block=st.sampled_from([None, 3]),
+    block=st.sampled_from([None, 1]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first, block, seed):
-    # every stack takes the fine-step recursion (commuting ones on a shared
-    # basis, the identity for p = 1; non-commuting ones, p >= 2, on per-step
-    # bases; near-defective ones expm per jump), scanned in one block or in
-    # blocks of 3 steps, whose D, drift and covariance are those of one block
+def test_panel_rows_match_the_ode_reference(kinds, data, N, gaps, first, block, seed):
+    # every stack takes the node-propagator law (commuting ones too, in place
+    # of their gap law), its panels scanned in one block or one panel a
+    # block, whose D, drift and covariance are those of one block; the jump
+    # rows, on the carries to the record, are the weights of the ODE
     spec = data.draw(systems(kinds))
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     plan = build_plan(spec, N, rescaled, H, BURN_IN)
@@ -758,15 +734,15 @@ def test_fine_step_rows_match_the_per_step_reference(kinds, data, N, gaps, first
     unit = rng.random(seg.size)
     with mock.patch.object(dynamics, "_gap_sums", lambda *args: None):
         whole = dynamics._plan_sums(plan, True)
-        with mock.patch.object(dynamics, "_SCAN_ENTRIES", block * spec.p**2 if block else 2**40):
+        with mock.patch.object(dynamics, "_GAP_ENTRIES", 1 if block else 2**40):
             decay, drift, cov, span, _, weights = dynamics._plan_sums(plan, True)
     assert np.array_equal(span, np.diff(np.concatenate([[0], plan.record_steps])) * H)
     for got, want in zip((decay, drift, cov), whole):
         assert_close(got, want)
     _, bases, expm, _ = weights.table
-    assert (expm is not None) == (spec.model_id == "near_defective")
-    assert bases is not None  # the carries to the record
-    assert_close(weights(seg, unit), reference_weights(spec, plan, seg, unit))
+    assert expm is None and bases is not None  # the carries to the record
+    got, want = weights(seg, unit), ode_weights(plan, seg, unit)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("basis", ["identity", "eigenbasis"])
@@ -799,29 +775,33 @@ def test_frozen_step_rows_match_expm(basis, data, u, gaps, seed):
 
 
 def test_a_long_fine_step_burn_in_stops_where_its_carry_is_0():
-    # a non-commuting p = 2 model scans its burn-in back from the record in
-    # blocks of 2^16 / 4 steps; the carry e^{-2.5 s} to the record is 0
-    # after the first block, so the 1.6e5 steps before it are not built, the
-    # span is one block, D is 0, and the drift, covariance and jump weights
-    # are those of a burn-in of one block
+    # a burn-in of 1.6e5 fine steps: a non-commuting p = 2 model, whose
+    # node-propagator law scans the burn-in back from the record in
+    # blocks of 195 panels (_GAP_ENTRIES node values of A); the carry to the
+    # record, about e^{-2.5 s}, is 0 after the first block, so the 3,113
+    # panels before it are not built, the span is one block, D is 0, and the
+    # drift, covariance and jump weights are those of a shorter burn-in
     spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
                      models.diag2().B, models.diag2().C, Lipschitz(1.0, 1.0, 1.0), False, 1.0,
                      "noncommuting")
     built = []
-    step_stack = dynamics._step_stack
+    node_propagators = dynamics._node_propagators
 
-    def counted(spec, lefts, N, h):
-        built.append(lefts.size)
-        return step_stack(spec, lefts, N, h)
+    def counted(A, C, r):
+        built.append(A.shape[0] * A.shape[1])
+        return node_propagators(A, C, r)
 
-    with mock.patch.object(dynamics, "_step_stack", counted):
+    with mock.patch.object(dynamics, "_node_propagators", counted):
         decay, drift, cov, span, _, weights = dynamics._plan_sums(
             build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1e4), True)
-    assert sum(built) == 2**14 + 16
-    ref = dynamics._plan_sums(build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1024.0), True)
-    assert span.tolist() == ref[3].tolist() == [1024.0, 1.0]
+    block = dynamics._GAP_ENTRIES // (21 * 4)
+    assert sorted(built) == [1, block]
+    # 3,308 panels of 1e4 / 3308 (8 / max |lambda|, max |lambda| about 2.65)
+    assert span[0] == 1e4 - (3308 - block) * (1e4 / 3308) and span[1] == 1.0
     assert not decay[0].any()
+    ref = dynamics._plan_sums(build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1024.0), True)
     for got, want in zip((drift, cov), ref[1:3]):
         assert_close(got, want)
     seg, unit = np.array([0, 0, 0, 1]), np.array([0.0, 0.5, 0.999, 0.5])
-    assert_close(weights(seg, unit), ref[5](seg, unit))
+    ref_unit = np.where(seg == 0, 1.0 - (1.0 - unit) * span[0] / ref[3][0], unit)
+    assert_close(weights(seg, unit), ref[5](seg, ref_unit))

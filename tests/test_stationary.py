@@ -686,7 +686,7 @@ def test_jump_inputs_match_per_jump_expm():
 
     def weights(fr):
         table = JumpWeights(1)
-        table.put_steps(np.zeros(1, dtype=np.int64), [(StepLaw(6.0 * fr.A[None], fr.C, [6.0]), None)])
+        table.put_steps(np.zeros(1, dtype=np.int64), StepLaw(6.0 * fr.A[None], fr.C, [6.0]))
         return table(np.zeros(v.size, dtype=np.int64), 1.0 - v / 6.0)
 
     for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):
