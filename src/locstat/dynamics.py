@@ -547,9 +547,10 @@ def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: 
     [lo_k, lo_k + L] of rescaled time, L > 0, for an A with no shared basis
     (a non-commuting or near-defective A): the node-propagator law.
 
-    The gaps are cut into the panels of a gap law (:func:`_panel_counts`,
-    with the eigenvalues of A at the nodes of a first cut), each with the
-    sums and jump row of :func:`_node_propagators`. Panels run in blocks of
+    The gaps are cut into panels as for a gap law (:func:`_panel_counts`),
+    but no longer than ``_PANEL_DECAY`` / max ||A||_F at the nodes of a first
+    cut, so that a panel takes at most three Magnus substeps between two
+    nodes, each with the sums and jump row of :func:`_node_propagators`. Panels run in blocks of
     about ``_GAP_ENTRIES`` node values of A from the end of the gaps, joined
     as steps are, by the scan :func:`_scan_sums` of a block's panels and, as
     its last step, the part already scanned. In a gap of more than one block,
@@ -560,9 +561,11 @@ def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: 
     """
     p, g = spec.p, lo.size
     n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
-    w = np.concatenate([np.linalg.eigvals(_panel_values(spec, N, "A", lo, L, n0, q0, q1)).reshape(g, -1)
+    A = np.concatenate([_panel_values(spec, N, "A", lo, L, n0, q0, q1).reshape(g, -1, p, p)
                         for q0, q1 in _panel_blocks(n0, g, p)], axis=1)
-    counts = _panel_counts(L, N, np.abs(w).max(axis=1), -w.real.max(axis=1))
+    w = np.linalg.eigvals(A)
+    counts = _panel_counts(L, N, np.linalg.norm(A, axis=(-2, -1)).max(axis=1), np.abs(w).max(),
+                           -w.real.max())
     decay, drift, cov, span = np.empty((g, p, p)), np.empty((g, p)), np.empty((g, p, p)), np.empty(g)
     vals = []
     for n in linalg.unique(counts):
@@ -610,7 +613,7 @@ def _node_propagators(A: np.ndarray, C: np.ndarray, r: float) -> tuple:
     s, b, _, p, _ = A.shape
     x, kron, _, Tinv = _panel_rule()
     size = np.linalg.norm(A, axis=(-2, -1)).max()
-    k = max(1, int(np.ceil(r * np.diff(x).max(initial=0.0) * size / _MAGNUS_STEP)))
+    k = max(1, int(np.ceil(r * np.diff(x).max() * size / _MAGNUS_STEP)))
     step, interpolant = _magnus_points(k)
     Ag = np.moveaxis((interpolant @ A.reshape(s, b, 21, p * p)).reshape(s, b, 22, k, 3, p, p), 4, 0)
     h = (r * step)[:, None, None, None]
@@ -644,19 +647,20 @@ def _magnus_points(k: int) -> tuple:
     step = np.diff(edges) / k
     gauss = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
     points = edges[:-1, None, None] + step[:, None, None] * (np.arange(k)[:, None] + gauss)
-    T = np.cos(np.arccos(np.clip(points.ravel(), -1.0, 1.0))[:, None] * np.arange(21))
+    T = np.cos(np.arccos(points.ravel())[:, None] * np.arange(21))
     return step, T @ Tinv
 
 
-def _panel_counts(live: np.ndarray, N: float, rho: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+def _panel_counts(live: np.ndarray, N: float, rate: np.ndarray, rho: float, kappa: float) -> np.ndarray:
     """Panels (g,) of gaps of length ``live``, no longer than ``_PANEL_TIME``
-    in original time and ``_PANEL_DECAY`` / ``rho``, with max |lambda| rho and
-    min -Re lambda ``kappa`` (g,) of A at their nodes. More than ``_MAX_STEPS``
-    in all raise ValueError naming the ratio rho / kappa of the spectrum."""
-    counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)), np.ceil(live * rho / _PANEL_DECAY))
+    in original time and ``_PANEL_DECAY`` / ``rate`` (g,). More than
+    ``_MAX_STEPS`` in all raise ValueError naming the ratio of max |lambda|
+    ``rho`` to min -Re lambda ``kappa`` of the spectrum of A at the nodes."""
+    counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)), np.ceil(live * rate / _PANEL_DECAY))
     if counts.sum() > _MAX_STEPS:
+        ratio = float(rho) / float(kappa) if kappa > 0 else float("inf")
         raise ValueError(
-            f"model: a spectrum with max |lambda| / min(-Re lambda) = {rho.max() / kappa.min():.3g} "
+            f"model: a spectrum with max |lambda| / min(-Re lambda) = {ratio:.3g} "
             f"needs {counts.sum():.3g} panels, more than {_MAX_STEPS}")
     return counts.astype(np.int64)
 
@@ -725,7 +729,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
                 return None
             dl = _nodes_last(shared[0]) @ _panel_rule()[1]  # per unit half-width
             total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
-    counts = _panel_counts(live, N, rho, kappa)
+    counts = _panel_counts(live, N, rho, rho.max(), kappa.min())
     vals, laws = [], []
     for n in linalg.unique(counts):
         sub = np.flatnonzero(counts == n)
@@ -902,13 +906,13 @@ class JumpWeights:
         segments ``segs``: on the shared basis of its steps, or, with none,
         expm per jump."""
         p = law.M.shape[-1]
-        coef = np.zeros((2, segs.size, 1, 2 * p))
         if law.shared is None:
+            coef = np.zeros((2, segs.size, 1, 2 * p))
             self.put(segs, [(coef, np.eye(p)[None], (np.ones(segs.size, dtype=bool), law.M, law.C))])
             return
         w, V, Vinv, _ = law.shared
         g = law.C if V is None else (Vinv @ law.C[..., None])[..., 0]
-        coef = coef.astype(np.result_type(w, g))
+        coef = np.zeros((2, segs.size, 1, 2 * p), dtype=np.result_type(w, g))
         coef[0, :, 0, :p] = 0.5 * w
         coef[1, :, 0, :p] = -0.5 * w
         coef[0, :, 0, p:] = g

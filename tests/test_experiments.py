@@ -272,7 +272,7 @@ def test_noncommuting_model_outputs_keep_their_bytes():
     assert digest.hexdigest() == NONCOMMUTING_SHA256
 
 
-NONCOMMUTING_SHA256 = "aa0bb0d76b779d87159660673c7299f2eac5e5e6aa2f35d15bdd64ba4ded8f31"
+NONCOMMUTING_SHA256 = "1b4480d2ee73f9d2fc51d6a46692bb60a214d1d90513a11dd8b7eca97e88c4c7"
 
 
 def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
@@ -283,7 +283,7 @@ def test_noncommuting_model_outputs_without_jumps_keep_their_bytes():
     assert digest.hexdigest() == NONCOMMUTING_GAUSSIAN_SHA256
 
 
-NONCOMMUTING_GAUSSIAN_SHA256 = "97fdb22d7999e3460fcf8c7477514ea2a7c2000523274a471d126b5378d47c33"
+NONCOMMUTING_GAUSSIAN_SHA256 = "272ce5bf5301335c21bf6e348e23cf1521820c78d94051ce0558eb6772edf89c"
 
 
 def test_lipschitz_small():

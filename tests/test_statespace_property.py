@@ -778,7 +778,7 @@ def test_a_long_fine_step_burn_in_stops_where_its_carry_is_0():
     # a burn-in of 1.6e5 fine steps: a non-commuting p = 2 model, whose
     # node-propagator law scans the burn-in back from the record in
     # blocks of 195 panels (_GAP_ENTRIES node values of A); the carry to the
-    # record, about e^{-2.5 s}, is 0 after the first block, so the 3,113
+    # record, about e^{-2.5 s}, is 0 after the first block, so the 4,727
     # panels before it are not built, the span is one block, D is 0, and the
     # drift, covariance and jump weights are those of a shorter burn-in
     spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
@@ -796,8 +796,8 @@ def test_a_long_fine_step_burn_in_stops_where_its_carry_is_0():
             build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1e4), True)
     block = dynamics._GAP_ENTRIES // (21 * 4)
     assert sorted(built) == [1, block]
-    # 3,308 panels of 1e4 / 3308 (8 / max |lambda|, max |lambda| about 2.65)
-    assert span[0] == 1e4 - (3308 - block) * (1e4 / 3308) and span[1] == 1.0
+    # 4,922 panels of 1e4 / 4922 (8 / max ||A||_F, max ||A||_F about 3.94)
+    assert span[0] == 1e4 - (4922 - block) * (1e4 / 4922) and span[1] == 1.0
     assert not decay[0].any()
     ref = dynamics._plan_sums(build_plan(spec, 16, [16.0, 17.0], 1.0 / 16.0, 1024.0), True)
     for got, want in zip((drift, cov), ref[1:3]):
