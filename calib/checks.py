@@ -7,7 +7,7 @@ runs like a workload; nothing under ``perfbench/`` is changed.
 noncommuting_lln   an lln campaign of a non-commuting p = 2 model,
                    A(t) = [[-2, 1 + sin(t)/2], [-1 + sin(t)/2, -3]], driven
                    by +-1 jumps at rate 1: its segments take the
-                   node-propagator law of stacks without a shared basis, and
+                   node-propagator law of stacks whose A is not diagonal, and
                    its jump weights the node-propagator rows of
                    ``dynamics.JumpWeights``. ``rmse_tol`` lies above the
                    final RMSEs of seeds 1-200 (median 0.089, largest 0.101).

@@ -19,8 +19,8 @@ runs as a state space model (a :class:`Car1Spec` as its 1x1
 D_k = Phi(b, a), the drift int_a^b Phi(b, s) C(s) ds, the covariance
 int_a^b Phi C C' Phi' ds and the jump weight Phi(b, x) C(x) of each gap
 [a, b], from G10K21 panels, with A and C at the panel nodes only: by the gap
-law of :func:`_gap_sums` where A shares one basis at the nodes, since the
-transition of a commuting A is exp(int A), and elsewhere by the
+law of :func:`_gap_sums` where A is diagonal at the nodes, since the
+transition of a diagonal A is exp(int A), and elsewhere by the
 node-propagator law of :func:`_propagator_sums`, whose propagators from the
 nodes come from Magnus steps between them. The fine step enters neither the
 work nor the law. Every segment reports its span, the part of it whose
@@ -525,9 +525,10 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None, values: bo
     panel nodes the stack was built from (else None); the only code that
     turns a plan into segment data. The rows of the jump weights of every
     stack go to the one table ``weights`` (when given). Stacks are chunks of
-    ``_GAP_SEGMENTS`` / p^2 segments, and each takes the gap law of
-    :func:`_gap_sums` or, where A shares no basis at the panel nodes, the
-    node-propagator law of :func:`_propagator_sums`.
+    ``_GAP_SEGMENTS`` / p^2 segments. Each reads A once at the nodes of its
+    first cut (:func:`_first_cut`) and takes, with those values, the gap law
+    of :func:`_gap_sums` where all are diagonal, else the node-propagator
+    law of :func:`_propagator_sums`.
     """
     spec, h = plan.spec, plan.h
     bounds = np.concatenate([[0], plan.record_steps]).astype(np.int64)
@@ -536,36 +537,63 @@ def _segment_stacks(plan: Plan, weights: "JumpWeights | None" = None, values: bo
     for m in linalg.unique(lengths):
         same = np.flatnonzero(lengths == m)
         for segs in np.split(same, np.arange(chunk, same.size, chunk)):
-            args = (spec, plan.N, plan.start + bounds[segs] * h, m * h, segs, weights, values)
-            yield (segs, *(_gap_sums(*args) or _propagator_sums(*args)))
+            lo = plan.start + bounds[segs] * h
+            diagonal, cut = _first_cut(spec, plan.N, lo, m * h) if m else (True, None)
+            args = (spec, plan.N, lo, m * h, segs, weights, values, cut)
+            yield (segs, *((diagonal and _gap_sums(*args)) or _propagator_sums(*args)))
+
+
+def _first_cut(spec: ModelSpec, N: float, lo: np.ndarray, L: float) -> tuple:
+    """Whether A is diagonal at every node of the first cut of the gaps
+    [lo_k, lo_k + L], L > 0, into n0 panels of ``_PANEL_TIME`` in original
+    time, and (n0, A, rho, kappa, size): the node values A (g, n0, 21, p, p)
+    if they fit in one block (else None), and per gap max |lambda|,
+    min -Re lambda and max ||A||_F at the nodes, lambda the eigenvalues."""
+    p, g = spec.p, lo.size
+    n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
+    blocks = _panel_blocks(n0, g, p)
+    diagonal, rho, kappa, size = True, np.zeros(g), np.full(g, np.inf), np.zeros(g)
+    for q0, q1 in blocks:
+        A = _panel_values(spec, N, "A", lo, L, n0, q0, q1)
+        w = _diagonal(A)
+        if w is None:
+            diagonal, w = False, np.linalg.eigvals(A)
+        rho = np.maximum(rho, np.abs(w).max(axis=(1, 2, 3)))
+        kappa = np.minimum(kappa, -w.real.max(axis=(1, 2, 3)))
+        size = np.maximum(size, np.linalg.norm(A, axis=(-2, -1)).max(axis=(1, 2)))
+    return diagonal, (n0, A if len(blocks) == 1 else None, rho, kappa, size)
+
+
+def _diagonal(M: np.ndarray) -> np.ndarray | None:
+    """The diagonals (..., p) of the stack M (..., p, p), or None if an off-diagonal entry is not 0."""
+    if M[..., ~np.eye(M.shape[-1], dtype=bool)].any():
+        return None
+    return np.diagonal(M, axis1=-2, axis2=-1)
 
 
 def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndarray,
-                     weights: "JumpWeights | None", values: bool) -> tuple:
+                     weights: "JumpWeights | None", values: bool, cut: tuple) -> tuple:
     """D, drift, covariance, span and coefficient values (as
     :func:`_segment_stacks` yields them) of the continuous model over the gaps
-    [lo_k, lo_k + L] of rescaled time, L > 0, for an A with no shared basis
-    (a non-commuting or near-defective A): the node-propagator law.
+    [lo_k, lo_k + L] of rescaled time, L > 0, for an A not diagonal at every
+    node: the node-propagator law.
 
     The gaps are cut into panels as for a gap law (:func:`_panel_counts`),
-    but no longer than ``_PANEL_DECAY`` / max ||A||_F at the nodes of a first
-    cut, so that a panel takes at most three Magnus substeps between two
-    nodes, each with the sums and jump row of :func:`_node_propagators`. Panels run in blocks of
-    about ``_GAP_ENTRIES`` node values of A from the end of the gaps, joined
-    as steps are, by the scan :func:`_scan_sums` of a block's panels and, as
-    its last step, the part already scanned. In a gap of more than one block,
-    entries of the carry to the record below the smallest normal double are
-    flushed to 0, as in :func:`affine_states`; once it is 0, the earlier
-    panels add only the exact 0 of the decay and no jump there reaches the
-    record, so the scan stops, and the span is the part scanned.
+    but no longer than ``_PANEL_DECAY`` / max ||A||_F at the nodes of the
+    first cut ``cut`` (:func:`_first_cut`, whose values such panels take), so
+    that a panel takes at most three Magnus substeps between two nodes, each
+    with the sums and jump row of :func:`_node_propagators`. Panels run in
+    blocks of about ``_GAP_ENTRIES`` node values of A from the end of the
+    gaps, joined as steps are, by the scan :func:`_scan_sums` of a block's
+    panels and, as its last step, the part already scanned. In a gap of more
+    than one block, entries of the carry to the record below the smallest
+    normal double are flushed to 0, as in :func:`affine_states`; once it is
+    0, the earlier panels add only the exact 0 of the decay and no jump there
+    reaches the record, so the scan stops, and the span is the part scanned.
     """
     p, g = spec.p, lo.size
-    n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
-    A = np.concatenate([_panel_values(spec, N, "A", lo, L, n0, q0, q1).reshape(g, -1, p, p)
-                        for q0, q1 in _panel_blocks(n0, g, p)], axis=1)
-    w = np.linalg.eigvals(A)
-    counts = _panel_counts(L, N, np.linalg.norm(A, axis=(-2, -1)).max(axis=1), np.abs(w).max(),
-                           -w.real.max())
+    n0, first, rho, kappa, size = cut
+    counts = _panel_counts(L, N, size, rho.max(), kappa.min())
     decay, drift, cov, span = np.empty((g, p, p)), np.empty((g, p)), np.empty((g, p, p)), np.empty(g)
     vals = []
     for n in linalg.unique(counts):
@@ -573,7 +601,9 @@ def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: 
         blocks, rows = _panel_blocks(n, sub.size, p), []
         D, d, G = np.eye(p) + np.zeros((sub.size, p, p)), np.zeros((sub.size, p)), np.zeros((sub.size, p, p))
         for q0, q1 in blocks:
-            A, C = (_panel_values(spec, N, name, lo[sub], L, n, q0, q1) for name in "AC")
+            A = (first[sub, q0:q1] if first is not None and n == n0
+                 else _panel_values(spec, N, "A", lo[sub], L, n, q0, q1))
+            C = _panel_values(spec, N, "C", lo[sub], L, n, q0, q1)
             *panels, coef = _node_propagators(A, C, 0.5 * L / n)
             # the part already scanned is the last step of the block's scan
             D, d, G, carry = _scan_sums(*(np.concatenate([x, y[:, None]], axis=1)
@@ -666,88 +696,67 @@ def _panel_counts(live: np.ndarray, N: float, rate: np.ndarray, rho: float, kapp
 
 
 def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndarray,
-              weights: "JumpWeights | None", values: bool):
+              weights: "JumpWeights | None", values: bool, cut: tuple | None):
     """D, drift, covariance, span and coefficient values (as
     :func:`_segment_stacks` yields them) of the continuous model over the gaps
-    [lo_k, lo_k + L] in rescaled time, or None where A has no shared
-    trusted basis at the nodes, which :func:`_propagator_sums` then takes.
+    [lo_k, lo_k + L] in rescaled time, A diagonal at the nodes of the first
+    cut ``cut`` (:func:`_first_cut`; None if L = 0), or None where A is not
+    diagonal at a node of a finer cut, which :func:`_propagator_sums` takes.
 
-    With A(s/N) = V diag(lambda(s)) V^-1 at every node, g = V^-1 C and
-    E(s) = int_s^b lambda on a gap [a, b] (exp(int A) is the transition of a
-    commuting A):
+    With A(s/N) = diag(lambda(s)) at every node and E(s) = int_s^b lambda on
+    a gap [a, b] (exp(int A) is the transition of a diagonal A):
 
-        D = V diag(e^{E(a)}) V^-1,   drift = V int_a^b y(s) ds,
-        cov = V [int_a^b y y^* ds] V^*,   y = e^{E} g,
+        D = diag(e^{E(a)}),   drift = int_a^b y(s) ds,
+        cov = int_a^b y y' ds,   y = e^{E} o C,
 
-    and a jump at x has weight V diag(e^{E(x)}) g(x) (:class:`JumpWeights`).
+    and a jump at x has weight e^{E(x)} o C(x) (:class:`JumpWeights`).
 
-    A first cut of each gap into panels of ``_PANEL_TIME`` in original time
-    gives the basis, max |lambda| and min -Re lambda > 0 at its nodes. Where
-    Re E falls below -``_UNDERFLOW``, e^E is 0 in floating point: that head of
-    the gap adds to E(a) alone, integrated on panels of the first cut's
-    length, and no jump there reaches the record, so the segment's jumps fall
-    on the rest, its live part (the span returned). The live part is cut
-    into n equal panels (:func:`_panel_counts`), no longer than
+    Where E falls below -``_UNDERFLOW`` (min -lambda > 0 at the first cut's
+    nodes), e^E is 0 in floating point: that head of the gap adds to E(a)
+    alone, integrated on panels of the first cut's length, and no jump there
+    reaches the record, so the segment's jumps fall on its live part (the
+    span returned). The live part is cut into n equal panels (:func:`_panel_counts`), no longer than
     ``_PANEL_TIME`` in original time (A and C are then close to polynomials
     of degree 20 on each) and than ``_PANEL_DECAY`` / max |lambda| (the
     exponent of an integrand then moves by at most 2 ``_PANEL_DECAY`` across
     one). Each panel takes the G10K21 rule of ``stationary._gauss_kronrod``,
     and E the exact integral of the Chebyshev interpolant of lambda at its 21
-    nodes (:func:`_panel_sums`). Panels run in blocks of about
-    ``_GAP_ENTRIES`` node values of A, from the end of the gaps. The basis,
-    and its residual test at every node, are those of :func:`_shared_basis`;
-    it must be trusted up to sqrt(``_COND_MAX``), since y y^* grows like
-    cond(V)^2 |C|^2 and cancels down to the covariance.
+    nodes (:func:`_panel_sums`); a live part cut as the first cut takes its
+    node values of A. Panels run in blocks of about ``_GAP_ENTRIES`` node
+    values of A, from the end of the gaps.
     """
     p, g = spec.p, lo.size
     if L == 0:  # records at step 0: the zero start
         return np.broadcast_to(np.eye(p), (g, p, p)), np.zeros((g, p)), np.zeros((g, p, p)), 0.0, []
-    n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
-    basis, rho, kappa, first = None, np.zeros(g), np.full(g, np.inf), None
-    for q0, q1 in _panel_blocks(n0, g, p):
-        A = _panel_values(spec, N, "A", lo, L, n0, q0, q1)
-        shared = _shared_basis(A, basis)
-        if shared is None or shared[3] > np.sqrt(_COND_MAX):
-            return None
-        w, *basis = shared
-        w = _nodes_last(w)
-        rho = np.maximum(rho, np.abs(w).max(axis=(1, 2, 3)))
-        kappa = np.minimum(kappa, -w.real.max(axis=(1, 2, 3)))
-        first = (A, w) if q1 - q0 == n0 else None
-    V, Vinv, _ = basis
+    n0, first, rho, kappa, _ = cut
     live = np.where(kappa > 0, np.minimum(L, _UNDERFLOW / kappa), L)
     head = L - live
-    dtype = np.result_type(w, *(() if V is None else (Vinv,)))
-    total, drift, X = np.zeros((g, p), dtype), np.empty((g, p), dtype), np.empty((g, p, p), dtype)
+    total, drift, X = np.zeros((g, p)), np.empty((g, p)), np.empty((g, p, p))
     n_head = np.ceil(head / (N * _PANEL_TIME)).astype(np.int64)
     for n in linalg.unique(n_head[n_head > 0]):
         sub = np.flatnonzero(n_head == n)
         for q0, q1 in _panel_blocks(n, sub.size, p):
-            A = _panel_values(spec, N, "A", lo[sub], head[sub], n, q0, q1)
-            shared = _shared_basis(A, basis)
-            if shared is None:
+            w = _diagonal(_panel_values(spec, N, "A", lo[sub], head[sub], n, q0, q1))
+            if w is None:
                 return None
-            dl = _nodes_last(shared[0]) @ _panel_rule()[1]  # per unit half-width
+            dl = _nodes_last(w) @ _panel_rule()[1]  # per unit half-width
             total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
     counts = _panel_counts(live, N, rho, rho.max(), kappa.min())
     vals, laws = [], []
     for n in linalg.unique(counts):
         sub = np.flatnonzero(counts == n)
-        E = np.zeros((sub.size, p), dtype=np.result_type(w))
+        E = np.zeros((sub.size, p))
         d = G = 0.0
         coefs = []
         for q0, q1 in _panel_blocks(n, sub.size, p):
-            if first is not None and n == n0 and not head[sub].any():
-                A, w = first[0][sub], first[1][sub]
-            else:
-                A = _panel_values(spec, N, "A", lo[sub] + head[sub], live[sub], n, q0, q1)
-                shared = _shared_basis(A, basis)
-                if shared is None:
-                    return None
-                w = _nodes_last(shared[0])
+            A = (first[sub] if first is not None and n == n0 and not head[sub].any()
+                 else _panel_values(spec, N, "A", lo[sub] + head[sub], live[sub], n, q0, q1))
+            w = _diagonal(A)
+            if w is None:
+                return None
             C = _panel_values(spec, N, "C", lo[sub] + head[sub], live[sub], n, q0, q1)
-            E, d_part, G_part, coef = _panel_sums(w, _nodes_last(C if V is None else C @ Vinv.T),
-                                                  0.5 * live[sub] / n, E, weights is not None)
+            E, d_part, G_part, coef = _panel_sums(_nodes_last(w), _nodes_last(C), 0.5 * live[sub] / n,
+                                                  E, weights is not None)
             d, G = d + d_part, G + G_part
             coefs.insert(0, coef)
             if values:
@@ -757,21 +766,18 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
         laws.append((segs[sub], coefs))
     if weights is not None:
         for sub, coefs in laws:
-            weights.put(sub, [(coef, None if V is None else V[None], None) for coef in coefs])
-    decay = np.exp(total)[:, None, :]
-    if V is None:
-        return np.eye(p) * decay, drift, X, live, vals
-    return (((V * decay) @ Vinv).real, (drift @ V.T).real, (V @ X @ V.conj().T).real, live, vals)
+            weights.put(sub, [(coef, None, None) for coef in coefs])
+    return np.eye(p) * np.exp(total)[:, None, :], drift, X, live, vals
 
 
 def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jumps: bool) -> tuple:
-    """One block of panels (s, b) of half-widths r (s,), with the eigenvalues w and
-    g = V^-1 C at their 21 nodes (s, b, p, 21), nodes last, and E (s, p) at the
-    end of the last panel: E at the start of the first panel, the integrals
-    of y and of y y^* over the block (eigen coordinates), and, when ``jumps``
-    is set, the Chebyshev coefficients (degree, s, b, 2p) of E and of g on
-    each panel (else None), E's first, cut by :func:`_chebyshev_rows`. Each
-    map over the nodes is one matrix product of the (s b p, 21) values.
+    """One block of panels (s, b) of half-widths r (s,), with the diagonal w
+    of A and C at their 21 nodes (s, b, p, 21), nodes last, and E (s, p) at
+    the end of the last panel: E at the start of the first panel, the
+    integrals of y and of y y' over the block, and, when ``jumps`` is set,
+    the Chebyshev coefficients (degree, s, b, 2p) of E and of C on each panel
+    (else None), E's first, cut by :func:`_chebyshev_rows`. Each map over
+    the nodes is one matrix product of the (s b p, 21) values.
 
     On a panel with nodes c + r x_i, lambda is taken as its interpolant at
     the nodes, sum_j a_j T_j(x), whose integral F has the coefficients
@@ -787,15 +793,14 @@ def _panel_sums(w: np.ndarray, g: np.ndarray, r: np.ndarray, E: np.ndarray, jump
     after = np.cumsum(dl[:, ::-1], axis=1)[:, ::-1]  # over it and the later panels
     tail = E[:, None] + np.concatenate([after[:, 1:], np.zeros_like(dl[:, :1])], axis=1)
     pad = np.concatenate([a, np.zeros_like(a[..., :2])], axis=-1)
-    e = np.empty(shape[:-1] + (22,), dtype=a.dtype)
+    e = np.empty(shape[:-1] + (22,))
     e[..., 1] = a[..., 0] - 0.5 * a[..., 2]
     e[..., 2:] = (pad[..., 1:21] - pad[..., 3:23]) / (2.0 * np.arange(2, 22))
     e[..., 1:] *= -r[..., None]
     e[..., 0] = tail - e[..., 1:].sum(axis=-1)
     y = np.exp((e.reshape(-1, 22) @ T.T).reshape(shape)) * g
-    yc = y.conj() if np.iscomplexobj(y) else y
     drift = r[:, 0] * (y.reshape(-1, 21) @ k).reshape(shape[:-1]).sum(axis=1)
-    X = r * np.einsum("sbai,sbci->sac", y * k, yc)
+    X = r * np.einsum("sbai,sbci->sac", y * k, y)
     if not jumps:
         return E + after[:, 0], drift, X, None
     gc = (g.reshape(-1, 21) @ Tinv.T).reshape(shape)
@@ -858,11 +863,11 @@ class JumpWeights:
     weighs it by basis (e^{E(t)} o g(t)), E and g (p each) Chebyshev series
     on the row, summed by Clenshaw's recurrence:
 
-    * a panel of a gap law (:func:`_gap_sums`): the coefficients of
-      :func:`_panel_sums` on the stack's basis V;
-    * a panel of a node-propagator law (:func:`_propagator_sums`): E = 0 and
-      g the interpolant of Phi(b, x) C(x), on the basis of the carry from
-      the panel's end b to its record;
+    * a panel of a gap law (:func:`_gap_sums`), A diagonal: the
+      coefficients of :func:`_panel_sums`, with no basis;
+    * a panel of a node-propagator law (:func:`_propagator_sums`), every
+      other A: E = 0 and g the interpolant of Phi(b, x) C(x), on the basis
+      of the carry from the panel's end b to its record;
     * a frozen step of exponent M = V diag(w) V^-1 (:class:`StepLaw`):
       E = w (1 - t) / 2 and g = V^-1 C on the basis V, none on the identity
       basis, so the weight is e^{M (1 - t) / 2} C;
@@ -1165,9 +1170,9 @@ def simulate_yn(spec, triplet: LevyTriplet, N: int, eval_times, fine_step: float
 # most fine steps of a run, burn-in included, and most panels of one stack of
 # gaps: the memory of a run grows with its steps, and its work with its panels
 _MAX_STEPS = 1 << 22
-# gap laws (_gap_sums): segments per stack times p^2, and the panel bounds,
+# segments per stack times p^2, and the panel bounds of a gap law (_gap_sums),
 # _PANEL_DECAY / max |lambda| in rescaled time and _PANEL_TIME in original
-# time. On [-1, 1] the K21 rule integrates e^{a x} and e^{i a x} within 2e-16
+# time. On [-1, 1] the K21 rule integrates e^{a x} within 2e-16
 # for a <= 8 (1.7e-13 at a = 12), and the exponent of a covariance integrand
 # moves by up to 2 _PANEL_DECAY across a panel
 _GAP_SEGMENTS = 1024
@@ -1245,28 +1250,20 @@ def _phi(x, e=None):
     return out
 
 
-def _shared_basis(M: np.ndarray, basis=None):
+def _shared_basis(M: np.ndarray):
     """(w, V, V^-1, est): the eigenvalues w (..., p) of every matrix of the
     stack M (..., p, p) on one eigenbasis V (p, p), with its condition
-    estimate, or None when they share none. With no nonzero off-diagonal
-    entry in any matrix (every p = 1 stack, and every stack with no matrices)
-    the basis is the identity, V = V^-1 = None and w = diag(M): no
-    eigendecomposition and no residual test. Otherwise V and V^-1 are
-    ``basis`` = (V, V^-1, est) when given, else those of the first matrix,
-    and each matrix takes w = diag(V^-1 M V), provided the basis is trusted
-    and every off-diagonal part ||V^-1 M V - diag(w)||_F is at most
-    ``_RESIDUAL_MAX`` ||M||_F. A given identity basis is kept only by a
-    diagonal stack."""
+    estimate, or None when they share none. For a diagonal stack (every
+    p = 1 stack, and every stack with no matrices) the basis is the
+    identity, V = V^-1 = None and w = diag(M): no eigendecomposition and no
+    residual test. Otherwise V and V^-1 are those of the first matrix, and
+    each matrix takes w = diag(V^-1 M V), provided the basis is trusted and
+    ||V^-1 M V - diag(w)||_F is at most ``_RESIDUAL_MAX`` ||M||_F."""
+    w = _diagonal(M)
+    if w is not None:
+        return w, None, None, 1.0
     p = M.shape[-1]
-    diagonal = not M[..., ~np.eye(p, dtype=bool)].any()
-    if diagonal and (basis is None or basis[0] is None):
-        return np.diagonal(M, axis1=-2, axis2=-1), None, None, 1.0
-    if basis is None:
-        _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
-    elif basis[0] is None:
-        return None
-    else:
-        V, Vinv, est = basis
+    _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
     if est > _COND_MAX:
         return None
     R = Vinv @ M @ V

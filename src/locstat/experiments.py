@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ValueError("lln experiments need at least 100 replications")
         if self.kind in ("clt_mean", "clt_cov") and self.replications < 1000:
             raise ValueError("clt experiments need at least 1000 replications")
+        if self.kind in ("coupling", "lipschitz_u") and self.replications < 2:  # a std error needs 2
+            raise ValueError(f"{self.kind} experiments need at least 2 replications")
         if self.kind == "lipschitz_u" and self.p_norm not in (2, 4):
             raise ValueError("p_norm must be 2 or 4")
         if not 0 < float(self.rmse_tol) < np.inf:

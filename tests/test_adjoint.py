@@ -7,8 +7,8 @@ unit directions of the Gaussian noise. Its draws: the chunk equals
 states scanned on a noise replayed from its stream, rank one in its normals,
 with the mean and its own jumps.
 
-The laws are drawn for p = 1..3: gap laws on the identity basis (diagonal
-A) and on a shared eigenbasis, node-propagator laws (a non-commuting A), frozen
+The laws are drawn for p = 1..3: gap laws (a diagonal A), node-propagator
+laws (a commuting A that is not diagonal, and a non-commuting A), frozen
 steps (``stationary._frozen_law``), each with and without jumps and a
 Gaussian part, and, for a stiff A with one long gap, decays that underflow
 to 0, so that the carry of the later records to the earlier ones is 0.

@@ -88,6 +88,21 @@ def test_a_constructor_error_exits_2_naming_its_config_section(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, experiment", [
+    ("coupling", {"kind": "coupling", "N_list": [16, 64]}),
+    ("lipschitz", {"kind": "lipschitz_u", "N_list": [1], "ladder": [0.1, 0.2]}),
+])
+def test_one_replication_exits_2_naming_replications(tmp_path, capsys, subcommand, experiment):
+    # each row reports a standard error, which needs two replications: one
+    # is a config error, found before the campaign runs or numpy warns
+    cfg = write_config(tmp_path, {"experiment": {**experiment, "replications": 1}})
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment: ") and "replications" in err
+    assert "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("subcommand, experiment, simulation, key", [
     ("lln", {"kind": "lln_continuous", "t_end": 0.0}, {}, "t_end"),
     ("lln", {"kind": "lln_continuous", "n_quad": 0}, {}, "n_quad"),
@@ -1005,10 +1020,11 @@ def test_a_long_burn_in_takes_no_more_memory_than_a_short_one(tmp_path):
     # a gap law: e^E underflows to 0 more than 760 / min(a) before its
     # record, so the panels and the jumps of a burn-in of 1e5 are those of
     # its last 760, as many as a burn-in of 1e3 has (a fine-step law held 8e5
-    # steps, and a draw 6.4e6 jumps per chunk: 386 MB). Fine steps of a
-    # non-commuting A: the burn-in is scanned back from its record in blocks
-    # of 2^14 steps, and the carry to the record is 0 after the first, so
-    # the steps before it and their jumps are not built
+    # steps, and a draw 6.4e6 jumps per chunk: 386 MB). The node-propagator
+    # law of a non-commuting A: the burn-in is scanned back from its record
+    # in blocks of 195 panels (2^14 node values of A), and the carry to the
+    # record is 0 after the first, so the panels before it and their jumps
+    # are not built
     car1 = {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0}
     for model, h in ((car1, 0.125), (NONCOMMUTING_MODEL, 0.0625)):
         cfg = {

@@ -354,8 +354,8 @@ def test_statespace_path_matches_scalar_path():
 
 
 def test_noncommuting_step_matches_commuting_path():
-    # the declared flag does not choose the law: the nodes of companion2's
-    # constant A share its eigenbasis, and both take its gap law
+    # the declared flag does not choose the law: companion2's constant A is
+    # not diagonal, and both take the node-propagator law
     spec = models.companion2()
     noncommuting = dataclasses.replace(spec, commuting=False)
     times = np.linspace(0.5, 1.5, 21)

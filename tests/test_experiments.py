@@ -247,8 +247,9 @@ def _campaign_outputs(model, h, jumps=PM_ONE):
                                    _build_model(STATESPACE_SIMULATE)],
                          ids=["ou", "companion2", "tvcar_sin", "statespace_simulate"])
 def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
-    # a model on a shared basis takes the law of the continuous model over
-    # each gap, set by the record times alone, and a jump sits at U L into
+    # a commuting model takes the law of the continuous model over each gap
+    # (the gap law if A is diagonal, else the node-propagator law), set by
+    # the record times alone, and a jump sits at U L into
     # its gap of length L. The segments, the Poisson rates and so every draw
     # are the same at h and h / 4, and with every node dyadic so is every
     # output byte: for a simulate path on one stream and for the lln, clt
@@ -262,7 +263,7 @@ def test_constant_model_outputs_do_not_depend_on_the_fine_step(model):
 
 
 def test_noncommuting_model_outputs_keep_their_bytes():
-    # a stack without a shared basis takes the node-propagator law (Magnus
+    # a non-commuting stack takes the node-propagator law (Magnus
     # steps between the panel nodes, the matrix scan of the panels and, for
     # its jumps, the node-propagator rows of the jump-weight table): the
     # sha256 of the outputs of _campaign_outputs at h = 1/64, taken after

@@ -1,15 +1,17 @@
-"""The gap laws of shared-basis stacks against 40-digit quadrature of the
+"""The segment laws of commuting models against 40-digit quadrature of the
 variation-of-constants integrals of the continuous model.
 
 For a commuting A(t) the transition over [s, b] is exp(int_s^b A), so the
 noise a record gap [a, b] adds has the decay D = Phi(b, a), the drift
 int_a^b Phi(b, s) C(s) ds, the covariance int_a^b Phi C C' Phi' ds, and a
 jump at x the weight Phi(b, x) C(x). The models: p = 1 rates (strong decay
-a = 40 among them), diagonal p = 2 and 3, a(t) K with K the companion matrix
-of eigenvalues -1 and -2, and the model of the ``statespace_simulate``
-workload. Their exponents int A have closed forms, so the oracle is one
-``mpmath.quad`` per entry. The node-propagator law of stacks without a shared
-basis is checked against a DOP853 solve in ``test_panel_law.py``; here, the
+a = 40 among them), diagonal p = 2 and 3 and the model of the
+``statespace_simulate`` workload, which take the gap law; and a(t) K, which
+takes the node-propagator law, with K the companion matrix of eigenvalues
+-1 and -2, a matrix of the complex pair -1 +- 2i, and a rotated diagonal
+matrix. Their exponents int A have closed forms, so the oracle is one
+``mpmath.quad`` per entry. The node-propagator law of non-commuting models
+is checked against a DOP853 solve in ``test_panel_law.py``; here, the
 choice between the two laws, and a spectrum too stiff for any panel budget.
 """
 
@@ -29,9 +31,10 @@ from locstat.cli import main
 from locstat.dynamics import Lipschitz, ModelSpec, build_plan
 
 mp.mp.dps = 40
-K = np.array([[0.0, 1.0], [-2.0, -3.0]])  # eigenvalues -1, -2
-K_V = mp.matrix([[1, 1], [-1, -2]])  # its eigenvectors
-K_MU = (-1, -2)
+COMPANION = [[0.0, 1.0], [-2.0, -3.0]]  # eigenvalues -1, -2
+COMPLEX_PAIR = [[-1.0, 2.0], [-2.0, -1.0]]  # eigenvalues -1 +- 2i
+_R = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+ROTATED = (_R @ np.diag([-1.0, -3.0]) @ _R.T).tolist()  # eigenvalues -1, -3, rounded
 
 
 class Rates:
@@ -70,39 +73,43 @@ class Rates:
         return mp.eye(self.rate.size)
 
 
-class ScaledCompanion:
+class Scaled:
     """A(t) = (1 + amp sin(t)) K, C(t) = (c0, c1 + d cos t): exponents mu_i
-    int (1 + amp sin) on the eigenbasis of K."""
+    int (1 + amp sin) on the eigenbasis of K, the eigenvalues mu and vectors
+    of the double matrix K to 40 digits (``mpmath.eig``); every Re mu <= -1."""
 
-    def __init__(self, amp, c, d):
-        self.amp, self.c, self.d = float(amp), np.asarray(c, dtype=float), float(d)
+    def __init__(self, K, amp, c, d):
+        self.K, self.amp = np.array(K, dtype=float), float(amp)
+        self.c, self.d = np.asarray(c, dtype=float), float(d)
+        self.mu, self.V = mp.eig(mp.matrix(self.K.tolist()))
 
     def spec(self):
         def A(t):
-            return (1.0 + self.amp * np.sin(np.asarray(t, dtype=float)))[..., None, None] * K
+            return (1.0 + self.amp * np.sin(np.asarray(t, dtype=float)))[..., None, None] * self.K
 
         def C(t):
             t = np.asarray(t, dtype=float)
             return np.stack([np.broadcast_to(self.c[0], t.shape),
                              self.c[1] + self.d * np.cos(t)], axis=-1)
 
-        return ModelSpec(2, A, C, C, Lipschitz(1.0, 1.0, 1.0), True, 0.5, "scaled_companion")
+        return ModelSpec(2, A, C, C, Lipschitz(1.0, 1.0, 1.0), True, 0.5, "scaled")
 
     def exponents(self, s, b, N):
         m = mp.mpf(self.amp)
         alpha = (b - s) + m * (mp.cos(s / N) - mp.cos(b / N)) * N
-        return [mu * alpha for mu in K_MU]
+        return [mu * alpha for mu in self.mu]
 
     def vector(self, s, N):
         return [mp.mpf(self.c[0]), mp.mpf(self.c[1]) + mp.mpf(self.d) * mp.cos(s / N)]
 
     def basis(self):
-        return K_V
+        return self.V
 
 
 def oracle(model, N, a, b, xs):
     """D (p, p), drift (p,), covariance (p, p) and the jump weights (len(xs), p)
-    of the gap [a, b] (rescaled time) to 40 digits."""
+    of the gap [a, b] (rescaled time) to 40 digits: the real parts of their
+    products on a basis V that may be complex."""
     V = model.basis()
     Vinv = V ** -1
     p = V.rows
@@ -123,7 +130,7 @@ def oracle(model, N, a, b, xs):
     drift = V * mp.matrix(drift_e)
     cov = V * mp.matrix(cov_e) * V.T
     weights = [V * mp.matrix(y(mp.mpf(x))) for x in xs]
-    f = lambda m: np.array(m.tolist(), dtype=float)  # noqa: E731
+    f = lambda m: np.array([[float(mp.re(x)) for x in row] for row in m.tolist()])  # noqa: E731
     return f(D), f(drift)[:, 0], f(cov), np.array([f(w)[:, 0] for w in weights])
 
 
@@ -159,9 +166,14 @@ def _check(model, N, a, b, h):
     # the statespace_simulate workload model: rates 1 + 0.5 sin t and 2
     (Rates([0.5, 2.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]), 256, 4.0),
     (Rates([1.0, 1.5, 2.5], [0.5, 0.0, 1.0], [1.0, 1.0, 2.0], [1.0, -0.5, 0.3], [0.2, 0.0, 0.1]), 4, 2.0),
-    (ScaledCompanion(0.5, [0.0, 1.0], 0.0), 1, 1.0),
-    (ScaledCompanion(0.5, [0.3, 1.0], 0.2), 8, 3.0),
-], ids=["a40", "tvcar_sin_N1", "tvcar_sin_N16", "statespace_simulate", "diag3", "aK", "aK_C"])
+    (Scaled(COMPANION, 0.5, [0.0, 1.0], 0.0), 1, 1.0),
+    (Scaled(COMPANION, 0.5, [0.3, 1.0], 0.2), 8, 3.0),
+    (Scaled(COMPLEX_PAIR, 0.5, [0.3, 1.0], 0.2), 1, 1.0),
+    (Scaled(COMPLEX_PAIR, 0.5, [0.3, 1.0], 0.2), 64, 3.0),
+    (Scaled(ROTATED, 0.5, [0.3, 1.0], 0.2), 1, 1.0),
+    (Scaled(ROTATED, 0.5, [0.3, 1.0], 0.2), 64, 3.0),
+], ids=["a40", "tvcar_sin_N1", "tvcar_sin_N16", "statespace_simulate", "diag3", "aK", "aK_C",
+        "complex_pair_N1", "complex_pair_N64", "rotated_N1", "rotated_N64"])
 def test_gap_law_matches_the_continuous_model(model, N, gap):
     _check(model, N, 1.0 * N, 1.0 * N + gap, gap / 4.0)
 
@@ -201,16 +213,20 @@ def test_a_long_burn_in_keeps_only_its_live_tail():
 
 
 def test_shipped_commuting_models_take_the_gap_law():
-    for spec in (models.tvcar_sin(), models.diag2(), models.companion2(), models.ou(2.0)):
+    # the law is chosen by whether A is diagonal at the nodes: tvcar_sin,
+    # diag2 and ou take the gap law, companion2 (constant, not diagonal) the
+    # node-propagator law; the law not taken is None here
+    for spec, law in ((models.tvcar_sin(), "gap"), (models.diag2(), "gap"), (models.ou(2.0), "gap"),
+                      (models.companion2(), "propagator")):
         plan = build_plan(spec, 64, 64.0 + np.arange(5.0), 1.0 / 64.0, 16.0)
         with pytest.MonkeyPatch.context() as mp_:
-            mp_.setattr(dynamics, "_propagator_sums", None)  # the node-propagator law is not taken
+            mp_.setattr(dynamics, "_propagator_sums" if law == "gap" else "_gap_sums", None)
             dynamics._plan_sums(plan, True)
 
 
 def _fine_segments(plan, jumps):
     """``dynamics._plan_sums`` of ``plan``, and a mask of the segments that
-    ``dynamics._propagator_sums`` took, those without a shared basis."""
+    ``dynamics._propagator_sums`` took, those where A is not diagonal."""
     taken, propagator_sums = [], dynamics._propagator_sums
 
     def counted(spec, N, lo, L, segs, *rest):

@@ -1,8 +1,10 @@
-"""The node-propagator law of stacks without a shared basis against a DOP853
-solve of the continuous model, and its outputs at two fine steps.
+"""The node-propagator law of non-commuting and near-defective models against
+a DOP853 solve of the continuous model, its outputs at two fine steps, and
+the node values of A it reads.
 
-A non-commuting or near-defective A(t) has no basis that diagonalizes it at
-every node, so its record gaps take the node-propagator law of
+A non-commuting or near-defective A(t) is not diagonal at the nodes (nor
+is any basis that diagonalizes it at every node), so its record gaps take
+the node-propagator law of
 ``dynamics._propagator_sums``: G10K21 panels whose node propagators
 Phi(b, s_i) come from sixth-order Magnus steps between the nodes. Its decay,
 drift, covariance and jump weights are those of the continuous model, which
@@ -17,11 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_calib import checks
 from test_experiments import _campaign_outputs, _noncommuting
 from test_statespace_property import FINE, _NearDefective, _Vector, ode_sums, systems
 
-from locstat import dynamics
-from locstat.cli import main
+from locstat import dynamics, experiments
+from locstat.cli import _parse_config, main
 from locstat.dynamics import Lipschitz, ModelSpec, build_plan
 
 UNITS = np.array([0.0, 0.3, 0.71, 0.999])
@@ -102,3 +105,24 @@ def test_noncommuting_cli_outputs_do_not_depend_on_the_fine_step(tmp_path):
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert sorted(outputs[0]) == ["lln-3.csv", "lln-3.json", "simulate-3.csv", "simulate-3.json"]
     assert outputs[0] == outputs[1]
+
+
+def test_a_stack_reads_a_once_at_the_nodes_of_its_first_cut():
+    # the lln law of the noncommuting_lln check at N = 256, 41 records: the
+    # first cut of the burn-in and of the 40 gaps is one panel each, 861 node
+    # values of A, read once to choose the law; the gaps take those values,
+    # and only the burn-in's 4 panels of 8 / max ||A||_F read A again
+    config = _parse_config(json.dumps(checks.CHECKS["noncommuting_lln"].config), 1, 1)
+    counts, coefficient_values = [], dynamics.coefficient_values
+
+    def counted(spec, name, t):
+        if name == "A":
+            counts.append(np.size(t))
+        return coefficient_values(spec, name, t)
+
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(dynamics, "coefficient_values", counted)
+        payload = experiments._localized_payload(config["experiment"], 256, 0, "mean", "lln")
+    assert payload["law"].decay.shape == (41, 2, 2)
+    # the stack of the 40 gaps, then the burn-in's first cut and its panels
+    assert counts == [40 * 21, 21, 4 * 21] and sum(counts) == 945

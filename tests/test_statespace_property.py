@@ -2,18 +2,17 @@
 continuous model, solved by DOP853 at rtol 1e-13 (``ode_sums``,
 ``exact_node_moments``), draws of the per-segment law against the same
 moments, the frozen step laws that share one eigenbasis against per-step
-eigenbases, the gap laws of shared-basis stacks against the node-propagator
-law of the same stacks, the identity basis of diagonal stacks against the
-eigenbasis route it replaces, and the gap laws at two fine steps, bit for
-bit.
+eigenbases, the gap laws of diagonal stacks against the node-propagator law
+of the same stacks, the identity basis of diagonal frozen steps against the
+eigenbasis route it replaces, and the laws at two fine steps, bit for bit.
 
 Random stable systems with p = 1..3: commuting families V D(t) V^-1 whose
 D(t) mixes real eigenvalues and complex-conjugate pairs, near-defective
-families whose eigenbasis is not trusted, and non-commuting A(t). The last
-two (p >= 2) take the node-propagator law; commuting ones the gap law, which
-``test_gap_law.py`` checks against 40-digit quadrature. The stack bound is
-drawn too, so stacks hold one segment, split the segments of one length, or
-hold them all.
+families whose eigenbasis is not trusted, non-commuting A(t), and diagonal
+A(t). A stack takes the gap law where A is diagonal at its nodes and the
+node-propagator law elsewhere; ``test_gap_law.py`` checks both against
+40-digit quadrature. The stack bound is drawn too, so stacks hold one
+segment, split the segments of one length, or hold them all.
 """
 
 import copy
@@ -111,7 +110,8 @@ class _Vector:
         return self.base + np.multiply.outer(np.cos(np.asarray(t, dtype=float)), self.slope)
 
 
-# the systems whose stacks take the node-propagator law: no shared basis
+# the systems whose A shares no basis at the nodes; they take the
+# node-propagator law, as every stack whose A is not diagonal does
 FINE = ("near_defective", "noncommuting")
 
 
@@ -261,8 +261,9 @@ def test_shared_eigenbasis_matches_per_step_bases(name):
 def test_repeated_eigenvalue_at_the_reference_node_takes_the_propagator_law():
     # equal rates at t0 = 3 pi / 2, where sin(t0) = -1: A(t0) = -1.5 I up to
     # rounding, whose computed eigenbasis is trusted but does not diagonalize
-    # the later nodes of the family, so the residual test rejects the stack,
-    # and its gap law is the node-propagator law, that of the ODE
+    # the later nodes of the family, so the residual test rejects frozen
+    # steps of these values; A is not diagonal at the nodes, so the stack
+    # takes the node-propagator law, that of the ODE
     family = _Commuting(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.5, 1.5]),
                         np.array([0.3, 0.0]), np.array([1.0, 1.0]), 0)
     A = family(1.5 * np.pi + np.arange(64) / 64.0)
@@ -273,8 +274,8 @@ def test_repeated_eigenvalue_at_the_reference_node_takes_the_propagator_law():
                      Lipschitz(1.0, 1.0, 1.0), True, 1.0, "repeated")
     t0 = 1.5 * np.pi
     plan = build_plan(spec, 1, [t0, t0 + 1.0], 1.0 / 64.0, 8.0)
-    assert dynamics._gap_sums(spec, 1.0, np.array([t0]), 1.0, np.ones(1, dtype=np.int64),
-                              None, False) is None
+    diagonal, _ = dynamics._first_cut(spec, 1.0, np.array([t0]), 1.0)
+    assert not diagonal
     decay, drift, cov, _, _, weight = dynamics._plan_sums(plan, True)
     units = np.array([0.0, 0.4, 0.9])
     want = ode_sums(spec, 1, t0, t0 + 1.0, t0 + units)
@@ -291,35 +292,30 @@ def _eigenbasis_shapes(run):
 
 
 def test_commuting_stacks_take_one_eigenbasis_each():
-    # a diagonal stack takes the identity basis, with no eigendecomposition:
-    # diag2, the statespace_simulate model and the joint frozen system of a
-    # scalar model
+    # no segment-law build takes an eigendecomposition: a diagonal stack
+    # takes the gap law on the diagonal of A (diag2 and the statespace_simulate
+    # model), every other stack the node-propagator law (companion2, constant;
+    # a(t) K with a fixed companion matrix K; a non-commuting A)
     diag2 = models.diag2()
-    plan = _statespace_plan(diag2)
-    assert _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS)) == []
     times = np.linspace(0.5, 1.5, 65)
     assert _eigenbasis_shapes(lambda: simulate_yn(
         SPECS["statespace_simulate"](), BROWNIAN, 256, times, 0.01, 16.0,
         np.random.default_rng(1))) == []
-    fr = _joint_frozen(models.tvcar_sin(), JUMPS, 0.9, 1.1)
-    assert _eigenbasis_shapes(lambda: stationary._frozen_law(fr, JUMPS, np.full(8, 0.25))) == []
-    # a commuting stack with off-diagonal entries takes one (2, 2) basis:
-    # companion2, constant, and a(t) K with a fixed companion matrix K
     K = models.companion2().A(0.0)
     scaled = ModelSpec(2, lambda t: (1.0 + 0.5 * np.sin(np.asarray(t)))[..., None, None] * K,
                        diag2.B, diag2.C, Lipschitz(1.0, 0.0, 0.0), True, 0.5, "scaled")
-    for spec in (models.companion2(), scaled):
-        shapes = _eigenbasis_shapes(lambda: build_segment_law(_statespace_plan(spec), JUMPS))
-        assert shapes and all(shape == (2, 2) for shape in shapes)
-    # a non-commuting stack fails the residual test of the basis of its first
-    # node, one (2, 2) eigenbasis a stack, and takes the node-propagator law,
-    # which takes none
-    spec = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]), 0.5 * np.eye(2)[::-1]),
-                     diag2.B, diag2.C, Lipschitz(1.0, 1.0, 1.0), False, 1.0, "noncommuting")
-    plan = _statespace_plan(spec)
-    stacks = list(dynamics._segment_stacks(plan))
-    shapes = _eigenbasis_shapes(lambda: build_segment_law(plan, JUMPS))
-    assert shapes == [(2, 2)] * len(stacks)
+    noncommuting = ModelSpec(2, _NonCommuting(np.array([[-2.0, 1.0], [-1.0, -3.0]]),
+                                              0.5 * np.eye(2)[::-1]),
+                             diag2.B, diag2.C, Lipschitz(1.0, 1.0, 1.0), False, 1.0, "noncommuting")
+    for spec in (diag2, models.companion2(), scaled, noncommuting):
+        assert _eigenbasis_shapes(lambda: build_segment_law(_statespace_plan(spec), JUMPS)) == []
+    # the frozen steps of a diagonal A take the identity basis: the joint
+    # frozen system of a scalar model takes none; those of companion2 share
+    # one (2, 2) basis
+    fr = _joint_frozen(models.tvcar_sin(), JUMPS, 0.9, 1.1)
+    assert _eigenbasis_shapes(lambda: stationary._frozen_law(fr, JUMPS, np.full(8, 0.25))) == []
+    fr = stationary.freeze(models.companion2(), 1.0)
+    assert _eigenbasis_shapes(lambda: stationary._frozen_law(fr, JUMPS, np.full(8, 0.25))) == [(2, 2)]
 
 
 # a jump driver, so that the law keeps the weight v_j of every cell
@@ -461,9 +457,32 @@ def test_segment_law_draws_match_the_exact_moment_recursion(spec, N, gaps, first
     assert np.abs(z_cov).max() < 4.5
 
 
+@st.composite
+def diagonal_systems(draw):
+    """Diagonal A(t) = -diag(rates + amps (1 + sin(freqs t))) with p = 1..3:
+    distinct rates, rates 1e-9 apart, exactly equal rates (equal amplitudes
+    and frequencies too), and strong decay, whose decay over a segment
+    underflows to 0."""
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "near_equal", "equal", "strong"]))
+    rates, amps, freqs = rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 0.5, p), rng.uniform(0.5, 2.0, p)
+    if kind == "near_equal":
+        rates = rates[0] + 1e-9 * np.arange(p)
+    elif kind == "equal":
+        rates, amps, freqs = (np.full(p, x[0]) for x in (rates, amps, freqs))
+    elif kind == "strong":
+        rates = rates * 400.0
+    B = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
+    C = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
+    return ModelSpec(p, _Commuting(np.eye(p), rates, amps, freqs, 0), B, C,
+                     Lipschitz(1.0, 1.0, 1.0), True, 1.0, kind)
+
+
 def assert_eigen_sums_match_the_scan(plan):
-    """The gap law of ``plan`` (its eigen-coordinate sums over each gap) and
-    the node-propagator law of the same stacks (the matrix scan of its
+    """The law of ``plan`` (the gap law's sums over each gap on the diagonal
+    of A, where A is diagonal at the nodes) and the node-propagator law of
+    the same stacks (the matrix scan of its
     panels' node propagators), both the law of the continuous model: D,
     drift, covariance and jump weights within 1e-11 of the scale of each."""
     gap = _plan_outputs(plan)
@@ -490,7 +509,7 @@ def test_eigen_sums_match_the_matrix_scan_on_a_4096_step_segment(spec):
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(
-    spec=systems(("commuting",)),
+    spec=diagonal_systems(),
     N=st.sampled_from([1, 4, 32]),
     gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
     first=st.integers(0, 64),
@@ -518,46 +537,19 @@ def test_shared_and_scalar_stacks_take_no_matrix_scan():
         assert scan.call_count > 0
 
 
-@st.composite
-def diagonal_systems(draw):
-    """Diagonal A(t) = -diag(rates + amps (1 + sin(freqs t))) with p = 1..3:
-    distinct rates, rates 1e-9 apart, exactly equal rates (equal amplitudes
-    and frequencies too), and strong decay, whose decay over a segment
-    underflows to 0."""
-    p = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["distinct", "near_equal", "equal", "strong"]))
-    rates, amps, freqs = rng.uniform(1.0, 3.0, p), rng.uniform(0.0, 0.5, p), rng.uniform(0.5, 2.0, p)
-    if kind == "near_equal":
-        rates = rates[0] + 1e-9 * np.arange(p)
-    elif kind == "equal":
-        rates, amps, freqs = (np.full(p, x[0]) for x in (rates, amps, freqs))
-    elif kind == "strong":
-        rates = rates * 400.0
-    B = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
-    C = _Vector(rng.standard_normal(p), 0.3 * rng.standard_normal(p))
-    return ModelSpec(p, _Commuting(np.eye(p), rates, amps, freqs, 0), B, C,
-                     Lipschitz(1.0, 1.0, 1.0), True, 1.0, kind)
-
-
-def _eigenbasis_route(M, basis=None):
+def _eigenbasis_route(M):
     """``dynamics._shared_basis`` without the identity shortcut, as every
     stack took it before: V and V^-1 from :func:`dynamics.eigenbasis` of the
     first matrix and w = diag(V^-1 M V)."""
     p = M.shape[-1]
-    if basis is None or basis[0] is None:
-        _, V, Vinv, est = dynamics.eigenbasis(M.reshape(-1, p, p)[0])
-    else:
-        V, Vinv, est = basis
+    _, V, Vinv, est = dynamics.eigenbasis(M.reshape(-1, p, p)[0])
     return np.diagonal(Vinv @ M @ V, axis1=-2, axis2=-1).copy(), V, Vinv, est
 
 
-def _plan_outputs(plan, jumps=True):
+def _plan_outputs(plan):
     """D, drift and covariance of every segment of ``plan``, and the jump
     weights of two jumps per segment, at the fractions 0.2 and 0.7 of it."""
-    decay, drift, cov, _, _, weight = dynamics._plan_sums(plan, jumps)
-    if not jumps:
-        return decay, drift, cov
+    decay, drift, cov, _, _, weight = dynamics._plan_sums(plan, True)
     seg = np.repeat(np.arange(decay.shape[0]), 2)
     return decay, drift, cov, weight(seg, np.tile([0.2, 0.7], decay.shape[0]))
 
@@ -568,21 +560,12 @@ def _plan_outputs(plan, jumps=True):
     N=st.sampled_from([1, 4, 32]),
     gaps=st.lists(st.integers(1, 40), min_size=0, max_size=6),
     first=st.integers(0, 64),
-    jumps=st.booleans(),
 )
-def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, first, jumps):
-    # a diagonal stack skips the eigendecomposition, the residual test and the
-    # products with V; for diagonal A, V is a signed permutation of I, so the
-    # eigenbasis route rounds the same and gives the same numbers, in the gap
-    # law and in the frozen step laws
+def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, first):
+    # frozen steps of a diagonal A skip the eigendecomposition, the residual
+    # test and the products with V; for diagonal A, V is a signed permutation
+    # of I, so the eigenbasis route rounds the same and gives the same numbers
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
-    plan = build_plan(spec, N, rescaled, H, BURN_IN)
-    ident = _plan_outputs(plan, jumps)
-    with mock.patch.object(dynamics, "_shared_basis", _eigenbasis_route):
-        eigen = _plan_outputs(plan, jumps)
-    for a, b in zip(ident, eigen):
-        assert np.array_equal(a, b)
-    # the frozen steps of the same A, at the start of the plan
     fr = stationary.freeze(spec, rescaled[0] / N)
     h = np.concatenate([[12.0], np.diff(rescaled)])
     law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
@@ -638,8 +621,8 @@ def assert_bits_do_not_depend_on_the_fine_step(plan):
 )
 def test_gap_law_bits_do_not_depend_on_the_fine_step(spec, N, gaps, first):
     # diagonal stacks with distinct, 1e-9-apart and equal rates and with
-    # strong decay take the identity basis; commuting ones with complex
-    # pairs a shared complex eigenbasis
+    # strong decay take the gap law; commuting ones with complex pairs the
+    # node-propagator law
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     assert_bits_do_not_depend_on_the_fine_step(build_plan(spec, N, rescaled, H, BURN_IN))
 
@@ -655,7 +638,7 @@ def _scaled_companion():
 def test_step_major_sums_keep_their_bits_on_the_shipped_shapes(name):
     # the shape of the statespace_simulate workload on dyadic records, 64
     # gaps of 4 and a burn-in of 16; the companion matrix K of companion2 and
-    # a(t) K share a non-diagonal basis
+    # a(t) K take the node-propagator law
     spec = _scaled_companion() if name == "scaled" else SPECS[name]()
     plan = build_plan(spec, 256, 128.0 + 4.0 * np.arange(65), 1.0 / 64.0, 16.0)
     assert_bits_do_not_depend_on_the_fine_step(plan)
@@ -689,7 +672,7 @@ def test_step_major_sums_of_a_stack_of_empty_segments(p):
     spec = ModelSpec(p, lambda t: -np.eye(p), models.diag2().B, lambda t: np.ones(p),
                      Lipschitz(0.0, 0.0, 0.0), True, 1.0, "empty")
     D, drift, cov, span, _ = dynamics._gap_sums(spec, 1.0, np.zeros(3), 0.0, np.arange(3), None,
-                                                False)
+                                                False, None)
     assert span == 0.0
     assert np.array_equal(D, np.broadcast_to(np.eye(p), (3, p, p)))
     assert not drift.any() and not cov.any() and not np.signbit(cov).any()
