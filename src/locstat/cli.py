@@ -594,8 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=os.environ.get("LOCSTAT_WORKERS", "1"),  # a string: argparse applies int
-        help="processes of a campaign, at most one per core and one per chunk of "
-        "replications (default: env LOCSTAT_WORKERS or 1)",
+        help="most processes of a campaign; it runs at most one per usable CPU, one per "
+        "chunk of replications and one per 2^18 units of counted work "
+        "(default: env LOCSTAT_WORKERS or 1)",
     )
     return parser
 

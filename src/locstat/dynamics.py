@@ -547,21 +547,33 @@ def _first_cut(spec: ModelSpec, N: float, lo: np.ndarray, L: float) -> tuple:
     """Whether A is diagonal at every node of the first cut of the gaps
     [lo_k, lo_k + L], L > 0, into n0 panels of ``_PANEL_TIME`` in original
     time, and (n0, A, rho, kappa, size): the node values A (g, n0, 21, p, p)
-    if they fit in one block (else None), and per gap max |lambda|,
-    min -Re lambda and max ||A||_F at the nodes, lambda the eigenvalues."""
+    if they fit in one block (else None), per gap max |lambda| and
+    min -Re lambda of the diagonals at the nodes where A is diagonal (else
+    None: :func:`_spectrum` takes the eigenvalues where an error needs
+    them), and max ||A||_F at the nodes."""
     p, g = spec.p, lo.size
     n0 = max(1, int(np.ceil(L / (N * _PANEL_TIME))))
     blocks = _panel_blocks(n0, g, p)
     diagonal, rho, kappa, size = True, np.zeros(g), np.full(g, np.inf), np.zeros(g)
     for q0, q1 in blocks:
         A = _panel_values(spec, N, "A", lo, L, n0, q0, q1)
-        w = _diagonal(A)
-        if w is None:
-            diagonal, w = False, np.linalg.eigvals(A)
-        rho = np.maximum(rho, np.abs(w).max(axis=(1, 2, 3)))
-        kappa = np.minimum(kappa, -w.real.max(axis=(1, 2, 3)))
+        w = _diagonal(A) if diagonal else None
+        diagonal = w is not None
+        if diagonal:
+            rho = np.maximum(rho, np.abs(w).max(axis=(1, 2, 3)))
+            kappa = np.minimum(kappa, -w.max(axis=(1, 2, 3)))
         size = np.maximum(size, np.linalg.norm(A, axis=(-2, -1)).max(axis=(1, 2)))
+    if not diagonal:
+        rho = kappa = None
     return diagonal, (n0, A if len(blocks) == 1 else None, rho, kappa, size)
+
+
+def _spectrum(spec: ModelSpec, N: float, lo: np.ndarray, L: float, n0: int) -> tuple:
+    """max |lambda| and min -Re lambda over the eigenvalues lambda of A at
+    the nodes of the first cut (n0 panels) of the gaps [lo_k, lo_k + L]."""
+    w = np.concatenate([np.linalg.eigvals(_panel_values(spec, N, "A", lo, L, n0, q0, q1)).ravel()
+                        for q0, q1 in _panel_blocks(n0, lo.size, spec.p)])
+    return np.abs(w).max(), -w.real.max()
 
 
 def _diagonal(M: np.ndarray) -> np.ndarray | None:
@@ -592,8 +604,8 @@ def _propagator_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: 
     reaches the record, so the scan stops, and the span is the part scanned.
     """
     p, g = spec.p, lo.size
-    n0, first, rho, kappa, size = cut
-    counts = _panel_counts(L, N, size, rho.max(), kappa.min())
+    n0, first, _, _, size = cut
+    counts = _panel_counts(L, N, size, lambda: _spectrum(spec, N, lo, L, n0))
     decay, drift, cov, span = np.empty((g, p, p)), np.empty((g, p)), np.empty((g, p, p)), np.empty(g)
     vals = []
     for n in linalg.unique(counts):
@@ -681,13 +693,15 @@ def _magnus_points(k: int) -> tuple:
     return step, T @ Tinv
 
 
-def _panel_counts(live: np.ndarray, N: float, rate: np.ndarray, rho: float, kappa: float) -> np.ndarray:
+def _panel_counts(live: np.ndarray, N: float, rate: np.ndarray, spectrum) -> np.ndarray:
     """Panels (g,) of gaps of length ``live``, no longer than ``_PANEL_TIME``
     in original time and ``_PANEL_DECAY`` / ``rate`` (g,). More than
     ``_MAX_STEPS`` in all raise ValueError naming the ratio of max |lambda|
-    ``rho`` to min -Re lambda ``kappa`` of the spectrum of A at the nodes."""
+    to min -Re lambda of the spectrum of A at the nodes, which
+    ``spectrum()`` returns."""
     counts = np.maximum(np.ceil(live / (N * _PANEL_TIME)), np.ceil(live * rate / _PANEL_DECAY))
     if counts.sum() > _MAX_STEPS:
+        rho, kappa = spectrum()
         ratio = float(rho) / float(kappa) if kappa > 0 else float("inf")
         raise ValueError(
             f"model: a spectrum with max |lambda| / min(-Re lambda) = {ratio:.3g} "
@@ -741,7 +755,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
                 return None
             dl = _nodes_last(w) @ _panel_rule()[1]  # per unit half-width
             total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
-    counts = _panel_counts(live, N, rho, rho.max(), kappa.min())
+    counts = _panel_counts(live, N, rho, lambda: (rho.max(), kappa.min()))
     vals, laws = [], []
     for n in linalg.unique(counts):
         sub = np.flatnonzero(counts == n)

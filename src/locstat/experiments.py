@@ -37,7 +37,8 @@ its own counter-based stream keyed by (seed, purpose, chunk index)
 bit-identical for any worker count. With several workers, ``_map_chunks``
 runs the first batch of chunks itself and each other batch in a child forked
 for it, which inherits the chunk payload (the segment law) instead of
-receiving it pickled.
+receiving it pickled, where each batch's share of the work, counted from
+the law, pays for its fork.
 """
 
 from dataclasses import dataclass, field, replace
@@ -86,6 +87,12 @@ __all__ = [
 ]
 
 CHUNK = 64  # fixed chunk size; reduction order never depends on worker count
+# least work (_work) of a forked child's batch. On a shared 2-core VM, forked
+# clt_jumps campaigns (the benchmark's) took 32.5 ms at 2 workers against
+# 26.7 ms at 1, a fork overhead of 6.0 ms (median gap of 24 alternating
+# pairs), and a warm chunk of that campaign 0.33 ms for 64 x 105 units, 48.5 ns
+# a unit; a batch of 2^18 units runs about 12.7 ms, twice the overhead
+_FORK_WORK = 1 << 18
 
 
 class InadmissibleSchemeError(ValueError):
@@ -185,16 +192,24 @@ def _map_chunks(fn, payload, n_reps: int, workers: int) -> np.ndarray:
     """``fn(payload, lo, hi)`` over the ``CHUNK``-sized chunks of ``n_reps``
     replications, concatenated in chunk order.
 
-    The chunks are cut into contiguous batches, one per process, and at most
-    ``min(workers, chunks, os.cpu_count())`` processes run. The parent runs
-    batch 0; each other batch runs in a child forked for it, which inherits
-    ``fn`` and ``payload`` and sends its parts back pickled on a pipe. Where
-    ``os.fork`` does not exist every chunk runs in the parent. The chunk
-    bounds, and so the bits, never depend on the number of processes. No
-    child outlives the call: after a failure the rest are killed and reaped.
+    The chunks are cut into contiguous batches, one per process. The parent
+    runs batch 0; each other batch runs in a child forked for it, which
+    inherits ``fn`` and ``payload`` and sends its parts back pickled on a
+    pipe. ``min(workers, chunks, usable CPUs, k)`` processes run, k the most
+    whose batches each carry ``_FORK_WORK`` units of the map's work
+    (:func:`_work`), at least 1: a child's share must run about twice as long
+    as its fork costs (6.0 ms against 48.5 ns a unit, see ``_FORK_WORK``).
+    The count reads the payload alone, no clock or load, so it is the same
+    on every host with as many usable CPUs. Where ``os.fork`` does not exist
+    every chunk runs in the parent. The chunk bounds, and so the bits, never
+    depend on the number of processes. No child outlives the call: after a
+    failure the rest are killed and reaped.
     """
     chunks = [(lo, min(lo + CHUNK, n_reps)) for lo in range(0, n_reps, CHUNK)]
-    procs = min(workers, len(chunks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    procs = min(workers, len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
+    work = _work(payload, n_reps)
+    while procs > 1 and work < procs * _FORK_WORK:
+        procs -= 1
     size = -(-len(chunks) // max(procs, 1))
     batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
     pids, fds = [], []  # children not yet reaped and read ends still open, in batch order
@@ -223,6 +238,25 @@ def _map_chunks(fn, payload, n_reps: int, workers: int) -> np.ndarray:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return np.concatenate(parts, axis=0)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _work(payload, n_reps: int) -> float:
+    """Work of ``n_reps`` replications of the segment law ``payload["law"]``:
+    per replication, records x p^2 (the entries of its decays) plus the
+    expected jumps; 0 for a payload without a law."""
+    law = payload.get("law") if isinstance(payload, dict) else None
+    if law is None:
+        return 0.0
+    jumps = 0.0 if law.jump_mean is None else float(law.jump_mean.sum())
+    return n_reps * (law.decay.size + jumps)
 
 
 def _fork_batch(fn, payload, batch, inherited: list) -> tuple[int, int]:

@@ -27,6 +27,7 @@ from locstat.kernels import biweight, kernel_validate, rectangular
 from locstat.noise import JumpSpec, LevyTriplet
 from locstat.observation import BandwidthRule, StepRuleO1, StepRuleO2
 from locstat.rng import stream
+from test_experiments import _counted_forks
 
 BROWNIAN = LevyTriplet(0.0, 1.0)
 CPOIS = LevyTriplet(0.0, 0.0, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
@@ -270,7 +271,9 @@ def test_criterion_10_kernel_suite():
     )
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(monkeypatch):
+    # every multi-worker run forks its children, whatever its work
+    pids = _counted_forks(monkeypatch)
     checks = []
     coupling = ExperimentConfig(
         kind="coupling", model=models.tvcar_sin(), triplet=BROWNIAN, u=1.0,
@@ -279,7 +282,7 @@ def test_criterion_11_determinism():
     a = json.dumps(run_coupling(coupling).to_dict(), sort_keys=True)
     b = json.dumps(run_coupling(coupling).to_dict(), sort_keys=True)
     w = json.dumps(run_coupling(dataclasses.replace(coupling, workers=2)).to_dict(), sort_keys=True)
-    checks.append(a == b == w)
+    checks.append(a == b == w and len(pids) == 1)
 
     lln = ExperimentConfig(
         kind="lln_discrete", model=models.tvcar_sin(), triplet=BROWNIAN, u=1.0,
@@ -289,7 +292,7 @@ def test_criterion_11_determinism():
     )
     a = json.dumps(run_lln(lln).to_dict(), sort_keys=True)
     w = json.dumps(run_lln(dataclasses.replace(lln, workers=3)).to_dict(), sort_keys=True)
-    checks.append(a == w)
+    checks.append(a == w and len(pids) == 2)
 
     clt = ExperimentConfig(
         kind="clt_mean", model=models.ou(1.0), triplet=BROWNIAN, u=1.0,
@@ -298,7 +301,7 @@ def test_criterion_11_determinism():
     )
     a = json.dumps(run_clt(clt).to_dict(), sort_keys=True)
     w = json.dumps(run_clt(dataclasses.replace(clt, workers=2)).to_dict(), sort_keys=True)
-    checks.append(a == w)
+    checks.append(a == w and len(pids) == 3)
 
     lip = ExperimentConfig(
         kind="lipschitz_u", model=models.tvcar_sin(), triplet=BROWNIAN, u=1.0,
@@ -307,7 +310,7 @@ def test_criterion_11_determinism():
     )
     a = json.dumps(run_lipschitz_u(lip).to_dict(), sort_keys=True)
     w = json.dumps(run_lipschitz_u(dataclasses.replace(lip, workers=2)).to_dict(), sort_keys=True)
-    checks.append(a == w)
+    checks.append(a == w and len(pids) == 5)  # one map per rung of the ladder
 
     report(
         "criterion 11",

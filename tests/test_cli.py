@@ -859,18 +859,36 @@ def test_cli_and_every_subcommand_never_import_scipy(tmp_path):
     assert all(code in (0, 1) for _, code, _ in after), after
 
 
-def _modules_after_campaigns(tmp_path, runs, modules, workers=1) -> list:
+def _modules_after_campaigns(tmp_path, runs, modules, workers=1, forced_forks=False) -> list:
     """[subcommand, exit code, which of ``modules`` are loaded] after each of
-    ``runs`` (subcommand, config extra) in one child interpreter, in order."""
+    ``runs`` (subcommand, config extra) in one child interpreter, in order.
+    With ``forced_forks``, every map forks as many children as its workers
+    and chunks allow (``experiments._FORK_WORK`` 0, 64 usable CPUs), and each
+    entry ends with the number of children forked so far."""
     runs = [(sub, write_config(tmp_path, extra, name=f"{sub}.json")) for sub, extra in runs]
     script = textwrap.dedent(f"""
-        import json, sys
+        import json, os, sys
         import locstat.cli as cli
+        from locstat import experiments
+        children, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        if {forced_forks!r}:
+            experiments._FORK_WORK = 0
+            os.sched_getaffinity = lambda pid: set(range(64))
+            os.cpu_count = lambda: 64
+            os.fork = counting_fork
         after = []
         for sub, cfg in {runs!r}:
             code = cli.main([sub, "--config", cfg, "--out", {str(tmp_path)!r},
                              "--workers", "{workers}"])
-            after.append([sub, code, [m for m in {list(modules)!r} if m in sys.modules]])
+            after.append([sub, code, [m for m in {list(modules)!r} if m in sys.modules]]
+                         + ([len(children)] if {forced_forks!r} else []))
         print(json.dumps(after))
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -917,8 +935,8 @@ def test_two_worker_clt_loads_no_process_pool(tmp_path):
     runs = [("clt", {"scheme": {**BASE["scheme"], "beta": 0.6666666666666666},
                      "experiment": {"kind": "clt_mean", "N_list": [64], "replications": 1000}})]
     after = _modules_after_campaigns(
-        tmp_path, runs, ["multiprocessing", "concurrent.futures"], workers=2)
-    assert after == [["clt", after[0][1], []]] and after[0][1] in (0, 1), after
+        tmp_path, runs, ["multiprocessing", "concurrent.futures"], workers=2, forced_forks=True)
+    assert after == [["clt", after[0][1], [], 1]] and after[0][1] in (0, 1), after
     assert (tmp_path / "clt-0.csv").exists()
 
 

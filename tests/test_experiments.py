@@ -299,7 +299,8 @@ def test_lipschitz_small():
         assert row["pass"]  # matches the closed-form distance of the joint system
 
 
-def test_determinism_across_runs_and_workers():
+def test_determinism_across_runs_and_workers(monkeypatch):
+    pids = _counted_forks(monkeypatch)
     cfg = ExperimentConfig(
         "coupling", models.tvcar_sin(), BROWNIAN, 1.0, (16, 64), CHUNK * 3, 9, 0.01, 8.0
     )
@@ -307,11 +308,13 @@ def test_determinism_across_runs_and_workers():
     b = json.dumps(run_coupling(cfg).to_dict(), sort_keys=True)
     c = json.dumps(run_coupling(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
     assert a == b == c
+    assert len(pids) == 2
 
 
-def test_segment_sampler_determinism_across_workers():
+def test_segment_sampler_determinism_across_workers(monkeypatch):
     # jump branch of the per-segment sampler, the continuous average, a state
     # space model in both, and the exact frozen simulation
+    pids = _counted_forks(monkeypatch)
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     clt = ExperimentConfig(
         "clt_mean", models.ou(1.0), jumps, 1.0, (2**10,), 1000, 10, 1.0 / 64.0, 8.0,
@@ -337,14 +340,18 @@ def test_segment_sampler_determinism_across_workers():
     for cfg, run in runs:
         a = json.dumps(run(cfg).to_dict(), sort_keys=True)
         b = json.dumps(run(cfg).to_dict(), sort_keys=True)
+        assert pids == []
         c = json.dumps(run(dataclasses.replace(cfg, workers=2)).to_dict(), sort_keys=True)
         d = json.dumps(run(dataclasses.replace(cfg, workers=3)).to_dict(), sort_keys=True)
         assert a == b == c == d
+        assert pids, cfg.kind
+        pids.clear()
 
 
-def test_jump_driven_reports_are_identical_across_workers():
+def test_jump_driven_reports_are_identical_across_workers(monkeypatch):
     # criterion 11 with a jump driver: clt, lipschitz_u and coupling reports
     # are the same bytes at 1, 2 and 3 workers, with a short last chunk
+    pids = _counted_forks(monkeypatch)
     jumps = LevyTriplet(0.0, 0.5, JumpSpec(1.0, atoms=((1.0, 0.5), (-1.0, 0.5))))
     clt = ExperimentConfig(
         "clt_mean", models.ou(1.0), jumps, 1.0, (2**8,), 1000, 15, 1.0 / 16.0, 8.0,
@@ -364,13 +371,16 @@ def test_jump_driven_reports_are_identical_across_workers():
             for w in (1, 2, 3)
         }
         assert len(reports) == 1, cfg.kind
+        assert pids, cfg.kind
+        pids.clear()
 
 
-def test_noncommuting_reports_are_identical_across_workers():
+def test_noncommuting_reports_are_identical_across_workers(monkeypatch):
     # criterion 11 on a non-commuting p = 2 model with a jump driver: its
     # steps take per-step eigenbases, complex where A(t) has complex
     # eigenvalues (sin t < -1/2), and lln and clt reports are the same bytes at
     # 1, 2 and 3 workers, with a short last chunk
+    pids = _counted_forks(monkeypatch)
     model = _build_model({
         "kind": "statespace", "p": 2, "A_entries": [["-2", "1"], ["0.5*sin(t)", "-3"]],
         "B": ["1", "0.5"], "C": ["1", "-0.5"], "commuting": False, "stability_margin": 1.5,
@@ -392,10 +402,21 @@ def test_noncommuting_reports_are_identical_across_workers():
             for w in (1, 2, 3)
         }
         assert len(reports) == 1, cfg.kind
+        assert pids, cfg.kind
+        pids.clear()
 
 
-def _counted_forks(monkeypatch, cpus):
-    """pids of the children ``_map_chunks`` forks, on a host of ``cpus`` cores."""
+def _usable_cpus(monkeypatch, cpus):
+    """A host where this process may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def _counted_forks(monkeypatch, cpus=4, fork_work=0):
+    """pids of the children ``_map_chunks`` forks, on a host of ``cpus``
+    usable CPUs, where a child's batch must carry ``fork_work`` units of work
+    (``experiments._FORK_WORK``): the default 0 forces the fork path, so that
+    a map forks as many children as its workers, chunks and CPUs allow."""
     pids, fork = [], os.fork
 
     def counting_fork():
@@ -405,7 +426,8 @@ def _counted_forks(monkeypatch, cpus):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "_FORK_WORK", fork_work)
+    _usable_cpus(monkeypatch, cpus)
     return pids
 
 
@@ -428,7 +450,7 @@ def test_fork_map_forks_one_child_per_batch_but_the_first(monkeypatch):
     assert len(pids) == 2  # chunks - 1
     _assert_reaped(pids)
     pids.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     assert np.array_equal(_map_chunks(_chunk_ids, 0.5, n_reps, 16), want)
     assert len(pids) == 1
     _assert_reaped(pids)
@@ -437,9 +459,51 @@ def test_fork_map_forks_one_child_per_batch_but_the_first(monkeypatch):
     assert pids == []
 
 
+def test_fork_map_counts_the_cpus_of_its_affinity_mask(monkeypatch):
+    # a process confined to one CPU (taskset -c 0) on a host of 64 runs every
+    # chunk itself
+    pids = _counted_forks(monkeypatch, cpus=64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = np.arange(4 * CHUNK, dtype=float) + 0.5
+    assert np.array_equal(_map_chunks(_chunk_ids, 0.5, 4 * CHUNK, 4), want)
+    assert pids == []
+
+
+class _Law:
+    """The fields of a segment law that ``experiments._work`` reads."""
+
+    def __init__(self, records, p, jump_mean):
+        self.decay, self.jump_mean = np.zeros((records, p, p)), jump_mean
+
+
+def test_fork_map_forks_where_the_counted_work_pays_for_it(monkeypatch):
+    # a child is forked only while each batch carries _FORK_WORK units of
+    # records x p^2 plus expected jumps per replication, times replications;
+    # so 3 chunks fork 2 children from 3 units on, 1 from 2 units and none
+    # below
+    pids = _counted_forks(monkeypatch, cpus=64, fork_work=experiments._FORK_WORK)
+    n_reps, unit = 3 * CHUNK - 5, experiments._FORK_WORK
+    records = -(-3 * unit // n_reps)  # the fewest records of p = 1 that carry 3 units
+    want = np.arange(n_reps, dtype=float)
+    for law, children in (
+        (_Law(records, 1, None), 2),
+        (_Law(records - 1, 1, None), 1),
+        (_Law(-(-records // 4), 2, None), 2),
+        (_Law(1, 1, np.full(4, ((2 * unit + 1) / n_reps - 1) / 4)), 1),
+        (_Law(1, 1, np.full(4, ((2 * unit - 1) / n_reps - 1) / 4)), 0),
+        (_Law(1, 1, None), 0),
+    ):
+        vals = _map_chunks(lambda payload, lo, hi: want[lo:hi], {"law": law}, n_reps, 16)
+        assert np.array_equal(vals, want)
+        assert len(pids) == children, (law.decay.shape, law.jump_mean)
+        _assert_reaped(pids)
+        pids.clear()
+
+
 def test_fork_map_runs_in_the_parent_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(experiments, "_FORK_WORK", 0)
+    _usable_cpus(monkeypatch, 8)
     vals = _map_chunks(_chunk_ids, 0.25, 5 * CHUNK, 4)
     assert np.array_equal(vals, np.arange(5 * CHUNK, dtype=float) + 0.25)
 
@@ -463,7 +527,7 @@ def test_child_exception_is_raised_with_its_type(monkeypatch):
     class Local(ValueError):  # no module attribute names it, so it cannot be pickled
         pass
 
-    pids = _counted_forks(monkeypatch, cpus=4)
+    pids = _counted_forks(monkeypatch)
     payload = {"from": 2 * CHUNK, "error": lambda: KeyError("no such key")}
     with pytest.raises(KeyError, match="no such key"):
         _map_chunks(_failing_chunk, payload, 3 * CHUNK, 3)
@@ -493,7 +557,7 @@ def test_parent_failure_frees_children_blocked_on_large_results(monkeypatch):
     def timeout(signum, frame):
         raise TimeoutError("the fork map hung")
 
-    pids = _counted_forks(monkeypatch, cpus=4)
+    pids = _counted_forks(monkeypatch)
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     start = time.monotonic()
@@ -521,7 +585,7 @@ def test_child_exception_gives_the_cli_exit_code_of_the_serial_run(monkeypatch, 
         return chunk(payload, lo, hi)
 
     monkeypatch.setattr(experiments, "_localized_chunk", failing)
-    pids = _counted_forks(monkeypatch, cpus=4)
+    pids = _counted_forks(monkeypatch)
     cfg = tmp_path / "lln.json"
     cfg.write_text(json.dumps({
         "model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0},

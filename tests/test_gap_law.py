@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locstat import dynamics, models
-from locstat.cli import main
+from locstat.cli import _build_model, main
 from locstat.dynamics import Lipschitz, ModelSpec, build_plan
 
 mp.mp.dps = 40
@@ -269,22 +269,36 @@ def test_a_plan_with_gap_and_fine_segments_weighs_each_jump_by_its_own_law():
 def test_a_spectrum_stiff_beyond_the_panel_bound_exits_3(tmp_path, capsys):
     # rates 1e6 and 1e-3: the live part of the burn-in is 8000 long and needs
     # 1e6 / 8 panels per unit, 1e9 in all, more than the 2^22 that bound a
-    # run; no law is built, and the CLI exits 3 naming the spectrum's ratio
+    # run; no law is built, and the CLI exits 3 naming the spectrum's ratio.
+    # The same spectrum rotated, R diag(-1e6, -1e-3) R' (R a rotation by
+    # 0.3), is not diagonal and takes node-propagator panels no longer than
+    # 8 / ||A||_F, as many; its error names the ratio of A's eigenvalues. It
+    # is run on the burn-in alone: the 125,000 panels of a second gap of
+    # length 1 take 9 s to build before the burn-in's stack is reached
     spec = Rates([1e6, 1e-3], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]).spec()
     plan = build_plan(spec, 1, [8000.0, 8001.0], 1.0 / 4.0, 8000.0)
     ratio = r"max \|lambda\| / min\(-Re lambda\) = 1e\+09 needs 1e\+09 panels, more than 4194304"
     with pytest.raises(ValueError, match="^model: a spectrum with " + ratio):
         dynamics._plan_sums(plan, False)
-    model = {"kind": "statespace", "p": 2, "A_entries": [["-1e6", "0"], ["0", "-0.001"]],
-             "B": ["1", "1"], "C": ["1", "1"], "commuting": True, "stability_margin": 0.001,
-             "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}}
-    config = tmp_path / "stiff.json"
-    config.write_text(json.dumps({
-        "model": model, "triplet": {"gamma": 0.0, "sigma2": 1.0},
-        "simulation": {"fine_step": 0.25, "burn_in": 8000.0},
-        "experiment": {"kind": "lln_discrete", "N_list": [1], "replications": 100},
-        "simulate": {"times": [8000.0, 8001.0]},
-    }))
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith("semantic error: model: a spectrum with max |lambda|")
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    R = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    rotated = R @ np.diag([-1e6, -1e-3]) @ R.T
+    for entries, times in (([["-1e6", "0"], ["0", "-0.001"]], [8000.0, 8001.0]),
+                           ([[repr(float(x)) for x in row] for row in rotated], [8000.0])):
+        model = {"kind": "statespace", "p": 2, "A_entries": entries,
+                 "B": ["1", "1"], "C": ["1", "1"], "commuting": True, "stability_margin": 0.001,
+                 "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}}
+        plan = build_plan(_build_model(model), 1, times, 1.0 / 4.0, 8000.0)
+        with pytest.raises(ValueError, match="^model: a spectrum with " + ratio):
+            dynamics._plan_sums(plan, False)
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({
+            "model": model, "triplet": {"gamma": 0.0, "sigma2": 1.0},
+            "simulation": {"fine_step": 0.25, "burn_in": 8000.0},
+            "experiment": {"kind": "lln_discrete", "N_list": [1], "replications": 100},
+            "simulate": {"times": times},
+        }))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("semantic error: model: a spectrum with max |lambda| / "
+                              "min(-Re lambda) = 1e+09 needs"), err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -479,24 +479,85 @@ def diagonal_systems(draw):
                      Lipschitz(1.0, 1.0, 1.0), True, 1.0, kind)
 
 
+def assert_close_to_scale(got_outputs, want_outputs):
+    """Each array within 1e-11 of the largest |entry| of its reference."""
+    for got, want in zip(got_outputs, want_outputs, strict=True):
+        scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-11 * scale, (got, want)
+
+
 def assert_eigen_sums_match_the_scan(plan):
     """The law of ``plan`` (the gap law's sums over each gap on the diagonal
     of A, where A is diagonal at the nodes) and the node-propagator law of
     the same stacks (the matrix scan of its
     panels' node propagators), both the law of the continuous model: D,
-    drift, covariance and jump weights within 1e-11 of the scale of each."""
-    gap = _plan_outputs(plan)
+    drift, covariance and jump weights within 1e-11 of the scale of each.
+    At least one stack of gaps of nonzero length must take the gap law, or
+    the two sides would be the same law."""
+    gap_sums, took_gap_law = dynamics._gap_sums, []
+
+    def recording(spec, N, lo, L, *rest):
+        sums = gap_sums(spec, N, lo, L, *rest)
+        took_gap_law.append(L > 0 and sums is not None)
+        return sums
+
+    with mock.patch.object(dynamics, "_gap_sums", recording):
+        gap = _plan_outputs(plan)
+    assert any(took_gap_law), "no stack of the plan takes the gap law"
     with mock.patch.object(dynamics, "_gap_sums", lambda *args: None):
         scan = _plan_outputs(plan)
-    for got, want in zip(gap, scan):
-        scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
-        assert np.abs(got - want).max(initial=0.0) <= 1e-11 * scale, (got, want)
+    assert_close_to_scale(gap, scan)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", ["diag2", "statespace_simulate"])
 def test_eigen_sums_match_the_matrix_scan(name):
     assert_eigen_sums_match_the_scan(
         build_plan(SPECS[name](), 256, 128.0 + 4.0 * np.arange(9), 1.0 / 16.0, 16.0))
+
+
+def van_loan_outputs(A, C, lengths):
+    """What :func:`_plan_outputs` gives for gaps of ``lengths`` under a
+    constant A and C, from block exponentials (Van Loan 1978, IEEE TAC 23):
+    D = e^{A L}, drift int_0^L e^{A s} C ds from expm([[A, C], [0, 0]] L),
+    covariance int_0^L e^{A s} C C' e^{A' s} ds, and the weights
+    e^{A (1 - f) L} C of jumps at the fractions f = 0.2 and 0.7 of each gap.
+    The covariance of a piece of length l <= 1 is F22' F12 from
+    expm([[-A, C C'], [0, A']] l), whose e^{-A l} would cancel away the
+    digits of a long gap; the L pieces of a gap of integer length L join
+    as G <- e^{A l} G e^{A' l} + G_piece."""
+    p = len(C)
+    drift_block, cov_block = np.zeros((p + 1, p + 1)), np.zeros((2 * p, 2 * p))
+    drift_block[:p, :p], drift_block[:p, p] = A, C
+    cov_block[:p, :p], cov_block[:p, p:], cov_block[p:, p:] = -A, np.outer(C, C), A.T
+    decay, drift, cov, weight = [], [], [], []
+    F = linalg.expm(cov_block)
+    piece, step = F[p:, p:].T @ F[:p, p:], F[p:, p:].T
+    for L in lengths:
+        decay.append(linalg.expm(A * L))
+        drift.append(linalg.expm(drift_block * L)[:p, p])
+        G = np.zeros((p, p))
+        for _ in range(int(L)):
+            G = step @ G @ step.T + piece
+        cov.append(G)
+        weight += [linalg.expm(A * (1.0 - f) * L) @ C for f in (0.2, 0.7)]
+    return np.array(decay), np.array(drift), np.array(cov), np.array(weight)
+
+
+@pytest.mark.parametrize("spec", [models.companion2(), _build_model({
+    "kind": "statespace", "p": 2, "A_entries": [["-1", "2"], ["-2", "-1"]], "B": ["1", "0"],
+    "C": ["1", "-0.5"], "commuting": True, "stability_margin": 1.0,
+    "lipschitz": {"A": 0.0, "B": 0.0, "C": 0.0}})], ids=["companion2", "complex_pair"])
+def test_node_propagator_law_of_a_constant_a_matches_van_loan(spec):
+    # a constant A that is not diagonal (eigenvalues -1 and -2, and -1 +- 2i)
+    # takes the node-propagator law, the law of the continuous model: exact
+    # against block exponentials, within 1e-11 of the scale of each output
+    plan = build_plan(spec, 256, 128.0 + 4.0 * np.arange(9), 1.0 / 16.0, 16.0)
+    lengths = np.diff(np.concatenate([[0], plan.record_steps])) * plan.h
+    assert lengths.tolist() == [16.0] + [4.0] * 8
+    diagonal, _ = dynamics._first_cut(spec, plan.N, np.array([plan.start]), 1.0)
+    assert not diagonal
+    A, C = stationary.freeze(spec, 1.0).A, stationary.freeze(spec, 1.0).C
+    assert_close_to_scale(_plan_outputs(plan), van_loan_outputs(A, C, lengths))
 
 
 @pytest.mark.parametrize("spec", [models.diag2(), models.tvcar_sin()], ids=lambda s: s.model_id)

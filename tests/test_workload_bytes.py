@@ -7,7 +7,9 @@ worker, at the CLI seed the benchmark derives from the seed
 (``Workload.argv``). Its exit code and the sha256 of its output files (name
 and bytes, in name order) must be the pinned ones. A change that moves them
 moves the bits of a workload: it takes new digests only on purpose, with a
-seed sweep (``calib/sweep.py``) of the checks it moves.
+seed sweep (``calib/sweep.py``) of the checks it moves. ``clt_jumps``, which
+the benchmark times at 2 workers, also keeps them at 2 and 3 workers with
+its chunks run in forked children.
 """
 
 import hashlib
@@ -15,7 +17,9 @@ import json
 
 import pytest
 from test_calib import checks, workloads
+from test_experiments import _counted_forks
 
+from locstat import experiments
 from locstat.cli import main
 
 CONFIGS = {**workloads.WORKLOADS, **checks.CHECKS}
@@ -35,11 +39,11 @@ PINNED = {
 }
 
 
-def _outputs(workload, seed, tmp_path):
+def _outputs(workload, seed, tmp_path, workers=1):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workload.config))
     out = tmp_path / "out"
-    code = main(workload.argv(str(config), seed, str(out), 1))
+    code = main(workload.argv(str(config), seed, str(out), workers))
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -53,3 +57,21 @@ def test_workload_outputs_keep_their_bytes(name, seed, tmp_path):
 
 def test_every_workload_and_the_noncommuting_check_are_pinned():
     assert sorted({name for name, _ in PINNED}) == sorted([*workloads.WORKLOADS, "noncommuting_lln"])
+
+
+@pytest.mark.parametrize("workers", [workloads.WORKLOADS["clt_jumps"].workers, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_clt_jumps_keeps_its_bytes_in_forked_children(workers, seed, tmp_path, monkeypatch):
+    pids = _counted_forks(monkeypatch)  # forks whatever the work, on 4 usable CPUs
+    assert _outputs(CONFIGS["clt_jumps"], seed, tmp_path, workers) == PINNED["clt_jumps", seed]
+    assert len(pids) == workers - 1
+
+
+def test_clt_jumps_at_its_worker_count_forks_no_child(tmp_path, monkeypatch):
+    # its 2048 x (49 records + 56 expected jumps) units are less than the
+    # 2 x _FORK_WORK that two processes need
+    workload = CONFIGS["clt_jumps"]
+    pids = _counted_forks(monkeypatch, fork_work=experiments._FORK_WORK)
+    assert workload.workers == 2
+    assert _outputs(workload, 1, tmp_path, workload.workers) == PINNED["clt_jumps", 1]
+    assert pids == []
