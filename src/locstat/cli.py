@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _MAX_STEPS, Car1Spec, Lipschitz, ModelSpec, PathSample, simulate_yn
+from .dynamics import _MAX_STEPS, Lipschitz, ModelSpec, PathSample, car1, simulate_yn
 from .estimators import clt_statistic, localized_autocov, localized_mean
 from .expressions import ExprFunc, ExprMatrix, ExprVector
 from .experiments import (
@@ -254,8 +254,7 @@ def _built(path: str, build, *args, **kwargs):
 def _build_model(section: dict):
     """The model of a checked ``model`` section."""
     if section["kind"] == "car1":
-        return Car1Spec(a=ExprFunc(section["a"]), lipschitz_a=float(section["lipschitz"]),
-                        infimum_a=float(section["infimum"]))
+        return car1(ExprFunc(section["a"]), float(section["lipschitz"]), float(section["infimum"]))
     lip = section["lipschitz"]
     return ModelSpec(
         p=section["p"],

@@ -12,8 +12,8 @@ is one draw of the noise eta_k of each record segment from its law
 (:class:`SegmentLaw`): one sampler, :func:`draw_segment_noise`, draws the
 driver, one map, :func:`_driver_law`, turns a triplet into a law, and one
 affine prefix scan (:func:`affine_states`) runs the recursion. Every model
-runs as a state space model (a :class:`Car1Spec` as its 1x1
-``to_state_space()`` view).
+is a :class:`ModelSpec`; a scalar CAR(1) model is its 1x1 case
+(:func:`car1`).
 
 :func:`_segment_stacks` builds the segment data of the continuous model,
 D_k = Phi(b, a), the drift int_a^b Phi(b, s) C(s) ds, the covariance
@@ -47,13 +47,12 @@ from .noise import JumpSpec, LevyTriplet
 __all__ = [
     "Lipschitz",
     "ModelSpec",
-    "Car1Spec",
+    "car1",
     "PathSample",
     "transition_matrix",
     "transition_seminorm_check",
     "simulate_yn",
     "validate_model",
-    "validate_car1",
     "Plan",
     "build_plan",
     "coefficient_values",
@@ -115,47 +114,19 @@ class ModelSpec:
         if self.stability_margin <= 0:
             raise ValueError("stability margin must be positive")
 
-    def to_state_space(self) -> "ModelSpec":
-        return self
+
+def _unit(t):
+    return np.ones(np.shape(t) + (1,))
 
 
-@dataclass(frozen=True)
-class Car1Spec:
-    """Scalar mean-reversion model dY = -a(t) Y dt + L(dt) with a(t) > 0."""
-
-    a: Callable
-    lipschitz_a: float
-    infimum_a: float
-    model_id: str = "car1"
-
-    def __post_init__(self):
-        if self.infimum_a <= 0:
-            raise ValueError("infimum of a must be positive")
-
-    @property
-    def stability_margin(self) -> float:
-        return self.infimum_a
-
-    @property
-    def p(self) -> int:
-        return 1
-
-    def to_state_space(self) -> ModelSpec:
-        a = self.a
-
-        def unit(t):
-            return np.ones(np.shape(t) + (1,))
-
-        return ModelSpec(
-            p=1,
-            A=lambda t: -np.asarray(a(t), dtype=float)[..., None, None],
-            B=unit,
-            C=unit,
-            lipschitz=Lipschitz(L_A=self.lipschitz_a),
-            commuting=True,
-            stability_margin=self.infimum_a,
-            model_id=self.model_id,
-        )
+def car1(a: Callable, lipschitz: float, infimum: float, model_id: str = "car1") -> ModelSpec:
+    """Scalar mean reversion dY = -a(t) Y dt + L(dt) with a(t) >= infimum > 0:
+    the 1x1 model A = -a, B = C = 1."""
+    if infimum <= 0:
+        raise ValueError("infimum of a must be positive")
+    return ModelSpec(p=1, A=lambda t: -np.asarray(a(t), dtype=float)[..., None, None], B=_unit,
+                     C=_unit, lipschitz=Lipschitz(L_A=lipschitz), commuting=True,
+                     stability_margin=infimum, model_id=model_id)
 
 
 @dataclass
@@ -232,21 +203,6 @@ def validate_model(
         detail={"worst_real_part": float(tops.max()) if n_samples else -np.inf,
                 "n_samples": n_samples},
     )
-
-
-def validate_car1(
-    spec: Car1Spec, t_range=(-5.0, 5.0), n_grid: int = 1000, rng=None
-) -> ModelValidation:
-    rng = rng if rng is not None else np.random.default_rng(0)
-    lo, hi = t_range
-    grid = np.linspace(lo, hi, n_grid)
-    vals = np.asarray(spec.a(grid), dtype=float)
-    margin_ok = bool(np.all(vals >= spec.infimum_a - 1e-12))
-    ts = rng.uniform(lo, hi, size=200)
-    ss = rng.uniform(lo, hi, size=200)
-    diffs = np.abs(np.asarray(spec.a(ts)) - np.asarray(spec.a(ss)))
-    lipschitz_ok = bool(np.all(diffs <= spec.lipschitz_a * np.abs(ts - ss) + 1e-9))
-    return ModelValidation(True, margin_ok, lipschitz_ok, detail={"min_a": float(vals.min())})
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +345,7 @@ def transition_seminorm_check(
 class Plan:
     """Fine-grid layout of one run at one N, in rescaled time s = N t."""
 
-    spec: ModelSpec  # the state-space view of the model
+    spec: ModelSpec
     N: int
     h: float
     start: float  # rescaled time of the first fine node
@@ -409,17 +365,14 @@ class Plan:
         return list(zip(bounds[:-1], bounds[1:]))
 
 
-def build_plan(spec, N: int, rescaled, h: float, burn_in: float) -> Plan:
+def build_plan(spec: ModelSpec, N: int, rescaled, h: float, burn_in: float) -> Plan:
     """Plan of a run recording at the nodes ``rescaled``, given directly in
     rescaled time s = N t (no lossy round trip through original time).
 
     Checks that the nodes increase, that the step is finite, positive and
     divides every gap between them, that the burn-in is finite and at least
     8 / stability margin, and that the run is at most ``_MAX_STEPS`` steps.
-    ``spec`` is a :class:`ModelSpec` or anything with a ``to_state_space()``
-    view, such as :class:`Car1Spec`.
     """
-    spec = spec.to_state_space()
     rescaled = np.asarray(rescaled, dtype=float)
     if rescaled.size == 0:
         raise ValueError("need at least one evaluation time")

@@ -13,8 +13,8 @@ Four experiment families:
   lipschitz_u   smoothness of the frozen family in the localization point,
                 fitted on coupled simulations over a |u - v| ladder
 
-Every campaign takes scalar and state space models alike: the simulator
-runs the state space view of the model, whatever its dimension p. The lln
+Every campaign takes one model type, ``dynamics.ModelSpec``, whatever its
+dimension p (a scalar model is its 1x1 case, ``dynamics.car1``). The lln
 and clt campaigns need Y_N only at the observation nodes, and draw the
 noise of each record segment in one exact draw (see ``dynamics.SegmentLaw``)
 from a plan and segment law built once per N. A lagged product is quadratic
@@ -52,7 +52,6 @@ import numpy as np
 from . import linalg, special, stationary as stat
 from .dynamics import (
     _MAX_STEPS,
-    Car1Spec,
     _draw_increments_rows,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     _driver_law,
     _plan_sums,
@@ -66,7 +65,6 @@ from .dynamics import (
     run_scalar_plan,  # noqa: F401  unused here; perfbench/spans.py traces it by this name
     run_segment_law,
     segment_states,
-    validate_car1,
     validate_model,
 )
 from .estimators import _nearest, localized_sum, localized_weights
@@ -296,11 +294,7 @@ def _fork_batch(fn, payload, batch, inherited: list) -> tuple[int, int]:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if not config.validate_inputs:
-        return
-    model = config.model
-    report = validate_car1(model) if isinstance(model, Car1Spec) else validate_model(model)
-    if not report.passed:
+    if config.validate_inputs and not (report := validate_model(config.model)).passed:
         raise ValueError(f"model fails its declared invariants: {report}")
 
 
@@ -322,7 +316,7 @@ def _loglog_fit(x, dists, rows, slope_ok) -> tuple[float | None, float | None, b
 # coupling
 
 
-def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_in: float):
+def _coupling_law(spec, triplet: LevyTriplet, u: float, N_list, h: float, burn_in: float):
     """Joint segment law of (x_{N_1}, ..., x_{N_K}, x~) at u, the rows b_k
     with D_k = b_k' x = B(u)'(x_{N_k} - x~), and the exact E D_k^2 under
     ``triplet``.
@@ -338,7 +332,6 @@ def _coupling_law(model, triplet: LevyTriplet, u: float, N_list, h: float, burn_
     ``_joint_frozen``, where the factor of the singular joint covariance
     would leave rounding noise in D_k.
     """
-    spec = model.to_state_space()
     fr = stat.freeze(spec, u)
     p, K = spec.p, len(N_list)
     P, blocks = (K + 1) * p, [slice(k * p, (k + 1) * p) for k in range(K + 1)]
@@ -836,7 +829,8 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
     for j, eps in enumerate(config.ladder):
         u1, u2 = config.u - eps / 2.0, config.u + eps / 2.0
         if u1 <= 0:
-            raise ValueError(f"ladder separation {eps} leaves positive time at u={config.u}")
+            raise ValueError(f"ladder separation {eps} at u = {config.u} reaches nonpositive "
+                             f"time: u - separation / 2 = {u1:g}")
         fr = _joint_frozen(config.model, config.triplet, u1, u2)
         spacing = 4.0 / fr.margin
         gaps = np.full(config.time_points - 1, spacing)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .dynamics import Car1Spec, Lipschitz, ModelSpec
+from .dynamics import Lipschitz, ModelSpec, car1
 from .expressions import ExprFunc
 
 __all__ = [
@@ -15,29 +15,29 @@ __all__ = [
 ]
 
 
-def ou(a: float = 1.0) -> Car1Spec:
+def ou(a: float = 1.0) -> ModelSpec:
     """Constant-coefficient mean reversion (the time-invariant special case)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    return Car1Spec(a=ExprFunc(repr(float(a))), lipschitz_a=0.0, infimum_a=a, model_id=f"ou_a{a:g}")
+    return car1(ExprFunc(repr(float(a))), 0.0, a, model_id=f"ou_a{a:g}")
 
 
-def tvcar_sin() -> Car1Spec:
+def tvcar_sin() -> ModelSpec:
     """a(t) = 2 + sin t: the standard smooth time-varying example."""
-    return Car1Spec(a=ExprFunc("2 + sin(t)"), lipschitz_a=1.0, infimum_a=1.0, model_id="tvcar_sin")
+    return car1(ExprFunc("2 + sin(t)"), 1.0, 1.0, model_id="tvcar_sin")
 
 
 def _step_a(t):
     return np.where(np.asarray(t, dtype=float) >= 1.0, 3.0, 2.0)
 
 
-def tvcar_step() -> Car1Spec:
+def tvcar_step() -> ModelSpec:
     """Discontinuous coefficient; violates the Lipschitz requirement.
 
     Negative-control model: the frozen approximation at the jump point does
     not improve with N.
     """
-    return Car1Spec(a=_step_a, lipschitz_a=1.0, infimum_a=2.0, model_id="tvcar_step")
+    return car1(_step_a, 1.0, 2.0, model_id="tvcar_step")
 
 
 def _diag2_A(t):

@@ -9,13 +9,15 @@ reduces to an exponent inequality that can be checked exactly:
     O2:  delta_N = d N^{-alpha},      alpha < 1  (N delta_N -> infinity)
 
 ``make_scheme`` validates a single N (window inside positive time, at least
-m_N = 2 grid steps per side); the exponent-level checks live in
-``clt_admissible`` and ``chain_satisfies_observation_limits``.
+m_N = 2 and at most ``_MAX_STEPS`` grid steps per side); the exponent-level
+checks live in ``clt_admissible`` and ``chain_satisfies_observation_limits``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dynamics import _MAX_STEPS
 
 __all__ = [
     "BandwidthRule",
@@ -90,9 +92,10 @@ class ObservationScheme:
 def make_scheme(u: float, N: int, bandwidth_rule: BandwidthRule, step_rule) -> ObservationScheme:
     """Materialize the observation grid for one N.
 
-    Rejects windows reaching nonpositive time (b_N >= u) and windows holding
+    Rejects windows reaching nonpositive time (b_N >= u), windows holding
     fewer than two grid steps per side (the localization needs b_N / delta_N
-    to grow, and m_N < 2 means it has no room at this N).
+    to grow, and m_N < 2 means it has no room at this N) and windows holding
+    more than ``_MAX_STEPS``, whose grid would not fit in memory.
     """
     if u <= 0:
         raise ValueError("localization point u must be positive")
@@ -102,7 +105,11 @@ def make_scheme(u: float, N: int, bandwidth_rule: BandwidthRule, step_rule) -> O
     delta_N = step_rule.at(N)
     if b_N >= u:
         raise ValueError(f"bandwidth b_N = {b_N} must stay below u = {u}")
-    m_N = int(np.floor(b_N / delta_N))
+    ratio = b_N / delta_N if delta_N > 0 else np.inf
+    if ratio >= _MAX_STEPS + 1:
+        raise ValueError(f"m_N = floor(b_N / delta_N) = {ratio:.3g} at N = {N} is more than "
+                         f"{_MAX_STEPS} observations per side of the window")
+    m_N = int(np.floor(ratio))
     if m_N < 2:
         raise ValueError(
             f"m_N = floor(b_N / delta_N) = {m_N} < 2 at N = {N}; "

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import (
-    _COND_MAX, JumpWeights, PathSample, SegmentLaw, StepLaw, _driver_law,
+    _COND_MAX, _MAX_STEPS, JumpWeights, PathSample, SegmentLaw, StepLaw, _driver_law,
     _gramian, draw_segment_noise, eigenbasis, run_segment_law,
 )
 from .noise import LevyTriplet, triplet_moments
@@ -91,11 +91,9 @@ class FrozenSystem:
 
 
 def freeze(spec, u: float) -> FrozenSystem:
-    """Freeze the coefficients of the state space view of ``spec`` at u;
-    rejects an unstable A(u)."""
+    """Freeze the coefficients of ``spec`` at u; rejects an unstable A(u)."""
     if isinstance(spec, FrozenSystem):
         return spec
-    spec = spec.to_state_space()
     A = np.asarray(spec.A(u), dtype=float)
     top = float(np.max(np.real(np.linalg.eigvals(A))))
     if top >= 0:
@@ -331,12 +329,20 @@ def _require_centered(triplet: LevyTriplet) -> None:
 
 
 def _geometric_tail_terms(variance: float, margin: float, delta: float) -> int:
-    """Smallest K with variance * exp(-margin (K+1) delta) / (1 - exp(-margin delta)) < 1e-12."""
-    q = np.exp(-margin * delta)
-    if q >= 1.0:
+    """Smallest K with variance * exp(-margin (K+1) delta) / (1 - exp(-margin delta)) < 1e-12;
+    a K past ``_MAX_STEPS`` raises ValueError naming delta. The bound is checked
+    in log space: exp(-margin delta) rounds to 1 below a rate of 1.1e-16."""
+    rate = margin * delta
+    if not rate > 0:
         raise ValueError("nonpositive decay rate")
     if variance <= 0:
         return 1
+    with np.errstate(over="ignore"):  # inf terms at a subnormal rate
+        terms = (np.log(variance / 1e-12) - np.log(-np.expm1(-rate))) / rate - 1.0
+    if terms > _MAX_STEPS:
+        raise ValueError(f"the lag series at delta = {delta:g} needs {terms:.3g} terms, "
+                         f"more than {_MAX_STEPS}")
+    q = np.exp(-rate)
     threshold = 1e-12 * (1.0 - q) / variance
     if threshold >= q:
         return 1

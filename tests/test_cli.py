@@ -124,6 +124,16 @@ def test_configs_that_ended_in_a_traceback_exit_with_a_message(
     assert key in capsys.readouterr().err
 
 
+def test_ladder_reaching_nonpositive_time_exits_3_saying_so(tmp_path, capsys):
+    # the message said the ladder "leaves positive time" where u - eps / 2 <= 0
+    cfg = write_config(tmp_path, {"experiment": {
+        "kind": "lipschitz_u", "N_list": [1], "replications": 64, "ladder": [5.0]}})
+    assert main(["lipschitz", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "semantic error: ladder separation 5.0 at u = 1.0 reaches nonpositive time: "
+        "u - separation / 2 = -1.5\n")
+
+
 @pytest.mark.parametrize("section, key", [
     ("scheme", "u"), ("scheme", "Delta"), ("scheme", "b"), ("scheme", "beta"),
     ("experiment", "rmse_tol"),
@@ -209,6 +219,27 @@ STATESPACE = {"kind": "statespace", "p": 2, "A_entries": [["-1", "0"], ["0", "-2
 ATOMS = {"gamma": 0.0, "sigma2": 1.0,
          "jumps": {"rate": 1.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}}
 TIMES = {**SIM, "simulate": {"times": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("simulate", TIMES),
+    ("lln", {"experiment": {"kind": "lln_discrete", "N_list": [16, 64], "replications": 100}}),
+    ("coupling", {"experiment": {"kind": "coupling", "N_list": [16, 64], "replications": 100}}),
+])
+def test_car1_and_its_1x1_statespace_write_the_same_bytes(tmp_path, subcommand, extra):
+    # a car1 model is the 1x1 model A = -a, B = C = 1: the same exit code and
+    # the same output files, with a jump driver
+    scalar = {"kind": "statespace", "p": 1, "A_entries": [["-(2 + sin(t))"]], "B": ["1"],
+              "C": ["1"], "commuting": True, "stability_margin": 1.0,
+              "lipschitz": {"A": 1.0, "B": 0.0, "C": 0.0}}
+    runs = []
+    for name, model in (("car1", BASE["model"]), ("statespace", scalar)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, {**extra, "model": model, "triplet": ATOMS}, f"{name}.json")
+        code = main([subcommand, "--config", cfg, "--out", str(out), "--seed", "3"])
+        runs.append((code, {f.name: f.read_bytes() for f in out.iterdir()}))
+    assert runs[0][0] in (0, 1) and runs[0][1]
+    assert runs[0] == runs[1]
 
 
 def _set(cfg: dict, path: tuple, value) -> dict:

@@ -333,3 +333,33 @@ def test_huge_sizes_exit_naming_their_key():
     messages = stderr.split("--- ")
     for key, code, message in zip(keys, codes, messages):
         assert code in (2, 3) and f"experiment.{key}" in message, (key, code, message)
+
+
+def test_tiny_sizes_exit_naming_what_they_bound():
+    # an observation spacing or a lag-series spacing of 1e-9 sized its array
+    # by the count it implies (m_N = 4e9 at N = 64, 1.6e10 lags) and ended in
+    # numpy's allocation traceback; at 1e-17 exp(-margin delta) rounds to 1,
+    # and at 5e-324 delta_N is 0 (a ZeroDivisionError) and the rate subnormal
+    base = {
+        "model": {"kind": "car1", "a": "2 + sin(t)", "lipschitz": 1.0, "infimum": 1.0},
+        "triplet": {"gamma": 0.0, "sigma2": 1.0},
+        "scheme": {"u": 1.0, "b": 0.5, "beta": 0.55, "scheme": "O1", "Delta": 1e-9},
+        "simulation": {"fine_step": 0.125, "burn_in": 8.0},
+    }
+    o2 = {"u": 1.0, "b": 0.5, "beta": 0.4, "scheme": "O2", "d": 1e-9, "alpha": 0.5}
+    lln = {"kind": "lln_discrete", "N_list": [64], "replications": 100}
+    cases = [
+        ("m_N", "clt", {**base, "experiment": {"kind": "clt_mean", "N_list": [64],
+                                               "replications": 1000}}),
+        ("m_N", "lln", {**base, "experiment": lln}),
+        ("m_N", "lln", {**base, "scheme": {**base["scheme"], "Delta": 5e-324}, "experiment": lln}),
+        ("m_N", "lln", {**base, "scheme": o2, "experiment": lln}),
+        ("delta", "moments", {**base, "moments": {"u": 1.0, "delta": 1e-9}}),
+        ("delta", "moments", {**base, "moments": {"u": 1.0, "delta": 1e-17}}),
+        ("delta", "moments", {**base, "moments": {"u": 1.0, "delta": 5e-324}}),
+    ]
+    codes, stderr = _run_in_child([case[1:] for case in cases], timeout=120,
+                                  address_space=2 << 30)
+    messages = stderr.split("--- ")
+    for (bound, _, _), code, message in zip(cases, codes, messages):
+        assert code == 3 and bound in message and "more than 4194304" in message, message

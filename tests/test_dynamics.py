@@ -26,7 +26,6 @@ from locstat.dynamics import (
     simulate_yn,
     transition_matrix,
     transition_seminorm_check,
-    validate_car1,
     validate_model,
     _draw_increments_rows,
 )
@@ -42,7 +41,7 @@ METHODS = ["commuting_exp", "peano_baker", "ode_rk4"]
 
 @pytest.mark.parametrize("method", METHODS)
 def test_constant_coefficient_is_plain_exponential(method):
-    spec = models.ou(2.0).to_state_space()
+    spec = models.ou(2.0)
     psi = transition_matrix(spec, 1.0, 0.0, method=method)
     assert psi[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-9)
 
@@ -108,7 +107,7 @@ def test_rejects_bad_arguments():
 
 
 def test_peano_baker_nonconvergence_reported():
-    spec = models.ou(2.0).to_state_space()
+    spec = models.ou(2.0)
     with pytest.raises(PeanoBakerNonConvergence):
         transition_matrix(spec, 4.0, 0.0, method="peano_baker", order=6)
 
@@ -136,7 +135,7 @@ def test_cumulative_simpson_matches_scipy_on_the_peano_baker_nodes(t0, t1):
 
 
 def test_seminorm_constant_scalar():
-    rep = transition_seminorm_check(models.ou(1.3).to_state_space())
+    rep = transition_seminorm_check(models.ou(1.3))
     assert abs(rep.lambda_hat - 1.3) < 1e-6
     assert rep.ok
 
@@ -155,7 +154,7 @@ def test_seminorm_diagonal_slowest_mode():
 
 
 def test_seminorm_tvcar_rate_at_least_infimum():
-    rep = transition_seminorm_check(models.tvcar_sin().to_state_space())
+    rep = transition_seminorm_check(models.tvcar_sin())
     assert rep.lambda_hat >= 1.0
     assert rep.ok
 
@@ -164,16 +163,17 @@ def test_seminorm_tvcar_rate_at_least_infimum():
 
 
 def test_validate_shipped_models():
-    assert validate_car1(models.tvcar_sin()).passed
+    assert validate_model(models.tvcar_sin()).passed
     assert validate_model(models.diag2()).passed
     assert validate_model(models.companion2()).passed
 
 
 def test_validate_rejects_wrong_declarations():
-    bad_margin = models.ou(0.5)
-    object.__setattr__(bad_margin, "infimum_a", 2.0)  # claims more damping than a provides
-    assert not validate_car1(bad_margin).passed
-    assert not validate_car1(models.tvcar_step()).passed  # Lipschitz violation at the jump
+    # claims more damping than a provides
+    bad_margin = validate_model(dataclasses.replace(models.ou(0.5), stability_margin=2.0))
+    assert not bad_margin.passed and not bad_margin.margin_ok
+    step = validate_model(models.tvcar_step())  # Lipschitz violation at the jump
+    assert not step.passed and not step.lipschitz_ok
 
 
 def reference_validation(spec, t_range=(-5.0, 5.0), n_samples=100, rng=None):
@@ -231,7 +231,7 @@ def _validation_cases():
     return {
         "diag2": (models.diag2(), (True, True, True)),
         "companion2": (models.companion2(), (True, True, True)),
-        "tvcar_sin": (models.tvcar_sin().to_state_space(), (True, True, True)),
+        "tvcar_sin": (models.tvcar_sin(), (True, True, True)),
         "noncommuting": (noncommuting, (True, True, True)),
         "scaled": (scaled, (True, True, True)),
         "claims_commuting": (declared(noncommuting, commuting=True), (False, True, True)),
@@ -328,18 +328,16 @@ def test_coupling_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_statespace_path_matches_scalar_path():
-    # the 1x1 state space view runs the scalar law: the same bytes, and a
-    # segment law whose decay, mean and variance are those of the continuous
-    # model over each gap [s0, s1] of rescaled time, e^{E(s0)}, int e^{E} and
-    # int e^{2E} with E(s) = -int_s^s1 a(x / 16) dx in closed form; the path
-    # is that law's draw on the same stream, scanned over the records
+def test_scalar_path_draws_its_closed_form_segment_law():
+    # a scalar model runs a segment law whose decay, mean and variance are
+    # those of the continuous model over each gap [s0, s1] of rescaled time,
+    # e^{E(s0)}, int e^{E} and int e^{2E} with E(s) = -int_s^s1 a(x / 16) dx
+    # in closed form; the path is that law's draw on the same stream, scanned
+    # over the records
     car = models.tvcar_sin()
     tri = LevyTriplet(0.3, 1.0, JumpSpec(0.5, atoms=((1.0, 0.5), (-1.0, 0.5))))
     times = np.array([0.5, 1.0])
     a = simulate_yn(car, tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
-    b = simulate_yn(car.to_state_space(), tri, 16, times, 0.01, 8.0, stream(2, "ss", 0))
-    assert np.array_equal(a.values, b.values)
     plan = build_plan(car, 16, 16 * times, 0.01, 8.0)
     law = build_segment_law(plan, tri)
     for k, (s0, s1) in enumerate([(0.0, 8.0), (8.0, 16.0)]):
@@ -467,7 +465,7 @@ def test_stiff_model_simulate_does_not_depend_on_the_fine_step():
 
 def test_shipped_coefficients_take_arrays_of_times():
     t = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
-    for spec in (models.diag2(), models.companion2(), models.tvcar_sin().to_state_space()):
+    for spec in (models.diag2(), models.companion2(), models.tvcar_sin()):
         p = spec.p
         for name, tail in (("A", (p, p)), ("B", (p,)), ("C", (p,))):
             fn = getattr(spec, name)
@@ -644,7 +642,7 @@ def _fine_paths(plan, tri, purpose, n_reps):
 
 def test_segment_law_structure():
     plan = _law_plan(models.tvcar_sin())
-    a = (models.tvcar_sin().a((plan.start + (np.arange(plan.n_steps) + c) * LAW_H) / 64)
+    a = (-models.tvcar_sin().A((plan.start + (np.arange(plan.n_steps) + c) * LAW_H) / 64)[:, 0, 0]
          for c in GAUSS)
     phi = np.exp(-0.5 * LAW_H * sum(a))
     # fine-step bounds of the record segments; the first segment is the burn-in

@@ -5,7 +5,8 @@ from scipy import integrate
 from locstat import models
 from locstat import stationary as st
 from locstat.dynamics import (
-    JumpWeights, Lipschitz, ModelSpec, StepLaw, covariance_factor, draw_segment_noise, segment_states,
+    JumpWeights, Lipschitz, ModelSpec, StepLaw, car1, covariance_factor, draw_segment_noise,
+    segment_states,
 )
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 from locstat.rng import stream
@@ -57,8 +58,7 @@ def test_autocov_examples():
 
 
 def test_unstable_system_rejected():
-    growing = models.ou(1.0)
-    object.__setattr__(growing, "a", lambda t: -0.5 + 0.0 * np.asarray(t))
+    growing = car1(lambda t: -0.5 + 0.0 * np.asarray(t), 0.0, 1.0)  # declares infimum 1
     with pytest.raises(ValueError):
         st.freeze(growing, 1.0)
 
