@@ -31,8 +31,9 @@ at a time.
 
 The fine step keeps its checks (it must divide every gap, a run has at most
 ``_MAX_STEPS`` steps) for every model. The frozen process of ``stationary``
-takes :class:`StepLaw`, the exact law of a step of one constant A, and the
-same table, one row per step.
+takes :class:`StepLaw`, the exact law of the steps of one constant system
+(A, C) on the basis of :func:`trusted_eigenbasis` (which ``stationary``
+reads too) or by expm, and the same table, one row per step.
 """
 
 import functools
@@ -57,6 +58,7 @@ __all__ = [
     "build_plan",
     "coefficient_values",
     "eigenbasis",
+    "trusted_eigenbasis",
     "StepLaw",
     "JumpWeights",
     "affine_states",
@@ -679,14 +681,16 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
     and a jump at x has weight e^{E(x)} o C(x) (:class:`JumpWeights`).
 
     Where E falls below -``_UNDERFLOW`` (min -lambda > 0 at the first cut's
-    nodes), e^E is 0 in floating point: that head of the gap adds to E(a)
-    alone, integrated on panels of the first cut's length, and no jump there
-    reaches the record, so the segment's jumps fall on its live part (the
-    span returned). The live part is cut into n equal panels (:func:`_panel_counts`), no longer than
-    ``_PANEL_TIME`` in original time (A and C are then close to polynomials
-    of degree 20 on each) and than ``_PANEL_DECAY`` / max |lambda| (the
-    exponent of an integrand then moves by at most 2 ``_PANEL_DECAY`` across
-    one). Each panel takes the G10K21 rule of ``stationary._gauss_kronrod``,
+    nodes), e^E is 0 in floating point, and so are y and the weight of a
+    jump: that head of the gap adds exact zeros to the drift and the
+    covariance, no jump there reaches the record (the segment's jumps fall
+    on its live part, the span returned), and D = diag(e^{E(a)}) is 0, as
+    E(a) lies below E at the start of the live part; A is not read on the
+    head. The live part is cut into n equal panels (:func:`_panel_counts`),
+    no longer than ``_PANEL_TIME`` in original time (A and C are then close
+    to polynomials of degree 20 on each) and than ``_PANEL_DECAY`` / max
+    |lambda| (the exponent of an integrand then moves by at most 2
+    ``_PANEL_DECAY`` across one). Each panel takes the G10K21 rule of ``stationary._gauss_kronrod``,
     and E the exact integral of the Chebyshev interpolant of lambda at its 21
     nodes (:func:`_panel_sums`); a live part cut as the first cut takes its
     node values of A. Panels run in blocks of about ``_GAP_ENTRIES`` node
@@ -698,16 +702,7 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
     n0, first, rho, kappa, _ = cut
     live = np.where(kappa > 0, np.minimum(L, _UNDERFLOW / kappa), L)
     head = L - live
-    total, drift, X = np.zeros((g, p)), np.empty((g, p)), np.empty((g, p, p))
-    n_head = np.ceil(head / (N * _PANEL_TIME)).astype(np.int64)
-    for n in linalg.unique(n_head[n_head > 0]):
-        sub = np.flatnonzero(n_head == n)
-        for q0, q1 in _panel_blocks(n, sub.size, p):
-            w = _diagonal(_panel_values(spec, N, "A", lo[sub], head[sub], n, q0, q1))
-            if w is None:
-                return None
-            dl = _nodes_last(w) @ _panel_rule()[1]  # per unit half-width
-            total[sub] += (0.5 * head[sub] / n)[:, None] * dl.sum(axis=1)
+    total, drift, X = np.empty((g, p)), np.empty((g, p)), np.empty((g, p, p))
     counts = _panel_counts(live, N, rho, lambda: (rho.max(), kappa.min()))
     vals, laws = [], []
     for n in linalg.unique(counts):
@@ -728,12 +723,13 @@ def _gap_sums(spec: ModelSpec, N: float, lo: np.ndarray, L: float, segs: np.ndar
             coefs.insert(0, coef)
             if values:
                 vals.append((A, C))
-        total[sub] += E
+        total[sub] = E
         drift[sub], X[sub] = d, G
         laws.append((segs[sub], coefs))
     if weights is not None:
         for sub, coefs in laws:
             weights.put(sub, [(coef, None, None) for coef in coefs])
+    total[head > 0] = -np.inf
     return np.eye(p) * np.exp(total)[:, None, :], drift, X, live, vals
 
 
@@ -835,10 +831,11 @@ class JumpWeights:
     * a panel of a node-propagator law (:func:`_propagator_sums`), every
       other A: E = 0 and g the interpolant of Phi(b, x) C(x), on the basis
       of the carry from the panel's end b to its record;
-    * a frozen step of exponent M = V diag(w) V^-1 (:class:`StepLaw`):
-      E = w (1 - t) / 2 and g = V^-1 C on the basis V, none on the identity
-      basis, so the weight is e^{M (1 - t) / 2} C;
-    * a frozen step with no trusted basis: expm(M (1 - t) / 2) C per jump.
+    * a frozen step of length h of a system A = V diag(w) V^-1
+      (:class:`StepLaw`): E = w h (1 - t) / 2 and g = V^-1 C on the basis
+      V, none on the identity basis, so the weight is e^{A h (1 - t) / 2} C;
+    * a frozen step of an A with no trusted basis
+      (:func:`trusted_eigenbasis`): expm(A h (1 - t) / 2) C per jump.
 
     Segments with no rows have ``count`` 0. The table is laid out on first
     use as (2p, degree, rows), one block per column of E and g, and
@@ -874,16 +871,17 @@ class JumpWeights:
             q0 += coef.shape[2]
 
     def put_steps(self, segs: np.ndarray, law: "StepLaw") -> None:
-        """One row for each frozen step of ``law`` (leading shape (g,)), the
-        segments ``segs``: on the shared basis of its steps, or, with none,
-        expm per jump."""
-        p = law.M.shape[-1]
-        if law.shared is None:
+        """One row for each frozen step of ``law``, the segments ``segs``: on
+        the eigenbasis of its A, or, with none trusted, expm per jump."""
+        p = law.A.shape[-1]
+        if law.basis is None:
             coef = np.zeros((2, segs.size, 1, 2 * p))
-            self.put(segs, [(coef, np.eye(p)[None], (np.ones(segs.size, dtype=bool), law.M, law.C))])
+            C = np.broadcast_to(law.C, (segs.size, p))
+            self.put(segs, [(coef, np.eye(p)[None], (np.ones(segs.size, dtype=bool), law.M, C))])
             return
-        w, V, Vinv, _ = law.shared
-        g = law.C if V is None else (Vinv @ law.C[..., None])[..., 0]
+        w, V, Vinv, _ = law.basis
+        w = law.h[:, None] * w  # of the exponents A h
+        g = law.C if V is None else Vinv @ law.C
         coef = np.zeros((2, segs.size, 1, 2 * p), dtype=np.result_type(w, g))
         coef[0, :, 0, :p] = 0.5 * w
         coef[1, :, 0, :p] = -0.5 * w
@@ -1153,11 +1151,9 @@ _GAP_ENTRIES = 16384
 _MAGNUS_STEP = 0.25
 # e^-x is 0 in floating point for x above 745.2
 _UNDERFLOW = 760.0
-# eigenbasis condition number above which a matrix exponential is computed by
-# expm instead of from the eigendecomposition (here and in stationary)
+# the bounds of trusted_eigenbasis on the condition estimate of a basis V and
+# on ||V^-1 A V - diag(w)||_F relative to ||A||_F
 _COND_MAX = 1e8
-# off-diagonal part of V^-1 M V, relative to M, up to which a matrix shares the
-# eigenbasis V of its stack's reference matrix (_shared_basis)
 _RESIDUAL_MAX = 1e-12
 _TINY = np.finfo(float).tiny
 
@@ -1166,8 +1162,8 @@ def eigenbasis(M: np.ndarray):
     """Eigendecomposition ``(w, V, V^-1, est)`` of M, shape (..., p, p).
 
     ``est`` = ||V||_F ||V^-1||_F estimates the condition number of V: it lies
-    between cond_2(V) and p cond_2(V), and needs no SVD. Callers trust the
-    basis where ``est <= _COND_MAX`` and take expm elsewhere. A NaN estimate
+    between cond_2(V) and p cond_2(V), and needs no SVD
+    (:func:`trusted_eigenbasis` bounds it). A NaN estimate
     is ``inf``, and so is every matrix of a batch in which some V is exactly
     singular (``inv`` raises).
     """
@@ -1217,96 +1213,89 @@ def _phi(x, e=None):
     return out
 
 
-def _shared_basis(M: np.ndarray):
-    """(w, V, V^-1, est): the eigenvalues w (..., p) of every matrix of the
-    stack M (..., p, p) on one eigenbasis V (p, p), with its condition
-    estimate, or None when they share none. For a diagonal stack (every
-    p = 1 stack, and every stack with no matrices) the basis is the
-    identity, V = V^-1 = None and w = diag(M): no eigendecomposition and no
-    residual test. Otherwise V and V^-1 are those of the first matrix, and
-    each matrix takes w = diag(V^-1 M V), provided the basis is trusted and
-    ||V^-1 M V - diag(w)||_F is at most ``_RESIDUAL_MAX`` ||M||_F."""
-    w = _diagonal(M)
-    if w is not None:
-        return w, None, None, 1.0
-    p = M.shape[-1]
-    _, V, Vinv, est = eigenbasis(M.reshape(-1, p, p)[0])
-    if est > _COND_MAX:
-        return None
-    R = Vinv @ M @ V
-    w = np.diagonal(R, axis1=-2, axis2=-1).copy()
-    R[..., np.arange(p), np.arange(p)] = 0.0
-    if np.any(np.linalg.norm(R, axis=(-2, -1)) > _RESIDUAL_MAX * np.linalg.norm(M, axis=(-2, -1))):
+def trusted_eigenbasis(A: np.ndarray):
+    """``(w, V, V^-1, est)`` of :func:`eigenbasis` for one matrix A (p, p),
+    or None where ``est > _COND_MAX`` or ||V^-1 A V - diag(w)||_F >
+    ``_RESIDUAL_MAX`` ||A||_F: the one rule by which :class:`StepLaw` and
+    ``stationary`` take e^{As} = V diag(e^{ws}) V^-1, not expm. A
+    near-defective A can pass the first bound and lose digits on its basis
+    (Moler & Van Loan 2003, "Nineteen dubious ways...", SIAM Rev. 45)."""
+    w, V, Vinv, est = eigenbasis(A)
+    residual = np.linalg.norm(Vinv @ A @ V - np.diag(w))
+    if est > _COND_MAX or residual > _RESIDUAL_MAX * np.linalg.norm(A):
         return None
     return w, V, Vinv, est
 
 
 class StepLaw:
-    """Exact law of steps x <- e^M x + int_0^h e^{M(h-r)/h} C L(dr) of one
-    constant A, M = A h, the steps of the frozen process (Brockwell 2001,
-    "Levy-driven CARMA processes", AISM 53). Drift weight d =
-    int_0^h e^{Mr/h} dr C, covariance G = int_0^h e^{Mr/h} CC' e^{M'r/h} dr,
-    jump weight e^{M(h-r)/h} C at offset r (:class:`JumpWeights`); all
-    entrywise for p = 1. The steps, multiples of one A, share the eigenbasis
-    M = V diag(w) V^-1 of the first (:func:`_shared_basis`; V = I for a
-    diagonal A): e^M = V diag(e^w) V^-1 and, with g = V^-1 C and phi(x) =
-    expm1(x) / x, d = h V (phi(w) g) and G = h V [g g^* o phi(w_i + conj w_k)]
-    V^*. The terms g g^* grow like cond(V)^2 |C|^2 and cancel down to G, so d
-    and G take that form only where the estimate of cond(V) is at most
-    sqrt(``_COND_MAX``); otherwise d = h M^-1 (e^M - I) C and
-    G = h (S - e^M S e^M'), S the Gramian of (M, C), which unlike a block
-    exponential does not cancel on long steps. Where the basis is not trusted
-    (a near-defective A), e^M comes from expm. ``M`` is (..., p, p), ``C``
-    broadcasts to (..., p) and ``h`` to their leading shape.
+    """Exact law of steps x <- e^{Ah} x + int_0^h e^{A(h-r)} C L(dr) of one
+    constant system, A (p, p) and C (p,), of lengths h (n,): the steps of the
+    frozen process (Brockwell 2001, "Levy-driven CARMA processes", AISM 53).
+    Drift weight d = int_0^h e^{Ar} dr C, covariance G = int_0^h e^{Ar} CC'
+    e^{A'r} dr, jump weight e^{A(h-r)} C at offset r (:class:`JumpWeights`);
+    all entrywise for p = 1. On a basis A = V diag(w) V^-1 (V = I for a
+    diagonal A, else that of :func:`trusted_eigenbasis`), e^{Ah} =
+    V diag(e^{wh}) V^-1 and, with g = V^-1 C and phi(x) = expm1(x) / x,
+    d = h V (phi(wh) g) and G = h V [g g^* o phi((w_i + conj w_k) h)] V^*.
+    The terms g g^* grow like cond(V)^2 |C|^2 and cancel down to G, so d and
+    G take that form only where the estimate of cond(V) is at most
+    sqrt(``_COND_MAX``); otherwise d = A^-1 (e^{Ah} - I) C and G = S -
+    e^{Ah} S e^{A'h}, S the Gramian of (A, C), and with no trusted basis
+    e^{Ah} comes from expm.
     """
 
-    def __init__(self, M, C, h):
+    def __init__(self, A, C, h):
+        self.A = np.asarray(A, dtype=float)
+        self.C = np.asarray(C, dtype=float)
         self.h = np.asarray(h, dtype=float)
-        self.M = np.asarray(M, dtype=float)
-        self.C = np.broadcast_to(C, self.M.shape[:-1])
+        self.M = self.A * self.h[:, None, None]  # the exponents A h, (n, p, p)
 
     @functools.cached_property
-    def shared(self):
-        """(w, V, V^-1, est) with the eigenbasis V (p, p) of the first step
-        when every step shares it, else None (:func:`_shared_basis`)."""
-        return _shared_basis(self.M)
+    def basis(self):
+        """(w, V, V^-1, est) of A from :func:`trusted_eigenbasis` (None where
+        it trusts no basis), or w = diag(A) and V = V^-1 = None for a
+        diagonal A, with no eigendecomposition."""
+        if _diagonal(self.A) is not None:
+            return np.diagonal(self.A), None, None, 1.0
+        return trusted_eigenbasis(self.A)
 
     def _eigen(self) -> tuple:
-        """w, V and V^-1 of the shared basis, V and V^-1 (I on the identity
-        basis) as views of M's shape."""
-        w, V, Vinv, _ = self.shared
+        """The eigenvalues w h (n, p) of the exponents A h, and V and V^-1 of
+        the basis (I on the identity basis) as views of the shape of A h."""
+        w, V, Vinv, _ = self.basis
         if V is None:
-            V = Vinv = np.eye(self.M.shape[-1])
-        return w, np.broadcast_to(V, self.M.shape), np.broadcast_to(Vinv, self.M.shape)
+            V = Vinv = np.eye(self.A.shape[-1])
+        shape = self.M.shape
+        return self.h[:, None] * w, np.broadcast_to(V, shape), np.broadcast_to(Vinv, shape)
 
     def _expm(self) -> np.ndarray:
-        """e^M of every step, once per distinct M."""
-        M, at = np.unique(self.M, axis=0, return_inverse=True)
-        return linalg.expm(M)[at.ravel()]
+        """e^{Ah} of every step, once per distinct h."""
+        h, at = np.unique(self.h, return_inverse=True)
+        return linalg.expm(self.A * h[:, None, None])[at.ravel()]
 
     def propagator(self) -> np.ndarray:
-        """e^M, shape (..., p, p)."""
-        if self.M.shape[-1] == 1:
-            return np.exp(self.M)
-        if self.shared is None:
+        """e^{Ah}, shape (n, p, p)."""
+        if self.basis is None:
             return self._expm()
         w, V, Vinv = self._eigen()
         return ((V * np.exp(w)[..., None, :]) @ Vinv).real
 
     def moments(self):
-        """Drift weights d (..., p) and covariances G (..., p, p)."""
-        h = self.h[..., None]
-        if self.M.shape[-1] == 1:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
+        """Drift weights d (n, p) and covariances G (n, p, p)."""
+        h = self.h[:, None]
+        C = np.broadcast_to(self.C, self.M.shape[:-1])
+        if self.A.shape[-1] == 1:  # phi(2w) = phi(w) (1 + expm1(w) / 2)
             w = self.M[..., 0]
             e = np.expm1(w)
             q = h * _phi(w, e)
-            return q * self.C, (q * (1.0 + 0.5 * e) * self.C**2)[..., None]
-        if self.shared is None or self.shared[3] > np.sqrt(_COND_MAX):
-            M, C, P = self.M, self.C[..., None], self._expm()
-            S = _gramian(M, C)
-            return h * np.linalg.solve(M, P @ C - C)[..., 0], h[..., None] * (S - P @ S @ P.swapaxes(-1, -2))
+            return q * C, (q * (1.0 + 0.5 * e) * C**2)[..., None]
+        if self.basis is None or self.basis[3] > np.sqrt(_COND_MAX):
+            P = self._expm()
+            S = _gramian(self.A[None], self.C[None, :, None])[0]
+            d = np.linalg.solve(self.A, (P @ self.C - self.C).T).T
+            return d, S - P @ S @ P.swapaxes(-1, -2)
         w, V, Vinv = self._eigen()
-        g = (Vinv @ self.C[..., None])[..., 0]
+        g = (Vinv @ C[..., None])[..., 0]
         d = (V @ (_phi(w) * g)[..., None])[..., 0].real
         X = g[..., :, None] * g.conj()[..., None, :] * _phi(w[..., :, None] + w.conj()[..., None, :])
         return h * d, h[..., None] * (V @ X @ V.conj().swapaxes(-1, -2)).real

@@ -825,12 +825,13 @@ def run_lipschitz_u(config: ExperimentConfig) -> ExperimentReport:
         if config.triplet.jumps is not None and not np.isfinite(nu4):
             raise ValueError("p_norm=4 requires a driver with finite fourth moment")
     mom = triplet_moments(config.triplet)
+    low = config.u - max(config.ladder) / 2.0
+    if low <= 0:  # checked before the campaign of any rung
+        raise ValueError(f"ladder separation {max(config.ladder)} at u = {config.u} reaches "
+                         f"nonpositive time: u - separation / 2 = {low:g}")
     rows, dists = [], []
     for j, eps in enumerate(config.ladder):
         u1, u2 = config.u - eps / 2.0, config.u + eps / 2.0
-        if u1 <= 0:
-            raise ValueError(f"ladder separation {eps} at u = {config.u} reaches nonpositive "
-                             f"time: u - separation / 2 = {u1:g}")
         fr = _joint_frozen(config.model, config.triplet, u1, u2)
         spacing = 4.0 / fr.margin
         gaps = np.full(config.time_points - 1, spacing)

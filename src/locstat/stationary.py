@@ -21,14 +21,16 @@ quadrature (:func:`_product_integrals`): QUADPACK's Gauss-Kronrod G10K21
 rule, written in numpy (:func:`_gauss_kronrod`), which evaluates the nodes
 of all its open panels as one array, and whose first round runs on a cut of
 [0, 60/margin] graded toward s = 0, where f moves fastest
-(``_GRADED_CUT``). Where A has no trusted eigenbasis,
-e^{As} comes from the package's batched ``linalg.expm``. The lagged fourth
-moments make the limit variance of the second-order statistic exact for
-every centered driver.
+(``_GRADED_CUT``). The lagged fourth moments make the limit variance of the
+second-order statistic exact for every centered driver.
+
+Every e^{As} here, in the moments and in the steps of the simulation, is
+V diag(e^{ws}) V^-1 on the eigenbasis of A where
+``dynamics.trusted_eigenbasis`` trusts it, and comes from the package's
+batched ``linalg.expm`` elsewhere: one rule for the whole frozen process.
 
 Simulation is exact in distribution: each step of the grid, and a long
-warm start before it, is one step of ``dynamics.StepLaw`` with exponent A
-times its length, the step law the simulator of ``Y_N`` uses too, one
+warm start before it, is one step of the ``dynamics.StepLaw`` of (A, C), one
 segment of a ``dynamics.SegmentLaw`` and one row of its
 ``dynamics.JumpWeights``, the table that weighs every jump of ``Y_N``. So
 the frozen process is drawn and scanned by the same sampler as ``Y_N``: a
@@ -51,8 +53,8 @@ import numpy as np
 
 from . import linalg
 from .dynamics import (
-    _COND_MAX, _MAX_STEPS, JumpWeights, PathSample, SegmentLaw, StepLaw, _driver_law,
-    _gramian, draw_segment_noise, eigenbasis, run_segment_law,
+    _MAX_STEPS, JumpWeights, PathSample, SegmentLaw, StepLaw, _driver_law, _gramian,
+    draw_segment_noise, run_segment_law, trusted_eigenbasis,
 )
 from .noise import LevyTriplet, triplet_moments
 
@@ -103,25 +105,15 @@ def freeze(spec, u: float) -> FrozenSystem:
     )
 
 
-def _eig_cache(fr: FrozenSystem):
-    """Eigen factorization when it is numerically trustworthy, else None.
-
-    Near-defective matrices (repeated roots of companion forms) make the
-    eigenvector basis ill-conditioned; callers then fall back to expm.
-    """
-    w, V, Vinv, est = eigenbasis(fr.A)
-    return (w, V, Vinv) if est <= _COND_MAX else None
-
-
 def _exp_pair(fr: FrozenSystem, left: np.ndarray, right: np.ndarray):
     """The map s -> left' e^{A s} right, vectorized over lag arrays of any shape.
 
     A is factorized once, here, so callers that evaluate at many lags pay
     for it once.
     """
-    eig = _eig_cache(fr)
+    eig = trusted_eigenbasis(fr.A)
     if eig is not None:
-        w, V, Vinv = eig
+        w, V, Vinv, _ = eig
         coeff = (left @ V) * (Vinv @ right)
         return lambda s: np.real(np.exp(np.multiply.outer(s, w)) @ coeff)
 
@@ -274,9 +266,10 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
 
     Each value is a row of the node times a column of the shift,
     f(s + shift) = (B' e^{As}) (e^{A shift} C), and the columns are computed
-    once. On a trusted eigenbasis A = V diag(w) V^-1 the row is e^{w s} and
-    the column e^{w shift} (B'V) * (V^-1 C); without one, each round takes one
-    batched expm over its nodes. A round is then one matrix product of its
+    once. On the eigenbasis A = V diag(w) V^-1 that
+    ``dynamics.trusted_eigenbasis`` trusts, the row is e^{w s} and the column
+    e^{w shift} (B'V) * (V^-1 C); without one, each round takes one batched
+    expm over its nodes. A round is then one matrix product of its
     rows and the columns.
 
     f vanishes identically (two equal halves of a joint system) when each
@@ -287,9 +280,9 @@ def _product_integrals(fr: FrozenSystem, shifts, powers=1):
     if all(abs(fr.B @ Ak @ fr.C) <= 1e-13 * (np.abs(fr.B) @ np.abs(Ak) @ np.abs(fr.C))
            for Ak in (np.linalg.matrix_power(fr.A, k) for k in range(fr.p))):
         return np.zeros(np.broadcast_shapes(shifts.shape[:-1], np.shape(powers)))
-    eig = _eig_cache(fr)
+    eig = trusted_eigenbasis(fr.A)
     if eig is not None:
-        w, V, Vinv = eig
+        w, V, Vinv, _ = eig
         left = lambda s: np.exp(np.multiply.outer(s, w))
         cols = np.exp(np.multiply.outer(shifts, w)) * ((fr.B @ V) * (Vinv @ fr.C))
     else:
@@ -527,8 +520,8 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
 
     Step k is segment k of a ``dynamics.SegmentLaw``: one step of length
     gaps[k], its span, with the drift weight and covariance of the
-    ``dynamics.StepLaw`` of exponent A gaps[k], whose steps share the
-    eigenbasis of the first one when it is trusted, and jump weight
+    ``dynamics.StepLaw`` of (A, C) at that length, on the eigenbasis of A
+    where ``dynamics.trusted_eigenbasis`` trusts it, and jump weight
     e^{A(h-r)} C at arrival offset r: one row of ``dynamics.JumpWeights``
     per step, the table that weighs the jumps of ``Y_N`` too.
     """
@@ -536,7 +529,7 @@ def _frozen_law(fr: FrozenSystem, triplet: LevyTriplet, gaps) -> SegmentLaw:
     if np.any(gaps <= 0):
         raise ValueError("grid gaps must be positive")
     all_gaps = np.concatenate([[12.0 / fr.margin], gaps])
-    law = _step_law(fr.A * all_gaps[:, None, None], fr.C, all_gaps)
+    law = _step_law(fr.A, fr.C, all_gaps)
     weights = None
     if triplet.jump_rate > 0:
         weights = JumpWeights(all_gaps.size)

@@ -37,6 +37,7 @@ def _small(name):
     ("lln_ladder", {"strictly_decreasing", "final_rmse_below_tol"}),
     ("statespace_simulate", {"statespace_window"}),
     ("noncommuting_lln", {"strictly_decreasing", "final_rmse_below_tol"}),
+    ("noncommuting_lipschitz", {"slope_window", "rows_match_target"}),
 ])
 def test_a_sweep_records_every_verdict_and_repeats_itself(name, verdicts):
     workload = _small(name)

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from locstat import experiments
 from locstat.cli import _write_csv, _write_json, main
 from locstat.dynamics import PathSample
 from locstat.estimators import localized_autocov, localized_mean
@@ -132,6 +133,21 @@ def test_ladder_reaching_nonpositive_time_exits_3_saying_so(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "semantic error: ladder separation 5.0 at u = 1.0 reaches nonpositive time: "
         "u - separation / 2 = -1.5\n")
+
+
+def test_a_bad_last_rung_exits_3_before_any_rung_runs(tmp_path, capsys, monkeypatch):
+    # the check ran at each rung, so the rungs before a bad last one ran
+    # their campaigns first
+    calls = []
+    monkeypatch.setattr(experiments, "_map_chunks", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, {"experiment": {
+        "kind": "lipschitz_u", "N_list": [1], "replications": 64,
+        "ladder": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 5.0]}})
+    assert main(["lipschitz", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "semantic error: ladder separation 5.0 at u = 1.0 reaches nonpositive time: "
+        "u - separation / 2 = -1.5\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("section, key", [

@@ -738,7 +738,7 @@ def test_step_law_moments_on_an_ill_conditioned_trusted_eigenbasis():
     assert np.sqrt(dynamics._COND_MAX) < dynamics.eigenbasis(A)[3] <= dynamics._COND_MAX
     spec = ModelSpec(2, lambda t: A, lambda t: C, lambda t: C, Lipschitz(0.0), True, 1.0, "near")
     h = np.array([1.0 / 64.0, 0.5, 2.0])
-    d, G = dynamics.StepLaw(A * h[:, None, None], C, h).moments()
+    d, G = dynamics.StepLaw(A, C, h).moments()
     for k in range(h.size):
         d_ref, G_ref = _exact_step_moments(spec, np.zeros(1), 1.0, h[k])
         assert np.abs(d[k] - d_ref[0]).max() <= 1e-12 * np.abs(d_ref).max()

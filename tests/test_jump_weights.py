@@ -145,7 +145,7 @@ def tables(draw):
             V = _basis(rng, p, False)
             A = V @ D @ np.linalg.inv(V)
         gaps = rng.choice([0.01, 0.25, 1.0, 3.0], size=g)
-        law = StepLaw(A * gaps[:, None, None], rng.standard_normal(p), gaps)
+        law = StepLaw(A, rng.standard_normal(p), gaps)
         weights.put_steps(segs, law)
     return kind, weights, segs
 

@@ -15,7 +15,6 @@ node-propagator law elsewhere; ``test_gap_law.py`` checks both against
 segment, split the segments of one length, or hold them all.
 """
 
-import copy
 from unittest import mock
 
 import numpy as np
@@ -213,19 +212,15 @@ def test_near_defective_family_takes_the_expm_fallback():
         assert np.all(dynamics.eigenbasis(A)[3] > dynamics._COND_MAX)
 
 
-def _shares_one_basis(law) -> bool:
-    """Whether the steps of the frozen step law ``law`` share one basis."""
-    return law.shared is not None
-
-
 def assert_matches_per_step_bases(law):
     """Propagators, d and G of ``law`` within 1e-13 of their scale of those
-    from each step's own eigenbasis: the laws of its steps one at a time."""
-    if law.M.shape[-1] == 1:  # entrywise, no eigenbasis
+    from each step's own eigenbasis, that of A h: the step of length 1 of
+    the system (A h, C), whose d and G are those of the step over h."""
+    if law.A.shape[-1] == 1:  # entrywise, no eigenbasis
         return
-    h = np.broadcast_to(law.h, law.M.shape[:-2])
-    steps = [dynamics.StepLaw(law.M[k:k + 1], law.C[k:k + 1], h[k:k + 1]) for k in range(len(h))]
-    refs = [np.concatenate(x) for x in zip(*((step.propagator(), *step.moments()) for step in steps))]
+    steps = [(h, dynamics.StepLaw(law.A * h, law.C, [1.0])) for h in law.h]
+    refs = [np.concatenate(x) for x in zip(*((step.propagator(), *(h * m for m in step.moments()))
+                                               for h, step in steps))]
     for got, want in zip((law.propagator(), *law.moments()), refs):
         scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
@@ -253,23 +248,21 @@ def test_shared_eigenbasis_matches_per_step_bases(name):
     for u in (0.5, 1.0):
         fr = stationary.freeze(spec, u)
         h = np.concatenate([[12.0], np.geomspace(1e-3, 4.0, 20)])
-        law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
-        assert _shares_one_basis(law)
+        law = dynamics.StepLaw(fr.A, fr.C, h)
+        assert law.basis is not None
         assert_matches_per_step_bases(law)
 
 
 def test_repeated_eigenvalue_at_the_reference_node_takes_the_propagator_law():
     # equal rates at t0 = 3 pi / 2, where sin(t0) = -1: A(t0) = -1.5 I up to
     # rounding, whose computed eigenbasis is trusted but does not diagonalize
-    # the later nodes of the family, so the residual test rejects frozen
-    # steps of these values; A is not diagonal at the nodes, so the stack
-    # takes the node-propagator law, that of the ODE
+    # the later nodes of the family; A is not diagonal at the nodes, so the
+    # stack takes the node-propagator law, that of the ODE
     family = _Commuting(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.5, 1.5]),
                         np.array([0.3, 0.0]), np.array([1.0, 1.0]), 0)
     A = family(1.5 * np.pi + np.arange(64) / 64.0)
     assert np.ptp(np.linalg.eigvals(A[0])) == 0.0
     assert dynamics.eigenbasis(A[0])[3] <= dynamics._COND_MAX
-    assert dynamics._shared_basis(A) is None
     spec = ModelSpec(2, family, _Vector(np.ones(2), np.zeros(2)), _Vector(np.array([1.0, 0.3]), np.zeros(2)),
                      Lipschitz(1.0, 1.0, 1.0), True, 1.0, "repeated")
     t0 = 1.5 * np.pi
@@ -310,8 +303,8 @@ def test_commuting_stacks_take_one_eigenbasis_each():
     for spec in (diag2, models.companion2(), scaled, noncommuting):
         assert _eigenbasis_shapes(lambda: build_segment_law(_statespace_plan(spec), JUMPS)) == []
     # the frozen steps of a diagonal A take the identity basis: the joint
-    # frozen system of a scalar model takes none; those of companion2 share
-    # one (2, 2) basis
+    # frozen system of a scalar model takes none; those of companion2 take
+    # the one (2, 2) basis of its A
     fr = _joint_frozen(models.tvcar_sin(), JUMPS, 0.9, 1.1)
     assert _eigenbasis_shapes(lambda: stationary._frozen_law(fr, JUMPS, np.full(8, 0.25))) == []
     fr = stationary.freeze(models.companion2(), 1.0)
@@ -598,15 +591,6 @@ def test_shared_and_scalar_stacks_take_no_matrix_scan():
         assert scan.call_count > 0
 
 
-def _eigenbasis_route(M):
-    """``dynamics._shared_basis`` without the identity shortcut, as every
-    stack took it before: V and V^-1 from :func:`dynamics.eigenbasis` of the
-    first matrix and w = diag(V^-1 M V)."""
-    p = M.shape[-1]
-    _, V, Vinv, est = dynamics.eigenbasis(M.reshape(-1, p, p)[0])
-    return np.diagonal(Vinv @ M @ V, axis1=-2, axis2=-1).copy(), V, Vinv, est
-
-
 def _plan_outputs(plan):
     """D, drift and covariance of every segment of ``plan``, and the jump
     weights of two jumps per segment, at the fractions 0.2 and 0.7 of it."""
@@ -625,36 +609,31 @@ def _plan_outputs(plan):
 def test_identity_basis_matches_the_eigenbasis_route_bit_for_bit(spec, N, gaps, first):
     # frozen steps of a diagonal A skip the eigendecomposition, the residual
     # test and the products with V; for diagonal A, V is a signed permutation
-    # of I, so the eigenbasis route rounds the same and gives the same numbers
+    # of I, so the eigenbasis route of trusted_eigenbasis rounds the same and
+    # gives the same numbers
     rescaled = first * H + H * np.concatenate([[0], np.cumsum(gaps)])
     fr = stationary.freeze(spec, rescaled[0] / N)
     h = np.concatenate([[12.0], np.diff(rescaled)])
-    law = dynamics.StepLaw(fr.A * h[:, None, None], fr.C, h)
-    assert law.shared[1] is None
-    ref = copy.copy(law)
-    ref.__dict__["shared"] = _eigenbasis_route(law.M)
+    law = dynamics.StepLaw(fr.A, fr.C, h)
+    assert law.basis[1] is None
+    ref = dynamics.StepLaw(fr.A, fr.C, h)
+    with mock.patch.object(dynamics, "_diagonal", return_value=None):
+        assert ref.basis[1] is not None
     for a, b in zip((law.propagator(), *law.moments()), (ref.propagator(), *ref.moments())):
         assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("entry", [0.5, 1e-300])
-@pytest.mark.parametrize("at", [0, 5])
-def test_one_nonzero_off_diagonal_entry_takes_the_residual_test(entry, at):
-    # the identity basis needs every off-diagonal entry of every step to be 0;
-    # one step with a nonzero entry sends the stack through eigenbasis and the
-    # residual test, which keeps a shared basis only for a residual below
-    # _RESIDUAL_MAX of the step's size
-    h = 1.0 / 64.0
-    M = _Commuting(np.eye(2), np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([1.0, 1.0]),
-                   0)(np.arange(8) * h) * h
-    M[at, 0, 1] = entry
-    law = dynamics.StepLaw(M, np.ones(2), h)
-    assert _eigenbasis_shapes(lambda: law.shared) == [(2, 2)]
-    if entry == 0.5:
-        assert law.shared is None
-    else:
-        assert law.shared[1] is not None and _shares_one_basis(law)
-        assert_matches_per_step_bases(law)
+def test_one_nonzero_off_diagonal_entry_takes_the_trusted_eigenbasis(entry):
+    # the identity basis needs every off-diagonal entry of A to be 0; one
+    # nonzero entry sends A through one eigendecomposition and the residual
+    # test of trusted_eigenbasis, which trusts a basis of distinct rates
+    A = np.diag([-1.0, -2.0])
+    A[0, 1] = entry
+    law = dynamics.StepLaw(A, np.ones(2), np.array([1.0 / 64.0, 0.5, 4.0]))
+    assert _eigenbasis_shapes(lambda: law.basis) == [(2, 2)]
+    assert law.basis[1] is not None
+    assert_matches_per_step_bases(law)
 
 
 def _same_bits(a, b) -> bool:

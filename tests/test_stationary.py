@@ -6,7 +6,7 @@ from locstat import models
 from locstat import stationary as st
 from locstat.dynamics import (
     JumpWeights, Lipschitz, ModelSpec, StepLaw, car1, covariance_factor, draw_segment_noise,
-    segment_states,
+    segment_states, trusted_eigenbasis,
 )
 from locstat.noise import BROWNIAN, JumpSpec, LevyTriplet
 from locstat.rng import stream
@@ -408,7 +408,7 @@ def test_product_integrals_factor_the_shift_on_the_expm_path(delta):
     # eigenbasis each node takes one expm, with e^{A shift} C computed once
     fr = st.FrozenSystem(np.array([[0.0, 1.0], [-1.0, -2.0]]), np.array([1.0, 0.5]),
                          np.array([0.0, 1.0]), margin=1.0)
-    assert st._eig_cache(fr) is None
+    assert trusted_eigenbasis(fr.A) is None
     f = st._exp_pair(fr, fr.B, fr.C)
     h = delta * np.arange(0, 11)
     for k in (0.0, 1.0):
@@ -442,7 +442,7 @@ def test_product_integrals_match_quad_vec_on_a_complex_eigenbasis(k):
 
     fr = _joint_frozen(_complex_companion(), BROWNIAN, 0.4, 0.9)
     w = np.linalg.eigvals(fr.A)
-    assert st._eig_cache(fr) is not None and np.all(np.abs(w.imag) > 2.0)
+    assert trusted_eigenbasis(fr.A) is not None and np.all(np.abs(w.imag) > 2.0)
     f = st._exp_pair(fr, fr.B, fr.C)
     h = 0.05 * np.arange(0, 60)
     shifts = np.stack([np.zeros_like(h), np.full_like(h, k), h, h + k], axis=-1)
@@ -506,7 +506,7 @@ def test_joint_system_of_equal_systems_integrates_to_zero():
                                np.concatenate([B, -B]), np.concatenate([C, C]), margin=2.0)
 
     equal = joint(A)
-    assert st._eig_cache(equal) is None
+    assert trusted_eigenbasis(equal.A) is None
     assert st.kernel_power_integrals(equal) == (0.0, 0.0, 0.0, 0.0)
     i1, i2, i3, i4 = st.kernel_power_integrals(joint(A - 1e-3 * np.eye(3)))
     assert i2 > 0.0 and i4 > 0.0
@@ -520,7 +520,7 @@ def test_autocov_lag_arrays_any_shape():
     jordan = st.FrozenSystem(
         np.array([[0.0, 1.0], [-1.0, -2.0]]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), margin=1.0
     )
-    assert st._eig_cache(jordan) is None
+    assert trusted_eigenbasis(jordan.A) is None
     got = st.stationary_autocov(jordan, 0.0, BROWNIAN, h)
     assert got.shape == (2, 2)
     assert np.allclose(got, np.exp(-h) * (1.0 + h) / 4.0, rtol=1e-12, atol=0.0)
@@ -585,9 +585,9 @@ def reference_batch(fr, triplet, gaps, R, gen):
     from scipy import linalg
 
     gaps = np.asarray(gaps, dtype=float)
-    eig = st._eig_cache(fr)
+    eig = trusted_eigenbasis(fr.A)
     if eig is not None:
-        w_eig, V, _ = eig
+        w_eig, V, _, _ = eig
         vinv_c = np.linalg.solve(V, fr.C.astype(complex))
     warm = 12.0 / fr.margin
     step_lengths = np.concatenate([[warm], np.unique(gaps)])
@@ -653,7 +653,7 @@ EQUIV_GAPS = {
 @pytest.mark.parametrize("driver", EQUIV_TRIPLETS)
 def test_batched_simulation_matches_per_step_loop(system, driver):
     fr, tri = EQUIV_SYSTEMS[system], EQUIV_TRIPLETS[driver]
-    assert (st._eig_cache(fr) is None) == (system == "expm")
+    assert (trusted_eigenbasis(fr.A) is None) == (system == "expm")
     for R in (1, 7, 64):
         for name, gaps in EQUIV_GAPS.items():
             purpose = f"equiv:{system}:{driver}:{name}"
@@ -686,7 +686,7 @@ def test_jump_inputs_match_per_jump_expm():
 
     def weights(fr):
         table = JumpWeights(1)
-        table.put_steps(np.zeros(1, dtype=np.int64), StepLaw(6.0 * fr.A[None], fr.C, [6.0]))
+        table.put_steps(np.zeros(1, dtype=np.int64), StepLaw(fr.A, fr.C, [6.0]))
         return table(np.zeros(v.size, dtype=np.int64), 1.0 - v / 6.0)
 
     for fr in (JORDAN, st.freeze(models.companion2(), 0.0)):

@@ -1,7 +1,10 @@
 """Moments of the batched exact frozen simulator on random stable systems.
 
 Random A with p = 1..3: real eigenvalues, complex-conjugate pairs, and
-near-defective Jordan-like blocks whose eigenbasis forces the expm path.
+two near-defective kinds that take the expm path: Jordan-like blocks whose
+eigenbasis has condition number far past ``dynamics._COND_MAX``, and the
+middle band of ``test_trusted_eigenbasis``, whose basis is within that bound
+but fails the residual test of ``dynamics.trusted_eigenbasis``.
 Independent replications give the mean, the variance and the covariance at
 one lag of the output, and the covariance of the final state; each must
 match its closed form (`stationary_mean`, `stationary_autocov`, and Sigma_L
@@ -12,6 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from test_trusted_eigenbasis import middle_band
+
+from locstat import dynamics
 from locstat import stationary as st
 from locstat.dynamics import draw_segment_noise, run_segment_law, segment_states
 from locstat.noise import JumpSpec, LevyTriplet, triplet_moments
@@ -21,16 +27,18 @@ R = 1000
 
 @hst.composite
 def frozen_systems(draw):
-    kind = draw(hst.sampled_from(["real", "complex", "near_defective"]))
+    kind = draw(hst.sampled_from(["real", "complex", "middle_band", "near_defective"]))
     p = draw(hst.integers(1 if kind == "real" else 2, 3))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     rates = rng.uniform(0.8, 2.5, p)
-    if kind == "near_defective":
+    if kind == "middle_band":
+        A, margin = middle_band(rng, p)
+    elif kind == "near_defective":
         # -a I plus a superdiagonal, the last root moved by 1e-10: the
         # eigenbasis has condition number far beyond eigenbasis's bound
-        D = -rates[0] * np.eye(p) + np.diag(np.ones(p - 1), 1)
-        D[-1, -1] *= 1.0 + 1e-10
-        V = np.eye(p)
+        A = -rates[0] * np.eye(p) + np.diag(np.ones(p - 1), 1)
+        A[-1, -1] *= 1.0 + 1e-10
+        assert dynamics.eigenbasis(A)[3] > dynamics._COND_MAX
         margin = rates[0]
     else:
         D = np.diag(-rates)
@@ -39,10 +47,10 @@ def frozen_systems(draw):
             D[1, 0] = -D[0, 1]
             D[1, 1] = D[0, 0]
         V = np.eye(p) + 0.4 * rng.standard_normal((p, p))
+        A = V @ D @ np.linalg.inv(V)
         margin = float(np.min(np.diag(-D)))
-    A = V @ D @ np.linalg.inv(V)
     fr = st.FrozenSystem(A, rng.standard_normal(p), rng.standard_normal(p), margin=margin)
-    assert (st._eig_cache(fr) is None) == (kind == "near_defective")
+    assert (dynamics.trusted_eigenbasis(A) is None) == (kind in ("middle_band", "near_defective"))
     return fr
 
 

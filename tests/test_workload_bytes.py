@@ -1,13 +1,14 @@
-"""The output bytes of the benchmark workloads and of the ``noncommuting_lln``
-check of the seed sweep.
+"""The output bytes of the benchmark workloads and of the checks of the seed
+sweep.
 
-Each config of ``perfbench/workloads.py`` and the ``noncommuting_lln`` config
-of ``calib/checks.py`` runs through ``cli.main`` at seeds 1 and 2 with one
-worker, at the CLI seed the benchmark derives from the seed
-(``Workload.argv``). Its exit code and the sha256 of its output files (name
-and bytes, in name order) must be the pinned ones. A change that moves them
-moves the bits of a workload: it takes new digests only on purpose, with a
-seed sweep (``calib/sweep.py``) of the checks it moves. ``clt_jumps``, which
+Each config of ``perfbench/workloads.py`` and of ``calib/checks.py``
+(``noncommuting_lln`` and ``noncommuting_lipschitz``) runs through
+``cli.main`` at seeds 1 and 2 with one worker, at the CLI seed the
+benchmark derives from the seed (``Workload.argv``). Its exit code and the
+sha256 of its output files (name and bytes, in name order) must be the
+pinned ones. A change that moves them moves the bits of a workload: it
+takes new digests only on purpose, with a seed sweep (``calib/sweep.py``)
+of the checks it moves. ``clt_jumps``, which
 the benchmark times at 2 workers, also keeps them at 2 and 3 workers with
 its chunks run in forked children.
 """
@@ -34,6 +35,8 @@ PINNED = {
     ("lln_ladder", 2): (0, "40b3330b6d2a9b82250afb5126a82f7d8fa6c6b2ca06d2b5dc5fe980f22b1836"),
     ("noncommuting_lln", 1): (0, "491160cbffeb0b78289bbbb244818dc19b5836ecd27ca8d01e318a0ee59dbdb9"),
     ("noncommuting_lln", 2): (0, "4792c7dbb231230c1f1e3870093a333f2a776049b45ba75176c2810887574209"),
+    ("noncommuting_lipschitz", 1): (0, "42dccb3418b7cb0d8583b2d1d1a2b631a8e5737bd76695f3261e3ee2f24deb78"),
+    ("noncommuting_lipschitz", 2): (0, "797f95ca3f1e8b8a14c19de8bd88fedb94e8c989a088a4f28b5488010c930203"),
     ("statespace_simulate", 1): (0, "a34d3535b64b6d01aaa298fede35b3e373c08d54fe5fd84e89714d8d0bd11ed0"),
     ("statespace_simulate", 2): (0, "9683ea72874cc7abacaa87d4a764aea5ddf33631463c40e9e9fae1ca3ece2f9e"),
 }
@@ -56,7 +59,7 @@ def test_workload_outputs_keep_their_bytes(name, seed, tmp_path):
 
 
 def test_every_workload_and_the_noncommuting_check_are_pinned():
-    assert sorted({name for name, _ in PINNED}) == sorted([*workloads.WORKLOADS, "noncommuting_lln"])
+    assert sorted({name for name, _ in PINNED}) == sorted(CONFIGS)
 
 
 @pytest.mark.parametrize("workers", [workloads.WORKLOADS["clt_jumps"].workers, 3])
